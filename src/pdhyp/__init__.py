@@ -15,11 +15,10 @@ from .symbols import (Phase, BilinearSymbol, ResonanceSample, WAVE_PHASE,
 from .pseudoproduct import PseudoproductPlan, apply, holder_bound_ratio
 from .propagators import (MultiplierSpec, apply_multiplier, dispersive_ratio,
                           fractional_ratio)
-from .evolution import (ModelSpec, Coefficients, StateField, Profile,
-                        Stepper, BlowupGuard, rhs, step, extract_profile,
-                        wave_profile, frequency_split, linear_evolve,
-                        save_checkpoint, load_checkpoint)
-from .norms import (NormSpec, DecaySeries, BootstrapReport, evaluate_norm,
+from .evolution import (ModelSpec, Coefficients, StateField, Stepper,
+                        BlowupGuard, rhs, step, flow, wave_profile,
+                        frequency_split, save_checkpoint, load_checkpoint)
+from .norms import (NormSpec, BootstrapReport, evaluate_norm,
                     m0_functional, fit_decay, fit_exponential_rate,
                     initial_energy)
 from .experiments import ExperimentConfig, make_initial_data, run

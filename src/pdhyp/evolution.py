@@ -1,10 +1,16 @@
 """Time integration of the model systems in spectral form.
 
+A model is one per-mode linear operator E(i xi) = -i|xi| A + B and a table
+of quadratic sources: per equation, a coefficient for each monomial of
+MONOMIALS, plus the bilinear pseudoproduct T_m(w, w) in the w-equation.
+
 The linear part is advanced exactly through the per-mode matrix exponential
 (integrating factor); only the quadratic sources see explicit Runge-Kutta
 stages (Lawson schemes of order 2 and 4).  Polynomial sources are formed by
 physical-space products, the bilinear pseudoproduct source through
 pseudoproduct.apply; everything is dealiased with the strict 2/3 rule.
+flow() applies the exact linear flow for a signed time span; the profile
+exp(-E t) U_hat of a state is its flow back to t = 0.
 
 Initial time is t = 1 by convention and all decay fits start there.
 
@@ -16,11 +22,9 @@ during stepping (it would replace the half-wave factor e^{-i|xi| dt} by
 cos(|xi| dt) per step and destroy the wave invariants).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import norms, pseudoproduct, spectra
 from .errors import StepRejected
@@ -28,10 +32,15 @@ from .grid import SpectralGrid
 
 T_INITIAL = 1.0
 BLOWUP_FACTOR = 1e3
-PROFILE_PRECISION_GUARD = 40.0   # warn when t * spectral gap exceeds this
 
 MODEL_KINDS = ("pk_system", "k_system", "pk_system_w")
-COUPLINGS = ("uw", "vw_in_v", "vw_in_u", "vw_in_w")
+# products of the state components, in the order rhs accumulates them
+MONOMIALS = ("uu", "vv", "uv", "uw", "vw")
+# coupling -> (equation, monomial) of the d_v term
+COUPLINGS = {"uw": (1, "uw"), "vw_in_v": (1, "vw"), "vw_in_u": (0, "vw"),
+             "vw_in_w": (2, "vw")}
+# pk_system_w's fixed unit sources (v^2, v^2, vw + T_m(w, w))
+PK_SYSTEM_W_SOURCES = ({"vv": 1.0}, {"vv": 1.0}, {"vw": 1.0})
 
 
 @dataclass
@@ -57,9 +66,14 @@ class ModelSpec:
                   (uw or vw in the v-equation, or vw in the u-equation)
                   and a pseudoproduct source T_m(w, w) in the w-equation.
     k_system:     the 2-component dissipative block with general quadratic
-                  sources; w_symbol, d_v and coupling are ignored.
+                  sources; w_symbol and coupling are ignored, d_v must be 0.
     pk_system_w:  sources fixed to (v^2, v^2, vw + T_m(w, w)) with unit
-                  coefficients; the coupling lives in the w-equation.
+                  coefficients; the coupling lives in the w-equation, so the
+                  coefficients must stay 0 and the coupling uw or vw_in_w.
+
+    The kind, coefficients and coupling compile into `sources`, one
+    {monomial: coefficient} row per equation without zero entries, and
+    `w_form`, whether the w-equation carries T_m(w, w).
     """
     kind: str
     coefficients: Coefficients = field(default_factory=Coefficients)
@@ -71,16 +85,32 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.coupling not in COUPLINGS:
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.kind == "pk_system_w":
-            self.coupling = "vw_in_w"
-            self.coefficients = Coefficients(a_u=0.0, b_u=1.0, c_u=0.0,
-                                             a_v=0.0, b_v=1.0, c_v=0.0,
-                                             d_v=1.0)
+        c = self.coefficients
         if self.kind == "pk_system" and self.coupling == "vw_in_w":
             raise ValueError("pk_system places the coupling in the u/v block")
+        if self.kind == "k_system" and c.d_v:
+            raise ValueError("k_system has no w, so d_v must be 0")
+        if self.kind == "pk_system_w":
+            if self.w_symbol is None:
+                raise ValueError("pk_system_w needs a w_symbol")
+            if any(c.as_dict().values()):
+                raise ValueError("pk_system_w fixes its sources; "
+                                 "coefficients must be 0")
+            if self.coupling not in ("uw", "vw_in_w"):
+                raise ValueError("pk_system_w places the coupling in the "
+                                 "w-equation")
+            self.sources = PK_SYSTEM_W_SOURCES
+        else:
+            rows = [{"uu": c.a_u, "vv": c.b_u, "uv": c.c_u},
+                    {"uu": c.a_v, "vv": c.b_v, "uv": c.c_v}]
+            if self.dim_state == 3:
+                rows.append({})
+                eq, monomial = COUPLINGS[self.coupling]
+                rows[eq][monomial] = c.d_v
+            self.sources = tuple({m: float(a) for m, a in row.items() if a}
+                                 for row in rows)
         # pk_system with w_symbol=None is the linearized/decoupled variant
-        if self.kind == "pk_system_w" and self.w_symbol is None:
-            raise ValueError("pk_system_w needs a w_symbol")
+        self.w_form = self.dim_state == 3 and self.w_symbol is not None
 
     @property
     def dim_state(self):
@@ -147,40 +177,25 @@ def zero_state(grid, dim_state, t=T_INITIAL):
 
 def rhs(model, state, plan=None):
     """Spectral quadratic source of the model; the linear part is excluded
-    (it is advanced exactly by the integrating factor)."""
+    (it is advanced exactly by the integrating factor).
+
+    Only the components the source table uses are transformed, each
+    product is formed once, and each equation sums its terms in MONOMIALS
+    order followed by T_m(w, w); with no sources no transform is done."""
     g = state.grid
-    c = model.coefficients
-    d = model.dim_state
-    out = np.zeros((d,) + g.shape, dtype=complex)
-
-    u = g.to_physical(state.data[0])
-    v = g.to_physical(state.data[1])
-    w = g.to_physical(state.data[2]) if d == 3 else None
-
-    def spec(prod):
-        return g.dealias(g.to_spectral(prod))
-
-    uu = spec(u * u) if (c.a_u or c.a_v) else 0.0
-    vv = spec(v * v) if (c.b_u or c.b_v) else 0.0
-    uv = spec(u * v) if (c.c_u or c.c_v) else 0.0
-
-    out[0] = c.a_u * uu + c.b_u * vv + c.c_u * uv
-    out[1] = c.a_v * uu + c.b_v * vv + c.c_v * uv
-
-    if d == 3:
-        if c.d_v:
-            if model.coupling == "uw":
-                out[1] += c.d_v * spec(u * w)
-            elif model.coupling == "vw_in_v":
-                out[1] += c.d_v * spec(v * w)
-            elif model.coupling == "vw_in_u":
-                out[0] += c.d_v * spec(v * w)
-            elif model.coupling == "vw_in_w":
-                out[2] += c.d_v * spec(v * w)
-        if model.w_symbol is not None:
-            if plan is None:
-                plan = pseudoproduct.PseudoproductPlan(g, model.w_symbol)
-            out[2] += pseudoproduct.apply(plan, state.data[2], state.data[2])
+    out = np.zeros((model.dim_state,) + g.shape, dtype=complex)
+    used = [m for m in MONOMIALS if any(m in row for row in model.sources)]
+    phys = {c: g.to_physical(state.data[i]) for i, c in enumerate("uvw")
+            if any(c in m for m in used)}
+    products = {m: g.dealias(g.to_spectral(phys[m[0]] * phys[m[1]]))
+                for m in used}
+    for eq, row in enumerate(model.sources):
+        for monomial, coef in row.items():
+            out[eq] += coef * products[monomial]
+    if model.w_form:
+        if plan is None:
+            plan = pseudoproduct.PseudoproductPlan(g, model.w_symbol)
+        out[2] += pseudoproduct.apply(plan, state.data[2], state.data[2])
     return out
 
 
@@ -221,7 +236,7 @@ class Stepper:
         self.G_full = spectra.green_function(self.cache, self.dt)
         self.G_half = (spectra.green_function(self.cache, self.dt / 2.0)
                        if scheme == "ifrk4" else None)
-        if plan is None and model.dim_state == 3 and model.w_symbol is not None:
+        if plan is None and model.w_form:
             plan = pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
         self.plan = plan
 
@@ -268,19 +283,18 @@ def step(model, state, dt, scheme="ifrk2", guard=None, plan=None):
     return Stepper(model, state.grid, dt, scheme, plan).step(state, guard)
 
 
-def default_dt(grid):
-    """CFL-like default on the sources only; the linear flow is exact."""
-    return 0.5 * grid.dx
+def default_dt(dx):
+    """CFL-like default on the sources for grid spacing dx; the linear flow
+    is exact."""
+    return 0.5 * dx
 
 
-def linear_evolve(cache, state, t_target):
-    """Exact linear flow exp(E (t_target - t)) applied per mode."""
-    dt = t_target - state.t
-    if dt < 0:
-        raise ValueError("linear_evolve does not run backwards")
-    G = spectra.green_function(cache, dt)
-    d = state.dim_state
-    flat = spectra.propagator_apply(G, state.data.reshape(d, -1))
+def flow(cache, state, t_target):
+    """Exact linear flow exp(E (t_target - t)) applied per mode, for either
+    sign of t_target - t; the profile exp(-E t) U_hat of a state is
+    flow(cache, state, 0.0), and flowing a profile to t rebuilds the state."""
+    G = spectra.green_function(cache, t_target - state.t)
+    flat = spectra.propagator_apply(G, state.data.reshape(state.dim_state, -1))
     return StateField(state.grid, flat.reshape(state.data.shape), t_target)
 
 
@@ -288,64 +302,11 @@ def linear_evolve(cache, state, t_target):
 # profiles and frequency splitting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Profile:
-    """State with the linear flow removed: f_hat = exp(-E(i xi) t) U_hat."""
-    grid: SpectralGrid
-    data: np.ndarray
-    t: float
-
-    @property
-    def f_u(self):
-        return self.data[0]
-
-    @property
-    def f_v(self):
-        return self.data[1]
-
-    @property
-    def f_w(self):
-        return self.data[2]
-
-
-def extract_profile(state, cache):
-    """exp(-E t) U_hat per mode.  The inverse flow amplifies the damped
-    eigendirection like e^{t}, so precision degrades for large t; a warning
-    is emitted past t * gap = 40 where the amplification reaches e^40."""
-    t = state.t
-    gap = float(np.max(np.abs(np.real(cache.eigvals))))
-    if t * gap > PROFILE_PRECISION_GUARD:
-        warnings.warn(
-            f"profile extraction at t={t:.3g} amplifies by e^{t * gap:.3g}; "
-            "expect severe cancellation", stacklevel=2)
-    phase = np.exp(-cache.eigvals * t)
-    inv = np.einsum("km,kmij->mij", phase, cache.projectors)
-    if cache.degenerate_mask.any():
-        for i in np.nonzero(cache.degenerate_mask)[0]:
-            inv[i] = scipy.linalg.expm(-cache.E[i] * t)
-    flat = spectra.propagator_apply(inv, state.data.reshape(state.dim_state, -1))
-    return Profile(state.grid, flat.reshape(state.data.shape), t)
-
-
 def wave_profile(state):
     """f_w = e^{+i|xi| t} w_hat: the unitary profile of the wave component
     (no amplification, safe at any t)."""
     g = state.grid
     return np.exp(1j * g.xi_norm * state.t) * state.w_hat
-
-
-def profile_derivative_series(grid, times, profiles):
-    """Optional finite-difference diagnostic: L^2 norms of d/dt f_w sampled
-    midway between profile snapshots.  Not an acceptance quantity."""
-    from . import norms
-    times = np.asarray(times, dtype=float)
-    mids, vals = [], []
-    for i in range(len(times) - 1):
-        dt = times[i + 1] - times[i]
-        diff = (profiles[i + 1] - profiles[i]) / dt
-        mids.append(0.5 * (times[i] + times[i + 1]))
-        vals.append(norms.l2_norm(grid, diff))
-    return np.asarray(mids), np.asarray(vals)
 
 
 def frequency_split(state, cutoff):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evolution as ev
 from . import norms, spectra
-from .errors import ConfigError, StepRejected, UnknownPreset
+from .errors import ConfigError, PdhypError, StepRejected, UnknownPreset
 from .grid import SpectralGrid
 from .pseudoproduct import PseudoproductPlan
 from .symbols import SYMBOL_PRESET_NAMES, symbol_preset
@@ -33,8 +33,10 @@ CONFIG_SCHEMA = {
                 "radial_power": "int >= 0, scalar or list",
                 "mode": "[kx, ky, kz] for single_mode", "band": "int",
                 "seed": "int", "project": "none | damped_branch"},
-    "time": {"t_max": "< L/4 (no-wrap)", "dt": "step", "scheme":
-             "ifrk2 | ifrk4", "sample_dt": "sampling cadence (default dt)"},
+    "time": {"t_max": "< L/4 (no-wrap), a whole number of steps from t = 1",
+             "dt": "step (default L/(2n))", "scheme": "ifrk2 | ifrk4",
+             "sample_dt": "sampling cadence, a whole multiple of dt "
+                          "(default dt)"},
     "pseudoproduct": {"strategy": "auto | direct_sum | separable_fft"},
     "norms": "list of 'kind:component' strings or 'default'",
     "fit": {"window": "[t_lo, t_hi] or null for [0.25, 0.9] * t_max"},
@@ -67,7 +69,7 @@ _DEFAULTS = {
     "initial": {"preset": "gaussian_bump", "amplitude": 1e-3, "width": 1.0,
                 "radial_power": 0, "mode": [1, 0, 0], "band": 4, "seed": 0,
                 "project": "none"},
-    "time": {"t_max": 30.0, "dt": None, "scheme": "ifrk2", "sample_dt": None},
+    "time": {"t_max": 31.0, "dt": None, "scheme": "ifrk2", "sample_dt": None},
     "pseudoproduct": {"strategy": "auto"},
     "norms": "default",
     "fit": {"window": None},
@@ -156,10 +158,18 @@ class ExperimentConfig:
         if bad_coeff:
             problems.append(f"model.coefficients: unknown names {sorted(bad_coeff)}")
 
+        if not problems:
+            try:
+                self.build_model()
+            except ValueError as exc:
+                problems.append(f"model: {exc}")
+
         n = g["n"]
-        if not (isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0):
+        grid_ok = isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0
+        if not grid_ok:
             problems.append(f"grid.n: {n!r} is not a power of two >= 8")
         if g["length"] <= 0:
+            grid_ok = False
             problems.append("grid.length: must be positive")
 
         if i["preset"] not in INITIAL_PRESETS:
@@ -177,6 +187,18 @@ class ExperimentConfig:
             problems.append("time.t_max: must exceed the initial time t = 1")
         if t["dt"] is not None and t["dt"] <= 0:
             problems.append("time.dt: must be positive")
+        elif grid_ok:
+            dt = self.dt()
+            steps = (t["t_max"] - ev.T_INITIAL) / dt
+            if not _whole(steps):
+                problems.append(
+                    f"time.t_max: (t_max - 1)/dt = {steps:.6g} is not a whole "
+                    "number of steps")
+            every = (t["sample_dt"] or dt) / dt
+            if not (round(every) >= 1 and _whole(every)):
+                problems.append(
+                    f"time.sample_dt: {t['sample_dt']} is not a positive whole "
+                    f"multiple of dt = {dt:.6g}")
         if t["scheme"] not in ("ifrk2", "ifrk4"):
             problems.append(f"time.scheme: unknown scheme {t['scheme']!r}")
         if r["pseudoproduct"]["strategy"] not in ("auto", "direct_sum",
@@ -186,7 +208,7 @@ class ExperimentConfig:
             for spec in r["norms"]:
                 try:
                     parse_norm_spec(spec)
-                except Exception as exc:
+                except (PdhypError, ValueError) as exc:
                     problems.append(f"norms: {exc}")
         if problems:
             raise ConfigError(problems)
@@ -203,14 +225,19 @@ class ExperimentConfig:
         return ev.ModelSpec(m["kind"], coeffs, w_symbol=sym,
                             coupling=m["coupling"])
 
-    def dt(self, grid):
-        return self["time"]["dt"] or ev.default_dt(grid)
+    def dt(self):
+        g = self["grid"]
+        return self["time"]["dt"] or ev.default_dt(g["length"] / g["n"])
 
     def fit_window(self):
         win = self["fit"]["window"]
         if win is None:
             return norms.default_fit_window(self["time"]["t_max"])
         return tuple(win)
+
+
+def _whole(x):
+    return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
 
 
 def parse_norm_spec(text):
@@ -379,7 +406,7 @@ def run(config, log=None):
         width=icfg["width"], radial_power=icfg["radial_power"],
         mode=icfg["mode"], band=icfg["band"])
 
-    dt = config.dt(grid)
+    dt = config.dt()
     t_max = config["time"]["t_max"]
     sample_dt = config["time"]["sample_dt"] or dt
     scheme = config["time"]["scheme"]
@@ -432,7 +459,7 @@ def run(config, log=None):
             expo, resid = norms.fit_decay(t, v, window)
             fits[name] = {"exponent": expo, "residual": resid,
                           "window": list(window)}
-        except Exception as exc:
+        except (PdhypError, ValueError) as exc:
             fits[name] = {"exponent": None, "error": str(exc)}
 
     m0_report = None
@@ -441,7 +468,7 @@ def run(config, log=None):
             m0_report = norms.m0_functional(
                 model.kind,
                 {k: v for k, v in series_arr.items()}, e_n).as_dict()
-        except Exception as exc:
+        except (PdhypError, ValueError) as exc:
             m0_report = {"error": str(exc)}
 
     out = config["output"]
@@ -466,7 +493,7 @@ def run(config, log=None):
 
 
 def _build_plan(config, grid, model):
-    if model.dim_state != 3 or model.w_symbol is None:
+    if not model.w_form:
         return None
     return PseudoproductPlan(grid, model.w_symbol,
                              strategy=config["pseudoproduct"]["strategy"])

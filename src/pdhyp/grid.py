@@ -93,10 +93,6 @@ class SpectralGrid:
 
     # -- misc ---------------------------------------------------------------
 
-    @property
-    def nyquist(self):
-        return np.pi / self.dx
-
     def require_same(self, other):
         if (self.n, self.length, self.ndim) != (other.n, other.length, other.ndim):
             raise GridMismatch(

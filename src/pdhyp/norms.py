@@ -11,12 +11,12 @@ the box center.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingSeries, NonPositiveValues
-from .propagators import MultiplierSpec, apply_multiplier
+from .propagators import MultiplierSpec, apply_multiplier, lp_norm
 
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
@@ -43,20 +43,11 @@ def l2_norm(grid, fhat):
     return sobolev_norm(grid, fhat, 0)
 
 
-def l1_norm(grid, fhat):
-    f = grid.to_physical(fhat)
-    return float(np.sum(np.abs(f)) * grid.dx ** grid.ndim)
-
-
-def linf_norm(grid, fhat):
-    return float(np.max(np.abs(grid.to_physical(fhat))))
-
-
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
     every component choice)."""
-    return max(linf_norm(grid, apply_multiplier(MultiplierSpec.riesz(j),
-                                                grid, fhat))
+    return max(lp_norm(grid, apply_multiplier(MultiplierSpec.riesz(j),
+                                              grid, fhat), np.inf)
                for j in range(grid.ndim))
 
 
@@ -151,11 +142,11 @@ def evaluate_norm(spec, state, profile_w=None):
     if spec.kind == "sobolev":
         return sobolev_norm(grid, fhat, spec.order)
     if spec.kind == "linf":
-        return linf_norm(grid, fhat)
+        return lp_norm(grid, fhat, np.inf)
     if spec.kind == "linf_riesz":
         return riesz_linf_norm(grid, fhat)
     if spec.kind == "l1":
-        return l1_norm(grid, fhat)
+        return lp_norm(grid, fhat, 1)
     if spec.kind == "weighted_x_l2":
         return weighted_x_l2(grid, fhat)
     if spec.kind == "weighted_lambda_x_h1":
@@ -170,7 +161,7 @@ def initial_energy(state, order=SOBOLEV_N):
                   ||x U||_{H^2} + ||Lam x^2 U||_{H^1} + ||U||_{H^N} },
     components aggregated by summation."""
     g = state.grid
-    l1 = sum(l1_norm(g, comp) for comp in state.data)
+    l1 = sum(lp_norm(g, comp, 1) for comp in state.data)
     weighted = sum(weighted_x_sobolev(g, comp, 2) for comp in state.data)
     weighted += sum(weighted_lambda_x2_sobolev(g, comp, 1)
                     for comp in state.data)
@@ -181,32 +172,6 @@ def initial_energy(state, order=SOBOLEV_N):
 # ---------------------------------------------------------------------------
 # decay series and fitting
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DecaySeries:
-    name: str
-    times: np.ndarray
-    values: np.ndarray
-    fit_window: tuple = None
-    fitted_exponent: float = None
-    fit_residual: float = None
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise ValueError("times and values must be matching 1-d arrays")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-
-    def fit(self, window=None):
-        window = window or self.fit_window
-        exponent, residual = fit_decay(self.times, self.values, window)
-        self.fit_window = window
-        self.fitted_exponent = exponent
-        self.fit_residual = residual
-        return exponent, residual
-
 
 def _window_mask(times, window):
     lo, hi = window

@@ -86,10 +86,6 @@ def lp_norm(grid, fhat, p):
     return float((np.sum(f ** p) * grid.dx ** grid.ndim) ** (1.0 / p))
 
 
-def linf_norm(grid, fhat):
-    return lp_norm(grid, fhat, np.inf)
-
-
 def sobolev_w_norm(grid, fhat, sigma, p):
     """||f||_{W^{sigma,p}} = ||f||_{L^p} + ||Lam^sigma f||_{L^p}."""
     if sigma == 0:
@@ -128,7 +124,7 @@ def dispersive_ratio(grid, t, fhat, ledger=None):
     if not np.any(fhat):
         return 0.0
     wave = apply_multiplier(MultiplierSpec.half_wave(t, +1), grid, fhat)
-    num = linf_norm(grid, wave) * t
+    num = lp_norm(grid, wave, np.inf) * t
     lam_f = apply_multiplier(MultiplierSpec.lambda_power(1), grid, fhat)
     den = (homogeneous_w11_seminorm(grid, fhat, 2)
            + homogeneous_w11_seminorm(grid, lam_f, 1))

@@ -17,6 +17,7 @@ coalesce at |xi| = 1/2 where the projectors blow up; a band of width
 DEGENERATE_BAND around it is handled by a direct matrix exponential.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import DegenerateSpectrum, OutOfBand
 
 DEGENERATE_BAND = 1e-3      # half-width of the excluded band around |xi| = 1/2
 LOW_FREQ_CUTOFF = 0.25      # band |xi| <= a for the Green-function splitting
+INVERSE_FLOW_GUARD = 40.0   # warn when |t| * spectral gap exceeds this
 _KERNEL_RTOL = 1e-10
 
 
@@ -89,9 +91,8 @@ def eigen_decompose(E):
     """Eigenvalues, eigenvectors and spectral projectors of a model symbol.
 
     Eigenvalues are ordered by their |xi| -> 0 limits: lam_1 -> 0,
-    lam_2 -> -1 and (for 3x3 symbols) lam_3 = -i|xi|.  Projectors for the
-    dissipative block come from the resolvent form (E - lam_j I)/(lam_i -
-    lam_j), which makes completeness exact and idempotence hold to rounding.
+    lam_2 -> -1 and (for 3x3 symbols) lam_3 = -i|xi|.  Eigenvalues and
+    projectors are the one-mode symbol cache at |xi| = |E[0, 1]|.
 
     Raises DegenerateSpectrum inside the coalescence band ||xi| - 1/2| <
     DEGENERATE_BAND; callers must fall back to a direct matrix exponential
@@ -102,40 +103,16 @@ def eigen_decompose(E):
     if E.shape != (d, d) or d not in (2, 3):
         raise ValueError("expected a 2x2 or 3x3 model symbol")
     s = abs(E[0, 1])
-    if abs(s - 0.5) < DEGENERATE_BAND:
+    model = three_component_model() if d == 3 else two_component_model()
+    cache = build_symbol_cache_from_norms([s], model)
+    if cache.degenerate_mask[0]:
         raise DegenerateSpectrum(
             f"|xi|={s:.6g} within {DEGENERATE_BAND} of the branch point 1/2")
-
-    lam1, lam2, root = _branch_eigvals(s)
-    E2 = E[:2, :2]
-    eye2 = np.eye(2)
-    P1_2 = (E2 - lam2 * eye2) / (lam1 - lam2)
-    P2_2 = (E2 - lam1 * eye2) / (lam2 - lam1)
-
+    eigvals = cache.eigvals[:, 0]
+    eigvecs = np.eye(d, dtype=complex)
     if s > 1e-14:
-        V1_2 = np.array([1.0, 1j * lam1 / s])
-        V2_2 = np.array([1.0, 1j * lam2 / s])
-    else:
-        V1_2 = np.array([1.0, 0.0], dtype=complex)
-        V2_2 = np.array([0.0, 1.0], dtype=complex)
-
-    if d == 2:
-        eigvals = np.array([lam1, lam2])
-        eigvecs = np.stack([V1_2, V2_2], axis=1)
-        projectors = np.stack([P1_2, P2_2])
-        return eigvals, eigvecs, projectors
-
-    lam3 = E[2, 2]
-    eigvals = np.array([lam1, lam2, lam3])
-    eigvecs = np.zeros((3, 3), dtype=complex)
-    eigvecs[:2, 0] = V1_2
-    eigvecs[:2, 1] = V2_2
-    eigvecs[2, 2] = 1.0
-    projectors = np.zeros((3, 3, 3), dtype=complex)
-    projectors[0, :2, :2] = P1_2
-    projectors[1, :2, :2] = P2_2
-    projectors[2, 2, 2] = 1.0
-    return eigvals, eigvecs, projectors
+        eigvecs[:2, :2] = [[1.0, 1.0], 1j * eigvals[:2] / s]
+    return eigvals, eigvecs, cache.projectors[:, 0]
 
 
 @dataclass
@@ -203,25 +180,24 @@ def build_symbol_cache_from_norms(xi_norms, model, grid=None):
                              xi_norm=s)
 
 
-def _expm_on_band(cache, t, out):
-    idx = np.nonzero(cache.degenerate_mask)[0]
-    for i in idx:
-        out[i] = scipy.linalg.expm(cache.E[i] * t)
-    return out
-
-
 def green_function(cache, t):
-    """exp(E(i xi) t) for every mode, shape (m, d, d).
+    """exp(E(i xi) t) for every mode, shape (m, d, d); t may be negative.
 
     Off the degenerate band this is the spectral sum over e^{lam_i t} P_i;
     on the band a scaling-and-squaring matrix exponential is used instead.
+    The backward flow (t < 0) amplifies the damped eigendirection like
+    e^{|t|}; a warning is emitted once the amplification passes e^40.
     """
     if t < 0:
-        raise ValueError("green_function requires t >= 0")
+        gap = float(np.max(np.abs(np.real(cache.eigvals))))
+        if -t * gap > INVERSE_FLOW_GUARD:
+            warnings.warn(
+                f"backward flow over t={-t:.3g} amplifies by e^{-t * gap:.3g}; "
+                "expect severe cancellation", stacklevel=2)
     phase = np.exp(cache.eigvals * t)            # (k, m)
     G = np.einsum("km,kmij->mij", phase, cache.projectors)
-    if cache.degenerate_mask.any():
-        _expm_on_band(cache, t, G)
+    for i in np.nonzero(cache.degenerate_mask)[0]:
+        G[i] = scipy.linalg.expm(cache.E[i] * t)
     return G
 
 

@@ -175,7 +175,6 @@ class BilinearSymbol:
     singular: bool = True
     separable_terms: list = None
     components: list = None
-    exact_homogeneity: bool = True
     term_degrees: tuple = None
 
     def __post_init__(self):
@@ -448,8 +447,7 @@ def mu0_symbol(phase, s, direction=(1.0, 0.0, 0.0), name="mu0"):
         den = 1j * _phase.evaluator(xi, eta) + 1.0 / _s
         return num / den
 
-    return BilinearSymbol(name=name, evaluator=ev, degree=0.0, singular=True,
-                          exact_homogeneity=False)
+    return BilinearSymbol(name=name, evaluator=ev, degree=0.0, singular=True)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "grid.n" in err
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    assert cli.main(["run", "pk-small-data",
+                     "--set", "model.coupling=vw_in_w"]) == 2
+    assert "config error: model: " in capsys.readouterr().err
 
 
 def test_run_accepts_preset_names(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdhyp import evolution as ev
-from pdhyp import norms, spectra
+from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
 from pdhyp.errors import StepRejected
 from pdhyp.grid import SpectralGrid
@@ -78,17 +78,50 @@ def test_coupling_placement(grid):
     assert np.allclose(vw_u[0], prod_vw) and np.max(np.abs(vw_u[1])) == 0.0
     assert np.allclose(vw_v[1], prod_vw) and np.max(np.abs(vw_v[0])) == 0.0
     # pk_system_w fixes unit sources (v^2, v^2, vw + T_m)
-    pksw = ev.ModelSpec("pk_system_w", w_symbol=sym)
-    assert pksw.coefficients.as_dict() == ev.Coefficients(
-        b_u=1.0, b_v=1.0, d_v=1.0).as_dict()
-    assert pksw.coupling == "vw_in_w"
+    prod_vv = g.dealias(g.to_spectral(g.to_physical(st.data[1]) ** 2))
+    t_m = pseudoproduct.apply(pseudoproduct.PseudoproductPlan(g, sym),
+                              st.data[2], st.data[2])
+    for coupling in ("uw", "vw_in_w"):
+        pksw = ev.rhs(ev.ModelSpec("pk_system_w", w_symbol=sym,
+                                   coupling=coupling), st)
+        assert np.allclose(pksw[0], prod_vv) and np.allclose(pksw[1], prod_vv)
+        assert np.allclose(pksw[2], prod_vw + t_m)
+
+
+def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
+    st = bump_state(grid, 3, 0.1)
+    calls = []
+
+    def counted(name):
+        orig = getattr(SpectralGrid, name)
+
+        def wrapper(self, f):
+            calls.append(name)
+            return orig(self, f)
+        return wrapper
+
+    for name in ("to_physical", "to_spectral"):
+        monkeypatch.setattr(SpectralGrid, name, counted(name))
+    out = ev.rhs(ev.ModelSpec("pk_system", w_symbol=None), st)
+    assert calls == [] and not out.any()
+    out = ev.rhs(ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0, a_v=2.0),
+                              w_symbol=None), st)
+    assert calls == ["to_physical", "to_spectral"]
+    assert np.array_equal(out[1], 2.0 * out[0]) and not out[2].any()
 
 
 def test_model_validation():
+    null_b = sy.symbol_preset("null_b")
     with pytest.raises(ValueError):
         ev.ModelSpec("pk_system", coupling="vw_in_w", w_symbol=None)
     with pytest.raises(ValueError):
         ev.ModelSpec("pk_system_w", w_symbol=None)
+    with pytest.raises(ValueError, match="coefficients must be 0"):
+        ev.ModelSpec("pk_system_w", ev.Coefficients(a_u=7.0), w_symbol=null_b)
+    with pytest.raises(ValueError, match="w-equation"):
+        ev.ModelSpec("pk_system_w", w_symbol=null_b, coupling="vw_in_u")
+    with pytest.raises(ValueError, match="d_v"):
+        ev.ModelSpec("k_system", ev.Coefficients(d_v=1.0))
     with pytest.raises(ValueError):
         ev.ModelSpec("bogus")
 
@@ -101,7 +134,7 @@ def test_linear_step_is_exact(grid):
         st = st0.copy()
         for _ in range(4):
             st = stepper.step(st)
-        exact = ev.linear_evolve(stepper.cache, st0.copy(), st.t)
+        exact = ev.flow(stepper.cache, st0, st.t)
         exact.dealias()
         assert np.max(np.abs(st.data - exact.data)) <= 1e-10
 
@@ -188,19 +221,20 @@ def test_extract_profile_roundtrip(grid):
     model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
     st0 = bump_state(grid, 3, 1.0)
     cache = spectra.build_symbol_cache(grid, model.matrices())
-    st = ev.linear_evolve(cache, st0.copy(), 5.0)
-    prof = ev.extract_profile(st, cache)
+    st = ev.flow(cache, st0, 5.0)
+    prof = ev.flow(cache, st, 0.0)
+    assert prof.t == 0.0
     # per-mode |f_w| = |w_hat| (unitary factor)
-    assert np.max(np.abs(np.abs(prof.f_w) - np.abs(st.w_hat))) < 1e-10
+    assert np.max(np.abs(np.abs(prof.w_hat) - np.abs(st.w_hat))) < 1e-10
     # linear evolution has a time-constant profile
-    prof0 = ev.extract_profile(st0, cache)
+    prof0 = ev.flow(cache, st0, 0.0)
     assert np.max(np.abs(prof.data - prof0.data)) <= 1e-9
     # reconstruction returns the state
-    back = ev.linear_evolve(cache, ev.StateField(grid, prof.data, 0.0), st.t)
+    back = ev.flow(cache, prof, st.t)
     assert np.max(np.abs(back.data - st.data)) < 1e-9
     # t = 0 profile equals the state (to rounding of the projector sum)
     st_t0 = ev.StateField(grid, st0.data, 0.0)
-    assert np.max(np.abs(ev.extract_profile(st_t0, cache).data
+    assert np.max(np.abs(ev.flow(cache, st_t0, 0.0).data
                          - st_t0.data)) < 1e-14
 
 
@@ -210,7 +244,7 @@ def test_extract_profile_warns_at_large_t(grid):
     st = bump_state(grid, 3, 1.0)
     st.t = 60.0
     with pytest.warns(UserWarning):
-        ev.extract_profile(st, cache)
+        ev.flow(cache, st, 0.0)
 
 
 def test_wave_profile_unitary(grid):
@@ -246,29 +280,11 @@ def test_high_frequency_exponential_decay(grid):
     ts = np.arange(1.0, 21.0, 1.0)
     vals = []
     for t in ts:
-        st = ev.linear_evolve(cache, st0.copy(), t)
+        st = ev.flow(cache, st0, t)
         _, high = ev.frequency_split(st, 0.25)
         vals.append(norms.total_sobolev(grid, high.data, 0))
     rate, _ = norms.fit_exponential_rate(ts, np.asarray(vals), (1.0, 20.0))
     assert rate >= 0.05
-
-
-def test_profile_derivative_series_vanishes_for_linear_flow(grid):
-    # the wave profile is time-constant under the free flow, so the
-    # finite-difference diagnostic is zero there and nonzero with a source
-    st = bump_state(grid, 3, 1.0)
-    times = np.array([1.0, 2.0, 3.0])
-    profiles = []
-    for t in times:
-        evolved = ev.StateField(
-            grid, st.data * np.exp(-1j * grid.xi_norm * (t - 1.0)), t)
-        profiles.append(ev.wave_profile(evolved))
-    mids, vals = ev.profile_derivative_series(grid, times, profiles)
-    assert mids.tolist() == [1.5, 2.5]
-    assert np.max(vals) < 1e-12
-    profiles[1] = profiles[1] + 1e-3
-    _, vals = ev.profile_derivative_series(grid, times, profiles)
-    assert np.min(vals) > 0
 
 
 def test_checkpoint_roundtrip(tmp_path, grid):

@@ -56,6 +56,33 @@ def test_config_validation_messages():
     assert "initial.amplitude" in text
 
 
+@pytest.mark.parametrize("model, expect", [
+    ({"kind": "pk_system", "coupling": "vw_in_w"}, "u/v block"),
+    ({"kind": "pk_system_w", "symbol": "none"}, "needs a w_symbol"),
+    ({"kind": "pk_system_w", "coefficients": {"a_u": 7.0}},
+     "coefficients must be 0"),
+    ({"kind": "k_system", "coefficients": {"d_v": 1.0}}, "d_v must be 0"),
+], ids=["pk_vw_in_w", "pksw_no_symbol", "pksw_coefficient", "k_d_v"])
+def test_config_rejects_models_the_runner_cannot_honour(model, expect):
+    with pytest.raises(ConfigError, match=f"model: .*{expect}"):
+        ex.ExperimentConfig.from_dict({**TINY, "model": model})
+
+
+def test_config_requires_whole_steps():
+    for time, expect in (({"t_max": 9.5, "dt": 1.0}, "time.t_max"),
+                         ({"t_max": 9.0, "dt": 2.0, "sample_dt": 3.0},
+                          "time.sample_dt"),
+                         ({"t_max": 9.0, "dt": 2.0, "sample_dt": 1.0},
+                          "time.sample_dt"),
+                         # default dt is L/(2n) = 2
+                         ({"t_max": 10.0}, "time.t_max")):
+        with pytest.raises(ConfigError, match=expect):
+            ex.ExperimentConfig.from_dict({**TINY, "time": time})
+    cfg = ex.ExperimentConfig.from_dict(
+        {**TINY, "time": {"t_max": 9.0, "sample_dt": 4.0}})
+    assert cfg.dt() == 2.0
+
+
 def test_config_json_syntax_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"grid": {"n": 16,}}')
@@ -180,6 +207,14 @@ def test_run_blowup_guard_statuses(tmp_path):
     res = ex.run(cfg)
     assert res.status == "blowup" and res.exit_code == 3
     assert res.report["status"] == "blowup"
+
+
+def test_run_propagates_unexpected_fit_errors(tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("bug in the fit")
+    monkeypatch.setattr(norms, "fit_decay", broken)
+    with pytest.raises(RuntimeError, match="bug in the fit"):
+        ex.run(tiny_config(tmp_path))
 
 
 def test_run_checkpoint_written(tmp_path):

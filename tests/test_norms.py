@@ -49,9 +49,9 @@ def test_weighted_x_gaussian_moment():
 def test_linf_riesz_takes_max(grid):
     rng = np.random.default_rng(1)
     fh = band_field(grid, 4, rng)
-    from pdhyp.propagators import MultiplierSpec, apply_multiplier
-    per = [norms.linf_norm(grid, apply_multiplier(MultiplierSpec.riesz(j),
-                                                  grid, fh))
+    from pdhyp.propagators import MultiplierSpec, apply_multiplier, lp_norm
+    per = [lp_norm(grid, apply_multiplier(MultiplierSpec.riesz(j), grid, fh),
+                   np.inf)
            for j in range(3)]
     assert norms.riesz_linf_norm(grid, fh) == max(per)
 
@@ -104,16 +104,6 @@ def test_fit_exponential_rate():
     v = 5 * np.exp(-0.43 * t)
     rate, resid = norms.fit_exponential_rate(t, v, (1, 20))
     assert abs(rate - 0.43) < 1e-12 and resid < 1e-12
-
-
-def test_decay_series_validation():
-    with pytest.raises(ValueError):
-        norms.DecaySeries("x", [1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-    s = norms.DecaySeries("x", np.linspace(1, 30, 30),
-                          np.linspace(1, 30, 30) ** -2.0)
-    expo, _ = s.fit((1, 30))
-    assert abs(expo + 2.0) < 1e-12
-    assert s.fitted_exponent == expo
 
 
 def test_m0_zero_fields():

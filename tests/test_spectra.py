@@ -121,6 +121,10 @@ def test_green_semigroup_and_expm_oracle():
     Gab = spectra.green_function(cache, 2.2)
     comp = np.einsum("mij,mjk->mik", Ga, Gb)
     assert np.max(np.abs(comp - Gab)) < 1e-9
+    # the backward flow inverts the forward one
+    back = np.einsum("mij,mjk->mik", Ga, spectra.green_function(cache, -1.3))
+    off = ~cache.degenerate_mask
+    assert np.max(np.abs(back[off] - np.eye(3))) < 1e-9
     rng = np.random.default_rng(8)
     for i in rng.choice(cache.E.shape[0], 32, replace=False):
         oracle = scipy.linalg.expm(cache.E[i] * 5.0)
