@@ -36,10 +36,12 @@ grid = SpectralGrid(32, 128.0)
 cache = spectra.build_symbol_cache(grid, model)
 parts = spectra.decompose_green(cache, t=10.0)
 print("=== Green splitting on the band |xi| <= 0.25 at t = 10 ===")
-print(f"{parts.modes.size} modes in band")
+in_band = np.isin(cache.shell, parts.modes)
+print(f"{in_band.sum()} modes on {parts.modes.size} |xi| shells in band "
+      f"({cache.xi_norm.size} shells for {grid.size} modes in all)")
 i = np.argmin(np.abs(cache.xi_norm[parts.modes] - 0.1))
 s = cache.xi_norm[parts.modes][i]
-print(f"sample mode |xi| = {s:.3f}:")
+print(f"sample shell |xi| = {s:.3f}:")
 print("  |K|    =", np.linalg.norm(parts.K[i], 2),
       " (heat-like, ~ exp(-|xi|^2 t) =", np.exp(-s**2 * 10), ")")
 print("  |Kexp| =", np.linalg.norm(parts.Kexp[i], 2), " (damped)")

@@ -5,10 +5,13 @@ of quadratic sources: per equation, a coefficient for each monomial of
 MONOMIALS, plus the bilinear pseudoproduct T_m(w, w) in the w-equation.
 
 The linear part is advanced exactly through the per-mode matrix exponential
-(integrating factor); only the quadratic sources see explicit Runge-Kutta
-stages (Lawson schemes of order 2 and 4).  Polynomial sources are formed by
-physical-space products, the bilinear pseudoproduct source through
-pseudoproduct.apply; everything is dealiased with the strict 2/3 rule.
+(integrating factor), applied as its 2x2 block plus the wave phase; only
+the quadratic sources see explicit Runge-Kutta stages (Lawson schemes of
+order 2 and 4).  A model without sources steps by its exact flow alone,
+which is what both schemes reduce to when every stage source is zero.
+Polynomial sources are formed by physical-space products, the bilinear
+pseudoproduct source through pseudoproduct.apply; everything is dealiased
+with the strict 2/3 rule.
 flow() applies the exact linear flow for a signed time span; the profile
 exp(-E t) U_hat of a state is its flow back to t = 0.
 
@@ -69,7 +72,8 @@ class ModelSpec:
                   sources; w_symbol and coupling are ignored, d_v must be 0.
     pk_system_w:  sources fixed to (v^2, v^2, vw + T_m(w, w)) with unit
                   coefficients; the coupling lives in the w-equation, so the
-                  coefficients must stay 0 and the coupling uw or vw_in_w.
+                  coefficients must stay 0 and the coupling is vw_in_w (the
+                  default uw is accepted and resolved to vw_in_w).
 
     The kind, coefficients and coupling compile into `sources`, one
     {monomial: coefficient} row per equation without zero entries, and
@@ -99,6 +103,7 @@ class ModelSpec:
             if self.coupling not in ("uw", "vw_in_w"):
                 raise ValueError("pk_system_w places the coupling in the "
                                  "w-equation")
+            self.coupling = "vw_in_w"
             self.sources = PK_SYSTEM_W_SOURCES
         else:
             rows = [{"uu": c.a_u, "vv": c.b_u, "uv": c.c_u},
@@ -233,9 +238,10 @@ class Stepper:
         self.dt = float(dt)
         self.scheme = scheme
         self.cache = spectra.build_symbol_cache(grid, model.matrices())
-        self.G_full = spectra.green_function(self.cache, self.dt)
-        self.G_half = (spectra.green_function(self.cache, self.dt / 2.0)
-                       if scheme == "ifrk4" else None)
+        self.source_free = not (any(model.sources) or model.w_form)
+        self.G_full = spectra.propagator(self.cache, self.dt)
+        self.G_half = (spectra.propagator(self.cache, self.dt / 2.0)
+                       if scheme == "ifrk4" and not self.source_free else None)
         if plan is None and model.w_form:
             plan = pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
         self.plan = plan
@@ -254,7 +260,9 @@ class Stepper:
         flat = state.data.reshape(d, -1)
         t = state.t
 
-        if self.scheme == "ifrk2":
+        if self.source_free:
+            new = self._lin(self.G_full, flat)
+        elif self.scheme == "ifrk2":
             n1 = self._rhs(flat, t)
             pred = self._lin(self.G_full, flat + h * n1)
             n2 = self._rhs(pred, t + h)
@@ -293,7 +301,7 @@ def flow(cache, state, t_target):
     """Exact linear flow exp(E (t_target - t)) applied per mode, for either
     sign of t_target - t; the profile exp(-E t) U_hat of a state is
     flow(cache, state, 0.0), and flowing a profile to t rebuilds the state."""
-    G = spectra.green_function(cache, t_target - state.t)
+    G = spectra.propagator(cache, t_target - state.t)
     flat = spectra.propagator_apply(G, state.data.reshape(state.dim_state, -1))
     return StateField(state.grid, flat.reshape(state.data.shape), t_target)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import evolution as ev
 from . import norms, spectra
 from .errors import ConfigError, PdhypError, StepRejected, UnknownPreset
-from .grid import SpectralGrid
+from .grid import SpectralGrid, dealias_limit
 from .pseudoproduct import PseudoproductPlan
 from .symbols import SYMBOL_PRESET_NAMES, symbol_preset
 
@@ -158,11 +158,15 @@ class ExperimentConfig:
         if bad_coeff:
             problems.append(f"model.coefficients: unknown names {sorted(bad_coeff)}")
 
+        dim = None
         if not problems:
             try:
-                self.build_model()
+                model = self.build_model()
             except ValueError as exc:
                 problems.append(f"model: {exc}")
+            else:
+                dim = model.dim_state
+                m["coupling"] = model.coupling   # the coupling that runs
 
         n = g["n"]
         grid_ok = isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0
@@ -178,6 +182,16 @@ class ExperimentConfig:
             problems.append("initial.amplitude: must be >= 0")
         if i["project"] not in ("none", "damped_branch"):
             problems.append(f"initial.project: unknown {i['project']!r}")
+        for key in ("width", "radial_power"):
+            if (dim is not None and isinstance(i[key], (list, tuple))
+                    and len(i[key]) != dim):
+                problems.append(f"initial.{key}: per-component list needs "
+                                f"{dim} entries")
+        if i["preset"] == "single_mode" and grid_ok:
+            limit = dealias_limit(n)
+            if any(abs(k) > limit for k in i["mode"]):
+                problems.append(f"initial.mode: {list(i['mode'])} outside the "
+                                f"dealiased band |k| <= {limit}")
 
         if t["t_max"] >= g["length"] / 4.0:
             problems.append(
@@ -337,7 +351,8 @@ def project_damped_branch(state, cache):
     spectral branch (P2); degenerate-band modes are dropped."""
     P2 = cache.projectors[1].copy()
     P2[cache.degenerate_mask] = 0.0
-    flat = spectra.propagator_apply(P2, state.data.reshape(state.dim_state, -1))
+    flat = spectra.propagator_apply(spectra.mode_operator(cache, P2),
+                                    state.data.reshape(state.dim_state, -1))
     return ev.StateField(state.grid, flat.reshape(state.data.shape), state.t)
 
 

@@ -25,6 +25,11 @@ import scipy.fft
 from .errors import GridMismatch
 
 
+def dealias_limit(n):
+    """Largest |mode component| the 2/3 rule keeps on an n-point axis."""
+    return (n - 1) // 3
+
+
 class SpectralGrid:
     """Uniform n^d lattice on a periodic box [0, L)^d.
 
@@ -55,7 +60,7 @@ class SpectralGrid:
         self.xi = self.dk * self.modes                   # (*shape, d) wavevectors
         self.xi_norm = np.linalg.norm(self.xi, axis=-1)  # (*shape)
 
-        self.dealias_limit = (self.n - 1) // 3
+        self.dealias_limit = dealias_limit(self.n)
         self.dealias_mask = np.all(
             np.abs(self.modes) <= self.dealias_limit, axis=-1)
 

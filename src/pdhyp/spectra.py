@@ -15,10 +15,19 @@ pair continues to -1/2 +- i sqrt(4|xi|^2 - 1)/2.  The third (transported)
 component is decoupled with lam_3 = -i|xi|.  The two branch eigenvalues
 coalesce at |xi| = 1/2 where the projectors blow up; a band of width
 DEGENERATE_BAND around it is handled by a direct matrix exponential.
+
+E depends on xi only through |xi|, so the symbol cache of a grid is
+tabulated on the grid's distinct |xi| values (its shells) and carries a
+mode -> shell index; eigenvalues, projectors and the Green function are
+evaluated once per shell.  exp(E t) keeps the block pattern of E: the 2x2
+dissipative block and, for three components, the wave phase e^{-i|xi| t}
+on the diagonal.  The per-mode operators the time stepper applies hold
+only these entries, (4 or 5, m) arrays gathered through the shell index
+(mode_operator, propagator) and applied elementwise (propagator_apply).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +38,9 @@ DEGENERATE_BAND = 1e-3      # half-width of the excluded band around |xi| = 1/2
 LOW_FREQ_CUTOFF = 0.25      # band |xi| <= a for the Green-function splitting
 INVERSE_FLOW_GUARD = 40.0   # warn when |t| * spectral gap exceeds this
 _KERNEL_RTOL = 1e-10
+# the entries of E, and of exp(E t), that can be nonzero, in the row order
+# of a per-mode operator; two-component models use the first four
+BLOCK_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -117,20 +129,27 @@ def eigen_decompose(E):
 
 @dataclass
 class LinearSymbolCache:
-    """Per-mode symbol data for a whole grid, flattened over modes.
+    """Symbol data tabulated per entry, flattened: for a grid cache
+    (build_symbol_cache) the entries are the grid's distinct |xi| values in
+    ascending order, for build_symbol_cache_from_norms the given values.
 
-    E:          (m, d, d) symbols -i|xi|A + B
-    eigvals:    (3 or 2, m) branch-ordered eigenvalues
-    projectors: (3 or 2, m, d, d) spectral projectors (garbage on the band)
-    degenerate_mask: (m,) True where ||xi| - 1/2| < DEGENERATE_BAND
+    xi_norm:    (k,) |xi| of each entry
+    E:          (k, d, d) symbols -i|xi|A + B
+    eigvals:    (3 or 2, k) branch-ordered eigenvalues
+    projectors: (3 or 2, k, d, d) spectral projectors (garbage on the band)
+    degenerate_mask: (k,) True where ||xi| - 1/2| < DEGENERATE_BAND
+    shell:      (m,) entry of each flattened grid mode, so that
+                xi_norm[shell] == grid.xi_norm.ravel(); None when the
+                entries are the modes themselves
     """
-    grid: object
     model: ModelMatrices
     E: np.ndarray
     eigvals: np.ndarray
     projectors: np.ndarray
     degenerate_mask: np.ndarray
-    xi_norm: np.ndarray = field(repr=False, default=None)
+    xi_norm: np.ndarray = field(repr=False)
+    grid: object = None
+    shell: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim_state(self):
@@ -138,13 +157,15 @@ class LinearSymbolCache:
 
 
 def build_symbol_cache(grid, model):
-    """Vectorized closed-form eigenstructure over every grid mode."""
-    return build_symbol_cache_from_norms(grid.xi_norm.reshape(-1), model,
-                                         grid=grid)
+    """Closed-form eigenstructure on the distinct |xi| shells of a grid,
+    with the mode -> shell index."""
+    norms, shell = np.unique(grid.xi_norm.reshape(-1), return_inverse=True)
+    return replace(build_symbol_cache_from_norms(norms, model),
+                   grid=grid, shell=shell)
 
 
-def build_symbol_cache_from_norms(xi_norms, model, grid=None):
-    """Cache over an arbitrary list of |xi| values (grid optional)."""
+def build_symbol_cache_from_norms(xi_norms, model):
+    """Cache over an arbitrary list of |xi| values, one entry each."""
     s = np.asarray(xi_norms, dtype=float).reshape(-1)
     m = s.size
     d = model.dim_state
@@ -175,13 +196,14 @@ def build_symbol_cache_from_norms(xi_norms, model, grid=None):
         eigvals = np.stack([lam1, lam2])
         projectors = np.stack([P1, P2])
 
-    return LinearSymbolCache(grid=grid, model=model, E=E, eigvals=eigvals,
+    return LinearSymbolCache(model=model, E=E, eigvals=eigvals,
                              projectors=projectors, degenerate_mask=degenerate,
                              xi_norm=s)
 
 
 def green_function(cache, t):
-    """exp(E(i xi) t) for every mode, shape (m, d, d); t may be negative.
+    """exp(E(i xi) t) for every cache entry, shape (k, d, d); t may be
+    negative.
 
     Off the degenerate band this is the spectral sum over e^{lam_i t} P_i;
     on the band a scaling-and-squaring matrix exponential is used instead.
@@ -194,22 +216,44 @@ def green_function(cache, t):
             warnings.warn(
                 f"backward flow over t={-t:.3g} amplifies by e^{-t * gap:.3g}; "
                 "expect severe cancellation", stacklevel=2)
-    phase = np.exp(cache.eigvals * t)            # (k, m)
+    phase = np.exp(cache.eigvals * t)            # (branch, entry)
     G = np.einsum("km,kmij->mij", phase, cache.projectors)
     for i in np.nonzero(cache.degenerate_mask)[0]:
         G[i] = scipy.linalg.expm(cache.E[i] * t)
     return G
 
 
+def mode_operator(cache, per_entry):
+    """Per-mode operator from per-entry matrices (k, d, d) with the block
+    pattern of E: their BLOCK_ENTRIES gathered onto the modes through the
+    shell index, shape (4 or 5, m)."""
+    rows, cols = zip(*BLOCK_ENTRIES[:4 if cache.dim_state == 2 else 5])
+    entries = per_entry[:, rows, cols].T
+    if cache.shell is None:
+        return np.ascontiguousarray(entries)
+    return np.take(entries, cache.shell, axis=1)
+
+
+def propagator(cache, t):
+    """The per-mode operator of exp(E t), for either sign of t."""
+    return mode_operator(cache, green_function(cache, t))
+
+
 def propagator_apply(G, data):
-    """Apply per-mode matrices (m,d,d) to stacked fields (d, m)."""
-    return np.einsum("mij,jm->im", G, data)
+    """Apply a per-mode operator (4 or 5, m) to stacked fields (d, m): the
+    2x2 block to (u, v) and, for three components, the phase to w."""
+    out = np.empty(data.shape, dtype=complex)
+    np.multiply(G[0:4:3], data[:2], out=out[:2])     # G00 u, G11 v
+    out[:2] += G[1:3] * data[1::-1]                  # + G01 v, G10 u
+    if data.shape[0] == 3:
+        np.multiply(G[4], data[2], out=out[2])
+    return out
 
 
 @dataclass
 class GreenParts:
     """Low-frequency Green splitting: diffusive K, damped Kexp, wave W."""
-    modes: np.ndarray        # flat mode indices the parts are evaluated on
+    modes: np.ndarray        # cache entries (grid shells) the parts are on
     K: np.ndarray
     Kexp: np.ndarray
     W: np.ndarray            # None for 2-component models
@@ -218,8 +262,10 @@ class GreenParts:
 def decompose_green(cache, t, modes=None, cutoff=LOW_FREQ_CUTOFF):
     """Split exp(E t) into e^{lam1 t}P1 + e^{lam2 t}P2 (+ e^{-i|xi|t}P3).
 
-    Only defined on the low-frequency band |xi| <= cutoff; raises OutOfBand
-    for any explicitly requested mode outside it.  Default: all band modes.
+    `modes` index cache entries, which for a grid cache are |xi| shells;
+    map grid modes to them through cache.shell.  Only defined on the
+    low-frequency band |xi| <= cutoff; raises OutOfBand for any explicitly
+    requested entry outside it.  Default: all band entries.
     """
     s = cache.xi_norm
     if modes is None:

@@ -48,6 +48,13 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "pk-small-data",
                      "--set", "model.coupling=vw_in_w"]) == 2
     assert "config error: model: " in capsys.readouterr().err
+    assert cli.main(["run", "k-small-data",
+                     "--set", "initial.width=[1.0,1.0,8.0]"]) == 2
+    assert "config error: initial.width: " in capsys.readouterr().err
+    assert cli.main(["run", "k-small-data", "--set",
+                     "initial.preset=single_mode", "--set",
+                     "initial.mode=[0,22,0]"]) == 2
+    assert "config error: initial.mode: " in capsys.readouterr().err
 
 
 def test_run_accepts_preset_names(tmp_path, monkeypatch):

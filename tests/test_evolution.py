@@ -139,18 +139,61 @@ def test_linear_step_is_exact(grid):
         assert np.max(np.abs(st.data - exact.data)) <= 1e-10
 
 
-def test_linear_step_matches_green_parts(grid):
-    # the integrator and the K + Kexp + W splitting agree on the band
+def test_linear_step_matches_green_parts():
+    # the integrator and the K + Kexp + W splitting agree on the band; the
+    # parts live on |xi| shells and reach the grid modes through cache.shell
+    g = SpectralGrid(16, 64.0)
+    model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
+    st0 = bump_state(g, 3, 1.0)
+    stepper = ev.Stepper(model, g, dt=2.0, scheme="ifrk2")
+    st = stepper.step(st0.copy())
+    cache = stepper.cache
+    parts = spectra.decompose_green(cache, 2.0)
+    part_of_shell = np.full(cache.xi_norm.size, -1)
+    part_of_shell[parts.modes] = np.arange(parts.modes.size)
+    part_of_mode = part_of_shell[cache.shell]
+    band = np.nonzero(part_of_mode >= 0)[0]
+    assert band.size >= 24 and parts.modes.size < band.size
+    total = (parts.K + parts.Kexp + parts.W)[part_of_mode[band]]
+    expect = np.einsum("mij,jm->im", total, st0.data.reshape(3, -1)[:, band])
+    got = st.data.reshape(3, -1)[:, band]
+    assert np.max(np.abs(got - expect)) <= 1e-10
+
+
+def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
+    # no sources: one apply of exp(E dt), which both Lawson schemes reduce
+    # to when every stage source is zero
     model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
     st0 = bump_state(grid, 3, 1.0)
-    stepper = ev.Stepper(model, grid, dt=2.0, scheme="ifrk2")
-    st = stepper.step(st0.copy())
-    parts = spectra.decompose_green(stepper.cache, 2.0)
-    flat0 = st0.data.reshape(3, -1)[:, parts.modes]
-    total = parts.K + parts.Kexp + parts.W
-    expect = np.einsum("mij,jm->im", total, flat0)
-    got = st.data.reshape(3, -1)[:, parts.modes]
-    assert np.max(np.abs(got - expect)) <= 1e-10
+    for scheme in ("ifrk2", "ifrk4"):
+        stepper = ev.Stepper(model, grid, dt=1.7, scheme=scheme)
+        assert stepper.source_free and stepper.G_half is None
+        lawson = ev.Stepper(model, grid, dt=1.7, scheme=scheme)
+        lawson.source_free = False
+        if scheme == "ifrk4":
+            lawson.G_half = spectra.propagator(lawson.cache, 1.7 / 2.0)
+        expect = lawson.step(st0)
+        with monkeypatch.context() as mp:
+            mp.setattr(ev, "rhs", None)    # the exact step calls no rhs
+            got = stepper.step(st0)
+        assert np.array_equal(got.data, expect.data)
+
+
+def test_stepper_stores_the_block_per_mode_only():
+    # what the benchmark counts as cache memory (the symbol tables and both
+    # propagators of an IFRK4 Stepper): per mode at most 2 x 5 complex
+    # entries and the 8-byte shell index, the rest per |xi| shell
+    g = SpectralGrid(32, 64.0)
+    model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0), w_symbol=None)
+    stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
+    c = stepper.cache
+    counted = (c.E, c.eigvals, c.projectors, c.degenerate_mask, c.xi_norm,
+               stepper.G_full, stepper.G_half)
+    shells = np.unique(g.xi_norm).size
+    # E, eigvals, projectors: 9 + 3 + 27 complex; mask and |xi|: 1 + 8 bytes
+    per_shell = 16 * (9 + 3 + 27) + 1 + 8
+    limit = g.size * (2 * 5 * 16 + 8) + shells * per_shell
+    assert sum(a.nbytes for a in counted) <= limit
 
 
 def test_pure_wave_time_reversal(grid):

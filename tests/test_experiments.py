@@ -68,6 +68,15 @@ def test_config_rejects_models_the_runner_cannot_honour(model, expect):
         ex.ExperimentConfig.from_dict({**TINY, "model": model})
 
 
+def test_pksw_preset_echoes_the_coupling_that_runs(tmp_path):
+    # pk_system_w puts vw in the w-equation whatever the default coupling
+    cfg = ex.load_preset("pksw-small-data").override(
+        ["grid.n=16", "time.t_max=5.0", f"output.dir={tmp_path}"])
+    assert cfg.build_model().sources[2] == {"vw": 1.0}
+    report = ex.run(cfg).report
+    assert report["config"]["model"]["coupling"] == "vw_in_w"
+
+
 def test_config_requires_whole_steps():
     for time, expect in (({"t_max": 9.5, "dt": 1.0}, "time.t_max"),
                          ({"t_max": 9.0, "dt": 2.0, "sample_dt": 3.0},

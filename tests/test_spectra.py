@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdhyp import spectra
 from pdhyp.errors import DegenerateSpectrum, OutOfBand
@@ -107,7 +109,7 @@ def test_green_function_identity_and_zero_mode():
     G0 = spectra.green_function(cache, 0.0)
     assert np.max(np.abs(G0 - np.eye(3))) < 1e-14
     G2 = spectra.green_function(cache, 2.0)
-    i0 = 0  # flattened index of xi = 0
+    i0 = 0  # shell of xi = 0, the smallest |xi|
     assert abs(G2[i0, 0, 0] - 1.0) < 1e-14
     assert abs(G2[i0, 1, 1] - np.exp(-2.0)) < 1e-14
     assert abs(G2[i0, 2, 2] - 1.0) < 1e-14
@@ -141,6 +143,47 @@ def test_green_continuous_across_band():
         G = spectra.green_function(cache, 3.0)[0]
         oracle = scipy.linalg.expm(cache.E[0] * 3.0)
         assert np.max(np.abs(G - oracle)) < 1e-8
+
+
+_BAND_EDGES = (0.5 - spectra.DEGENERATE_BAND, 0.5 + spectra.DEGENERATE_BAND)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.sampled_from(_BAND_EDGES + (0.5, 0.0))
+       | st.floats(0.0, 10.0, allow_nan=False),
+       t=st.floats(-8.0, 8.0, allow_nan=False),
+       dim=st.sampled_from((2, 3)), seed=st.integers(0, 2 ** 16))
+def test_block_propagator_matches_dense_expm(s, t, dim, seed):
+    model = (spectra.three_component_model() if dim == 3
+             else spectra.two_component_model())
+    cache = spectra.build_symbol_cache_from_norms([s], model)
+    G = spectra.propagator(cache, t)
+    assert G.shape == (dim + 2, 1)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+    got = spectra.propagator_apply(G, x)
+    expect = scipy.linalg.expm(cache.E[0] * t) @ x
+    assert np.max(np.abs(got - expect)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shell_green_equals_per_mode_green(dim):
+    g = SpectralGrid(16, 8 * np.pi)    # |k| = 2 lies on |xi| = 1/2
+    model = (spectra.three_component_model() if dim == 3
+             else spectra.two_component_model())
+    cache = spectra.build_symbol_cache(g, model)
+    assert cache.xi_norm.size < g.size
+    assert np.array_equal(cache.xi_norm[cache.shell], g.xi_norm.ravel())
+    per_mode = spectra.build_symbol_cache_from_norms(g.xi_norm.ravel(), model)
+    assert per_mode.degenerate_mask.any()
+    for t in (2.5, -0.7):
+        shells = spectra.green_function(cache, t)[cache.shell]
+        assert np.array_equal(shells, spectra.green_function(per_mode, t))
+        G = spectra.propagator(cache, t)
+        rows, cols = zip(*spectra.BLOCK_ENTRIES[:dim + 2])
+        assert np.array_equal(G, shells[:, rows, cols].T)
+        if dim == 3:   # the wave flow is unitary
+            assert np.max(np.abs(np.abs(G[4]) - 1.0)) < 1e-14
 
 
 def test_decompose_green():
