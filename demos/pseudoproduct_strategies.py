@@ -4,7 +4,8 @@
 T_m(f, g) is a full mode-by-mode convolution weighted by the symbol
 m(xi, eta).  The direct sum costs O(n_out * n^3) symbol evaluations; a
 separable factorization m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta)
-turns each term into three transforms.  Both paths dealias identically,
+needs one inverse transform per distinct factor times a field and one
+forward transform per distinct alpha.  Both paths dealias identically,
 so they agree to rounding.
 """
 

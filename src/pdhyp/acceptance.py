@@ -222,14 +222,22 @@ def criterion_7(workdir):
 
     for name in ("one", "null_b", "aphi", "mixed"):
         m = sy.symbol_preset(name)
-        a = pseudoproduct.apply(
-            pseudoproduct.PseudoproductPlan(g, m, strategy="direct_sum"), f, h)
-        b = pseudoproduct.apply(
-            pseudoproduct.PseudoproductPlan(g, m, strategy="separable_fft"),
-            f, h)
+        direct = pseudoproduct.PseudoproductPlan(g, m, strategy="direct_sum")
+        separable = pseudoproduct.PseudoproductPlan(g, m,
+                                                    strategy="separable_fft")
+        a = pseudoproduct.apply(direct, f, h)
+        b = pseudoproduct.apply(separable, f, h)
         scale = float(np.max(np.abs(a))) or 1.0
         rel = float(np.max(np.abs(a - b)) / scale)
         c.expect(rel <= 1e-10, f"{name}: direct vs separable rel err {rel:.3e}")
+        # T(f, f) on the symmetrized table, at the scale of T(f, h): the
+        # symmetric part of null_b vanishes
+        a = pseudoproduct.apply(direct, f, f)
+        b = pseudoproduct.apply(separable, f, f)
+        rel = float(np.max(np.abs(a - b))
+                    / max(scale, float(np.max(np.abs(a)))))
+        c.expect(rel <= 1e-10,
+                 f"{name}: direct vs separable T(f, f) rel err {rel:.3e}")
 
     f1 = np.zeros(g.shape, complex)
     h1 = np.zeros(g.shape, complex)

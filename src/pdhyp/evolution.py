@@ -9,9 +9,9 @@ The linear part is advanced exactly through the per-mode matrix exponential
 the quadratic sources see explicit Runge-Kutta stages (Lawson schemes of
 order 2 and 4).  A model without sources steps by its exact flow alone,
 which is what both schemes reduce to when every stage source is zero.
-Polynomial sources are formed by physical-space products, the bilinear
-pseudoproduct source through pseudoproduct.apply; everything is dealiased
-with the strict 2/3 rule.
+Polynomial sources are summed per equation in physical space and
+transformed once, the bilinear pseudoproduct source comes from
+pseudoproduct.apply; everything is dealiased with the strict 2/3 rule.
 flow() applies the exact linear flow for a signed time span; the profile
 exp(-E t) U_hat of a state is its flow back to t = 0.
 
@@ -161,7 +161,8 @@ class StateField:
         return StateField(self.grid, self.data.copy(), self.t)
 
     def dealias(self):
-        self.data = self.data * self.grid.dealias_mask
+        """Zero the modes outside the 2/3-rule band, in place."""
+        self.data *= self.grid.dealias_mask
         return self
 
     def physical(self, component):
@@ -184,24 +185,68 @@ def rhs(model, state, plan=None):
     """Spectral quadratic source of the model; the linear part is excluded
     (it is advanced exactly by the integrating factor).
 
-    Only the components the source table uses are transformed, each
-    product is formed once, and each equation sums its terms in MONOMIALS
-    order followed by T_m(w, w); with no sources no transform is done."""
+    The transform is linear, so each equation sums its row of the source
+    table in physical space (in MONOMIALS order) and pays one forward
+    transform and one dealias; rows that are scalar multiples of an earlier
+    row share its transform.  Only the components the table uses are
+    transformed, each product is formed once and released before the next,
+    and with no sources no transform is done.  T_m(w, w) is added last, as
+    the diagonal form of pseudoproduct.apply."""
     g = state.grid
     out = np.zeros((model.dim_state,) + g.shape, dtype=complex)
-    used = [m for m in MONOMIALS if any(m in row for row in model.sources)]
-    phys = {c: g.to_physical(state.data[i]) for i, c in enumerate("uvw")
-            if any(c in m for m in used)}
-    products = {m: g.dealias(g.to_spectral(phys[m[0]] * phys[m[1]]))
-                for m in used}
-    for eq, row in enumerate(model.sources):
-        for monomial, coef in row.items():
-            out[eq] += coef * products[monomial]
+    _polynomial_sources(model.sources, state, out)
     if model.w_form:
         if plan is None:
             plan = pseudoproduct.PseudoproductPlan(g, model.w_symbol)
-        out[2] += pseudoproduct.apply(plan, state.data[2], state.data[2])
+        w = state.data[2]
+        out[2] += pseudoproduct.apply(plan, w, w)
     return out
+
+
+def _polynomial_sources(sources, state, out):
+    """Write the source table's rows into `out`; the physical fields and
+    row sums are released on return, before T_m(w, w) is formed."""
+    g = state.grid
+    rows = _distinct_rows(sources)
+    used = [m for m in MONOMIALS if any(m in row for row, _ in rows)]
+    phys = {c: g.to_physical(state.data[i]) for i, c in enumerate("uvw")
+            if any(c in m for m in used)}
+    totals = [None] * len(rows)
+    for monomial in used:
+        product = phys[monomial[0]] * phys[monomial[1]]
+        for k, (row, _) in enumerate(rows):
+            if monomial in row:
+                term = row[monomial] * product
+                if totals[k] is None:
+                    totals[k] = term
+                else:
+                    totals[k] += term
+    for total, (_, targets) in zip(totals, rows):
+        (first, _), *scaled = targets
+        np.copyto(out[first], g.to_spectral(total), where=g.dealias_mask)
+        for eq, scale in scaled:
+            np.multiply(out[first], scale, out=out[eq])
+
+
+def _distinct_rows(sources):
+    """The nonempty rows of a source table, each with the equations it
+    serves: [(row, [(equation, scale), ...])], where an equation whose row
+    is `scale` times an earlier row joins that row (scale 1 for the row's
+    own equation)."""
+    rows = []
+    for eq, row in enumerate(sources):
+        if not row:
+            continue
+        for ref, targets in rows:
+            if ref.keys() == row.keys():
+                first = next(iter(ref))
+                scale = row[first] / ref[first]
+                if all(ref[m] * scale == row[m] for m in ref):
+                    targets.append((eq, scale))
+                    break
+        else:
+            rows.append((row, [(eq, 1.0)]))
+    return rows
 
 
 # ---------------------------------------------------------------------------

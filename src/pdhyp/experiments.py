@@ -477,6 +477,14 @@ def run(config, log=None):
         except (PdhypError, ValueError) as exc:
             fits[name] = {"exponent": None, "error": str(exc)}
 
+    warnings = []
+    if stepper.plan is not None and stepper.plan.vanishes_on_diagonal():
+        warnings.append(
+            f"T_m(w, w) is identically zero: the symmetric part of symbol "
+            f"{model.w_symbol.name!r} vanishes, so no pseudoproduct source "
+            f"acts on w")
+        say(f"warning: {warnings[-1]}")
+
     m0_report = None
     if status == "completed":
         try:
@@ -498,6 +506,7 @@ def run(config, log=None):
         "t_final": float(state.t),
         "fitted_exponents": fits,
         "m0": m0_report,
+        "warnings": warnings,
     }
     norms.write_json_report(report_path, report)
     if out["checkpoint"]:

@@ -45,9 +45,12 @@ def l2_norm(grid, fhat):
 
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
-    every component choice)."""
-    return max(lp_norm(grid, apply_multiplier(MultiplierSpec.riesz(j),
-                                              grid, fhat), np.inf)
+    every component choice).  R_j = -i xi_j/|xi| with R_j = 0 at xi = 0, as
+    MultiplierSpec.riesz; the 1/|xi| part is formed once per call, and
+    multiplying by it rounds as numpy's complex division by |xi| does."""
+    s = grid.xi_norm
+    inv = 1.0 / np.where(s > 0, s, 1.0)    # xi_j * inv is 0 at xi = 0
+    return max(lp_norm(grid, -1j * (grid.xi[..., j] * inv) * fhat, np.inf)
                for j in range(grid.ndim))
 
 

@@ -12,7 +12,15 @@ space).  Two strategies:
     output modes and optionally threaded; works for any symbol but refuses
     jobs above a term-evaluation cap.
   * separable_fft: for symbols with a factorization m = sum_k alpha_k(xi)
-    beta_k(xi - eta) gamma_k(eta), each term costs three transforms.
+    beta_k(xi - eta) gamma_k(eta).  The plan evaluates every factor once on
+    its grid and interns the arrays by value, constants and signs folded
+    into the coefficients (FactorTable); terms sharing alpha form one group,
+    summed in physical space, so an apply costs one inverse transform per
+    distinct beta f or gamma g and one forward transform per group.  A
+    diagonal call T(f, f) (the same array passed twice) sees only the
+    symmetric part of m: each (beta, gamma) pair merges with its swap and
+    pairs whose coefficients cancel drop out, so a symbol with a vanishing
+    symmetric part, such as the null form null_b, costs no transform.
 
 With the strict 2/3-rule mask (|component| <= (n-1)//3) no aliased
 interaction can land on a kept mode, so the two strategies agree to
@@ -21,7 +29,7 @@ rounding on dealiased fields.
 
 import os
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +49,71 @@ def worker_count():
         return 1
 
 
+@dataclass(frozen=True, eq=False)
+class FactorTable:
+    """The separable factorization of a symbol, evaluated on a grid.
+
+    factors[0] is None, the constant 1; the others are the distinct factor
+    arrays up to sign, real where the factor is.  A group is
+    (alpha index, ((coefficient, beta index, gamma index), ...)); `groups`
+    serves T(f, g) and `diagonal` serves T(f, f), with each unordered
+    (beta, gamma) pair once and the zero coefficients dropped.
+    """
+    factors: tuple
+    groups: tuple
+    diagonal: tuple
+
+
+def _intern(factors, values):
+    """(index, coefficient) of a factor array in `factors`, appending it
+    when no entry equals it up to sign; a constant becomes (0, value)."""
+    flat = values.reshape(-1)
+    if np.all(flat == flat[0]):
+        value = complex(flat[0])
+        return 0, value if value.imag else value.real
+    if not np.any(values.imag):
+        values = values.real.copy()
+    for i, known in enumerate(factors[1:], 1):
+        if np.array_equal(known, values):
+            return i, 1.0
+        if np.array_equal(known, -values):
+            return i, -1.0
+    factors.append(values)
+    return len(factors) - 1, 1.0
+
+
+def _grouped(coefs):
+    """{(alpha, beta, gamma): coefficient} -> groups by alpha, in order of
+    first appearance, without zero coefficients."""
+    groups = {}
+    for (a, b, g), c in coefs.items():
+        if c != 0.0:
+            groups.setdefault(a, []).append((c, b, g))
+    return tuple((a, tuple(pairs)) for a, pairs in groups.items())
+
+
+def _build_factor_table(grid, terms):
+    """Evaluate each (alpha, beta, gamma) callable once on grid.xi."""
+    factors = [None]
+    general, diagonal = {}, {}
+    for alpha, beta, gamma in terms:
+        (a, ca), (b, cb), (g, cg) = (_intern(factors, np.asarray(f(grid.xi)))
+                                     for f in (alpha, beta, gamma))
+        c = ca * cb * cg
+        general[a, b, g] = general.get((a, b, g), 0.0) + c
+        key = (a, min(b, g), max(b, g))
+        diagonal[key] = diagonal.get(key, 0.0) + c
+    return FactorTable(tuple(factors), _grouped(general), _grouped(diagonal))
+
+
 @dataclass
 class PseudoproductPlan:
     grid: object
     symbol: object
     strategy: str = "auto"     # auto | direct_sum | separable_fft
     dealias: bool = True
+    _table: FactorTable = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.strategy not in ("auto", "direct_sum", "separable_fft"):
@@ -60,20 +127,28 @@ class PseudoproductPlan:
             return self.strategy
         return "separable_fft" if self.symbol.separable_terms else "direct_sum"
 
+    def factor_table(self):
+        """The symbol's FactorTable on the plan grid, built on first use."""
+        if self._table is None:
+            self._table = _build_factor_table(self.grid,
+                                              self.symbol.separable_terms)
+        return self._table
+
+    def vanishes_on_diagonal(self):
+        """True when the separable factorization makes T_m(f, f) identically
+        zero: the symmetric part of the symbol vanishes."""
+        return (bool(self.symbol.separable_terms)
+                and not self.factor_table().diagonal)
+
 
 def apply(plan, fhat, ghat, workers=None):
-    """T_m(f, g) in spectral form; inputs and output on plan.grid."""
+    """T_m(f, g) in spectral form; inputs and output on plan.grid.  Passing
+    the same array as f and g makes it the diagonal form T_m(f, f)."""
     grid = plan.grid
     if fhat.shape != grid.shape or ghat.shape != grid.shape:
         raise GridMismatch("field shapes do not match the plan grid")
-    fh = grid.dealias(fhat) if plan.dealias else fhat.astype(complex)
-    gh = grid.dealias(ghat) if plan.dealias else ghat.astype(complex)
-    if plan.symbol.singular:
-        # the singular lattice points {xi=0}u{eta=0}u{xi-eta=0} contribute 0
-        fh = fh.copy()
-        gh = gh.copy()
-        fh[(_ZERO,) * grid.ndim] = 0.0
-        gh[(_ZERO,) * grid.ndim] = 0.0
+    fh = _prepared(plan, fhat)
+    gh = fh if ghat is fhat else _prepared(plan, ghat)
 
     strategy = plan.resolved_strategy()
     if strategy == "separable_fft":
@@ -88,13 +163,45 @@ def apply(plan, fhat, ghat, workers=None):
     return out
 
 
+def _prepared(plan, fhat):
+    """A dealiased complex copy of fhat."""
+    grid = plan.grid
+    fh = grid.dealias(fhat) if plan.dealias else fhat.astype(complex)
+    if plan.symbol.singular:
+        # the singular lattice points {xi=0}u{eta=0}u{xi-eta=0} contribute 0
+        fh[(_ZERO,) * grid.ndim] = 0.0
+    return fh
+
+
 def _apply_separable(plan, fh, gh):
     grid = plan.grid
+    table = plan.factor_table()
+    factors = table.factors
+    diagonal = fh is gh
+    f_phys = {}     # factor index -> physical transform of factor * f
+    g_phys = f_phys if diagonal else {}
+
+    def physical(cache, h, i):
+        if i not in cache:
+            cache[i] = grid.to_physical(h if factors[i] is None
+                                        else factors[i] * h)
+        return cache[i]
+
     out = np.zeros(grid.shape, dtype=complex)
-    for alpha, beta, gamma in plan.symbol.separable_terms:
-        bf = grid.to_physical(beta(grid.xi) * fh)
-        cg = grid.to_physical(gamma(grid.xi) * gh)
-        out += alpha(grid.xi) * grid.to_spectral(bf * cg)
+    for a, pairs in table.diagonal if diagonal else table.groups:
+        total = None
+        for c, b, g in pairs:
+            term = physical(f_phys, fh, b) * physical(g_phys, gh, g)
+            if c != 1.0:
+                term *= c
+            if total is None:
+                total = term
+            else:
+                total += term
+        spec = grid.to_spectral(total)
+        if factors[a] is not None:
+            spec *= factors[a]
+        out += spec
     return out
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
 from pdhyp.errors import StepRejected
 from pdhyp.grid import SpectralGrid
+
+from conftest import band_field
 
 
 def bump_state(g, dim, amp, widths=None):
@@ -108,6 +112,87 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
                               w_symbol=None), st)
     assert calls == ["to_physical", "to_spectral"]
     assert np.array_equal(out[1], 2.0 * out[0]) and not out[2].any()
+    # equal rows share one forward transform
+    calls.clear()
+    k = ev.StateField(grid, st.data[:2], st.t)
+    full = ev.Coefficients(a_u=1.0, b_u=1.0, c_u=1.0, a_v=1.0, b_v=1.0,
+                           c_v=1.0)
+    out = ev.rhs(ev.ModelSpec("k_system", full), k)
+    assert sorted(calls) == ["to_physical"] * 2 + ["to_spectral"]
+    assert np.array_equal(out[0], out[1]) and out[0].any()
+    # pk-small-data's rows with mixed: 3 fields, 2 rows, 4 in T_m(w, w)
+    calls.clear()
+    full.d_v = 1.0
+    ev.rhs(ev.ModelSpec("pk_system", full,
+                        w_symbol=sy.symbol_preset("mixed")), st)
+    assert len(calls) <= 9
+    # null_b's symmetric part vanishes: T_m(w, w) costs no transform
+    calls.clear()
+    out = ev.rhs(ev.ModelSpec("pk_system", w_symbol=sy.symbol_preset("null_b")),
+                 st)
+    assert calls == [] and not out.any()
+
+
+def _per_monomial_rhs(model, state, plan):
+    """Reference source: every product transformed and dealiased on its
+    own, then summed per equation with its coefficient, and T_m(w, w) from
+    the unsymmetrized table; also the scale to compare at, which counts
+    the transformed w^2 (null_b's T_m(w, w) is 0 up to rounding)."""
+    g = state.grid
+    phys = [g.to_physical(c) for c in state.data]
+    product = lambda i, j: g.dealias(g.to_spectral(phys[i] * phys[j]))
+    out = np.zeros_like(state.data)
+    for eq, row in enumerate(model.sources):
+        for m, coef in row.items():
+            out[eq] += coef * product(*("uvw".index(c) for c in m))
+    scale = np.max(np.abs(out))
+    if model.dim_state == 3:
+        scale = max(scale, np.max(np.abs(product(2, 2))))
+    if model.w_form:
+        out[2] += pseudoproduct.apply(plan, state.data[2], state.data[2].copy())
+    return out, max(scale, np.max(np.abs(out)))
+
+
+_GRID8 = SpectralGrid(8, 8.0)
+_COEF = hst.sampled_from((0.0, 0.0, 1.0, -1.0, 0.5, 2.0, -3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefs=hst.lists(_COEF, min_size=7, max_size=7),
+       kind=hst.sampled_from(ev.MODEL_KINDS),
+       coupling=hst.sampled_from(("uw", "vw_in_v", "vw_in_u")),
+       symbol=hst.sampled_from(("one", "null_b", "aphi", "mixed")),
+       copy_row=hst.booleans(), seed=hst.integers(0, 2 ** 16))
+def test_fused_rhs_matches_per_monomial_sum(coefs, kind, coupling, symbol,
+                                            copy_row, seed):
+    c = ev.Coefficients(*coefs)
+    if copy_row:    # a v-row that is a scalar multiple of the u-row
+        c.a_v, c.b_v, c.c_v = -2.0 * c.a_u, -2.0 * c.b_u, -2.0 * c.c_u
+    if kind == "k_system":
+        c.d_v = 0.0
+    if kind == "pk_system_w":
+        c, coupling = ev.Coefficients(), "vw_in_w"
+    model = ev.ModelSpec(kind, c, w_symbol=sy.symbol_preset(symbol),
+                         coupling=coupling)
+    rng = np.random.default_rng(seed)
+    data = np.stack([band_field(_GRID8, 2, rng)
+                     for _ in range(model.dim_state)])
+    state = ev.StateField(_GRID8, data, ev.T_INITIAL)
+    plan = pseudoproduct.PseudoproductPlan(_GRID8, model.w_symbol)
+    got = ev.rhs(model, state, plan)
+    expect, scale = _per_monomial_rhs(model, state, plan)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+
+def test_dealias_is_in_place(grid):
+    rng = np.random.default_rng(9)
+    data = rng.normal(size=(3,) + grid.shape) + 0j
+    st = ev.StateField(grid, data.copy(), ev.T_INITIAL)
+    buf = st.data
+    assert st.dealias() is st and st.data is buf
+    mask = grid.dealias_mask
+    assert not st.data[:, ~mask].any()
+    assert np.array_equal(st.data[:, mask], data[:, mask])
 
 
 def test_model_validation():

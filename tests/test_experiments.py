@@ -244,3 +244,21 @@ def test_presets_ship_and_load():
         assert cfg["time"]["t_max"] < cfg["grid"]["length"] / 4.0
     with pytest.raises(UnknownPreset):
         ex.load_preset("nonexistent")
+
+
+@pytest.mark.parametrize("symbol, vanishes", [("null_b", True),
+                                              ("mixed", False)])
+def test_run_warns_when_the_diagonal_source_vanishes(tmp_path, symbol,
+                                                     vanishes):
+    cfg = ex.load_preset("pk-small-data").override(
+        [f"model.symbol={symbol}", "grid.n=16", "time.t_max=5",
+         f"output.dir={tmp_path}"])
+    said = []
+    res = ex.run(cfg, log=said.append)
+    warnings = res.report["warnings"]
+    assert json.loads(open(res.report_path).read())["warnings"] == warnings
+    if vanishes:
+        assert len(warnings) == 1 and "'null_b'" in warnings[0]
+        assert f"warning: {warnings[0]}" in said
+    else:
+        assert warnings == [] and not any("warning" in s for s in said)

@@ -76,10 +76,52 @@ def test_direct_vs_separable_3d(grid16, name):
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
     m = sy.symbol_preset(name)
-    a = pp.apply(pp.PseudoproductPlan(grid16, m, strategy="direct_sum"), f, h)
-    b = pp.apply(pp.PseudoproductPlan(grid16, m, strategy="separable_fft"), f, h)
+    direct = pp.PseudoproductPlan(grid16, m, strategy="direct_sum")
+    separable = pp.PseudoproductPlan(grid16, m, strategy="separable_fft")
+    a = pp.apply(direct, f, h)
+    b = pp.apply(separable, f, h)
     scale = np.max(np.abs(a)) or 1.0
     assert np.max(np.abs(a - b)) <= 1e-10 * scale
+    # the diagonal form T(f, f) runs on the symmetrized table; the size of
+    # T(f, h) sets the scale, since T(f, f) vanishes for null_b
+    a = pp.apply(direct, f, f)
+    b = pp.apply(separable, f, f)
+    assert np.max(np.abs(a - b)) <= 1e-10 * max(scale, np.max(np.abs(a)))
+    assert (not b.any()) == (name == "null_b")
+
+
+def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
+    # mixed: 5 terms over the factors 1, |v|^2, |v|, v_0/|v| and their
+    # negatives; T(f, f) keeps w^2 and w Lam w, the b-terms cancel
+    m = sy.symbol_preset("mixed")
+    calls = []
+    m.separable_terms = [
+        tuple((lambda v, _f=f: calls.append(1) or _f(v)) for f in term)
+        for term in m.separable_terms]
+    plan = pp.PseudoproductPlan(grid16, m)
+    table = plan.factor_table()
+    assert plan.factor_table() is table and len(calls) == 15
+    assert table.factors[0] is None and len(table.factors) == 4
+    assert all(f.dtype == float for f in table.factors[1:])
+    assert [len(pairs) for _, pairs in table.groups] == [1, 2, 2]
+    assert [[c for c, _, _ in pairs] for _, pairs in table.diagonal] \
+        == [[1.0], [-2.0]]
+    assert not plan.vanishes_on_diagonal()
+    assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
+        .vanishes_on_diagonal()
+
+    transforms = []
+    for name in ("to_physical", "to_spectral"):
+        orig = getattr(SpectralGrid, name)
+        monkeypatch.setattr(SpectralGrid, name,
+                            lambda self, x, _o=orig, _n=name:
+                            transforms.append(_n) or _o(self, x))
+    f = band_field(grid16, 3, np.random.default_rng(8))
+    pp.apply(plan, f, f)
+    assert sorted(transforms) == ["to_physical"] * 2 + ["to_spectral"] * 2
+    transforms.clear()
+    pp.apply(plan, f, f.copy())    # 3 distinct factors per side, 3 groups
+    assert len(transforms) == 9 and len(calls) == 15
 
 
 def test_direct_vs_separable_2d():
