@@ -5,8 +5,9 @@ T_m(f, g) is a full mode-by-mode convolution weighted by the symbol
 m(xi, eta).  The direct sum costs O(n_out * n^3) symbol evaluations; a
 separable factorization m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta)
 needs one inverse transform per distinct factor times a field and one
-forward transform per distinct alpha.  Both paths dealias identically,
-so they agree to rounding.
+forward transform per distinct alpha.  pp.apply takes the separable path
+whenever the symbol has a factorization; pp.apply_direct always sums
+directly.  Both paths dealias identically, so they agree to rounding.
 """
 
 import time
@@ -15,6 +16,7 @@ import numpy as np
 
 from pdhyp import pseudoproduct as pp
 from pdhyp import symbols as sy
+from pdhyp.bounds import BoundLedger
 from pdhyp.grid import SpectralGrid
 
 rng = np.random.default_rng(1)
@@ -38,14 +40,12 @@ print("max |T_1(f,g) - f*g| =", np.max(np.abs(out - prod)), "\n")
 
 print("=== direct sum vs separable FFT path ===")
 for name in ("null_b", "aphi", "mixed"):
-    m = sy.symbol_preset(name)
+    plan = pp.PseudoproductPlan(grid, sy.symbol_preset(name))
     t0 = time.time()
-    direct = pp.apply(pp.PseudoproductPlan(grid, m, strategy="direct_sum"),
-                      f, g)
+    direct = pp.apply_direct(plan, f, g)
     t_direct = time.time() - t0
     t0 = time.time()
-    fast = pp.apply(pp.PseudoproductPlan(grid, m, strategy="separable_fft"),
-                    f, g)
+    fast = pp.apply(plan, f, g)
     t_fast = time.time() - t0
     rel = np.max(np.abs(direct - fast)) / np.max(np.abs(direct))
     print(f"{name:8s} rel gap {rel:.2e}   direct {t_direct * 1e3:7.1f} ms   "
@@ -53,15 +53,17 @@ for name in ("null_b", "aphi", "mixed"):
           f"speedup {t_direct / t_fast:6.1f}x")
 
 print("\nnon-separable symbols (mu0) only get the direct path, with a hard")
-print("cap on term evaluations; tiling over output modes parallelizes via")
-print("the PDHYP_WORKERS environment variable.\n")
+print(f"cap of {pp.TERM_CAP:.0e} symbol evaluations: "
+      f"{pp.direct_sum_terms(32):.2e} at n = 32, "
+      f"{pp.direct_sum_terms(64):.2e} at n = 64.\n")
 
 print("=== empirical bilinear Hoelder constants ===")
-plan = pp.PseudoproductPlan(grid, sy.symbol_preset("null_b"),
-                            strategy="separable_fft")
-ratios = [pp.holder_bound_ratio(plan, band_field(3), band_field(3),
-                                s=0.0, k=0, p=4.0, q=4.0, r=2.0)
-          for _ in range(20)]
+plan = pp.PseudoproductPlan(grid, sy.symbol_preset("null_b"))
+ledger = BoundLedger()
+for _ in range(20):
+    pp.holder_bound_ratio(plan, band_field(3), band_field(3),
+                          s=0.0, k=0, p=4.0, q=4.0, r=2.0, ledger=ledger)
+ratios = ledger.ratios("holder")
 print(f"||T_m(f,g)||_2 / (||f||_W04 ||g||_4 + ||f||_4 ||g||_W04) over 20 "
       f"random trials:")
 print(f"  max {max(ratios):.3f}, mean {np.mean(ratios):.3f} (bounded, as the"

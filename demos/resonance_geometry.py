@@ -13,6 +13,7 @@ empties the time-resonant set altogether.
 import numpy as np
 
 from pdhyp import symbols as sy
+from pdhyp.bounds import BoundLedger
 
 rng = np.random.default_rng(0)
 
@@ -47,6 +48,7 @@ print("collinear point under the dissipative phase classifies as:",
 
 print("\n=== the bounded quotient symbol ===")
 mu0 = sy.symbol_preset("mu0")
-bound, jump = sy.class_membership_report(mu0, rng, samples=300)
+bound, jump = sy.class_membership_report(mu0, rng, ledger=BoundLedger(),
+                                         samples=300)
 print(f"mu0 bound on |xi| << 1, |eta| ~ 1: {bound:.3f} "
       f"(max jump along rays {jump:.3f})")

@@ -12,7 +12,8 @@ from .symbols import (Phase, BilinearSymbol, ResonanceSample, WAVE_PHASE,
                       DISSIPATIVE_PHASE, wave_phase, dissipative_phase,
                       classify_resonance, make_nonresonant_symbol,
                       mu0_symbol, symbol_preset)
-from .pseudoproduct import PseudoproductPlan, apply, holder_bound_ratio
+from .pseudoproduct import (PseudoproductPlan, apply, apply_direct,
+                            holder_bound_ratio)
 from .propagators import (MultiplierSpec, apply_multiplier, dispersive_ratio,
                           fractional_ratio)
 from .evolution import (ModelSpec, Coefficients, StateField, Stepper,

@@ -221,19 +221,16 @@ def criterion_7(workdir):
     c.expect(rel <= 1e-12, f"T_1(f,g) = f*g pointwise: rel err {rel:.3e}")
 
     for name in ("one", "null_b", "aphi", "mixed"):
-        m = sy.symbol_preset(name)
-        direct = pseudoproduct.PseudoproductPlan(g, m, strategy="direct_sum")
-        separable = pseudoproduct.PseudoproductPlan(g, m,
-                                                    strategy="separable_fft")
-        a = pseudoproduct.apply(direct, f, h)
-        b = pseudoproduct.apply(separable, f, h)
+        plan = pseudoproduct.PseudoproductPlan(g, sy.symbol_preset(name))
+        a = pseudoproduct.apply_direct(plan, f, h)
+        b = pseudoproduct.apply(plan, f, h)
         scale = float(np.max(np.abs(a))) or 1.0
         rel = float(np.max(np.abs(a - b)) / scale)
         c.expect(rel <= 1e-10, f"{name}: direct vs separable rel err {rel:.3e}")
         # T(f, f) on the symmetrized table, at the scale of T(f, h): the
         # symmetric part of null_b vanishes
-        a = pseudoproduct.apply(direct, f, f)
-        b = pseudoproduct.apply(separable, f, f)
+        a = pseudoproduct.apply_direct(plan, f, f)
+        b = pseudoproduct.apply(plan, f, f)
         rel = float(np.max(np.abs(a - b))
                     / max(scale, float(np.max(np.abs(a)))))
         c.expect(rel <= 1e-10,
@@ -244,9 +241,8 @@ def criterion_7(workdir):
     f1[1, 0, 0] = 2.0
     h1[0, 2, 0] = 3.0
     m = sy.symbol_preset("null_b")
-    out = pseudoproduct.apply(
-        pseudoproduct.PseudoproductPlan(g, m, strategy="direct_sum",
-                                        dealias=False), f1, h1)
+    out = pseudoproduct.apply_direct(
+        pseudoproduct.PseudoproductPlan(g, m, dealias=False), f1, h1)
     k1 = g.xi[1, 0, 0]
     k2 = g.xi[0, 2, 0]
     expect = m(k1 + k2, k2) * 6.0 * g.d_eta
@@ -353,8 +349,7 @@ def criterion_10(workdir):
     for g in grids:
         ledger = BoundLedger()
         rng = np.random.default_rng(111)
-        plan = pseudoproduct.PseudoproductPlan(
-            g, sy.symbol_preset("null_b"), strategy="separable_fft")
+        plan = pseudoproduct.PseudoproductPlan(g, sy.symbol_preset("null_b"))
         for _ in range(trials):
             f = _band_field(g, band, rng)
             h = _band_field(g, band, rng)

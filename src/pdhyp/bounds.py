@@ -27,10 +27,3 @@ class BoundLedger:
 
     def clear(self):
         self.entries.clear()
-
-    def as_records(self):
-        return [{"label": e.label, "ratio": e.ratio, **e.params}
-                for e in self.entries]
-
-
-default_ledger = BoundLedger()

@@ -6,8 +6,6 @@
 
 Exit codes for `run`: 0 completed, 2 config error, 3 blow-up guard
 triggered.  `verify` exits 0 when the criterion passes, 1 otherwise.
-The PDHYP_WORKERS environment variable sets the worker count for the
-direct pseudoproduct path.
 """
 
 import argparse

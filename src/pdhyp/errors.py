@@ -21,10 +21,6 @@ class DegreeMismatch(PdhypError):
     """Declared homogeneity degree contradicts the symbol's scaling."""
 
 
-class StrategyUnavailable(PdhypError):
-    """Requested pseudoproduct strategy cannot be used for this symbol."""
-
-
 class GridMismatch(PdhypError):
     """Operands live on different spectral grids."""
 

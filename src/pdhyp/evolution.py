@@ -273,9 +273,10 @@ class BlowupGuard:
 
 
 class Stepper:
-    """Integrating-factor Runge-Kutta stepper with frozen step size."""
+    """Integrating-factor Runge-Kutta stepper with frozen step size; it
+    builds the pseudoproduct plan of T_m(w, w) when the model has one."""
 
-    def __init__(self, model, grid, dt, scheme="ifrk2", plan=None):
+    def __init__(self, model, grid, dt, scheme="ifrk2"):
         if scheme not in ("ifrk2", "ifrk4"):
             raise ValueError(f"unknown scheme {scheme!r}")
         self.model = model
@@ -287,9 +288,8 @@ class Stepper:
         self.G_full = spectra.propagator(self.cache, self.dt)
         self.G_half = (spectra.propagator(self.cache, self.dt / 2.0)
                        if scheme == "ifrk4" and not self.source_free else None)
-        if plan is None and model.w_form:
-            plan = pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
-        self.plan = plan
+        self.plan = (pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
+                     if model.w_form else None)
 
     def _lin(self, G, flat):
         return spectra.propagator_apply(G, flat)
@@ -331,9 +331,9 @@ class Stepper:
         return out
 
 
-def step(model, state, dt, scheme="ifrk2", guard=None, plan=None):
+def step(model, state, dt, scheme="ifrk2", guard=None):
     """One-shot step; for many steps build a Stepper once and reuse it."""
-    return Stepper(model, state.grid, dt, scheme, plan).step(state, guard)
+    return Stepper(model, state.grid, dt, scheme).step(state, guard)
 
 
 def default_dt(dx):

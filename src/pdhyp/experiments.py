@@ -19,7 +19,7 @@ from . import evolution as ev
 from . import norms, spectra
 from .errors import ConfigError, PdhypError, StepRejected, UnknownPreset
 from .grid import SpectralGrid, dealias_limit
-from .pseudoproduct import PseudoproductPlan
+from .pseudoproduct import TERM_CAP, direct_sum_terms
 from .symbols import SYMBOL_PRESET_NAMES, symbol_preset
 
 CONFIG_SCHEMA = {
@@ -37,7 +37,6 @@ CONFIG_SCHEMA = {
              "dt": "step (default L/(2n))", "scheme": "ifrk2 | ifrk4",
              "sample_dt": "sampling cadence, a whole multiple of dt "
                           "(default dt)"},
-    "pseudoproduct": {"strategy": "auto | direct_sum | separable_fft"},
     "norms": "list of 'kind:component' strings or 'default'",
     "fit": {"window": "[t_lo, t_hi] or null for [0.25, 0.9] * t_max"},
     "output": {"dir": "directory", "prefix": "file prefix",
@@ -70,7 +69,6 @@ _DEFAULTS = {
                 "radial_power": 0, "mode": [1, 0, 0], "band": 4, "seed": 0,
                 "project": "none"},
     "time": {"t_max": 31.0, "dt": None, "scheme": "ifrk2", "sample_dt": None},
-    "pseudoproduct": {"strategy": "auto"},
     "norms": "default",
     "fit": {"window": None},
     "output": {"dir": ".", "prefix": "run", "checkpoint": False},
@@ -158,7 +156,7 @@ class ExperimentConfig:
         if bad_coeff:
             problems.append(f"model.coefficients: unknown names {sorted(bad_coeff)}")
 
-        dim = None
+        model = dim = None
         if not problems:
             try:
                 model = self.build_model()
@@ -175,6 +173,14 @@ class ExperimentConfig:
         if g["length"] <= 0:
             grid_ok = False
             problems.append("grid.length: must be positive")
+        if (grid_ok and model is not None and model.w_form
+                and not model.w_symbol.separable_terms):
+            terms = direct_sum_terms(n)
+            if terms > TERM_CAP:
+                problems.append(
+                    f"model.symbol: {m['symbol']!r} has no separable "
+                    f"factorization and its direct sum on n = {n} needs "
+                    f"{terms:.3g} term evaluations (cap {TERM_CAP:.3g})")
 
         if i["preset"] not in INITIAL_PRESETS:
             problems.append(f"initial.preset: unknown preset {i['preset']!r}")
@@ -215,9 +221,6 @@ class ExperimentConfig:
                     f"multiple of dt = {dt:.6g}")
         if t["scheme"] not in ("ifrk2", "ifrk4"):
             problems.append(f"time.scheme: unknown scheme {t['scheme']!r}")
-        if r["pseudoproduct"]["strategy"] not in ("auto", "direct_sum",
-                                                  "separable_fft"):
-            problems.append("pseudoproduct.strategy: unknown strategy")
         if r["norms"] != "default":
             for spec in r["norms"]:
                 try:
@@ -428,11 +431,13 @@ def run(config, log=None):
 
     e_n = norms.initial_energy(state)
 
-    stepper = ev.Stepper(model, grid, dt, scheme,
-                         plan=_build_plan(config, grid, model))
+    stepper = ev.Stepper(model, grid, dt, scheme)
     if icfg["project"] == "damped_branch":
         state = project_damped_branch(state, stepper.cache)
-    guard = ev.BlowupGuard.for_state(state) if icfg["amplitude"] > 0 else None
+    # a source-free flow exp(E t) has E + E* = 2B <= 0, so it cannot grow
+    # any norm and needs no guard
+    guard = (ev.BlowupGuard.for_state(state)
+             if icfg["amplitude"] > 0 and not stepper.source_free else None)
 
     norm_specs = config["norms"]
     if norm_specs == "default":
@@ -514,10 +519,3 @@ def run(config, log=None):
             state, os.path.join(out["dir"], f"{out['prefix']}_state.npz"))
     say(f"{status}: wrote {csv_path} and {report_path}")
     return RunResult(status, report, csv_path, report_path)
-
-
-def _build_plan(config, grid, model):
-    if not model.w_form:
-        return None
-    return PseudoproductPlan(grid, model.w_symbol,
-                             strategy=config["pseudoproduct"]["strategy"])

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import default_ledger
 from .errors import ExponentMismatch
 
 
@@ -111,7 +110,7 @@ def homogeneous_w11_seminorm(grid, fhat, order):
 # estimate harnesses
 # ---------------------------------------------------------------------------
 
-def dispersive_ratio(grid, t, fhat, ledger=None):
+def dispersive_ratio(grid, t, fhat, *, ledger):
     """t-weighted L^inf constant of the wave propagator:
 
         |exp(i Lam t) f|_inf * t / (||f||_{W^{2,1}.} + ||Lam f||_{W^{1,1}.})
@@ -129,12 +128,11 @@ def dispersive_ratio(grid, t, fhat, ledger=None):
     den = (homogeneous_w11_seminorm(grid, fhat, 2)
            + homogeneous_w11_seminorm(grid, lam_f, 1))
     ratio = num / den
-    (ledger or default_ledger).record("dispersive", ratio, t=t, n=grid.n,
-                                      length=grid.length)
+    ledger.record("dispersive", ratio, t=t, n=grid.n, length=grid.length)
     return ratio
 
 
-def fractional_ratio(grid, alpha, p, q, fhat, ledger=None):
+def fractional_ratio(grid, alpha, p, q, fhat, *, ledger):
     """Empirical constant of ||Lam^{-alpha} f||_{L^q} <= C ||f||_{L^p}
     at the scaling-critical relation alpha = d/p - d/q."""
     d = grid.ndim
@@ -152,6 +150,5 @@ def fractional_ratio(grid, alpha, p, q, fhat, ledger=None):
     else:
         low = apply_multiplier(MultiplierSpec.lambda_power(-alpha), grid, fhat)
     ratio = lp_norm(grid, low, q) / lp_norm(grid, fhat, p)
-    (ledger or default_ledger).record("fractional", ratio, alpha=alpha,
-                                      p=p, q=q, n=grid.n)
+    ledger.record("fractional", ratio, alpha=alpha, p=p, q=q, n=grid.n)
     return ratio

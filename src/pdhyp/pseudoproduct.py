@@ -6,47 +6,46 @@ The operator acts on spectral scalar fields as
 
 a Riemann sum of the continuum pseudoproduct integral (the grid's transform
 convention makes m = 1 reduce exactly to a pointwise product in physical
-space).  Two strategies:
+space).  The symbol alone selects how apply() evaluates it:
 
-  * direct_sum: the full O(n_out * n^d) mode convolution, chunk-tiled over
-    output modes and optionally threaded; works for any symbol but refuses
-    jobs above a term-evaluation cap.
-  * separable_fft: for symbols with a factorization m = sum_k alpha_k(xi)
-    beta_k(xi - eta) gamma_k(eta).  The plan evaluates every factor once on
-    its grid and interns the arrays by value, constants and signs folded
-    into the coefficients (FactorTable); terms sharing alpha form one group,
-    summed in physical space, so an apply costs one inverse transform per
-    distinct beta f or gamma g and one forward transform per group.  A
-    diagonal call T(f, f) (the same array passed twice) sees only the
-    symmetric part of m: each (beta, gamma) pair merges with its swap and
-    pairs whose coefficients cancel drop out, so a symbol with a vanishing
-    symmetric part, such as the null form null_b, costs no transform.
+  * a symbol with a factorization m = sum_k alpha_k(xi) beta_k(xi - eta)
+    gamma_k(eta) takes the separable FFT path.  The plan evaluates every
+    factor once on its grid and interns the arrays by value, constants and
+    signs folded into the coefficients (FactorTable); terms sharing alpha
+    form one group, summed in physical space, so an apply costs one inverse
+    transform per distinct beta f or gamma g and one forward transform per
+    group.  A diagonal call T(f, f) (the same array passed twice) sees only
+    the symmetric part of m: each (beta, gamma) pair merges with its swap
+    and pairs whose coefficients cancel drop out, so a symbol with a
+    vanishing symmetric part, such as the null form null_b, costs no
+    transform.
+  * any other symbol takes the direct sum, the full O(n_out * n^d) mode
+    convolution, which refuses jobs above TERM_CAP symbol evaluations.
 
-With the strict 2/3-rule mask (|component| <= (n-1)//3) no aliased
-interaction can land on a kept mode, so the two strategies agree to
-rounding on dealiased fields.
+apply_direct() evaluates the direct sum for any symbol; it is the reference
+the separable path is checked against.  With the strict 2/3-rule mask
+(|component| <= (n-1)//3) no aliased interaction can land on a kept mode, so
+the two paths agree to rounding on dealiased fields.
 """
 
-import os
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import default_ledger
-from .errors import (CostCapExceeded, ExponentMismatch, GridMismatch,
-                     StrategyUnavailable)
+from .errors import CostCapExceeded, ExponentMismatch, GridMismatch
+from .grid import dealias_limit
 from . import propagators
 
 TERM_CAP = int(2e9)
 _ZERO = 0
 
 
-def worker_count():
-    try:
-        return max(1, int(os.environ.get("PDHYP_WORKERS", "1")))
-    except ValueError:
-        return 1
+def direct_sum_terms(n, ndim=3, dealias=True):
+    """Symbol evaluations of one direct-sum apply on an n^ndim grid: the
+    output modes (the 2/3-rule band when dealiased) times the n^ndim
+    input modes."""
+    out_axis = 2 * dealias_limit(n) + 1 if dealias else n
+    return out_axis ** ndim * n ** ndim
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,22 +109,9 @@ def _build_factor_table(grid, terms):
 class PseudoproductPlan:
     grid: object
     symbol: object
-    strategy: str = "auto"     # auto | direct_sum | separable_fft
     dealias: bool = True
     _table: FactorTable = field(default=None, init=False, repr=False,
                                 compare=False)
-
-    def __post_init__(self):
-        if self.strategy not in ("auto", "direct_sum", "separable_fft"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "separable_fft" and not self.symbol.separable_terms:
-            raise StrategyUnavailable(
-                f"symbol {self.symbol.name!r} has no separable factorization")
-
-    def resolved_strategy(self):
-        if self.strategy != "auto":
-            return self.strategy
-        return "separable_fft" if self.symbol.separable_terms else "direct_sum"
 
     def factor_table(self):
         """The symbol's FactorTable on the plan grid, built on first use."""
@@ -141,21 +127,30 @@ class PseudoproductPlan:
                 and not self.factor_table().diagonal)
 
 
-def apply(plan, fhat, ghat, workers=None):
+def apply(plan, fhat, ghat):
     """T_m(f, g) in spectral form; inputs and output on plan.grid.  Passing
-    the same array as f and g makes it the diagonal form T_m(f, f)."""
+    the same array as f and g makes it the diagonal form T_m(f, f).  The
+    separable path runs when the symbol has a factorization, the direct
+    sum otherwise."""
+    path = _apply_separable if plan.symbol.separable_terms else _apply_direct
+    return _evaluate(plan, fhat, ghat, path)
+
+
+def apply_direct(plan, fhat, ghat):
+    """T_m(f, g) by the direct mode sum whatever the symbol: the reference
+    for apply()."""
+    return _evaluate(plan, fhat, ghat, _apply_direct)
+
+
+def _evaluate(plan, fhat, ghat, path):
+    """Prepare the inputs, run `path` on them, then apply the xi = 0 rule of
+    singular symbols and the dealiasing to the output."""
     grid = plan.grid
     if fhat.shape != grid.shape or ghat.shape != grid.shape:
         raise GridMismatch("field shapes do not match the plan grid")
     fh = _prepared(plan, fhat)
     gh = fh if ghat is fhat else _prepared(plan, ghat)
-
-    strategy = plan.resolved_strategy()
-    if strategy == "separable_fft":
-        out = _apply_separable(plan, fh, gh)
-    else:
-        out = _apply_direct(plan, fh, gh, workers)
-
+    out = path(plan, fh, gh)
     if plan.symbol.singular:
         out[(_ZERO,) * grid.ndim] = 0.0
     if plan.dealias:
@@ -205,50 +200,34 @@ def _apply_separable(plan, fh, gh):
     return out
 
 
-def _apply_direct(plan, fh, gh, workers=None):
+def _apply_direct(plan, fh, gh):
     grid = plan.grid
     n, d = grid.n, grid.ndim
-    eta_flat = grid.xi.reshape(-1, d)
-    gh_flat = gh.reshape(-1)
-
-    if plan.dealias:
-        out_idx = np.argwhere(grid.dealias_mask)
-    else:
-        out_idx = np.argwhere(np.ones(grid.shape, dtype=bool))
-    n_terms = out_idx.shape[0] * gh_flat.size
+    n_terms = direct_sum_terms(n, d, plan.dealias)
     if n_terms > TERM_CAP:
         raise CostCapExceeded(
             f"direct sum needs {n_terms:.3g} term evaluations "
             f"(cap {TERM_CAP:.3g}); use a separable symbol or a smaller grid")
+    out_idx = np.argwhere(grid.dealias_mask if plan.dealias
+                          else np.ones(grid.shape, dtype=bool))
+    eta_flat = grid.xi.reshape(-1, d)
+    gh_flat = gh.reshape(-1)
 
     # doubled copy of f_hat(-xi): contiguous slices give f_hat[(k-j) mod n]
-    frev = grid.reflect(fh)
-    f2 = frev
+    f2 = grid.reflect(fh)
     for ax in range(d):
         f2 = np.concatenate([f2, f2], axis=ax)
 
-    symbol = plan.symbol
-    dk = grid.dk
     out = np.zeros(grid.shape, dtype=complex)
-
-    def run_chunk(rows):
-        for k in rows:
-            xi_k = dk * np.array([grid.k_int[i] for i in k], dtype=float)
-            sl = tuple(slice(n - i, 2 * n - i) for i in k)
-            mvals = symbol(xi_k, eta_flat)
-            out[tuple(k)] = np.sum(mvals * f2[sl].reshape(-1) * gh_flat)
-
-    nw = workers if workers is not None else worker_count()
-    if nw <= 1:
-        run_chunk(out_idx)
-    else:
-        chunks = np.array_split(out_idx, nw)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=nw) as pool:
-            list(pool.map(run_chunk, chunks))
+    for k in out_idx:
+        xi_k = grid.dk * np.array([grid.k_int[i] for i in k], dtype=float)
+        sl = tuple(slice(n - i, 2 * n - i) for i in k)
+        mvals = plan.symbol(xi_k, eta_flat)
+        out[tuple(k)] = np.sum(mvals * f2[sl].reshape(-1) * gh_flat)
     return out * grid.d_eta
 
 
-def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, ledger=None):
+def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, *, ledger):
     """Empirical constant of the bilinear Hoelder-type estimate
 
         ||Lam^k T_m(f, g)||_{L^r}
@@ -256,7 +235,7 @@ def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, ledger=None):
         ||f||_{W^{s+k,p}} ||g||_{L^q} + ||f||_{L^p} ||g||_{W^{s+k,q}}
 
     with 1/r = 1/p + 1/q and s the symbol degree; the ratio is recorded
-    into the bound ledger.  Zero fields return 0 by convention.
+    into `ledger`.  Zero fields return 0 by convention.
     """
     if abs(1.0 / r - 1.0 / p - 1.0 / q) > 1e-12:
         raise ExponentMismatch(f"1/r != 1/p + 1/q for p={p}, q={q}, r={r}")
@@ -276,7 +255,6 @@ def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, ledger=None):
            + propagators.lp_norm(grid, fhat, p)
            * propagators.sobolev_w_norm(grid, ghat, s + k, q))
     ratio = num / den
-    (ledger or default_ledger).record(
-        "holder", ratio, symbol=plan.symbol.name, s=s, k=k, p=p, q=q, r=r,
-        n=grid.n)
+    ledger.record("holder", ratio, symbol=plan.symbol.name, s=s, k=k, p=p,
+                  q=q, r=r, n=grid.n)
     return ratio

@@ -401,14 +401,13 @@ def _separable_b_grad(bs):
     return terms
 
 
-def class_membership_report(symbol, rng, ledger=None, samples=400):
+def class_membership_report(symbol, rng, *, ledger, samples=400):
     """Numerical stand-in for the smooth-factorization clause of the symbol
     class: boundedness plus continuity along rays in the regime
     |xi| << |eta|, |xi - eta| ~ 1.  Returns (bound, max ray jump) and
-    records the bound constant.  Symbolic smoothness certification is out
+    records the bound constant in `ledger`.  Symbolic smoothness certification is out
     of reach; the class is used downstream only through boundedness.
     """
-    from .bounds import default_ledger
     bound = 0.0
     jump = 0.0
     for _ in range(samples):
@@ -421,8 +420,7 @@ def class_membership_report(symbol, rng, ledger=None, samples=400):
         bound = max(bound, max(abs(v) for v in vals))
         jump = max(jump, max(abs(b - a)
                              for a, b in zip(vals, vals[1:])))
-    (ledger or default_ledger).record("class_bound", bound,
-                                      symbol=symbol.name, ray_jump=jump)
+    ledger.record("class_bound", bound, symbol=symbol.name, ray_jump=jump)
     return bound, jump
 
 

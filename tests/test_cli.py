@@ -55,6 +55,12 @@ def test_run_config_error_exit_code(tmp_path, capsys):
                      "initial.preset=single_mode", "--set",
                      "initial.mode=[0,22,0]"]) == 2
     assert "config error: initial.mode: " in capsys.readouterr().err
+    assert cli.main(["run", "pk-small-data",
+                     "--set", "pseudoproduct.strategy=direct_sum"]) == 2
+    assert "unknown config key 'pseudoproduct.strategy'" \
+        in capsys.readouterr().err
+    assert cli.main(["run", "pk-small-data", "--set", "model.symbol=mu0"]) == 2
+    assert "config error: model.symbol: 'mu0'" in capsys.readouterr().err
 
 
 def test_run_accepts_preset_names(tmp_path, monkeypatch):

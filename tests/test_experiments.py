@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pdhyp import evolution as ev
 from pdhyp import experiments as ex
 from pdhyp import norms, spectra
 from pdhyp.errors import ConfigError, UnknownPreset
@@ -31,6 +32,17 @@ def test_config_roundtrip(tmp_path):
     cfg = tiny_config(tmp_path)
     again = ex.ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+def test_config_schema_names_the_default_keys():
+    assert ex.CONFIG_SCHEMA.keys() == ex._DEFAULTS.keys()
+    for section, default in ex._DEFAULTS.items():
+        doc = ex.CONFIG_SCHEMA[section]
+        if isinstance(default, dict):
+            assert isinstance(doc, dict) and doc.keys() == default.keys(), \
+                section
+        else:
+            assert isinstance(doc, str), section
 
 
 def test_config_rejects_unknown_keys():
@@ -66,6 +78,21 @@ def test_config_validation_messages():
 def test_config_rejects_models_the_runner_cannot_honour(model, expect):
     with pytest.raises(ConfigError, match=f"model: .*{expect}"):
         ex.ExperimentConfig.from_dict({**TINY, "model": model})
+
+
+def test_config_rejects_a_direct_sum_over_the_cap():
+    # mu0 has no factorization, so T_m runs as the direct sum: 3.0e8 terms
+    # at n = 32 are within the cap, 2.1e10 at n = 64 are not
+    mu0 = {**TINY, "model": {"kind": "pk_system_w", "symbol": "mu0"}}
+    ex.ExperimentConfig.from_dict({**mu0, "grid": {"n": 32, "length": 64.0}})
+    with pytest.raises(ConfigError, match="model.symbol: 'mu0' has no "
+                                          "separable factorization"):
+        ex.ExperimentConfig.from_dict({**mu0,
+                                       "grid": {"n": 64, "length": 64.0}})
+    # without a T_m source the symbol is never applied
+    ex.ExperimentConfig.from_dict(
+        {**mu0, "model": {"kind": "k_system", "symbol": "mu0"},
+         "grid": {"n": 64, "length": 64.0}})
 
 
 def test_pksw_preset_echoes_the_coupling_that_runs(tmp_path):
@@ -216,6 +243,27 @@ def test_run_blowup_guard_statuses(tmp_path):
     res = ex.run(cfg)
     assert res.status == "blowup" and res.exit_code == 3
     assert res.report["status"] == "blowup"
+
+
+def test_source_free_run_checks_no_guard(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path / "plain",
+                      model={"kind": "pk_system", "symbol": "none"})
+    checks = []
+    check = ev.BlowupGuard.check
+    monkeypatch.setattr(ev.BlowupGuard, "check",
+                        lambda guard, state: checks.append(state.t)
+                        or check(guard, state))
+    plain = ex.run(cfg)
+    assert plain.status == "completed" and checks == []
+    # a guard on every step changes no byte of the series
+    step = ev.Stepper.step
+    monkeypatch.setattr(ev.Stepper, "step",
+                        lambda stepper, state, guard=None: step(
+                            stepper, state, ev.BlowupGuard.for_state(state)))
+    guarded = ex.run(cfg.override([f"output.dir={tmp_path / 'guarded'}"]))
+    assert checks == [2.0 + i for i in range(8)]
+    assert open(plain.csv_path, "rb").read() \
+        == open(guarded.csv_path, "rb").read()
 
 
 def test_run_propagates_unexpected_fit_errors(tmp_path, monkeypatch):

@@ -77,14 +77,15 @@ def test_riesz_isometry_mean_zero(gauss):
 
 def test_fractional_ratio_identity_when_p_equals_q(gauss):
     g, fh = gauss
-    assert pr.fractional_ratio(g, 0.0, 2.0, 2.0, fh) == 1.0
+    assert pr.fractional_ratio(g, 0.0, 2.0, 2.0, fh,
+                               ledger=BoundLedger()) == 1.0
 
 
 def test_fractional_ratio_single_mode():
     g = SpectralGrid(16, 8.0)
     fh = np.zeros(g.shape, complex)
     fh[2, 0, 0] = 1.0
-    ratio = pr.fractional_ratio(g, 1.0, 2.0, 6.0, fh)
+    ratio = pr.fractional_ratio(g, 1.0, 2.0, 6.0, fh, ledger=BoundLedger())
     k = g.xi_norm[2, 0, 0]
     expect = k ** -1 * g.volume ** (1 / 6 - 1 / 2)
     assert abs(ratio - expect) <= 1e-12 * expect
@@ -92,13 +93,14 @@ def test_fractional_ratio_single_mode():
 
 def test_fractional_ratio_exponent_mismatch(gauss):
     g, fh = gauss
+    ledger = BoundLedger()
+    with pytest.raises(ExponentMismatch):   # alpha != 3/p - 3/q
+        pr.fractional_ratio(g, 0.5, 2.0, 6.0, fh, ledger=ledger)
     with pytest.raises(ExponentMismatch):
-        pr.fractional_ratio(g, 0.5, 2.0, 6.0, fh)   # alpha != 3/p - 3/q
+        pr.fractional_ratio(g, 2.0, 1.5, 6.0, fh, ledger=ledger)
     with pytest.raises(ExponentMismatch):
-        pr.fractional_ratio(g, 1.0, 2.0, 6.0, fh, ledger=None) \
-            if False else pr.fractional_ratio(g, 2.0, 1.5, 6.0, fh)
-    with pytest.raises(ExponentMismatch):
-        pr.fractional_ratio(g, 3.0, 1.0001, 100.0, fh)
+        pr.fractional_ratio(g, 3.0, 1.0001, 100.0, fh, ledger=ledger)
+    assert ledger.entries == []
 
 
 def test_fractional_ratio_stable_under_refinement():
@@ -116,7 +118,8 @@ def test_fractional_ratio_stable_under_refinement():
 
 def test_dispersive_ratio_zero_field():
     g = SpectralGrid(8, 40.0)
-    assert pr.dispersive_ratio(g, 2.0, np.zeros(g.shape, complex)) == 0.0
+    assert pr.dispersive_ratio(g, 2.0, np.zeros(g.shape, complex),
+                               ledger=BoundLedger()) == 0.0
 
 
 def test_dispersive_ratio_finite_and_recorded():
@@ -139,7 +142,9 @@ def test_dispersive_ratio_t_doubling_stability():
     fh = np.exp(-0.5 * 9.0 * np.sum(dk ** 2, axis=-1)) \
         * np.exp(-1j * g.center * np.sum(g.xi, axis=-1))
     fh = g.dealias(fh)
-    ratios = [pr.dispersive_ratio(g, t, fh) for t in (8.0, 16.0, 32.0, 64.0)]
+    ledger = BoundLedger()
+    ratios = [pr.dispersive_ratio(g, t, fh, ledger=ledger)
+              for t in (8.0, 16.0, 32.0, 64.0)]
     base = ratios[0]
     for r in ratios[1:]:
         assert abs(r - base) <= 0.3 * base

@@ -3,12 +3,23 @@ import pytest
 
 from pdhyp import pseudoproduct as pp
 from pdhyp import symbols as sy
-from pdhyp.errors import (CostCapExceeded, ExponentMismatch, GridMismatch,
-                          StrategyUnavailable)
+from pdhyp.bounds import BoundLedger
+from pdhyp.errors import CostCapExceeded, ExponentMismatch, GridMismatch
 from pdhyp.grid import SpectralGrid
 from pdhyp.propagators import MultiplierSpec, apply_multiplier
 
 from conftest import band_field
+
+
+def _count_transforms(monkeypatch):
+    """A list that collects the name of each grid transform from now on."""
+    transforms = []
+    for name in ("to_physical", "to_spectral"):
+        orig = getattr(SpectralGrid, name)
+        monkeypatch.setattr(SpectralGrid, name,
+                            lambda self, x, _o=orig, _n=name:
+                            transforms.append(_n) or _o(self, x))
+    return transforms
 
 
 def test_identity_symbol_is_pointwise_product(grid16):
@@ -49,8 +60,8 @@ def test_single_mode_convolution(grid16):
     f[2, 0, 0] = 1.5
     h[0, 1, 0] = -2.0
     m = sy.symbol_preset("null_b")
-    plan = pp.PseudoproductPlan(grid16, m, strategy="direct_sum", dealias=False)
-    out = pp.apply(plan, f, h)
+    plan = pp.PseudoproductPlan(grid16, m, dealias=False)
+    out = pp.apply_direct(plan, f, h)
     k1 = grid16.xi[2, 0, 0]
     k2 = grid16.xi[0, 1, 0]
     expect = m(k1 + k2, k2) * 1.5 * (-2.0) * grid16.d_eta
@@ -75,17 +86,15 @@ def test_direct_vs_separable_3d(grid16, name):
     rng = np.random.default_rng(3)
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
-    m = sy.symbol_preset(name)
-    direct = pp.PseudoproductPlan(grid16, m, strategy="direct_sum")
-    separable = pp.PseudoproductPlan(grid16, m, strategy="separable_fft")
-    a = pp.apply(direct, f, h)
-    b = pp.apply(separable, f, h)
+    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset(name))
+    a = pp.apply_direct(plan, f, h)
+    b = pp.apply(plan, f, h)
     scale = np.max(np.abs(a)) or 1.0
     assert np.max(np.abs(a - b)) <= 1e-10 * scale
     # the diagonal form T(f, f) runs on the symmetrized table; the size of
     # T(f, h) sets the scale, since T(f, f) vanishes for null_b
-    a = pp.apply(direct, f, f)
-    b = pp.apply(separable, f, f)
+    a = pp.apply_direct(plan, f, f)
+    b = pp.apply(plan, f, f)
     assert np.max(np.abs(a - b)) <= 1e-10 * max(scale, np.max(np.abs(a)))
     assert (not b.any()) == (name == "null_b")
 
@@ -110,12 +119,7 @@ def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
     assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
         .vanishes_on_diagonal()
 
-    transforms = []
-    for name in ("to_physical", "to_spectral"):
-        orig = getattr(SpectralGrid, name)
-        monkeypatch.setattr(SpectralGrid, name,
-                            lambda self, x, _o=orig, _n=name:
-                            transforms.append(_n) or _o(self, x))
+    transforms = _count_transforms(monkeypatch)
     f = band_field(grid16, 3, np.random.default_rng(8))
     pp.apply(plan, f, f)
     assert sorted(transforms) == ["to_physical"] * 2 + ["to_spectral"] * 2
@@ -129,9 +133,9 @@ def test_direct_vs_separable_2d():
     rng = np.random.default_rng(4)
     f = band_field(g, 5, rng)
     h = band_field(g, 5, rng)
-    m = sy.symbol_preset("null_b")
-    a = pp.apply(pp.PseudoproductPlan(g, m, strategy="direct_sum"), f, h)
-    b = pp.apply(pp.PseudoproductPlan(g, m, strategy="separable_fft"), f, h)
+    plan = pp.PseudoproductPlan(g, sy.symbol_preset("null_b"))
+    a = pp.apply_direct(plan, f, h)
+    b = pp.apply(plan, f, h)
     scale = np.max(np.abs(a)) or 1.0
     assert np.max(np.abs(a - b)) <= 1e-10 * scale
 
@@ -147,14 +151,20 @@ def test_output_support_within_sum_of_bands(grid16):
     assert np.max(np.abs(out[outside])) < 1e-14
 
 
-def test_strategy_unavailable():
-    g = SpectralGrid(8, 1.0)
-    with pytest.raises(StrategyUnavailable):
-        pp.PseudoproductPlan(g, sy.symbol_preset("mu0"),
-                             strategy="separable_fft")
-    # auto falls back to the direct path
+def test_apply_picks_the_path_from_the_symbol(grid16, monkeypatch):
+    transforms = _count_transforms(monkeypatch)
+    rng = np.random.default_rng(10)
+    f = band_field(grid16, 3, rng)
+    pp.apply(pp.PseudoproductPlan(grid16, sy.symbol_preset("mixed")), f, f)
+    assert transforms
+    # mu0 has no factorization: the direct sum, with no transform at all
+    g = SpectralGrid(8, 2 * np.pi)
+    f, h = band_field(g, 2, rng), band_field(g, 2, rng)
     plan = pp.PseudoproductPlan(g, sy.symbol_preset("mu0"))
-    assert plan.resolved_strategy() == "direct_sum"
+    transforms.clear()
+    out = pp.apply(plan, f, h)
+    assert transforms == [] and out.any()
+    assert np.array_equal(out, pp.apply_direct(plan, f, h))
 
 
 def test_grid_mismatch(grid16):
@@ -166,22 +176,14 @@ def test_grid_mismatch(grid16):
 
 def test_cost_cap():
     g = SpectralGrid(64, 2 * np.pi)
-    plan = pp.PseudoproductPlan(g, sy.symbol_preset("mu0"),
-                                strategy="direct_sum")
+    plan = pp.PseudoproductPlan(g, sy.symbol_preset("mu0"))
     f = np.zeros(g.shape, complex)
     with pytest.raises(CostCapExceeded):
         pp.apply(plan, f, f)
-
-
-def test_threaded_direct_path_is_deterministic(grid16, monkeypatch):
-    rng = np.random.default_rng(6)
-    f = band_field(grid16, 3, rng)
-    h = band_field(grid16, 3, rng)
-    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b"),
-                                strategy="direct_sum")
-    a = pp.apply(plan, f, h, workers=1)
-    b = pp.apply(plan, f, h, workers=4)
-    assert np.array_equal(a, b)
+    # output modes times input modes: the kept band, or every mode
+    assert pp.direct_sum_terms(64) == 43 ** 3 * 64 ** 3 > pp.TERM_CAP
+    assert pp.direct_sum_terms(32) == 21 ** 3 * 32 ** 3 < pp.TERM_CAP
+    assert pp.direct_sum_terms(16, ndim=2, dealias=False) == 16 ** 4
 
 
 def test_holder_ratio_cauchy_schwarz(grid16):
@@ -189,16 +191,22 @@ def test_holder_ratio_cauchy_schwarz(grid16):
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
     plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"), dealias=False)
-    ratio = pp.holder_bound_ratio(plan, f, h, s=0.0, k=0, p=4.0, q=4.0, r=2.0)
-    assert 0.0 < ratio <= 1.0
+    ledger = BoundLedger()
+    ratio = pp.holder_bound_ratio(plan, f, h, s=0.0, k=0, p=4.0, q=4.0, r=2.0,
+                                  ledger=ledger)
+    assert 0.0 < ratio <= 1.0 and ledger.ratios("holder") == [ratio]
     assert pp.holder_bound_ratio(plan, 0.0 * f, h, s=0.0, k=0,
-                                 p=4.0, q=4.0, r=2.0) == 0.0
+                                 p=4.0, q=4.0, r=2.0, ledger=ledger) == 0.0
 
 
 def test_holder_ratio_exponent_mismatch(grid16):
     plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"))
     f = np.ones(grid16.shape, complex)
+    ledger = BoundLedger()
     with pytest.raises(ExponentMismatch):
-        pp.holder_bound_ratio(plan, f, f, s=0.0, k=0, p=4.0, q=4.0, r=3.0)
+        pp.holder_bound_ratio(plan, f, f, s=0.0, k=0, p=4.0, q=4.0, r=3.0,
+                              ledger=ledger)
     with pytest.raises(ExponentMismatch):
-        pp.holder_bound_ratio(plan, f, f, s=1.0, k=0, p=4.0, q=4.0, r=2.0)
+        pp.holder_bound_ratio(plan, f, f, s=1.0, k=0, p=4.0, q=4.0, r=2.0,
+                              ledger=ledger)
+    assert ledger.entries == []
