@@ -8,19 +8,22 @@ a Riemann sum of the continuum pseudoproduct integral (the grid's transform
 convention makes m = 1 reduce exactly to a pointwise product in physical
 space).  The symbol alone selects how apply() evaluates it:
 
-  * a symbol with a factorization m = sum_k alpha_k(xi) beta_k(xi - eta)
-    gamma_k(eta) takes the separable FFT path.  The plan evaluates every
-    factor once on its grid and interns the arrays by value, constants and
-    signs folded into the coefficients (FactorTable); terms sharing alpha
-    form one group, summed in physical space, so an apply costs one inverse
-    transform per distinct beta f or gamma g and one forward transform per
-    group.  A diagonal call T(f, f) (the same array passed twice) sees only
-    the symmetric part of m: each (beta, gamma) pair merges with its swap
-    and pairs whose coefficients cancel drop out, so a symbol with a
-    vanishing symmetric part, such as the null form null_b, costs no
-    transform.
-  * any other symbol takes the direct sum, the full O(n_out * n^d) mode
-    convolution, which refuses jobs above TERM_CAP symbol evaluations.
+  * a symbol built from a term list, each term c p(xi) q(xi - eta) r(eta)
+    with p, q and r products over the factor basis {|v|, v_j/|v|}, carries
+    the factorization m = sum_k alpha_k(xi) beta_k(xi - eta) gamma_k(eta)
+    as separable_terms and takes the separable FFT path.  The plan
+    evaluates every factor once on its grid and interns the arrays by
+    value, constants and signs folded into the coefficients (FactorTable);
+    terms sharing alpha form one group, summed in physical space, so an
+    apply costs one inverse transform per distinct beta f or gamma g and
+    one forward transform per group.  A diagonal call T(f, f) (the same
+    array passed twice) sees only the symmetric part of m: each (beta,
+    gamma) pair merges with its swap and pairs whose coefficients cancel
+    drop out, so a symbol with a vanishing symmetric part, such as the
+    null form null_b, costs no transform.
+  * a symbol outside the basis, such as mu0, takes the direct sum, the
+    full O(n_out * n^d) mode convolution, which refuses jobs above
+    TERM_CAP symbol evaluations.
 
 apply_direct() evaluates the direct sum for any symbol; it is the reference
 the separable path is checked against.  With the strict 2/3-rule mask

@@ -1,5 +1,6 @@
 """Phases, resonant-set geometry, homogeneous symbol classes and
-nonresonant bilinear forms.
+nonresonant bilinear forms, the latter written as term lists over the
+factor basis {|v|, v_j/|v|} (see BilinearSymbol).
 
 All evaluators are vectorized numpy functions of wavevector arrays whose
 last axis is the space dimension.  Symbols are smooth only off the rays
@@ -8,7 +9,8 @@ points evaluate to 0 (the zero-mode convention), while point evaluation
 through `checked` refuses points within a tolerance of the rays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -158,28 +160,74 @@ def sample_spacetime_resonant_points(rng, count, scale_range=(0.5, 2.0),
 # bilinear symbols
 # ---------------------------------------------------------------------------
 
+NORM = "|v|"
+"""The atom |v| of the factor basis; the integer atom j stands for v_j/|v|."""
+
+
+def term_degree(term):
+    """Exact homogeneity degree of a term (c, p, q, r): its number of |v|
+    atoms, since every v_j/|v| has degree 0."""
+    return sum(atoms.count(NORM) for atoms in term[1:])
+
+
+def _monomial(atoms, v, norm, c=1.0):
+    """c times the product of `atoms` at v, where norm = |v|, with the
+    zero-mode convention v_j/|v| = 0 at v = 0."""
+    for atom in atoms:
+        c = c * (norm if atom == NORM else np.where(
+            norm > 0.0, v[..., atom] / np.where(norm > 0.0, norm, 1.0), 0.0))
+    return c
+
+
+def _factor(atoms, c, v):
+    """The single-variable factor c * (product of `atoms`) on the grid v."""
+    v = np.asarray(v, dtype=float)
+    return _monomial(atoms, v, _norm(v), np.full(v.shape[:-1], c))
+
+
 @dataclass
 class BilinearSymbol:
-    """An evaluatable symbol m(xi, eta) with a declared homogeneity degree.
+    """A symbol m(xi, eta) with its homogeneity degree.
 
-    separable_terms, when present, is a list of (alpha, beta, gamma)
-    single-variable multipliers with m = sum_k alpha_k(xi) beta_k(xi-eta)
-    gamma_k(eta); it enables the FFT fast path of the pseudoproduct.
-    components holds the homogeneous pieces of a composite symbol so the
-    scaling test can run term-wise.  All evaluators must return finite
-    values (0) at exactly singular arguments.
+    A symbol built by `from_terms` is one term list: a term (c, p, q, r)
+    stands for c p(xi) q(xi - eta) r(eta), where each of p, q and r is a
+    tuple of atoms of the factor basis {|v|, v_j/|v|} (NORM and the
+    integer j) and the empty tuple is 1.  From that list alone come the
+    evaluator, the degree (the highest exact term degree) and
+    separable_terms, the list of (alpha, beta, gamma) single-variable
+    factors with m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta) that
+    the FFT path of the pseudoproduct runs on.  A symbol outside the
+    basis, such as mu0, gives its evaluator and degree directly, has no
+    separable_terms and takes the direct sum.  All evaluators return
+    finite values (0) at exactly singular arguments.
     """
     name: str
     evaluator: callable
     degree: float
     singular: bool = True
     separable_terms: list = None
-    components: list = None
-    term_degrees: tuple = None
+    terms: tuple = ()
 
-    def __post_init__(self):
-        if self.term_degrees is None:
-            self.term_degrees = (self.degree,)
+    @classmethod
+    def from_terms(cls, name, terms, singular=True):
+        """The symbol of a term list (see the class docstring); each
+        separable term carries the coefficient c on its alpha."""
+        terms = tuple(terms)
+
+        def evaluator(xi, eta):
+            args = [(v, _norm(v)) for v in (xi, xi - eta, eta)]
+            total = np.zeros(np.broadcast_shapes(xi.shape[:-1],
+                                                 eta.shape[:-1]))
+            for value, *slots in terms:
+                for atoms, (v, norm) in zip(slots, args):
+                    value = _monomial(atoms, v, norm, value)
+                total = total + value
+            return total
+
+        separable = [(partial(_factor, p, c), partial(_factor, q, 1.0),
+                      partial(_factor, r, 1.0)) for c, p, q, r in terms]
+        return cls(name, evaluator, max(map(term_degree, terms)), singular,
+                   separable, terms)
 
     def __call__(self, xi, eta):
         return self.evaluator(np.asarray(xi, dtype=float),
@@ -199,206 +247,47 @@ class BilinearSymbol:
                 f"{self.name}: point within {singular_tol:.3g} of a ray")
         return self.evaluator(xi, eta)
 
-    # -- declared-structure checks (used by constructors and tests) --------
 
-    def homogeneity_defect(self, rng, lambdas=(0.5, 2.0, 7.0), samples=64):
-        """Max relative scaling error over the homogeneous pieces."""
-        pieces = self.components if self.components else [self]
-        worst = 0.0
-        for piece in pieces:
-            xi, eta = _generic_points(rng, samples)
-            base = piece(xi, eta)
-            ref = np.abs(base)
-            ref = np.where(ref > 1e-13, ref, 1.0)
-            for lam in lambdas:
-                scaled = piece(lam * xi, lam * eta)
-                err = np.abs(scaled - lam ** piece.degree * base) / \
-                    (lam ** piece.degree * ref)
-                worst = max(worst, float(np.max(err)))
-        return worst
-
-    def separability_defect(self, rng, samples=1000):
-        """Max relative gap between the evaluator and its factorized form."""
-        if not self.separable_terms:
-            return 0.0
-        xi, eta = _generic_points(rng, samples)
-        direct = self(xi, eta)
-        total = np.zeros_like(direct, dtype=complex)
-        for alpha, beta, gamma in self.separable_terms:
-            total = total + alpha(xi) * beta(xi - eta) * gamma(eta)
-        scale = np.maximum(np.abs(direct), 1e-13)
-        return float(np.max(np.abs(total - direct) / scale))
+WAVE_PHASE_TERMS = ((1.0, (NORM,), (), ()), (-1.0, (), (NORM,), ()),
+                    (-1.0, (), (), (NORM,)))
+"""phi_w = |xi| - |xi - eta| - |eta| as a term list."""
 
 
-def _generic_points(rng, count, ndim=3):
-    """Random nonsingular (xi, eta) pairs away from the rays."""
-    while True:
-        xi = rng.normal(size=(count, ndim))
-        eta = rng.normal(size=(count, ndim))
-        ok = (np.min(_norm(xi)) > 1e-2 and np.min(_norm(eta)) > 1e-2
-              and np.min(_norm(xi - eta)) > 1e-2)
-        if ok:
-            return xi, eta
+WAVE_PHASE_GRAD_ETA_TERMS = tuple(((1.0, (), (j,), ()), (-1.0, (), (), (j,)))
+                                  for j in range(3))
+"""d phi_w / d eta_j = (xi - eta)_j/|xi - eta| - eta_j/|eta| as a term list,
+for j = 0, 1, 2."""
 
 
-def _one(v):
-    v = np.asarray(v, dtype=float)
-    return np.ones(v.shape[:-1], dtype=complex)
+def _times(part, phase_terms, degree, what):
+    """The term list of part * phase_terms; every term of `part` must have
+    the exact degree `degree`."""
+    for term in part:
+        if term_degree(term) != degree:
+            raise DegreeMismatch(f"{what} must have degree {degree}, got a "
+                                 f"term of degree {term_degree(term)}")
+    return [(c1 * c2, p1 + p2, q1 + q2, r1 + r2)
+            for c1, p1, q1, r1 in part for c2, p2, q2, r2 in phase_terms]
 
 
-def constant_symbol(value=1.0, degree=0.0, name=None):
-    val = complex(value)
-    return BilinearSymbol(
-        name=name or f"const({value})",
-        evaluator=lambda xi, eta: np.full(np.broadcast(
-            np.asarray(xi)[..., 0], np.asarray(eta)[..., 0]).shape, val),
-        degree=degree,
-        singular=False,
-        separable_terms=[(lambda v: val * _one(v), _one, _one)],
-    )
-
-
-def xi_modulus_symbol():
-    """a(xi, eta) = |xi|, the simplest degree-1 member of the class."""
-    return BilinearSymbol(
-        name="|xi|",
-        evaluator=lambda xi, eta: _norm(xi) * np.ones(
-            np.broadcast(np.asarray(xi)[..., 0],
-                         np.asarray(eta)[..., 0]).shape),
-        degree=1.0,
-        singular=True,
-    )
-
-
-def unit_vector_symbols(direction=(1.0, 0.0, 0.0)):
-    """Constant vector b = direction, componentwise degree-0 symbols;
-    zero entries become None (skipped by the bilinear form)."""
-    return [constant_symbol(c, degree=0.0, name=f"b[{j}]") if c else None
-            for j, c in enumerate(direction)]
-
-
-def make_nonresonant_symbol(a, b, name=None, rng=None):
+def make_nonresonant_symbol(a, b, name="nonresonant"):
     """m(xi, eta) = a(xi, eta) phi_w(xi, eta) + b(xi, eta) . grad_eta phi_w.
 
-    a must be homogeneous of degree 1 and every component of b of degree 0;
-    declared degrees are verified by a random scaling test and a
-    DegreeMismatch is raised on violation.  The resulting symbol vanishes
-    on the space-time resonant set by construction; with a = 0 it reduces
-    to a classical null form.
+    `a` is a term list whose every term has degree 1; `b` is a sequence of
+    per-component term lists of degree 0, a None or empty entry being a
+    zero component; either may be None.  The products with the term lists
+    of phi_w and d phi_w / d eta_j expand termwise into the symbol's term
+    list, so every member of the class gets the FFT path.  A term of the
+    wrong exact degree raises DegreeMismatch.  The symbol vanishes on the
+    space-time resonant set by construction; with a = None it reduces to
+    a classical null form.
     """
-    rng = rng or np.random.default_rng(0)
-    pieces = []
-    terms = []
-    separable = []
-    degrees = []
-
-    if a is not None:
-        if a.degree != 1.0:
-            raise DegreeMismatch(f"a must have degree 1, got {a.degree}")
-        if a.homogeneity_defect(rng, samples=32) > 1e-8:
-            raise DegreeMismatch("a is not homogeneous of its declared degree 1")
-
-        def a_phi(xi, eta, _a=a):
-            return _a(xi, eta) * wave_phase(xi, eta)
-
-        a_piece = BilinearSymbol(name="a*phi_w", evaluator=a_phi, degree=2.0,
-                                 singular=True)
-        pieces.append(a_piece)
-        terms.append(a_phi)
-        degrees.append(2.0)
-        separable.append(_separable_a_phi(a))
-
-    if b is not None:
-        bs = list(b)
-        for j, bj in enumerate(bs):
-            if bj is None:
-                continue
-            if bj.degree != 0.0:
-                raise DegreeMismatch(f"b[{j}] must have degree 0, got {bj.degree}")
-            if bj.homogeneity_defect(rng, samples=32) > 1e-8:
-                raise DegreeMismatch(
-                    f"b[{j}] is not homogeneous of its declared degree 0")
-
-        def b_grad(xi, eta, _bs=bs):
-            g = wave_phase_grad_eta(xi, eta)
-            out = None
-            for j, bj in enumerate(_bs):
-                if bj is None:
-                    continue
-                piece = bj(xi, eta) * g[..., j]
-                out = piece if out is None else out + piece
-            return out
-
-        b_piece = BilinearSymbol(name="b.grad_phi_w", evaluator=b_grad,
-                                 degree=0.0, singular=True)
-        pieces.append(b_piece)
-        terms.append(b_grad)
-        degrees.append(0.0)
-        separable.append(_separable_b_grad(bs))
-
-    if not pieces:
+    terms = _times(a or (), WAVE_PHASE_TERMS, 1, "a")
+    for j, bj in enumerate(b or ()):
+        terms += _times(bj or (), WAVE_PHASE_GRAD_ETA_TERMS[j], 0, f"b[{j}]")
+    if not terms:
         raise DegreeMismatch("need at least one of a, b")
-
-    def total(xi, eta, _terms=tuple(terms)):
-        out = _terms[0](xi, eta)
-        for term in _terms[1:]:
-            out = out + term(xi, eta)
-        return out
-
-    sep = None
-    if all(s is not None for s in separable):
-        sep = [t for s in separable for t in s]
-
-    return BilinearSymbol(
-        name=name or "nonresonant",
-        evaluator=total,
-        degree=max(degrees),
-        singular=True,
-        separable_terms=sep,
-        components=pieces,
-        term_degrees=tuple(degrees),
-    )
-
-
-def _separable_a_phi(a):
-    """Factorization of a*phi_w for the preset a = c|xi| only."""
-    if a.name != "|xi|":
-        return None
-    mod = lambda v: _norm(np.asarray(v, dtype=float)).astype(complex)
-    neg_mod = lambda v: -mod(v)
-    sq = lambda v: mod(v) ** 2
-    # |xi| (|xi| - |xi-eta| - |eta|) = |xi|^2 - |xi||xi-eta| - |xi||eta|
-    return [(sq, _one, _one), (mod, neg_mod, _one), (mod, _one, neg_mod)]
-
-
-def _separable_b_grad(bs):
-    """Factorization of b.grad_eta phi_w for constant vectors b."""
-    consts = []
-    for bj in bs:
-        if bj is None:
-            consts.append(0.0)
-        elif bj.name.startswith("b[") or bj.name.startswith("const"):
-            xi0 = np.array([[1.0, 0.0, 0.0]])
-            consts.append(complex(bj(xi0, xi0 * 0.5)[0]))
-        else:
-            return None
-    terms = []
-    for j, c in enumerate(consts):
-        if c == 0.0:
-            continue
-
-        def comp(v, _j=j, _c=c):
-            u = _unit(np.asarray(v, dtype=float))
-            return _c * u[..., _j].astype(complex)
-
-        def neg_comp(v, _j=j, _c=c):
-            u = _unit(np.asarray(v, dtype=float))
-            return -_c * u[..., _j].astype(complex)
-
-        # b_j * [ (xi-eta)_j/|xi-eta| - eta_j/|eta| ]
-        terms.append((_one, comp, _one))
-        terms.append((_one, _one, neg_comp))
-    return terms
+    return BilinearSymbol.from_terms(name, terms)
 
 
 def class_membership_report(symbol, rng, *, ledger, samples=400):
@@ -451,21 +340,19 @@ def mu0_symbol(phase, s, direction=(1.0, 0.0, 0.0), name="mu0"):
 # ---------------------------------------------------------------------------
 # named presets (External Interface)
 # ---------------------------------------------------------------------------
-
 def symbol_preset(name, mu0_time=10.0):
     """Presets addressable by name: one, null_b, aphi, mixed, mu0."""
+    xi_norm = [(1.0, (NORM,), (), ())]        # a = |xi|
+    e_x = [[(1.0, (), (), ())], None, None]   # b = (1, 0, 0)
     if name == "one":
-        return constant_symbol(1.0, degree=0.0, name="one")
+        return BilinearSymbol.from_terms("one", [(1.0, (), (), ())],
+                                         singular=False)
     if name == "null_b":
-        m = make_nonresonant_symbol(None, unit_vector_symbols((1.0, 0.0, 0.0)),
-                                    name="null_b")
-        return m
+        return make_nonresonant_symbol(None, e_x, name="null_b")
     if name == "aphi":
-        return make_nonresonant_symbol(xi_modulus_symbol(), None, name="aphi")
+        return make_nonresonant_symbol(xi_norm, None, name="aphi")
     if name == "mixed":
-        return make_nonresonant_symbol(xi_modulus_symbol(),
-                                       unit_vector_symbols((1.0, 0.0, 0.0)),
-                                       name="mixed")
+        return make_nonresonant_symbol(xi_norm, e_x, name="mixed")
     if name == "mu0":
         return mu0_symbol(DISSIPATIVE_PHASE, mu0_time)
     raise KeyError(f"unknown symbol preset {name!r}")

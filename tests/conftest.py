@@ -8,10 +8,3 @@ from pdhyp.grid import SpectralGrid
 def grid16():
     return SpectralGrid(16, 2 * np.pi)
 
-
-def band_field(grid, band, rng):
-    """Random conjugate-symmetric (real-valued) field on |mode| <= band."""
-    sel = np.all(np.abs(grid.modes) <= band, axis=-1)
-    fh = np.zeros(grid.shape, dtype=complex)
-    fh[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
-    return grid.conjugate_symmetrize(fh)

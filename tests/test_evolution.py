@@ -6,10 +6,9 @@ from hypothesis import strategies as hst
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
+from pdhyp.acceptance import band_field
 from pdhyp.errors import StepRejected
 from pdhyp.grid import SpectralGrid
-
-from conftest import band_field
 
 
 def bump_state(g, dim, amp, widths=None):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdhyp.acceptance import band_field
 from pdhyp.errors import GridMismatch
 from pdhyp.grid import SpectralGrid
-
-from conftest import band_field
 
 
 def test_transform_roundtrip():
@@ -97,3 +98,53 @@ def test_2d_grid():
     rng = np.random.default_rng(5)
     f = rng.normal(size=g.shape)
     assert np.max(np.abs(g.to_physical(g.to_spectral(f)) - f)) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 12), length=st.floats(0.5, 20.0),
+       ndim=st.sampled_from((2, 3)), seed=st.integers(0, 2 ** 16))
+def test_parseval_on_any_grid(n, length, ndim, seed):
+    g = SpectralGrid(n, length, ndim=ndim)
+    f = np.random.default_rng(seed).normal(size=g.shape)
+    phys = np.sum(f ** 2) * g.dx ** ndim
+    fh = g.to_spectral(f)
+    spec = (2 * np.pi) ** ndim * np.sum(np.abs(fh) ** 2) * g.d_eta
+    assert abs(phys - spec) <= 1e-12 * phys
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 10), length=st.floats(0.5, 20.0),
+       seed=st.integers(0, 2 ** 16))
+def test_convolution_theorem_on_any_grid(n, length, seed):
+    g = SpectralGrid(n, length, ndim=2)
+    f, h = np.random.default_rng(seed).normal(size=(2,) + g.shape)
+    fh, hh = g.to_spectral(f), g.to_spectral(h)
+    # np.roll(fh, j)[k] = fh[(k - j) mod n]
+    direct = sum(hh[j] * np.roll(fh, j, axis=(0, 1))
+                 for j in np.ndindex(g.shape)) * g.d_eta
+    prod_hat = g.to_spectral(f * h)
+    assert np.max(np.abs(direct - prod_hat)) \
+        <= 1e-12 * np.max(np.abs(prod_hat))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 24), seed=st.integers(0, 2 ** 16))
+def test_dealiased_products_match_unwrapped_products(n, seed):
+    # on the doubled grid (same dk) no product of kept modes wraps, so the
+    # 2/3 mask must make the coarse product agree with it on the kept band
+    coarse = SpectralGrid(n, 2 * np.pi, ndim=2)
+    fine = SpectralGrid(2 * n, 2 * np.pi, ndim=2)
+    rng = np.random.default_rng(seed)
+    f, h = (coarse.dealias(rng.normal(size=coarse.shape)
+                           + 1j * rng.normal(size=coarse.shape))
+            for _ in range(2))
+
+    def product(grid, a, b):
+        return grid.to_spectral(grid.to_physical(a) * grid.to_physical(b))
+
+    on_fine = np.ix_(coarse.k_int % fine.n, coarse.k_int % fine.n)
+    big_f, big_h = np.zeros(fine.shape, complex), np.zeros(fine.shape, complex)
+    big_f[on_fine], big_h[on_fine] = f, h
+    exact = coarse.dealias(product(fine, big_f, big_h)[on_fine])
+    got = coarse.dealias(product(coarse, f, h))
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))

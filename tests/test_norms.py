@@ -3,10 +3,9 @@ import pytest
 
 from pdhyp import evolution as ev
 from pdhyp import norms
+from pdhyp.acceptance import band_field
 from pdhyp.errors import MissingSeries, NonPositiveValues
 from pdhyp.grid import SpectralGrid
-
-from conftest import band_field
 
 
 @pytest.fixture(scope="module")

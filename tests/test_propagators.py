@@ -3,11 +3,10 @@ import pytest
 
 from pdhyp import norms
 from pdhyp import propagators as pr
+from pdhyp.acceptance import band_field
 from pdhyp.bounds import BoundLedger
 from pdhyp.errors import ExponentMismatch
 from pdhyp.grid import SpectralGrid
-
-from conftest import band_field
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdhyp import pseudoproduct as pp
 from pdhyp import symbols as sy
+from pdhyp.acceptance import band_field, nonresonant_symbols
 from pdhyp.bounds import BoundLedger
 from pdhyp.errors import CostCapExceeded, ExponentMismatch, GridMismatch
 from pdhyp.grid import SpectralGrid
 from pdhyp.propagators import MultiplierSpec, apply_multiplier
-
-from conftest import band_field
 
 
 def _count_transforms(monkeypatch):
@@ -37,14 +38,8 @@ def test_laplacian_symbol_against_multiplier_oracle(grid16):
     rng = np.random.default_rng(1)
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
-    lam2 = lambda v: np.linalg.norm(np.asarray(v, float), axis=-1).astype(complex) ** 2
-    m = sy.BilinearSymbol(
-        name="|eta|^2",
-        evaluator=lambda xi, eta: lam2(eta) * np.ones(np.broadcast(
-            np.asarray(xi)[..., 0], np.asarray(eta)[..., 0]).shape),
-        degree=2.0, singular=False,
-        separable_terms=[(lambda v: np.ones(v.shape[:-1], complex),
-                          lambda v: np.ones(v.shape[:-1], complex), lam2)])
+    m = sy.BilinearSymbol.from_terms(
+        "|eta|^2", [(1.0, (), (), (sy.NORM, sy.NORM))], singular=False)
     plan = pp.PseudoproductPlan(grid16, m, dealias=False)
     out = pp.apply(plan, f, h)
     oracle = grid16.to_spectral(
@@ -81,22 +76,51 @@ def test_bilinearity(grid16):
     assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
-@pytest.mark.parametrize("name", ["one", "null_b", "aphi", "mixed"])
-def test_direct_vs_separable_3d(grid16, name):
+_SYMBOLS = {"one": sy.symbol_preset("one"), **nonresonant_symbols()}
+
+
+@pytest.mark.parametrize("name", list(_SYMBOLS))
+def test_direct_vs_separable_3d(grid16, name, monkeypatch):
     rng = np.random.default_rng(3)
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
-    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset(name))
+    plan = pp.PseudoproductPlan(grid16, _SYMBOLS[name])
     a = pp.apply_direct(plan, f, h)
+    transforms = _count_transforms(monkeypatch)
     b = pp.apply(plan, f, h)
+    assert transforms, "apply took the direct sum"
     scale = np.max(np.abs(a)) or 1.0
     assert np.max(np.abs(a - b)) <= 1e-10 * scale
     # the diagonal form T(f, f) runs on the symmetrized table; the size of
-    # T(f, h) sets the scale, since T(f, f) vanishes for null_b
+    # T(f, h) sets the scale, since T(f, f) vanishes for null_b and
+    # b_xi_unit
     a = pp.apply_direct(plan, f, f)
     b = pp.apply(plan, f, f)
     assert np.max(np.abs(a - b)) <= 1e-10 * max(scale, np.max(np.abs(a)))
-    assert (not b.any()) == (name == "null_b")
+    assert (not b.any()) == plan.vanishes_on_diagonal()
+    if plan.vanishes_on_diagonal():
+        assert np.max(np.abs(a)) <= 1e-10 * scale
+
+
+_ATOMS = st.lists(st.sampled_from([sy.NORM, 0, 1, 2]), max_size=2).map(tuple)
+_TERMS = st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False),
+                            _ATOMS, _ATOMS, _ATOMS), min_size=1, max_size=4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(terms=_TERMS, seed=st.integers(0, 2 ** 16))
+def test_random_term_lists_agree_with_direct_sum(terms, seed):
+    # any term list over the basis takes the separable path correctly
+    g = SpectralGrid(8, 2 * np.pi)
+    rng = np.random.default_rng(seed)
+    f, h = band_field(g, 2, rng), band_field(g, 2, rng)
+    plan = pp.PseudoproductPlan(g, sy.BilinearSymbol.from_terms("m", terms))
+    a = pp.apply_direct(plan, f, h)
+    scale = np.max(np.abs(a)) or 1.0
+    assert np.max(np.abs(pp.apply(plan, f, h) - a)) <= 1e-10 * scale
+    a = pp.apply_direct(plan, f, f)
+    assert np.max(np.abs(pp.apply(plan, f, f) - a)) \
+        <= 1e-10 * max(scale, np.max(np.abs(a)))
 
 
 def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdhyp import symbols as sy
+from pdhyp import acceptance, symbols as sy
 from pdhyp.errors import DegreeMismatch, SingularPoint
 
 
@@ -127,28 +127,78 @@ def test_aphi_vanishes_on_segment():
 
 
 def test_nonresonant_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
-        sy.make_nonresonant_symbol(sy.constant_symbol(1.0, degree=1.0), None)
-    with pytest.raises(DegreeMismatch):
-        sy.make_nonresonant_symbol(None, [sy.constant_symbol(1.0, degree=1.0)])
+    with pytest.raises(DegreeMismatch):     # a of degree 0
+        sy.make_nonresonant_symbol([(1.0, (), (), ())], None)
+    with pytest.raises(DegreeMismatch):     # a component of b of degree 1
+        sy.make_nonresonant_symbol(None, [[(1.0, (sy.NORM,), (), ())]])
     with pytest.raises(DegreeMismatch):
         sy.make_nonresonant_symbol(None, None)
 
 
+def _generic_points(rng, count):
+    """Random (xi, eta) pairs at distance > 1e-2 from the singular rays."""
+    while True:
+        xi = rng.normal(size=(count, 3))
+        eta = rng.normal(size=(count, 3))
+        if min(np.min(np.linalg.norm(v, axis=-1))
+               for v in (xi, eta, xi - eta)) > 1e-2:
+            return xi, eta
+
+
+_TERM_LIST_SYMBOLS = {"one": sy.symbol_preset("one"),
+                      **acceptance.nonresonant_symbols()}
+
+
 def test_termwise_homogeneity():
+    # the exact degree of each term against a sampled scaling of its value
     rng = np.random.default_rng(5)
-    for name in ("one", "null_b", "aphi", "mixed"):
-        m = sy.symbol_preset(name)
-        assert m.homogeneity_defect(rng) < 1e-8
-    degrees = sy.symbol_preset("mixed").term_degrees
-    assert degrees == (2.0, 0.0)
+    for name, m in _TERM_LIST_SYMBOLS.items():
+        degrees = [sy.term_degree(term) for term in m.terms]
+        assert m.degree == max(degrees)
+        for term, degree in zip(m.terms, degrees):
+            piece = sy.BilinearSymbol.from_terms(name, [term])
+            xi, eta = _generic_points(rng, 64)
+            base = piece(xi, eta)
+            ref = np.where(np.abs(base) > 1e-13, np.abs(base), 1.0)
+            for lam in (0.5, 2.0, 7.0):
+                err = np.abs(piece(lam * xi, lam * eta) - lam ** degree * base)
+                assert np.max(err / (lam ** degree * ref)) < 1e-8, (name, term)
+    assert [sy.term_degree(t) for t in sy.symbol_preset("mixed").terms] \
+        == [2, 2, 2, 0, 0]
+
+
+def _closed_form(name, xi, eta):
+    """(a, b) of a nonresonant symbol written out directly."""
+    zero = np.zeros(xi.shape[:-1])
+    unit = lambda v: v / np.linalg.norm(v, axis=-1)[..., None]
+    e_x = np.zeros(xi.shape)
+    e_x[..., 0] = 1.0
+    return {"null_b": (zero, e_x),
+            "aphi": (np.linalg.norm(xi, axis=-1), 0.0 * e_x),
+            "mixed": (np.linalg.norm(xi, axis=-1), e_x),
+            "a_eta": (np.linalg.norm(eta, axis=-1), 0.0 * e_x),
+            "a_xi_eta": (np.linalg.norm(xi - eta, axis=-1), 0.0 * e_x),
+            "b_xi_unit": (zero, unit(xi)),
+            "b_eta_unit": (zero, unit(eta))}[name]
 
 
 def test_separable_factorizations_agree():
     rng = np.random.default_rng(6)
-    for name in ("one", "null_b", "aphi", "mixed"):
-        m = sy.symbol_preset(name)
-        assert m.separability_defect(rng, samples=1000) < 1e-10
+    xi, eta = _generic_points(rng, 1000)
+    for name, m in _TERM_LIST_SYMBOLS.items():
+        direct = m(xi, eta)
+        # the evaluator against a phi_w + b . grad_eta phi_w written out
+        if name != "one":
+            a, b = _closed_form(name, xi, eta)
+            oracle = a * sy.wave_phase(xi, eta) + np.sum(
+                b * sy.wave_phase_grad_eta(xi, eta), axis=-1)
+            rel = np.abs(direct - oracle) / np.maximum(np.abs(oracle), 1.0)
+            assert np.max(rel) <= 1e-12, name
+        # the separable factors multiply back to the evaluator
+        total = sum(alpha(xi) * beta(xi - eta) * gamma(eta)
+                    for alpha, beta, gamma in m.separable_terms)
+        scale = np.maximum(np.abs(direct), 1e-13)
+        assert np.max(np.abs(total - direct) / scale) < 1e-10, name
 
 
 def test_mu0_collinear_zero_and_bounded():
