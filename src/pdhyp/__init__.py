@@ -14,11 +14,10 @@ from .symbols import (Phase, BilinearSymbol, ResonanceSample, WAVE_PHASE,
                       mu0_symbol, symbol_preset)
 from .pseudoproduct import (PseudoproductPlan, apply, apply_direct,
                             holder_bound_ratio)
-from .propagators import (MultiplierSpec, apply_multiplier, dispersive_ratio,
+from .propagators import (lambda_power, riesz, half_wave, dispersive_ratio,
                           fractional_ratio)
 from .evolution import (ModelSpec, Coefficients, StateField, Stepper,
-                        BlowupGuard, rhs, step, flow, wave_profile,
-                        frequency_split, save_checkpoint, load_checkpoint)
+                        BlowupGuard, rhs, flow, wave_profile, frequency_split)
 from .norms import (NormSpec, BootstrapReport, evaluate_norm,
                     m0_functional, fit_decay, fit_exponential_rate,
                     initial_energy)

@@ -32,6 +32,7 @@ import numpy as np
 from . import norms, pseudoproduct, spectra
 from .errors import StepRejected
 from .grid import SpectralGrid
+from .propagators import half_wave
 
 T_INITIAL = 1.0
 BLOWUP_FACTOR = 1e3
@@ -142,14 +143,6 @@ class StateField:
     @property
     def dim_state(self):
         return self.data.shape[0]
-
-    @property
-    def u_hat(self):
-        return self.data[0]
-
-    @property
-    def v_hat(self):
-        return self.data[1]
 
     @property
     def w_hat(self):
@@ -331,11 +324,6 @@ class Stepper:
         return out
 
 
-def step(model, state, dt, scheme="ifrk2", guard=None):
-    """One-shot step; for many steps build a Stepper once and reuse it."""
-    return Stepper(model, state.grid, dt, scheme).step(state, guard)
-
-
 def default_dt(dx):
     """CFL-like default on the sources for grid spacing dx; the linear flow
     is exact."""
@@ -358,8 +346,7 @@ def flow(cache, state, t_target):
 def wave_profile(state):
     """f_w = e^{+i|xi| t} w_hat: the unitary profile of the wave component
     (no amplification, safe at any t)."""
-    g = state.grid
-    return np.exp(1j * g.xi_norm * state.t) * state.w_hat
+    return half_wave(state.grid, state.t) * state.w_hat
 
 
 def frequency_split(state, cutoff):
@@ -371,24 +358,3 @@ def frequency_split(state, cutoff):
     high = StateField(state.grid, state.data * (~mask), state.t)
     return low, high
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(state, path):
-    """Self-describing npz dump: version, grid metadata, t, coefficients."""
-    np.savez(path, version=CHECKPOINT_VERSION, n=state.grid.n,
-             length=state.grid.length, ndim=state.grid.ndim,
-             dim_state=state.dim_state, t=state.t, coefficients=state.data)
-
-
-def load_checkpoint(path):
-    with np.load(path) as z:
-        if int(z["version"]) != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {z['version']}")
-        grid = SpectralGrid(int(z["n"]), float(z["length"]), int(z["ndim"]))
-        return StateField(grid, z["coefficients"], float(z["t"]))

@@ -37,10 +37,12 @@ CONFIG_SCHEMA = {
              "dt": "step (default L/(2n))", "scheme": "ifrk2 | ifrk4",
              "sample_dt": "sampling cadence, a whole multiple of dt "
                           "(default dt)"},
-    "norms": "list of 'kind:component' strings or 'default'",
+    "norms": ("'default' or a list of distinct 'kind:component' strings; "
+              f"kind: {' | '.join(norms.NORM_KINDS)}; "
+              f"component: {' | '.join(norms.COMPONENTS)} "
+              "(w and profile_w need a 3-component model)"),
     "fit": {"window": "[t_lo, t_hi] or null for [0.25, 0.9] * t_max"},
-    "output": {"dir": "directory", "prefix": "file prefix",
-               "checkpoint": "bool"},
+    "output": {"dir": "directory", "prefix": "file prefix"},
 }
 
 INITIAL_PRESETS = ("gaussian_bump", "random_bandlimited", "single_mode")
@@ -71,7 +73,7 @@ _DEFAULTS = {
     "time": {"t_max": 31.0, "dt": None, "scheme": "ifrk2", "sample_dt": None},
     "norms": "default",
     "fit": {"window": None},
-    "output": {"dir": ".", "prefix": "run", "checkpoint": False},
+    "output": {"dir": ".", "prefix": "run"},
 }
 
 
@@ -221,12 +223,26 @@ class ExperimentConfig:
                     f"multiple of dt = {dt:.6g}")
         if t["scheme"] not in ("ifrk2", "ifrk4"):
             problems.append(f"time.scheme: unknown scheme {t['scheme']!r}")
-        if r["norms"] != "default":
-            for spec in r["norms"]:
+        listed = r["norms"]
+        if listed != "default" and not (
+                isinstance(listed, list)
+                and all(isinstance(text, str) for text in listed)):
+            problems.append("norms: must be 'default' or a list of "
+                            "'kind:component' strings")
+        elif listed != "default":
+            names = set()
+            for text in listed:
                 try:
-                    parse_norm_spec(spec)
-                except (PdhypError, ValueError) as exc:
+                    spec = norms.NormSpec.parse(text)
+                except ValueError as exc:
                     problems.append(f"norms: {exc}")
+                    continue
+                if spec.name in names:
+                    problems.append(f"norms: {text!r} is listed twice")
+                names.add(spec.name)
+                if dim == 2 and spec.component in ("w", "profile_w"):
+                    problems.append(f"norms: {text!r} needs w, and "
+                                    f"{m['kind']} has no w")
         if problems:
             raise ConfigError(problems)
 
@@ -255,18 +271,6 @@ class ExperimentConfig:
 
 def _whole(x):
     return abs(x - round(x)) <= 1e-9 * max(1.0, abs(x))
-
-
-def parse_norm_spec(text):
-    kind, _, comp = text.partition(":")
-    if kind == "l2":
-        return norms.NormSpec("sobolev", comp, order=0)
-    return norms.NormSpec(kind, comp)
-
-
-def norm_name(text):
-    kind, _, comp = text.partition(":")
-    return f"{comp}_l2" if kind == "l2" else f"{comp}_{kind}"
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +446,17 @@ def run(config, log=None):
     norm_specs = config["norms"]
     if norm_specs == "default":
         norm_specs = DEFAULT_NORMS[model.kind]
-    norm_specs = [s for s in norm_specs
-                  if dim == 3 or (":u" in s or ":v" in s)]
-    specs = [(norm_name(s), parse_norm_spec(s)) for s in norm_specs]
+    specs = [norms.NormSpec.parse(s) for s in norm_specs]
+    needs_profile = any(spec.component == "profile_w" for spec in specs)
 
-    series = {name: [] for name, _ in specs}
+    series = {spec.name: [] for spec in specs}
     times = []
 
     def sample(st):
-        profile_w = ev.wave_profile(st) if dim == 3 else None
+        profile_w = ev.wave_profile(st) if needs_profile else None
         times.append(st.t)
-        for name, spec in specs:
-            series[name].append(norms.evaluate_norm(spec, st, profile_w))
+        for spec in specs:
+            series[spec.name].append(norms.evaluate_norm(spec, st, profile_w))
 
     sample(state)
     status = "completed"
@@ -514,8 +517,5 @@ def run(config, log=None):
         "warnings": warnings,
     }
     norms.write_json_report(report_path, report)
-    if out["checkpoint"]:
-        ev.save_checkpoint(
-            state, os.path.join(out["dir"], f"{out['prefix']}_state.npz"))
     say(f"{status}: wrote {csv_path} and {report_path}")
     return RunResult(status, report, csv_path, report_path)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingSeries, NonPositiveValues
-from .propagators import MultiplierSpec, apply_multiplier, lp_norm
+from .propagators import lp_norm, riesz
 
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
@@ -45,12 +45,8 @@ def l2_norm(grid, fhat):
 
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
-    every component choice).  R_j = -i xi_j/|xi| with R_j = 0 at xi = 0, as
-    MultiplierSpec.riesz; the 1/|xi| part is formed once per call, and
-    multiplying by it rounds as numpy's complex division by |xi| does."""
-    s = grid.xi_norm
-    inv = 1.0 / np.where(s > 0, s, 1.0)    # xi_j * inv is 0 at xi = 0
-    return max(lp_norm(grid, -1j * (grid.xi[..., j] * inv) * fhat, np.inf)
+    every component choice), with R_j = propagators.riesz(grid, j)."""
+    return max(lp_norm(grid, riesz(grid, j) * fhat, np.inf)
                for j in range(grid.ndim))
 
 
@@ -84,15 +80,14 @@ def weighted_lambda_x_h1(grid, fhat):
     total = 0.0
     for ax in grid.x_centered:
         comp = grid.to_spectral(ax * f)
-        lam = apply_multiplier(MultiplierSpec.lambda_power(1), grid, comp)
-        total += sobolev_norm(grid, lam, 1) ** 2
+        total += sobolev_norm(grid, grid.xi_norm * comp, 1) ** 2
     return float(np.sqrt(total))
 
 
 def weighted_x2_lambda_h1(grid, fhat):
     """|| |x|^2 Lam f ||_{H^1}: Lam applied spectrally, then the |x - c|^2
     weight, then the H^1 norm."""
-    lam = apply_multiplier(MultiplierSpec.lambda_power(1), grid, fhat)
+    lam = grid.xi_norm * fhat
     weighted = grid.to_spectral(grid.r2_centered * grid.to_physical(lam))
     return sobolev_norm(grid, weighted, 1)
 
@@ -101,25 +96,35 @@ def weighted_lambda_x2_sobolev(grid, fhat, order):
     """||Lam (|x|^2 f)||_{H^order} (the initial-data flavour of the
     second-moment norm)."""
     weighted = grid.to_spectral(grid.r2_centered * grid.to_physical(fhat))
-    lam = apply_multiplier(MultiplierSpec.lambda_power(1), grid, weighted)
-    return sobolev_norm(grid, lam, order)
+    return sobolev_norm(grid, grid.xi_norm * weighted, order)
 
 
 # ---------------------------------------------------------------------------
 # norm specs over states
 # ---------------------------------------------------------------------------
 
-NORM_KINDS = ("sobolev", "linf", "linf_riesz", "weighted_x_l2",
-              "weighted_lambda_x_h1", "weighted_x2_lambda_h1", "l1")
+# kind -> norm of one spectral field on the grid
+NORM_KINDS = {
+    "sobolev": lambda grid, fhat: sobolev_norm(grid, fhat, SOBOLEV_N),
+    "l2": l2_norm,
+    "linf": lambda grid, fhat: lp_norm(grid, fhat, np.inf),
+    "linf_riesz": riesz_linf_norm,
+    "l1": lambda grid, fhat: lp_norm(grid, fhat, 1),
+    "weighted_x_l2": weighted_x_l2,
+    "weighted_lambda_x_h1": weighted_lambda_x_h1,
+    "weighted_x2_lambda_h1": weighted_x2_lambda_h1,
+}
+# component -> index into the state; profile_w is the wave profile
 COMPONENTS = {"u": 0, "v": 1, "w": 2, "profile_w": None}
 _WEIGHTED = {"weighted_x_l2", "weighted_lambda_x_h1", "weighted_x2_lambda_h1"}
 
 
 @dataclass(frozen=True)
 class NormSpec:
+    """One sampled norm: a kind of NORM_KINDS of a component of
+    COMPONENTS; `name` is its series name."""
     kind: str
     component: str
-    order: int = SOBOLEV_N
 
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
@@ -129,34 +134,25 @@ class NormSpec:
         if self.kind in _WEIGHTED and self.component != "profile_w":
             raise ValueError(f"{self.kind} applies only to profile_w")
 
+    @staticmethod
+    def parse(text):
+        """The spec of a 'kind:component' string."""
+        kind, _, component = text.partition(":")
+        return NormSpec(kind, component)
+
     @property
     def name(self):
         return f"{self.component}_{self.kind}"
 
 
 def evaluate_norm(spec, state, profile_w=None):
-    grid = state.grid
     if spec.component == "profile_w":
         if profile_w is None:
             raise ValueError("profile_w norms need the wave profile")
         fhat = profile_w
     else:
         fhat = state.data[COMPONENTS[spec.component]]
-    if spec.kind == "sobolev":
-        return sobolev_norm(grid, fhat, spec.order)
-    if spec.kind == "linf":
-        return lp_norm(grid, fhat, np.inf)
-    if spec.kind == "linf_riesz":
-        return riesz_linf_norm(grid, fhat)
-    if spec.kind == "l1":
-        return lp_norm(grid, fhat, 1)
-    if spec.kind == "weighted_x_l2":
-        return weighted_x_l2(grid, fhat)
-    if spec.kind == "weighted_lambda_x_h1":
-        return weighted_lambda_x_h1(grid, fhat)
-    if spec.kind == "weighted_x2_lambda_h1":
-        return weighted_x2_lambda_h1(grid, fhat)
-    raise ValueError(spec.kind)
+    return NORM_KINDS[spec.kind](state.grid, fhat)
 
 
 def initial_energy(state, order=SOBOLEV_N):

@@ -1,77 +1,32 @@
-"""Scalar Fourier multipliers and semigroups: |xi|^s powers, Riesz
-transforms, heat semigroup, half-wave propagator, plus the empirical
-dispersive and fractional-integration estimates built from them."""
-
-from dataclasses import dataclass
+"""Scalar Fourier multipliers: |xi|^s powers, Riesz transforms and the
+half-wave propagator, as arrays on the grid, plus the empirical dispersive
+and fractional-integration estimates built from them.  |xi|^1 is
+grid.xi_norm itself."""
 
 import numpy as np
 
 from .errors import ExponentMismatch
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """kind: lambda_power(s) | riesz(j) | heat(t) | half_wave(sign, t).
-
-    zero_mode_rule decides the xi = 0 value; negative powers and Riesz
-    transforms force "zero" (the standard convention for symbols that are
-    undefined at the origin).
-    """
-    kind: str
-    param: tuple = ()
-    zero_mode_rule: str = "keep"
-
-    def __post_init__(self):
-        if self.kind not in ("lambda_power", "riesz", "heat", "half_wave"):
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
-        if self.kind == "riesz" and self.zero_mode_rule != "zero":
-            object.__setattr__(self, "zero_mode_rule", "zero")
-        if self.kind == "lambda_power" and self.param[0] < 0 \
-                and self.zero_mode_rule != "zero":
-            object.__setattr__(self, "zero_mode_rule", "zero")
-
-    @staticmethod
-    def lambda_power(s):
-        return MultiplierSpec("lambda_power", (float(s),),
-                              "zero" if s < 0 else "keep")
-
-    @staticmethod
-    def riesz(j):
-        return MultiplierSpec("riesz", (int(j),), "zero")
-
-    @staticmethod
-    def heat(t):
-        return MultiplierSpec("heat", (float(t),))
-
-    @staticmethod
-    def half_wave(t, sign=+1):
-        """Multiplies by exp(sign * i |xi| t)."""
-        return MultiplierSpec("half_wave", (float(t), int(sign)))
+def lambda_power(grid, s):
+    """|xi|^s; at xi = 0 it is 1 for s = 0 and 0 otherwise (the standard
+    convention for symbols that are undefined or vanish at the origin)."""
+    r = grid.xi_norm
+    vals = np.where(r > 0, r, 1.0) ** float(s)
+    return np.where(r > 0, vals, 1.0 if s == 0 else 0.0)
 
 
-def multiplier_array(spec, grid):
-    s = grid.xi_norm
-    if spec.kind == "lambda_power":
-        p = spec.param[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(s > 0, s, 1.0) ** p
-        vals = np.where(s > 0, vals, 0.0 if spec.zero_mode_rule == "zero"
-                        else 1.0 if p == 0 else 0.0)
-        return vals.astype(complex)
-    if spec.kind == "riesz":
-        j = spec.param[0]
-        safe = np.where(s > 0, s, 1.0)
-        return np.where(s > 0, -1j * grid.xi[..., j] / safe, 0.0)
-    if spec.kind == "heat":
-        return np.exp(-s ** 2 * spec.param[0]).astype(complex)
-    if spec.kind == "half_wave":
-        t, sign = spec.param
-        return np.exp(sign * 1j * s * t)
-    raise ValueError(spec.kind)
+def riesz(grid, j):
+    """R_j = -i xi_j/|xi|, 0 at xi = 0.  Multiplying by the reciprocal of
+    |xi| rounds as numpy's complex division by |xi| does."""
+    r = grid.xi_norm
+    inv = 1.0 / np.where(r > 0, r, 1.0)    # xi_j * inv is 0 at xi = 0
+    return -1j * (grid.xi[..., j] * inv)
 
 
-def apply_multiplier(spec, grid, fhat):
-    return multiplier_array(spec, grid) * fhat
+def half_wave(grid, t):
+    """e^{i|xi| t}; the sign of t is the direction of the flow."""
+    return np.exp(1j * grid.xi_norm * t)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +44,7 @@ def sobolev_w_norm(grid, fhat, sigma, p):
     """||f||_{W^{sigma,p}} = ||f||_{L^p} + ||Lam^sigma f||_{L^p}."""
     if sigma == 0:
         return 2.0 * lp_norm(grid, fhat, p)
-    lam = apply_multiplier(MultiplierSpec.lambda_power(sigma), grid, fhat)
+    lam = lambda_power(grid, sigma) * fhat
     return lp_norm(grid, fhat, p) + lp_norm(grid, lam, p)
 
 
@@ -122,11 +77,9 @@ def dispersive_ratio(grid, t, fhat, *, ledger):
         raise ValueError("dispersive ratio is defined for t >= 1")
     if not np.any(fhat):
         return 0.0
-    wave = apply_multiplier(MultiplierSpec.half_wave(t, +1), grid, fhat)
-    num = lp_norm(grid, wave, np.inf) * t
-    lam_f = apply_multiplier(MultiplierSpec.lambda_power(1), grid, fhat)
+    num = lp_norm(grid, half_wave(grid, t) * fhat, np.inf) * t
     den = (homogeneous_w11_seminorm(grid, fhat, 2)
-           + homogeneous_w11_seminorm(grid, lam_f, 1))
+           + homogeneous_w11_seminorm(grid, grid.xi_norm * fhat, 1))
     ratio = num / den
     ledger.record("dispersive", ratio, t=t, n=grid.n, length=grid.length)
     return ratio
@@ -148,7 +101,7 @@ def fractional_ratio(grid, alpha, p, q, fhat, *, ledger):
     if alpha == 0:
         low = fhat
     else:
-        low = apply_multiplier(MultiplierSpec.lambda_power(-alpha), grid, fhat)
+        low = lambda_power(grid, -alpha) * fhat
     ratio = lp_norm(grid, low, q) / lp_norm(grid, fhat, p)
     ledger.record("fractional", ratio, alpha=alpha, p=p, q=q, n=grid.n)
     return ratio

@@ -250,8 +250,7 @@ def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, *, ledger):
         return 0.0
     t = apply(plan, fhat, ghat)
     if k != 0:
-        t = propagators.apply_multiplier(
-            propagators.MultiplierSpec.lambda_power(k), grid, t)
+        t = propagators.lambda_power(grid, k) * t
     num = propagators.lp_norm(grid, t, r)
     den = (propagators.sobolev_w_norm(grid, fhat, s + k, p)
            * propagators.lp_norm(grid, ghat, q)

@@ -241,10 +241,13 @@ def propagator(cache, t):
 
 def propagator_apply(G, data):
     """Apply a per-mode operator (4 or 5, m) to stacked fields (d, m): the
-    2x2 block to (u, v) and, for three components, the phase to w."""
+    2x2 block to (u, v) and, for three components, the phase to w.  The
+    off-diagonal products are added one row at a time, so an apply holds
+    one field-sized temporary besides its output."""
     out = np.empty(data.shape, dtype=complex)
     np.multiply(G[0:4:3], data[:2], out=out[:2])     # G00 u, G11 v
-    out[:2] += G[1:3] * data[1::-1]                  # + G01 v, G10 u
+    out[0] += G[1] * data[1]                         # + G01 v
+    out[1] += G[2] * data[0]                         # + G10 u
     if data.shape[0] == 3:
         np.multiply(G[4], data[2], out=out[2])
     return out

@@ -61,6 +61,19 @@ def test_run_config_error_exit_code(tmp_path, capsys):
         in capsys.readouterr().err
     assert cli.main(["run", "pk-small-data", "--set", "model.symbol=mu0"]) == 2
     assert "config error: model.symbol: 'mu0'" in capsys.readouterr().err
+    # a w norm on the 2-component model, and a norm listed twice
+    assert cli.main(["run", "k-small-data",
+                     "--set", 'norms=["linf:w","l2:u"]']) == 2
+    assert "config error: norms: 'linf:w'" in capsys.readouterr().err
+    assert cli.main(["run", "k-small-data", "--set",
+                     'norms=["l2:u","l2:u","sobolev:u","sobolev:v"]']) == 2
+    assert "config error: norms: 'l2:u' is listed twice" \
+        in capsys.readouterr().err
+    assert cli.main(["run", "k-small-data", "--set", "norms=[1]"]) == 2
+    assert "config error: norms: must be" in capsys.readouterr().err
+    assert cli.main(["run", "k-small-data",
+                     "--set", "output.checkpoint=true"]) == 2
+    assert "unknown config key 'output.checkpoint'" in capsys.readouterr().err
 
 
 def test_run_accepts_preset_names(tmp_path, monkeypatch):

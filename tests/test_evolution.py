@@ -413,13 +413,3 @@ def test_high_frequency_exponential_decay(grid):
     rate, _ = norms.fit_exponential_rate(ts, np.asarray(vals), (1.0, 20.0))
     assert rate >= 0.05
 
-
-def test_checkpoint_roundtrip(tmp_path, grid):
-    st = bump_state(grid, 3, 0.3)
-    st.t = 4.5
-    path = tmp_path / "state.npz"
-    ev.save_checkpoint(st, path)
-    loaded = ev.load_checkpoint(path)
-    assert loaded.t == st.t
-    assert loaded.grid.n == grid.n and loaded.grid.length == grid.length
-    assert np.array_equal(loaded.data, st.data)

@@ -266,20 +266,25 @@ def test_source_free_run_checks_no_guard(tmp_path, monkeypatch):
         == open(guarded.csv_path, "rb").read()
 
 
+def test_wave_profile_only_for_profile_norms(tmp_path, monkeypatch):
+    calls = []
+    profile = ev.wave_profile
+    monkeypatch.setattr(ev, "wave_profile",
+                        lambda state: calls.append(state.t) or profile(state))
+    wave_norms = ex.load_preset("wave-invariants")["norms"]
+    res = ex.run(tiny_config(tmp_path / "wave", norms=wave_norms))
+    assert res.status == "completed" and calls == []
+    pk = ex.load_preset("pk-small-data")
+    ex.run(tiny_config(tmp_path / "pk", model=pk["model"], norms=pk["norms"]))
+    assert calls == [1.0 + i for i in range(9)]
+
+
 def test_run_propagates_unexpected_fit_errors(tmp_path, monkeypatch):
     def broken(*args):
         raise RuntimeError("bug in the fit")
     monkeypatch.setattr(norms, "fit_decay", broken)
     with pytest.raises(RuntimeError, match="bug in the fit"):
         ex.run(tiny_config(tmp_path))
-
-
-def test_run_checkpoint_written(tmp_path):
-    cfg = tiny_config(tmp_path).override(["output.checkpoint=true"])
-    res = ex.run(cfg)
-    from pdhyp import evolution as ev
-    st = ev.load_checkpoint(tmp_path / "run_state.npz")
-    assert st.t == pytest.approx(res.report["t_final"])
 
 
 def test_presets_ship_and_load():

@@ -48,10 +48,12 @@ def test_weighted_x_gaussian_moment():
 def test_linf_riesz_takes_max(grid):
     rng = np.random.default_rng(1)
     fh = band_field(grid, 4, rng)
-    from pdhyp.propagators import MultiplierSpec, apply_multiplier, lp_norm
-    per = [lp_norm(grid, apply_multiplier(MultiplierSpec.riesz(j), grid, fh),
-                   np.inf)
-           for j in range(3)]
+    from pdhyp.propagators import lp_norm
+    s = grid.xi_norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = [lp_norm(grid, np.where(s > 0, -1j * grid.xi[..., j] / s, 0)
+                       * fh, np.inf)
+               for j in range(3)]
     assert norms.riesz_linf_norm(grid, fh) == max(per)
 
 
@@ -149,6 +151,19 @@ def test_norm_spec_validation():
         norms.NormSpec("bogus", "u")
     spec = norms.NormSpec("weighted_x_l2", "profile_w")
     assert spec.name == "profile_w_weighted_x_l2"
+    assert norms.NormSpec.parse("weighted_x_l2:profile_w") == spec
+    with pytest.raises(ValueError):
+        norms.NormSpec.parse("sobolev:x")
+
+
+def test_l2_is_a_norm_kind(grid):
+    rng = np.random.default_rng(5)
+    data = np.stack([band_field(grid, 4, rng) for _ in range(3)])
+    st = ev.StateField(grid, data, 1.0)
+    spec = norms.NormSpec.parse("l2:w")
+    assert spec.name == "w_l2"
+    assert norms.evaluate_norm(spec, st) \
+        == norms.sobolev_norm(grid, data[2], 0)
 
 
 def test_evaluate_norm_dispatch(grid):

@@ -18,58 +18,42 @@ def gauss():
 
 def test_half_wave_unitary_inverse(gauss):
     g, fh = gauss
-    fwd = pr.apply_multiplier(pr.MultiplierSpec.half_wave(3.7, +1), g, fh)
-    back = pr.apply_multiplier(pr.MultiplierSpec.half_wave(3.7, -1), g, fwd)
+    fwd = pr.half_wave(g, 3.7) * fh
+    back = pr.half_wave(g, -3.7) * fwd
     assert np.max(np.abs(back - fh)) <= 1e-13 * np.max(np.abs(fh))
     # unitarity in L^2
     assert abs(norms.l2_norm(g, fwd) - norms.l2_norm(g, fh)) \
         <= 1e-12 * norms.l2_norm(g, fh)
 
 
-def test_heat_on_gaussian_closed_form(gauss):
-    g, fh = gauss
-    t = 1.0
-    heated = pr.apply_multiplier(pr.MultiplierSpec.heat(t), g, fh)
-    s2 = 1.0 + 2.0 * t
-    exact = g.to_spectral((1.0 / s2) ** 1.5 * np.exp(-g.r2_centered / (2 * s2)))
-    err = norms.l2_norm(g, heated - exact) / norms.l2_norm(g, exact)
-    assert err <= 1e-8
-
-
-def test_heat_contraction_monotone(gauss):
-    g, fh = gauss
-    vals = [norms.l2_norm(g, pr.apply_multiplier(pr.MultiplierSpec.heat(t),
-                                                 g, fh))
-            for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
-    assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
-
-
 def test_lambda_power_composition(gauss):
     g, fh = gauss
-    one = pr.apply_multiplier(pr.MultiplierSpec.lambda_power(1), g, fh)
-    twice = pr.apply_multiplier(pr.MultiplierSpec.lambda_power(1), g, one)
-    direct = pr.apply_multiplier(pr.MultiplierSpec.lambda_power(2), g, fh)
+    one = pr.lambda_power(g, 1) * fh
+    twice = pr.lambda_power(g, 1) * one
+    direct = pr.lambda_power(g, 2) * fh
     assert np.max(np.abs(twice - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_negative_power_and_riesz_zero_mode():
-    spec = pr.MultiplierSpec.lambda_power(-1)
-    assert spec.zero_mode_rule == "zero"
-    spec = pr.MultiplierSpec.riesz(0)
-    assert spec.zero_mode_rule == "zero"
     g = SpectralGrid(8, 1.0)
-    fh = np.ones(g.shape, complex)
-    out = pr.apply_multiplier(pr.MultiplierSpec.lambda_power(-1), g, fh)
-    assert out[0, 0, 0] == 0.0
+    away = g.xi_norm > 0
+    for s, at_zero in ((-1, 0.0), (0, 1.0), (1, 0.0)):
+        vals = pr.lambda_power(g, s)
+        assert vals[0, 0, 0] == at_zero, s
+        assert np.allclose(vals[away], g.xi_norm[away] ** s, rtol=1e-15)
+    assert np.array_equal(pr.lambda_power(g, 1), g.xi_norm)
+    for j in range(3):
+        r = pr.riesz(g, j)
+        assert r[0, 0, 0] == 0.0
+        assert np.allclose(r[away], -1j * g.xi[..., j][away] / g.xi_norm[away],
+                           rtol=1e-15)
 
 
 def test_riesz_isometry_mean_zero(gauss):
     g, fh = gauss
     f0 = fh.copy()
     f0[0, 0, 0] = 0.0
-    total = sum(norms.l2_norm(
-        g, pr.apply_multiplier(pr.MultiplierSpec.riesz(j), g, f0)) ** 2
-        for j in range(3))
+    total = sum(norms.l2_norm(g, pr.riesz(g, j) * f0) ** 2 for j in range(3))
     assert abs(total - norms.l2_norm(g, f0) ** 2) \
         <= 1e-12 * norms.l2_norm(g, f0) ** 2
 

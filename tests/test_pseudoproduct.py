@@ -9,7 +9,7 @@ from pdhyp.acceptance import band_field, nonresonant_symbols
 from pdhyp.bounds import BoundLedger
 from pdhyp.errors import CostCapExceeded, ExponentMismatch, GridMismatch
 from pdhyp.grid import SpectralGrid
-from pdhyp.propagators import MultiplierSpec, apply_multiplier
+from pdhyp.propagators import lambda_power
 
 
 def _count_transforms(monkeypatch):
@@ -44,8 +44,7 @@ def test_laplacian_symbol_against_multiplier_oracle(grid16):
     out = pp.apply(plan, f, h)
     oracle = grid16.to_spectral(
         grid16.to_physical(f)
-        * grid16.to_physical(apply_multiplier(MultiplierSpec.lambda_power(2),
-                                              grid16, h)))
+        * grid16.to_physical(lambda_power(grid16, 2) * h))
     assert np.max(np.abs(out - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
