@@ -37,8 +37,8 @@ CONFIG_SCHEMA = {
              "dt": "step (default L/(2n))", "scheme": "ifrk2 | ifrk4",
              "sample_dt": "sampling cadence, a whole multiple of dt "
                           "(default dt)"},
-    "norms": ("'default' or a list of distinct 'kind:component' strings; "
-              f"kind: {' | '.join(norms.NORM_KINDS)}; "
+    "norms": ("'default' or a nonempty list of distinct 'kind:component' "
+              f"strings; kind: {' | '.join(norms.NORM_KINDS)}; "
               f"component: {' | '.join(norms.COMPONENTS)} "
               "(w and profile_w need a 3-component model)"),
     "fit": {"window": "[t_lo, t_hi] or null for [0.25, 0.9] * t_max"},
@@ -225,9 +225,9 @@ class ExperimentConfig:
             problems.append(f"time.scheme: unknown scheme {t['scheme']!r}")
         listed = r["norms"]
         if listed != "default" and not (
-                isinstance(listed, list)
+                isinstance(listed, list) and listed
                 and all(isinstance(text, str) for text in listed)):
-            problems.append("norms: must be 'default' or a list of "
+            problems.append("norms: must be 'default' or a nonempty list of "
                             "'kind:component' strings")
         elif listed != "default":
             names = set()
@@ -324,8 +324,11 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
     data = np.zeros((dim_state,) + grid.shape, dtype=complex)
 
     if preset == "gaussian_bump":
-        for i in range(dim_state):
-            data[i] = _spectral_bump(grid, amplitude, widths[i], powers[i])
+        keys = list(zip(widths, powers))
+        for i, key in enumerate(keys):    # one bump per distinct key
+            first = keys.index(key)
+            data[i] = data[first] if first < i else _spectral_bump(
+                grid, amplitude, *key)
     elif preset == "random_bandlimited":
         sel = np.all(np.abs(grid.modes) <= band, axis=-1)
         for i in range(dim_state):

@@ -19,10 +19,14 @@ code relies on:
     ||f||_{L^2}^2 = (2*pi)^d * sum_k |f_hat[k]|^2 * d_eta.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.fft
 
 from .errors import GridMismatch
+
+SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
 
 
 def dealias_limit(n):
@@ -67,9 +71,18 @@ class SpectralGrid:
         x1 = np.arange(self.n) * self.dx
         self.x = np.meshgrid(*([x1] * self.ndim), indexing="ij")
         self.center = self.length / 2.0
-        # coordinate weight centered at the box center
-        self.x_centered = [xi_ax - self.center for xi_ax in self.x]
+        # coordinate weights centered at the box center, as broadcastable axes
+        self.x_centered = [ax - self.center for ax in np.meshgrid(
+            *([x1] * self.ndim), indexing="ij", sparse=True)]
         self.r2_centered = sum(ax ** 2 for ax in self.x_centered)
+
+    @cached_property    # multiplier tables, built on first use
+    def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N
+        return (1.0 + self.xi_norm ** 2) ** SOBOLEV_N
+
+    @cached_property
+    def xi_norm_reciprocal(self):     # 1/|xi|, and 1 at xi = 0
+        return 1.0 / np.where(self.xi_norm > 0, self.xi_norm, 1.0)
 
     # -- transforms ---------------------------------------------------------
 

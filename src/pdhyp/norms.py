@@ -7,7 +7,7 @@ Spectral Sobolev norms use the documented Parseval normalization
 
 which makes sobolev(0) agree with the physical-space L^2 quadrature to
 rounding.  Coordinate weights are applied in physical space, centered at
-the box center.
+the box center.  The grid caches the H^N weight and the Riesz 1/|xi|.
 """
 
 import json
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingSeries, NonPositiveValues
-from .propagators import lp_norm, riesz
+from .grid import SOBOLEV_N
+from .propagators import lp_norm, lp_physical, riesz
 
-SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
 GAMMA = 0.05
 DELTA = 0.05
@@ -29,14 +29,24 @@ M0_BOUND_C = 5.0       # verdict threshold for M0(t) <= C * E_N
 # scalar-field norms
 # ---------------------------------------------------------------------------
 
-def parseval_factor(grid):
-    return (2.0 * np.pi) ** grid.ndim
+def _sobolev_weight(grid, order):
+    """(1 + |xi|^2)^order, the grid's table for order N; None for order 0."""
+    if order == SOBOLEV_N:
+        return grid.sobolev_weight
+    return (1.0 + grid.xi_norm ** 2) ** order if order else None
+
+
+def _weighted_l2(grid, fhat, weight):
+    """(Parseval sum of weight * |fhat|^2)^(1/2); weight None is 1."""
+    sq = np.abs(fhat) ** 2
+    if weight is not None:
+        sq *= weight
+    val = (2.0 * np.pi) ** grid.ndim * np.sum(sq) * grid.d_eta
+    return float(np.sqrt(val))
 
 
 def sobolev_norm(grid, fhat, order):
-    w = (1.0 + grid.xi_norm ** 2) ** order
-    val = parseval_factor(grid) * np.sum(w * np.abs(fhat) ** 2) * grid.d_eta
-    return float(np.sqrt(val))
+    return _weighted_l2(grid, fhat, _sobolev_weight(grid, order))
 
 
 def l2_norm(grid, fhat):
@@ -64,16 +74,6 @@ def weighted_x_l2(grid, fhat):
     return float(np.sqrt(val))
 
 
-def weighted_x_sobolev(grid, fhat, order):
-    """(sum_j ||x_j f||_{H^order}^2)^(1/2), weights centered at the box."""
-    f = grid.to_physical(fhat)
-    total = 0.0
-    for ax in grid.x_centered:
-        comp = grid.to_spectral(ax * f)
-        total += sobolev_norm(grid, comp, order) ** 2
-    return float(np.sqrt(total))
-
-
 def weighted_lambda_x_h1(grid, fhat):
     """||Lam x f||_{H^1} with the weight applied first."""
     f = grid.to_physical(fhat)
@@ -90,13 +90,6 @@ def weighted_x2_lambda_h1(grid, fhat):
     lam = grid.xi_norm * fhat
     weighted = grid.to_spectral(grid.r2_centered * grid.to_physical(lam))
     return sobolev_norm(grid, weighted, 1)
-
-
-def weighted_lambda_x2_sobolev(grid, fhat, order):
-    """||Lam (|x|^2 f)||_{H^order} (the initial-data flavour of the
-    second-moment norm)."""
-    weighted = grid.to_spectral(grid.r2_centered * grid.to_physical(fhat))
-    return sobolev_norm(grid, grid.xi_norm * weighted, order)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +151,21 @@ def evaluate_norm(spec, state, profile_w=None):
 def initial_energy(state, order=SOBOLEV_N):
     """E_N = max{ ||U||_{L^1},
                   ||x U||_{H^2} + ||Lam x^2 U||_{H^1} + ||U||_{H^N} },
-    components aggregated by summation."""
+    components aggregated by summation, where ||x U||_{H^2} sums the x_j U
+    in squares and Lam x^2 U = Lam (|x|^2 U); one inverse transform each."""
     g = state.grid
-    l1 = sum(lp_norm(g, comp, 1) for comp in state.data)
-    weighted = sum(weighted_x_sobolev(g, comp, 2) for comp in state.data)
-    weighted += sum(weighted_lambda_x2_sobolev(g, comp, 1)
-                    for comp in state.data)
-    hn = sum(sobolev_norm(g, comp, order) for comp in state.data)
-    return float(max(l1, weighted + hn))
+    h1, h2, hn = (_sobolev_weight(g, k) for k in (1, 2, order))
+    parts = []      # per component: the L^1, x H^2, Lam x^2 H^1, H^N terms
+    for comp in state.data:
+        f = g.to_physical(comp)
+        x_h2 = sum(_weighted_l2(g, g.to_spectral(ax * f), h2) ** 2
+                   for ax in g.x_centered)
+        lam_x2 = g.xi_norm * g.to_spectral(g.r2_centered * f)
+        parts.append((lp_physical(g, f, 1),
+                      float(np.sqrt(x_h2)), _weighted_l2(g, lam_x2, h1),
+                      _weighted_l2(g, comp, hn)))
+    l1, x_h2, lam_x2, hn = map(sum, zip(*parts))    # the formula's order
+    return float(max(l1, x_h2 + lam_x2 + hn))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ def lambda_power(grid, s):
 def riesz(grid, j):
     """R_j = -i xi_j/|xi|, 0 at xi = 0.  Multiplying by the reciprocal of
     |xi| rounds as numpy's complex division by |xi| does."""
-    r = grid.xi_norm
-    inv = 1.0 / np.where(r > 0, r, 1.0)    # xi_j * inv is 0 at xi = 0
-    return -1j * (grid.xi[..., j] * inv)
+    return -1j * (grid.xi[..., j] * grid.xi_norm_reciprocal)
 
 
 def half_wave(grid, t):
@@ -34,7 +32,12 @@ def half_wave(grid, t):
 # ---------------------------------------------------------------------------
 
 def lp_norm(grid, fhat, p):
-    f = np.abs(grid.to_physical(fhat))
+    return lp_physical(grid, grid.to_physical(fhat), p)
+
+
+def lp_physical(grid, f, p):
+    """The L^p quadrature of a physical-space field f."""
+    f = np.abs(f)
     if np.isinf(p):
         return float(np.max(f))
     return float((np.sum(f ** p) * grid.dx ** grid.ndim) ** (1.0 / p))

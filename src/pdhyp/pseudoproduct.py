@@ -31,7 +31,7 @@ the separable path is checked against.  With the strict 2/3-rule mask
 the two paths agree to rounding on dealiased fields.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,14 +113,13 @@ class PseudoproductPlan:
     grid: object
     symbol: object
     dealias: bool = True
-    _table: FactorTable = field(default=None, init=False, repr=False,
-                                compare=False)
+
+    def __post_init__(self):    # the table is set-up, not the first apply's
+        terms = self.symbol.separable_terms
+        self._table = _build_factor_table(self.grid, terms) if terms else None
 
     def factor_table(self):
-        """The symbol's FactorTable on the plan grid, built on first use."""
-        if self._table is None:
-            self._table = _build_factor_table(self.grid,
-                                              self.symbol.separable_terms)
+        """The symbol's FactorTable on the plan grid, or None."""
         return self._table
 
     def vanishes_on_diagonal(self):

@@ -182,7 +182,8 @@ def _monomial(atoms, v, norm, c=1.0):
 def _factor(atoms, c, v):
     """The single-variable factor c * (product of `atoms`) on the grid v."""
     v = np.asarray(v, dtype=float)
-    return _monomial(atoms, v, _norm(v), np.full(v.shape[:-1], c))
+    c = np.full(v.shape[:-1], c)
+    return _monomial(atoms, v, _norm(v), c) if atoms else c
 
 
 @dataclass

@@ -71,6 +71,8 @@ def test_run_config_error_exit_code(tmp_path, capsys):
         in capsys.readouterr().err
     assert cli.main(["run", "k-small-data", "--set", "norms=[1]"]) == 2
     assert "config error: norms: must be" in capsys.readouterr().err
+    assert cli.main(["run", "kexp-branch", "--set", "norms=[]"]) == 2
+    assert "config error: norms" in capsys.readouterr().err
     assert cli.main(["run", "k-small-data",
                      "--set", "output.checkpoint=true"]) == 2
     assert "unknown config key 'output.checkpoint'" in capsys.readouterr().err

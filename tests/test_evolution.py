@@ -259,8 +259,28 @@ def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
         expect = lawson.step(st0)
         with monkeypatch.context() as mp:
             mp.setattr(ev, "rhs", None)    # the exact step calls no rhs
+            # nor dealias: the flow keeps the band of a dealiased state
+            mp.setattr(ev.StateField, "dealias", None)
             got = stepper.step(st0)
         assert np.array_equal(got.data, expect.data)
+        assert not got.data[:, ~grid.dealias_mask].any()
+
+
+def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
+    # the Stepper evaluates mixed's 15 factors; its steps evaluate none
+    m = sy.symbol_preset("mixed")
+    calls = []
+    m.separable_terms = [
+        tuple((lambda v, _f=f: calls.append(1) or _f(v)) for f in term)
+        for term in m.separable_terms]
+    stepper = ev.Stepper(ev.ModelSpec("pk_system", w_symbol=m), grid, dt=1.0)
+    assert len(calls) == 15
+    stepper.step(bump_state(grid, 3, 0.1))
+    assert len(calls) == 15
+    # a constant factor takes no |v|
+    monkeypatch.setattr(sy, "_norm", None)
+    assert np.array_equal(sy._factor((), 2.5, grid.xi),
+                          np.full(grid.shape, 2.5))
 
 
 def test_stepper_stores_the_block_per_mode_only():

@@ -162,6 +162,19 @@ def test_gaussian_bump_is_real_bandlimited_dealiased():
     assert np.max(np.abs(phys)) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_gaussian_bump_built_once_per_distinct_width(monkeypatch):
+    g = SpectralGrid(16, 32.0)
+    kwargs = dict(width=[1, 1, 8], radial_power=[0, 0, 1])
+    built = []
+    bump = ex._spectral_bump
+    monkeypatch.setattr(ex, "_spectral_bump",
+                        lambda *args: built.append(args[2:]) or bump(*args))
+    st = ex.make_initial_data("gaussian_bump", g, 1e-3, 0, **kwargs)
+    assert built == [(1, 0), (8, 1)]
+    per_component = [bump(g, 1e-3, w, p) for w, p in zip(*kwargs.values())]
+    assert np.array_equal(st.data, np.stack(per_component))
+
+
 def test_seed_stability_bit_identical():
     g = SpectralGrid(16, 32.0)
     a = ex.make_initial_data("random_bandlimited", g, 1e-2, 42)

@@ -46,6 +46,24 @@ def test_parseval_factor():
     assert abs(phys - spec) < 1e-12 * phys
 
 
+def test_centered_axes_broadcast_to_the_dense_axes():
+    g = SpectralGrid(8, 5.0)
+    dense = [ax - g.center for ax in g.x]
+    for j, ax in enumerate(g.x_centered):
+        assert ax.shape == tuple(8 if i == j else 1 for i in range(3))
+        assert np.array_equal(np.broadcast_to(ax, g.shape), dense[j])
+    assert np.array_equal(g.r2_centered, sum(ax ** 2 for ax in dense))
+
+
+def test_multiplier_tables_are_built_once():
+    g = SpectralGrid(8, 5.0)
+    assert g.sobolev_weight is g.sobolev_weight
+    assert np.array_equal(g.sobolev_weight, (1.0 + g.xi_norm ** 2) ** 3)
+    inv = g.xi_norm_reciprocal
+    assert inv is g.xi_norm_reciprocal and inv[0, 0, 0] == 1.0
+    assert np.array_equal(inv.reshape(-1)[1:], 1.0 / g.xi_norm.reshape(-1)[1:])
+
+
 def test_dealias_mask_strictly_below_third():
     for n in (16, 32, 64):
         g = SpectralGrid(n, 1.0)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from pdhyp import evolution as ev
-from pdhyp import norms
+from pdhyp import norms, spectra
 from pdhyp.acceptance import band_field
 from pdhyp.errors import MissingSeries, NonPositiveValues
+from pdhyp.experiments import make_initial_data
 from pdhyp.grid import SpectralGrid
+from pdhyp.propagators import lp_norm
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,61 @@ def test_initial_energy_scales_linearly(grid):
     e1 = norms.initial_energy(st1)
     e2 = norms.initial_energy(st2)
     assert abs(e2 - 2 * e1) <= 1e-10 * e1
+
+
+def _initial_energy_per_term(state, order=norms.SOBOLEV_N):
+    """E_N term by term, each weighted norm with its own transforms and
+    weight, summed in the order of the formula."""
+    g = state.grid
+
+    def sobolev(fh, k):
+        w = (1.0 + g.xi_norm ** 2) ** k
+        val = (2.0 * np.pi) ** g.ndim * np.sum(w * np.abs(fh) ** 2) * g.d_eta
+        return float(np.sqrt(val))
+
+    def x_sobolev(fh, k):
+        f = g.to_physical(fh)
+        total = 0.0
+        for ax in g.x_centered:
+            total += sobolev(g.to_spectral(ax * f), k) ** 2
+        return float(np.sqrt(total))
+
+    def lambda_x2_sobolev(fh, k):
+        weighted = g.to_spectral(g.r2_centered * g.to_physical(fh))
+        return sobolev(g.xi_norm * weighted, k)
+
+    l1 = sum(lp_norm(g, comp, 1) for comp in state.data)
+    weighted = sum(x_sobolev(comp, 2) for comp in state.data)
+    weighted += sum(lambda_x2_sobolev(comp, 1) for comp in state.data)
+    hn = sum(sobolev(comp, order) for comp in state.data)
+    return float(max(l1, weighted + hn))
+
+
+def test_initial_energy_equals_the_per_term_formula():
+    g = SpectralGrid(16, 32.0)
+    st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0],
+                           radial_power=[0, 1, 0])
+    assert norms.initial_energy(st) == _initial_energy_per_term(st)
+    # a flowed state is complex in physical space
+    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
+    later = ev.flow(cache, st, 4.5)
+    assert np.abs(g.to_physical(later.data[2]).imag).max() > 1e-3
+    assert norms.initial_energy(later) == _initial_energy_per_term(later)
+
+
+def test_initial_energy_transforms_each_component_once(monkeypatch):
+    g = SpectralGrid(16, 32.0)
+    st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
+    calls = []
+    for name in ("to_physical", "to_spectral"):
+        orig = getattr(SpectralGrid, name)
+        monkeypatch.setattr(SpectralGrid, name,
+                            lambda self, f, _o=orig, _n=name:
+                            calls.append(_n) or _o(self, f))
+    norms.initial_energy(st)
+    # d inverse transforms, and per component 3 x_j-weighted and one
+    # |x|^2-weighted forward transform
+    assert sorted(calls) == ["to_physical"] * 3 + ["to_spectral"] * 12
 
 
 def test_fit_decay_exact_power():
