@@ -245,8 +245,8 @@ def criterion_7(workdir):
     m = sy.symbol_preset("null_b")
     out = pseudoproduct.apply_direct(
         pseudoproduct.PseudoproductPlan(g, m, dealias=False), f1, h1)
-    k1 = g.xi[1, 0, 0]
-    k2 = g.xi[0, 2, 0]
+    k1 = g.dk * np.array([1.0, 0.0, 0.0])
+    k2 = g.dk * np.array([0.0, 2.0, 0.0])
     expect = m(k1 + k2, k2) * 6.0 * g.d_eta
     exact = (abs(out[1, 2, 0] - expect) == 0.0
              and float(np.sum(np.abs(out))) == abs(out[1, 2, 0]))

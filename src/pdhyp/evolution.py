@@ -317,9 +317,8 @@ class Stepper:
             new = (self._lin(e1, flat + h / 6.0 * n1)
                    + h / 6.0 * (2.0 * self._lin(eh, n2 + n3) + n4))
 
+        # rhs writes only the dealiased band and the flow keeps it
         out = StateField(self.grid, new.reshape(state.data.shape), t + h)
-        if not self.source_free:    # the exact flow keeps a dealiased band
-            out.dealias()
         if guard is not None:
             guard.check(out)
         return out

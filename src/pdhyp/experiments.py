@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+import scipy.fft
 
 from . import evolution as ev
 from . import norms, spectra
@@ -27,11 +28,11 @@ CONFIG_SCHEMA = {
               "coefficients": "a_u b_u c_u a_v b_v c_v d_v (floats)",
               "coupling": "uw | vw_in_v | vw_in_u | vw_in_w",
               "symbol": "one | null_b | aphi | mixed | mu0 | none"},
-    "grid": {"n": "power of two", "length": "box side L"},
+    "grid": {"n": "even FFT-fast length >= 8", "length": "box side L"},
     "initial": {"preset": "gaussian_bump | random_bandlimited | single_mode",
                 "amplitude": ">= 0", "width": "scalar or per-component list",
                 "radial_power": "int >= 0, scalar or list",
-                "mode": "[kx, ky, kz] for single_mode", "band": "int",
+                "mode": "[kx, ky, kz] for single_mode", "band": "1..(n-1)//3",
                 "seed": "int", "project": "none | damped_branch"},
     "time": {"t_max": "< L/4 (no-wrap), a whole number of steps from t = 1",
              "dt": "step (default L/(2n))", "scheme": "ifrk2 | ifrk4",
@@ -169,9 +170,11 @@ class ExperimentConfig:
                 m["coupling"] = model.coupling   # the coupling that runs
 
         n = g["n"]
-        grid_ok = isinstance(n, int) and n >= 8 and (n & (n - 1)) == 0
+        grid_ok = (isinstance(n, int) and n >= 8 and n % 2 == 0
+                   and scipy.fft.next_fast_len(n) == n)
         if not grid_ok:
-            problems.append(f"grid.n: {n!r} is not a power of two >= 8")
+            problems.append(f"grid.n: {n!r} is not an even FFT-fast length "
+                            ">= 8 (one with scipy.fft.next_fast_len(n) == n)")
         if g["length"] <= 0:
             grid_ok = False
             problems.append("grid.length: must be positive")
@@ -195,11 +198,16 @@ class ExperimentConfig:
                     and len(i[key]) != dim):
                 problems.append(f"initial.{key}: per-component list needs "
                                 f"{dim} entries")
-        if i["preset"] == "single_mode" and grid_ok:
-            limit = dealias_limit(n)
-            if any(abs(k) > limit for k in i["mode"]):
-                problems.append(f"initial.mode: {list(i['mode'])} outside the "
-                                f"dealiased band |k| <= {limit}")
+        limit = dealias_limit(n) if grid_ok else None
+        if (i["preset"] == "single_mode" and grid_ok
+                and any(abs(k) > limit for k in i["mode"])):
+            problems.append(f"initial.mode: {list(i['mode'])} outside the "
+                            f"dealiased band |k| <= {limit}")
+        band = i["band"]
+        if i["preset"] == "random_bandlimited" and grid_ok and not (
+                isinstance(band, int) and 1 <= band <= limit):
+            problems.append(f"initial.band: {band!r} is not a whole number in "
+                            f"[1, {limit}], the dealiased band on n = {n}")
 
         if t["t_max"] >= g["length"] / 4.0:
             problems.append(
@@ -301,7 +309,7 @@ def _spectral_bump(grid, amplitude, width, radial_power):
     ramp = np.clip((s - 0.7 * edge) / (0.3 * edge), 0.0, 1.0)
     taper = np.cos(0.5 * np.pi * ramp) ** 2
     radial = (width * s) ** (2 * radial_power) if radial_power else 1.0
-    center_phase = np.exp(-1j * grid.center * np.sum(grid.xi, axis=-1))
+    center_phase = np.exp(-1j * grid.center * sum(grid.xi_axes))
     fhat = grid.dealias(radial * np.exp(-0.5 * width ** 2 * s ** 2) * taper
                         * center_phase)
     peak = np.max(np.abs(grid.to_physical(fhat)))
@@ -330,17 +338,13 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
             data[i] = data[first] if first < i else _spectral_bump(
                 grid, amplitude, *key)
     elif preset == "random_bandlimited":
-        sel = np.all(np.abs(grid.modes) <= band, axis=-1)
+        sel = grid.band_mask(band)
         for i in range(dim_state):
             fh = np.zeros(grid.shape, dtype=complex)
             fh[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
             fh = grid.dealias(grid.conjugate_symmetrize(fh))
             peak = np.max(np.abs(grid.to_physical(fh)))
-            if peak > 0 and amplitude > 0:
-                fh *= amplitude / peak
-            elif amplitude == 0:
-                fh *= 0.0
-            data[i] = fh
+            data[i] = fh * (amplitude / peak) if peak > 0 else fh
     else:  # single_mode
         k = np.asarray(mode, dtype=int)
         if np.any(np.abs(k) > grid.dealias_limit):

@@ -17,9 +17,14 @@ code relies on:
     (f*g)_hat[k] = sum_j f_hat[k-j] g_hat[j] * d_eta,
   * Parseval carries a factor (2*pi)^d:
     ||f||_{L^2}^2 = (2*pi)^d * sum_k |f_hat[k]|^2 * d_eta.
+
+Modes, wavevectors and centered coordinates are stored as one 1-D axis per
+dimension, shaped (n,1,1), (1,n,1), (1,1,n) in 3-D so numpy broadcasts
+them; the full n^d tables are |xi|, the dealiasing mask and |x - center|^2,
+and wavevectors() builds the dense (*shape, d) array only when asked.
 """
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.fft
@@ -57,24 +62,28 @@ class SpectralGrid:
         # forward-transform prefactor (dx / 2pi)^d
         self._fwd = (self.dx / (2.0 * np.pi)) ** self.ndim
 
-        k1 = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-        self.k_int = k1
-        mesh = np.meshgrid(*([k1] * self.ndim), indexing="ij")
-        self.modes = np.stack(mesh, axis=-1)            # (*shape, d) integers
-        self.xi = self.dk * self.modes                   # (*shape, d) wavevectors
-        self.xi_norm = np.linalg.norm(self.xi, axis=-1)  # (*shape)
+        self.k_int = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
+        self.k_axes = np.meshgrid(*([self.k_int] * self.ndim), indexing="ij",
+                                  sparse=True)             # integer modes
+        self.xi_axes = [self.dk * k for k in self.k_axes]  # wavevectors
+        self.xi_norm = np.sqrt(sum(xi ** 2 for xi in self.xi_axes))
 
         self.dealias_limit = dealias_limit(self.n)
-        self.dealias_mask = np.all(
-            np.abs(self.modes) <= self.dealias_limit, axis=-1)
+        self.dealias_mask = self.band_mask(self.dealias_limit)
 
-        x1 = np.arange(self.n) * self.dx
-        self.x = np.meshgrid(*([x1] * self.ndim), indexing="ij")
         self.center = self.length / 2.0
-        # coordinate weights centered at the box center, as broadcastable axes
-        self.x_centered = [ax - self.center for ax in np.meshgrid(
-            *([x1] * self.ndim), indexing="ij", sparse=True)]
+        x1 = np.arange(self.n) * self.dx - self.center    # centered coordinates
+        self.x_centered = np.meshgrid(*([x1] * self.ndim), indexing="ij",
+                                      sparse=True)
         self.r2_centered = sum(ax ** 2 for ax in self.x_centered)
+
+    def band_mask(self, band):
+        """Modes with every |component| <= band."""
+        return reduce(np.logical_and, (np.abs(k) <= band for k in self.k_axes))
+
+    def wavevectors(self):
+        """The dense (*shape, d) wavevector array, built anew on each call."""
+        return np.stack(np.broadcast_arrays(*self.xi_axes), axis=-1)
 
     @cached_property    # multiplier tables, built on first use
     def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N

@@ -19,7 +19,7 @@ def lambda_power(grid, s):
 def riesz(grid, j):
     """R_j = -i xi_j/|xi|, 0 at xi = 0.  Multiplying by the reciprocal of
     |xi| rounds as numpy's complex division by |xi| does."""
-    return -1j * (grid.xi[..., j] * grid.xi_norm_reciprocal)
+    return -1j * (grid.xi_axes[j] * grid.xi_norm_reciprocal)
 
 
 def half_wave(grid, t):
@@ -59,7 +59,7 @@ def homogeneous_w11_seminorm(grid, fhat, order):
     for alpha in combinations_with_replacement(range(grid.ndim), order):
         deriv = fhat
         for ax in alpha:
-            deriv = (1j * grid.xi[..., ax]) * deriv
+            deriv = (1j * grid.xi_axes[ax]) * deriv
         total += lp_norm(grid, deriv, 1)
     return total
 

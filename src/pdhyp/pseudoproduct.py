@@ -95,11 +95,12 @@ def _grouped(coefs):
 
 
 def _build_factor_table(grid, terms):
-    """Evaluate each (alpha, beta, gamma) callable once on grid.xi."""
+    """Evaluate each (alpha, beta, gamma) callable once on the wavevectors."""
+    xi = grid.wavevectors()
     factors = [None]
     general, diagonal = {}, {}
     for alpha, beta, gamma in terms:
-        (a, ca), (b, cb), (g, cg) = (_intern(factors, np.asarray(f(grid.xi)))
+        (a, ca), (b, cb), (g, cg) = (_intern(factors, np.asarray(f(xi)))
                                      for f in (alpha, beta, gamma))
         c = ca * cb * cg
         general[a, b, g] = general.get((a, b, g), 0.0) + c
@@ -212,7 +213,7 @@ def _apply_direct(plan, fh, gh):
             f"(cap {TERM_CAP:.3g}); use a separable symbol or a smaller grid")
     out_idx = np.argwhere(grid.dealias_mask if plan.dealias
                           else np.ones(grid.shape, dtype=bool))
-    eta_flat = grid.xi.reshape(-1, d)
+    eta_flat = grid.wavevectors().reshape(-1, d)
     gh_flat = gh.reshape(-1)
 
     # doubled copy of f_hat(-xi): contiguous slices give f_hat[(k-j) mod n]

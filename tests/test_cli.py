@@ -40,9 +40,17 @@ def test_run_with_overrides(tmp_path):
 
 def test_run_config_error_exit_code(tmp_path, capsys):
     path = write_tiny_config(tmp_path)
-    assert cli.main(["run", str(path), "--set", "grid.n=17"]) == 2
-    err = capsys.readouterr().err
-    assert "grid.n" in err
+    # odd, and even with next fast length 27
+    for n in (17, 26):
+        assert cli.main(["run", str(path), "--set", f"grid.n={n}"]) == 2
+        assert f"config error: grid.n: {n} is not" in capsys.readouterr().err
+    # a random band of no mode, or past the dealiased band (21 on n = 64)
+    for band in (0, 22, 2.5):
+        assert cli.main(["run", "k-small-data", "--set",
+                         "initial.preset=random_bandlimited", "--set",
+                         f"initial.band={band}"]) == 2
+        assert f"config error: initial.band: {band} " \
+            in capsys.readouterr().err
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
     assert cli.main(["run", "pk-small-data",
@@ -76,6 +84,17 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "k-small-data",
                      "--set", "output.checkpoint=true"]) == 2
     assert "unknown config key 'output.checkpoint'" in capsys.readouterr().err
+
+
+def test_run_on_a_grid_that_is_not_a_power_of_two(tmp_path):
+    # 48 = 2^4 * 3: the wave flow stays unitary
+    code = cli.main(["run", "wave-invariants", "--set", "grid.n=48",
+                     "--set", "time.t_max=5", "--set", f"output.dir={tmp_path}"])
+    assert code == 0
+    rows = (tmp_path / "wave_invariants_series.csv").read_text().split()[1:]
+    l2 = [float(v) for _, name, v in (row.split(",") for row in rows)
+          if name == "w_l2"]
+    assert len(l2) == 3 and max(abs(v / l2[0] - 1.0) for v in l2) <= 1e-10
 
 
 def test_run_accepts_preset_names(tmp_path, monkeypatch):

@@ -40,11 +40,12 @@ def test_rhs_single_cosine_closed_form(grid):
     model = ev.ModelSpec("k_system", ev.Coefficients(a_u=1.0))
     A = 0.7
     st = ev.zero_state(grid, 2)
-    k_vec = grid.xi[1, 0, 0]
-    u_phys = A * np.cos(grid.x[0] * k_vec[0])
+    k_vec = grid.wavevectors()[1, 0, 0]
+    x0 = np.broadcast_to(np.arange(grid.n)[:, None, None] * grid.dx, grid.shape)
+    u_phys = A * np.cos(x0 * k_vec[0])
     st.data[0] = grid.to_spectral(u_phys)
     out = ev.rhs(model, st)
-    expect = grid.to_spectral(A ** 2 * (1 + np.cos(2 * grid.x[0] * k_vec[0])) / 2)
+    expect = grid.to_spectral(A ** 2 * (1 + np.cos(2 * x0 * k_vec[0])) / 2)
     # three surviving modes: 0 and +-2k
     assert np.max(np.abs(out[0] - expect)) < 1e-14 * np.max(np.abs(expect))
     nonzero = np.argwhere(np.abs(out[0]) > 1e-12)
@@ -279,7 +280,7 @@ def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
     assert len(calls) == 15
     # a constant factor takes no |v|
     monkeypatch.setattr(sy, "_norm", None)
-    assert np.array_equal(sy._factor((), 2.5, grid.xi),
+    assert np.array_equal(sy._factor((), 2.5, grid.wavevectors()),
                           np.full(grid.shape, 2.5))
 
 

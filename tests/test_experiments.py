@@ -175,6 +175,47 @@ def test_gaussian_bump_built_once_per_distinct_width(monkeypatch):
     assert np.array_equal(st.data, np.stack(per_component))
 
 
+def preset_initial_data(cfg, grid):
+    """make_initial_data with a config's initial block, as the runner
+    calls it."""
+    i = cfg["initial"]
+    return ex.make_initial_data(
+        i["preset"], grid, i["amplitude"], i["seed"],
+        dim_state=cfg.build_model().dim_state, width=i["width"],
+        radial_power=i["radial_power"], mode=i["mode"], band=i["band"])
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("name", sorted(ex.list_presets()))
+def test_shipped_presets_initial_data_is_real_and_dealiased(name, n):
+    # the data before kexp-branch's damped-branch projection, whose complex
+    # projector does not keep conjugate symmetry
+    cfg = ex.load_preset(name)
+    g = SpectralGrid(n, cfg["grid"]["length"])
+    st = preset_initial_data(cfg, g)
+    assert st.conjugate_symmetry_defect() <= 1e-15 * np.max(np.abs(st.data))
+    assert not st.data[:, ~g.dealias_mask].any()
+    assert st.data[:, g.dealias_mask].any()
+
+
+@pytest.mark.parametrize("preset, override", [
+    ("pk-small-data", "model.symbol=mixed"),
+    ("k-small-data", "time.scheme=ifrk4")])
+def test_a_step_with_sources_stays_in_the_dealiased_band(
+        preset, override, monkeypatch):
+    cfg = ex.load_preset(preset).override(
+        [override, "grid.n=16", "time.t_max=9"])
+    g = cfg.build_grid()
+    stepper = ev.Stepper(cfg.build_model(), g, cfg.dt(),
+                         cfg["time"]["scheme"])
+    assert not stepper.source_free
+    st = preset_initial_data(cfg, g)
+    monkeypatch.setattr(ev.StateField, "dealias", None)   # the step calls none
+    out = stepper.step(st)
+    assert not out.data[:, ~g.dealias_mask].any()
+    assert out.data.any()
+
+
 def test_seed_stability_bit_identical():
     g = SpectralGrid(16, 32.0)
     a = ex.make_initial_data("random_bandlimited", g, 1e-2, 42)
@@ -187,7 +228,7 @@ def test_seed_stability_bit_identical():
 def test_single_mode_closed_form():
     g = SpectralGrid(16, 32.0)
     st = ex.make_initial_data("single_mode", g, 2.0, 0, mode=(2, 1, 0))
-    k = g.xi[2, 1, 0]
+    k = g.wavevectors()[2, 1, 0]
     expect = np.sqrt((1 + k @ k) ** norms.SOBOLEV_N * 4.0 * g.volume / 2)
     got = norms.sobolev_norm(g, st.data[0], norms.SOBOLEV_N)
     assert abs(got - expect) <= 1e-10 * expect

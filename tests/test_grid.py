@@ -48,7 +48,8 @@ def test_parseval_factor():
 
 def test_centered_axes_broadcast_to_the_dense_axes():
     g = SpectralGrid(8, 5.0)
-    dense = [ax - g.center for ax in g.x]
+    x1 = np.arange(8) * g.dx
+    dense = [ax - g.center for ax in np.meshgrid(x1, x1, x1, indexing="ij")]
     for j, ax in enumerate(g.x_centered):
         assert ax.shape == tuple(8 if i == j else 1 for i in range(3))
         assert np.array_equal(np.broadcast_to(ax, g.shape), dense[j])
@@ -68,8 +69,45 @@ def test_dealias_mask_strictly_below_third():
     for n in (16, 32, 64):
         g = SpectralGrid(n, 1.0)
         assert 3 * g.dealias_limit < n
-        kept = np.abs(g.modes[g.dealias_mask])
+        modes = np.stack(np.broadcast_arrays(*g.k_axes), axis=-1)
+        kept = np.abs(modes[g.dealias_mask])
         assert kept.max() == g.dealias_limit
+
+
+def _dense_mesh_tables(n, length, ndim):
+    """|xi|, the 2/3 mask, |x - center|^2 and the wavevectors from dense
+    (*shape, d) meshes: the reference the broadcast axes must equal."""
+    k1 = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
+    modes = np.stack(np.meshgrid(*([k1] * ndim), indexing="ij"), axis=-1)
+    xi = (2.0 * np.pi / length) * modes
+    x = np.meshgrid(*([np.arange(n) * (length / n)] * ndim), indexing="ij")
+    return {"xi_norm": np.linalg.norm(xi, axis=-1),
+            "dealias_mask": np.all(np.abs(modes) <= (n - 1) // 3, axis=-1),
+            "r2_centered": sum((ax - length / 2.0) ** 2 for ax in x),
+            "wavevectors": xi}
+
+
+@pytest.mark.parametrize("n", [8, 12, 14, 24, 30, 48, 96])
+@settings(max_examples=6, deadline=None)
+@given(length=st.floats(0.5, 300.0), ndim=st.sampled_from((2, 3)))
+def test_axes_tables_equal_the_dense_mesh_formulas(n, length, ndim):
+    g = SpectralGrid(n, length, ndim=ndim)
+    dense = _dense_mesh_tables(n, length, ndim)
+    assert np.array_equal(g.xi_norm, dense["xi_norm"])
+    assert np.array_equal(g.dealias_mask, dense["dealias_mask"])
+    assert np.array_equal(g.r2_centered, dense["r2_centered"])
+    assert np.array_equal(g.wavevectors(), dense["wavevectors"])
+    assert g.wavevectors() is not g.wavevectors()    # built anew, not kept
+
+
+def test_grid_keeps_no_dense_mesh():
+    g = SpectralGrid(128, 256.0)
+    g.sobolev_weight, g.xi_norm_reciprocal      # fill the cached tables
+    arrays = [a for value in vars(g).values()
+              for a in (value if isinstance(value, (list, tuple)) else [value])
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 12 and max(a.size for a in arrays) <= g.size
+    assert not any(hasattr(g, name) for name in ("modes", "xi", "x"))
 
 
 def test_dealiased_products_cannot_wrap():

@@ -26,9 +26,10 @@ def test_sobolev0_is_parseval_l2(grid):
 
 def test_sobolev_single_mode_closed_form(grid):
     # f = cos(k.x): ||f||_{H^N}^2 = (1+|k|^2)^N * A^2 * L^3 / 2
-    k_vec = grid.xi[2, 1, 0]
+    k_vec = grid.wavevectors()[2, 1, 0]
     A = 1.3
-    f = A * np.cos(grid.x[0] * k_vec[0] + grid.x[1] * k_vec[1])
+    x0, x1, _ = np.meshgrid(*[np.arange(grid.n) * grid.dx] * 3, indexing="ij")
+    f = A * np.cos(x0 * k_vec[0] + x1 * k_vec[1])
     fh = grid.to_spectral(f)
     for order in (0, 1, 3):
         expect = np.sqrt((1 + k_vec @ k_vec) ** order * A ** 2
@@ -52,8 +53,9 @@ def test_linf_riesz_takes_max(grid):
     fh = band_field(grid, 4, rng)
     from pdhyp.propagators import lp_norm
     s = grid.xi_norm
+    xi = grid.wavevectors()
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = [lp_norm(grid, np.where(s > 0, -1j * grid.xi[..., j] / s, 0)
+        per = [lp_norm(grid, np.where(s > 0, -1j * xi[..., j] / s, 0)
                        * fh, np.inf)
                for j in range(3)]
     assert norms.riesz_linf_norm(grid, fh) == max(per)

@@ -45,7 +45,8 @@ def test_negative_power_and_riesz_zero_mode():
     for j in range(3):
         r = pr.riesz(g, j)
         assert r[0, 0, 0] == 0.0
-        assert np.allclose(r[away], -1j * g.xi[..., j][away] / g.xi_norm[away],
+        xi_j = np.broadcast_to(g.xi_axes[j], g.shape)
+        assert np.allclose(r[away], -1j * xi_j[away] / g.xi_norm[away],
                            rtol=1e-15)
 
 
@@ -121,9 +122,10 @@ def test_dispersive_ratio_t_doubling_stability():
     # a wave packet (spectral Gaussian at k0 != 0) whose transverse
     # spreading is already asymptotic at t = 8, on a no-wrap box L = 4*t_max
     g = SpectralGrid(128, 256.0)
-    dk = g.xi - np.array([0.4, 0.0, 0.0])
+    xi = g.wavevectors()
+    dk = xi - np.array([0.4, 0.0, 0.0])
     fh = np.exp(-0.5 * 9.0 * np.sum(dk ** 2, axis=-1)) \
-        * np.exp(-1j * g.center * np.sum(g.xi, axis=-1))
+        * np.exp(-1j * g.center * np.sum(xi, axis=-1))
     fh = g.dealias(fh)
     ledger = BoundLedger()
     ratios = [pr.dispersive_ratio(g, t, fh, ledger=ledger)
