@@ -31,7 +31,7 @@ import numpy as np
 
 from . import norms, pseudoproduct, spectra
 from .errors import StepRejected
-from .grid import SpectralGrid
+from .grid import SOBOLEV_N, SpectralGrid
 from .propagators import half_wave
 
 T_INITIAL = 1.0
@@ -158,16 +158,9 @@ class StateField:
         self.data *= self.grid.dealias_mask
         return self
 
-    def physical(self, component):
-        return self.grid.to_physical(self.data[component])
-
     def conjugate_symmetry_defect(self):
         return max(self.grid.conjugate_symmetry_defect(self.data[i])
                    for i in range(self.dim_state))
-
-
-def zero_state(grid, dim_state, t=T_INITIAL):
-    return StateField(grid, np.zeros((dim_state,) + grid.shape, complex), t)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +245,14 @@ class BlowupGuard:
     initial value; a tripped guard means the simulation diverged, not that
     the method failed."""
     limit: float
-    sobolev_n: int = 3
 
     @staticmethod
-    def for_state(state, sobolev_n=3, factor=BLOWUP_FACTOR):
-        n0 = norms.total_sobolev(state.grid, state.data, sobolev_n)
-        return BlowupGuard(limit=factor * max(n0, 1e-300), sobolev_n=sobolev_n)
+    def for_state(state):
+        n0 = norms.total_sobolev(state.grid, state.data, SOBOLEV_N)
+        return BlowupGuard(limit=BLOWUP_FACTOR * max(n0, 1e-300))
 
     def check(self, state):
-        val = norms.total_sobolev(state.grid, state.data, self.sobolev_n)
+        val = norms.total_sobolev(state.grid, state.data, SOBOLEV_N)
         if not np.isfinite(val) or val > self.limit:
             raise StepRejected(state.t, val, self.limit)
 

@@ -28,12 +28,12 @@ CONFIG_SCHEMA = {
               "coefficients": "a_u b_u c_u a_v b_v c_v d_v (floats)",
               "coupling": "uw | vw_in_v | vw_in_u | vw_in_w",
               "symbol": "one | null_b | aphi | mixed | mu0 | none"},
-    "grid": {"n": "even FFT-fast length >= 8", "length": "box side L"},
+    "grid": {"n": "even FFT-fast length >= 8", "length": "box side L > 0"},
     "initial": {"preset": "gaussian_bump | random_bandlimited | single_mode",
                 "amplitude": ">= 0", "width": "scalar or per-component list",
                 "radial_power": "int >= 0, scalar or list",
                 "mode": "[kx, ky, kz] for single_mode", "band": "1..(n-1)//3",
-                "seed": "int", "project": "none | damped_branch"},
+                "seed": "int >= 0", "project": "none | damped_branch"},
     "time": {"t_max": "< L/4 (no-wrap), a whole number of steps from t = 1",
              "dt": "step (default L/(2n))", "scheme": "ifrk2 | ifrk4",
              "sample_dt": "sampling cadence, a whole multiple of dt "
@@ -42,7 +42,8 @@ CONFIG_SCHEMA = {
               f"strings; kind: {' | '.join(norms.NORM_KINDS)}; "
               f"component: {' | '.join(norms.COMPONENTS)} "
               "(w and profile_w need a 3-component model)"),
-    "fit": {"window": "[t_lo, t_hi] or null for [0.25, 0.9] * t_max"},
+    "fit": {"window": "[t_lo, t_hi], two numbers with t_lo < t_hi, or null "
+                      "for [0.25, 0.9] * t_max"},
     "output": {"dir": "directory", "prefix": "file prefix"},
 }
 
@@ -75,6 +76,34 @@ _DEFAULTS = {
     "norms": "default",
     "fit": {"window": None},
     "output": {"dir": ".", "prefix": "run"},
+}
+
+
+def _is_number(value):
+    """An int, or a finite float; a bool is not a number here."""
+    return not isinstance(value, bool) and (isinstance(value, int) or (
+        isinstance(value, float) and np.isfinite(value)))
+
+
+def _is_list_of(value, check):
+    return isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+_NUMBER = ("a finite number", _is_number)
+_NUMBERS = ("a finite number or a list of them",
+            lambda v: _is_number(v) or _is_list_of(v, _is_number))
+_NUMBER_OR_NULL = ("null or a finite number",
+                   lambda v: v is None or _is_number(v))
+# the form of each numeric field, checked before any range check reads it
+_FIELD_FORMS = {
+    "grid.length": _NUMBER, "initial.amplitude": _NUMBER,
+    "initial.width": _NUMBERS, "initial.radial_power": _NUMBERS,
+    "initial.seed": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "time.t_max": _NUMBER, "time.dt": _NUMBER_OR_NULL,
+    "time.sample_dt": _NUMBER_OR_NULL,
+    "fit.window": ("null or finite [t_lo, t_hi] with t_lo < t_hi",
+                   lambda v: v is None or (_is_list_of(v, _is_number)
+                                           and len(v) == 2 and v[0] < v[1])),
 }
 
 
@@ -148,6 +177,12 @@ class ExperimentConfig:
         problems = []
         r = self.raw
         m, g, i, t = r["model"], r["grid"], r["initial"], r["time"]
+        for path, (form, check) in _FIELD_FORMS.items():
+            section, key = path.split(".")
+            if not check(r[section][key]):
+                problems.append(f"{path}: {r[section][key]!r} is not {form}")
+        if problems:
+            raise ConfigError(problems)
 
         if m["kind"] not in ev.MODEL_KINDS:
             problems.append(f"model.kind: unknown kind {m['kind']!r}")

@@ -29,8 +29,6 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.fft
 
-from .errors import GridMismatch
-
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
 
 
@@ -119,12 +117,6 @@ class SpectralGrid:
         return float(np.max(np.abs(fhat - np.conj(self.reflect(fhat)))))
 
     # -- misc ---------------------------------------------------------------
-
-    def require_same(self, other):
-        if (self.n, self.length, self.ndim) != (other.n, other.length, other.ndim):
-            raise GridMismatch(
-                f"grids differ: {self.n}^{self.ndim}/L={self.length} vs "
-                f"{other.n}^{other.ndim}/L={other.length}")
 
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, length={self.length}, ndim={self.ndim})"

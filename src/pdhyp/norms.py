@@ -148,13 +148,13 @@ def evaluate_norm(spec, state, profile_w=None):
     return NORM_KINDS[spec.kind](state.grid, fhat)
 
 
-def initial_energy(state, order=SOBOLEV_N):
+def initial_energy(state):
     """E_N = max{ ||U||_{L^1},
                   ||x U||_{H^2} + ||Lam x^2 U||_{H^1} + ||U||_{H^N} },
     components aggregated by summation, where ||x U||_{H^2} sums the x_j U
     in squares and Lam x^2 U = Lam (|x|^2 U); one inverse transform each."""
     g = state.grid
-    h1, h2, hn = (_sobolev_weight(g, k) for k in (1, 2, order))
+    h1, h2, hn = (_sobolev_weight(g, k) for k in (1, 2, SOBOLEV_N))
     parts = []      # per component: the L^1, x H^2, Lam x^2 H^1, H^N terms
     for comp in state.data:
         f = g.to_physical(comp)
@@ -172,24 +172,20 @@ def initial_energy(state, order=SOBOLEV_N):
 # decay series and fitting
 # ---------------------------------------------------------------------------
 
-def _window_mask(times, window):
+def _log_fit(abscissa, times, values, window):
+    """OLS line through (abscissa(t), log(value)) over the samples with t in
+    window = (t_lo, t_hi); returns (slope, RMS misfit of log(value))."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     lo, hi = window
     mask = (times >= lo) & (times <= hi)
     if mask.sum() < 8:
         raise ValueError(
             f"need >= 8 samples in window [{lo}, {hi}], have {mask.sum()}")
-    return mask
-
-
-def fit_decay(times, values, window):
-    """OLS slope of log(value) against log(t); residual is the RMS misfit."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = _window_mask(times, window)
     v = values[mask]
     if np.any(v <= 0):
         raise NonPositiveValues("series has values <= 0 inside the window")
-    x = np.log(times[mask])
+    x = abscissa(times[mask])
     y = np.log(v)
     A = np.vstack([x, np.ones_like(x)]).T
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -197,21 +193,16 @@ def fit_decay(times, values, window):
     return float(sol[0]), resid
 
 
+def fit_decay(times, values, window):
+    """OLS slope of log(value) against log(t); residual is the RMS misfit."""
+    return _log_fit(np.log, times, values, window)
+
+
 def fit_exponential_rate(times, values, window):
     """OLS slope of log(value) against t; returns (rate, residual) with the
     convention value ~ e^{-rate t}."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = _window_mask(times, window)
-    v = values[mask]
-    if np.any(v <= 0):
-        raise NonPositiveValues("series has values <= 0 inside the window")
-    x = times[mask]
-    y = np.log(v)
-    A = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ sol - y) ** 2)))
-    return float(-sol[0]), resid
+    slope, resid = _log_fit(lambda t: t, times, values, window)
+    return -slope, resid
 
 
 def default_fit_window(t_max):

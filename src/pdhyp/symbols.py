@@ -1,6 +1,8 @@
 """Phases, resonant-set geometry, homogeneous symbol classes and
-nonresonant bilinear forms, the latter written as term lists over the
-factor basis {|v|, v_j/|v|} (see BilinearSymbol).
+nonresonant bilinear forms.  The wave phase, the phase gradients and every
+symbol but mu0 are term lists over the factor basis {|v|, v_j/|v|} (see
+BilinearSymbol), all evaluated by evaluate_terms; only the complex
+dissipative phase and its eta-gradient are closed forms.
 
 All evaluators are vectorized numpy functions of wavevector arrays whose
 last axis is the space dimension.  Symbols are smooth only off the rays
@@ -30,76 +32,6 @@ def _unit(v):
     n = _norm(v)
     safe = np.where(n > 0.0, n, 1.0)
     return np.where(n[..., None] > 0.0, v / safe[..., None], 0.0)
-
-
-# ---------------------------------------------------------------------------
-# phases
-# ---------------------------------------------------------------------------
-
-def wave_phase(xi, eta):
-    """phi_w(xi, eta) = |xi| - |xi - eta| - |eta|  (<= 0 by the triangle
-    inequality, = 0 exactly when eta lies on the segment [0, xi])."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    return _norm(xi) - _norm(xi - eta) - _norm(eta)
-
-
-def wave_phase_grad_eta(xi, eta):
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    return _unit(xi - eta) - _unit(eta)
-
-
-def wave_phase_grad_xi(xi, eta):
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    return _unit(xi) - _unit(xi - eta)
-
-
-def _dissipative_rate(eta_norm):
-    """2|eta|^2 / (1 + sqrt(1 - 4|eta|^2)), continued past |eta| = 1/2 with
-    the principal complex branch (then Im stays 1/2)."""
-    n2 = np.asarray(eta_norm, dtype=float) ** 2
-    root = np.sqrt(np.asarray(1.0 - 4.0 * n2, dtype=complex))
-    return 2.0 * n2 / (1.0 + root)
-
-
-def dissipative_phase(xi, eta):
-    """phi(xi, eta) = |xi| - |xi - eta| + 2i|eta|^2/(1 + sqrt(1 - 4|eta|^2)).
-
-    The imaginary shift is the (sign-flipped) slow dissipative eigenvalue at
-    eta, so Im phi >= |eta|^2 for |eta| <= 1/2: dissipation empties the time
-    resonant set.
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    return _norm(xi) - _norm(xi - eta) + 1j * _dissipative_rate(_norm(eta))
-
-
-def dissipative_phase_grad_eta(xi, eta):
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    n = _norm(eta)
-    root = np.sqrt(np.asarray(1.0 - 4.0 * n ** 2, dtype=complex))
-    return _unit(xi - eta) + 2j * eta / root[..., None]
-
-
-def dissipative_phase_grad_xi(xi, eta):
-    return wave_phase_grad_xi(xi, eta)
-
-
-@dataclass(frozen=True)
-class Phase:
-    """A phase function with closed-form gradients."""
-    evaluator: callable
-    gradient_eta: callable
-    gradient_xi: callable
-    kind: str   # "wave" | "dissipative"
-
-
-WAVE_PHASE = Phase(wave_phase, wave_phase_grad_eta, wave_phase_grad_xi, "wave")
-DISSIPATIVE_PHASE = Phase(dissipative_phase, dissipative_phase_grad_eta,
-                          dissipative_phase_grad_xi, "dissipative")
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +111,18 @@ def _monomial(atoms, v, norm, c=1.0):
     return c
 
 
+def evaluate_terms(terms, xi, eta):
+    """sum over the term list of c p(xi) q(xi - eta) r(eta) (see
+    BilinearSymbol), at wavevector arrays xi and eta."""
+    args = [(v, _norm(v)) for v in (xi, xi - eta, eta)]
+    total = np.zeros(np.broadcast_shapes(xi.shape[:-1], eta.shape[:-1]))
+    for value, *slots in terms:
+        for atoms, (v, norm) in zip(slots, args):
+            value = _monomial(atoms, v, norm, value)
+        total = total + value
+    return total
+
+
 def _factor(atoms, c, v):
     """The single-variable factor c * (product of `atoms`) on the grid v."""
     v = np.asarray(v, dtype=float)
@@ -214,21 +158,10 @@ class BilinearSymbol:
         """The symbol of a term list (see the class docstring); each
         separable term carries the coefficient c on its alpha."""
         terms = tuple(terms)
-
-        def evaluator(xi, eta):
-            args = [(v, _norm(v)) for v in (xi, xi - eta, eta)]
-            total = np.zeros(np.broadcast_shapes(xi.shape[:-1],
-                                                 eta.shape[:-1]))
-            for value, *slots in terms:
-                for atoms, (v, norm) in zip(slots, args):
-                    value = _monomial(atoms, v, norm, value)
-                total = total + value
-            return total
-
         separable = [(partial(_factor, p, c), partial(_factor, q, 1.0),
                       partial(_factor, r, 1.0)) for c, p, q, r in terms]
-        return cls(name, evaluator, max(map(term_degree, terms)), singular,
-                   separable, terms)
+        return cls(name, partial(evaluate_terms, terms),
+                   max(map(term_degree, terms)), singular, separable, terms)
 
     def __call__(self, xi, eta):
         return self.evaluator(np.asarray(xi, dtype=float),
@@ -249,15 +182,80 @@ class BilinearSymbol:
         return self.evaluator(xi, eta)
 
 
+# ---------------------------------------------------------------------------
+# phases
+# ---------------------------------------------------------------------------
+
 WAVE_PHASE_TERMS = ((1.0, (NORM,), (), ()), (-1.0, (), (NORM,), ()),
                     (-1.0, (), (), (NORM,)))
-"""phi_w = |xi| - |xi - eta| - |eta| as a term list."""
+"""phi_w = |xi| - |xi - eta| - |eta| as a term list (<= 0 by the triangle
+inequality, = 0 exactly when eta lies on the segment [0, xi])."""
 
 
 WAVE_PHASE_GRAD_ETA_TERMS = tuple(((1.0, (), (j,), ()), (-1.0, (), (), (j,)))
                                   for j in range(3))
 """d phi_w / d eta_j = (xi - eta)_j/|xi - eta| - eta_j/|eta| as a term list,
 for j = 0, 1, 2."""
+
+
+WAVE_PHASE_GRAD_XI_TERMS = tuple(((1.0, (j,), (), ()), (-1.0, (), (j,), ()))
+                                 for j in range(3))
+"""d phi / d xi_j = xi_j/|xi| - (xi - eta)_j/|xi - eta| for j = 0, 1, 2, the
+same for the wave and the dissipative phase."""
+
+
+def _stacked(term_lists):
+    """The vector evaluator whose component j is the term list j."""
+    return lambda xi, eta: np.stack(
+        [evaluate_terms(terms, xi, eta) for terms in term_lists], axis=-1)
+
+
+wave_phase = partial(evaluate_terms, WAVE_PHASE_TERMS)
+wave_phase_grad_eta = _stacked(WAVE_PHASE_GRAD_ETA_TERMS)
+
+
+def _dissipative_rate(eta_norm):
+    """2|eta|^2 / (1 + sqrt(1 - 4|eta|^2)), continued past |eta| = 1/2 with
+    the principal complex branch (then Im stays 1/2)."""
+    n2 = np.asarray(eta_norm, dtype=float) ** 2
+    root = np.sqrt(np.asarray(1.0 - 4.0 * n2, dtype=complex))
+    return 2.0 * n2 / (1.0 + root)
+
+
+def dissipative_phase(xi, eta):
+    """phi(xi, eta) = |xi| - |xi - eta| + 2i|eta|^2/(1 + sqrt(1 - 4|eta|^2)).
+
+    The imaginary shift is the (sign-flipped) slow dissipative eigenvalue at
+    eta, so Im phi >= |eta|^2 for |eta| <= 1/2: dissipation empties the time
+    resonant set.
+    """
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    return _norm(xi) - _norm(xi - eta) + 1j * _dissipative_rate(_norm(eta))
+
+
+def dissipative_phase_grad_eta(xi, eta):
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    n = _norm(eta)
+    root = np.sqrt(np.asarray(1.0 - 4.0 * n ** 2, dtype=complex))
+    return _unit(xi - eta) + 2j * eta / root[..., None]
+
+
+@dataclass(frozen=True)
+class Phase:
+    """A phase function with its gradients in eta and xi; the wave phase
+    and every real gradient are evaluators of term lists."""
+    evaluator: callable
+    gradient_eta: callable
+    gradient_xi: callable
+    kind: str   # "wave" | "dissipative"
+
+
+WAVE_PHASE = Phase(wave_phase, wave_phase_grad_eta,
+                   _stacked(WAVE_PHASE_GRAD_XI_TERMS), "wave")
+DISSIPATIVE_PHASE = Phase(dissipative_phase, dissipative_phase_grad_eta,
+                          WAVE_PHASE.gradient_xi, "dissipative")
 
 
 def _times(part, phase_terms, degree, what):

@@ -84,6 +84,18 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "k-small-data",
                      "--set", "output.checkpoint=true"]) == 2
     assert "unknown config key 'output.checkpoint'" in capsys.readouterr().err
+    # malformed fit windows, and non-numbers (bool and NaN included) where
+    # numbers go, are config errors before any range check reads them
+    for pair in ("fit.window=abc", "fit.window=[5,2]", "fit.window=[1,2,3]",
+                 "fit.window=[1,true]", "grid.length=abc",
+                 "initial.amplitude=abc", "initial.amplitude=true",
+                 "time.t_max=abc", "time.t_max=NaN", "initial.width=abc",
+                 'initial.width=[1,1,"x"]', "initial.radial_power=abc",
+                 "time.dt=abc", "time.sample_dt=abc", "initial.seed=-1",
+                 "initial.seed=1.5", "initial.seed=true"):
+        assert cli.main(["run", "pk-small-data", "--set", pair]) == 2, pair
+        field = pair.partition("=")[0]
+        assert f"config error: {field}: " in capsys.readouterr().err, pair
 
 
 def test_run_on_a_grid_that_is_not_a_power_of_two(tmp_path):

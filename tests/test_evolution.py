@@ -30,7 +30,8 @@ def test_rhs_zero_state(grid):
                          ev.Coefficients(a_u=1, b_u=1, c_u=1, a_v=1, b_v=1,
                                          c_v=1, d_v=1),
                          w_symbol=sy.symbol_preset("null_b"))
-    out = ev.rhs(model, ev.zero_state(grid, 3))
+    zero = ev.StateField(grid, np.zeros((3,) + grid.shape), ev.T_INITIAL)
+    out = ev.rhs(model, zero)
     assert np.all(out == 0.0)
 
 
@@ -39,7 +40,7 @@ def test_rhs_single_cosine_closed_form(grid):
     # u^2 = A^2/2 + (A^2/4)(e^{2ik.x} + e^{-2ik.x})
     model = ev.ModelSpec("k_system", ev.Coefficients(a_u=1.0))
     A = 0.7
-    st = ev.zero_state(grid, 2)
+    st = ev.StateField(grid, np.zeros((2,) + grid.shape), ev.T_INITIAL)
     k_vec = grid.wavevectors()[1, 0, 0]
     x0 = np.broadcast_to(np.arange(grid.n)[:, None, None] * grid.dx, grid.shape)
     u_phys = A * np.cos(x0 * k_vec[0])

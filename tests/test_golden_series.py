@@ -1,6 +1,8 @@
-"""Golden series: three small runs whose every sampled value and E_N must
-match the goldens in tests/data: the run's `<name>_series.csv` and its E_N
-in `golden_e_n.json`.
+"""Golden series: three small runs whose every sampled value, E_N, fitted
+exponent and M0 report must match the goldens in tests/data: the run's
+`<name>_series.csv`, and its `e_n`, `fitted_exponents` and `m0` in
+`golden_reports.json`.  Numbers match at rtol 1e-12; strings (fit and M0
+error messages), booleans and None match exactly.
 
 The runs cover the three step kinds on n = 16: a source-free flow
 (wave-invariants), the separable pseudoproduct with a nonzero diagonal
@@ -24,7 +26,8 @@ import pytest
 from pdhyp import experiments as ex
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-E_N = os.path.join(DATA, "golden_e_n.json")
+REPORTS = os.path.join(DATA, "golden_reports.json")
+REPORT_KEYS = ("e_n", "fitted_exponents", "m0")
 RTOL = 1e-12
 
 # name -> (preset, overrides)
@@ -61,12 +64,36 @@ def read_series(path):
     return series
 
 
+def assert_matches(got, want, where):
+    """got == want, with numbers compared at RTOL and everything else
+    (strings, booleans, None, keys, lengths) exactly."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) or type(want) is int:
+        assert type(got) in (float, int), where
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=0,
+                                   err_msg=where)
+    else:
+        assert got == want and type(got) is type(want), where
+
+
+def golden_report(result):
+    """The report fields the goldens pin, as JSON would store them."""
+    return json.loads(json.dumps({key: result.report[key]
+                                  for key in REPORT_KEYS}))
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_series_match_the_goldens(name, tmp_path):
     result = run_one(name, tmp_path)
-    with open(E_N) as fh:
-        np.testing.assert_allclose(result.report["e_n"], json.load(fh)[name],
-                                   rtol=RTOL, atol=0)
+    with open(REPORTS) as fh:
+        assert_matches(golden_report(result), json.load(fh)[name], name)
     got = read_series(result.csv_path)
     want = read_series(os.path.join(DATA, f"{name}_series.csv"))
     assert sorted(got) == sorted(want)
@@ -77,13 +104,13 @@ def test_series_match_the_goldens(name, tmp_path):
 
 
 if __name__ == "__main__":
-    e_n = {}
+    reports = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(RUNS):
             result = run_one(name, tmp)
             shutil.copy(result.csv_path, DATA)
-            e_n[name] = result.report["e_n"]
-    with open(E_N, "w") as fh:
-        json.dump(e_n, fh, indent=1, sort_keys=True)
+            reports[name] = golden_report(result)
+    with open(REPORTS, "w") as fh:
+        json.dump(reports, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote the goldens to {DATA}")

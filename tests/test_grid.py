@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdhyp.acceptance import band_field
-from pdhyp.errors import GridMismatch
 from pdhyp.grid import SpectralGrid
 
 
@@ -138,14 +137,6 @@ def test_band_field_is_real(grid16):
     rng = np.random.default_rng(4)
     fh = band_field(grid16, 3, rng)
     assert np.max(np.abs(grid16.to_physical(fh).imag)) < 1e-13
-
-
-def test_grid_mismatch():
-    a = SpectralGrid(8, 1.0)
-    b = SpectralGrid(8, 2.0)
-    with pytest.raises(GridMismatch):
-        a.require_same(b)
-    a.require_same(SpectralGrid(8, 1.0))
 
 
 def test_2d_grid():

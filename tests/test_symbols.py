@@ -82,6 +82,50 @@ def test_dissipative_phase_im_nonneg():
     assert np.all(np.abs(vals[sel]) >= n[sel] ** 2 / 2)
 
 
+def _unit(v):
+    """v/|v|, and 0 at v = 0."""
+    n = np.linalg.norm(v, axis=-1)
+    return np.where(n[..., None] > 0.0,
+                    v / np.where(n > 0.0, n, 1.0)[..., None], 0.0)
+
+
+def _wave_phase(xi, eta):
+    """phi_w = |xi| - |xi - eta| - |eta|, written out."""
+    norm = lambda v: np.linalg.norm(v, axis=-1)
+    return norm(xi) - norm(xi - eta) - norm(eta)
+
+
+def _wave_phase_grad_eta(xi, eta):
+    return _unit(xi - eta) - _unit(eta)
+
+
+def _phase_grad_xi(xi, eta):
+    return _unit(xi) - _unit(xi - eta)
+
+
+def test_term_list_phases_equal_their_closed_forms():
+    # random points plus the singular rays xi = 0, eta = 0 and xi = eta,
+    # where every v/|v| takes the zero-mode value 0
+    rng = np.random.default_rng(8)
+    xi = rng.normal(size=(500, 3))
+    eta = rng.normal(size=(500, 3))
+    xi[:50] = 0.0
+    eta[50:100] = 0.0
+    eta[100:150] = xi[100:150]
+    xi[150:160] = eta[150:160] = 0.0
+    cases = ((sy.wave_phase, _wave_phase),
+             (sy.WAVE_PHASE.evaluator, _wave_phase),
+             (sy.WAVE_PHASE.gradient_eta, _wave_phase_grad_eta),
+             (sy.WAVE_PHASE.gradient_xi, _phase_grad_xi),
+             (sy.DISSIPATIVE_PHASE.gradient_xi, _phase_grad_xi))
+    for derived, closed in cases:
+        got, want = derived(xi, eta), closed(xi, eta)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.all(got == want)
+        # one point at a time, as classify_resonance evaluates
+        assert np.all(derived(xi[0], eta[3]) == closed(xi[0], eta[3]))
+
+
 def test_classify_wave_resonances():
     xi = np.array([1.0, 0.0, 0.0])
     r = sy.classify_resonance(sy.WAVE_PHASE, (xi, np.array([0.3, 0.0, 0.0])))
@@ -112,7 +156,7 @@ def test_null_b_matches_gradient_component():
     rng = np.random.default_rng(4)
     xi = rng.normal(size=(100, 3))
     eta = rng.normal(size=(100, 3))
-    grad = sy.wave_phase_grad_eta(xi, eta)
+    grad = _wave_phase_grad_eta(xi, eta)
     assert np.max(np.abs(m(xi, eta) - grad[..., 0])) < 1e-14
     # vanishes at the midpoint resonance
     one = np.array([1.0, 0.3, -0.2])
@@ -190,8 +234,8 @@ def test_separable_factorizations_agree():
         # the evaluator against a phi_w + b . grad_eta phi_w written out
         if name != "one":
             a, b = _closed_form(name, xi, eta)
-            oracle = a * sy.wave_phase(xi, eta) + np.sum(
-                b * sy.wave_phase_grad_eta(xi, eta), axis=-1)
+            oracle = a * _wave_phase(xi, eta) + np.sum(
+                b * _wave_phase_grad_eta(xi, eta), axis=-1)
             rel = np.abs(direct - oracle) / np.maximum(np.abs(oracle), 1.0)
             assert np.max(rel) <= 1e-12, name
         # the separable factors multiply back to the evaluator
