@@ -85,6 +85,10 @@ def _is_number(value):
         isinstance(value, float) and np.isfinite(value)))
 
 
+def _is_count(value):      # a bool is not a count here
+    return type(value) is int and value >= 0
+
+
 def _is_list_of(value, check):
     return isinstance(value, (list, tuple)) and all(map(check, value))
 
@@ -92,13 +96,15 @@ def _is_list_of(value, check):
 _NUMBER = ("a finite number", _is_number)
 _NUMBERS = ("a finite number or a list of them",
             lambda v: _is_number(v) or _is_list_of(v, _is_number))
+_COUNTS = ("an int >= 0 or a list of them",
+           lambda v: _is_count(v) or _is_list_of(v, _is_count))
 _NUMBER_OR_NULL = ("null or a finite number",
                    lambda v: v is None or _is_number(v))
 # the form of each numeric field, checked before any range check reads it
 _FIELD_FORMS = {
     "grid.length": _NUMBER, "initial.amplitude": _NUMBER,
-    "initial.width": _NUMBERS, "initial.radial_power": _NUMBERS,
-    "initial.seed": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "initial.width": _NUMBERS, "initial.radial_power": _COUNTS,
+    "initial.seed": ("an int >= 0", _is_count),
     "time.t_max": _NUMBER, "time.dt": _NUMBER_OR_NULL,
     "time.sample_dt": _NUMBER_OR_NULL,
     "fit.window": ("null or finite [t_lo, t_hi] with t_lo < t_hi",

@@ -20,8 +20,8 @@ code relies on:
 
 Modes, wavevectors and centered coordinates are stored as one 1-D axis per
 dimension, shaped (n,1,1), (1,n,1), (1,1,n) in 3-D so numpy broadcasts
-them; the full n^d tables are |xi|, the dealiasing mask and |x - center|^2,
-and wavevectors() builds the dense (*shape, d) array only when asked.
+them.  The n^d tables are |xi|, the dealiasing mask, |x - center|^2 and
+the shell index; wavevectors() builds the dense (*shape, d) array on demand.
 """
 
 from functools import cached_property, reduce
@@ -86,6 +86,14 @@ class SpectralGrid:
     @cached_property    # multiplier tables, built on first use
     def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N
         return (1.0 + self.xi_norm ** 2) ** SOBOLEV_N
+
+    @cached_property    # |xi| is even in every k_j: sort one sign octant
+    def shells(self):
+        """np.unique(xi_norm.ravel(), return_inverse=True), from the octant."""
+        octant = self.xi_norm[(slice(self.n // 2 + 1),) * self.ndim]
+        norms, index = np.unique(octant, return_inverse=True)
+        k_abs = tuple(np.abs(k) for k in self.k_axes)
+        return norms, index.reshape(octant.shape)[k_abs].ravel()
 
     @cached_property
     def xi_norm_reciprocal(self):     # 1/|xi|, and 1 at xi = 0

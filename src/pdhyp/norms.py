@@ -152,18 +152,22 @@ def initial_energy(state):
     """E_N = max{ ||U||_{L^1},
                   ||x U||_{H^2} + ||Lam x^2 U||_{H^1} + ||U||_{H^N} },
     components aggregated by summation, where ||x U||_{H^2} sums the x_j U
-    in squares and Lam x^2 U = Lam (|x|^2 U); one inverse transform each."""
+    in squares and Lam x^2 U = Lam (|x|^2 U); once per distinct component."""
     g = state.grid
     h1, h2, hn = (_sobolev_weight(g, k) for k in (1, 2, SOBOLEV_N))
     parts = []      # per component: the L^1, x H^2, Lam x^2 H^1, H^N terms
-    for comp in state.data:
-        f = g.to_physical(comp)
-        x_h2 = sum(_weighted_l2(g, g.to_spectral(ax * f), h2) ** 2
-                   for ax in g.x_centered)
-        lam_x2 = g.xi_norm * g.to_spectral(g.r2_centered * f)
-        parts.append((lp_physical(g, f, 1),
-                      float(np.sqrt(x_h2)), _weighted_l2(g, lam_x2, h1),
-                      _weighted_l2(g, comp, hn)))
+    for i, comp in enumerate(state.data):
+        terms = next((parts[j] for j in range(i)
+                      if np.array_equal(state.data[j], comp)), None)
+        if terms is None:
+            f = g.to_physical(comp)
+            x_h2 = sum(_weighted_l2(g, g.to_spectral(ax * f), h2) ** 2
+                       for ax in g.x_centered)
+            lam_x2 = g.xi_norm * g.to_spectral(g.r2_centered * f)
+            terms = (lp_physical(g, f, 1),
+                     float(np.sqrt(x_h2)), _weighted_l2(g, lam_x2, h1),
+                     _weighted_l2(g, comp, hn))
+        parts.append(terms)
     l1, x_h2, lam_x2, hn = map(sum, zip(*parts))    # the formula's order
     return float(max(l1, x_h2 + lam_x2 + hn))
 

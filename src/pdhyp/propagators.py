@@ -23,8 +23,9 @@ def riesz(grid, j):
 
 
 def half_wave(grid, t):
-    """e^{i|xi| t}; the sign of t is the direction of the flow."""
-    return np.exp(1j * grid.xi_norm * t)
+    """e^{i|xi| t}, once per |xi| shell; t < 0 is the backward flow."""
+    norms, shell = grid.shells
+    return np.exp(1j * norms * t)[shell].reshape(grid.shape)
 
 
 # ---------------------------------------------------------------------------

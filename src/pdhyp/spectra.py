@@ -17,8 +17,8 @@ coalesce at |xi| = 1/2 where the projectors blow up; a band of width
 DEGENERATE_BAND around it is handled by a direct matrix exponential.
 
 E depends on xi only through |xi|, so the symbol cache of a grid is
-tabulated on the grid's distinct |xi| values (its shells) and carries a
-mode -> shell index; eigenvalues, projectors and the Green function are
+tabulated on the grid's |xi| shells and carries the mode -> shell index,
+both from grid.shells; eigenvalues, projectors and the Green function are
 evaluated once per shell.  exp(E t) keeps the block pattern of E: the 2x2
 dissipative block and, for three components, the wave phase e^{-i|xi| t}
 on the diagonal.  The per-mode operators the time stepper applies hold
@@ -157,9 +157,8 @@ class LinearSymbolCache:
 
 
 def build_symbol_cache(grid, model):
-    """Closed-form eigenstructure on the distinct |xi| shells of a grid,
-    with the mode -> shell index."""
-    norms, shell = np.unique(grid.xi_norm.reshape(-1), return_inverse=True)
+    """Closed-form eigenstructure on grid.shells, the grid's |xi| shells."""
+    norms, shell = grid.shells
     return replace(build_symbol_cache_from_norms(norms, model),
                    grid=grid, shell=shell)
 

@@ -92,7 +92,9 @@ def test_run_config_error_exit_code(tmp_path, capsys):
                  "time.t_max=abc", "time.t_max=NaN", "initial.width=abc",
                  'initial.width=[1,1,"x"]', "initial.radial_power=abc",
                  "time.dt=abc", "time.sample_dt=abc", "initial.seed=-1",
-                 "initial.seed=1.5", "initial.seed=true"):
+                 "initial.seed=1.5", "initial.seed=true",
+                 "initial.radial_power=-1", "initial.radial_power=[0,0,-1]",
+                 "initial.radial_power=1.5"):
         assert cli.main(["run", "pk-small-data", "--set", pair]) == 2, pair
         field = pair.partition("=")[0]
         assert f"config error: {field}: " in capsys.readouterr().err, pair

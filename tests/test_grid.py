@@ -55,6 +55,18 @@ def test_centered_axes_broadcast_to_the_dense_axes():
     assert np.array_equal(g.r2_centered, sum(ax ** 2 for ax in dense))
 
 
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 24, 32, 48])
+def test_shells_equal_the_sorted_full_grid(n, ndim):
+    g = SpectralGrid(n, 7.3, ndim)
+    norms, shell = g.shells
+    expect_norms, expect_shell = np.unique(g.xi_norm.ravel(),
+                                           return_inverse=True)
+    assert np.array_equal(norms, expect_norms)
+    assert np.array_equal(shell, expect_shell)
+    assert g.shells is g.shells
+
+
 def test_multiplier_tables_are_built_once():
     g = SpectralGrid(8, 5.0)
     assert g.sobolev_weight is g.sobolev_weight

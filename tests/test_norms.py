@@ -111,19 +111,41 @@ def test_initial_energy_equals_the_per_term_formula():
     assert norms.initial_energy(later) == _initial_energy_per_term(later)
 
 
-def test_initial_energy_transforms_each_component_once(monkeypatch):
-    g = SpectralGrid(16, 32.0)
-    st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
+def _record_transforms(monkeypatch):
+    """The list that each grid transform call appends its name to."""
     calls = []
     for name in ("to_physical", "to_spectral"):
         orig = getattr(SpectralGrid, name)
         monkeypatch.setattr(SpectralGrid, name,
                             lambda self, f, _o=orig, _n=name:
                             calls.append(_n) or _o(self, f))
+    return calls
+
+
+def test_initial_energy_transforms_each_component_once(monkeypatch):
+    g = SpectralGrid(16, 32.0)
+    st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
+    calls = _record_transforms(monkeypatch)
     norms.initial_energy(st)
     # d inverse transforms, and per component 3 x_j-weighted and one
     # |x|^2-weighted forward transform
     assert sorted(calls) == ["to_physical"] * 3 + ["to_spectral"] * 12
+
+
+@pytest.mark.parametrize("width, radial_power, distinct", [
+    (4.0, 1, 1),                     # wave-invariants: u = v = w
+    ([1.0, 1.0, 8.0], [0, 0, 1], 2),  # pk-small-data: u = v != w
+])
+def test_initial_energy_transforms_each_distinct_component_once(
+        monkeypatch, width, radial_power, distinct):
+    g = SpectralGrid(16, 32.0)
+    st = make_initial_data("gaussian_bump", g, 0.3, 0, width=width,
+                           radial_power=radial_power)
+    expected = _initial_energy_per_term(st)
+    calls = _record_transforms(monkeypatch)
+    assert norms.initial_energy(st) == expected
+    assert sorted(calls) == (["to_physical"] * distinct
+                             + ["to_spectral"] * (4 * distinct))
 
 
 def test_fit_decay_exact_power():

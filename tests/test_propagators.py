@@ -26,6 +26,12 @@ def test_half_wave_unitary_inverse(gauss):
         <= 1e-12 * norms.l2_norm(g, fh)
 
 
+@pytest.mark.parametrize("t", [-3.7, 0.0, 1.0, 31.0])
+def test_half_wave_equals_the_full_grid_exponential(t):
+    g = SpectralGrid(24, 12.0)
+    assert np.array_equal(pr.half_wave(g, t), np.exp(1j * g.xi_norm * t))
+
+
 def test_lambda_power_composition(gauss):
     g, fh = gauss
     one = pr.lambda_power(g, 1) * fh
