@@ -101,7 +101,8 @@ def test_direct_vs_separable_3d(grid16, name, monkeypatch):
 
 
 _ATOMS = st.lists(st.sampled_from([sy.NORM, 0, 1, 2]), max_size=2).map(tuple)
-_TERMS = st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False),
+_TERMS = st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False,
+                                      allow_subnormal=False),
                             _ATOMS, _ATOMS, _ATOMS), min_size=1, max_size=4)
 
 
