@@ -14,10 +14,9 @@ from .symbols import (Phase, BilinearSymbol, ResonanceSample, WAVE_PHASE,
                       mu0_symbol, symbol_preset)
 from .pseudoproduct import (PseudoproductPlan, apply, apply_direct,
                             holder_bound_ratio)
-from .propagators import (lambda_power, riesz, half_wave, dispersive_ratio,
-                          fractional_ratio)
+from .propagators import lambda_power, riesz, half_wave, fractional_ratio
 from .evolution import (ModelSpec, Coefficients, StateField, Stepper,
-                        BlowupGuard, rhs, flow, wave_profile, frequency_split)
+                        BlowupGuard, rhs, flow, wave_profile)
 from .norms import (NormSpec, BootstrapReport, evaluate_norm,
                     m0_functional, fit_decay, fit_exponential_rate,
                     initial_energy)

@@ -108,10 +108,7 @@ def criterion_2(result, workdir):
 
 def criterion_3(result, workdir):
     """Linear [SK] decay rates on the 64^3 box (diffusive branch)."""
-    cfg = experiments.load_preset("linear-sk-decay").override(
-        [f"output.dir={workdir}"])
-    res = experiments.run(cfg)
-    result.expect(res.status == "completed", f"run status {res.status}")
+    res = _run_preset(result, "linear-sk-decay", workdir)
     fits = res.report["fitted_exponents"]
     for name, target, tol in (("u_l2", -0.75, 0.10), ("v_l2", -1.25, 0.12),
                               ("u_linf", -1.5, 0.15), ("v_linf", -2.0, 0.25)):
@@ -122,13 +119,9 @@ def criterion_3(result, workdir):
 
 def criterion_4(result, workdir):
     """Exponential decay of the damped spectral branch."""
-    cfg = experiments.load_preset("kexp-branch").override(
-        [f"output.dir={workdir}"])
-    res = experiments.run(cfg)
-    result.expect(res.status == "completed", f"run status {res.status}")
-    series = _read_series(res.csv_path)
-    t, u = series["u_l2"]
-    _, v = series["v_l2"]
+    res = _run_preset(result, "kexp-branch", workdir)
+    t, u = res.series["u_l2"]
+    _, v = res.series["v_l2"]
     total = np.sqrt(u ** 2 + v ** 2)
     rate, resid = norms.fit_exponential_rate(t, total, (1.0, 20.0))
     result.expect(rate >= 0.4,
@@ -138,12 +131,8 @@ def criterion_4(result, workdir):
 
 def criterion_5(result, workdir):
     """Wave invariants: exact L^2 conservation and the 1/t amplitude rate."""
-    cfg = experiments.load_preset("wave-invariants").override(
-        [f"output.dir={workdir}"])
-    res = experiments.run(cfg)
-    result.expect(res.status == "completed", f"run status {res.status}")
-    series = _read_series(res.csv_path)
-    _, l2 = series["w_l2"]
+    res = _run_preset(result, "wave-invariants", workdir)
+    _, l2 = res.series["w_l2"]
     drift = float(np.max(np.abs(l2 / l2[0] - 1.0)))
     result.expect(drift <= 1e-10,
                   f"||w||_L2 relative drift {drift:.3e} <= 1e-10")
@@ -367,16 +356,13 @@ def band_field(grid, band, rng):
     return grid.conjugate_symmetrize(fh)
 
 
-def _read_series(csv_path):
-    series = {}
-    with open(csv_path) as fh:
-        next(fh)
-        for line in fh:
-            t, name, value = line.strip().split(",")
-            series.setdefault(name, []).append((float(t), float(value)))
-    return {name: (np.array([p[0] for p in pts]),
-                   np.array([p[1] for p in pts]))
-            for name, pts in series.items()}
+def _run_preset(result, name, workdir):
+    """Run the preset `name` with its files in workdir and expect it to
+    complete."""
+    res = experiments.run(experiments.load_preset(name).override(
+        [f"output.dir={workdir}"]))
+    result.expect(res.status == "completed", f"run status {res.status}")
+    return res
 
 
 CRITERIA = {

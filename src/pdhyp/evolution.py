@@ -276,9 +276,6 @@ class Stepper:
         self.plan = (pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
                      if model.w_form else None)
 
-    def _lin(self, G, flat):
-        return spectra.propagator_apply(G, flat)
-
     def _rhs(self, flat, t):
         state = StateField(self.grid, flat.reshape(
             (self.model.dim_state,) + self.grid.shape), t)
@@ -287,27 +284,28 @@ class Stepper:
     def step(self, state, guard=None):
         h = self.dt
         d = self.model.dim_state
+        lin = spectra.propagator_apply   # per step: a wrapper there sees all
         flat = state.data.reshape(d, -1)
         t = state.t
 
         if self.source_free:
-            new = self._lin(self.G_full, flat)
+            new = lin(self.G_full, flat)
         elif self.scheme == "ifrk2":
             n1 = self._rhs(flat, t)
-            pred = self._lin(self.G_full, flat + h * n1)
+            pred = lin(self.G_full, flat + h * n1)
             n2 = self._rhs(pred, t + h)
-            new = self._lin(self.G_full, flat + 0.5 * h * n1) + 0.5 * h * n2
+            new = lin(self.G_full, flat + 0.5 * h * n1) + 0.5 * h * n2
         else:
             e1, eh = self.G_full, self.G_half
             n1 = self._rhs(flat, t)
-            ua = self._lin(eh, flat + 0.5 * h * n1)
+            ua = lin(eh, flat + 0.5 * h * n1)
             n2 = self._rhs(ua, t + 0.5 * h)
-            ub = self._lin(eh, flat) + 0.5 * h * n2
+            ub = lin(eh, flat) + 0.5 * h * n2
             n3 = self._rhs(ub, t + 0.5 * h)
-            uc = self._lin(e1, flat) + h * self._lin(eh, n3)
+            uc = lin(e1, flat) + h * lin(eh, n3)
             n4 = self._rhs(uc, t + h)
-            new = (self._lin(e1, flat + h / 6.0 * n1)
-                   + h / 6.0 * (2.0 * self._lin(eh, n2 + n3) + n4))
+            new = (lin(e1, flat + h / 6.0 * n1)
+                   + h / 6.0 * (2.0 * lin(eh, n2 + n3) + n4))
 
         # rhs writes only the dealiased band and the flow keeps it
         out = StateField(self.grid, new.reshape(state.data.shape), t + h)
@@ -332,21 +330,10 @@ def flow(cache, state, t_target):
 
 
 # ---------------------------------------------------------------------------
-# profiles and frequency splitting
+# wave profile
 # ---------------------------------------------------------------------------
 
 def wave_profile(state):
     """f_w = e^{+i|xi| t} w_hat: the unitary profile of the wave component
     (no amplification, safe at any t)."""
     return half_wave(state.grid, state.t) * state.w_hat
-
-
-def frequency_split(state, cutoff):
-    """Sharp spectral splitting at |xi| = cutoff; low + high == state."""
-    if not 0.0 < cutoff:
-        raise ValueError("cutoff must be positive")
-    mask = state.grid.xi_norm <= cutoff
-    low = StateField(state.grid, state.data * mask, state.t)
-    high = StateField(state.grid, state.data * (~mask), state.t)
-    return low, high
-

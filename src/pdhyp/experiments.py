@@ -25,19 +25,21 @@ from .symbols import SYMBOL_PRESET_NAMES, symbol_preset
 
 CONFIG_SCHEMA = {
     "model": {"kind": "pk_system | k_system | pk_system_w",
-              "coefficients": "a_u b_u c_u a_v b_v c_v d_v (floats)",
+              "coefficients": "{name: finite number}, names a_u b_u c_u "
+                              "a_v b_v c_v d_v",
               "coupling": "uw | vw_in_v | vw_in_u | vw_in_w",
               "symbol": "one | null_b | aphi | mixed | mu0 | none"},
     "grid": {"n": "even FFT-fast length >= 8", "length": "box side L > 0"},
     "initial": {"preset": "gaussian_bump | random_bandlimited | single_mode",
                 "amplitude": ">= 0", "width": "scalar or per-component list",
                 "radial_power": "int >= 0, scalar or list",
-                "mode": "[kx, ky, kz] for single_mode", "band": "1..(n-1)//3",
+                "mode": "[kx, ky, kz], 3 ints, for single_mode",
+                "band": "1..(n-1)//3",
                 "seed": "int >= 0", "project": "none | damped_branch"},
     "time": {"t_max": "< L/4 (no-wrap), a whole number of steps from t = 1",
-             "dt": "step (default L/(2n))", "scheme": "ifrk2 | ifrk4",
-             "sample_dt": "sampling cadence, a whole multiple of dt "
-                          "(default dt)"},
+             "dt": "step > 0, or null for L/(2n)", "scheme": "ifrk2 | ifrk4",
+             "sample_dt": "sampling cadence > 0, a whole multiple of dt, "
+                          "or null for dt"},
     "norms": ("'default' or a nonempty list of distinct 'kind:component' "
               f"strings; kind: {' | '.join(norms.NORM_KINDS)}; "
               f"component: {' | '.join(norms.COMPONENTS)} "
@@ -98,15 +100,21 @@ _NUMBERS = ("a finite number or a list of them",
             lambda v: _is_number(v) or _is_list_of(v, _is_number))
 _COUNTS = ("an int >= 0 or a list of them",
            lambda v: _is_count(v) or _is_list_of(v, _is_count))
-_NUMBER_OR_NULL = ("null or a finite number",
-                   lambda v: v is None or _is_number(v))
+_POSITIVE_OR_NULL = ("null or a positive finite number",
+                     lambda v: v is None or (_is_number(v) and v > 0))
 # the form of each numeric field, checked before any range check reads it
 _FIELD_FORMS = {
+    "model.coefficients": ("a dict of finite numbers",
+                           lambda v: isinstance(v, dict)
+                           and all(map(_is_number, v.values()))),
     "grid.length": _NUMBER, "initial.amplitude": _NUMBER,
     "initial.width": _NUMBERS, "initial.radial_power": _COUNTS,
+    "initial.mode": ("a list of 3 ints",
+                     lambda v: _is_list_of(v, lambda k: type(k) is int)
+                     and len(v) == 3),
     "initial.seed": ("an int >= 0", _is_count),
-    "time.t_max": _NUMBER, "time.dt": _NUMBER_OR_NULL,
-    "time.sample_dt": _NUMBER_OR_NULL,
+    "time.t_max": _NUMBER, "time.dt": _POSITIVE_OR_NULL,
+    "time.sample_dt": _POSITIVE_OR_NULL,
     "fit.window": ("null or finite [t_lo, t_hi] with t_lo < t_hi",
                    lambda v: v is None or (_is_list_of(v, _is_number)
                                            and len(v) == 2 and v[0] < v[1])),
@@ -172,7 +180,9 @@ class ExperimentConfig:
                 if part not in node or not isinstance(node[part], dict):
                     raise ConfigError([f"unknown config key {key!r}"])
                 node = node[part]
-            if parts[-1] not in node:
+            # names under the free-form coefficient block are validate's
+            if (parts[-1] not in node
+                    and parts[:-1] != ["model", "coefficients"]):
                 raise ConfigError([f"unknown config key {key!r}"])
             node[parts[-1]] = value
         return ExperimentConfig.from_dict(raw)
@@ -256,9 +266,7 @@ class ExperimentConfig:
                 f"t_max < L/4 = {g['length'] / 4.0}")
         if t["t_max"] <= ev.T_INITIAL:
             problems.append("time.t_max: must exceed the initial time t = 1")
-        if t["dt"] is not None and t["dt"] <= 0:
-            problems.append("time.dt: must be positive")
-        elif grid_ok:
+        if grid_ok:
             dt = self.dt()
             steps = (t["t_max"] - ev.T_INITIAL) / dt
             if not _whole(steps):
@@ -452,10 +460,14 @@ def load_config(name_or_path):
 
 @dataclass
 class RunResult:
+    """A finished run: its status, its report, the paths of the files it
+    wrote, and `series`, {norm name: (times, values)}, the arrays the CSV
+    was written from."""
     status: str               # completed | blowup
     report: dict
     csv_path: str
     report_path: str
+    series: dict
 
     @property
     def exit_code(self):
@@ -544,9 +556,8 @@ def run(config, log=None):
     m0_report = None
     if status == "completed":
         try:
-            m0_report = norms.m0_functional(
-                model.kind,
-                {k: v for k, v in series_arr.items()}, e_n).as_dict()
+            m0_report = norms.m0_functional(model.kind, series_arr,
+                                            e_n).as_dict()
         except (PdhypError, ValueError) as exc:
             m0_report = {"error": str(exc)}
 
@@ -566,4 +577,4 @@ def run(config, log=None):
     }
     norms.write_json_report(report_path, report)
     say(f"{status}: wrote {csv_path} and {report_path}")
-    return RunResult(status, report, csv_path, report_path)
+    return RunResult(status, report, csv_path, report_path, series_arr)

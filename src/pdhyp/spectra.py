@@ -148,7 +148,6 @@ class LinearSymbolCache:
     projectors: np.ndarray
     degenerate_mask: np.ndarray
     xi_norm: np.ndarray = field(repr=False)
-    grid: object = None
     shell: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -159,8 +158,7 @@ class LinearSymbolCache:
 def build_symbol_cache(grid, model):
     """Closed-form eigenstructure on grid.shells, the grid's |xi| shells."""
     norms, shell = grid.shells
-    return replace(build_symbol_cache_from_norms(norms, model),
-                   grid=grid, shell=shell)
+    return replace(build_symbol_cache_from_norms(norms, model), shell=shell)
 
 
 def build_symbol_cache_from_norms(xi_norms, model):

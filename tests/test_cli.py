@@ -59,10 +59,18 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", "k-small-data",
                      "--set", "initial.width=[1.0,1.0,8.0]"]) == 2
     assert "config error: initial.width: " in capsys.readouterr().err
-    assert cli.main(["run", "k-small-data", "--set",
-                     "initial.preset=single_mode", "--set",
-                     "initial.mode=[0,22,0]"]) == 2
-    assert "config error: initial.mode: " in capsys.readouterr().err
+    # a mode past the band, not 3 entries, not ints, not a list
+    for mode in ("[0,22,0]", "[1,0]", "[1.5,0,0]", "abc"):
+        assert cli.main(["run", "k-small-data", "--set",
+                         "initial.preset=single_mode", "--set",
+                         f"initial.mode={mode}"]) == 2, mode
+        assert "config error: initial.mode: " in capsys.readouterr().err
+    # coefficients: not finite, not a dict, a bool, an unknown name
+    for pair in ("model.coefficients.a_u=NaN", "model.coefficients=5",
+                 "model.coefficients.a_u=true", "model.coefficients.e_u=1"):
+        assert cli.main(["run", "pk-small-data", "--set", pair]) == 2, pair
+        assert "config error: model.coefficients: " \
+            in capsys.readouterr().err, pair
     assert cli.main(["run", "pk-small-data",
                      "--set", "pseudoproduct.strategy=direct_sum"]) == 2
     assert "unknown config key 'pseudoproduct.strategy'" \
@@ -94,7 +102,8 @@ def test_run_config_error_exit_code(tmp_path, capsys):
                  "time.dt=abc", "time.sample_dt=abc", "initial.seed=-1",
                  "initial.seed=1.5", "initial.seed=true",
                  "initial.radial_power=-1", "initial.radial_power=[0,0,-1]",
-                 "initial.radial_power=1.5"):
+                 "initial.radial_power=1.5", "time.dt=0", "time.dt=-1",
+                 "time.sample_dt=0", "time.sample_dt=-2"):
         assert cli.main(["run", "pk-small-data", "--set", pair]) == 2, pair
         field = pair.partition("=")[0]
         assert f"config error: {field}: " in capsys.readouterr().err, pair

@@ -403,23 +403,6 @@ def test_wave_profile_unitary(grid):
     assert np.max(np.abs(np.abs(fw) - np.abs(st.w_hat))) < 1e-13
 
 
-def test_frequency_split(grid):
-    st = bump_state(grid, 3, 1.0)
-    low, high = ev.frequency_split(st, 0.25)
-    assert np.array_equal(low.data + high.data, st.data)
-    # mode counts match the lattice geometry
-    n_low = int(np.sum(grid.xi_norm <= 0.25))
-    assert np.sum(np.any(low.data != 0, axis=0)
-                  | ~(grid.xi_norm <= 0.25)) >= 0  # structural sanity
-    assert np.all((low.data != 0).any(axis=0) <= (grid.xi_norm <= 0.25))
-    # splitting at the Nyquist scale keeps everything in the low part
-    low2, high2 = ev.frequency_split(st, 100.0)
-    assert np.max(np.abs(high2.data)) == 0.0
-    # idempotence
-    low3, _ = ev.frequency_split(low, 0.25)
-    assert np.array_equal(low3.data, low.data)
-
-
 def test_high_frequency_exponential_decay(grid):
     # |xi| > a content of the dissipative pair decays at a fitted
     # exponential rate bounded below (conservative floor)
@@ -430,8 +413,8 @@ def test_high_frequency_exponential_decay(grid):
     vals = []
     for t in ts:
         st = ev.flow(cache, st0, t)
-        _, high = ev.frequency_split(st, 0.25)
-        vals.append(norms.total_sobolev(grid, high.data, 0))
+        high = st.data * (grid.xi_norm > 0.25)
+        vals.append(norms.total_sobolev(grid, high, 0))
     rate, _ = norms.fit_exponential_rate(ts, np.asarray(vals), (1.0, 20.0))
     assert rate >= 0.05
 

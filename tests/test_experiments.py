@@ -138,6 +138,13 @@ def test_config_overrides(tmp_path):
         cfg.override(["nonsense"])
     with pytest.raises(ConfigError):
         cfg.override(["no.such.key=1"])
+    # any name may be set under an empty coefficient block; validate
+    # checks the names
+    sk = ex.load_preset("linear-sk-decay")
+    assert sk.override(["model.coefficients.a_u=1.0"])["model"][
+        "coefficients"] == {"a_u": 1.0}
+    with pytest.raises(ConfigError, match="model.coefficients: unknown"):
+        sk.override(["model.coefficients.e_u=1.0"])
 
 
 # -- initial data -------------------------------------------------------------
@@ -281,6 +288,21 @@ def test_run_determinism_byte_identical(tmp_path):
     r1 = ex.run(tiny_config(tmp_path / "a"))
     r2 = ex.run(tiny_config(tmp_path / "b"))
     assert open(r1.csv_path, "rb").read() == open(r2.csv_path, "rb").read()
+
+
+def test_run_series_equals_its_csv(tmp_path):
+    res = ex.run(ex.load_preset("pk-small-data").override(
+        ["grid.n=16", "time.t_max=9.0", f"output.dir={tmp_path}"]))
+    parsed = {}
+    for line in open(res.csv_path).read().splitlines()[1:]:
+        t, name, value = line.split(",")
+        ts, vs = parsed.setdefault(name, ([], []))
+        ts.append(float(t))
+        vs.append(float(value))
+    assert list(res.series) == list(parsed)
+    for name, (t, v) in res.series.items():
+        assert t.tolist() == parsed[name][0], name
+        assert v.tolist() == parsed[name][1], name
 
 
 def test_run_zero_amplitude_trivial(tmp_path):

@@ -104,38 +104,3 @@ def test_fractional_ratio_stable_under_refinement():
             pr.fractional_ratio(g, 1.0, 2.0, 6.0, f, ledger=ledger)
         maxima.append(ledger.max_ratio("fractional"))
     assert abs(maxima[1] - maxima[0]) <= 0.2 * maxima[0]
-
-
-def test_dispersive_ratio_zero_field():
-    g = SpectralGrid(8, 40.0)
-    assert pr.dispersive_ratio(g, 2.0, np.zeros(g.shape, complex),
-                               ledger=BoundLedger()) == 0.0
-
-
-def test_dispersive_ratio_finite_and_recorded():
-    g = SpectralGrid(32, 40.0)
-    f = np.exp(-g.r2_centered / 2.0)
-    fh = g.to_spectral(f)
-    ledger = BoundLedger()
-    r = pr.dispersive_ratio(g, 1.0, fh, ledger=ledger)
-    assert np.isfinite(r) and r > 0
-    assert ledger.ratios("dispersive") == [r]
-
-
-def test_dispersive_ratio_t_doubling_stability():
-    # the t-weighted amplitude constant stays within +-30% as t doubles
-    # from 8 to 64, certifying the 1/t rate of the wave propagator; data is
-    # a wave packet (spectral Gaussian at k0 != 0) whose transverse
-    # spreading is already asymptotic at t = 8, on a no-wrap box L = 4*t_max
-    g = SpectralGrid(128, 256.0)
-    xi = g.wavevectors()
-    dk = xi - np.array([0.4, 0.0, 0.0])
-    fh = np.exp(-0.5 * 9.0 * np.sum(dk ** 2, axis=-1)) \
-        * np.exp(-1j * g.center * np.sum(xi, axis=-1))
-    fh = g.dealias(fh)
-    ledger = BoundLedger()
-    ratios = [pr.dispersive_ratio(g, t, fh, ledger=ledger)
-              for t in (8.0, 16.0, 32.0, 64.0)]
-    base = ratios[0]
-    for r in ratios[1:]:
-        assert abs(r - base) <= 0.3 * base
