@@ -1,10 +1,13 @@
 """Config-driven experiment runner: grids, initial data, models, evolution
 loops, norm series, decay fits and the bootstrap report.
 
-Configs are single human-editable JSON files (see CONFIG_SCHEMA below and
-the shipped presets); scripted overrides take precedence via dotted
-``--set key=value`` pairs.  Runs are deterministic given the config and
-seed: identical configs produce byte-identical CSV output.
+Configs are single human-editable JSON files (see the shipped presets);
+scripted overrides take precedence via dotted ``--set key=value`` pairs.
+Each field is declared once, in ``_FIELDS``, with its default, its form and
+a note; the defaults and CONFIG_SCHEMA derive from that table.  Validation
+checks every field's form first, then the cross-field rules whose fields
+passed.  Runs are deterministic given the config and seed: identical
+configs produce byte-identical CSV output.
 """
 
 import copy
@@ -22,32 +25,6 @@ from .errors import ConfigError, PdhypError, StepRejected, UnknownPreset
 from .grid import SpectralGrid, dealias_limit
 from .pseudoproduct import TERM_CAP, direct_sum_terms
 from .symbols import SYMBOL_PRESET_NAMES, symbol_preset
-
-CONFIG_SCHEMA = {
-    "model": {"kind": "pk_system | k_system | pk_system_w",
-              "coefficients": "{name: finite number}, names a_u b_u c_u "
-                              "a_v b_v c_v d_v",
-              "coupling": "uw | vw_in_v | vw_in_u | vw_in_w",
-              "symbol": "one | null_b | aphi | mixed | mu0 | none"},
-    "grid": {"n": "even FFT-fast length >= 8", "length": "box side L > 0"},
-    "initial": {"preset": "gaussian_bump | random_bandlimited | single_mode",
-                "amplitude": ">= 0", "width": "scalar or per-component list",
-                "radial_power": "int >= 0, scalar or list",
-                "mode": "[kx, ky, kz], 3 ints, for single_mode",
-                "band": "1..(n-1)//3",
-                "seed": "int >= 0", "project": "none | damped_branch"},
-    "time": {"t_max": "< L/4 (no-wrap), a whole number of steps from t = 1",
-             "dt": "step > 0, or null for L/(2n)", "scheme": "ifrk2 | ifrk4",
-             "sample_dt": "sampling cadence > 0, a whole multiple of dt, "
-                          "or null for dt"},
-    "norms": ("'default' or a nonempty list of distinct 'kind:component' "
-              f"strings; kind: {' | '.join(norms.NORM_KINDS)}; "
-              f"component: {' | '.join(norms.COMPONENTS)} "
-              "(w and profile_w need a 3-component model)"),
-    "fit": {"window": "[t_lo, t_hi], two numbers with t_lo < t_hi, or null "
-                      "for [0.25, 0.9] * t_max"},
-    "output": {"dir": "directory", "prefix": "file prefix"},
-}
 
 INITIAL_PRESETS = ("gaussian_bump", "random_bandlimited", "single_mode")
 
@@ -67,20 +44,6 @@ DEFAULT_NORMS["pk_system_w"] = DEFAULT_NORMS["pk_system"]
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "model": {"kind": "k_system", "coefficients": {}, "coupling": "uw",
-              "symbol": "null_b"},
-    "grid": {"n": 32, "length": 128.0},
-    "initial": {"preset": "gaussian_bump", "amplitude": 1e-3, "width": 1.0,
-                "radial_power": 0, "mode": [1, 0, 0], "band": 4, "seed": 0,
-                "project": "none"},
-    "time": {"t_max": 31.0, "dt": None, "scheme": "ifrk2", "sample_dt": None},
-    "norms": "default",
-    "fit": {"window": None},
-    "output": {"dir": ".", "prefix": "run"},
-}
-
-
 def _is_number(value):
     """An int, or a finite float; a bool is not a number here."""
     return not isinstance(value, bool) and (isinstance(value, int) or (
@@ -95,40 +58,96 @@ def _is_list_of(value, check):
     return isinstance(value, (list, tuple)) and all(map(check, value))
 
 
-_NUMBER = ("a finite number", _is_number)
+def _is_name(value):       # a path the file system can take
+    return isinstance(value, str) and value != "" and "\0" not in value
+
+
+def _one_of(*choices):
+    return f"one of {' | '.join(choices)}", lambda v: v in choices
+
+
 _NUMBERS = ("a finite number or a list of them",
             lambda v: _is_number(v) or _is_list_of(v, _is_number))
 _COUNTS = ("an int >= 0 or a list of them",
            lambda v: _is_count(v) or _is_list_of(v, _is_count))
 _POSITIVE_OR_NULL = ("null or a positive finite number",
                      lambda v: v is None or (_is_number(v) and v > 0))
-# the form of each numeric field, checked before any range check reads it
-_FIELD_FORMS = {
-    "model.coefficients": ("a dict of finite numbers",
-                           lambda v: isinstance(v, dict)
-                           and all(map(_is_number, v.values()))),
-    "grid.length": _NUMBER, "initial.amplitude": _NUMBER,
-    "initial.width": _NUMBERS, "initial.radial_power": _COUNTS,
-    "initial.mode": ("a list of 3 ints",
-                     lambda v: _is_list_of(v, lambda k: type(k) is int)
-                     and len(v) == 3),
-    "initial.seed": ("an int >= 0", _is_count),
-    "time.t_max": _NUMBER, "time.dt": _POSITIVE_OR_NULL,
-    "time.sample_dt": _POSITIVE_OR_NULL,
-    "fit.window": ("null or finite [t_lo, t_hi] with t_lo < t_hi",
-                   lambda v: v is None or (_is_list_of(v, _is_number)
-                                           and len(v) == 2 and v[0] < v[1])),
+_COEFFICIENTS = tuple(ev.Coefficients().as_dict())
+
+# path -> (default, (form, check), note): the one declaration of each config
+# field.  validate checks every form before a cross-field rule reads it.
+_FIELDS = {
+    "model.kind": ("k_system", _one_of(*ev.MODEL_KINDS), ""),
+    "model.coefficients": (
+        {}, (f"a dict of finite numbers named from {' '.join(_COEFFICIENTS)}",
+             lambda v: isinstance(v, dict) and set(v) <= set(_COEFFICIENTS)
+             and all(map(_is_number, v.values()))), "unset names are 0"),
+    "model.coupling": ("uw", _one_of(*ev.COUPLINGS), ""),
+    "model.symbol": ("null_b", _one_of(*SYMBOL_PRESET_NAMES, "none"), ""),
+    "grid.n": (32, ("an even int in [8, 65536] with scipy.fft.next_fast_len(n)"
+                    " == n", lambda v: type(v) is int and 8 <= v <= 65536
+                    and v % 2 == 0 and scipy.fft.next_fast_len(v) == v), ""),
+    "grid.length": (128.0, ("a positive finite number",
+                            lambda v: _is_number(v) and v > 0), "box side L"),
+    "initial.preset": ("gaussian_bump", _one_of(*INITIAL_PRESETS), ""),
+    "initial.amplitude": (1e-3, ("a finite number >= 0",
+                                 lambda v: _is_number(v) and v >= 0), ""),
+    "initial.width": (1.0, _NUMBERS, "a list has one entry per component"),
+    "initial.radial_power": (0, _COUNTS, "a list has one entry per component"),
+    "initial.mode": ([1, 0, 0], ("a list of 3 ints", lambda v: _is_list_of(
+        v, lambda k: type(k) is int) and len(v) == 3),
+                     "for single_mode, each |k| <= (n-1)//3"),
+    "initial.band": (4, ("an int >= 1", lambda v: type(v) is int and v >= 1),
+                     "for random_bandlimited, at most (n-1)//3"),
+    "initial.seed": (0, ("an int >= 0", _is_count), ""),
+    "initial.project": ("none", _one_of("none", "damped_branch"), ""),
+    "time.t_max": (31.0, (f"a finite number > {ev.T_INITIAL:g}",
+                          lambda v: _is_number(v) and v > ev.T_INITIAL),
+                   "< L/4 (no-wrap), a whole number of steps from t = 1"),
+    "time.dt": (None, _POSITIVE_OR_NULL, "null for L/(2n)"),
+    "time.scheme": ("ifrk2", _one_of("ifrk2", "ifrk4"), ""),
+    "time.sample_dt": (None, _POSITIVE_OR_NULL,
+                       "a whole multiple of dt, null for dt"),
+    "norms": ("default", ("'default' or a nonempty list of 'kind:component' "
+                          "strings", lambda v: v == "default" or _is_list_of(
+                              v, lambda s: isinstance(s, str)) and len(v) > 0),
+              f"distinct; kind: {' | '.join(norms.NORM_KINDS)}; component: "
+              f"{' | '.join(norms.COMPONENTS)} (w and profile_w need a "
+              "3-component model)"),
+    "fit.window": (None, ("null or finite [t_lo, t_hi] with t_lo < t_hi",
+                          lambda v: v is None or _is_list_of(v, _is_number)
+                          and len(v) == 2 and v[0] < v[1]),
+                   "null for [0.25, 0.9] * t_max"),
+    "output.dir": (".", ("a directory name", _is_name), ""),
+    "output.prefix": ("run", ("a file name without '/'",
+                              lambda v: _is_name(v) and "/" not in v), ""),
 }
 
 
+def _nest(leaf):
+    """{section: {key: leaf(entry)}} (or {key: ...}) over the field table."""
+    out = {}
+    for path, entry in _FIELDS.items():
+        *section, key = path.split(".")
+        (out.setdefault(section[0], {}) if section else out)[key] = leaf(entry)
+    return out
+
+
+_DEFAULTS = _nest(lambda entry: entry[0])
+CONFIG_SCHEMA = _nest(lambda e: "; ".join(filter(None, (e[1][0], e[2]))))
+
+
 def _merge(base, extra, path=""):
+    if not isinstance(extra, dict):
+        raise ConfigError([f"{path or 'the config'}: {extra!r} is not an "
+                           "object"])
     out = copy.deepcopy(base)
     for key, val in extra.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError([f"unknown config key {where!r}"])
         # empty-dict defaults (model.coefficients) are free-form: replace
-        if isinstance(base[key], dict) and isinstance(val, dict) and base[key]:
+        if isinstance(base[key], dict) and base[key]:
             out[key] = _merge(base[key], val, where)
         else:
             out[key] = copy.deepcopy(val)
@@ -154,6 +173,8 @@ class ExperimentConfig:
             raise ConfigError(
                 [f"{path}: invalid JSON at line {exc.lineno}, "
                  f"column {exc.colno}: {exc.msg}"]) from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"{path}: cannot read it: {exc}"]) from exc
         return ExperimentConfig.from_dict(data)
 
     def to_dict(self):
@@ -190,105 +211,66 @@ class ExperimentConfig:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        problems = []
+        """Check the form of every field, then each cross-field rule whose
+        fields have a valid form; raise one ConfigError naming them all."""
         r = self.raw
+        problems, bad = [], set()
+        for path, (_, (form, check), _) in _FIELDS.items():
+            *section, key = path.split(".")
+            value = (r[section[0]] if section else r)[key]
+            if not check(value):
+                bad.add(path)
+                problems.append(f"{path}: {value!r} is not {form}")
+
+        def ok(*paths):     # a field, or every field of a section, is sound
+            return not any(b == p or b.startswith(p + ".")
+                           for b in bad for p in paths)
+
         m, g, i, t = r["model"], r["grid"], r["initial"], r["time"]
-        for path, (form, check) in _FIELD_FORMS.items():
-            section, key = path.split(".")
-            if not check(r[section][key]):
-                problems.append(f"{path}: {r[section][key]!r} is not {form}")
-        if problems:
-            raise ConfigError(problems)
-
-        if m["kind"] not in ev.MODEL_KINDS:
-            problems.append(f"model.kind: unknown kind {m['kind']!r}")
-        if m["coupling"] not in ev.COUPLINGS:
-            problems.append(f"model.coupling: unknown {m['coupling']!r}")
-        if m["symbol"] not in SYMBOL_PRESET_NAMES + ("none",):
-            problems.append(f"model.symbol: unknown preset {m['symbol']!r}")
-        bad_coeff = set(m["coefficients"]) - set(ev.Coefficients().as_dict())
-        if bad_coeff:
-            problems.append(f"model.coefficients: unknown names {sorted(bad_coeff)}")
-
-        model = dim = None
-        if not problems:
+        if ok("model"):
             try:
                 model = self.build_model()
             except ValueError as exc:
+                bad.add("model")
                 problems.append(f"model: {exc}")
             else:
-                dim = model.dim_state
                 m["coupling"] = model.coupling   # the coupling that runs
-
-        n = g["n"]
-        grid_ok = (isinstance(n, int) and n >= 8 and n % 2 == 0
-                   and scipy.fft.next_fast_len(n) == n)
-        if not grid_ok:
-            problems.append(f"grid.n: {n!r} is not an even FFT-fast length "
-                            ">= 8 (one with scipy.fft.next_fast_len(n) == n)")
-        if g["length"] <= 0:
-            grid_ok = False
-            problems.append("grid.length: must be positive")
-        if (grid_ok and model is not None and model.w_form
+        if (ok("model", "grid.n") and model.w_form
                 and not model.w_symbol.separable_terms):
-            terms = direct_sum_terms(n)
+            terms = direct_sum_terms(g["n"])
             if terms > TERM_CAP:
                 problems.append(
                     f"model.symbol: {m['symbol']!r} has no separable "
-                    f"factorization and its direct sum on n = {n} needs "
+                    f"factorization and its direct sum on n = {g['n']} needs "
                     f"{terms:.3g} term evaluations (cap {TERM_CAP:.3g})")
-
-        if i["preset"] not in INITIAL_PRESETS:
-            problems.append(f"initial.preset: unknown preset {i['preset']!r}")
-        if i["amplitude"] < 0:
-            problems.append("initial.amplitude: must be >= 0")
-        if i["project"] not in ("none", "damped_branch"):
-            problems.append(f"initial.project: unknown {i['project']!r}")
         for key in ("width", "radial_power"):
-            if (dim is not None and isinstance(i[key], (list, tuple))
-                    and len(i[key]) != dim):
+            if (ok("model", f"initial.{key}") and isinstance(
+                    i[key], (list, tuple)) and len(i[key]) != model.dim_state):
                 problems.append(f"initial.{key}: per-component list needs "
-                                f"{dim} entries")
-        limit = dealias_limit(n) if grid_ok else None
-        if (i["preset"] == "single_mode" and grid_ok
+                                f"{model.dim_state} entries")
+        limit = dealias_limit(g["n"]) if ok("grid.n") else None
+        if (ok("grid.n", "initial.preset", "initial.mode")
+                and i["preset"] == "single_mode"
                 and any(abs(k) > limit for k in i["mode"])):
             problems.append(f"initial.mode: {list(i['mode'])} outside the "
                             f"dealiased band |k| <= {limit}")
-        band = i["band"]
-        if i["preset"] == "random_bandlimited" and grid_ok and not (
-                isinstance(band, int) and 1 <= band <= limit):
-            problems.append(f"initial.band: {band!r} is not a whole number in "
-                            f"[1, {limit}], the dealiased band on n = {n}")
-
-        if t["t_max"] >= g["length"] / 4.0:
+        if (ok("grid.n", "initial.preset", "initial.band")
+                and i["preset"] == "random_bandlimited" and i["band"] > limit):
+            problems.append(f"initial.band: {i['band']!r} is not a whole "
+                            f"number in [1, {limit}], the dealiased band on "
+                            f"n = {g['n']}")
+        if ok("grid.length", "time.t_max") and t["t_max"] >= g["length"] / 4:
             problems.append(
                 f"time.t_max: {t['t_max']} violates the no-wrap window "
                 f"t_max < L/4 = {g['length'] / 4.0}")
-        if t["t_max"] <= ev.T_INITIAL:
-            problems.append("time.t_max: must exceed the initial time t = 1")
-        if grid_ok:
-            dt = self.dt()
-            steps = (t["t_max"] - ev.T_INITIAL) / dt
-            if not _whole(steps):
-                problems.append(
-                    f"time.t_max: (t_max - 1)/dt = {steps:.6g} is not a whole "
-                    "number of steps")
-            every = (t["sample_dt"] or dt) / dt
-            if not (round(every) >= 1 and _whole(every)):
-                problems.append(
-                    f"time.sample_dt: {t['sample_dt']} is not a positive whole "
-                    f"multiple of dt = {dt:.6g}")
-        if t["scheme"] not in ("ifrk2", "ifrk4"):
-            problems.append(f"time.scheme: unknown scheme {t['scheme']!r}")
-        listed = r["norms"]
-        if listed != "default" and not (
-                isinstance(listed, list) and listed
-                and all(isinstance(text, str) for text in listed)):
-            problems.append("norms: must be 'default' or a nonempty list of "
-                            "'kind:component' strings")
-        elif listed != "default":
+        if ok("grid", "time.t_max", "time.dt", "time.sample_dt"):
+            try:
+                self.schedule()
+            except ConfigError as exc:
+                problems += exc.problems
+        if ok("norms") and r["norms"] != "default":
             names = set()
-            for text in listed:
+            for text in r["norms"]:
                 try:
                     spec = norms.NormSpec.parse(text)
                 except ValueError as exc:
@@ -297,7 +279,8 @@ class ExperimentConfig:
                 if spec.name in names:
                     problems.append(f"norms: {text!r} is listed twice")
                 names.add(spec.name)
-                if dim == 2 and spec.component in ("w", "profile_w"):
+                if (ok("model") and model.dim_state == 2
+                        and spec.component in ("w", "profile_w")):
                     problems.append(f"norms: {text!r} needs w, and "
                                     f"{m['kind']} has no w")
         if problems:
@@ -315,9 +298,24 @@ class ExperimentConfig:
         return ev.ModelSpec(m["kind"], coeffs, w_symbol=sym,
                             coupling=m["coupling"])
 
-    def dt(self):
-        g = self["grid"]
-        return self["time"]["dt"] or ev.default_dt(g["length"] / g["n"])
+    def schedule(self):
+        """(dt, steps, every): the step, the number of steps from t = 1 to
+        t_max, and the steps between samples; a ConfigError when t_max or
+        sample_dt is not a whole number of steps."""
+        g, t = self["grid"], self["time"]
+        dt = t["dt"] or ev.default_dt(g["length"] / g["n"])
+        steps = (t["t_max"] - ev.T_INITIAL) / dt
+        every = (t["sample_dt"] or dt) / dt
+        problems = []
+        if not (round(steps) >= 1 and _whole(steps)):
+            problems.append(f"time.t_max: (t_max - 1)/dt = {steps:.6g} is not "
+                            "a positive whole number of steps")
+        if not (round(every) >= 1 and _whole(every)):
+            problems.append(f"time.sample_dt: {t['sample_dt']} is not a "
+                            f"positive whole multiple of dt = {dt:.6g}")
+        if problems:
+            raise ConfigError(problems)
+        return dt, round(steps), round(every)
 
     def fit_window(self):
         win = self["fit"]["window"]
@@ -488,9 +486,7 @@ def run(config, log=None):
         width=icfg["width"], radial_power=icfg["radial_power"],
         mode=icfg["mode"], band=icfg["band"])
 
-    dt = config.dt()
-    t_max = config["time"]["t_max"]
-    sample_dt = config["time"]["sample_dt"] or dt
+    dt, steps, every = config.schedule()
     scheme = config["time"]["scheme"]
 
     e_n = norms.initial_energy(state)
@@ -520,13 +516,11 @@ def run(config, log=None):
 
     sample(state)
     status = "completed"
-    next_sample = state.t + sample_dt
     try:
-        while state.t < t_max - 1e-9:
+        for k in range(1, steps + 1):
             state = stepper.step(state, guard)
-            if state.t >= next_sample - 1e-9:
+            if k % every == 0:
                 sample(state)
-                next_sample += sample_dt
     except StepRejected as exc:
         say(f"blow-up guard: {exc}")
         status = "blowup"

@@ -40,8 +40,8 @@ def test_run_with_overrides(tmp_path):
 
 def test_run_config_error_exit_code(tmp_path, capsys):
     path = write_tiny_config(tmp_path)
-    # odd, and even with next fast length 27
-    for n in (17, 26):
+    # odd, even with next fast length 27, and past any FFT length
+    for n in (17, 26, 2 ** 62):
         assert cli.main(["run", str(path), "--set", f"grid.n={n}"]) == 2
         assert f"config error: grid.n: {n} is not" in capsys.readouterr().err
     # a random band of no mode, or past the dealiased band (21 on n = 64)
@@ -86,7 +86,8 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert "config error: norms: 'l2:u' is listed twice" \
         in capsys.readouterr().err
     assert cli.main(["run", "k-small-data", "--set", "norms=[1]"]) == 2
-    assert "config error: norms: must be" in capsys.readouterr().err
+    assert ("config error: norms: [1] is not 'default' or a nonempty list "
+            "of 'kind:component' strings\n") in capsys.readouterr().err
     assert cli.main(["run", "kexp-branch", "--set", "norms=[]"]) == 2
     assert "config error: norms" in capsys.readouterr().err
     assert cli.main(["run", "k-small-data",
@@ -107,6 +108,41 @@ def test_run_config_error_exit_code(tmp_path, capsys):
         assert cli.main(["run", "pk-small-data", "--set", pair]) == 2, pair
         field = pair.partition("=")[0]
         assert f"config error: {field}: " in capsys.readouterr().err, pair
+    # an unhashable coupling, output names no file can take, and a bool
+    # band: each used to crash, write a stray file or run
+    for pairs in (["model.coupling=[1]"], ["output.dir=5"],
+                  ["output.dir=null"], ["output.prefix=null"],
+                  ["output.prefix=a/b"],
+                  ["initial.preset=random_bandlimited", "initial.band=true"]):
+        argv = ["run", str(path)]
+        for pair in pairs:
+            argv += ["--set", pair]
+        assert cli.main(argv) == 2, pairs
+        field = pairs[-1].partition("=")[0]
+        assert f"config error: {field}: " in capsys.readouterr().err, pairs
+
+
+def test_run_config_that_is_not_an_object(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, binary):
+        assert cli.main(["run", str(path)]) == 2
+        assert f"config error: {path}: cannot read it: " \
+            in capsys.readouterr().err
+    root = tmp_path / "root.json"
+    root.write_text("[1, 2]")
+    assert cli.main(["run", str(root)]) == 2
+    assert "config error: the config: [1, 2] is not an object\n" \
+        in capsys.readouterr().err
+    section = tmp_path / "section.json"
+    section.write_text('{"grid": 5}')
+    assert cli.main(["run", str(section)]) == 2
+    assert "config error: grid: 5 is not an object\n" \
+        in capsys.readouterr().err
+    assert cli.main(["run", str(write_tiny_config(tmp_path)),
+                     "--set", "grid=5"]) == 2
+    assert "config error: grid: 5 is not an object\n" \
+        in capsys.readouterr().err
 
 
 def test_run_on_a_grid_that_is_not_a_power_of_two(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,43 @@ def test_config_schema_names_the_default_keys():
                 section
         else:
             assert isinstance(doc, str), section
+    leaves = set()
+    for section, default in ex._DEFAULTS.items():
+        leaves |= ({f"{section}.{key}" for key in default}
+                   if isinstance(default, dict) else {section})
+    assert leaves == set(ex._FIELDS)
+
+
+# JSON values of every shape, and numbers at the edges
+JUNK = ({"a": 1}, [1], [[1]], [], {}, None, True, "abc", -1, 0,
+        float("nan"), 1e308)
+
+
+@pytest.mark.parametrize("path", list(ex._FIELDS))
+def test_any_value_of_a_field_validates_or_is_a_config_error(path):
+    *section, key = path.split(".")
+    for junk in JUNK:
+        try:
+            ex.ExperimentConfig.from_dict(
+                {section[0]: {key: junk}} if section else {key: junk})
+        except ConfigError:
+            pass
+
+
+def test_benchmark_workloads_and_shipped_presets_validate(tmp_path):
+    # the overrides as perfbench/workloads.py applies them
+    spec_path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
+    spec = json.loads(spec_path.read_text())
+    for name, workload in spec["workloads"].items():
+        pairs = [f"{key}={json.dumps(val)}"
+                 for key, val in workload["overrides"].items()]
+        if workload["seeded"]:
+            pairs.append(f"initial.seed={spec['default_seed']}")
+        pairs += [f"output.dir={json.dumps(str(tmp_path))}",
+                  f"output.prefix={name}"]
+        ex.load_preset(workload["preset"]).override(pairs)
+    for name in ex.list_presets():
+        ex.load_preset(name)
 
 
 def test_config_rejects_unknown_keys():
@@ -116,7 +154,7 @@ def test_config_requires_whole_steps():
             ex.ExperimentConfig.from_dict({**TINY, "time": time})
     cfg = ex.ExperimentConfig.from_dict(
         {**TINY, "time": {"t_max": 9.0, "sample_dt": 4.0}})
-    assert cfg.dt() == 2.0
+    assert cfg.schedule() == (2.0, 4, 2)    # dt, steps, steps per sample
 
 
 def test_config_json_syntax_error(tmp_path):
@@ -143,8 +181,11 @@ def test_config_overrides(tmp_path):
     sk = ex.load_preset("linear-sk-decay")
     assert sk.override(["model.coefficients.a_u=1.0"])["model"][
         "coefficients"] == {"a_u": 1.0}
-    with pytest.raises(ConfigError, match="model.coefficients: unknown"):
+    with pytest.raises(ConfigError) as err:
         sk.override(["model.coefficients.e_u=1.0"])
+    assert err.value.problems == [
+        "model.coefficients: {'e_u': 1.0} is not a dict of finite numbers "
+        "named from a_u b_u c_u a_v b_v c_v d_v"]
 
 
 # -- initial data -------------------------------------------------------------
@@ -219,7 +260,7 @@ def test_a_step_with_sources_stays_in_the_dealiased_band(
     cfg = ex.load_preset(preset).override(
         [override, "grid.n=16", "time.t_max=9"])
     g = cfg.build_grid()
-    stepper = ev.Stepper(cfg.build_model(), g, cfg.dt(),
+    stepper = ev.Stepper(cfg.build_model(), g, cfg.schedule()[0],
                          cfg["time"]["scheme"])
     assert not stepper.source_free
     st = preset_initial_data(cfg, g)
