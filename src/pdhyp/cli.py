@@ -50,12 +50,11 @@ def _cmd_run(args):
         config = experiments.load_config(args.config)
         if args.overrides:
             config = config.override(args.overrides)
+        return experiments.run(config, log=print).exit_code
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    result = experiments.run(config, log=print)
-    return result.exit_code
 
 
 def _cmd_presets(args):

@@ -476,6 +476,11 @@ def run(config, log=None):
     """Execute one experiment; writes `<prefix>_series.csv` and
     `<prefix>_report.json` and returns a RunResult."""
     say = log or (lambda msg: None)
+    out = config["output"]
+    try:    # before any step, so a name no directory can take costs no run
+        os.makedirs(out["dir"], exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output.dir: cannot make it: {exc}"]) from exc
     grid = config.build_grid()
     model = config.build_model()
     icfg = config["initial"]
@@ -507,12 +512,16 @@ def run(config, log=None):
 
     series = {spec.name: [] for spec in specs}
     times = []
+    # FFTs by phase: set-up is the initial data and E_N, t = 1 is a sample
+    transforms = {"setup": grid.transforms, "steps": 0, "samples": 0}
 
     def sample(st):
+        before = grid.transforms
         profile_w = ev.wave_profile(st) if needs_profile else None
         times.append(st.t)
         for spec in specs:
             series[spec.name].append(norms.evaluate_norm(spec, st, profile_w))
+        transforms["samples"] += grid.transforms - before
 
     sample(state)
     status = "completed"
@@ -524,6 +533,7 @@ def run(config, log=None):
     except StepRejected as exc:
         say(f"blow-up guard: {exc}")
         status = "blowup"
+    transforms["steps"] = grid.transforms - sum(transforms.values())
 
     t_arr = np.asarray(times)
     series_arr = {name: (t_arr, np.asarray(vals))
@@ -555,8 +565,6 @@ def run(config, log=None):
         except (PdhypError, ValueError) as exc:
             m0_report = {"error": str(exc)}
 
-    out = config["output"]
-    os.makedirs(out["dir"], exist_ok=True)
     csv_path = os.path.join(out["dir"], f"{out['prefix']}_series.csv")
     report_path = os.path.join(out["dir"], f"{out['prefix']}_report.json")
     norms.write_series_csv(csv_path, series_arr)
@@ -568,6 +576,7 @@ def run(config, log=None):
         "fitted_exponents": fits,
         "m0": m0_report,
         "warnings": warnings,
+        "transforms": transforms,
     }
     norms.write_json_report(report_path, report)
     say(f"{status}: wrote {csv_path} and {report_path}")

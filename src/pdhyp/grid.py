@@ -22,6 +22,12 @@ Modes, wavevectors and centered coordinates are stored as one 1-D axis per
 dimension, shaped (n,1,1), (1,n,1), (1,1,n) in 3-D so numpy broadcasts
 them.  The n^d tables are |xi|, the dealiasing mask, |x - center|^2 and
 the shell index; wavevectors() builds the dense (*shape, d) array on demand.
+
+to_spectral and to_physical return a new array the caller owns and never
+write their input.  A complex input is copied, then transformed and scaled
+in place: pages the copy touched are faster to fill than fresh ones, and
+the (dx/2pi)^d scale needs no second array.  A real input takes scipy's
+real-input path into a fresh array.  `transforms` counts both calls.
 """
 
 from functools import cached_property, reduce
@@ -59,6 +65,7 @@ class SpectralGrid:
         self.d_eta = self.dk ** self.ndim
         # forward-transform prefactor (dx / 2pi)^d
         self._fwd = (self.dx / (2.0 * np.pi)) ** self.ndim
+        self.transforms = 0     # to_spectral and to_physical calls so far
 
         self.k_int = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
         self.k_axes = np.meshgrid(*([self.k_int] * self.ndim), indexing="ij",
@@ -101,11 +108,21 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
+    def _transform(self, fft, f):
+        self.transforms += 1
+        copy = np.iscomplexobj(f)   # a real f takes scipy's real-input path
+        f = np.array(f, dtype=complex) if copy else f
+        return fft(f, axes=range(-self.ndim, 0), workers=-1, overwrite_x=copy)
+
     def to_spectral(self, f):
-        return scipy.fft.fftn(f, axes=range(-self.ndim, 0), workers=-1) * self._fwd
+        out = self._transform(scipy.fft.fftn, f)
+        out *= self._fwd
+        return out
 
     def to_physical(self, fhat):
-        return scipy.fft.ifftn(fhat, axes=range(-self.ndim, 0), workers=-1) / self._fwd
+        out = self._transform(scipy.fft.ifftn, fhat)
+        out /= self._fwd
+        return out
 
     # -- hygiene ------------------------------------------------------------
 

@@ -120,6 +120,14 @@ def test_run_config_error_exit_code(tmp_path, capsys):
         assert cli.main(argv) == 2, pairs
         field = pairs[-1].partition("=")[0]
         assert f"config error: {field}: " in capsys.readouterr().err, pairs
+    # an output.dir that is or runs through a file: refused before the run
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for out_dir in (a_file, a_file / "sub"):
+        assert cli.main(["run", str(path), "--set",
+                         f"output.dir={json.dumps(str(out_dir))}"]) == 2
+        assert "config error: output.dir: cannot make it: " \
+            in capsys.readouterr().err
 
 
 def test_run_config_that_is_not_an_object(tmp_path, capsys):

@@ -418,3 +418,40 @@ def test_high_frequency_exponential_decay(grid):
     rate, _ = norms.fit_exponential_rate(ts, np.asarray(vals), (1.0, 20.0))
     assert rate >= 0.05
 
+
+def test_hot_paths_leave_the_state_bitwise_unchanged():
+    # a fence for in-place work: every rhs, pseudoproduct, norm, guard and
+    # step reads state.data and must never write it
+    g = SpectralGrid(8, 8.0)
+    rng = np.random.default_rng(11)
+    state = ev.StateField(g, np.stack([band_field(g, 2, rng)
+                                       for _ in range(3)]), ev.T_INITIAL)
+    k_state = ev.StateField(g, state.data[:2], state.t)     # a view
+    assert np.shares_memory(k_state.data, state.data)
+    saved = state.data.copy()
+    w = state.data[2]
+    pk = ev.ModelSpec("pk_system", ev.Coefficients(
+        a_u=1, b_u=1, c_u=1, a_v=1, b_v=1, c_v=1, d_v=1),
+        w_symbol=sy.symbol_preset("mixed"))
+    k = ev.ModelSpec("k_system", ev.Coefficients(a_u=1, b_v=-1, c_u=0.5))
+    free = ev.ModelSpec("pk_system")
+    calls = {"rhs pk mixed": lambda: ev.rhs(pk, state),
+             "rhs k_system": lambda: ev.rhs(k, k_state),
+             "initial_energy": lambda: norms.initial_energy(state),
+             "guard": lambda: ev.BlowupGuard.for_state(state).check(state)}
+    for name in ("mixed", "mu0"):           # the separable and direct paths
+        plan = pseudoproduct.PseudoproductPlan(g, sy.symbol_preset(name))
+        calls[f"{name} diagonal"] = lambda p=plan: pseudoproduct.apply(p, w, w)
+        calls[f"{name} general"] = lambda p=plan: pseudoproduct.apply(
+            p, w, state.data[0])
+    for kind, norm in norms.NORM_KINDS.items():
+        calls[kind] = lambda norm=norm: [norm(g, c) for c in state.data]
+    guard = ev.BlowupGuard(limit=np.inf)
+    for model, scheme in ((pk, "ifrk2"), (pk, "ifrk4"), (free, "ifrk2")):
+        stepper = ev.Stepper(model, g, 0.5, scheme)
+        assert stepper.source_free == (model is free)
+        calls[f"step {scheme} {model.kind}"] = (
+            lambda s=stepper: s.step(state, guard))
+    for name, call in calls.items():
+        call()
+        assert state.data.tobytes() == saved.tobytes(), name

@@ -2,7 +2,8 @@
 exponent and M0 report must match the goldens in tests/data: the run's
 `<name>_series.csv`, and its `e_n`, `fitted_exponents` and `m0` in
 `golden_reports.json`.  Numbers match at rtol 1e-12; strings (fit and M0
-error messages), booleans and None match exactly.
+error messages), booleans and None match exactly.  The run's FFT counts
+by phase, `report["transforms"]`, must equal TRANSFORMS exactly.
 
 The runs cover the three step kinds on n = 16: a source-free flow
 (wave-invariants), the separable pseudoproduct with a nonzero diagonal
@@ -29,6 +30,14 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 REPORTS = os.path.join(DATA, "golden_reports.json")
 REPORT_KEYS = ("e_n", "fitted_exponents", "m0")
 RTOL = 1e-12
+# name -> the run's FFTs by phase, report["transforms"]: set-up (initial
+# data and E_N), steps (18 per pk step, 12 per IFRK4 k step, none in the
+# exact flow) and samples (13, 2 and 4 per sample, t = 1 included)
+TRANSFORMS = {
+    "wave_source_free": {"setup": 6, "steps": 0, "samples": 44},
+    "pk_mixed": {"setup": 12, "steps": 270, "samples": 208},
+    "k_ifrk4_random": {"setup": 12, "steps": 180, "samples": 32},
+}
 
 # name -> (preset, overrides)
 RUNS = {
@@ -92,6 +101,7 @@ def golden_report(result):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_series_match_the_goldens(name, tmp_path):
     result = run_one(name, tmp_path)
+    assert result.report["transforms"] == TRANSFORMS[name]
     with open(REPORTS) as fh:
         assert_matches(golden_report(result), json.load(fh)[name], name)
     got = read_series(result.csv_path)

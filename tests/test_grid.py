@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,33 @@ def test_transform_roundtrip():
     f = rng.normal(size=g.shape)
     back = g.to_physical(g.to_spectral(f))
     assert np.max(np.abs(back - f)) < 1e-12
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 16, 24, 48])
+def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
+    # each transform equals scipy.fft's, scaled, bit for bit; it writes a
+    # new array and leaves its input, real, complex, stacked or strided
+    g = SpectralGrid(n, 7.3, ndim)
+    rng = np.random.default_rng(10 * n + ndim)
+    real = rng.normal(size=g.shape)
+    stacked = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(
+        size=(3,) + g.shape)
+    wide = rng.normal(size=(2 * n,) * ndim) + 1j * rng.normal(
+        size=(2 * n,) * ndim)
+    view = wide[(slice(None, None, 2),) * ndim]     # not contiguous
+    inputs = (real, real + 0.5j, stacked, view)
+    saved = [x.copy() for x in inputs] + [wide.copy()]
+    axes = range(-ndim, 0)
+    for x in inputs:
+        spec, phys = g.to_spectral(x), g.to_physical(x)
+        assert np.array_equal(spec, scipy.fft.fftn(x, axes=axes) * g._fwd)
+        assert np.array_equal(phys, scipy.fft.ifftn(x, axes=axes) / g._fwd)
+        assert not np.shares_memory(spec, x)
+        assert not np.shares_memory(phys, x)
+    for x, before in zip(inputs + (wide,), saved):
+        assert x.tobytes() == before.tobytes()
+    assert g.transforms == 2 * len(inputs)
 
 
 def test_convolution_theorem_is_exact():
