@@ -13,8 +13,8 @@ empties the time-resonant set altogether.
 import numpy as np
 
 from pdhyp import symbols as sy
-from pdhyp.bounds import BoundLedger
 
+TOL = 1e-9   # |phi_w| and |grad_eta phi_w| below this count as zero
 rng = np.random.default_rng(0)
 
 print("=== classifying sample interaction points ===")
@@ -23,10 +23,12 @@ cases = [("collinear interior, eta = 0.3 xi", np.array([0.3, 0.0, 0.0])),
          ("orthogonal, eta = e2", np.array([0.0, 1.0, 0.0])),
          ("generic", np.array([0.4, 0.5, -0.2]))]
 for label, eta in cases:
-    r = sy.classify_resonance(sy.WAVE_PHASE, (xi, eta))
-    tags = sorted(r.classification) or ["none"]
-    print(f"{label:36s} phi_w = {r.phase_value.real:+.4f}  "
-          f"|grad_eta| = {r.eta_gradient_norm:.4f}  -> {', '.join(tags)}")
+    phi = sy.wave_phase(xi, eta)
+    grad = np.linalg.norm(sy.wave_phase_grad_eta(xi, eta))
+    tags = [tag for tag, val in (("time_resonant", phi),
+                                 ("space_resonant", grad)) if abs(val) <= TOL]
+    print(f"{label:36s} phi_w = {phi:+.4f}  |grad_eta| = {grad:.4f}  -> "
+          f"{', '.join(tags) or 'none'}")
 
 print("\n=== nonresonant symbols vanish on the resonant set ===")
 xi_r, eta_r = sy.sample_spacetime_resonant_points(rng, 2000)
@@ -38,17 +40,17 @@ for name in sy.NONRESONANT_PRESET_NAMES:
 print("\n=== dissipation removes time resonances ===")
 for n_eta in (0.05, 0.2, 0.45):
     eta = np.array([n_eta, 0.0, 0.0])
-    phi = sy.dissipative_phase(xi, xi * 0.5 + eta * 0.0 + eta)
+    phi = sy.dissipative_phase(xi, eta)
     print(f"|eta| = {n_eta:4.2f}:  Im phi = {phi.imag:.4f}  "
           f">= |eta|^2 = {n_eta**2:.4f}")
-r = sy.classify_resonance(sy.DISSIPATIVE_PHASE,
-                          (xi, np.array([0.1, 0.0, 0.0])))
-print("collinear point under the dissipative phase classifies as:",
-      sorted(r.classification) or ["none"])
+print("on the collinear points above phi_w = 0, while |phi| >= Im phi > 0")
 
 print("\n=== the bounded quotient symbol ===")
 mu0 = sy.symbol_preset("mu0")
-bound, jump = sy.class_membership_report(mu0, rng, ledger=BoundLedger(),
-                                         samples=300)
-print(f"mu0 bound on |xi| << 1, |eta| ~ 1: {bound:.3f} "
-      f"(max jump along rays {jump:.3f})")
+d = rng.normal(size=(300, 3))
+d /= np.linalg.norm(d, axis=1)[:, None]
+eta = rng.normal(size=(300, 3))
+eta *= (rng.uniform(0.8, 1.2, size=300) / np.linalg.norm(eta, axis=1))[:, None]
+vals = np.array([mu0(r * d, eta) for r in (0.08, 0.04, 0.02, 0.01)])
+print(f"mu0 bound on |xi| << 1, |eta| ~ 1: {np.max(np.abs(vals)):.3f} "
+      f"(max jump along rays {np.max(np.abs(np.diff(vals, axis=0))):.3f})")

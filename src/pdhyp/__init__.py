@@ -3,20 +3,16 @@ dissipative hyperbolic model systems with quadratic and bilinear
 pseudoproduct sources."""
 
 from .grid import SpectralGrid
-from .spectra import (ModelMatrices, LinearSymbolCache, SkReport,
+from .spectra import (ModelMatrices, LinearSymbolCache,
                       three_component_model, two_component_model,
-                      build_linear_symbol, eigen_decompose,
-                      build_symbol_cache, green_function, decompose_green,
-                      check_sk)
-from .symbols import (Phase, BilinearSymbol, ResonanceSample, WAVE_PHASE,
-                      DISSIPATIVE_PHASE, wave_phase, dissipative_phase,
-                      classify_resonance, make_nonresonant_symbol,
-                      mu0_symbol, symbol_preset)
+                      check_sk, build_symbol_cache, green_function)
+from .symbols import (BilinearSymbol, wave_phase, dissipative_phase,
+                      make_nonresonant_symbol, mu0_symbol, symbol_preset)
 from .pseudoproduct import (PseudoproductPlan, apply, apply_direct,
                             holder_bound_ratio)
 from .propagators import lambda_power, riesz, half_wave, fractional_ratio
 from .evolution import (ModelSpec, Coefficients, StateField, Stepper,
-                        BlowupGuard, rhs, flow, wave_profile)
+                        BlowupGuard, rhs, wave_profile)
 from .norms import (NormSpec, BootstrapReport, evaluate_norm,
                     m0_functional, fit_decay, fit_exponential_rate,
                     initial_energy)

@@ -56,7 +56,8 @@ def _random_xi_norms(rng, count):
 # ---------------------------------------------------------------------------
 
 def criterion_1(result, workdir):
-    """Spectral oracle equivalence on 1e4 random modes within 10 s."""
+    """Spectral oracle equivalence on 1e4 random modes within 10 s, and the
+    [SK] verdicts: the 3x3 model leaves w undamped, the 2x2 block none."""
     t0 = time.time()
     rng = np.random.default_rng(11)
     model = spectra.three_component_model()
@@ -66,9 +67,8 @@ def criterion_1(result, workdir):
     dense = np.linalg.eigvals(cache.E)
     mine = cache.eigvals.T
     # match each mode's triples by the best of the 6 permutations
-    from itertools import permutations
     per_perm = [np.max(np.abs(mine - dense[:, list(p)]), axis=1)
-                for p in permutations(range(3))]
+                for p in itertools.permutations(range(3))]
     worst = float(np.max(np.min(per_perm, axis=0)))
     result.expect(worst <= 1e-8, f"eigenvalues vs dense eigensolver: {worst:.3e} <= 1e-8")
 
@@ -85,6 +85,14 @@ def criterion_1(result, workdir):
                 G[i] - scipy.linalg.expm(cache.E[i] * t)))))
     result.expect(worst_g <= 1e-8, "green function vs matrix exponential: "
                   f"{worst_g:.3e} <= 1e-8")
+
+    found = [(np.abs(z).round(12).tolist(), round(mu, 12))
+             for z, mu in spectra.check_sk(model)]
+    result.expect(found == [([0.0, 0.0, 1.0], 1.0)], "3x3 model violates "
+                  f"[SK]: undamped (|z|, mu) = {found}, only (e3, 1) expected")
+    undamped = spectra.check_sk(spectra.two_component_model())
+    result.expect(not undamped, "2x2 model satisfies [SK]: no undamped "
+                  f"direction ({len(undamped)} found)")
 
     elapsed = time.time() - t0
     result.expect(elapsed < 10.0, f"runtime {elapsed:.2f}s < 10s")
@@ -148,6 +156,13 @@ def criterion_6(result, workdir):
     """Nonresonant symbols vanish on R; dissipation empties T."""
     rng = np.random.default_rng(16)
     xi, eta = sy.sample_spacetime_resonant_points(rng, 1000)
+    worst = float(np.max(np.abs(sy.wave_phase(xi, eta))))
+    result.expect(worst <= 1e-12,
+                  f"sample on R: max |phi_w| = {worst:.3e} <= 1e-12")
+    worst = float(np.max(np.linalg.norm(sy.wave_phase_grad_eta(xi, eta),
+                                        axis=-1)))
+    result.expect(worst <= 1e-12, "sample on R: max |grad_eta phi_w| = "
+                  f"{worst:.3e} <= 1e-12")
     for name, m in nonresonant_symbols().items():
         scale = np.maximum(1.0, np.linalg.norm(xi, axis=-1)) ** m.degree
         worst = float(np.max(np.abs(m(xi, eta)) / scale))

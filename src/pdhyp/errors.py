@@ -5,14 +5,6 @@ class PdhypError(Exception):
     """Base class for package errors."""
 
 
-class DegenerateSpectrum(PdhypError):
-    """Eigenvalue pair coalesces; spectral projector form is unusable."""
-
-
-class OutOfBand(PdhypError):
-    """Mode lies outside the low-frequency band of the Green decomposition."""
-
-
 class SingularPoint(PdhypError):
     """Evaluation requested too close to {xi=0} u {xi-eta=0} u {eta=0}."""
 

@@ -12,8 +12,6 @@ which is what both schemes reduce to when every stage source is zero.
 Polynomial sources are summed per equation in physical space and
 transformed once, the bilinear pseudoproduct source comes from
 pseudoproduct.apply; everything is dealiased with the strict 2/3 rule.
-flow() applies the exact linear flow for a signed time span; the profile
-exp(-E t) U_hat of a state is its flow back to t = 0.
 
 Initial time is t = 1 by convention and all decay fits start there.
 
@@ -318,15 +316,6 @@ def default_dt(dx):
     """CFL-like default on the sources for grid spacing dx; the linear flow
     is exact."""
     return 0.5 * dx
-
-
-def flow(cache, state, t_target):
-    """Exact linear flow exp(E (t_target - t)) applied per mode, for either
-    sign of t_target - t; the profile exp(-E t) U_hat of a state is
-    flow(cache, state, 0.0), and flowing a profile to t rebuilds the state."""
-    G = spectra.propagator(cache, t_target - state.t)
-    flat = spectra.propagator_apply(G, state.data.reshape(state.dim_state, -1))
-    return StateField(state.grid, flat.reshape(state.data.shape), t_target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Linear operator of the model systems: eigenstructure, Green function,
-and the Shizuta-Kawashima coupling checker.
+"""Linear operator of the model systems: the Shizuta-Kawashima check of a
+model, and the symbol cache with its eigenstructure and Green function.
 
 The models couple a symmetric convection part with symbol -i|xi|*A to a
 negative-semidefinite relaxation matrix B, so every per-mode operator is
@@ -32,10 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateSpectrum, OutOfBand
-
 DEGENERATE_BAND = 1e-3      # half-width of the excluded band around |xi| = 1/2
-LOW_FREQ_CUTOFF = 0.25      # band |xi| <= a for the Green-function splitting
 INVERSE_FLOW_GUARD = 40.0   # warn when |t| * spectral gap exceeds this
 _KERNEL_RTOL = 1e-10
 # the entries of E, and of exp(E t), that can be nonzero, in the row order
@@ -83,11 +80,22 @@ def two_component_model():
     return ModelMatrices(A, B, 2)
 
 
-def build_linear_symbol(model, xi):
-    """E(i xi) = -i|xi| A + B for a single wavevector."""
-    xi = np.asarray(xi, dtype=float)
-    s = float(np.linalg.norm(xi))
-    return -1j * s * model.A + model.B.astype(complex)
+def check_sk(model):
+    """The undamped directions of a model: [SK] holds iff there are none.
+
+    The models are isotropic, so the convection symbol is |xi| A along
+    every direction, and [SK] fails exactly where ker B meets an
+    eigenspace of A.  Returns (z, mu) for an orthonormal basis of each such
+    intersection: B z = 0 and A z = mu z, each z determined up to sign.
+    """
+    mus = np.linalg.eigvalsh(model.A)
+    eye = np.eye(model.dim_state)
+    undamped = []
+    for mu in mus[np.r_[True, np.diff(mus) > 1e-10]]:
+        both = np.vstack([model.B, model.A - mu * eye])  # B z = (A - mu) z = 0
+        undamped += [(z, float(mu)) for z in
+                     scipy.linalg.null_space(both, rcond=_KERNEL_RTOL).T]
+    return undamped
 
 
 def _branch_eigvals(s):
@@ -97,34 +105,6 @@ def _branch_eigvals(s):
     lam1 = 0.5 * (-1.0 + root)
     lam2 = 0.5 * (-1.0 - root)
     return lam1, lam2, root
-
-
-def eigen_decompose(E):
-    """Eigenvalues, eigenvectors and spectral projectors of a model symbol.
-
-    Eigenvalues are ordered by their |xi| -> 0 limits: lam_1 -> 0,
-    lam_2 -> -1 and (for 3x3 symbols) lam_3 = -i|xi|.  Eigenvalues and
-    projectors are the one-mode symbol cache at |xi| = |E[0, 1]|.
-
-    Raises DegenerateSpectrum inside the coalescence band ||xi| - 1/2| <
-    DEGENERATE_BAND; callers must fall back to a direct matrix exponential
-    there.
-    """
-    E = np.asarray(E, dtype=complex)
-    d = E.shape[0]
-    if E.shape != (d, d) or d not in (2, 3):
-        raise ValueError("expected a 2x2 or 3x3 model symbol")
-    s = abs(E[0, 1])
-    model = three_component_model() if d == 3 else two_component_model()
-    cache = build_symbol_cache_from_norms([s], model)
-    if cache.degenerate_mask[0]:
-        raise DegenerateSpectrum(
-            f"|xi|={s:.6g} within {DEGENERATE_BAND} of the branch point 1/2")
-    eigvals = cache.eigvals[:, 0]
-    eigvecs = np.eye(d, dtype=complex)
-    if s > 1e-14:
-        eigvecs[:2, :2] = [[1.0, 1.0], 1j * eigvals[:2] / s]
-    return eigvals, eigvecs, cache.projectors[:, 0]
 
 
 @dataclass
@@ -248,87 +228,3 @@ def propagator_apply(G, data):
     if data.shape[0] == 3:
         np.multiply(G[4], data[2], out=out[2])
     return out
-
-
-@dataclass
-class GreenParts:
-    """Low-frequency Green splitting: diffusive K, damped Kexp, wave W."""
-    modes: np.ndarray        # cache entries (grid shells) the parts are on
-    K: np.ndarray
-    Kexp: np.ndarray
-    W: np.ndarray            # None for 2-component models
-
-
-def decompose_green(cache, t, modes=None, cutoff=LOW_FREQ_CUTOFF):
-    """Split exp(E t) into e^{lam1 t}P1 + e^{lam2 t}P2 (+ e^{-i|xi|t}P3).
-
-    `modes` index cache entries, which for a grid cache are |xi| shells;
-    map grid modes to them through cache.shell.  Only defined on the
-    low-frequency band |xi| <= cutoff; raises OutOfBand for any explicitly
-    requested entry outside it.  Default: all band entries.
-    """
-    s = cache.xi_norm
-    if modes is None:
-        modes = np.nonzero(s <= cutoff)[0]
-    else:
-        modes = np.asarray(modes, dtype=np.int64).reshape(-1)
-        bad = s[modes] > cutoff
-        if bad.any():
-            worst = float(np.max(s[modes][bad]))
-            raise OutOfBand(f"|xi|={worst:.6g} exceeds cutoff a={cutoff}")
-    phase = np.exp(cache.eigvals[:, modes] * t)
-    K = phase[0][:, None, None] * cache.projectors[0, modes]
-    Kexp = phase[1][:, None, None] * cache.projectors[1, modes]
-    W = None
-    if cache.dim_state == 3:
-        W = phase[2][:, None, None] * cache.projectors[2, modes]
-    return GreenParts(modes=modes, K=K, Kexp=Kexp, W=W)
-
-
-@dataclass
-class SkReport:
-    satisfies_sk: bool
-    violating_directions: list   # (kernel vector z, wavevector xi, eigenvalue)
-
-
-def check_sk(model, directions):
-    """Test the [SK] coupling condition on a sample of unit wavevectors.
-
-    For each unit direction the convection symbol is |xi| A (isotropic
-    models), so the test reduces to: does ker B intersect an eigenspace of
-    A?  Eigenspaces may be degenerate, so the test computes principal
-    angles between ker B and each eigenspace rather than testing kernel
-    basis vectors individually.
-    """
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if directions.size == 0:
-        raise ValueError("need a nonempty direction sample")
-
-    kernel = scipy.linalg.null_space(model.B, rcond=_KERNEL_RTOL)
-    if kernel.shape[1] == 0:
-        return SkReport(satisfies_sk=True, violating_directions=[])
-
-    eigvals, eigvecs = np.linalg.eigh(model.A)
-    groups = []
-    start = 0
-    for i in range(1, len(eigvals) + 1):
-        if i == len(eigvals) or abs(eigvals[i] - eigvals[start]) > 1e-10:
-            groups.append((eigvals[start], eigvecs[:, start:i]))
-            start = i
-
-    violations = []
-    for xi in directions:
-        nrm = np.linalg.norm(xi)
-        if nrm == 0:
-            continue
-        unit = xi / nrm
-        for mu, V in groups:
-            # sigma ~ 1 <=> ker B and the eigenspace share a direction
-            _, sigma, vt = np.linalg.svd(V.T @ kernel)
-            hits = np.nonzero(sigma > 1.0 - 1e-8)[0]
-            for h in hits:
-                z = kernel @ vt[h]
-                z = z / np.linalg.norm(z)
-                violations.append((z, unit.copy(), float(mu)))
-    return SkReport(satisfies_sk=len(violations) == 0,
-                    violating_directions=violations)

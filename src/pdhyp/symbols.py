@@ -1,8 +1,8 @@
-"""Phases, resonant-set geometry, homogeneous symbol classes and
-nonresonant bilinear forms.  The wave phase, the phase gradients and every
+"""Phases, a sampler of the space-time resonant set R, homogeneous symbols
+and nonresonant bilinear forms.  The wave phase, its gradients and every
 symbol but mu0 are term lists over the factor basis {|v|, v_j/|v|} (see
 BilinearSymbol), all evaluated by evaluate_terms; only the complex
-dissipative phase and its eta-gradient are closed forms.
+dissipative phase is a closed form.
 
 All evaluators are vectorized numpy functions of wavevector arrays whose
 last axis is the space dimension.  Symbols are smooth only off the rays
@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import DegreeMismatch, SingularPoint
 
-TOL_TIME_RESONANT = 1e-9
-TOL_SPACE_RESONANT = 1e-9
 SINGULAR_TOL_FACTOR = 1e-6   # times the largest |xi| in play
 
 
@@ -27,62 +25,13 @@ def _norm(v):
     return np.linalg.norm(v, axis=-1)
 
 
-def _unit(v):
-    """v/|v| with the zero-mode convention v/|v| = 0 at v = 0."""
-    n = _norm(v)
-    safe = np.where(n > 0.0, n, 1.0)
-    return np.where(n[..., None] > 0.0, v / safe[..., None], 0.0)
-
-
-# ---------------------------------------------------------------------------
-# resonance classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResonanceSample:
-    point: tuple
-    phase_value: complex
-    eta_gradient_norm: float
-    classification: frozenset
-
-
-def classify_resonance(phase, point, tol_t=TOL_TIME_RESONANT,
-                       tol_s=TOL_SPACE_RESONANT, singular_tol=None):
-    """Classify a single (xi, eta) pair against the resonant sets.
-
-    time resonant:  |phi(xi, eta)| <= tol_t
-    space resonant: |grad_eta phi(xi, eta)| <= tol_s
-
-    Raises SingularPoint for points within singular_tol of the rays
-    {xi = 0} u {xi - eta = 0} u {eta = 0}.
-    """
-    xi, eta = (np.asarray(p, dtype=float) for p in point)
-    scale = max(float(_norm(xi)), float(_norm(eta)), float(_norm(xi - eta)))
-    if singular_tol is None:
-        singular_tol = SINGULAR_TOL_FACTOR * max(scale, 1.0)
-    closest = min(float(_norm(xi)), float(_norm(eta)), float(_norm(xi - eta)))
-    if closest < singular_tol:
-        raise SingularPoint(
-            f"point within {singular_tol:.3g} of a singular ray")
-    val = complex(phase.evaluator(xi, eta))
-    gnorm = float(_norm(phase.gradient_eta(xi, eta)))
-    tags = set()
-    if abs(val) <= tol_t:
-        tags.add("time_resonant")
-    if gnorm <= tol_s:
-        tags.add("space_resonant")
-    return ResonanceSample(point=(xi, eta), phase_value=val,
-                           eta_gradient_norm=gnorm,
-                           classification=frozenset(tags))
-
-
-def sample_spacetime_resonant_points(rng, count, scale_range=(0.5, 2.0),
-                                     s_range=(0.05, 0.95), ndim=3):
-    """Random points of R = {eta = s xi, 0 < s < 1} for vanishing tests."""
-    d = rng.normal(size=(count, ndim))
+def sample_spacetime_resonant_points(rng, count):
+    """Random points of R = {eta = s xi, 0 < s < 1} for vanishing tests:
+    0.5 <= |xi| <= 2 and 0.05 <= s <= 0.95."""
+    d = rng.normal(size=(count, 3))
     d /= np.linalg.norm(d, axis=1)[:, None]
-    r = rng.uniform(*scale_range, size=count)
-    s = rng.uniform(*s_range, size=count)
+    r = rng.uniform(0.5, 2.0, size=count)
+    s = rng.uniform(0.05, 0.95, size=count)
     xi = r[:, None] * d
     eta = s[:, None] * xi
     return xi, eta
@@ -234,30 +183,6 @@ def dissipative_phase(xi, eta):
     return _norm(xi) - _norm(xi - eta) + 1j * _dissipative_rate(_norm(eta))
 
 
-def dissipative_phase_grad_eta(xi, eta):
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    n = _norm(eta)
-    root = np.sqrt(np.asarray(1.0 - 4.0 * n ** 2, dtype=complex))
-    return _unit(xi - eta) + 2j * eta / root[..., None]
-
-
-@dataclass(frozen=True)
-class Phase:
-    """A phase function with its gradients in eta and xi; the wave phase
-    and every real gradient are evaluators of term lists."""
-    evaluator: callable
-    gradient_eta: callable
-    gradient_xi: callable
-    kind: str   # "wave" | "dissipative"
-
-
-WAVE_PHASE = Phase(wave_phase, wave_phase_grad_eta,
-                   _stacked(WAVE_PHASE_GRAD_XI_TERMS), "wave")
-DISSIPATIVE_PHASE = Phase(dissipative_phase, dissipative_phase_grad_eta,
-                          WAVE_PHASE.gradient_xi, "dissipative")
-
-
 def _times(part, phase_terms, degree, what):
     """The term list of part * phase_terms; every term of `part` must have
     the exact degree `degree`."""
@@ -289,31 +214,9 @@ def make_nonresonant_symbol(a, b, name="nonresonant"):
     return BilinearSymbol.from_terms(name, terms)
 
 
-def class_membership_report(symbol, rng, *, ledger, samples=400):
-    """Numerical stand-in for the smooth-factorization clause of the symbol
-    class: boundedness plus continuity along rays in the regime
-    |xi| << |eta|, |xi - eta| ~ 1.  Returns (bound, max ray jump) and
-    records the bound constant in `ledger`.  Symbolic smoothness certification is out
-    of reach; the class is used downstream only through boundedness.
-    """
-    bound = 0.0
-    jump = 0.0
-    for _ in range(samples):
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        eta = rng.normal(size=3)
-        eta *= rng.uniform(0.8, 1.2) / np.linalg.norm(eta)
-        vals = [complex(symbol(r * d, eta))
-                for r in (0.08, 0.04, 0.02, 0.01)]
-        bound = max(bound, max(abs(v) for v in vals))
-        jump = max(jump, max(abs(b - a)
-                             for a, b in zip(vals, vals[1:])))
-    ledger.record("class_bound", bound, symbol=symbol.name, ray_jump=jump)
-    return bound, jump
-
-
-def mu0_symbol(phase, s, direction=(1.0, 0.0, 0.0), name="mu0"):
-    """mu0(xi, eta) = (d . grad_xi phi)(xi, eta) |xi - eta| / (i phi + 1/s).
+def mu0_symbol(s):
+    """mu0(xi, eta) = (d phi / d xi_0)(xi, eta) |xi - eta| / (i phi + 1/s),
+    phi the dissipative phase.
 
     The numerator's gradient factor vanishes when xi is parallel to
     xi - eta, and the dissipative imaginary part keeps the denominator away
@@ -321,19 +224,15 @@ def mu0_symbol(phase, s, direction=(1.0, 0.0, 0.0), name="mu0"):
     the 1/s shift; the symbol is class-0 only asymptotically, so the
     scaling invariant is checked as continuity near lambda = 1 instead.
     """
-    if phase.kind != "dissipative":
-        raise ValueError("mu0 is built from the dissipative phase")
     if s < 1.0:
         raise ValueError("mu0 requires s >= 1")
-    d = np.asarray(direction, dtype=float)
 
-    def ev(xi, eta, _d=d, _s=float(s), _phase=phase):
-        num = np.einsum("...j,j->...", _phase.gradient_xi(xi, eta), _d)
+    def ev(xi, eta, _s=float(s)):
+        num = evaluate_terms(WAVE_PHASE_GRAD_XI_TERMS[0], xi, eta)
         num = num * _norm(xi - eta)
-        den = 1j * _phase.evaluator(xi, eta) + 1.0 / _s
-        return num / den
+        return num / (1j * dissipative_phase(xi, eta) + 1.0 / _s)
 
-    return BilinearSymbol(name=name, evaluator=ev, degree=0.0, singular=True)
+    return BilinearSymbol(name="mu0", evaluator=ev, degree=0.0, singular=True)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +252,7 @@ def symbol_preset(name, mu0_time=10.0):
     if name == "mixed":
         return make_nonresonant_symbol(xi_norm, e_x, name="mixed")
     if name == "mu0":
-        return mu0_symbol(DISSIPATIVE_PHASE, mu0_time)
+        return mu0_symbol(mu0_time)
     raise KeyError(f"unknown symbol preset {name!r}")
 
 

@@ -20,6 +20,14 @@ def bump_state(g, dim, amp, widths=None):
     return ev.StateField(g, data, ev.T_INITIAL)
 
 
+def flow(cache, state, t_target):
+    """The exact linear flow exp(E (t_target - t)) of a state, for either
+    sign of t_target - t; flow(cache, state, 0.0) is its profile."""
+    G = spectra.propagator(cache, t_target - state.t)
+    flat = spectra.propagator_apply(G, state.data.reshape(state.dim_state, -1))
+    return ev.StateField(state.grid, flat.reshape(state.data.shape), t_target)
+
+
 @pytest.fixture(scope="module")
 def grid():
     return SpectralGrid(16, 16.0)
@@ -220,30 +228,9 @@ def test_linear_step_is_exact(grid):
         st = st0.copy()
         for _ in range(4):
             st = stepper.step(st)
-        exact = ev.flow(stepper.cache, st0, st.t)
+        exact = flow(stepper.cache, st0, st.t)
         exact.dealias()
         assert np.max(np.abs(st.data - exact.data)) <= 1e-10
-
-
-def test_linear_step_matches_green_parts():
-    # the integrator and the K + Kexp + W splitting agree on the band; the
-    # parts live on |xi| shells and reach the grid modes through cache.shell
-    g = SpectralGrid(16, 64.0)
-    model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
-    st0 = bump_state(g, 3, 1.0)
-    stepper = ev.Stepper(model, g, dt=2.0, scheme="ifrk2")
-    st = stepper.step(st0.copy())
-    cache = stepper.cache
-    parts = spectra.decompose_green(cache, 2.0)
-    part_of_shell = np.full(cache.xi_norm.size, -1)
-    part_of_shell[parts.modes] = np.arange(parts.modes.size)
-    part_of_mode = part_of_shell[cache.shell]
-    band = np.nonzero(part_of_mode >= 0)[0]
-    assert band.size >= 24 and parts.modes.size < band.size
-    total = (parts.K + parts.Kexp + parts.W)[part_of_mode[band]]
-    expect = np.einsum("mij,jm->im", total, st0.data.reshape(3, -1)[:, band])
-    got = st.data.reshape(3, -1)[:, band]
-    assert np.max(np.abs(got - expect)) <= 1e-10
 
 
 def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
@@ -370,20 +357,20 @@ def test_extract_profile_roundtrip(grid):
     model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
     st0 = bump_state(grid, 3, 1.0)
     cache = spectra.build_symbol_cache(grid, model.matrices())
-    st = ev.flow(cache, st0, 5.0)
-    prof = ev.flow(cache, st, 0.0)
+    st = flow(cache, st0, 5.0)
+    prof = flow(cache, st, 0.0)
     assert prof.t == 0.0
     # per-mode |f_w| = |w_hat| (unitary factor)
     assert np.max(np.abs(np.abs(prof.w_hat) - np.abs(st.w_hat))) < 1e-10
     # linear evolution has a time-constant profile
-    prof0 = ev.flow(cache, st0, 0.0)
+    prof0 = flow(cache, st0, 0.0)
     assert np.max(np.abs(prof.data - prof0.data)) <= 1e-9
     # reconstruction returns the state
-    back = ev.flow(cache, prof, st.t)
+    back = flow(cache, prof, st.t)
     assert np.max(np.abs(back.data - st.data)) < 1e-9
     # t = 0 profile equals the state (to rounding of the projector sum)
     st_t0 = ev.StateField(grid, st0.data, 0.0)
-    assert np.max(np.abs(ev.flow(cache, st_t0, 0.0).data
+    assert np.max(np.abs(flow(cache, st_t0, 0.0).data
                          - st_t0.data)) < 1e-14
 
 
@@ -393,7 +380,7 @@ def test_extract_profile_warns_at_large_t(grid):
     st = bump_state(grid, 3, 1.0)
     st.t = 60.0
     with pytest.warns(UserWarning):
-        ev.flow(cache, st, 0.0)
+        flow(cache, st, 0.0)
 
 
 def test_wave_profile_unitary(grid):
@@ -412,7 +399,7 @@ def test_high_frequency_exponential_decay(grid):
     ts = np.arange(1.0, 21.0, 1.0)
     vals = []
     for t in ts:
-        st = ev.flow(cache, st0, t)
+        st = flow(cache, st0, t)
         high = st.data * (grid.xi_norm > 0.25)
         vals.append(norms.total_sobolev(grid, high, 0))
     rate, _ = norms.fit_exponential_rate(ts, np.asarray(vals), (1.0, 20.0))

@@ -5,76 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdhyp import spectra
-from pdhyp.errors import DegenerateSpectrum, OutOfBand
 from pdhyp.grid import SpectralGrid
-
-
-def test_linear_symbol_at_zero():
-    m = spectra.three_component_model()
-    E = spectra.build_linear_symbol(m, (0.0, 0.0, 0.0))
-    assert np.array_equal(E, m.B.astype(complex))
-
-
-def test_linear_symbol_unit_mode():
-    m = spectra.three_component_model()
-    E = spectra.build_linear_symbol(m, (1.0, 0.0, 0.0))
-    expect = np.array([[0, -1j, 0], [-1j, -1, 0], [0, 0, -1j]])
-    assert np.max(np.abs(E - expect)) == 0.0
-
-
-def test_linear_symbol_half_norm():
-    # |xi| = 0.5 for xi = (0.3, 0.4, 0): same pattern with -0.5i
-    m = spectra.three_component_model()
-    E = spectra.build_linear_symbol(m, (0.3, 0.4, 0.0))
-    expect = np.array([[0, -0.5j, 0], [-0.5j, -1, 0], [0, 0, -0.5j]])
-    assert np.max(np.abs(E - expect)) < 1e-15
-
-
-def test_eigen_at_zero():
-    m = spectra.three_component_model()
-    lam, V, P = spectra.eigen_decompose(spectra.build_linear_symbol(m, (0, 0, 0)))
-    assert np.allclose(lam, [0.0, -1.0, 0.0])
-    assert np.allclose(P.sum(0), np.eye(3))
-
-
-def test_eigen_at_0p3():
-    m = spectra.three_component_model()
-    E = spectra.build_linear_symbol(m, (0.3, 0.0, 0.0))
-    lam, V, P = spectra.eigen_decompose(E)
-    assert np.allclose(lam, [-0.1, -0.9, -0.3j], atol=1e-14)
-    # oracle: dense eigensolver on the same matrix
-    dense = np.sort_complex(np.linalg.eigvals(E))
-    assert np.allclose(np.sort_complex(lam), dense, atol=1e-12)
-    # paper-form eigenvectors up to scalar: V1 = (1, -i(1-sqrt(1-4s^2))/(2s), 0)
-    s = 0.3
-    root = np.sqrt(1 - 4 * s ** 2)
-    v1_expect = np.array([1.0, -1j * (1 - root) / (2 * s), 0.0])
-    ratio = V[:2, 0] / v1_expect[:2]
-    assert np.allclose(ratio, ratio[0])
-    # eigen relations and projector algebra
-    for i in range(3):
-        assert np.max(np.abs(E @ V[:, i] - lam[i] * V[:, i])) < 1e-13
-        assert np.max(np.abs(P[i] @ P[i] - P[i])) < 1e-13
-    assert np.max(np.abs(sum(l * p for l, p in zip(lam, P)) - E)) < 1e-13
-
-
-def test_eigen_small_xi_expansion():
-    # lam1 = -|xi|^2 + O(|xi|^3) at |xi| = 0.05
-    m = spectra.two_component_model()
-    E = spectra.build_linear_symbol(m, (0.05, 0.0))
-    lam, _, _ = spectra.eigen_decompose(E)
-    assert abs(lam[0] + 0.0025) <= 8 * 0.05 ** 3
-
-
-def test_eigen_degenerate_band():
-    m = spectra.three_component_model()
-    E = spectra.build_linear_symbol(m, (0.5, 0.0, 0.0))
-    with pytest.raises(DegenerateSpectrum):
-        spectra.eigen_decompose(E)
-    # just outside the band it works
-    E = spectra.build_linear_symbol(m, (0.502, 0.0, 0.0))
-    lam, _, _ = spectra.eigen_decompose(E)
-    assert abs(lam[0].real + 0.5) < 1e-12 and lam[0].imag > 0
 
 
 def test_branch_continuation_above_half():
@@ -85,13 +16,31 @@ def test_branch_continuation_above_half():
 
 
 def test_projector_invariants_random_modes():
+    # named |xi| first: 0, 0.3, the branch point 1/2 (on the band), just
+    # past the band, and 1
+    named = [0.0, 0.3, 0.5, 0.502, 1.0]
     rng = np.random.default_rng(7)
     lo = rng.uniform(1e-3, 0.45, size=5000)
     hi = rng.uniform(0.55, 10.0, size=5000)
-    s = np.concatenate([lo, hi])
-    cache = spectra.build_symbol_cache_from_norms(
-        s, spectra.three_component_model())
-    P = cache.projectors
+    s = np.concatenate([named, lo, hi])
+    model = spectra.three_component_model()
+    cache = spectra.build_symbol_cache_from_norms(s, model)
+    # E = -i|xi| A + B
+    assert np.array_equal(cache.E[0], model.B)
+    for i, h in ((2, 0.5j), (4, 1j)):
+        expect = np.array([[0, -h, 0], [-h, -1, 0], [0, 0, -h]])
+        assert np.array_equal(cache.E[i], expect)
+    lam = cache.eigvals
+    assert np.allclose(lam[:, 0], [0.0, -1.0, 0.0], atol=1e-15)
+    assert np.allclose(lam[:, 1], [-0.1, -0.9, -0.3j], atol=1e-14)
+    # the band: projectors are unusable at 1/2, usable at 0.502, where
+    # the pair has continued to -1/2 +- i q
+    assert cache.degenerate_mask.tolist()[:5] == [False, False, True, False,
+                                                  False]
+    assert cache.degenerate_mask.sum() == 1
+    assert abs(lam[0, 3].real + 0.5) < 1e-12 and lam[0, 3].imag > 0
+    off = ~cache.degenerate_mask
+    P = cache.projectors[:, off]
     eye = np.eye(3)
     assert np.max(np.abs(P.sum(0) - eye)) < 1e-12
     for i in range(3):
@@ -99,8 +48,17 @@ def test_projector_invariants_random_modes():
             prod = np.einsum("mab,mbc->mac", P[i], P[j])
             target = P[i] if i == j else 0.0
             assert np.max(np.abs(prod - target)) < 1e-10
-    recon = np.einsum("km,kmij->mij", cache.eigvals, P)
-    assert np.max(np.abs(recon - cache.E)) < 1e-10
+    recon = np.einsum("km,kmij->mij", lam[:, off], P)
+    assert np.max(np.abs(recon - cache.E[off])) < 1e-10
+    # the slow branch is heat-like: e^{lam1 t}|P1| within a factor 2 of
+    # e^{-|xi|^2 t} on 0.05 < |xi| < 0.15 at t = 10
+    t = 10.0
+    band = (s > 0.05) & (s < 0.15)
+    slow = np.abs(np.exp(lam[0, band] * t)) * np.linalg.norm(
+        cache.projectors[0, band], 2, axis=(1, 2))
+    heat = np.exp(-s[band] ** 2 * t)
+    assert band.sum() > 100
+    assert np.all((heat / 2 <= slow) & (slow <= 2 * heat))
 
 
 def test_green_function_identity_and_zero_mode():
@@ -186,53 +144,47 @@ def test_shell_green_equals_per_mode_green(dim):
             assert np.max(np.abs(np.abs(G[4]) - 1.0)) < 1e-14
 
 
-def test_decompose_green():
-    g = SpectralGrid(16, 64.0)
-    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
-    parts = spectra.decompose_green(cache, 0.0)
-    total = parts.K + parts.Kexp + parts.W
-    assert np.max(np.abs(total - np.eye(3))) < 1e-12
-    # W carries only the (3,3) entry, modulus one
-    t = 10.0
-    parts = spectra.decompose_green(cache, t)
-    W = parts.W.copy()
-    assert np.max(np.abs(W[:, :2, :])) == 0.0
-    assert np.max(np.abs(W[:, :, :2])) == 0.0
-    assert np.max(np.abs(np.abs(W[:, 2, 2]) - 1.0)) < 1e-12
-    # sum equals the full Green function on the band
-    G = spectra.green_function(cache, t)[parts.modes]
-    assert np.max(np.abs(parts.K + parts.Kexp + parts.W - G)) < 1e-10
-    # K decays like the slow branch: within a factor 2 of e^{-|xi|^2 t}
-    s = cache.xi_norm[parts.modes]
-    for i in np.nonzero((s > 0.05) & (s < 0.15))[0]:
-        knorm = np.linalg.norm(parts.K[i], 2)
-        heat = np.exp(-s[i] ** 2 * t)
-        assert heat / 2 <= knorm <= 2 * heat
-
-
-def test_decompose_green_out_of_band():
-    g = SpectralGrid(16, 16.0)
-    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
-    bad = int(np.argmax(cache.xi_norm))
-    with pytest.raises(OutOfBand):
-        spectra.decompose_green(cache, 1.0, modes=[bad])
+def _up_to_sign(undamped):
+    """(z, mu) pairs with the first nonzero entry of each z made positive."""
+    return [(z * np.sign(z[np.flatnonzero(np.abs(z) > 1e-8)[0]]), mu)
+            for z, mu in undamped]
 
 
 def test_check_sk_three_component_violates():
-    report = spectra.check_sk(spectra.three_component_model(),
-                              [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-    assert not report.satisfies_sk
-    z = report.violating_directions[0][0]
-    assert np.allclose(np.abs(z), [0.0, 0.0, 1.0], atol=1e-12)
+    undamped = _up_to_sign(spectra.check_sk(spectra.three_component_model()))
+    assert len(undamped) == 1
+    z, mu = undamped[0]
+    assert np.allclose(z, [0.0, 0.0, 1.0], atol=1e-12)
+    assert abs(mu - 1.0) < 1e-12
 
 
 def test_check_sk_two_component_satisfies():
-    report = spectra.check_sk(spectra.two_component_model(), [(1.0, 0.0)])
-    assert report.satisfies_sk
-    assert report.violating_directions == []
+    assert spectra.check_sk(spectra.two_component_model()) == []
 
 
 def test_check_sk_full_dissipation_vacuous():
     model = spectra.ModelMatrices(np.diag([1.0, 1.0, 1.0]), -np.eye(3), 3)
-    report = spectra.check_sk(model, [(1.0, 0.0, 0.0)])
-    assert report.satisfies_sk
+    assert spectra.check_sk(model) == []
+
+
+def test_check_sk_finds_exactly_the_undamped_directions():
+    # damping w restores [SK] for the 3x3 model
+    model = spectra.ModelMatrices(spectra.three_component_model().A,
+                                  np.diag([0.0, -1.0, -1.0]), 3)
+    assert spectra.check_sk(model) == []
+    # no damping: every eigenvector of A is undamped
+    A = spectra.two_component_model().A
+    undamped = _up_to_sign(spectra.check_sk(
+        spectra.ModelMatrices(A, np.zeros((2, 2)), 2)))
+    assert len(undamped) == 2
+    r = np.sqrt(0.5)
+    for (z, mu), (z_want, mu_want) in zip(
+            sorted(undamped, key=lambda p: p[1]),
+            (([r, -r], -1.0), ([r, r], 1.0))):
+        assert np.allclose(z, z_want, atol=1e-12) and abs(mu - mu_want) < 1e-12
+    # A = I: every vector is an eigenvector, so ker B = span(e1) is undamped
+    undamped = _up_to_sign(spectra.check_sk(
+        spectra.ModelMatrices(np.eye(3), np.diag([0.0, -1.0, -1.0]), 3)))
+    assert len(undamped) == 1
+    assert np.allclose(undamped[0][0], [1.0, 0.0, 0.0], atol=1e-12)
+    assert abs(undamped[0][1] - 1.0) < 1e-12

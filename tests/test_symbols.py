@@ -10,6 +10,11 @@ def test_wave_phase_values():
     assert sy.wave_phase(xi, xi / 2) == 0.0
     assert abs(sy.wave_phase(xi, np.array([0.0, 1.0, 0.0]))
                - (1 - np.sqrt(2) - 1)) < 1e-15
+    # eta = 0.3 xi is time and space resonant; eta = e2 is neither
+    assert abs(sy.wave_phase(xi, 0.3 * xi)) < 1e-15
+    assert np.linalg.norm(sy.wave_phase_grad_eta(xi, 0.3 * xi)) < 1e-15
+    grad = sy.wave_phase_grad_eta(xi, np.array([0.0, 1.0, 0.0]))
+    assert abs(np.linalg.norm(grad) - np.sqrt(2 + np.sqrt(2))) < 1e-15
 
 
 def test_wave_phase_nonpositive_and_homogeneous():
@@ -27,10 +32,20 @@ def test_wave_phase_vanishes_on_segment_only():
     assert np.max(np.abs(sy.wave_phase(xi, eta))) < 1e-12
 
 
+def _grad_xi(xi, eta):
+    """grad_xi of either phase, from its term lists."""
+    return np.stack([sy.evaluate_terms(terms, xi, eta)
+                     for terms in sy.WAVE_PHASE_GRAD_XI_TERMS], axis=-1)
+
+
 def test_gradients_match_finite_differences():
+    # grad_eta of the wave phase, and grad_xi of both phases
     rng = np.random.default_rng(2)
     step = 1e-5
-    for phase in (sy.WAVE_PHASE, sy.DISSIPATIVE_PHASE):
+    cases = ((sy.wave_phase, "eta", sy.wave_phase_grad_eta),
+             (sy.wave_phase, "xi", _grad_xi),
+             (sy.dissipative_phase, "xi", _grad_xi))
+    for phase, var, gradient in cases:
         for _ in range(50):
             xi = rng.normal(size=3)
             eta = rng.normal(size=3) * 0.2   # keep |eta| < 1/2 mostly
@@ -39,20 +54,16 @@ def test_gradients_match_finite_differences():
                 continue
             if abs(np.linalg.norm(eta) - 0.5) < 0.05:
                 continue
-            grad = np.asarray(phase.gradient_eta(xi, eta))
+            grad = np.asarray(gradient(xi, eta))
             for j in range(3):
                 dv = np.zeros(3)
                 dv[j] = step
-                fd = (phase.evaluator(xi, eta + dv)
-                      - phase.evaluator(xi, eta - dv)) / (2 * step)
+                if var == "eta":
+                    fd = phase(xi, eta + dv) - phase(xi, eta - dv)
+                else:
+                    fd = phase(xi + dv, eta) - phase(xi - dv, eta)
+                fd /= 2 * step
                 assert abs(grad[j] - fd) < 1e-6 * max(1.0, abs(fd))
-            gxi = np.asarray(phase.gradient_xi(xi, eta))
-            for j in range(3):
-                dv = np.zeros(3)
-                dv[j] = step
-                fd = (phase.evaluator(xi + dv, eta)
-                      - phase.evaluator(xi - dv, eta)) / (2 * step)
-                assert abs(gxi[j] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_dissipative_phase_values():
@@ -61,6 +72,10 @@ def test_dissipative_phase_values():
     val = sy.dissipative_phase(xi, xi)
     assert abs(val.imag - 0.0101020514) < 1e-9
     assert abs(val.real - 0.1) < 1e-15   # |xi| - |xi - eta| with eta = xi
+    # (e1, 0.1 e1) is time resonant for the wave phase, not for this one
+    e1 = np.array([1.0, 0.0, 0.0])
+    assert abs(sy.wave_phase(e1, xi)) < 1e-15
+    assert abs(sy.dissipative_phase(e1, xi)) > 0.01
     # eta = 0 gives zero when xi - eta = xi
     assert sy.dissipative_phase(xi, np.zeros(3)) == 0.0
     # limit |eta| -> 1/2-: Im phi -> 1/2
@@ -114,41 +129,14 @@ def test_term_list_phases_equal_their_closed_forms():
     eta[100:150] = xi[100:150]
     xi[150:160] = eta[150:160] = 0.0
     cases = ((sy.wave_phase, _wave_phase),
-             (sy.WAVE_PHASE.evaluator, _wave_phase),
-             (sy.WAVE_PHASE.gradient_eta, _wave_phase_grad_eta),
-             (sy.WAVE_PHASE.gradient_xi, _phase_grad_xi),
-             (sy.DISSIPATIVE_PHASE.gradient_xi, _phase_grad_xi))
+             (sy.wave_phase_grad_eta, _wave_phase_grad_eta),
+             (_grad_xi, _phase_grad_xi))
     for derived, closed in cases:
         got, want = derived(xi, eta), closed(xi, eta)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.all(got == want)
-        # one point at a time, as classify_resonance evaluates
+        # one point at a time
         assert np.all(derived(xi[0], eta[3]) == closed(xi[0], eta[3]))
-
-
-def test_classify_wave_resonances():
-    xi = np.array([1.0, 0.0, 0.0])
-    r = sy.classify_resonance(sy.WAVE_PHASE, (xi, np.array([0.3, 0.0, 0.0])))
-    assert r.classification == frozenset({"time_resonant", "space_resonant"})
-    r = sy.classify_resonance(sy.WAVE_PHASE, (xi, np.array([0.0, 1.0, 0.0])))
-    assert r.classification == frozenset()
-    assert abs(r.phase_value + np.sqrt(2)) < 1e-14
-
-
-def test_classify_dissipative_kills_time_resonance():
-    xi = np.array([1.0, 0.0, 0.0])
-    r = sy.classify_resonance(sy.DISSIPATIVE_PHASE,
-                              (xi, np.array([0.1, 0.0, 0.0])))
-    assert "time_resonant" not in r.classification
-    assert abs(r.phase_value) > 0.01
-
-
-def test_classify_singular_point():
-    xi = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(SingularPoint):
-        sy.classify_resonance(sy.WAVE_PHASE, (xi, xi * 1e-9))
-    with pytest.raises(SingularPoint):
-        sy.classify_resonance(sy.WAVE_PHASE, (xi, xi))
 
 
 def test_null_b_matches_gradient_component():
@@ -250,22 +238,26 @@ def test_mu0_collinear_zero_and_bounded():
     xi = np.array([2.0, 0.0, 0.0])
     eta = np.array([1.0, 0.0, 0.0])  # xi parallel to xi - eta
     assert abs(m(xi, eta)) == 0.0
-    # bounded on the low-|xi| region with |eta|, |xi - eta| ~ 1
+    # bounded on the low-|xi| region with |eta|, |xi - eta| ~ 1, and
+    # continuous along the rays xi -> xi/2 there
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = jump = 0.0
     for _ in range(500):
         xi = rng.normal(size=3) * 0.05
         eta = rng.normal(size=3)
         eta *= rng.uniform(0.8, 1.2) / np.linalg.norm(eta)
         if np.linalg.norm(xi - eta) < 0.5:
             continue
-        worst = max(worst, abs(m(xi, eta)))
+        val = m(xi, eta)
+        worst = max(worst, abs(val))
+        jump = max(jump, abs(m(xi / 2, eta) - val))
     assert np.isfinite(worst) and worst < 20.0
+    assert jump <= 0.5 * (1.0 + worst)
 
 
 def test_mu0_denominator_floor():
     # |Re(i phi)| = Im phi >= 2(0.09)/(1+sqrt(0.64)) = 0.1 at |eta| = 0.3
-    m = sy.mu0_symbol(sy.DISSIPATIVE_PHASE, s=1e12)
+    m = sy.mu0_symbol(1e12)
     xi = np.array([0.4, 0.2, 0.0])
     eta = np.array([0.3, 0.0, 0.0])
     phi = sy.dissipative_phase(xi, eta)
@@ -275,7 +267,7 @@ def test_mu0_denominator_floor():
 
 def test_mu0_near_scale_invariance():
     # 1/s breaks exact homogeneity; continuity near lambda = 1 instead
-    m = sy.mu0_symbol(sy.DISSIPATIVE_PHASE, s=10.0)
+    m = sy.mu0_symbol(10.0)
     rng = np.random.default_rng(8)
     for _ in range(50):
         xi = rng.normal(size=3) * 0.1
@@ -287,31 +279,25 @@ def test_mu0_near_scale_invariance():
             assert drift <= 0.25 * (1.0 + abs(base))
 
 
-def test_class_membership_bounded_and_ray_continuous():
-    from pdhyp.bounds import BoundLedger
-    rng = np.random.default_rng(9)
-    ledger = BoundLedger()
-    for name in ("null_b", "mu0"):
-        m = sy.symbol_preset(name)
-        bound, jump = sy.class_membership_report(m, rng, ledger=ledger,
-                                                 samples=200)
-        assert np.isfinite(bound) and bound < 50.0
-        assert jump <= 0.5 * (1.0 + bound)   # no blow-up along rays
-    assert len(ledger.ratios("class_bound")) == 2
-
-
 def test_mu0_requires_dissipative_phase_and_s():
+    # the denominator is i phi + 1/s with phi the dissipative phase
+    xi, eta = _generic_points(np.random.default_rng(10), 200)
+    num = _phase_grad_xi(xi, eta)[..., 0] * np.linalg.norm(xi - eta, axis=-1)
+    expect = num / (1j * sy.dissipative_phase(xi, eta) + 0.1)
+    got = sy.mu0_symbol(10.0)(xi, eta)
+    assert np.max(np.abs(got - expect) / np.maximum(np.abs(expect), 1.0)) \
+        < 1e-14
     with pytest.raises(ValueError):
-        sy.mu0_symbol(sy.WAVE_PHASE, s=10.0)
-    with pytest.raises(ValueError):
-        sy.mu0_symbol(sy.DISSIPATIVE_PHASE, s=0.5)
+        sy.mu0_symbol(0.5)
 
 
 def test_symbol_checked_refuses_rays():
     m = sy.symbol_preset("null_b")
     xi = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(SingularPoint):
+    with pytest.raises(SingularPoint):     # near eta = 0
         m.checked(xi, xi * 1e-9)
+    with pytest.raises(SingularPoint):     # on xi - eta = 0
+        m.checked(xi, xi)
     val = m.checked(xi, np.array([0.0, 0.5, 0.0]))
     assert np.isfinite(val)
 
