@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +9,66 @@ from pdhyp import spectra
 from pdhyp.grid import SpectralGrid
 
 
+def _one_mode(s, model=None):
+    """The symbol cache at the single |xi| = s (3x3 model by default)."""
+    return spectra.build_symbol_cache_from_norms(
+        [s], model or spectra.three_component_model())
+
+
+def test_linear_symbol_at_zero():
+    m = spectra.three_component_model()
+    assert np.array_equal(_one_mode(0.0, m).E[0], m.B.astype(complex))
+
+
+def test_linear_symbol_unit_mode():
+    E = _one_mode(1.0).E[0]
+    expect = np.array([[0, -1j, 0], [-1j, -1, 0], [0, 0, -1j]])
+    assert np.max(np.abs(E - expect)) == 0.0
+
+
+def test_linear_symbol_half_norm():
+    # |xi| = 0.5: same pattern with -0.5i
+    E = _one_mode(np.linalg.norm([0.3, 0.4, 0.0])).E[0]
+    expect = np.array([[0, -0.5j, 0], [-0.5j, -1, 0], [0, 0, -0.5j]])
+    assert np.max(np.abs(E - expect)) < 1e-15
+
+
+def test_eigen_at_zero():
+    cache = _one_mode(0.0)
+    assert np.allclose(cache.eigvals[:, 0], [0.0, -1.0, 0.0])
+    assert np.allclose(cache.projectors[:, 0].sum(0), np.eye(3))
+
+
+def test_eigen_at_0p3():
+    cache = _one_mode(0.3)
+    E, lam, P = cache.E[0], cache.eigvals[:, 0], cache.projectors[:, 0]
+    assert np.allclose(lam, [-0.1, -0.9, -0.3j], atol=1e-14)
+    # oracle: dense eigensolver on the same matrix
+    dense = np.sort_complex(np.linalg.eigvals(E))
+    assert np.allclose(np.sort_complex(lam), dense, atol=1e-12)
+    # paper-form eigenvector: P1 fixes V1 = (1, -i(1-sqrt(1-4s^2))/(2s), 0)
+    s = 0.3
+    root = np.sqrt(1 - 4 * s ** 2)
+    v1 = np.array([1.0, -1j * (1 - root) / (2 * s), 0.0])
+    assert np.max(np.abs(P[0] @ v1 - v1)) < 1e-13
+    # eigen relations and projector algebra
+    for i in range(3):
+        assert np.max(np.abs(E @ P[i] - lam[i] * P[i])) < 1e-13
+        assert np.max(np.abs(P[i] @ P[i] - P[i])) < 1e-13
+    assert np.max(np.abs(sum(l * p for l, p in zip(lam, P)) - E)) < 1e-13
+
+
+def test_eigen_degenerate_band():
+    # the projectors are unusable at the branch point 1/2
+    assert _one_mode(0.5).degenerate_mask[0]
+    # just outside the band they are usable, and the pair has continued
+    # to -1/2 +- i q
+    cache = _one_mode(0.502)
+    assert not cache.degenerate_mask[0]
+    lam = cache.eigvals[0, 0]
+    assert abs(lam.real + 0.5) < 1e-12 and lam.imag > 0
+
+
 def test_branch_continuation_above_half():
     lam1, lam2, _ = spectra._branch_eigvals(np.array([0.8]))
     q = np.sqrt(4 * 0.64 - 1) / 2
@@ -16,31 +77,13 @@ def test_branch_continuation_above_half():
 
 
 def test_projector_invariants_random_modes():
-    # named |xi| first: 0, 0.3, the branch point 1/2 (on the band), just
-    # past the band, and 1
-    named = [0.0, 0.3, 0.5, 0.502, 1.0]
     rng = np.random.default_rng(7)
     lo = rng.uniform(1e-3, 0.45, size=5000)
     hi = rng.uniform(0.55, 10.0, size=5000)
-    s = np.concatenate([named, lo, hi])
-    model = spectra.three_component_model()
-    cache = spectra.build_symbol_cache_from_norms(s, model)
-    # E = -i|xi| A + B
-    assert np.array_equal(cache.E[0], model.B)
-    for i, h in ((2, 0.5j), (4, 1j)):
-        expect = np.array([[0, -h, 0], [-h, -1, 0], [0, 0, -h]])
-        assert np.array_equal(cache.E[i], expect)
-    lam = cache.eigvals
-    assert np.allclose(lam[:, 0], [0.0, -1.0, 0.0], atol=1e-15)
-    assert np.allclose(lam[:, 1], [-0.1, -0.9, -0.3j], atol=1e-14)
-    # the band: projectors are unusable at 1/2, usable at 0.502, where
-    # the pair has continued to -1/2 +- i q
-    assert cache.degenerate_mask.tolist()[:5] == [False, False, True, False,
-                                                  False]
-    assert cache.degenerate_mask.sum() == 1
-    assert abs(lam[0, 3].real + 0.5) < 1e-12 and lam[0, 3].imag > 0
-    off = ~cache.degenerate_mask
-    P = cache.projectors[:, off]
+    s = np.concatenate([lo, hi])
+    cache = spectra.build_symbol_cache_from_norms(
+        s, spectra.three_component_model())
+    P = cache.projectors
     eye = np.eye(3)
     assert np.max(np.abs(P.sum(0) - eye)) < 1e-12
     for i in range(3):
@@ -48,17 +91,8 @@ def test_projector_invariants_random_modes():
             prod = np.einsum("mab,mbc->mac", P[i], P[j])
             target = P[i] if i == j else 0.0
             assert np.max(np.abs(prod - target)) < 1e-10
-    recon = np.einsum("km,kmij->mij", lam[:, off], P)
-    assert np.max(np.abs(recon - cache.E[off])) < 1e-10
-    # the slow branch is heat-like: e^{lam1 t}|P1| within a factor 2 of
-    # e^{-|xi|^2 t} on 0.05 < |xi| < 0.15 at t = 10
-    t = 10.0
-    band = (s > 0.05) & (s < 0.15)
-    slow = np.abs(np.exp(lam[0, band] * t)) * np.linalg.norm(
-        cache.projectors[0, band], 2, axis=(1, 2))
-    heat = np.exp(-s[band] ** 2 * t)
-    assert band.sum() > 100
-    assert np.all((heat / 2 <= slow) & (slow <= 2 * heat))
+    recon = np.einsum("km,kmij->mij", cache.eigvals, P)
+    assert np.max(np.abs(recon - cache.E)) < 1e-10
 
 
 def test_green_function_identity_and_zero_mode():
@@ -120,7 +154,12 @@ def test_block_propagator_matches_dense_expm(s, t, dim, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
     got = spectra.propagator_apply(G, x)
-    expect = scipy.linalg.expm(cache.E[0] * t) @ x
+    # the oracle works in 30 digits: scipy's expm is itself off by up to
+    # 1e-10 once the backward flow amplifies by e^8
+    with mpmath.workdps(30):
+        flow = mpmath.expm(mpmath.matrix(cache.E[0].tolist()) * t)
+        expect = np.array((flow * mpmath.matrix(x.tolist())).tolist(),
+                          dtype=complex)
     assert np.max(np.abs(got - expect)) <= 1e-10
 
 
@@ -142,6 +181,39 @@ def test_shell_green_equals_per_mode_green(dim):
         assert np.array_equal(G, shells[:, rows, cols].T)
         if dim == 3:   # the wave flow is unitary
             assert np.max(np.abs(np.abs(G[4]) - 1.0)) < 1e-14
+
+
+def test_decompose_green():
+    # the low band |xi| <= 1/4 of a grid: exp(E t) splits into the diffusive
+    # K = e^{lam1 t}P1, the damped Kexp = e^{lam2 t}P2 and the wave part
+    # W = e^{-i|xi| t}P3
+    g = SpectralGrid(16, 64.0)
+    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
+    band = cache.xi_norm <= 0.25
+
+    def parts(t):
+        return (np.exp(lam[band] * t)[:, None, None] * P[band]
+                for lam, P in zip(cache.eigvals, cache.projectors))
+
+    K, Kexp, W = parts(0.0)
+    assert np.max(np.abs(K + Kexp + W - np.eye(3))) < 1e-12
+    t = 10.0
+    K, Kexp, W = parts(t)
+    # the sum is the full Green function on the band
+    G = spectra.green_function(cache, t)[band]
+    assert np.max(np.abs(K + Kexp + W - G)) < 1e-10
+    # W carries only the (3,3) entry, modulus one
+    assert np.max(np.abs(W[:, :2, :])) == 0.0
+    assert np.max(np.abs(W[:, :, :2])) == 0.0
+    assert np.max(np.abs(np.abs(W[:, 2, 2]) - 1.0)) < 1e-12
+    # K decays like the slow branch: within a factor 2 of e^{-|xi|^2 t}
+    s = cache.xi_norm[band]
+    slow = np.nonzero((s > 0.05) & (s < 0.15))[0]
+    assert slow.size > 0
+    for i in slow:
+        knorm = np.linalg.norm(K[i], 2)
+        heat = np.exp(-s[i] ** 2 * t)
+        assert heat / 2 <= knorm <= 2 * heat
 
 
 def _up_to_sign(undamped):
