@@ -4,10 +4,10 @@ A model is one per-mode linear operator E(i xi) = -i|xi| A + B and a table
 of quadratic sources: per equation, a coefficient for each monomial of
 MONOMIALS, plus the bilinear pseudoproduct T_m(w, w) in the w-equation.
 
-The linear part is advanced exactly through the per-mode matrix exponential
-(integrating factor), applied as its 2x2 block plus the wave phase; only
-the quadratic sources see explicit Runge-Kutta stages (Lawson schemes of
-order 2 and 4).  A model without sources steps by its exact flow alone,
+The linear part is advanced exactly on the dealiased band by the per-shell
+matrix exponential (integrating factor), its 2x2 block plus the wave phase;
+only the quadratic sources see explicit Runge-Kutta stages (Lawson schemes
+of order 2 and 4).  A model without sources steps by its exact flow alone,
 which is what both schemes reduce to when every stage source is zero.
 Polynomial sources are summed per equation in physical space and
 transformed once, the bilinear pseudoproduct source comes from
@@ -24,6 +24,7 @@ cos(|xi| dt) per step and destroy the wave invariants).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -274,39 +275,37 @@ class Stepper:
         self.plan = (pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
                      if model.w_form else None)
 
-    def _rhs(self, flat, t):
-        state = StateField(self.grid, flat.reshape(
-            (self.model.dim_state,) + self.grid.shape), t)
-        return rhs(self.model, state, self.plan).reshape(flat.shape)
+    def _rhs(self, data, t):
+        return rhs(self.model, StateField(self.grid, data, t), self.plan)
 
     def step(self, state, guard=None):
         h = self.dt
-        d = self.model.dim_state
-        lin = spectra.propagator_apply   # per step: a wrapper there sees all
-        flat = state.data.reshape(d, -1)
+        # looked up per step, so a wrapper of the module's name sees all
+        lin = partial(spectra.propagator_apply, self.cache)
+        x = state.data
         t = state.t
 
         if self.source_free:
-            new = lin(self.G_full, flat)
+            new = lin(self.G_full, x)
         elif self.scheme == "ifrk2":
-            n1 = self._rhs(flat, t)
-            pred = lin(self.G_full, flat + h * n1)
+            n1 = self._rhs(x, t)
+            pred = lin(self.G_full, x + h * n1)
             n2 = self._rhs(pred, t + h)
-            new = lin(self.G_full, flat + 0.5 * h * n1) + 0.5 * h * n2
+            new = lin(self.G_full, x + 0.5 * h * n1) + 0.5 * h * n2
         else:
             e1, eh = self.G_full, self.G_half
-            n1 = self._rhs(flat, t)
-            ua = lin(eh, flat + 0.5 * h * n1)
+            n1 = self._rhs(x, t)
+            ua = lin(eh, x + 0.5 * h * n1)
             n2 = self._rhs(ua, t + 0.5 * h)
-            ub = lin(eh, flat) + 0.5 * h * n2
+            ub = lin(eh, x) + 0.5 * h * n2
             n3 = self._rhs(ub, t + 0.5 * h)
-            uc = lin(e1, flat) + h * lin(eh, n3)
+            uc = lin(e1, x) + h * lin(eh, n3)
             n4 = self._rhs(uc, t + h)
-            new = (lin(e1, flat + h / 6.0 * n1)
+            new = (lin(e1, x + h / 6.0 * n1)
                    + h / 6.0 * (2.0 * lin(eh, n2 + n3) + n4))
 
         # rhs writes only the dealiased band and the flow keeps it
-        out = StateField(self.grid, new.reshape(state.data.shape), t + h)
+        out = StateField(self.grid, new, t + h)
         if guard is not None:
             guard.check(out)
         return out

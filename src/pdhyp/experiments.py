@@ -412,9 +412,8 @@ def project_damped_branch(state, cache):
     spectral branch (P2); degenerate-band modes are dropped."""
     P2 = cache.projectors[1].copy()
     P2[cache.degenerate_mask] = 0.0
-    flat = spectra.propagator_apply(spectra.mode_operator(cache, P2),
-                                    state.data.reshape(state.dim_state, -1))
-    return ev.StateField(state.grid, flat.reshape(state.data.shape), state.t)
+    data = spectra.propagator_apply(cache, spectra.block_rows(P2), state.data)
+    return ev.StateField(state.grid, data, state.t)
 
 
 # ---------------------------------------------------------------------------

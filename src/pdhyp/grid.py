@@ -21,7 +21,7 @@ code relies on:
 Modes, wavevectors and centered coordinates are stored as one 1-D axis per
 dimension, shaped (n,1,1), (1,n,1), (1,1,n) in 3-D so numpy broadcasts
 them.  The n^d tables are |xi|, the dealiasing mask, |x - center|^2 and
-the shell index; wavevectors() builds the dense (*shape, d) array on demand.
+the int32 shell index; wavevectors() builds the dense (*shape, d) array.
 
 to_spectral and to_physical return a new array the caller owns and never
 write their input.  A complex input is copied, then transformed and scaled
@@ -31,6 +31,7 @@ real-input path into a fresh array.  `transforms` counts both calls.
 """
 
 from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 import scipy.fft
@@ -75,6 +76,12 @@ class SpectralGrid:
 
         self.dealias_limit = dealias_limit(self.n)
         self.dealias_mask = self.band_mask(self.dealias_limit)
+        # the band's 2^d corners, each with its |k_j| as slices of the first
+        k = self.dealias_limit
+        ends = ((slice(k + 1), slice(None)),
+                (slice(self.n - k, None), slice(k, 0, -1)))
+        self.band_blocks = tuple(tuple(zip(*corner)) for corner
+                                 in product(ends, repeat=self.ndim))
 
         self.center = self.length / 2.0
         x1 = np.arange(self.n) * self.dx - self.center    # centered coordinates
@@ -99,8 +106,8 @@ class SpectralGrid:
         """np.unique(xi_norm.ravel(), return_inverse=True), from the octant."""
         octant = self.xi_norm[(slice(self.n // 2 + 1),) * self.ndim]
         norms, index = np.unique(octant, return_inverse=True)
-        k_abs = tuple(np.abs(k) for k in self.k_axes)
-        return norms, index.reshape(octant.shape)[k_abs].ravel()
+        index = index.reshape(octant.shape).astype(np.int32)
+        return norms, index[tuple(np.abs(k) for k in self.k_axes)].ravel()
 
     @cached_property
     def xi_norm_reciprocal(self):     # 1/|xi|, and 1 at xi = 0

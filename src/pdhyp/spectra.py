@@ -17,13 +17,13 @@ coalesce at |xi| = 1/2 where the projectors blow up; a band of width
 DEGENERATE_BAND around it is handled by a direct matrix exponential.
 
 E depends on xi only through |xi|, so the symbol cache of a grid is
-tabulated on the grid's |xi| shells and carries the mode -> shell index,
-both from grid.shells; eigenvalues, projectors and the Green function are
-evaluated once per shell.  exp(E t) keeps the block pattern of E: the 2x2
-dissipative block and, for three components, the wave phase e^{-i|xi| t}
-on the diagonal.  The per-mode operators the time stepper applies hold
-only these entries, (4 or 5, m) arrays gathered through the shell index
-(mode_operator, propagator) and applied elementwise (propagator_apply).
+tabulated on the grid's |xi| shells and carries the int32 mode -> shell
+index, both from grid.shells.  exp(E t) keeps the block pattern of E: the
+2x2 block and, for three components, the wave phase on the diagonal.
+Operators hold only these entries, (4 or 5, k) rows per shell (block_rows,
+propagator); propagator_apply gathers them on the 2/3-rule band's blocks
+and writes 0 off it, so it applies P_band exp(E t), which is exp(E t) on
+every dealiased state.
 """
 
 import warnings
@@ -118,9 +118,10 @@ class LinearSymbolCache:
     eigvals:    (3 or 2, k) branch-ordered eigenvalues
     projectors: (3 or 2, k, d, d) spectral projectors (garbage on the band)
     degenerate_mask: (k,) True where ||xi| - 1/2| < DEGENERATE_BAND
-    shell:      (m,) entry of each flattened grid mode, so that
-                xi_norm[shell] == grid.xi_norm.ravel(); None when the
-                entries are the modes themselves
+    shell:      int32 entry of each grid mode, xi_norm[shell] == grid.xi_norm;
+                None when the entries are the modes themselves
+    blocks:     grid.band_blocks, the only modes a grid cache's operators
+                reach, so they apply P_band exp(E t); else all entries
     """
     model: ModelMatrices
     E: np.ndarray
@@ -129,6 +130,7 @@ class LinearSymbolCache:
     degenerate_mask: np.ndarray
     xi_norm: np.ndarray = field(repr=False)
     shell: np.ndarray = field(repr=False, default=None)
+    blocks: tuple = field(repr=False, default=(((slice(None),), ()),))
 
     @property
     def dim_state(self):
@@ -138,7 +140,8 @@ class LinearSymbolCache:
 def build_symbol_cache(grid, model):
     """Closed-form eigenstructure on grid.shells, the grid's |xi| shells."""
     norms, shell = grid.shells
-    return replace(build_symbol_cache_from_norms(norms, model), shell=shell)
+    return replace(build_symbol_cache_from_norms(norms, model),
+                   shell=shell.reshape(grid.shape), blocks=grid.band_blocks)
 
 
 def build_symbol_cache_from_norms(xi_norms, model):
@@ -200,31 +203,33 @@ def green_function(cache, t):
     return G
 
 
-def mode_operator(cache, per_entry):
-    """Per-mode operator from per-entry matrices (k, d, d) with the block
-    pattern of E: their BLOCK_ENTRIES gathered onto the modes through the
-    shell index, shape (4 or 5, m)."""
-    rows, cols = zip(*BLOCK_ENTRIES[:4 if cache.dim_state == 2 else 5])
-    entries = per_entry[:, rows, cols].T
-    if cache.shell is None:
-        return np.ascontiguousarray(entries)
-    return np.take(entries, cache.shell, axis=1)
+def block_rows(per_entry):
+    """The BLOCK_ENTRIES of per-entry matrices (k, d, d) with the block
+    pattern of E, as the rows (4 or 5, k) that propagator_apply takes."""
+    rows, cols = zip(*BLOCK_ENTRIES[:per_entry.shape[-1] + 2])
+    return np.ascontiguousarray(per_entry[:, rows, cols].T)
 
 
 def propagator(cache, t):
-    """The per-mode operator of exp(E t), for either sign of t."""
-    return mode_operator(cache, green_function(cache, t))
+    """The rows of exp(E t) per cache entry, for either sign of t."""
+    return block_rows(green_function(cache, t))
 
 
-def propagator_apply(G, data):
-    """Apply a per-mode operator (4 or 5, m) to stacked fields (d, m): the
-    2x2 block to (u, v) and, for three components, the phase to w.  The
-    off-diagonal products are added one row at a time, so an apply holds
-    one field-sized temporary besides its output."""
-    out = np.empty(data.shape, dtype=complex)
-    np.multiply(G[0:4:3], data[:2], out=out[:2])     # G00 u, G11 v
-    out[0] += G[1] * data[1]                         # + G01 v
-    out[1] += G[2] * data[0]                         # + G10 u
-    if data.shape[0] == 3:
-        np.multiply(G[4], data[2], out=out[2])
-    return out
+def propagator_apply(cache, G, data):
+    """Apply rows G (4 or 5, k) to stacked fields row by row, one temporary
+    at a time: the 2x2 block to (u, v), the phase to w.  A grid cache takes
+    (d, *grid.shape) or (d, m), gathers G on the first band block, reads the
+    others' rows by mirror slices and writes 0 off the band; else (d, k)."""
+    per_entry = cache.shell is None
+    shape = data.shape if per_entry else data.shape[:1] + cache.shell.shape
+    fields, out = data.reshape(shape), np.zeros(shape, dtype=complex)
+    first = G if per_entry else G[:, cache.shell[cache.blocks[0][0]]]
+    for block, mirror in cache.blocks:
+        at = (slice(None),) + block
+        g, x, y = first[(slice(None),) + mirror], fields[at], out[at]
+        np.multiply(g[0:4:3], x[:2], out=y[:2])     # G00 u, G11 v
+        y[0] += g[1] * x[1]                         # + G01 v
+        y[1] += g[2] * x[0]                         # + G10 u
+        if len(x) == 3:
+            np.multiply(g[4], x[2], out=y[2])
+    return out.reshape(data.shape)

@@ -22,10 +22,11 @@ def bump_state(g, dim, amp, widths=None):
 
 def flow(cache, state, t_target):
     """The exact linear flow exp(E (t_target - t)) of a state, for either
-    sign of t_target - t; flow(cache, state, 0.0) is its profile."""
+    sign of t_target - t, on the dealiased band; flow(cache, state, 0.0) is
+    its profile."""
     G = spectra.propagator(cache, t_target - state.t)
-    flat = spectra.propagator_apply(G, state.data.reshape(state.dim_state, -1))
-    return ev.StateField(state.grid, flat.reshape(state.data.shape), t_target)
+    return ev.StateField(state.grid, spectra.propagator_apply(
+        cache, G, state.data), t_target)
 
 
 @pytest.fixture(scope="module")
@@ -273,19 +274,20 @@ def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
 
 
 def test_stepper_stores_the_block_per_mode_only():
-    # what the benchmark counts as cache memory (the symbol tables and both
-    # propagators of an IFRK4 Stepper): per mode at most 2 x 5 complex
-    # entries and the 8-byte shell index, the rest per |xi| shell
+    # what the Stepper holds for the linear flow (the symbol tables, the
+    # shell index and both propagators of an IFRK4 Stepper): per mode at
+    # most the 4-byte shell index, everything else per |xi| shell
     g = SpectralGrid(32, 64.0)
     model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0), w_symbol=None)
     stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
     c = stepper.cache
     counted = (c.E, c.eigvals, c.projectors, c.degenerate_mask, c.xi_norm,
-               stepper.G_full, stepper.G_half)
+               c.shell, stepper.G_full, stepper.G_half)
     shells = np.unique(g.xi_norm).size
-    # E, eigvals, projectors: 9 + 3 + 27 complex; mask and |xi|: 1 + 8 bytes
-    per_shell = 16 * (9 + 3 + 27) + 1 + 8
-    limit = g.size * (2 * 5 * 16 + 8) + shells * per_shell
+    # E, eigvals, projectors: 9 + 3 + 27 complex; two propagators: 2 x 5
+    # complex; mask and |xi|: 1 + 8 bytes
+    per_shell = 16 * (9 + 3 + 27 + 2 * 5) + 1 + 8
+    limit = g.size * 4 + shells * per_shell
     assert sum(a.nbytes for a in counted) <= limit
 
 

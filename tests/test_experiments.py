@@ -270,6 +270,23 @@ def test_a_step_with_sources_stays_in_the_dealiased_band(
     assert out.data.any()
 
 
+@pytest.mark.parametrize("n", [15, 16])
+def test_initial_data_and_projection_leave_no_mode_outside_the_band(n):
+    # the band-only propagator apply assumes every state is dealiased
+    g = SpectralGrid(n, 32.0)
+    k = g.dealias_limit     # data reaching the band edge
+    made = [ex.make_initial_data("gaussian_bump", g, 0.5, 0,
+                                 width=[0.1, 2.0, 3.0],
+                                 radial_power=[0, 1, 2]),
+            ex.make_initial_data("random_bandlimited", g, 0.5, 1, band=k),
+            ex.make_initial_data("single_mode", g, 0.5, 0, mode=(k, -k, 1))]
+    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
+    made += [ex.project_damped_branch(st, cache) for st in made]
+    for st in made:
+        assert st.data.any()
+        assert not st.data[:, ~g.dealias_mask].any()
+
+
 def test_seed_stability_bit_identical():
     g = SpectralGrid(16, 32.0)
     a = ex.make_initial_data("random_bandlimited", g, 1e-2, 42)

@@ -95,6 +95,21 @@ def test_shells_equal_the_sorted_full_grid(n, ndim):
     assert g.shells is g.shells
 
 
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 15, 16, 24])
+def test_band_blocks_tile_the_band_and_mirror_the_first_corner(n, ndim):
+    g = SpectralGrid(n, 7.3, ndim)
+    assert len(g.band_blocks) == 2 ** ndim
+    count = np.zeros(g.shape, dtype=int)
+    first = g.band_blocks[0][0]
+    for block, mirror in g.band_blocks:
+        count[block] += 1
+        for k in g.k_axes:
+            k = np.broadcast_to(k, g.shape)
+            assert np.array_equal(np.abs(k[block]), k[first][mirror])
+    assert np.array_equal(count, g.dealias_mask)
+
+
 def test_multiplier_tables_are_built_once():
     g = SpectralGrid(8, 5.0)
     assert g.sobolev_weight is g.sobolev_weight

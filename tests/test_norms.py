@@ -107,8 +107,7 @@ def test_initial_energy_equals_the_per_term_formula():
     # a flowed state is complex in physical space
     cache = spectra.build_symbol_cache(g, spectra.three_component_model())
     G = spectra.propagator(cache, 3.5)
-    later = ev.StateField(g, spectra.propagator_apply(
-        G, st.data.reshape(3, -1)).reshape(st.data.shape), 4.5)
+    later = ev.StateField(g, spectra.propagator_apply(cache, G, st.data), 4.5)
     assert np.abs(g.to_physical(later.data[2]).imag).max() > 1e-3
     assert norms.initial_energy(later) == _initial_energy_per_term(later)
 

@@ -153,7 +153,7 @@ def test_block_propagator_matches_dense_expm(s, t, dim, seed):
     assert G.shape == (dim + 2, 1)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
-    got = spectra.propagator_apply(G, x)
+    got = spectra.propagator_apply(cache, G, x)
     # the oracle works in 30 digits: scipy's expm is itself off by up to
     # 1e-10 once the backward flow amplifies by e^8
     with mpmath.workdps(30):
@@ -165,22 +165,41 @@ def test_block_propagator_matches_dense_expm(s, t, dim, seed):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_shell_green_equals_per_mode_green(dim):
-    g = SpectralGrid(16, 8 * np.pi)    # |k| = 2 lies on |xi| = 1/2
     model = (spectra.three_component_model() if dim == 3
              else spectra.two_component_model())
-    cache = spectra.build_symbol_cache(g, model)
-    assert cache.xi_norm.size < g.size
-    assert np.array_equal(cache.xi_norm[cache.shell], g.xi_norm.ravel())
-    per_mode = spectra.build_symbol_cache_from_norms(g.xi_norm.ravel(), model)
-    assert per_mode.degenerate_mask.any()
-    for t in (2.5, -0.7):
-        shells = spectra.green_function(cache, t)[cache.shell]
-        assert np.array_equal(shells, spectra.green_function(per_mode, t))
-        G = spectra.propagator(cache, t)
-        rows, cols = zip(*spectra.BLOCK_ENTRIES[:dim + 2])
-        assert np.array_equal(G, shells[:, rows, cols].T)
-        if dim == 3:   # the wave flow is unitary
-            assert np.max(np.abs(np.abs(G[4]) - 1.0)) < 1e-14
+    rows, cols = zip(*spectra.BLOCK_ENTRIES[:dim + 2])
+    rng = np.random.default_rng(dim)
+    for n, ndim in ((15, 2), (15, 3), (16, 2), (16, 3)):
+        g = SpectralGrid(n, 8 * np.pi, ndim)   # |k| = 2 lies on |xi| = 1/2
+        cache = spectra.build_symbol_cache(g, model)
+        assert cache.xi_norm.size < g.size and cache.shell.dtype == np.int32
+        assert np.array_equal(cache.xi_norm[cache.shell], g.xi_norm)
+        per_mode = spectra.build_symbol_cache_from_norms(g.xi_norm, model)
+        assert per_mode.degenerate_mask.any()
+        x = rng.normal(size=(dim,) + g.shape) + 1j * rng.normal(
+            size=(dim,) + g.shape)
+        for t in (2.5, -0.7):
+            green = spectra.green_function(cache, t)
+            assert np.array_equal(green[cache.shell.ravel()],
+                                  spectra.green_function(per_mode, t))
+            G = spectra.propagator(cache, t)    # the rows, one per shell
+            assert G.shape == (dim + 2, cache.xi_norm.size)
+            assert np.array_equal(G, green[:, rows, cols].T)
+            if dim == 3:   # the wave flow is unitary
+                assert np.max(np.abs(np.abs(G[4]) - 1.0)) < 1e-14
+            # on dealiased fields the band apply is the per-mode product
+            u = g.dealias(x)
+            Gm = G[:, cache.shell]
+            expect = [Gm[0] * u[0] + Gm[1] * u[1], Gm[3] * u[1] + Gm[2] * u[0]]
+            expect += [Gm[4] * u[2]] if dim == 3 else []
+            assert np.array_equal(spectra.propagator_apply(cache, G, u),
+                                  np.array(expect))
+            assert np.array_equal(spectra.propagator_apply(
+                cache, G, u.reshape(dim, -1)), np.reshape(expect, (dim, -1)))
+            # and a full-grid input comes back exactly 0 off the band
+            full = spectra.propagator_apply(cache, G, x)
+            assert not full[:, ~g.dealias_mask].any()
+            assert np.array_equal(full, spectra.propagator_apply(cache, G, u))
 
 
 def test_decompose_green():
