@@ -24,7 +24,7 @@ print("below |xi| = 1/2 the slow branch behaves like -|xi|^2 (diffusion),")
 print("above it both branches damp at the fixed rate 1/2 and oscillate.\n")
 
 model = spectra.three_component_model()
-one = spectra.build_symbol_cache_from_norms([0.3], model)
+one = spectra.build_symbol_cache([0.3], model)
 P = one.projectors[:, 0]
 print("=== E(i xi) at |xi| = 0.3 ===")
 print(one.E[0])
@@ -35,11 +35,13 @@ print("idempotence |P1^2 - P1| =", np.max(np.abs(P[0] @ P[0] - P[0])), "\n")
 
 t = 10.0
 grid = SpectralGrid(32, 128.0)
-cache = spectra.build_symbol_cache(grid, model)
+norms, _ = grid.shells            # the |xi| shells of the 2/3-rule band
+cache = spectra.build_symbol_cache(norms, model)
 band = np.nonzero(cache.xi_norm <= 0.25)[0]
 print(f"=== Green terms e^(lam_i t) P_i on |xi| <= 1/4, t = {t:g} ===")
-print(f"{np.isin(cache.shell, band).sum()} modes on {band.size} |xi| shells "
-      f"in band ({cache.xi_norm.size} shells for {grid.size} modes in all)")
+print(f"{np.sum(grid.xi_norm <= 0.25)} modes on {band.size} |xi| shells "
+      f"({norms.size} shells for the {np.sum(grid.dealias_mask)} modes of "
+      "the 2/3 band)")
 terms = (np.exp(cache.eigvals[:, band] * t)[..., None, None]
          * cache.projectors[:, band])
 gap = np.max(np.abs(terms.sum(0) - spectra.green_function(cache, t)[band]))

@@ -10,7 +10,7 @@ from .symbols import (BilinearSymbol, wave_phase, dissipative_phase,
                       make_nonresonant_symbol, mu0_symbol, symbol_preset)
 from .pseudoproduct import (PseudoproductPlan, apply, apply_direct,
                             holder_bound_ratio)
-from .propagators import lambda_power, riesz, half_wave, fractional_ratio
+from .propagators import lambda_power, riesz, fractional_ratio
 from .evolution import (ModelSpec, Coefficients, StateField, Stepper,
                         BlowupGuard, rhs, wave_profile)
 from .norms import (NormSpec, BootstrapReport, evaluate_norm,

@@ -62,7 +62,7 @@ def criterion_1(result, workdir):
     rng = np.random.default_rng(11)
     model = spectra.three_component_model()
     s = _random_xi_norms(rng, 10_000)
-    cache = spectra.build_symbol_cache_from_norms(s, model)
+    cache = spectra.build_symbol_cache(s, model)
 
     dense = np.linalg.eigvals(cache.E)
     mine = cache.eigvals.T

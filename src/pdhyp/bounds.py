@@ -24,6 +24,3 @@ class BoundLedger:
     def max_ratio(self, label):
         vals = self.ratios(label)
         return max(vals) if vals else 0.0
-
-    def clear(self):
-        self.entries.clear()

@@ -5,10 +5,6 @@ class PdhypError(Exception):
     """Base class for package errors."""
 
 
-class SingularPoint(PdhypError):
-    """Evaluation requested too close to {xi=0} u {xi-eta=0} u {eta=0}."""
-
-
 class DegreeMismatch(PdhypError):
     """Declared homogeneity degree contradicts the symbol's scaling."""
 

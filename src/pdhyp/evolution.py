@@ -5,15 +5,17 @@ of quadratic sources: per equation, a coefficient for each monomial of
 MONOMIALS, plus the bilinear pseudoproduct T_m(w, w) in the w-equation.
 
 The linear part is advanced exactly on the dealiased band by the per-shell
-matrix exponential (integrating factor), its 2x2 block plus the wave phase;
-only the quadratic sources see explicit Runge-Kutta stages (Lawson schemes
-of order 2 and 4).  A model without sources steps by its exact flow alone,
-which is what both schemes reduce to when every stage source is zero.
+matrix exponential (integrating factor), its 2x2 block plus the wave phase,
+gathered once onto the band's first corner (spectra.band_rows); only the
+quadratic sources see explicit Runge-Kutta stages (Lawson schemes of order
+2 and 4).  A model without sources steps by its exact flow alone, which is
+what both schemes reduce to when every stage source is zero.
 Polynomial sources are summed per equation in physical space and
 transformed once, the bilinear pseudoproduct source comes from
 pseudoproduct.apply; everything is dealiased with the strict 2/3 rule.
 
-Initial time is t = 1 by convention and all decay fits start there.
+Initial time is t = 1 by convention and all decay fits start there.  The
+wave profile e^{i|xi| t} w_hat is the same band apply with one phase row.
 
 Physical-space realness is not an invariant of these models: the convection
 symbol -i|xi| A is even in xi, so the flow maps conjugate-symmetric spectral
@@ -31,7 +33,6 @@ import numpy as np
 from . import norms, pseudoproduct, spectra
 from .errors import StepRejected
 from .grid import SOBOLEV_N, SpectralGrid
-from .propagators import half_wave
 
 T_INITIAL = 1.0
 BLOWUP_FACTOR = 1e3
@@ -152,15 +153,6 @@ class StateField:
     def copy(self):
         return StateField(self.grid, self.data.copy(), self.t)
 
-    def dealias(self):
-        """Zero the modes outside the 2/3-rule band, in place."""
-        self.data *= self.grid.dealias_mask
-        return self
-
-    def conjugate_symmetry_defect(self):
-        return max(self.grid.conjugate_symmetry_defect(self.data[i])
-                   for i in range(self.dim_state))
-
 
 # ---------------------------------------------------------------------------
 # quadratic sources
@@ -267,10 +259,11 @@ class Stepper:
         self.grid = grid
         self.dt = float(dt)
         self.scheme = scheme
-        self.cache = spectra.build_symbol_cache(grid, model.matrices())
+        self.cache = spectra.build_symbol_cache(grid.shells[0],
+                                                model.matrices())
         self.source_free = not (any(model.sources) or model.w_form)
-        self.G_full = spectra.propagator(self.cache, self.dt)
-        self.G_half = (spectra.propagator(self.cache, self.dt / 2.0)
+        self.G_full = spectra.propagator(grid, self.cache, self.dt)
+        self.G_half = (spectra.propagator(grid, self.cache, self.dt / 2.0)
                        if scheme == "ifrk4" and not self.source_free else None)
         self.plan = (pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
                      if model.w_form else None)
@@ -281,7 +274,7 @@ class Stepper:
     def step(self, state, guard=None):
         h = self.dt
         # looked up per step, so a wrapper of the module's name sees all
-        lin = partial(spectra.propagator_apply, self.cache)
+        lin = partial(spectra.propagator_apply, self.grid)
         x = state.data
         t = state.t
 
@@ -323,5 +316,8 @@ def default_dt(dx):
 
 def wave_profile(state):
     """f_w = e^{+i|xi| t} w_hat: the unitary profile of the wave component
-    (no amplification, safe at any t)."""
-    return half_wave(state.grid, state.t) * state.w_hat
+    (no amplification, safe at any t) on the dealiased band, with the phase
+    taken once per |xi| shell."""
+    g = state.grid
+    phase = spectra.band_rows(g, np.exp(1j * g.shells[0] * state.t))
+    return spectra.propagator_apply(g, phase, state.w_hat[None])[0]

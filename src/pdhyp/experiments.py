@@ -4,10 +4,10 @@ loops, norm series, decay fits and the bootstrap report.
 Configs are single human-editable JSON files (see the shipped presets);
 scripted overrides take precedence via dotted ``--set key=value`` pairs.
 Each field is declared once, in ``_FIELDS``, with its default, its form and
-a note; the defaults and CONFIG_SCHEMA derive from that table.  Validation
-checks every field's form first, then the cross-field rules whose fields
-passed.  Runs are deterministic given the config and seed: identical
-configs produce byte-identical CSV output.
+a note; the defaults derive from that table.  Validation checks every
+field's form first, then the cross-field rules whose fields passed.  Runs
+are deterministic given the config and seed: identical configs produce
+byte-identical CSV output.
 """
 
 import copy
@@ -134,7 +134,6 @@ def _nest(leaf):
 
 
 _DEFAULTS = _nest(lambda entry: entry[0])
-CONFIG_SCHEMA = _nest(lambda e: "; ".join(filter(None, (e[1][0], e[2]))))
 
 
 def _merge(base, extra, path=""):
@@ -412,8 +411,9 @@ def project_damped_branch(state, cache):
     spectral branch (P2); degenerate-band modes are dropped."""
     P2 = cache.projectors[1].copy()
     P2[cache.degenerate_mask] = 0.0
-    data = spectra.propagator_apply(cache, spectra.block_rows(P2), state.data)
-    return ev.StateField(state.grid, data, state.t)
+    g = state.grid
+    data = spectra.propagator_apply(g, spectra.band_rows(g, P2), state.data)
+    return ev.StateField(g, data, state.t)
 
 
 # ---------------------------------------------------------------------------

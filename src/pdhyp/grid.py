@@ -20,8 +20,14 @@ code relies on:
 
 Modes, wavevectors and centered coordinates are stored as one 1-D axis per
 dimension, shaped (n,1,1), (1,n,1), (1,1,n) in 3-D so numpy broadcasts
-them.  The n^d tables are |xi|, the dealiasing mask, |x - center|^2 and
-the int32 shell index; wavevectors() builds the dense (*shape, d) array.
+them.  The n^d tables are |xi|, the dealiasing mask and |x - center|^2;
+wavevectors() builds the dense (*shape, d) array.
+
+The 2/3-rule band is tiled by 2^d corner blocks of basic slices
+(band_blocks), each paired with the slices of the first corner that hold
+its |k_j|.  |xi| is even in every k_j, so the first corner carries every
+|xi| on the band: shells sorts it once, and a per-|xi| table gathered onto
+that corner serves every block through the mirror slices.
 
 to_spectral and to_physical return a new array the caller owns and never
 write their input.  A complex input is copied, then transformed and scaled
@@ -101,13 +107,13 @@ class SpectralGrid:
     def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N
         return (1.0 + self.xi_norm ** 2) ** SOBOLEV_N
 
-    @cached_property    # |xi| is even in every k_j: sort one sign octant
+    @cached_property    # |xi| is even in every k_j: sort the first corner
     def shells(self):
-        """np.unique(xi_norm.ravel(), return_inverse=True), from the octant."""
-        octant = self.xi_norm[(slice(self.n // 2 + 1),) * self.ndim]
-        norms, index = np.unique(octant, return_inverse=True)
-        index = index.reshape(octant.shape).astype(np.int32)
-        return norms, index[tuple(np.abs(k) for k in self.k_axes)].ravel()
+        """The band's distinct |xi| in ascending order, and the int32 shell
+        of each mode of the band's first corner, shaped (K+1,)*ndim."""
+        corner = self.xi_norm[self.band_blocks[0][0]]
+        norms, index = np.unique(corner, return_inverse=True)
+        return norms, index.reshape(corner.shape).astype(np.int32)
 
     @cached_property
     def xi_norm_reciprocal(self):     # 1/|xi|, and 1 at xi = 0
@@ -144,9 +150,6 @@ class SpectralGrid:
     def conjugate_symmetrize(self, fhat):
         """Project onto conjugate-symmetric fields (real in physical space)."""
         return 0.5 * (fhat + np.conj(self.reflect(fhat)))
-
-    def conjugate_symmetry_defect(self, fhat):
-        return float(np.max(np.abs(fhat - np.conj(self.reflect(fhat)))))
 
     # -- misc ---------------------------------------------------------------
 

@@ -21,7 +21,6 @@ from .propagators import lp_norm, lp_physical, riesz
 
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
 GAMMA = 0.05
-DELTA = 0.05
 M0_BOUND_C = 5.0       # verdict threshold for M0(t) <= C * E_N
 
 
@@ -252,12 +251,12 @@ class BootstrapReport:
                 "bounded": bool(self.bounded)}
 
 
-def m0_functional(model_kind, series, e_n, c_max=M0_BOUND_C):
+def m0_functional(model_kind, series, e_n):
     """Running supremum of the model's weighted norm sum.
 
     series maps series names to (times, values); all constituents must share
     one time grid with t >= 1.  The verdict compares sup M0 against
-    c_max * E_N with the fitted constant reported.
+    M0_BOUND_C * E_N with the fitted constant reported.
     """
     if model_kind not in M0_WEIGHTS:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -282,7 +281,7 @@ def m0_functional(model_kind, series, e_n, c_max=M0_BOUND_C):
     fitted_c = float(np.max(m0) / e_n) if e_n > 0 else np.inf
     return BootstrapReport(model_kind=model_kind, times=times, m0=m0,
                            e_n=e_n, fitted_c=fitted_c,
-                           bounded=bool(fitted_c <= c_max))
+                           bounded=bool(fitted_c <= M0_BOUND_C))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Scalar Fourier multipliers: |xi|^s powers, Riesz transforms and the
-half-wave propagator, as arrays on the grid, plus the empirical
-fractional-integration estimate built from them.  |xi|^1 is grid.xi_norm
-itself."""
+"""Scalar Fourier multipliers: |xi|^s powers and Riesz transforms, as
+arrays on the grid, plus the empirical fractional-integration estimate
+built from them.  |xi|^1 is grid.xi_norm itself; the half-wave phase
+e^{i|xi| t} of the wave profile is a per-shell row (evolution.wave_profile)."""
 
 import numpy as np
 
@@ -20,12 +20,6 @@ def riesz(grid, j):
     """R_j = -i xi_j/|xi|, 0 at xi = 0.  Multiplying by the reciprocal of
     |xi| rounds as numpy's complex division by |xi| does."""
     return -1j * (grid.xi_axes[j] * grid.xi_norm_reciprocal)
-
-
-def half_wave(grid, t):
-    """e^{i|xi| t}, once per |xi| shell; t < 0 is the backward flow."""
-    norms, shell = grid.shells
-    return np.exp(1j * norms * t)[shell].reshape(grid.shape)
 
 
 # ---------------------------------------------------------------------------

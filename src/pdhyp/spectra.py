@@ -16,18 +16,18 @@ component is decoupled with lam_3 = -i|xi|.  The two branch eigenvalues
 coalesce at |xi| = 1/2 where the projectors blow up; a band of width
 DEGENERATE_BAND around it is handled by a direct matrix exponential.
 
-E depends on xi only through |xi|, so the symbol cache of a grid is
-tabulated on the grid's |xi| shells and carries the int32 mode -> shell
-index, both from grid.shells.  exp(E t) keeps the block pattern of E: the
-2x2 block and, for three components, the wave phase on the diagonal.
-Operators hold only these entries, (4 or 5, k) rows per shell (block_rows,
-propagator); propagator_apply gathers them on the 2/3-rule band's blocks
-and writes 0 off it, so it applies P_band exp(E t), which is exp(E t) on
-every dealiased state.
+E depends on xi only through |xi|, so the symbol cache is tabulated on a
+list of |xi| values; a grid's are its band shells, grid.shells.  exp(E t)
+keeps the block pattern of E: the 2x2 block and, for three components, the
+wave phase on the diagonal.  band_rows gathers per-shell tables once onto
+the band's first corner, as rows: the block entries of a matrix, or one row
+of scalars such as the wave profile's phase.  propagator_apply reads every
+band block's rows through its mirror slices and writes 0 off the band, so
+it applies P_band exp(E t), which is exp(E t) on every dealiased state.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -109,19 +109,13 @@ def _branch_eigvals(s):
 
 @dataclass
 class LinearSymbolCache:
-    """Symbol data tabulated per entry, flattened: for a grid cache
-    (build_symbol_cache) the entries are the grid's distinct |xi| values in
-    ascending order, for build_symbol_cache_from_norms the given values.
+    """Symbol data tabulated per entry, one entry per given |xi| value.
 
     xi_norm:    (k,) |xi| of each entry
     E:          (k, d, d) symbols -i|xi|A + B
     eigvals:    (3 or 2, k) branch-ordered eigenvalues
     projectors: (3 or 2, k, d, d) spectral projectors (garbage on the band)
     degenerate_mask: (k,) True where ||xi| - 1/2| < DEGENERATE_BAND
-    shell:      int32 entry of each grid mode, xi_norm[shell] == grid.xi_norm;
-                None when the entries are the modes themselves
-    blocks:     grid.band_blocks, the only modes a grid cache's operators
-                reach, so they apply P_band exp(E t); else all entries
     """
     model: ModelMatrices
     E: np.ndarray
@@ -129,23 +123,15 @@ class LinearSymbolCache:
     projectors: np.ndarray
     degenerate_mask: np.ndarray
     xi_norm: np.ndarray = field(repr=False)
-    shell: np.ndarray = field(repr=False, default=None)
-    blocks: tuple = field(repr=False, default=(((slice(None),), ()),))
 
     @property
     def dim_state(self):
         return self.model.dim_state
 
 
-def build_symbol_cache(grid, model):
-    """Closed-form eigenstructure on grid.shells, the grid's |xi| shells."""
-    norms, shell = grid.shells
-    return replace(build_symbol_cache_from_norms(norms, model),
-                   shell=shell.reshape(grid.shape), blocks=grid.band_blocks)
-
-
-def build_symbol_cache_from_norms(xi_norms, model):
-    """Cache over an arbitrary list of |xi| values, one entry each."""
+def build_symbol_cache(xi_norms, model):
+    """Closed-form eigenstructure at each of a list of |xi| values; a
+    grid's band shells are grid.shells[0]."""
     s = np.asarray(xi_norms, dtype=float).reshape(-1)
     m = s.size
     d = model.dim_state
@@ -203,33 +189,37 @@ def green_function(cache, t):
     return G
 
 
-def block_rows(per_entry):
-    """The BLOCK_ENTRIES of per-entry matrices (k, d, d) with the block
-    pattern of E, as the rows (4 or 5, k) that propagator_apply takes."""
-    rows, cols = zip(*BLOCK_ENTRIES[:per_entry.shape[-1] + 2])
-    return np.ascontiguousarray(per_entry[:, rows, cols].T)
+def band_rows(grid, per_shell):
+    """A per-shell table of grid.shells gathered onto the band's first
+    corner, as the rows (r, *corner) propagator_apply takes: the
+    BLOCK_ENTRIES of matrices (k, d, d) with the block pattern of E, or the
+    one row of scalars (k,)."""
+    if per_shell.ndim == 3:
+        rows, cols = zip(*BLOCK_ENTRIES[:per_shell.shape[-1] + 2])
+        per_shell = per_shell[:, rows, cols].T
+    # take, unlike [:, index], stores each row contiguously
+    return np.take(np.atleast_2d(per_shell), grid.shells[1], axis=1)
 
 
-def propagator(cache, t):
-    """The rows of exp(E t) per cache entry, for either sign of t."""
-    return block_rows(green_function(cache, t))
+def propagator(grid, cache, t):
+    """exp(E t) as band rows, for either sign of t; the cache is built on
+    grid.shells[0]."""
+    return band_rows(grid, green_function(cache, t))
 
 
-def propagator_apply(cache, G, data):
-    """Apply rows G (4 or 5, k) to stacked fields row by row, one temporary
-    at a time: the 2x2 block to (u, v), the phase to w.  A grid cache takes
-    (d, *grid.shape) or (d, m), gathers G on the first band block, reads the
-    others' rows by mirror slices and writes 0 off the band; else (d, k)."""
-    per_entry = cache.shell is None
-    shape = data.shape if per_entry else data.shape[:1] + cache.shell.shape
-    fields, out = data.reshape(shape), np.zeros(shape, dtype=complex)
-    first = G if per_entry else G[:, cache.shell[cache.blocks[0][0]]]
-    for block, mirror in cache.blocks:
+def propagator_apply(grid, G, data):
+    """Apply band rows G (r, *corner) to stacked fields (d, *grid.shape)
+    row by row, one temporary at a time: rows 0-3 as the 2x2 block to
+    (u, v), an odd last row as the phase of the last field.  Every band
+    block reads G through its mirror slices; modes off the band get 0."""
+    out = np.zeros(data.shape, dtype=complex)
+    for block, mirror in grid.band_blocks:
         at = (slice(None),) + block
-        g, x, y = first[(slice(None),) + mirror], fields[at], out[at]
-        np.multiply(g[0:4:3], x[:2], out=y[:2])     # G00 u, G11 v
-        y[0] += g[1] * x[1]                         # + G01 v
-        y[1] += g[2] * x[0]                         # + G10 u
-        if len(x) == 3:
-            np.multiply(g[4], x[2], out=y[2])
-    return out.reshape(data.shape)
+        g, x, y = G[(slice(None),) + mirror], data[at], out[at]
+        if len(g) > 1:
+            np.multiply(g[0:4:3], x[:2], out=y[:2])     # G00 u, G11 v
+            y[0] += g[1] * x[1]                         # + G01 v
+            y[1] += g[2] * x[0]                         # + G10 u
+        if len(g) % 2:
+            np.multiply(g[-1], x[-1], out=y[-1])        # the phase
+    return out

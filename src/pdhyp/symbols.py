@@ -7,8 +7,7 @@ dissipative phase is a closed form.
 All evaluators are vectorized numpy functions of wavevector arrays whose
 last axis is the space dimension.  Symbols are smooth only off the rays
 {xi = 0} u {xi - eta = 0} u {eta = 0}; on a grid, exactly singular lattice
-points evaluate to 0 (the zero-mode convention), while point evaluation
-through `checked` refuses points within a tolerance of the rays.
+points evaluate to 0 (the zero-mode convention).
 """
 
 from dataclasses import dataclass
@@ -16,9 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegreeMismatch, SingularPoint
-
-SINGULAR_TOL_FACTOR = 1e-6   # times the largest |xi| in play
+from .errors import DegreeMismatch
 
 
 def _norm(v):
@@ -115,20 +112,6 @@ class BilinearSymbol:
     def __call__(self, xi, eta):
         return self.evaluator(np.asarray(xi, dtype=float),
                               np.asarray(eta, dtype=float))
-
-    def checked(self, xi, eta, singular_tol=None):
-        """Point evaluation refusing the neighbourhood of the rays."""
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        scale = max(float(np.max(_norm(xi))), float(np.max(_norm(eta))), 1.0)
-        if singular_tol is None:
-            singular_tol = SINGULAR_TOL_FACTOR * scale
-        closest = min(float(np.min(_norm(xi))), float(np.min(_norm(eta))),
-                      float(np.min(_norm(xi - eta))))
-        if self.singular and closest < singular_tol:
-            raise SingularPoint(
-                f"{self.name}: point within {singular_tol:.3g} of a ray")
-        return self.evaluator(xi, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +221,7 @@ def mu0_symbol(s):
 # ---------------------------------------------------------------------------
 # named presets (External Interface)
 # ---------------------------------------------------------------------------
-def symbol_preset(name, mu0_time=10.0):
+def symbol_preset(name):
     """Presets addressable by name: one, null_b, aphi, mixed, mu0."""
     xi_norm = [(1.0, (NORM,), (), ())]        # a = |xi|
     e_x = [[(1.0, (), (), ())], None, None]   # b = (1, 0, 0)
@@ -252,7 +235,7 @@ def symbol_preset(name, mu0_time=10.0):
     if name == "mixed":
         return make_nonresonant_symbol(xi_norm, e_x, name="mixed")
     if name == "mu0":
-        return mu0_symbol(mu0_time)
+        return mu0_symbol(10.0)
     raise KeyError(f"unknown symbol preset {name!r}")
 
 

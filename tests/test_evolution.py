@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import conjugate_symmetry_defect
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
@@ -24,9 +25,10 @@ def flow(cache, state, t_target):
     """The exact linear flow exp(E (t_target - t)) of a state, for either
     sign of t_target - t, on the dealiased band; flow(cache, state, 0.0) is
     its profile."""
-    G = spectra.propagator(cache, t_target - state.t)
-    return ev.StateField(state.grid, spectra.propagator_apply(
-        cache, G, state.data), t_target)
+    g = state.grid
+    G = spectra.propagator(g, cache, t_target - state.t)
+    return ev.StateField(g, spectra.propagator_apply(g, G, state.data),
+                         t_target)
 
 
 @pytest.fixture(scope="module")
@@ -194,17 +196,6 @@ def test_fused_rhs_matches_per_monomial_sum(coefs, kind, coupling, symbol,
     assert np.max(np.abs(got - expect)) <= 1e-13 * scale
 
 
-def test_dealias_is_in_place(grid):
-    rng = np.random.default_rng(9)
-    data = rng.normal(size=(3,) + grid.shape) + 0j
-    st = ev.StateField(grid, data.copy(), ev.T_INITIAL)
-    buf = st.data
-    assert st.dealias() is st and st.data is buf
-    mask = grid.dealias_mask
-    assert not st.data[:, ~mask].any()
-    assert np.array_equal(st.data[:, mask], data[:, mask])
-
-
 def test_model_validation():
     null_b = sy.symbol_preset("null_b")
     with pytest.raises(ValueError):
@@ -229,9 +220,8 @@ def test_linear_step_is_exact(grid):
         st = st0.copy()
         for _ in range(4):
             st = stepper.step(st)
-        exact = flow(stepper.cache, st0, st.t)
-        exact.dealias()
-        assert np.max(np.abs(st.data - exact.data)) <= 1e-10
+        exact = grid.dealias(flow(stepper.cache, st0, st.t).data)
+        assert np.max(np.abs(st.data - exact)) <= 1e-10
 
 
 def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
@@ -245,12 +235,10 @@ def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
         lawson = ev.Stepper(model, grid, dt=1.7, scheme=scheme)
         lawson.source_free = False
         if scheme == "ifrk4":
-            lawson.G_half = spectra.propagator(lawson.cache, 1.7 / 2.0)
+            lawson.G_half = spectra.propagator(grid, lawson.cache, 1.7 / 2.0)
         expect = lawson.step(st0)
         with monkeypatch.context() as mp:
             mp.setattr(ev, "rhs", None)    # the exact step calls no rhs
-            # nor dealias: the flow keeps the band of a dealiased state
-            mp.setattr(ev.StateField, "dealias", None)
             got = stepper.step(st0)
         assert np.array_equal(got.data, expect.data)
         assert not got.data[:, ~grid.dealias_mask].any()
@@ -274,27 +262,56 @@ def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
 
 
 def test_stepper_stores_the_block_per_mode_only():
-    # what the Stepper holds for the linear flow (the symbol tables, the
-    # shell index and both propagators of an IFRK4 Stepper): per mode at
-    # most the 4-byte shell index, everything else per |xi| shell
+    # what the Stepper holds for the linear flow (the symbol tables and both
+    # propagators of an IFRK4 Stepper): the block rows per mode of the
+    # band's first corner, everything else per |xi| shell of the band
     g = SpectralGrid(32, 64.0)
     model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0), w_symbol=None)
     stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
     c = stepper.cache
     counted = (c.E, c.eigvals, c.projectors, c.degenerate_mask, c.xi_norm,
-               c.shell, stepper.G_full, stepper.G_half)
-    shells = np.unique(g.xi_norm).size
-    # E, eigvals, projectors: 9 + 3 + 27 complex; two propagators: 2 x 5
-    # complex; mask and |xi|: 1 + 8 bytes
-    per_shell = 16 * (9 + 3 + 27 + 2 * 5) + 1 + 8
-    limit = g.size * 4 + shells * per_shell
+               stepper.G_full, stepper.G_half)
+    shells = np.unique(g.xi_norm[g.dealias_mask]).size
+    corner = (g.dealias_limit + 1) ** g.ndim
+    # E, eigvals, projectors: 9 + 3 + 27 complex; mask and |xi|: 1 + 8
+    # bytes; two propagators: 2 x 5 complex per corner mode
+    per_shell = 16 * (9 + 3 + 27) + 1 + 8
+    limit = corner * 2 * 5 * 16 + shells * per_shell
     assert sum(a.nbytes for a in counted) <= limit
+
+
+def _arrays(value):
+    """The numpy arrays in an attribute value, inside tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_no_integer_table_per_mode(n):
+    # the |xi| shells index the band's first corner, not every mode
+    g = SpectralGrid(n, 32.0)
+    model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0),
+                         w_symbol=sy.symbol_preset("mixed"))
+    stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
+    stepper.step(bump_state(g, 3, 0.1))
+    ev.wave_profile(bump_state(g, 3, 0.1))
+    g.sobolev_weight, g.xi_norm_reciprocal    # every cached table built
+    assert g.shells[1].size == (g.dealias_limit + 1) ** g.ndim
+    owners = (g, stepper, stepper.cache)
+    found = [a for owner in owners for v in vars(owner).values()
+             for a in _arrays(v)]
+    assert len(found) > 10
+    assert not [a.shape for a in found
+                if np.issubdtype(a.dtype, np.integer) and a.size == g.size]
 
 
 def test_pure_wave_time_reversal(grid):
     model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
     st0 = bump_state(grid, 3, 1.0)
-    cache = spectra.build_symbol_cache(grid, model.matrices())
+    cache = spectra.build_symbol_cache(grid.shells[0], model.matrices())
     w0 = st0.data[2].copy()
     fwd = np.exp(-1j * grid.xi_norm * 0.9) * w0
     back = np.exp(+1j * grid.xi_norm * 0.9) * fwd
@@ -334,13 +351,13 @@ def test_conjugate_symmetry_of_sources(grid):
                                          c_v=1, d_v=1),
                          w_symbol=sy.symbol_preset("null_b"))
     st = bump_state(grid, 3, 0.5)
-    assert st.conjugate_symmetry_defect() < 1e-13
+    assert conjugate_symmetry_defect(grid, st.data) < 1e-13
     out = ev.rhs(model, st)
     for comp in out:
-        assert grid.conjugate_symmetry_defect(comp) < 1e-12
+        assert conjugate_symmetry_defect(grid, comp) < 1e-12
     stepper = ev.Stepper(model, grid, dt=0.5, scheme="ifrk2")
     st1 = stepper.step(st)
-    assert st1.conjugate_symmetry_defect() > 1e-6   # the flow is complex
+    assert conjugate_symmetry_defect(grid, st1.data) > 1e-6   # complex flow
 
 
 def test_blowup_guard():
@@ -358,7 +375,7 @@ def test_blowup_guard():
 def test_extract_profile_roundtrip(grid):
     model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
     st0 = bump_state(grid, 3, 1.0)
-    cache = spectra.build_symbol_cache(grid, model.matrices())
+    cache = spectra.build_symbol_cache(grid.shells[0], model.matrices())
     st = flow(cache, st0, 5.0)
     prof = flow(cache, st, 0.0)
     assert prof.t == 0.0
@@ -378,7 +395,7 @@ def test_extract_profile_roundtrip(grid):
 
 def test_extract_profile_warns_at_large_t(grid):
     model = ev.ModelSpec("pk_system", ev.Coefficients(), w_symbol=None)
-    cache = spectra.build_symbol_cache(grid, model.matrices())
+    cache = spectra.build_symbol_cache(grid.shells[0], model.matrices())
     st = bump_state(grid, 3, 1.0)
     st.t = 60.0
     with pytest.warns(UserWarning):
@@ -390,6 +407,8 @@ def test_wave_profile_unitary(grid):
     st.t = 7.0
     fw = ev.wave_profile(st)
     assert np.max(np.abs(np.abs(fw) - np.abs(st.w_hat))) < 1e-13
+    with pytest.raises(AttributeError):     # a 2-component state has no w
+        ev.wave_profile(ev.StateField(grid, st.data[:2], st.t))
 
 
 def test_high_frequency_exponential_decay(grid):
@@ -397,7 +416,7 @@ def test_high_frequency_exponential_decay(grid):
     # exponential rate bounded below (conservative floor)
     model = ev.ModelSpec("k_system", ev.Coefficients())
     st0 = bump_state(grid, 2, 1.0, widths=[0.8, 0.8])
-    cache = spectra.build_symbol_cache(grid, model.matrices())
+    cache = spectra.build_symbol_cache(grid.shells[0], model.matrices())
     ts = np.arange(1.0, 21.0, 1.0)
     vals = []
     for t in ts:

@@ -105,9 +105,10 @@ def test_initial_energy_equals_the_per_term_formula():
                            radial_power=[0, 1, 0])
     assert norms.initial_energy(st) == _initial_energy_per_term(st)
     # a flowed state is complex in physical space
-    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
-    G = spectra.propagator(cache, 3.5)
-    later = ev.StateField(g, spectra.propagator_apply(cache, G, st.data), 4.5)
+    cache = spectra.build_symbol_cache(g.shells[0],
+                                       spectra.three_component_model())
+    G = spectra.propagator(g, cache, 3.5)
+    later = ev.StateField(g, spectra.propagator_apply(g, G, st.data), 4.5)
     assert np.abs(g.to_physical(later.data[2]).imag).max() > 1e-3
     assert norms.initial_energy(later) == _initial_energy_per_term(later)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pdhyp import evolution as ev
 from pdhyp import norms
 from pdhyp import propagators as pr
 from pdhyp.acceptance import band_field
@@ -16,10 +17,19 @@ def gauss():
     return g, g.to_spectral(f)
 
 
+def _half_wave(g, w_hat, t):
+    """e^{i|xi| t} w_hat on the band, as evolution.wave_profile applies it
+    to the w of a state."""
+    data = np.zeros((3,) + g.shape, dtype=complex)
+    data[2] = w_hat
+    return ev.wave_profile(ev.StateField(g, data, t))
+
+
 def test_half_wave_unitary_inverse(gauss):
     g, fh = gauss
-    fwd = pr.half_wave(g, 3.7) * fh
-    back = pr.half_wave(g, -3.7) * fwd
+    fh = g.dealias(fh)
+    fwd = _half_wave(g, fh, 3.7)
+    back = _half_wave(g, fwd, -3.7)
     assert np.max(np.abs(back - fh)) <= 1e-13 * np.max(np.abs(fh))
     # unitarity in L^2
     assert abs(norms.l2_norm(g, fwd) - norms.l2_norm(g, fh)) \
@@ -28,8 +38,11 @@ def test_half_wave_unitary_inverse(gauss):
 
 @pytest.mark.parametrize("t", [-3.7, 0.0, 1.0, 31.0])
 def test_half_wave_equals_the_full_grid_exponential(t):
-    g = SpectralGrid(24, 12.0)
-    assert np.array_equal(pr.half_wave(g, t), np.exp(1j * g.xi_norm * t))
+    for n in (15, 16, 24):      # odd and even n, w up to the band edge
+        g = SpectralGrid(n, 12.0)
+        w = band_field(g, g.dealias_limit, np.random.default_rng(n))
+        assert np.array_equal(_half_wave(g, w, t),
+                              np.exp(1j * g.xi_norm * t) * w)
 
 
 def test_lambda_power_composition(gauss):

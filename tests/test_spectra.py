@@ -11,7 +11,7 @@ from pdhyp.grid import SpectralGrid
 
 def _one_mode(s, model=None):
     """The symbol cache at the single |xi| = s (3x3 model by default)."""
-    return spectra.build_symbol_cache_from_norms(
+    return spectra.build_symbol_cache(
         [s], model or spectra.three_component_model())
 
 
@@ -81,7 +81,7 @@ def test_projector_invariants_random_modes():
     lo = rng.uniform(1e-3, 0.45, size=5000)
     hi = rng.uniform(0.55, 10.0, size=5000)
     s = np.concatenate([lo, hi])
-    cache = spectra.build_symbol_cache_from_norms(
+    cache = spectra.build_symbol_cache(
         s, spectra.three_component_model())
     P = cache.projectors
     eye = np.eye(3)
@@ -96,8 +96,9 @@ def test_projector_invariants_random_modes():
 
 
 def test_green_function_identity_and_zero_mode():
-    g = SpectralGrid(8, 16.0)
-    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
+    g = SpectralGrid(8, 16.0)    # every |xi| of the grid, not only the band
+    cache = spectra.build_symbol_cache(np.unique(g.xi_norm),
+                                       spectra.three_component_model())
     G0 = spectra.green_function(cache, 0.0)
     assert np.max(np.abs(G0 - np.eye(3))) < 1e-14
     G2 = spectra.green_function(cache, 2.0)
@@ -108,8 +109,9 @@ def test_green_function_identity_and_zero_mode():
 
 
 def test_green_semigroup_and_expm_oracle():
-    g = SpectralGrid(8, 16.0)
-    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
+    g = SpectralGrid(8, 16.0)    # every |xi| of the grid, not only the band
+    cache = spectra.build_symbol_cache(np.unique(g.xi_norm),
+                                       spectra.three_component_model())
     Ga = spectra.green_function(cache, 1.3)
     Gb = spectra.green_function(cache, 0.9)
     Gab = spectra.green_function(cache, 2.2)
@@ -131,7 +133,7 @@ def test_green_continuous_across_band():
     model = spectra.three_component_model()
     for s_edge in (0.5 - spectra.DEGENERATE_BAND * 1.01,
                    0.5 + spectra.DEGENERATE_BAND * 1.01):
-        cache = spectra.build_symbol_cache_from_norms([s_edge], model)
+        cache = spectra.build_symbol_cache([s_edge], model)
         G = spectra.green_function(cache, 3.0)[0]
         oracle = scipy.linalg.expm(cache.E[0] * 3.0)
         assert np.max(np.abs(G - oracle)) < 1e-8
@@ -148,19 +150,23 @@ _BAND_EDGES = (0.5 - spectra.DEGENERATE_BAND, 0.5 + spectra.DEGENERATE_BAND)
 def test_block_propagator_matches_dense_expm(s, t, dim, seed):
     model = (spectra.three_component_model() if dim == 3
              else spectra.two_component_model())
-    cache = spectra.build_symbol_cache_from_norms([s], model)
-    G = spectra.propagator(cache, t)
-    assert G.shape == (dim + 2, 1)
+    # a 4-point axis keeps the modes 0 and +-1; the entries [0, s] stand
+    # for its two shells, so modes 1 and 3 = -1 carry exp(E(s) t)
+    g = SpectralGrid(4, 2 * np.pi, ndim=1)
+    cache = spectra.build_symbol_cache([0.0, s], model)
+    G = spectra.propagator(g, cache, t)
+    assert G.shape == (dim + 2, 2)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
-    got = spectra.propagator_apply(cache, G, x)
+    x = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    got = spectra.propagator_apply(g, G, x)
+    assert not got[:, 2].any()      # off the band
     # the oracle works in 30 digits: scipy's expm is itself off by up to
     # 1e-10 once the backward flow amplifies by e^8
     with mpmath.workdps(30):
-        flow = mpmath.expm(mpmath.matrix(cache.E[0].tolist()) * t)
-        expect = np.array((flow * mpmath.matrix(x.tolist())).tolist(),
+        flow = mpmath.expm(mpmath.matrix(cache.E[1].tolist()) * t)
+        expect = np.array((flow * mpmath.matrix(x[:, 1::2].tolist())).tolist(),
                           dtype=complex)
-    assert np.max(np.abs(got - expect)) <= 1e-10
+    assert np.max(np.abs(got[:, 1::2] - expect)) <= 1e-10
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -171,35 +177,50 @@ def test_shell_green_equals_per_mode_green(dim):
     rng = np.random.default_rng(dim)
     for n, ndim in ((15, 2), (15, 3), (16, 2), (16, 3)):
         g = SpectralGrid(n, 8 * np.pi, ndim)   # |k| = 2 lies on |xi| = 1/2
-        cache = spectra.build_symbol_cache(g, model)
-        assert cache.xi_norm.size < g.size and cache.shell.dtype == np.int32
-        assert np.array_equal(cache.xi_norm[cache.shell], g.xi_norm)
-        per_mode = spectra.build_symbol_cache_from_norms(g.xi_norm, model)
+        norms, index = g.shells
+        cache = spectra.build_symbol_cache(norms, model)
+        per_mode = spectra.build_symbol_cache(g.xi_norm, model)
         assert per_mode.degenerate_mask.any()
         x = rng.normal(size=(dim,) + g.shape) + 1j * rng.normal(
             size=(dim,) + g.shape)
+        u = g.dealias(x)
         for t in (2.5, -0.7):
             green = spectra.green_function(cache, t)
-            assert np.array_equal(green[cache.shell.ravel()],
-                                  spectra.green_function(per_mode, t))
-            G = spectra.propagator(cache, t)    # the rows, one per shell
-            assert G.shape == (dim + 2, cache.xi_norm.size)
-            assert np.array_equal(G, green[:, rows, cols].T)
+            Gm = spectra.green_function(per_mode, t)[:, rows, cols].T
+            Gm = Gm.reshape((dim + 2,) + g.shape)     # the rows, per mode
+            G = spectra.propagator(g, cache, t)    # on the first corner
+            assert G.shape == (dim + 2,) + index.shape
+            assert np.array_equal(G, green[:, rows, cols].T[:, index])
+            for block, mirror in g.band_blocks:
+                assert np.array_equal(G[(slice(None),) + mirror],
+                                      Gm[(slice(None),) + block])
             if dim == 3:   # the wave flow is unitary
                 assert np.max(np.abs(np.abs(G[4]) - 1.0)) < 1e-14
             # on dealiased fields the band apply is the per-mode product
-            u = g.dealias(x)
-            Gm = G[:, cache.shell]
             expect = [Gm[0] * u[0] + Gm[1] * u[1], Gm[3] * u[1] + Gm[2] * u[0]]
             expect += [Gm[4] * u[2]] if dim == 3 else []
-            assert np.array_equal(spectra.propagator_apply(cache, G, u),
+            assert np.array_equal(spectra.propagator_apply(g, G, u),
                                   np.array(expect))
-            assert np.array_equal(spectra.propagator_apply(
-                cache, G, u.reshape(dim, -1)), np.reshape(expect, (dim, -1)))
             # and a full-grid input comes back exactly 0 off the band
-            full = spectra.propagator_apply(cache, G, x)
+            full = spectra.propagator_apply(g, G, x)
             assert not full[:, ~g.dealias_mask].any()
-            assert np.array_equal(full, spectra.propagator_apply(cache, G, u))
+            assert np.array_equal(full, spectra.propagator_apply(g, G, u))
+
+
+@pytest.mark.parametrize("n, ndim", [(15, 2), (16, 3), (16, 1)])
+def test_one_row_table_applies_as_a_band_product(n, ndim):
+    g = SpectralGrid(n, 8 * np.pi, ndim)
+    norms, index = g.shells
+    rng = np.random.default_rng(n)
+    per_shell = rng.normal(size=norms.size) + 1j * rng.normal(size=norms.size)
+    row = spectra.band_rows(g, per_shell)
+    assert row.shape == (1,) + index.shape
+    x = rng.normal(size=(1,) + g.shape) + 1j * rng.normal(size=(1,) + g.shape)
+    got = spectra.propagator_apply(g, row, x)[0]
+    band = g.dealias_mask
+    on_band = per_shell[np.searchsorted(norms, g.xi_norm[band])]
+    assert np.array_equal(got[band], on_band * x[0][band])
+    assert not got[~band].any()
 
 
 def test_decompose_green():
@@ -207,7 +228,8 @@ def test_decompose_green():
     # K = e^{lam1 t}P1, the damped Kexp = e^{lam2 t}P2 and the wave part
     # W = e^{-i|xi| t}P3
     g = SpectralGrid(16, 64.0)
-    cache = spectra.build_symbol_cache(g, spectra.three_component_model())
+    cache = spectra.build_symbol_cache(g.shells[0],
+                                       spectra.three_component_model())
     band = cache.xi_norm <= 0.25
 
     def parts(t):

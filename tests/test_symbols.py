@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdhyp import acceptance, symbols as sy
-from pdhyp.errors import DegreeMismatch, SingularPoint
+from pdhyp.errors import DegreeMismatch
 
 
 def test_wave_phase_values():
@@ -148,16 +148,6 @@ def test_classify_dissipative_kills_time_resonance():
     eta = np.array([0.1, 0.0, 0.0])
     assert abs(sy.wave_phase(xi, eta)) < 1e-15
     assert abs(sy.dissipative_phase(xi, eta)) > 0.01
-
-
-def test_classify_singular_point():
-    # the wave phase, as a symbol, refuses the rays eta = 0 and xi = eta
-    phase = sy.BilinearSymbol.from_terms("phi_w", sy.WAVE_PHASE_TERMS)
-    xi = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(SingularPoint):
-        phase.checked(xi, xi * 1e-9)
-    with pytest.raises(SingularPoint):
-        phase.checked(xi, xi)
 
 
 def test_null_b_matches_gradient_component():
@@ -325,15 +315,6 @@ def test_mu0_requires_dissipative_phase_and_s():
         < 1e-14
     with pytest.raises(ValueError):
         sy.mu0_symbol(0.5)
-
-
-def test_symbol_checked_refuses_rays():
-    m = sy.symbol_preset("null_b")
-    xi = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(SingularPoint):
-        m.checked(xi, xi * 1e-9)
-    val = m.checked(xi, np.array([0.0, 0.5, 0.0]))
-    assert np.isfinite(val)
 
 
 def test_unknown_preset():
