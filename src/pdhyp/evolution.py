@@ -164,11 +164,11 @@ def rhs(model, state, plan=None):
 
     The transform is linear, so each equation sums its row of the source
     table in physical space (in MONOMIALS order) and pays one forward
-    transform and one dealias; rows that are scalar multiples of an earlier
+    transform onto the band; rows that are scalar multiples of an earlier
     row share its transform.  Only the components the table uses are
-    transformed, each product is formed once and released before the next,
-    and with no sources no transform is done.  T_m(w, w) is added last, as
-    the diagonal form of pseudoproduct.apply."""
+    transformed, from their band, each product is formed once and released
+    before the next, and with no sources no transform is done.  T_m(w, w)
+    is added last, as the diagonal form of pseudoproduct.apply."""
     g = state.grid
     out = np.zeros((model.dim_state,) + g.shape, dtype=complex)
     _polynomial_sources(model.sources, state, out)
@@ -186,8 +186,8 @@ def _polynomial_sources(sources, state, out):
     g = state.grid
     rows = _distinct_rows(sources)
     used = [m for m in MONOMIALS if any(m in row for row, _ in rows)]
-    phys = {c: g.to_physical(state.data[i]) for i, c in enumerate("uvw")
-            if any(c in m for m in used)}
+    phys = {c: g.to_physical(state.data[i], dealias=True)
+            for i, c in enumerate("uvw") if any(c in m for m in used)}
     totals = [None] * len(rows)
     for monomial in used:
         product = phys[monomial[0]] * phys[monomial[1]]
@@ -200,7 +200,7 @@ def _polynomial_sources(sources, state, out):
                     totals[k] += term
     for total, (_, targets) in zip(totals, rows):
         (first, _), *scaled = targets
-        np.copyto(out[first], g.to_spectral(total), where=g.dealias_mask)
+        out[first] = g.to_spectral(total, dealias=True)
         for eq, scale in scaled:
             np.multiply(out[first], scale, out=out[eq])
 

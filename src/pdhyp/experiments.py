@@ -3,11 +3,11 @@ loops, norm series, decay fits and the bootstrap report.
 
 Configs are single human-editable JSON files (see the shipped presets);
 scripted overrides take precedence via dotted ``--set key=value`` pairs.
-Each field is declared once, in ``_FIELDS``, with its default, its form and
-a note; the defaults derive from that table.  Validation checks every
-field's form first, then the cross-field rules whose fields passed.  Runs
-are deterministic given the config and seed: identical configs produce
-byte-identical CSV output.
+Each field is declared once, in ``_FIELDS``, with its default and its form
+(notes on a field are comments there); the defaults derive from that table.
+Validation checks every field's form first, then the cross-field rules
+whose fields passed.  Runs are deterministic given the config and seed:
+identical configs produce byte-identical CSV output.
 """
 
 import copy
@@ -74,66 +74,59 @@ _POSITIVE_OR_NULL = ("null or a positive finite number",
                      lambda v: v is None or (_is_number(v) and v > 0))
 _COEFFICIENTS = tuple(ev.Coefficients().as_dict())
 
-# path -> (default, (form, check), note): the one declaration of each config
+# path -> (default, (form, check)): the one declaration of each config
 # field.  validate checks every form before a cross-field rule reads it.
 _FIELDS = {
-    "model.kind": ("k_system", _one_of(*ev.MODEL_KINDS), ""),
-    "model.coefficients": (
+    "model.kind": ("k_system", _one_of(*ev.MODEL_KINDS)),
+    "model.coefficients": (     # unset names are 0
         {}, (f"a dict of finite numbers named from {' '.join(_COEFFICIENTS)}",
              lambda v: isinstance(v, dict) and set(v) <= set(_COEFFICIENTS)
-             and all(map(_is_number, v.values()))), "unset names are 0"),
-    "model.coupling": ("uw", _one_of(*ev.COUPLINGS), ""),
-    "model.symbol": ("null_b", _one_of(*SYMBOL_PRESET_NAMES, "none"), ""),
+             and all(map(_is_number, v.values())))),
+    "model.coupling": ("uw", _one_of(*ev.COUPLINGS)),
+    "model.symbol": ("null_b", _one_of(*SYMBOL_PRESET_NAMES, "none")),
     "grid.n": (32, ("an even int in [8, 65536] with scipy.fft.next_fast_len(n)"
                     " == n", lambda v: type(v) is int and 8 <= v <= 65536
-                    and v % 2 == 0 and scipy.fft.next_fast_len(v) == v), ""),
-    "grid.length": (128.0, ("a positive finite number",
-                            lambda v: _is_number(v) and v > 0), "box side L"),
-    "initial.preset": ("gaussian_bump", _one_of(*INITIAL_PRESETS), ""),
+                    and v % 2 == 0 and scipy.fft.next_fast_len(v) == v)),
+    "grid.length": (128.0, ("a positive finite number",     # box side L
+                            lambda v: _is_number(v) and v > 0)),
+    "initial.preset": ("gaussian_bump", _one_of(*INITIAL_PRESETS)),
     "initial.amplitude": (1e-3, ("a finite number >= 0",
-                                 lambda v: _is_number(v) and v >= 0), ""),
-    "initial.width": (1.0, _NUMBERS, "a list has one entry per component"),
-    "initial.radial_power": (0, _COUNTS, "a list has one entry per component"),
+                                 lambda v: _is_number(v) and v >= 0)),
+    "initial.width": (1.0, _NUMBERS),     # a list: one entry per component
+    "initial.radial_power": (0, _COUNTS),     # likewise
+    # for single_mode, each |k| <= (n-1)//3
     "initial.mode": ([1, 0, 0], ("a list of 3 ints", lambda v: _is_list_of(
-        v, lambda k: type(k) is int) and len(v) == 3),
-                     "for single_mode, each |k| <= (n-1)//3"),
-    "initial.band": (4, ("an int >= 1", lambda v: type(v) is int and v >= 1),
-                     "for random_bandlimited, at most (n-1)//3"),
-    "initial.seed": (0, ("an int >= 0", _is_count), ""),
-    "initial.project": ("none", _one_of("none", "damped_branch"), ""),
+        v, lambda k: type(k) is int) and len(v) == 3)),
+    # for random_bandlimited, at most (n-1)//3
+    "initial.band": (4, ("an int >= 1", lambda v: type(v) is int and v >= 1)),
+    "initial.seed": (0, ("an int >= 0", _is_count)),
+    "initial.project": ("none", _one_of("none", "damped_branch")),
+    # < L/4 (no-wrap), a whole number of steps from t = 1
     "time.t_max": (31.0, (f"a finite number > {ev.T_INITIAL:g}",
-                          lambda v: _is_number(v) and v > ev.T_INITIAL),
-                   "< L/4 (no-wrap), a whole number of steps from t = 1"),
-    "time.dt": (None, _POSITIVE_OR_NULL, "null for L/(2n)"),
-    "time.scheme": ("ifrk2", _one_of("ifrk2", "ifrk4"), ""),
-    "time.sample_dt": (None, _POSITIVE_OR_NULL,
-                       "a whole multiple of dt, null for dt"),
-    "norms": ("default", ("'default' or a nonempty list of 'kind:component' "
-                          "strings", lambda v: v == "default" or _is_list_of(
-                              v, lambda s: isinstance(s, str)) and len(v) > 0),
-              f"distinct; kind: {' | '.join(norms.NORM_KINDS)}; component: "
-              f"{' | '.join(norms.COMPONENTS)} (w and profile_w need a "
-              "3-component model)"),
+                          lambda v: _is_number(v) and v > ev.T_INITIAL)),
+    "time.dt": (None, _POSITIVE_OR_NULL),     # null for L/(2n)
+    "time.scheme": ("ifrk2", _one_of("ifrk2", "ifrk4")),
+    # a whole multiple of dt, null for dt
+    "time.sample_dt": (None, _POSITIVE_OR_NULL),
+    # distinct NORM_KINDS:COMPONENTS names; w, profile_w need 3 components
+    "norms": ("default", (
+        "'default' or a nonempty list of 'kind:component' strings",
+        lambda v: v == "default" or _is_list_of(
+            v, lambda s: isinstance(s, str)) and len(v) > 0)),
+    # null for [0.25, 0.9] * t_max
     "fit.window": (None, ("null or finite [t_lo, t_hi] with t_lo < t_hi",
                           lambda v: v is None or _is_list_of(v, _is_number)
-                          and len(v) == 2 and v[0] < v[1]),
-                   "null for [0.25, 0.9] * t_max"),
-    "output.dir": (".", ("a directory name", _is_name), ""),
+                          and len(v) == 2 and v[0] < v[1])),
+    "output.dir": (".", ("a directory name", _is_name)),
     "output.prefix": ("run", ("a file name without '/'",
-                              lambda v: _is_name(v) and "/" not in v), ""),
+                              lambda v: _is_name(v) and "/" not in v)),
 }
 
-
-def _nest(leaf):
-    """{section: {key: leaf(entry)}} (or {key: ...}) over the field table."""
-    out = {}
-    for path, entry in _FIELDS.items():
-        *section, key = path.split(".")
-        (out.setdefault(section[0], {}) if section else out)[key] = leaf(entry)
-    return out
-
-
-_DEFAULTS = _nest(lambda entry: entry[0])
+_DEFAULTS = {}      # {section: {key: default}} (or {key: default})
+for _path, (_default, _) in _FIELDS.items():
+    *_section, _key = _path.split(".")
+    (_DEFAULTS.setdefault(_section[0], {}) if _section
+     else _DEFAULTS)[_key] = _default
 
 
 def _merge(base, extra, path=""):
@@ -214,7 +207,7 @@ class ExperimentConfig:
         fields have a valid form; raise one ConfigError naming them all."""
         r = self.raw
         problems, bad = [], set()
-        for path, (_, (form, check), _) in _FIELDS.items():
+        for path, (_, (form, check)) in _FIELDS.items():
             *section, key = path.split(".")
             value = (r[section[0]] if section else r)[key]
             if not check(value):
@@ -348,17 +341,21 @@ def _spectral_bump(grid, amplitude, width, radial_power):
     Gaussian (times (sigma |xi|)^{2p} when a radial power is requested,
     which empties the spectrum near xi = 0 and makes the field mean-free).
     The smooth taper at the dealiasing edge keeps the physical tails
-    rapidly decaying, which the coordinate-weighted norms need.
+    rapidly decaying, which the coordinate-weighted norms need.  Only the
+    band is evaluated, the |xi| part once on its first corner.
     """
-    s = grid.xi_norm
+    s = grid.xi_norm[grid.band_blocks[0][0]]
     edge = grid.dealias_limit * grid.dk
     ramp = np.clip((s - 0.7 * edge) / (0.3 * edge), 0.0, 1.0)
     taper = np.cos(0.5 * np.pi * ramp) ** 2
     radial = (width * s) ** (2 * radial_power) if radial_power else 1.0
-    center_phase = np.exp(-1j * grid.center * sum(grid.xi_axes))
-    fhat = grid.dealias(radial * np.exp(-0.5 * width ** 2 * s ** 2) * taper
-                        * center_phase)
-    peak = np.max(np.abs(grid.to_physical(fhat)))
+    profile = radial * np.exp(-0.5 * width ** 2 * s ** 2) * taper
+    fhat = np.zeros(grid.shape, dtype=complex)
+    for block, mirror in grid.band_blocks:
+        xi_sum = sum(xi[(slice(None),) * j + (b,)]
+                     for j, (xi, b) in enumerate(zip(grid.xi_axes, block)))
+        fhat[block] = profile[mirror] * np.exp(-1j * grid.center * xi_sum)
+    peak = np.max(np.abs(grid.to_physical(fhat, dealias=True)))
     if peak > 0.0:
         fhat *= amplitude / peak
     return fhat
@@ -389,7 +386,7 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
             fh = np.zeros(grid.shape, dtype=complex)
             fh[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
             fh = grid.dealias(grid.conjugate_symmetrize(fh))
-            peak = np.max(np.abs(grid.to_physical(fh)))
+            peak = np.max(np.abs(grid.to_physical(fh, dealias=True)))
             data[i] = fh * (amplitude / peak) if peak > 0 else fh
     else:  # single_mode
         k = np.asarray(mode, dtype=int)

@@ -34,6 +34,14 @@ write their input.  A complex input is copied, then transformed and scaled
 in place: pages the copy touched are faster to fill than fresh ones, and
 the (dx/2pi)^d scale needs no second array.  A real input takes scipy's
 real-input path into a fresh array.  `transforms` counts both calls.
+
+With dealias=True both read and give only the band: one axis at a time in
+pocketfft's order, they skip the lines with off-band modes on the later
+(inverse) or earlier (forward) axes, (2K+1)^2 + (2K+1) n + n^2 lines in 3-D
+instead of 3 n^2.  They equal the composed calls bit for bit (a real input
+is transformed as complex): the inverse scales its first pass by ifftn's
+1/n^d from long double, not by 1/n per pass, which rounds differently.
+Below n = 128, where threads cost CPU and save no time, one worker runs.
 """
 
 from functools import cached_property, reduce
@@ -84,10 +92,11 @@ class SpectralGrid:
         self.dealias_mask = self.band_mask(self.dealias_limit)
         # the band's 2^d corners, each with its |k_j| as slices of the first
         k = self.dealias_limit
-        ends = ((slice(k + 1), slice(None)),
-                (slice(self.n - k, None), slice(k, 0, -1)))
+        self._band = (slice(k + 1), slice(self.n - k, None))
+        ends = tuple(zip(self._band, (slice(None), slice(k, 0, -1))))
         self.band_blocks = tuple(tuple(zip(*corner)) for corner
                                  in product(ends, repeat=self.ndim))
+        self._workers = -1 if self.n >= 128 else 1
 
         self.center = self.length / 2.0
         x1 = np.arange(self.n) * self.dx - self.center    # centered coordinates
@@ -125,15 +134,49 @@ class SpectralGrid:
         self.transforms += 1
         copy = np.iscomplexobj(f)   # a real f takes scipy's real-input path
         f = np.array(f, dtype=complex) if copy else f
-        return fft(f, axes=range(-self.ndim, 0), workers=-1, overwrite_x=copy)
+        return fft(f, axes=range(-self.ndim, 0), workers=self._workers,
+                   overwrite_x=copy)
 
-    def to_spectral(self, f):
-        out = self._transform(scipy.fft.fftn, f)
-        out *= self._fwd
+    def _band_lines(self, out, inverse):
+        """(axis, view) per pass: the views of `out` whose lines matter."""
+        d = self.ndim
+        for axis in range(d):
+            banded = d - 1 - axis if inverse else axis
+            whole = (slice(None),) * (d - banded)
+            for band in product(self._band, repeat=banded):
+                yield axis - d, out[(Ellipsis,) + (whole + band if inverse
+                                                   else band + whole)]
+
+    def to_spectral(self, f, dealias=False):
+        if not dealias:
+            out = self._transform(scipy.fft.fftn, f)
+            out *= self._fwd
+            return out
+        self.transforms += 1
+        out = np.array(f, dtype=complex)
+        for axis, lines in self._band_lines(out, inverse=False):
+            scipy.fft.fft(lines, axis=axis, overwrite_x=True,
+                          workers=self._workers)
+        for block, _ in self.band_blocks:
+            out[(Ellipsis,) + block] *= self._fwd
+        gap = slice(self.dealias_limit + 1, self.n - self.dealias_limit)
+        for axis in range(self.ndim):
+            out[(Ellipsis, gap) + (slice(None),) * axis] = 0.0
         return out
 
-    def to_physical(self, fhat):
-        out = self._transform(scipy.fft.ifftn, fhat)
+    def to_physical(self, fhat, dealias=False):
+        if not dealias:
+            out = self._transform(scipy.fft.ifftn, fhat)
+        else:
+            self.transforms += 1
+            out = np.zeros(np.shape(fhat), dtype=complex)
+            for block, _ in self.band_blocks:
+                out[(Ellipsis,) + block] = fhat[(Ellipsis,) + block]
+            for axis, lines in self._band_lines(out, inverse=True):
+                scipy.fft.ifft(lines, axis=axis, norm="forward",
+                               overwrite_x=True, workers=self._workers)
+                if axis == -self.ndim:  # ifftn's 1/n^d, from long double
+                    lines *= float(np.longdouble(1) / self.size)
         out /= self._fwd
         return out
 

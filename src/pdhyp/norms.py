@@ -8,6 +8,8 @@ Spectral Sobolev norms use the documented Parseval normalization
 which makes sobolev(0) agree with the physical-space L^2 quadrature to
 rounding.  Coordinate weights are applied in physical space, centered at
 the box center.  The grid caches the H^N weight and the Riesz 1/|xi|.
+Sampled norms read a field's band, where every sampled field lives: their
+inverse transforms take dealias=True, unlike propagators.lp_norm.
 """
 
 import json
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import MissingSeries, NonPositiveValues
 from .grid import SOBOLEV_N
-from .propagators import lp_norm, lp_physical, riesz
+from .propagators import lp_physical, riesz
 
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
 GAMMA = 0.05
@@ -52,10 +54,14 @@ def l2_norm(grid, fhat):
     return sobolev_norm(grid, fhat, 0)
 
 
+def band_lp_norm(grid, fhat, p):     # the L^p quadrature of fhat's band
+    return lp_physical(grid, grid.to_physical(fhat, dealias=True), p)
+
+
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
-    every component choice), with R_j = propagators.riesz(grid, j)."""
-    return max(lp_norm(grid, riesz(grid, j) * fhat, np.inf)
+    every component choice), with R_j f = propagators.riesz(grid, j, f)."""
+    return max(band_lp_norm(grid, riesz(grid, j, fhat), np.inf)
                for j in range(grid.ndim))
 
 
@@ -68,14 +74,14 @@ def total_sobolev(grid, data, order):
 
 def weighted_x_l2(grid, fhat):
     """||x f||_{L^2} = (integral |x - c|^2 |f|^2 dx)^(1/2)."""
-    f = grid.to_physical(fhat)
+    f = grid.to_physical(fhat, dealias=True)
     val = np.sum(grid.r2_centered * np.abs(f) ** 2) * grid.dx ** grid.ndim
     return float(np.sqrt(val))
 
 
 def weighted_lambda_x_h1(grid, fhat):
     """||Lam x f||_{H^1} with the weight applied first."""
-    f = grid.to_physical(fhat)
+    f = grid.to_physical(fhat, dealias=True)
     total = 0.0
     for ax in grid.x_centered:
         comp = grid.to_spectral(ax * f)
@@ -87,7 +93,8 @@ def weighted_x2_lambda_h1(grid, fhat):
     """|| |x|^2 Lam f ||_{H^1}: Lam applied spectrally, then the |x - c|^2
     weight, then the H^1 norm."""
     lam = grid.xi_norm * fhat
-    weighted = grid.to_spectral(grid.r2_centered * grid.to_physical(lam))
+    weighted = grid.to_spectral(grid.r2_centered
+                                * grid.to_physical(lam, dealias=True))
     return sobolev_norm(grid, weighted, 1)
 
 
@@ -99,9 +106,9 @@ def weighted_x2_lambda_h1(grid, fhat):
 NORM_KINDS = {
     "sobolev": lambda grid, fhat: sobolev_norm(grid, fhat, SOBOLEV_N),
     "l2": l2_norm,
-    "linf": lambda grid, fhat: lp_norm(grid, fhat, np.inf),
+    "linf": lambda grid, fhat: band_lp_norm(grid, fhat, np.inf),
     "linf_riesz": riesz_linf_norm,
-    "l1": lambda grid, fhat: lp_norm(grid, fhat, 1),
+    "l1": lambda grid, fhat: band_lp_norm(grid, fhat, 1),
     "weighted_x_l2": weighted_x_l2,
     "weighted_lambda_x_h1": weighted_lambda_x_h1,
     "weighted_x2_lambda_h1": weighted_x2_lambda_h1,
@@ -159,7 +166,7 @@ def initial_energy(state):
         terms = next((parts[j] for j in range(i)
                       if np.array_equal(state.data[j], comp)), None)
         if terms is None:
-            f = g.to_physical(comp)
+            f = g.to_physical(comp, dealias=True)
             x_h2 = sum(_weighted_l2(g, g.to_spectral(ax * f), h2) ** 2
                        for ax in g.x_centered)
             lam_x2 = g.xi_norm * g.to_spectral(g.r2_centered * f)

@@ -1,6 +1,6 @@
-"""Scalar Fourier multipliers: |xi|^s powers and Riesz transforms, as
-arrays on the grid, plus the empirical fractional-integration estimate
-built from them.  |xi|^1 is grid.xi_norm itself; the half-wave phase
+"""Scalar Fourier multipliers: |xi|^s powers as arrays on the grid and
+the Riesz transforms as applies, plus the empirical fractional-integration
+estimate built from them.  |xi|^1 is grid.xi_norm itself; the half-wave phase
 e^{i|xi| t} of the wave profile is a per-shell row (evolution.wave_profile)."""
 
 import numpy as np
@@ -16,10 +16,10 @@ def lambda_power(grid, s):
     return np.where(r > 0, vals, 1.0 if s == 0 else 0.0)
 
 
-def riesz(grid, j):
-    """R_j = -i xi_j/|xi|, 0 at xi = 0.  Multiplying by the reciprocal of
-    |xi| rounds as numpy's complex division by |xi| does."""
-    return -1j * (grid.xi_axes[j] * grid.xi_norm_reciprocal)
+def riesz(grid, j, fhat):
+    """R_j f = -i (xi_j/|xi|) f_hat, 0 at xi = 0; the reciprocal of |xi|
+    rounds as numpy's complex division by |xi| does."""
+    return -1j * ((grid.xi_axes[j] * grid.xi_norm_reciprocal) * fhat)
 
 
 # ---------------------------------------------------------------------------

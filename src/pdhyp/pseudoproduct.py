@@ -146,8 +146,9 @@ def apply_direct(plan, fhat, ghat):
 
 
 def _evaluate(plan, fhat, ghat, path):
-    """Prepare the inputs, run `path` on them, then apply the xi = 0 rule of
-    singular symbols and the dealiasing to the output."""
+    """Prepare the inputs, run `path` on them (for a dealiasing plan both
+    paths write the band only), then apply the xi = 0 rule of singular
+    symbols to the output."""
     grid = plan.grid
     if fhat.shape != grid.shape or ghat.shape != grid.shape:
         raise GridMismatch("field shapes do not match the plan grid")
@@ -156,8 +157,6 @@ def _evaluate(plan, fhat, ghat, path):
     out = path(plan, fh, gh)
     if plan.symbol.singular:
         out[(_ZERO,) * grid.ndim] = 0.0
-    if plan.dealias:
-        out = grid.dealias(out)
     return out
 
 
@@ -182,7 +181,8 @@ def _apply_separable(plan, fh, gh):
     def physical(cache, h, i):
         if i not in cache:
             cache[i] = grid.to_physical(h if factors[i] is None
-                                        else factors[i] * h)
+                                        else factors[i] * h,
+                                        dealias=plan.dealias)
         return cache[i]
 
     out = np.zeros(grid.shape, dtype=complex)
@@ -196,7 +196,7 @@ def _apply_separable(plan, fh, gh):
                 total = term
             else:
                 total += term
-        spec = grid.to_spectral(total)
+        spec = grid.to_spectral(total, dealias=plan.dealias)
         if factors[a] is not None:
             spec *= factors[a]
         out += spec

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import conjugate_symmetry_defect
+from conftest import conjugate_symmetry_defect, record_transforms
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
@@ -104,6 +104,18 @@ def test_coupling_placement(grid):
         assert np.allclose(pksw[2], prod_vw + t_m)
 
 
+def test_rhs_transforms_on_the_band(grid, monkeypatch):
+    # the state and every source live on the band: the polynomial sources
+    # and T_m(w, w) take only band transforms
+    st = bump_state(grid, 3, 0.1)
+    calls = record_transforms(monkeypatch)
+    full = ev.Coefficients(a_u=1.0, b_v=1.0, c_u=1.0, d_v=1.0)
+    ev.rhs(ev.ModelSpec("pk_system", full,
+                        w_symbol=sy.symbol_preset("mixed")), st)
+    assert {name for name, _ in calls} == {"to_physical", "to_spectral"}
+    assert all(band for _, band in calls)
+
+
 def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
     st = bump_state(grid, 3, 0.1)
     calls = []
@@ -111,9 +123,9 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
     def counted(name):
         orig = getattr(SpectralGrid, name)
 
-        def wrapper(self, f):
+        def wrapper(self, f, **kwargs):
             calls.append(name)
-            return orig(self, f)
+            return orig(self, f, **kwargs)
         return wrapper
 
     for name in ("to_physical", "to_spectral"):

@@ -44,6 +44,62 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
     assert g.transforms == 2 * len(inputs)
 
 
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 15, 16, 24, 48])
+def test_band_transforms_equal_the_composed_transforms(n, ndim):
+    # dealias=True is the general transform composed with P_band, bit for
+    # bit, on full-grid input that is not band-limited; each call counts
+    # once, writes a new array and leaves its input, stacked or strided
+    g = SpectralGrid(n, 7.3, ndim)
+    rng = np.random.default_rng(10 * n + ndim)
+    stacked = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(
+        size=(3,) + g.shape)
+    wide = rng.normal(size=(2 * n,) * ndim) + 1j * rng.normal(
+        size=(2 * n,) * ndim)
+    view = wide[(slice(None, None, 2),) * ndim]     # not contiguous
+    real = rng.normal(size=g.shape)
+    inputs = (stacked[1], stacked, view, real)
+    saved = [x.copy() for x in inputs] + [wide.copy()]
+    for x in inputs:
+        count = g.transforms
+        phys = g.to_physical(x, dealias=True)
+        assert g.transforms == count + 1
+        spec = g.to_spectral(x, dealias=True)
+        assert g.transforms == count + 2
+        # a real input is transformed as complex
+        assert np.array_equal(phys, g.to_physical(g.dealias(x + 0j)))
+        assert np.array_equal(spec, g.dealias(g.to_spectral(x + 0j)))
+        assert not np.shares_memory(phys, x)
+        assert not np.shares_memory(spec, x)
+    for x, before in zip(inputs + (wide,), saved):
+        assert x.tobytes() == before.tobytes()
+
+
+def test_band_inverse_scales_as_ifftn_does():
+    # ifftn scales by 1/n^d rounded from long double: at n = 2731 that
+    # differs from the double 1.0/n, and the band inverse still matches
+    g = SpectralGrid(2731, 1.0, 1)
+    assert float(np.longdouble(1) / g.n) != 1.0 / g.n
+    x = np.random.default_rng(3).normal(size=g.shape) + 0j
+    assert np.array_equal(g.to_physical(x, dealias=True),
+                          g.to_physical(g.dealias(x)))
+
+
+@pytest.mark.parametrize("n, workers", [(64, 1), (96, 1), (128, -1)])
+def test_threads_only_from_n_128(n, workers, monkeypatch):
+    seen = []
+    for name in ("fftn", "ifftn", "fft", "ifft"):
+        orig = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name,
+                            lambda *a, _o=orig, **kw:
+                            seen.append(kw["workers"]) or _o(*a, **kw))
+    g = SpectralGrid(n, 1.0, ndim=1)
+    x = np.ones(g.shape, dtype=complex)
+    for band in (False, True):
+        g.to_physical(g.to_spectral(x, dealias=band), dealias=band)
+    assert seen and set(seen) == {workers}
+
+
 def test_convolution_theorem_is_exact():
     # the d_eta-weighted spectral sum of f_hat(k-j) g_hat(j) must equal the
     # transform of the pointwise product without any extra constant

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import record_transforms
 from pdhyp import evolution as ev
 from pdhyp import norms, spectra
 from pdhyp.acceptance import band_field
@@ -119,8 +120,8 @@ def _record_transforms(monkeypatch):
     for name in ("to_physical", "to_spectral"):
         orig = getattr(SpectralGrid, name)
         monkeypatch.setattr(SpectralGrid, name,
-                            lambda self, f, _o=orig, _n=name:
-                            calls.append(_n) or _o(self, f))
+                            lambda self, f, _o=orig, _n=name, **kw:
+                            calls.append(_n) or _o(self, f, **kw))
     return calls
 
 
@@ -148,6 +149,23 @@ def test_initial_energy_transforms_each_distinct_component_once(
     assert norms.initial_energy(st) == expected
     assert sorted(calls) == (["to_physical"] * distinct
                              + ["to_spectral"] * (4 * distinct))
+
+
+def test_sampled_norms_read_the_band(grid, monkeypatch):
+    # every inverse transform of a sampled norm and of E_N takes the band;
+    # the forward transforms of the weighted fields stay general
+    st = make_initial_data("gaussian_bump", grid, 0.3, 0, width=2.0)
+    calls = record_transforms(monkeypatch)
+    for kind in norms.NORM_KINDS:
+        norms.NORM_KINDS[kind](grid, st.data[2])
+    norms.initial_energy(st)
+    assert ("to_physical", True) in calls
+    assert ("to_physical", False) not in calls
+    assert ("to_spectral", True) not in calls
+    # the generic L^p norm of the estimate harnesses stays general
+    calls.clear()
+    lp_norm(grid, st.data[2], np.inf)
+    assert calls == [("to_physical", False)]
 
 
 def test_fit_decay_exact_power():

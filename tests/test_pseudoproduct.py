@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import record_transforms
 from pdhyp import pseudoproduct as pp
 from pdhyp import symbols as sy
 from pdhyp.acceptance import band_field, nonresonant_symbols
@@ -18,8 +19,8 @@ def _count_transforms(monkeypatch):
     for name in ("to_physical", "to_spectral"):
         orig = getattr(SpectralGrid, name)
         monkeypatch.setattr(SpectralGrid, name,
-                            lambda self, x, _o=orig, _n=name:
-                            transforms.append(_n) or _o(self, x))
+                            lambda self, x, _o=orig, _n=name, **kw:
+                            transforms.append(_n) or _o(self, x, **kw))
     return transforms
 
 
@@ -149,6 +150,17 @@ def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
     transforms.clear()
     pp.apply(plan, f, f.copy())    # 3 distinct factors per side, 3 groups
     assert len(transforms) == 9 and len(calls) == 15
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_separable_path_takes_the_band_of_a_dealiasing_plan(
+        grid16, monkeypatch, dealias):
+    f = band_field(grid16, 3, np.random.default_rng(9))
+    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("mixed"), dealias)
+    calls = record_transforms(monkeypatch)
+    pp.apply(plan, f, f.copy())
+    assert len(calls) == 9
+    assert all(band == dealias for _, band in calls)
 
 
 def test_direct_vs_separable_2d():
