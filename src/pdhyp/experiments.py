@@ -355,7 +355,7 @@ def _spectral_bump(grid, amplitude, width, radial_power):
         xi_sum = sum(xi[(slice(None),) * j + (b,)]
                      for j, (xi, b) in enumerate(zip(grid.xi_axes, block)))
         fhat[block] = profile[mirror] * np.exp(-1j * grid.center * xi_sum)
-    peak = np.max(np.abs(grid.to_physical(fhat, dealias=True)))
+    peak = norms.band_linf(grid, fhat)
     if peak > 0.0:
         fhat *= amplitude / peak
     return fhat
@@ -386,7 +386,7 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
             fh = np.zeros(grid.shape, dtype=complex)
             fh[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
             fh = grid.dealias(grid.conjugate_symmetrize(fh))
-            peak = np.max(np.abs(grid.to_physical(fh, dealias=True)))
+            peak = norms.band_linf(grid, fh)
             data[i] = fh * (amplitude / peak) if peak > 0 else fh
     else:  # single_mode
         k = np.asarray(mode, dtype=int)
@@ -561,6 +561,9 @@ def run(config, log=None):
         except (PdhypError, ValueError) as exc:
             m0_report = {"error": str(exc)}
 
+    undamped = [{"direction": (z * np.sign(z[np.argmax(np.abs(z))]) + 0.0)
+                 .tolist(), "speed": mu}     # largest entry positive
+                for z, mu in spectra.check_sk(model.matrices())]
     csv_path = os.path.join(out["dir"], f"{out['prefix']}_series.csv")
     report_path = os.path.join(out["dir"], f"{out['prefix']}_report.json")
     norms.write_series_csv(csv_path, series_arr)
@@ -573,6 +576,7 @@ def run(config, log=None):
         "m0": m0_report,
         "warnings": warnings,
         "transforms": transforms,
+        "sk": {"holds": not undamped, "undamped": undamped},
     }
     norms.write_json_report(report_path, report)
     say(f"{status}: wrote {csv_path} and {report_path}")

@@ -30,27 +30,33 @@ its |k_j|.  |xi| is even in every k_j, so the first corner carries every
 that corner serves every block through the mirror slices.
 
 to_spectral and to_physical return a new array the caller owns and never
-write their input.  A complex input is copied, then transformed and scaled
-in place: pages the copy touched are faster to fill than fresh ones, and
-the (dx/2pi)^d scale needs no second array.  A real input takes scipy's
-real-input path into a fresh array.  `transforms` counts both calls.
-
-With dealias=True both read and give only the band: one axis at a time in
-pocketfft's order, they skip the lines with off-band modes on the later
-(inverse) or earlier (forward) axes, (2K+1)^2 + (2K+1) n + n^2 lines in 3-D
-instead of 3 n^2.  They equal the composed calls bit for bit (a real input
-is transformed as complex): the inverse scales its first pass by ifftn's
-1/n^d from long double, not by 1/n per pass, which rounds differently.
-Below n = 128, where threads cost CPU and save no time, one worker runs.
+write their input; a complex input is copied and transformed in place.
+Real scales multiply the float64 view (numpy's complex-by-real product, up
+to the sign of a zero).  `transforms` counts each call.  With dealias=True
+both read and give only the band, bit for bit the composed calls; the
+forward skips the lines with off-band modes on the earlier axes.  The one
+band inverse is the generator physical_slabs: pass 1 runs on the band
+columns of the later axes, packed, scaled by ifftn's 1/n^d from long double
+(not 1/n per pass); each slab of rows of axis -d takes its rows onto the
+band columns and the later passes on the band lines.  Slabs are views of
+`out` or of one reused 1 MiB buffer, so an L^inf norm never holds the n^d
+field.  One worker runs below n = 128 and in a slab's small passes, where
+threads cost CPU and save no time.
 """
 
 from functools import cached_property, reduce
 from itertools import product
+from math import prod
 
 import numpy as np
 import scipy.fft
 
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
+_SLAB_BYTES = 1 << 20   # the buffer of one physical_slabs slab
+
+
+def _scale(z, factor):      # complex z *= real factor, on the float view
+    np.multiply(z.view(np.float64), factor, out=z.view(np.float64))
 
 
 def dealias_limit(n):
@@ -80,6 +86,7 @@ class SpectralGrid:
         self.d_eta = self.dk ** self.ndim
         # forward-transform prefactor (dx / 2pi)^d
         self._fwd = (self.dx / (2.0 * np.pi)) ** self.ndim
+        self._inv_fwd = 1.0 / self._fwd
         self.transforms = 0     # to_spectral and to_physical calls so far
 
         self.k_int = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
@@ -137,48 +144,69 @@ class SpectralGrid:
         return fft(f, axes=range(-self.ndim, 0), workers=self._workers,
                    overwrite_x=copy)
 
-    def _band_lines(self, out, inverse):
-        """(axis, view) per pass: the views of `out` whose lines matter."""
-        d = self.ndim
-        for axis in range(d):
-            banded = d - 1 - axis if inverse else axis
-            whole = (slice(None),) * (d - banded)
-            for band in product(self._band, repeat=banded):
-                yield axis - d, out[(Ellipsis,) + (whole + band if inverse
-                                                   else band + whole)]
-
     def to_spectral(self, f, dealias=False):
         if not dealias:
             out = self._transform(scipy.fft.fftn, f)
-            out *= self._fwd
+            _scale(out, self._fwd)
             return out
         self.transforms += 1
-        out = np.array(f, dtype=complex)
-        for axis, lines in self._band_lines(out, inverse=False):
-            scipy.fft.fft(lines, axis=axis, overwrite_x=True,
-                          workers=self._workers)
+        d, out = self.ndim, np.array(f, dtype=complex)
+        for axis in range(d):   # the lines that reach the band
+            for band in product(self._band, repeat=axis):
+                lines = out[(Ellipsis,) + band + (slice(None),) * (d - axis)]
+                scipy.fft.fft(lines, axis=axis - d, overwrite_x=True,
+                              workers=self._workers)
         for block, _ in self.band_blocks:
-            out[(Ellipsis,) + block] *= self._fwd
+            _scale(out[(Ellipsis,) + block], self._fwd)
         gap = slice(self.dealias_limit + 1, self.n - self.dealias_limit)
-        for axis in range(self.ndim):
+        for axis in range(d):
             out[(Ellipsis, gap) + (slice(None),) * axis] = 0.0
         return out
 
     def to_physical(self, fhat, dealias=False):
-        if not dealias:
-            out = self._transform(scipy.fft.ifftn, fhat)
-        else:
-            self.transforms += 1
-            out = np.zeros(np.shape(fhat), dtype=complex)
-            for block, _ in self.band_blocks:
-                out[(Ellipsis,) + block] = fhat[(Ellipsis,) + block]
-            for axis, lines in self._band_lines(out, inverse=True):
-                scipy.fft.ifft(lines, axis=axis, norm="forward",
-                               overwrite_x=True, workers=self._workers)
-                if axis == -self.ndim:  # ifftn's 1/n^d, from long double
-                    lines *= float(np.longdouble(1) / self.size)
-        out /= self._fwd
+        if dealias:
+            out = np.empty(np.shape(fhat), dtype=complex)
+            for _ in self.physical_slabs(fhat, out=out):
+                pass
+            return out
+        out = self._transform(scipy.fft.ifftn, fhat)
+        _scale(out, self._inv_fwd)
         return out
+
+    def physical_slabs(self, fhat, out=None, values=None):
+        """Yield (rows, slab): the band inverse of fhat on those rows of
+        axis -d; values(block) is fhat on each band block, fhat[..., block]
+        by default.  Without `out` a slab lives until the next one."""
+        self.transforms += 1
+        d, n, k = self.ndim, self.n, self.dealias_limit
+        values = values or (lambda block: fhat[(Ellipsis,) + block])
+        lead, full = np.shape(fhat)[:-d], (slice(None),) * d
+        packed = (slice(k + 1), slice(k + 1, 2 * k + 1))  # the band, packed
+        cols = [(tuple(b for b, _ in ends), tuple(p for _, p in ends))
+                for ends in product(zip(self._band, packed), repeat=d - 1)]
+        compact = np.zeros(lead + (n,) + (2 * k + 1,) * (d - 1), dtype=complex)
+        for first, (band, at) in product(self._band, cols):
+            compact[(Ellipsis, first) + at] = values((first,) + band)
+        scipy.fft.ifft(compact, axis=-d, norm="forward", overwrite_x=True,
+                       workers=self._workers)
+        compact *= float(np.longdouble(1) / self.size)  # ifftn's 1/n^d
+        rows = max(1, _SLAB_BYTES // (16 * n ** (d - 1) * prod(lead)))
+        buf = out if out is not None else np.empty(
+            lead + (min(rows, n),) + (n,) * (d - 1), dtype=complex)
+        for start in range(0, n, rows):
+            part = slice(start, min(start + rows, n))
+            slab = buf[(Ellipsis, part if out is not None
+                        else slice(part.stop - start)) + full[1:]]
+            slab[...] = 0.0
+            for band, at in cols:
+                slab[(..., slice(None)) + band] = compact[(..., part) + at]
+            for axis in range(1, d):
+                for band in product(self._band, repeat=d - 1 - axis):
+                    scipy.fft.ifft(slab[(Ellipsis,) + full[:axis + 1] + band],
+                                   axis=axis - d, norm="forward",
+                                   overwrite_x=True, workers=1)
+            _scale(slab, self._inv_fwd)
+            yield part, slab
 
     # -- hygiene ------------------------------------------------------------
 

@@ -9,7 +9,8 @@ which makes sobolev(0) agree with the physical-space L^2 quadrature to
 rounding.  Coordinate weights are applied in physical space, centered at
 the box center.  The grid caches the H^N weight and the Riesz 1/|xi|.
 Sampled norms read a field's band, where every sampled field lives: their
-inverse transforms take dealias=True, unlike propagators.lp_norm.
+inverse transforms take dealias=True, unlike propagators.lp_norm.  The L^inf
+norms never build the physical field: they reduce grid.physical_slabs.
 """
 
 import json
@@ -54,14 +55,16 @@ def l2_norm(grid, fhat):
     return sobolev_norm(grid, fhat, 0)
 
 
-def band_lp_norm(grid, fhat, p):     # the L^p quadrature of fhat's band
-    return lp_physical(grid, grid.to_physical(fhat, dealias=True), p)
+def band_linf(grid, fhat, values=None):
+    """max |f| of fhat's band (of values(block) per block), slab by slab."""
+    return float(np.max([np.max(np.abs(slab)) for _, slab
+                         in grid.physical_slabs(fhat, values=values)]))
 
 
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
     every component choice), with R_j f = propagators.riesz(grid, j, f)."""
-    return max(band_lp_norm(grid, riesz(grid, j, fhat), np.inf)
+    return max(band_linf(grid, fhat, lambda b, j=j: riesz(grid, j, fhat, b))
                for j in range(grid.ndim))
 
 
@@ -106,9 +109,10 @@ def weighted_x2_lambda_h1(grid, fhat):
 NORM_KINDS = {
     "sobolev": lambda grid, fhat: sobolev_norm(grid, fhat, SOBOLEV_N),
     "l2": l2_norm,
-    "linf": lambda grid, fhat: band_lp_norm(grid, fhat, np.inf),
+    "linf": band_linf,
     "linf_riesz": riesz_linf_norm,
-    "l1": lambda grid, fhat: band_lp_norm(grid, fhat, 1),
+    "l1": lambda grid, fhat: lp_physical(
+        grid, grid.to_physical(fhat, dealias=True), 1),
     "weighted_x_l2": weighted_x_l2,
     "weighted_lambda_x_h1": weighted_lambda_x_h1,
     "weighted_x2_lambda_h1": weighted_x2_lambda_h1,

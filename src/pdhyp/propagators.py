@@ -16,10 +16,14 @@ def lambda_power(grid, s):
     return np.where(r > 0, vals, 1.0 if s == 0 else 0.0)
 
 
-def riesz(grid, j, fhat):
-    """R_j f = -i (xi_j/|xi|) f_hat, 0 at xi = 0; the reciprocal of |xi|
-    rounds as numpy's complex division by |xi| does."""
-    return -1j * ((grid.xi_axes[j] * grid.xi_norm_reciprocal) * fhat)
+def riesz(grid, j, fhat, block=None):
+    """R_j f = -i (xi_j/|xi|) f_hat, 0 at xi = 0, on the grid or on one
+    block of grid.band_blocks (so an L^inf sample builds no n^d table); the
+    reciprocal of |xi| rounds as numpy's complex division by |xi| does."""
+    block = block or (slice(None),) * grid.ndim
+    xi = grid.xi_axes[j][(slice(None),) * j + (block[j],)]
+    return -1j * ((xi * grid.xi_norm_reciprocal[block])
+                  * fhat[(Ellipsis,) + block])
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,19 @@ def conjugate_symmetry_defect(grid, fhat):
     return float(np.max(np.abs(fhat - np.conj(grid.reflect(fhat)))))
 
 
-def record_transforms(monkeypatch):
+def record_transforms(monkeypatch, slabs=False):
     """A list that collects (name, dealias) of each grid transform from now
-    on; dealias is the keyword the call passed, False when it passed none."""
+    on; dealias is the keyword the call passed, False when it passed none.
+    With slabs=True each physical_slabs call, the band inverse, is recorded
+    too, as ("physical_slabs", True)."""
     calls = []
-    for name in ("to_physical", "to_spectral"):
+    names = ("to_physical", "to_spectral") + (("physical_slabs",)
+                                               if slabs else ())
+    for name in names:
         orig = getattr(SpectralGrid, name)
+        band = name == "physical_slabs"
         monkeypatch.setattr(SpectralGrid, name,
-                            lambda self, f, _o=orig, _n=name, **kw:
-                            calls.append((_n, kw.get("dealias", False)))
+                            lambda self, f, _o=orig, _n=name, _b=band, **kw:
+                            calls.append((_n, kw.get("dealias", _b)))
                             or _o(self, f, **kw))
     return calls

@@ -335,6 +335,21 @@ def test_run_determinism_byte_identical(tmp_path):
     assert open(r1.csv_path, "rb").read() == open(r2.csv_path, "rb").read()
 
 
+@pytest.mark.parametrize("name", sorted(ex.list_presets()))
+def test_report_states_the_sk_verdict(name, tmp_path):
+    # the 3x3 presets leave w = e_3 undamped, transported at speed 1; the
+    # 2x2 presets satisfy [SK]
+    res = ex.run(ex.load_preset(name).override(
+        ["grid.n=16", "time.t_max=5.0", f"output.dir={tmp_path}"]))
+    on_disk = json.loads(open(res.report_path).read())["sk"]
+    assert on_disk == res.report["sk"]
+    if res.report["config"]["model"]["kind"] == "k_system":
+        assert on_disk == {"holds": True, "undamped": []}
+    else:
+        assert on_disk == {"holds": False, "undamped": [
+            {"direction": [0.0, 0.0, 1.0], "speed": 1.0}]}
+
+
 def test_run_series_equals_its_csv(tmp_path):
     res = ex.run(ex.load_preset("pk-small-data").override(
         ["grid.n=16", "time.t_max=9.0", f"output.dir={tmp_path}"]))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugate_symmetry_defect
+from pdhyp import grid as grid_module
 from pdhyp.acceptance import band_field
 from pdhyp.grid import SpectralGrid
 
@@ -46,10 +47,14 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 15, 16, 24, 48])
-def test_band_transforms_equal_the_composed_transforms(n, ndim):
+def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
     # dealias=True is the general transform composed with P_band, bit for
     # bit, on full-grid input that is not band-limited; each call counts
-    # once, writes a new array and leaves its input, stacked or strided
+    # once, writes a new array and leaves its input, stacked or strided.
+    # The band inverse is a run of physical_slabs: at 7 rows per slab of one
+    # field there are several slabs and a ragged last one, in one reused
+    # buffer or in `out`, and put together they are its output bit for bit
+    monkeypatch.setattr(grid_module, "_SLAB_BYTES", 7 * 16 * n ** (ndim - 1))
     g = SpectralGrid(n, 7.3, ndim)
     rng = np.random.default_rng(10 * n + ndim)
     stacked = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(
@@ -71,6 +76,20 @@ def test_band_transforms_equal_the_composed_transforms(n, ndim):
         assert np.array_equal(spec, g.dealias(g.to_spectral(x + 0j)))
         assert not np.shares_memory(phys, x)
         assert not np.shares_memory(spec, x)
+        whole = np.full(np.shape(x), np.nan, dtype=complex)
+        out = np.empty_like(whole)
+        count, sizes, buffers = g.transforms, [], set()
+        for rows, slab in g.physical_slabs(x):
+            whole[(Ellipsis, rows) + (slice(None),) * (ndim - 1)] = slab
+            sizes.append(rows.stop - rows.start)
+            buffers.add(slab.__array_interface__["data"][0])
+        for rows, slab in g.physical_slabs(x, out=out):
+            assert np.shares_memory(slab, out)
+        assert g.transforms == count + 2
+        assert whole.tobytes() == phys.tobytes() == out.tobytes()
+        assert len(buffers) == 1
+        if x.ndim == ndim:
+            assert len(sizes) > 1 and sizes[-1] < sizes[0] == 7
     for x, before in zip(inputs + (wide,), saved):
         assert x.tobytes() == before.tobytes()
 

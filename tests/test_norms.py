@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import record_transforms
 from pdhyp import evolution as ev
+from pdhyp import grid as grid_module
 from pdhyp import norms, spectra
 from pdhyp.acceptance import band_field
 from pdhyp.errors import MissingSeries, NonPositiveValues
 from pdhyp.experiments import make_initial_data
 from pdhyp.grid import SpectralGrid
-from pdhyp.propagators import lp_norm
+from pdhyp.propagators import lp_norm, lp_physical
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,7 @@ def test_weighted_x_gaussian_moment():
 def test_linf_riesz_takes_max(grid):
     rng = np.random.default_rng(1)
     fh = band_field(grid, 4, rng)
-    from pdhyp.propagators import lp_norm
+    from pdhyp.propagators import lp_norm, lp_physical
     s = grid.xi_norm
     xi = grid.wavevectors()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,20 +155,69 @@ def test_initial_energy_transforms_each_distinct_component_once(
 
 
 def test_sampled_norms_read_the_band(grid, monkeypatch):
-    # every inverse transform of a sampled norm and of E_N takes the band;
-    # the forward transforms of the weighted fields stay general
+    # every inverse transform of a sampled norm and of E_N takes the band
+    # through the one band inverse, physical_slabs: to_physical with
+    # dealias=True runs it, and the L^inf norms reduce its slabs without
+    # asking to_physical for the field; the forward transforms of the
+    # weighted fields stay general
     st = make_initial_data("gaussian_bump", grid, 0.3, 0, width=2.0)
-    calls = record_transforms(monkeypatch)
-    for kind in norms.NORM_KINDS:
-        norms.NORM_KINDS[kind](grid, st.data[2])
-    norms.initial_energy(st)
-    assert ("to_physical", True) in calls
-    assert ("to_physical", False) not in calls
-    assert ("to_spectral", True) not in calls
+    calls = record_transforms(monkeypatch, slabs=True)
+    seen = []
+    runs = [(norms.NORM_KINDS[kind], (grid, st.data[2]))
+            for kind in norms.NORM_KINDS] + [(norms.initial_energy, (st,))]
+    for fn, args in runs:
+        calls.clear()
+        before = grid.transforms
+        fn(*args)
+        slab_runs = calls.count(("physical_slabs", True))
+        forward = sum(name == "to_spectral" for name, _ in calls)
+        assert grid.transforms - before == slab_runs + forward
+        for i, call in enumerate(calls):
+            if call[0] == "to_physical":
+                assert calls[i + 1] == ("physical_slabs", True)
+        seen.append(list(calls))
+    linf, riesz = (seen[list(norms.NORM_KINDS).index(kind)]
+                   for kind in ("linf", "linf_riesz"))
+    assert linf == [("physical_slabs", True)]
+    assert riesz == [("physical_slabs", True)] * grid.ndim
+    every = sum(seen, [])
+    assert ("to_physical", True) in every
+    assert ("to_physical", False) not in every
+    assert ("to_spectral", True) not in every
     # the generic L^p norm of the estimate harnesses stays general
     calls.clear()
     lp_norm(grid, st.data[2], np.inf)
     assert calls == [("to_physical", False)]
+
+
+def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
+    # several slabs, on full-grid input that is not band-limited: the max
+    # over slabs is the max over the field, bit for bit
+    monkeypatch.setattr(grid_module, "_SLAB_BYTES", 5 * 16 * 24 ** 2)
+    g = SpectralGrid(24, 11.0)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    assert norms.band_linf(g, x) == lp_physical(
+        g, g.to_physical(x, dealias=True), np.inf)
+
+
+def test_linf_samples_hold_no_physical_field():
+    # one L^inf or Riesz L^inf sample at n = 64 allocates less than one
+    # complex n^3 field at its peak (the compact first pass, one slab
+    # buffer and |slab|); 1/|xi| is the grid's cached table
+    g = SpectralGrid(64, 32.0)
+    fh = make_initial_data("gaussian_bump", g, 0.3, 0, width=2.0).data[2]
+    g.xi_norm_reciprocal
+    field = 16 * g.size
+    for kind in ("linf", "linf_riesz"):
+        norms.NORM_KINDS[kind](g, fh)
+        tracemalloc.start()
+        try:
+            norms.NORM_KINDS[kind](g, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field, (kind, peak / field)
 
 
 def test_fit_decay_exact_power():
