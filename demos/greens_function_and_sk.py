@@ -40,7 +40,7 @@ cache = spectra.build_symbol_cache(norms, model)
 band = np.nonzero(cache.xi_norm <= 0.25)[0]
 print(f"=== Green terms e^(lam_i t) P_i on |xi| <= 1/4, t = {t:g} ===")
 print(f"{np.sum(grid.xi_norm <= 0.25)} modes on {band.size} |xi| shells "
-      f"({norms.size} shells for the {np.sum(grid.dealias_mask)} modes of "
+      f"({norms.size} shells for the {grid.xi_norm.size} modes of "
       "the 2/3 band)")
 terms = (np.exp(cache.eigvals[:, band] * t)[..., None, None]
          * cache.projectors[:, band])

@@ -2,13 +2,15 @@
 """The bilinear pseudoproduct: brute force against the FFT fast path.
 
 T_m(f, g) is a full mode-by-mode convolution weighted by the symbol
-m(xi, eta).  The direct sum costs O(n_out * n^3) symbol evaluations.  A
-symbol written as a term list over the factor basis {|v|, v_j/|v|} carries
-a separable factorization m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta),
-which needs one inverse transform per distinct factor times a field and
-one forward transform per distinct alpha.  pp.apply takes the separable
-path whenever the symbol has a factorization; pp.apply_direct always sums
-directly.  Both paths dealias identically, so they agree to rounding.
+m(xi, eta).  The direct sum costs one symbol evaluation per pair of modes
+of the 2/3 band's cube, (2K+1)^6 for K = (n-1)//3.  A symbol written as a
+term list over the factor basis {|v|, v_j/|v|} carries a separable
+factorization m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta), which
+needs one inverse transform per distinct factor times a field and one
+forward transform per distinct alpha.  pp.apply takes the separable path
+whenever the symbol has a factorization; pp.apply_direct always sums
+directly.  A dealiasing plan takes fields on the 2/3 band's cube
+(grid.band), and both paths agree on it to rounding.
 """
 
 import time
@@ -40,10 +42,10 @@ for m in [sy.symbol_preset(name) for name in ("null_b", "aphi", "mixed")] \
         + [a_eta]:
     plan = pp.PseudoproductPlan(grid, m)
     t0 = time.time()
-    direct = pp.apply_direct(plan, f, g)
+    direct = pp.apply_direct(plan, grid.band(f), grid.band(g))
     t_direct = time.time() - t0
     t0 = time.time()
-    fast = pp.apply(plan, f, g)
+    fast = pp.apply(plan, grid.band(f), grid.band(g))
     t_fast = time.time() - t0
     rel = np.max(np.abs(direct - fast)) / np.max(np.abs(direct))
     print(f"{m.name:8s} {len(m.terms)} terms  rel gap {rel:.2e}   "
@@ -59,8 +61,8 @@ print("=== empirical bilinear Hoelder constants ===")
 plan = pp.PseudoproductPlan(grid, sy.symbol_preset("null_b"))
 ledger = BoundLedger()
 for _ in range(20):
-    pp.holder_bound_ratio(plan, band_field(grid, 3, rng),
-                          band_field(grid, 3, rng),
+    pp.holder_bound_ratio(plan, grid.band(band_field(grid, 3, rng)),
+                          grid.band(band_field(grid, 3, rng)),
                           s=0.0, k=0, p=4.0, q=4.0, r=2.0, ledger=ledger)
 ratios = ledger.ratios("holder")
 print(f"||T_m(f,g)||_2 / (||f||_W04 ||g||_4 + ||f||_4 ||g||_W04) over 20 "

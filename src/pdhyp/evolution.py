@@ -4,18 +4,19 @@ A model is one per-mode linear operator E(i xi) = -i|xi| A + B and a table
 of quadratic sources: per equation, a coefficient for each monomial of
 MONOMIALS, plus the bilinear pseudoproduct T_m(w, w) in the w-equation.
 
-The linear part is advanced exactly on the dealiased band by the per-shell
-matrix exponential (integrating factor), its 2x2 block plus the wave phase,
-gathered once onto the band's first corner (spectra.band_rows); only the
-quadratic sources see explicit Runge-Kutta stages (Lawson schemes of order
-2 and 4).  A model without sources steps by its exact flow alone, which is
-what both schemes reduce to when every stage source is zero.
-Polynomial sources are summed per equation in physical space and
-transformed once, the bilinear pseudoproduct source comes from
-pseudoproduct.apply; everything is dealiased with the strict 2/3 rule.
+The sources are quadratic, so under the strict 2/3 rule the state, every
+source and every stage is a stack of the band's cubes, (d, *band_shape).
+The linear part is advanced exactly by the per-shell matrix exponential
+(integrating factor), its 2x2 block plus the wave phase, gathered once
+onto the cube (spectra.band_rows); only the quadratic sources see explicit
+Runge-Kutta stages (Lawson schemes of order 2 and 4).  A model without
+sources steps by its exact flow alone, which is what both schemes reduce
+to when every stage source is zero.  Polynomial sources are summed per
+equation in physical space and transformed once, the bilinear
+pseudoproduct source comes from pseudoproduct.apply.
 
 Initial time is t = 1 by convention and all decay fits start there.  The
-wave profile e^{i|xi| t} w_hat is the same band apply with one phase row.
+wave profile e^{i|xi| t} w_hat takes its phase once per |xi| shell.
 
 Physical-space realness is not an invariant of these models: the convection
 symbol -i|xi| A is even in xi, so the flow maps conjugate-symmetric spectral
@@ -26,7 +27,6 @@ cos(|xi| dt) per step and destroy the wave invariants).
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -130,15 +130,18 @@ class ModelSpec:
 
 @dataclass
 class StateField:
-    """Spectral state (u_hat, v_hat[, w_hat]) stacked as data[(d, *shape)]."""
+    """Spectral state (u_hat, v_hat[, w_hat]) on the band's cube, stacked
+    as data[(d, *grid.band_shape)]."""
     grid: SpectralGrid
     data: np.ndarray
     t: float
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape[1:] != self.grid.shape:
-            raise ValueError("field shape does not match grid")
+        if self.data.shape[1:] != self.grid.band_shape:
+            raise ValueError(f"state fields of shape {self.data.shape[1:]}: "
+                             "a state lives on the band's cube "
+                             f"{self.grid.band_shape}")
 
     @property
     def dim_state(self):
@@ -164,13 +167,13 @@ def rhs(model, state, plan=None):
 
     The transform is linear, so each equation sums its row of the source
     table in physical space (in MONOMIALS order) and pays one forward
-    transform onto the band; rows that are scalar multiples of an earlier
+    transform onto the cube; rows that are scalar multiples of an earlier
     row share its transform.  Only the components the table uses are
     transformed, from their band, each product is formed once and released
     before the next, and with no sources no transform is done.  T_m(w, w)
     is added last, as the diagonal form of pseudoproduct.apply."""
     g = state.grid
-    out = np.zeros((model.dim_state,) + g.shape, dtype=complex)
+    out = np.zeros((model.dim_state,) + g.band_shape, dtype=complex)
     _polynomial_sources(model.sources, state, out)
     if model.w_form:
         if plan is None:
@@ -274,7 +277,7 @@ class Stepper:
     def step(self, state, guard=None):
         h = self.dt
         # looked up per step, so a wrapper of the module's name sees all
-        lin = partial(spectra.propagator_apply, self.grid)
+        lin = spectra.propagator_apply
         x = state.data
         t = state.t
 
@@ -297,7 +300,6 @@ class Stepper:
             new = (lin(e1, x + h / 6.0 * n1)
                    + h / 6.0 * (2.0 * lin(eh, n2 + n3) + n4))
 
-        # rhs writes only the dealiased band and the flow keeps it
         out = StateField(self.grid, new, t + h)
         if guard is not None:
             guard.check(out)
@@ -316,8 +318,8 @@ def default_dt(dx):
 
 def wave_profile(state):
     """f_w = e^{+i|xi| t} w_hat: the unitary profile of the wave component
-    (no amplification, safe at any t) on the dealiased band, with the phase
-    taken once per |xi| shell."""
+    (no amplification, safe at any t), with the phase taken once per |xi|
+    shell."""
     g = state.grid
     phase = spectra.band_rows(g, np.exp(1j * g.shells[0] * state.t))
-    return spectra.propagator_apply(g, phase, state.w_hat[None])[0]
+    return phase[0] * state.w_hat

@@ -14,6 +14,7 @@ import copy
 import json
 import os
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 
 import numpy as np
@@ -341,20 +342,15 @@ def _spectral_bump(grid, amplitude, width, radial_power):
     Gaussian (times (sigma |xi|)^{2p} when a radial power is requested,
     which empties the spectrum near xi = 0 and makes the field mean-free).
     The smooth taper at the dealiasing edge keeps the physical tails
-    rapidly decaying, which the coordinate-weighted norms need.  Only the
-    band is evaluated, the |xi| part once on its first corner.
+    rapidly decaying, which the coordinate-weighted norms need.
     """
-    s = grid.xi_norm[grid.band_blocks[0][0]]
+    s = grid.xi_norm
     edge = grid.dealias_limit * grid.dk
     ramp = np.clip((s - 0.7 * edge) / (0.3 * edge), 0.0, 1.0)
     taper = np.cos(0.5 * np.pi * ramp) ** 2
     radial = (width * s) ** (2 * radial_power) if radial_power else 1.0
     profile = radial * np.exp(-0.5 * width ** 2 * s ** 2) * taper
-    fhat = np.zeros(grid.shape, dtype=complex)
-    for block, mirror in grid.band_blocks:
-        xi_sum = sum(xi[(slice(None),) * j + (b,)]
-                     for j, (xi, b) in enumerate(zip(grid.xi_axes, block)))
-        fhat[block] = profile[mirror] * np.exp(-1j * grid.center * xi_sum)
+    fhat = profile * np.exp(-1j * grid.center * sum(grid.xi_axes))
     peak = norms.band_linf(grid, fhat)
     if peak > 0.0:
         fhat *= amplitude / peak
@@ -363,7 +359,7 @@ def _spectral_bump(grid, amplitude, width, radial_power):
 
 def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
                       radial_power=0, mode=(1, 0, 0), band=4):
-    """Real-valued, band-limited, dealiased initial fields at t = 1.
+    """Real-valued initial fields at t = 1, on the band's cube.
 
     E_N of the result is reported by the runner via norms.initial_energy.
     """
@@ -372,7 +368,7 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
     rng = np.random.default_rng(seed)
     widths = _per_component(width, dim_state)
     powers = _per_component(radial_power, dim_state)
-    data = np.zeros((dim_state,) + grid.shape, dtype=complex)
+    data = np.zeros((dim_state,) + grid.band_shape, dtype=complex)
 
     if preset == "gaussian_bump":
         keys = list(zip(widths, powers))
@@ -381,11 +377,12 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
             data[i] = data[first] if first < i else _spectral_bump(
                 grid, amplitude, *key)
     elif preset == "random_bandlimited":
-        sel = grid.band_mask(band)
+        sel = reduce(np.logical_and.outer,
+                     [np.abs(grid.band_k) <= band] * grid.ndim)
         for i in range(dim_state):
-            fh = np.zeros(grid.shape, dtype=complex)
+            fh = np.zeros(grid.band_shape, dtype=complex)
             fh[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
-            fh = grid.dealias(grid.conjugate_symmetrize(fh))
+            fh = grid.conjugate_symmetrize(fh)
             peak = norms.band_linf(grid, fh)
             data[i] = fh * (amplitude / peak) if peak > 0 else fh
     else:  # single_mode
@@ -393,8 +390,8 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
         if np.any(np.abs(k) > grid.dealias_limit):
             raise ConfigError([f"initial.mode: {k.tolist()} outside the "
                                f"dealiased band |k| <= {grid.dealias_limit}"])
-        idx = tuple(int(ki) % grid.n for ki in k)
-        idx_neg = tuple(int(-ki) % grid.n for ki in k)
+        idx = tuple(int(ki) % grid.band_k.size for ki in k)
+        idx_neg = tuple(int(-ki) % grid.band_k.size for ki in k)
         # amplitude/(2 d_eta) per conjugate mode gives amplitude*cos(k.x)
         for i in range(dim_state):
             data[i][idx] += amplitude / (2.0 * grid.d_eta)
@@ -409,7 +406,7 @@ def project_damped_branch(state, cache):
     P2 = cache.projectors[1].copy()
     P2[cache.degenerate_mask] = 0.0
     g = state.grid
-    data = spectra.propagator_apply(g, spectra.band_rows(g, P2), state.data)
+    data = spectra.propagator_apply(spectra.band_rows(g, P2), state.data)
     return ev.StateField(g, data, state.t)
 
 

@@ -18,33 +18,33 @@ code relies on:
   * Parseval carries a factor (2*pi)^d:
     ||f||_{L^2}^2 = (2*pi)^d * sum_k |f_hat[k]|^2 * d_eta.
 
-Modes, wavevectors and centered coordinates are stored as one 1-D axis per
-dimension, shaped (n,1,1), (1,n,1), (1,1,n) in 3-D so numpy broadcasts
-them.  The n^d tables are |xi|, the dealiasing mask and |x - center|^2;
-wavevectors() builds the dense (*shape, d) array.
-
-The 2/3-rule band is tiled by 2^d corner blocks of basic slices
-(band_blocks), each paired with the slices of the first corner that hold
-its |k_j|.  |xi| is even in every k_j, so the first corner carries every
-|xi| on the band: shells sorts it once, and a per-|xi| table gathered onto
-that corner serves every block through the mirror slices.
+The 2/3 rule keeps the modes with every |k_j| <= K = (n-1)//3, and every
+band field (a state, a source, a stage) is stored packed: the (2K+1)^d cube
+of those modes in fftfreq order, per axis 0..K and then -K..-1.  The grid's
+spectral tables are the cube's sparse wavevector axes, shaped (2K+1,1,1),
+(1,2K+1,1), (1,1,2K+1) in 3-D so numpy broadcasts them, and its dense |xi|;
+shells sorts |xi| on the first corner and indexes every mode through |k_j|.
+Fields off the band keep the n^d grid (full_xi_axes, full_xi_norm), and
+x_centered and |x - center|^2 are physical n^d tables.
 
 to_spectral and to_physical return a new array the caller owns and never
 write their input; a complex input is copied and transformed in place.
 Real scales multiply the float64 view (numpy's complex-by-real product, up
 to the sign of a zero).  `transforms` counts each call.  With dealias=True
-both read and give only the band, bit for bit the composed calls; the
-forward skips the lines with off-band modes on the earlier axes.  The one
-band inverse is the generator physical_slabs: pass 1 runs on the band
-columns of the later axes, packed, scaled by ifftn's 1/n^d from long double
+to_spectral takes an n^d field to its cube and to_physical a cube to its
+n^d field, bit for bit the general transforms composed with band(), the
+restriction to the band, and with its zero embedding.  The forward pass on
+each axis runs on the lines that reach the band and keeps their band.  The one
+band inverse is the generator physical_slabs: pass 1 runs on the cube with
+axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long double
 (not 1/n per pass); each slab of rows of axis -d takes its rows onto the
 band columns and the later passes on the band lines.  Slabs are views of
-`out` or of one reused 1 MiB buffer, so an L^inf norm never holds the n^d
+`out` or of one reused 512 KiB buffer, so an L^inf norm never holds the n^d
 field.  One worker runs below n = 128 and in a slab's small passes, where
 threads cost CPU and save no time.
 """
 
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -52,11 +52,20 @@ import numpy as np
 import scipy.fft
 
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
-_SLAB_BYTES = 1 << 20   # the buffer of one physical_slabs slab
+_SLAB_BYTES = 1 << 19   # the buffer of one physical_slabs slab
 
 
 def _scale(z, factor):      # complex z *= real factor, on the float view
     np.multiply(z.view(np.float64), factor, out=z.view(np.float64))
+
+
+def _axes(values, ndim):
+    """One sparse axis of `values` per dimension, broadcastable together."""
+    return np.meshgrid(*([values] * ndim), indexing="ij", sparse=True)
+
+
+def _norm(axes):
+    return np.sqrt(sum(ax ** 2 for ax in axes))
 
 
 def dealias_limit(n):
@@ -67,9 +76,10 @@ def dealias_limit(n):
 class SpectralGrid:
     """Uniform n^d lattice on a periodic box [0, L)^d.
 
-    Dealiasing keeps integer modes with every |component| <= (n-1)//3,
-    strictly below n/3, so quadratic products of kept modes can never wrap
-    back onto the kept band (3*K < n).
+    The 2/3-rule band keeps integer modes with every |component| <= K =
+    (n-1)//3, strictly below n/3, so quadratic products of kept modes can
+    never wrap back onto the band (3*K < n).  Band fields are stored on
+    the band's cube, band_shape = (2K+1,)*ndim.
     """
 
     def __init__(self, n, length, ndim=3):
@@ -89,51 +99,48 @@ class SpectralGrid:
         self._inv_fwd = 1.0 / self._fwd
         self.transforms = 0     # to_spectral and to_physical calls so far
 
+        k = self.dealias_limit = dealias_limit(self.n)
+        self.band_shape = (2 * k + 1,) * self.ndim
+        self.band_k = np.r_[0:k + 1, -k:0]        # the cube's modes per axis
+        self.xi_axes = _axes(self.dk * self.band_k, self.ndim)
+        self.xi_norm = _norm(self.xi_axes)
         self.k_int = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-        self.k_axes = np.meshgrid(*([self.k_int] * self.ndim), indexing="ij",
-                                  sparse=True)             # integer modes
-        self.xi_axes = [self.dk * k for k in self.k_axes]  # wavevectors
-        self.xi_norm = np.sqrt(sum(xi ** 2 for xi in self.xi_axes))
-
-        self.dealias_limit = dealias_limit(self.n)
-        self.dealias_mask = self.band_mask(self.dealias_limit)
-        # the band's 2^d corners, each with its |k_j| as slices of the first
-        k = self.dealias_limit
+        self.full_xi_axes = _axes(self.dk * self.k_int, self.ndim)
+        # the band's two runs of modes on an n-point axis and on a cube axis
         self._band = (slice(k + 1), slice(self.n - k, None))
-        ends = tuple(zip(self._band, (slice(None), slice(k, 0, -1))))
-        self.band_blocks = tuple(tuple(zip(*corner)) for corner
-                                 in product(ends, repeat=self.ndim))
+        self._packed = (slice(k + 1), slice(k + 1, None))
+        self._band_index = self.band_k % self.n
         self._workers = -1 if self.n >= 128 else 1
 
         self.center = self.length / 2.0
-        x1 = np.arange(self.n) * self.dx - self.center    # centered coordinates
-        self.x_centered = np.meshgrid(*([x1] * self.ndim), indexing="ij",
-                                      sparse=True)
+        self.x_centered = _axes(np.arange(self.n) * self.dx - self.center,
+                                self.ndim)
         self.r2_centered = sum(ax ** 2 for ax in self.x_centered)
 
-    def band_mask(self, band):
-        """Modes with every |component| <= band."""
-        return reduce(np.logical_and, (np.abs(k) <= band for k in self.k_axes))
-
-    def wavevectors(self):
-        """The dense (*shape, d) wavevector array, built anew on each call."""
-        return np.stack(np.broadcast_arrays(*self.xi_axes), axis=-1)
-
     @cached_property    # multiplier tables, built on first use
+    def full_xi_norm(self):       # |xi| on the n^d grid
+        return _norm(self.full_xi_axes)
+
+    @cached_property
     def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N
         return (1.0 + self.xi_norm ** 2) ** SOBOLEV_N
 
     @cached_property    # |xi| is even in every k_j: sort the first corner
     def shells(self):
         """The band's distinct |xi| in ascending order, and the int32 shell
-        of each mode of the band's first corner, shaped (K+1,)*ndim."""
-        corner = self.xi_norm[self.band_blocks[0][0]]
-        norms, index = np.unique(corner, return_inverse=True)
-        return norms, index.reshape(corner.shape).astype(np.int32)
+        of every mode of the cube."""
+        first = self.xi_norm[(slice(self.dealias_limit + 1),) * self.ndim]
+        norms, index = np.unique(first, return_inverse=True)
+        index = index.reshape(first.shape).astype(np.int32)
+        return norms, index[np.ix_(*[np.abs(self.band_k)] * self.ndim)]
 
     @cached_property
     def xi_norm_reciprocal(self):     # 1/|xi|, and 1 at xi = 0
         return 1.0 / np.where(self.xi_norm > 0, self.xi_norm, 1.0)
+
+    def band(self, fhat):
+        """The cube of an n^d field: its band modes, packed."""
+        return fhat[(Ellipsis,) + np.ix_(*[self._band_index] * self.ndim)]
 
     # -- transforms ---------------------------------------------------------
 
@@ -150,22 +157,18 @@ class SpectralGrid:
             _scale(out, self._fwd)
             return out
         self.transforms += 1
-        d, out = self.ndim, np.array(f, dtype=complex)
-        for axis in range(d):   # the lines that reach the band
-            for band in product(self._band, repeat=axis):
-                lines = out[(Ellipsis,) + band + (slice(None),) * (d - axis)]
-                scipy.fft.fft(lines, axis=axis - d, overwrite_x=True,
-                              workers=self._workers)
-        for block, _ in self.band_blocks:
-            _scale(out[(Ellipsis,) + block], self._fwd)
-        gap = slice(self.dealias_limit + 1, self.n - self.dealias_limit)
-        for axis in range(d):
-            out[(Ellipsis, gap) + (slice(None),) * axis] = 0.0
+        out = np.array(f, dtype=complex)
+        for axis in range(-self.ndim, 0):   # the lines that reach the band
+            out = np.take(scipy.fft.fft(out, axis=axis, overwrite_x=True,
+                                        workers=self._workers),
+                          self._band_index, axis=axis)
+        _scale(out, self._fwd)
         return out
 
     def to_physical(self, fhat, dealias=False):
         if dealias:
-            out = np.empty(np.shape(fhat), dtype=complex)
+            out = np.empty(np.shape(fhat)[:-self.ndim] + self.shape,
+                           dtype=complex)
             for _ in self.physical_slabs(fhat, out=out):
                 pass
             return out
@@ -173,20 +176,19 @@ class SpectralGrid:
         _scale(out, self._inv_fwd)
         return out
 
-    def physical_slabs(self, fhat, out=None, values=None):
-        """Yield (rows, slab): the band inverse of fhat on those rows of
-        axis -d; values(block) is fhat on each band block, fhat[..., block]
-        by default.  Without `out` a slab lives until the next one."""
+    def physical_slabs(self, fhat, out=None):
+        """Yield (rows, slab): the band inverse of the cube fhat on those
+        rows of axis -d.  Without `out` a slab lives until the next one."""
         self.transforms += 1
-        d, n, k = self.ndim, self.n, self.dealias_limit
-        values = values or (lambda block: fhat[(Ellipsis,) + block])
+        d, n = self.ndim, self.n
         lead, full = np.shape(fhat)[:-d], (slice(None),) * d
-        packed = (slice(k + 1), slice(k + 1, 2 * k + 1))  # the band, packed
         cols = [(tuple(b for b, _ in ends), tuple(p for _, p in ends))
-                for ends in product(zip(self._band, packed), repeat=d - 1)]
-        compact = np.zeros(lead + (n,) + (2 * k + 1,) * (d - 1), dtype=complex)
-        for first, (band, at) in product(self._band, cols):
-            compact[(Ellipsis, first) + at] = values((first,) + band)
+                for ends in product(zip(self._band, self._packed),
+                                    repeat=d - 1)]
+        compact = np.zeros(lead + (n,) + self.band_shape[1:], dtype=complex)
+        for band, packed in zip(self._band, self._packed):
+            compact[(Ellipsis, band) + full[1:]] = \
+                fhat[(Ellipsis, packed) + full[1:]]
         scipy.fft.ifft(compact, axis=-d, norm="forward", overwrite_x=True,
                        workers=self._workers)
         compact *= float(np.longdouble(1) / self.size)  # ifftn's 1/n^d
@@ -210,11 +212,9 @@ class SpectralGrid:
 
     # -- hygiene ------------------------------------------------------------
 
-    def dealias(self, fhat):
-        return np.where(self.dealias_mask, fhat, 0.0)
-
     def reflect(self, fhat):
-        """fhat evaluated at -xi:  out[k] = fhat[(-k) mod n]."""
+        """fhat evaluated at -xi, on the n^d grid or on the cube:
+        out[k] = fhat[(-k) mod size]."""
         axes = tuple(range(-self.ndim, 0))
         return np.roll(np.flip(fhat, axis=axes), 1, axis=axes)
 

@@ -6,10 +6,12 @@ Spectral Sobolev norms use the documented Parseval normalization
     ||f||_{L^2}^2 = (2 pi)^d * sum_k |f_hat_k|^2 * (2 pi / L)^d,
 
 which makes sobolev(0) agree with the physical-space L^2 quadrature to
-rounding.  Coordinate weights are applied in physical space, centered at
-the box center.  The grid caches the H^N weight and the Riesz 1/|xi|.
-Sampled norms read a field's band, where every sampled field lives: their
-inverse transforms take dealias=True, unlike propagators.lp_norm.  The L^inf
+rounding.  Every sampled field is a band field on the grid's cube, so
+Sobolev norms weight the cube (summed in n^d order, see _weighted_l2) and
+inverse transforms take dealias=True.  Coordinate weights are applied in
+physical space, centered at the box center; the weighted fields are not
+band-limited, so their transforms and H^s sums run on the n^d grid.  The
+grid caches the H^N weight and the Riesz 1/|xi| of the cube.  The L^inf
 norms never build the physical field: they reduce grid.physical_slabs.
 """
 
@@ -31,40 +33,46 @@ M0_BOUND_C = 5.0       # verdict threshold for M0(t) <= C * E_N
 # scalar-field norms
 # ---------------------------------------------------------------------------
 
-def _sobolev_weight(grid, order):
-    """(1 + |xi|^2)^order, the grid's table for order N; None for order 0."""
-    if order == SOBOLEV_N:
-        return grid.sobolev_weight
-    return (1.0 + grid.xi_norm ** 2) ** order if order else None
+def _sobolev_weight(xi_norm, order):
+    """(1 + |xi|^2)^order on a table of |xi|; None for order 0."""
+    return (1.0 + xi_norm ** 2) ** order if order else None
 
 
 def _weighted_l2(grid, fhat, weight):
-    """(Parseval sum of weight * |fhat|^2)^(1/2); weight None is 1."""
+    """(Parseval sum of weight * |fhat|^2)^(1/2) of an n^d or a band field;
+    weight None is 1.  A band field's squares are summed at their places on
+    the n^d grid, so numpy's pairwise sum rounds as for the n^d field."""
     sq = np.abs(fhat) ** 2
     if weight is not None:
         sq *= weight
+    if sq.shape != grid.shape:
+        on_grid = np.zeros(grid.shape)
+        on_grid[np.ix_(*[grid.band_k % grid.n] * grid.ndim)] = sq
+        sq = on_grid
     val = (2.0 * np.pi) ** grid.ndim * np.sum(sq) * grid.d_eta
     return float(np.sqrt(val))
 
 
 def sobolev_norm(grid, fhat, order):
-    return _weighted_l2(grid, fhat, _sobolev_weight(grid, order))
+    """The H^order norm of a band field; order N takes the grid's table."""
+    return _weighted_l2(grid, fhat, grid.sobolev_weight if order == SOBOLEV_N
+                        else _sobolev_weight(grid.xi_norm, order))
 
 
 def l2_norm(grid, fhat):
     return sobolev_norm(grid, fhat, 0)
 
 
-def band_linf(grid, fhat, values=None):
-    """max |f| of fhat's band (of values(block) per block), slab by slab."""
+def band_linf(grid, fhat):
+    """max |f| of a band field, slab by slab."""
     return float(np.max([np.max(np.abs(slab)) for _, slab
-                         in grid.physical_slabs(fhat, values=values)]))
+                         in grid.physical_slabs(fhat)]))
 
 
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
     every component choice), with R_j f = propagators.riesz(grid, j, f)."""
-    return max(band_linf(grid, fhat, lambda b, j=j: riesz(grid, j, fhat, b))
+    return max(band_linf(grid, riesz(grid, j, fhat))
                for j in range(grid.ndim))
 
 
@@ -85,10 +93,10 @@ def weighted_x_l2(grid, fhat):
 def weighted_lambda_x_h1(grid, fhat):
     """||Lam x f||_{H^1} with the weight applied first."""
     f = grid.to_physical(fhat, dealias=True)
-    total = 0.0
+    total, h1 = 0.0, _sobolev_weight(grid.full_xi_norm, 1)
     for ax in grid.x_centered:
         comp = grid.to_spectral(ax * f)
-        total += sobolev_norm(grid, grid.xi_norm * comp, 1) ** 2
+        total += _weighted_l2(grid, grid.full_xi_norm * comp, h1) ** 2
     return float(np.sqrt(total))
 
 
@@ -98,7 +106,7 @@ def weighted_x2_lambda_h1(grid, fhat):
     lam = grid.xi_norm * fhat
     weighted = grid.to_spectral(grid.r2_centered
                                 * grid.to_physical(lam, dealias=True))
-    return sobolev_norm(grid, weighted, 1)
+    return _weighted_l2(grid, weighted, _sobolev_weight(grid.full_xi_norm, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +171,20 @@ def initial_energy(state):
                   ||x U||_{H^2} + ||Lam x^2 U||_{H^1} + ||U||_{H^N} },
     components aggregated by summation, where ||x U||_{H^2} sums the x_j U
     in squares and Lam x^2 U = Lam (|x|^2 U); once per distinct component."""
-    g = state.grid
-    h1, h2, hn = (_sobolev_weight(g, k) for k in (1, 2, SOBOLEV_N))
+    g, r = state.grid, state.grid.full_xi_norm
     parts = []      # per component: the L^1, x H^2, Lam x^2 H^1, H^N terms
     for i, comp in enumerate(state.data):
         terms = next((parts[j] for j in range(i)
                       if np.array_equal(state.data[j], comp)), None)
         if terms is None:
             f = g.to_physical(comp, dealias=True)
+            h2 = _sobolev_weight(r, 2)  # n^d weights, each built where used
             x_h2 = sum(_weighted_l2(g, g.to_spectral(ax * f), h2) ** 2
                        for ax in g.x_centered)
-            lam_x2 = g.xi_norm * g.to_spectral(g.r2_centered * f)
-            terms = (lp_physical(g, f, 1),
-                     float(np.sqrt(x_h2)), _weighted_l2(g, lam_x2, h1),
-                     _weighted_l2(g, comp, hn))
+            lam_x2 = r * g.to_spectral(g.r2_centered * f)
+            terms = (lp_physical(g, f, 1), float(np.sqrt(x_h2)),
+                     _weighted_l2(g, lam_x2, _sobolev_weight(r, 1)),
+                     _weighted_l2(g, comp, g.sobolev_weight))
         parts.append(terms)
     l1, x_h2, lam_x2, hn = map(sum, zip(*parts))    # the formula's order
     return float(max(l1, x_h2 + lam_x2 + hn))

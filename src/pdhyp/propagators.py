@@ -1,6 +1,6 @@
-"""Scalar Fourier multipliers: |xi|^s powers as arrays on the grid and
-the Riesz transforms as applies, plus the empirical fractional-integration
-estimate built from them.  |xi|^1 is grid.xi_norm itself; the half-wave phase
+"""Scalar Fourier multipliers: |xi|^s powers on a table of |xi|, the Riesz
+transforms of band fields, and the empirical fractional-integration
+estimate built from them, which runs on the n^d grid.  The half-wave phase
 e^{i|xi| t} of the wave profile is a per-shell row (evolution.wave_profile)."""
 
 import numpy as np
@@ -8,22 +8,18 @@ import numpy as np
 from .errors import ExponentMismatch
 
 
-def lambda_power(grid, s):
-    """|xi|^s; at xi = 0 it is 1 for s = 0 and 0 otherwise (the standard
-    convention for symbols that are undefined or vanish at the origin)."""
-    r = grid.xi_norm
-    vals = np.where(r > 0, r, 1.0) ** float(s)
-    return np.where(r > 0, vals, 1.0 if s == 0 else 0.0)
+def lambda_power(xi_norm, s):
+    """|xi|^s on a table of |xi|, the cube's or the n^d grid's; at xi = 0 it
+    is 1 for s = 0 and 0 otherwise (the standard convention for symbols that
+    are undefined or vanish at the origin)."""
+    vals = np.where(xi_norm > 0, xi_norm, 1.0) ** float(s)
+    return np.where(xi_norm > 0, vals, 1.0 if s == 0 else 0.0)
 
 
-def riesz(grid, j, fhat, block=None):
-    """R_j f = -i (xi_j/|xi|) f_hat, 0 at xi = 0, on the grid or on one
-    block of grid.band_blocks (so an L^inf sample builds no n^d table); the
+def riesz(grid, j, fhat):
+    """R_j f = -i (xi_j/|xi|) f_hat of a band field, 0 at xi = 0; the
     reciprocal of |xi| rounds as numpy's complex division by |xi| does."""
-    block = block or (slice(None),) * grid.ndim
-    xi = grid.xi_axes[j][(slice(None),) * j + (block[j],)]
-    return -1j * ((xi * grid.xi_norm_reciprocal[block])
-                  * fhat[(Ellipsis,) + block])
+    return -1j * ((grid.xi_axes[j] * grid.xi_norm_reciprocal) * fhat)
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +27,7 @@ def riesz(grid, j, fhat, block=None):
 # ---------------------------------------------------------------------------
 
 def lp_norm(grid, fhat, p):
+    """The L^p quadrature of an n^d field."""
     return lp_physical(grid, grid.to_physical(fhat), p)
 
 
@@ -40,12 +37,6 @@ def lp_physical(grid, f, p):
     if np.isinf(p):
         return float(np.max(f))
     return float((np.sum(f ** p) * grid.dx ** grid.ndim) ** (1.0 / p))
-
-
-def sobolev_w_norm(grid, fhat, sigma, p):
-    """||f||_{W^{sigma,p}} = ||f||_{L^p} + ||Lam^sigma f||_{L^p}."""
-    lam = lambda_power(grid, sigma) * fhat
-    return lp_norm(grid, fhat, p) + lp_norm(grid, lam, p)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +56,7 @@ def fractional_ratio(grid, alpha, p, q, fhat, *, ledger):
         raise ExponentMismatch(f"need 0 <= alpha < {d}/p")
     if not np.any(fhat):
         return 0.0
-    low = lambda_power(grid, -alpha) * fhat
+    low = lambda_power(grid.full_xi_norm, -alpha) * fhat
     ratio = lp_norm(grid, low, q) / lp_norm(grid, fhat, p)
     ledger.record("fractional", ratio, alpha=alpha, p=p, q=q, n=grid.n)
     return ratio

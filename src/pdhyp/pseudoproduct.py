@@ -21,14 +21,16 @@ space).  The symbol alone selects how apply() evaluates it:
     gamma) pair merges with its swap and pairs whose coefficients cancel
     drop out, so a symbol with a vanishing symmetric part, such as the
     null form null_b, costs no transform.
-  * a symbol outside the basis, such as mu0, takes the direct sum, the
-    full O(n_out * n^d) mode convolution, which refuses jobs above
-    TERM_CAP symbol evaluations.
+  * a symbol outside the basis, such as mu0, takes the direct sum over
+    every pair of modes, which refuses jobs above TERM_CAP symbol
+    evaluations.
 
 apply_direct() evaluates the direct sum for any symbol; it is the reference
-the separable path is checked against.  With the strict 2/3-rule mask
-(|component| <= (n-1)//3) no aliased interaction can land on a kept mode, so
-the two paths agree to rounding on dealiased fields.
+the separable path is checked against.  A dealiasing plan (the default)
+takes and returns band fields on the grid's cube: under the strict 2/3 rule
+no aliased interaction lands on a kept mode, so the two paths agree to
+rounding and the direct sum runs over the cube alone.  A plan with
+dealias=False takes n^d fields and their periodic convolution.
 """
 
 from dataclasses import dataclass
@@ -40,15 +42,14 @@ from .grid import dealias_limit
 from . import propagators
 
 TERM_CAP = int(2e9)
-_ZERO = 0
 
 
 def direct_sum_terms(n, ndim=3, dealias=True):
-    """Symbol evaluations of one direct-sum apply on an n^ndim grid: the
-    output modes (the 2/3-rule band when dealiased) times the n^ndim
-    input modes."""
-    out_axis = 2 * dealias_limit(n) + 1 if dealias else n
-    return out_axis ** ndim * n ** ndim
+    """Symbol evaluations of one direct-sum apply on an n^ndim grid: every
+    output mode times every input mode, of the 2/3-rule band's cube when
+    dealiased and of the grid otherwise."""
+    axis = 2 * dealias_limit(n) + 1 if dealias else n
+    return axis ** (2 * ndim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +95,10 @@ def _grouped(coefs):
     return tuple((a, tuple(pairs)) for a, pairs in groups.items())
 
 
-def _build_factor_table(grid, terms):
-    """Evaluate each (alpha, beta, gamma) callable once on the wavevectors."""
-    xi = grid.wavevectors()
+def _build_factor_table(axes, terms):
+    """Evaluate each (alpha, beta, gamma) callable once on the wavevectors
+    of the sparse axes."""
+    xi = np.stack(np.broadcast_arrays(*axes), axis=-1)
     factors = [None]
     general, diagonal = {}, {}
     for alpha, beta, gamma in terms:
@@ -117,7 +119,10 @@ class PseudoproductPlan:
 
     def __post_init__(self):    # the table is set-up, not the first apply's
         terms = self.symbol.separable_terms
-        self._table = _build_factor_table(self.grid, terms) if terms else None
+        g = self.grid
+        self.shape = g.band_shape if self.dealias else g.shape
+        axes = g.xi_axes if self.dealias else g.full_xi_axes
+        self._table = _build_factor_table(axes, terms) if terms else None
 
     def factor_table(self):
         """The symbol's FactorTable on the plan grid, or None."""
@@ -131,7 +136,8 @@ class PseudoproductPlan:
 
 
 def apply(plan, fhat, ghat):
-    """T_m(f, g) in spectral form; inputs and output on plan.grid.  Passing
+    """T_m(f, g) in spectral form; inputs and output on the plan's layout,
+    the cube of a dealiasing plan and the n^d grid otherwise.  Passing
     the same array as f and g makes it the diagonal form T_m(f, f).  The
     separable path runs when the symbol has a factorization, the direct
     sum otherwise."""
@@ -146,27 +152,24 @@ def apply_direct(plan, fhat, ghat):
 
 
 def _evaluate(plan, fhat, ghat, path):
-    """Prepare the inputs, run `path` on them (for a dealiasing plan both
-    paths write the band only), then apply the xi = 0 rule of singular
-    symbols to the output."""
-    grid = plan.grid
-    if fhat.shape != grid.shape or ghat.shape != grid.shape:
-        raise GridMismatch("field shapes do not match the plan grid")
+    """Prepare the inputs, run `path` on them, then apply the xi = 0 rule
+    of singular symbols to the output."""
+    if fhat.shape != plan.shape or ghat.shape != plan.shape:
+        raise GridMismatch(f"fields do not have the plan's shape {plan.shape}")
     fh = _prepared(plan, fhat)
     gh = fh if ghat is fhat else _prepared(plan, ghat)
     out = path(plan, fh, gh)
     if plan.symbol.singular:
-        out[(_ZERO,) * grid.ndim] = 0.0
+        out[(0,) * plan.grid.ndim] = 0.0
     return out
 
 
 def _prepared(plan, fhat):
-    """A dealiased complex copy of fhat."""
-    grid = plan.grid
-    fh = grid.dealias(fhat) if plan.dealias else fhat.astype(complex)
+    """A complex copy of fhat."""
+    fh = fhat.astype(complex)
     if plan.symbol.singular:
         # the singular lattice points {xi=0}u{eta=0}u{xi-eta=0} contribute 0
-        fh[(_ZERO,) * grid.ndim] = 0.0
+        fh[(0,) * plan.grid.ndim] = 0.0
     return fh
 
 
@@ -185,7 +188,7 @@ def _apply_separable(plan, fh, gh):
                                         dealias=plan.dealias)
         return cache[i]
 
-    out = np.zeros(grid.shape, dtype=complex)
+    out = np.zeros(plan.shape, dtype=complex)
     for a, pairs in table.diagonal if diagonal else table.groups:
         total = None
         for c, b, g in pairs:
@@ -205,29 +208,27 @@ def _apply_separable(plan, fh, gh):
 
 def _apply_direct(plan, fh, gh):
     grid = plan.grid
-    n, d = grid.n, grid.ndim
-    n_terms = direct_sum_terms(n, d, plan.dealias)
+    d = grid.ndim
+    n_terms = direct_sum_terms(grid.n, d, plan.dealias)
     if n_terms > TERM_CAP:
         raise CostCapExceeded(
             f"direct sum needs {n_terms:.3g} term evaluations "
             f"(cap {TERM_CAP:.3g}); use a separable symbol or a smaller grid")
-    out_idx = np.argwhere(grid.dealias_mask if plan.dealias
-                          else np.ones(grid.shape, dtype=bool))
-    eta_flat = grid.wavevectors().reshape(-1, d)
-    gh_flat = gh.reshape(-1)
-
-    # doubled copy of f_hat(-xi): contiguous slices give f_hat[(k-j) mod n]
-    f2 = grid.reflect(fh)
-    for ax in range(d):
-        f2 = np.concatenate([f2, f2], axis=ax)
-
-    out = np.zeros(grid.shape, dtype=complex)
-    for k in out_idx:
-        xi_k = grid.dk * np.array([grid.k_int[i] for i in k], dtype=float)
-        sl = tuple(slice(n - i, 2 * n - i) for i in k)
-        mvals = plan.symbol(xi_k, eta_flat)
-        out[tuple(k)] = np.sum(mvals * f2[sl].reshape(-1) * gh_flat)
-    return out * grid.d_eta
+    # centered order: the mode of index i is i - size // 2 on every axis
+    fc, gc = np.fft.fftshift(fh), np.fft.fftshift(gh)
+    size = fc.shape[0]
+    eta = grid.dk * (np.indices(fc.shape).reshape(d, -1).T - size // 2)
+    # f_hat(xi - eta) over every eta is one slice of f_hat reversed and
+    # padded by size - 1: with zeros off the band, periodic on the grid
+    rev = np.pad(fc, size - 1, mode="constant" if plan.dealias else "wrap")[
+        (slice(None, None, -1),) * d]
+    top = 2 * size - 2 - size // 2
+    out = np.zeros(fc.shape, dtype=complex)
+    for k, xi in zip(np.ndindex(fc.shape), eta):
+        sl = tuple(slice(top - i, top - i + size) for i in k)
+        mvals = plan.symbol(xi, eta)
+        out[k] = np.sum(mvals * rev[sl].reshape(-1) * gc.reshape(-1))
+    return np.fft.ifftshift(out) * grid.d_eta
 
 
 def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, *, ledger):
@@ -248,14 +249,17 @@ def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, *, ledger):
     grid = plan.grid
     if not np.any(fhat) or not np.any(ghat):
         return 0.0
-    t = apply(plan, fhat, ghat)
-    if k != 0:
-        t = propagators.lambda_power(grid, k) * t
-    num = propagators.lp_norm(grid, t, r)
-    den = (propagators.sobolev_w_norm(grid, fhat, s + k, p)
-           * propagators.lp_norm(grid, ghat, q)
-           + propagators.lp_norm(grid, fhat, p)
-           * propagators.sobolev_w_norm(grid, ghat, s + k, q))
+    xi_norm = grid.xi_norm if plan.dealias else grid.full_xi_norm
+
+    def lp(h, p, sigma=0):      # ||Lam^sigma h||_{L^p}, h on the plan layout
+        if sigma:
+            h = propagators.lambda_power(xi_norm, sigma) * h
+        return propagators.lp_physical(
+            grid, grid.to_physical(h, dealias=plan.dealias), p)
+
+    num = lp(apply(plan, fhat, ghat), r, k)
+    den = ((lp(fhat, p) + lp(fhat, p, s + k)) * lp(ghat, q)
+           + lp(fhat, p) * (lp(ghat, q) + lp(ghat, q, s + k)))
     ratio = num / den
     ledger.record("holder", ratio, symbol=plan.symbol.name, s=s, k=k, p=p,
                   q=q, r=r, n=grid.n)

@@ -19,11 +19,10 @@ DEGENERATE_BAND around it is handled by a direct matrix exponential.
 E depends on xi only through |xi|, so the symbol cache is tabulated on a
 list of |xi| values; a grid's are its band shells, grid.shells.  exp(E t)
 keeps the block pattern of E: the 2x2 block and, for three components, the
-wave phase on the diagonal.  band_rows gathers per-shell tables once onto
-the band's first corner, as rows: the block entries of a matrix, or one row
-of scalars such as the wave profile's phase.  propagator_apply reads every
-band block's rows through its mirror slices and writes 0 off the band, so
-it applies P_band exp(E t), which is exp(E t) on every dealiased state.
+wave phase on the diagonal.  band_rows gathers a per-shell table once onto
+the band's cube as rows: the block entries of a matrix, or one row of
+scalars.  propagator_apply multiplies a stack of cube fields by those rows,
+mode by mode.
 """
 
 import warnings
@@ -190,8 +189,8 @@ def green_function(cache, t):
 
 
 def band_rows(grid, per_shell):
-    """A per-shell table of grid.shells gathered onto the band's first
-    corner, as the rows (r, *corner) propagator_apply takes: the
+    """A per-shell table of grid.shells gathered onto the band's cube, as
+    the rows (r, *grid.band_shape) propagator_apply takes: the
     BLOCK_ENTRIES of matrices (k, d, d) with the block pattern of E, or the
     one row of scalars (k,)."""
     if per_shell.ndim == 3:
@@ -207,19 +206,15 @@ def propagator(grid, cache, t):
     return band_rows(grid, green_function(cache, t))
 
 
-def propagator_apply(grid, G, data):
-    """Apply band rows G (r, *corner) to stacked fields (d, *grid.shape)
-    row by row, one temporary at a time: rows 0-3 as the 2x2 block to
-    (u, v), an odd last row as the phase of the last field.  Every band
-    block reads G through its mirror slices; modes off the band get 0."""
-    out = np.zeros(data.shape, dtype=complex)
-    for block, mirror in grid.band_blocks:
-        at = (slice(None),) + block
-        g, x, y = G[(slice(None),) + mirror], data[at], out[at]
-        if len(g) > 1:
-            np.multiply(g[0:4:3], x[:2], out=y[:2])     # G00 u, G11 v
-            y[0] += g[1] * x[1]                         # + G01 v
-            y[1] += g[2] * x[0]                         # + G10 u
-        if len(g) % 2:
-            np.multiply(g[-1], x[-1], out=y[-1])        # the phase
+def propagator_apply(G, data):
+    """Apply band rows G (r, *cube) to stacked cube fields (d, *cube) row
+    by row, one temporary at a time: rows 0-3 as the 2x2 block to (u, v),
+    an odd last row as the phase of the last field."""
+    out = np.empty(data.shape, dtype=complex)
+    if len(G) > 1:
+        np.multiply(G[0:4:3], data[:2], out=out[:2])    # G00 u, G11 v
+        out[0] += G[1] * data[1]                        # + G01 v
+        out[1] += G[2] * data[0]                        # + G10 u
+    if len(G) % 2:
+        np.multiply(G[-1], data[-1], out=out[-1])       # the phase
     return out

@@ -9,6 +9,12 @@ def grid16():
     return SpectralGrid(16, 2 * np.pi)
 
 
+def embed(grid, cube):
+    """The n^d field that equals `cube` on the band and 0 off it."""
+    full = np.zeros(np.shape(cube)[:-grid.ndim] + grid.shape, dtype=complex)
+    full[(Ellipsis,) + np.ix_(*[grid.band_k % grid.n] * grid.ndim)] = cube
+    return full
+
 
 def conjugate_symmetry_defect(grid, fhat):
     """max |fhat(xi) - conj(fhat(-xi))| of a field, or of a stack of fields

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import conjugate_symmetry_defect, record_transforms
+from conftest import conjugate_symmetry_defect, embed, record_transforms
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
@@ -14,21 +14,19 @@ from pdhyp.grid import SpectralGrid
 
 def bump_state(g, dim, amp, widths=None):
     widths = widths or [1.5] * dim
-    data = np.zeros((dim,) + g.shape, complex)
+    data = np.zeros((dim,) + g.band_shape, complex)
     for i in range(dim):
         f = amp * (1 + 0.1 * i) * np.exp(-g.r2_centered / (2 * widths[i] ** 2))
-        data[i] = g.dealias(g.to_spectral(f))
+        data[i] = g.to_spectral(f, dealias=True)
     return ev.StateField(g, data, ev.T_INITIAL)
 
 
 def flow(cache, state, t_target):
     """The exact linear flow exp(E (t_target - t)) of a state, for either
-    sign of t_target - t, on the dealiased band; flow(cache, state, 0.0) is
-    its profile."""
+    sign of t_target - t; flow(cache, state, 0.0) is its profile."""
     g = state.grid
     G = spectra.propagator(g, cache, t_target - state.t)
-    return ev.StateField(g, spectra.propagator_apply(g, G, state.data),
-                         t_target)
+    return ev.StateField(g, spectra.propagator_apply(G, state.data), t_target)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +39,7 @@ def test_rhs_zero_state(grid):
                          ev.Coefficients(a_u=1, b_u=1, c_u=1, a_v=1, b_v=1,
                                          c_v=1, d_v=1),
                          w_symbol=sy.symbol_preset("null_b"))
-    zero = ev.StateField(grid, np.zeros((3,) + grid.shape), ev.T_INITIAL)
+    zero = ev.StateField(grid, np.zeros((3,) + grid.band_shape), ev.T_INITIAL)
     out = ev.rhs(model, zero)
     assert np.all(out == 0.0)
 
@@ -51,18 +49,18 @@ def test_rhs_single_cosine_closed_form(grid):
     # u^2 = A^2/2 + (A^2/4)(e^{2ik.x} + e^{-2ik.x})
     model = ev.ModelSpec("k_system", ev.Coefficients(a_u=1.0))
     A = 0.7
-    st = ev.StateField(grid, np.zeros((2,) + grid.shape), ev.T_INITIAL)
-    k_vec = grid.wavevectors()[1, 0, 0]
+    st = ev.StateField(grid, np.zeros((2,) + grid.band_shape), ev.T_INITIAL)
+    k = grid.dk
     x0 = np.broadcast_to(np.arange(grid.n)[:, None, None] * grid.dx, grid.shape)
-    u_phys = A * np.cos(x0 * k_vec[0])
-    st.data[0] = grid.to_spectral(u_phys)
+    u_phys = A * np.cos(x0 * k)
+    st.data[0] = grid.to_spectral(u_phys, dealias=True)
     out = ev.rhs(model, st)
-    expect = grid.to_spectral(A ** 2 * (1 + np.cos(2 * x0 * k_vec[0])) / 2)
-    # three surviving modes: 0 and +-2k
+    expect = grid.band(grid.to_spectral(A ** 2 * (1 + np.cos(2 * x0 * k)) / 2))
+    # three surviving modes: 0 and +-2k, at cube indices 0, 2 and -2
     assert np.max(np.abs(out[0] - expect)) < 1e-14 * np.max(np.abs(expect))
     nonzero = np.argwhere(np.abs(out[0]) > 1e-12)
     assert {tuple(i) for i in nonzero} == {(0, 0, 0), (2, 0, 0),
-                                           (grid.n - 2, 0, 0)}
+                                           (grid.band_k.size - 2, 0, 0)}
     assert np.max(np.abs(out[1])) == 0.0
 
 
@@ -86,15 +84,18 @@ def test_coupling_placement(grid):
     vw_v = ev.rhs(ev.ModelSpec("pk_system", base, w_symbol=None,
                                coupling="vw_in_v"), st)
     g = grid
-    prod_uw = g.dealias(g.to_spectral(g.to_physical(st.data[0])
-                                      * g.to_physical(st.data[2])))
-    prod_vw = g.dealias(g.to_spectral(g.to_physical(st.data[1])
-                                      * g.to_physical(st.data[2])))
+
+    def product(a, b):      # the band of the n^d product's transform
+        phys = [g.to_physical(embed(g, c)) for c in (a, b)]
+        return g.band(g.to_spectral(phys[0] * phys[1]))
+
+    prod_uw = product(st.data[0], st.data[2])
+    prod_vw = product(st.data[1], st.data[2])
     assert np.allclose(uw[1], prod_uw) and np.max(np.abs(uw[0])) == 0.0
     assert np.allclose(vw_u[0], prod_vw) and np.max(np.abs(vw_u[1])) == 0.0
     assert np.allclose(vw_v[1], prod_vw) and np.max(np.abs(vw_v[0])) == 0.0
     # pk_system_w fixes unit sources (v^2, v^2, vw + T_m)
-    prod_vv = g.dealias(g.to_spectral(g.to_physical(st.data[1]) ** 2))
+    prod_vv = product(st.data[1], st.data[1])
     t_m = pseudoproduct.apply(pseudoproduct.PseudoproductPlan(g, sym),
                               st.data[2], st.data[2])
     for coupling in ("uw", "vw_in_w"):
@@ -158,13 +159,14 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
 
 
 def _per_monomial_rhs(model, state, plan):
-    """Reference source: every product transformed and dealiased on its
-    own, then summed per equation with its coefficient, and T_m(w, w) from
-    the unsymmetrized table; also the scale to compare at, which counts
-    the transformed w^2 (null_b's T_m(w, w) is 0 up to rounding)."""
+    """Reference source: every product transformed on the n^d grid on its
+    own and restricted to the band, then summed per equation with its
+    coefficient, and T_m(w, w) from the unsymmetrized table; also the
+    scale to compare at, which counts the transformed w^2 (null_b's
+    T_m(w, w) is 0 up to rounding)."""
     g = state.grid
-    phys = [g.to_physical(c) for c in state.data]
-    product = lambda i, j: g.dealias(g.to_spectral(phys[i] * phys[j]))
+    phys = [g.to_physical(embed(g, c)) for c in state.data]
+    product = lambda i, j: g.band(g.to_spectral(phys[i] * phys[j]))
     out = np.zeros_like(state.data)
     for eq, row in enumerate(model.sources):
         for m, coef in row.items():
@@ -199,7 +201,7 @@ def test_fused_rhs_matches_per_monomial_sum(coefs, kind, coupling, symbol,
     model = ev.ModelSpec(kind, c, w_symbol=sy.symbol_preset(symbol),
                          coupling=coupling)
     rng = np.random.default_rng(seed)
-    data = np.stack([band_field(_GRID8, 2, rng)
+    data = np.stack([_GRID8.band(band_field(_GRID8, 2, rng))
                      for _ in range(model.dim_state)])
     state = ev.StateField(_GRID8, data, ev.T_INITIAL)
     plan = pseudoproduct.PseudoproductPlan(_GRID8, model.w_symbol)
@@ -232,7 +234,7 @@ def test_linear_step_is_exact(grid):
         st = st0.copy()
         for _ in range(4):
             st = stepper.step(st)
-        exact = grid.dealias(flow(stepper.cache, st0, st.t).data)
+        exact = flow(stepper.cache, st0, st.t).data
         assert np.max(np.abs(st.data - exact)) <= 1e-10
 
 
@@ -253,7 +255,6 @@ def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
             mp.setattr(ev, "rhs", None)    # the exact step calls no rhs
             got = stepper.step(st0)
         assert np.array_equal(got.data, expect.data)
-        assert not got.data[:, ~grid.dealias_mask].any()
 
 
 def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
@@ -269,26 +270,26 @@ def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
     assert len(calls) == 15
     # a constant factor takes no |v|
     monkeypatch.setattr(sy, "_norm", None)
-    assert np.array_equal(sy._factor((), 2.5, grid.wavevectors()),
-                          np.full(grid.shape, 2.5))
+    xi = np.stack(np.broadcast_arrays(*grid.xi_axes), axis=-1)
+    assert np.array_equal(sy._factor((), 2.5, xi),
+                          np.full(grid.band_shape, 2.5))
 
 
 def test_stepper_stores_the_block_per_mode_only():
     # what the Stepper holds for the linear flow (the symbol tables and both
     # propagators of an IFRK4 Stepper): the block rows per mode of the
-    # band's first corner, everything else per |xi| shell of the band
+    # band's cube, everything else per |xi| shell of the band
     g = SpectralGrid(32, 64.0)
     model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0), w_symbol=None)
     stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
     c = stepper.cache
     counted = (c.E, c.eigvals, c.projectors, c.degenerate_mask, c.xi_norm,
                stepper.G_full, stepper.G_half)
-    shells = np.unique(g.xi_norm[g.dealias_mask]).size
-    corner = (g.dealias_limit + 1) ** g.ndim
+    shells = np.unique(g.xi_norm).size
     # E, eigvals, projectors: 9 + 3 + 27 complex; mask and |xi|: 1 + 8
-    # bytes; two propagators: 2 x 5 complex per corner mode
+    # bytes; two propagators: 2 x 5 complex per mode of the cube
     per_shell = 16 * (9 + 3 + 27) + 1 + 8
-    limit = corner * 2 * 5 * 16 + shells * per_shell
+    limit = g.xi_norm.size * 2 * 5 * 16 + shells * per_shell
     assert sum(a.nbytes for a in counted) <= limit
 
 
@@ -303,7 +304,7 @@ def _arrays(value):
 
 @pytest.mark.parametrize("n", [15, 16])
 def test_no_integer_table_per_mode(n):
-    # the |xi| shells index the band's first corner, not every mode
+    # the |xi| shells index the band's cube, not every mode of the grid
     g = SpectralGrid(n, 32.0)
     model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0),
                          w_symbol=sy.symbol_preset("mixed"))
@@ -311,7 +312,7 @@ def test_no_integer_table_per_mode(n):
     stepper.step(bump_state(g, 3, 0.1))
     ev.wave_profile(bump_state(g, 3, 0.1))
     g.sobolev_weight, g.xi_norm_reciprocal    # every cached table built
-    assert g.shells[1].size == (g.dealias_limit + 1) ** g.ndim
+    assert g.shells[1].shape == g.band_shape
     owners = (g, stepper, stepper.cache)
     found = [a for owner in owners for v in vars(owner).values()
              for a in _arrays(v)]
@@ -444,7 +445,7 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
     # step reads state.data and must never write it
     g = SpectralGrid(8, 8.0)
     rng = np.random.default_rng(11)
-    state = ev.StateField(g, np.stack([band_field(g, 2, rng)
+    state = ev.StateField(g, np.stack([g.band(band_field(g, 2, rng))
                                        for _ in range(3)]), ev.T_INITIAL)
     k_state = ev.StateField(g, state.data[:2], state.t)     # a view
     assert np.shares_memory(k_state.data, state.data)
@@ -475,3 +476,46 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
     for name, call in calls.items():
         call()
         assert state.data.tobytes() == saved.tobytes(), name
+
+
+def test_state_rejects_full_grid_data(grid):
+    # the old (d, n^d) layout is refused loudly, naming the band's cube
+    with pytest.raises(ValueError, match=r"band's cube \(11, 11, 11\)"):
+        ev.StateField(grid, np.zeros((3,) + grid.shape), ev.T_INITIAL)
+
+
+@pytest.mark.parametrize("kind, scheme", [
+    ("pk_system", "ifrk2"), ("pk_system", "ifrk4"), ("k_system", "ifrk4"),
+    ("pk_system_w", "ifrk2"), ("source_free", "ifrk2")])
+def test_a_step_holds_only_band_cubes(grid, kind, scheme, monkeypatch):
+    # the state, every rhs output and every stage array of a step of each
+    # model kind (and of the exact flow) are stacks of the band's cube
+    mixed = sy.symbol_preset("mixed")
+    model = {"pk_system": ev.ModelSpec("pk_system", ev.Coefficients(
+                 a_u=1.0, b_v=1.0, d_v=1.0), w_symbol=mixed),
+             "k_system": ev.ModelSpec("k_system", ev.Coefficients(a_u=1.0)),
+             "pk_system_w": ev.ModelSpec("pk_system_w", w_symbol=mixed),
+             "source_free": ev.ModelSpec("pk_system")}[kind]
+    cube = (model.dim_state,) + grid.band_shape
+    shapes = []
+    apply, rhs = spectra.propagator_apply, ev.rhs
+
+    def recorded_apply(G, x):
+        out = apply(G, x)
+        shapes.extend([G.shape[1:], x.shape, out.shape])
+        return out
+
+    def recorded_rhs(m, st, plan=None):
+        out = rhs(m, st, plan)
+        shapes.extend([st.data.shape, out.shape])
+        return out
+
+    monkeypatch.setattr(spectra, "propagator_apply", recorded_apply)
+    monkeypatch.setattr(ev, "rhs", recorded_rhs)
+    stepper = ev.Stepper(model, grid, 0.5, scheme)
+    out = stepper.step(bump_state(grid, model.dim_state, 0.1))
+    assert out.data.shape == cube
+    applies, rhs_calls = ((1, 0) if kind == "source_free" else
+                          {"ifrk2": (2, 2), "ifrk4": (6, 4)}[scheme])
+    assert len(shapes) == 3 * applies + 2 * rhs_calls
+    assert set(shapes) == {cube, grid.band_shape}

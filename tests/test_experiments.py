@@ -104,8 +104,8 @@ def test_config_rejects_models_the_runner_cannot_honour(model, expect):
 
 
 def test_config_rejects_a_direct_sum_over_the_cap():
-    # mu0 has no factorization, so T_m runs as the direct sum: 3.0e8 terms
-    # at n = 32 are within the cap, 2.1e10 at n = 64 are not
+    # mu0 has no factorization, so T_m runs as the direct sum over the
+    # cube: 8.6e7 terms at n = 32 are within the cap, 6.3e9 at n = 64 are not
     mu0 = {**TINY, "model": {"kind": "pk_system_w", "symbol": "mu0"}}
     ex.ExperimentConfig.from_dict({**mu0, "grid": {"n": 32, "length": 64.0}})
     with pytest.raises(ConfigError, match="model.symbol: 'mu0' has no "
@@ -186,8 +186,8 @@ def test_gaussian_bump_is_real_bandlimited_dealiased():
     st = ex.make_initial_data("gaussian_bump", g, 0.5, 0, width=2.0)
     assert st.t == 1.0
     assert conjugate_symmetry_defect(g, st.data) < 1e-12
-    assert np.all(st.data[:, ~g.dealias_mask] == 0.0)
-    phys = g.to_physical(st.data[0])
+    assert st.data.shape == (3,) + g.band_shape
+    phys = g.to_physical(st.data[0], dealias=True)
     assert np.max(np.abs(phys.imag)) < 1e-13
     # physical peak is exactly the configured amplitude, at the box center
     center = tuple([g.n // 2] * 3)
@@ -227,8 +227,7 @@ def test_shipped_presets_initial_data_is_real_and_dealiased(name, n):
     st = preset_initial_data(cfg, g)
     assert conjugate_symmetry_defect(g, st.data) \
         <= 1e-15 * np.max(np.abs(st.data))
-    assert not st.data[:, ~g.dealias_mask].any()
-    assert st.data[:, g.dealias_mask].any()
+    assert st.data.shape[1:] == g.band_shape and st.data.any()
     if cfg["initial"]["project"] == "damped_branch":
         # the stated exception: the projector P2 is the same complex matrix
         # at xi and -xi, so the projected data is not conjugate-symmetric
@@ -251,13 +250,12 @@ def test_a_step_with_sources_stays_in_the_dealiased_band(preset, override):
     assert not stepper.source_free
     st = preset_initial_data(cfg, g)
     out = stepper.step(st)
-    assert not out.data[:, ~g.dealias_mask].any()
-    assert out.data.any()
+    assert out.data.shape[1:] == g.band_shape and out.data.any()
 
 
 @pytest.mark.parametrize("n", [15, 16])
 def test_initial_data_and_projection_leave_no_mode_outside_the_band(n):
-    # the band-only propagator apply assumes every state is dealiased
+    # every state lives on the band's cube, its edge modes included
     g = SpectralGrid(n, 32.0)
     k = g.dealias_limit     # data reaching the band edge
     made = [ex.make_initial_data("gaussian_bump", g, 0.5, 0,
@@ -268,9 +266,10 @@ def test_initial_data_and_projection_leave_no_mode_outside_the_band(n):
     cache = spectra.build_symbol_cache(g.shells[0],
                                        spectra.three_component_model())
     made += [ex.project_damped_branch(st, cache) for st in made]
+    edge = np.abs(g.band_k) == k
     for st in made:
-        assert st.data.any()
-        assert not st.data[:, ~g.dealias_mask].any()
+        assert st.data.any() and st.data.shape[1:] == g.band_shape
+        assert st.data[:, edge].any()
 
 
 def test_seed_stability_bit_identical():
@@ -285,7 +284,7 @@ def test_seed_stability_bit_identical():
 def test_single_mode_closed_form():
     g = SpectralGrid(16, 32.0)
     st = ex.make_initial_data("single_mode", g, 2.0, 0, mode=(2, 1, 0))
-    k = g.wavevectors()[2, 1, 0]
+    k = g.dk * np.array([2.0, 1.0, 0.0])
     expect = np.sqrt((1 + k @ k) ** norms.SOBOLEV_N * 4.0 * g.volume / 2)
     got = norms.sobolev_norm(g, st.data[0], norms.SOBOLEV_N)
     assert abs(got - expect) <= 1e-10 * expect

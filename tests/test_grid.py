@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate_symmetry_defect
+from conftest import conjugate_symmetry_defect, embed
 from pdhyp import grid as grid_module
 from pdhyp.acceptance import band_field
 from pdhyp.grid import SpectralGrid
@@ -48,49 +50,54 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 15, 16, 24, 48])
 def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
-    # dealias=True is the general transform composed with P_band, bit for
-    # bit, on full-grid input that is not band-limited; each call counts
-    # once, writes a new array and leaves its input, stacked or strided.
-    # The band inverse is a run of physical_slabs: at 7 rows per slab of one
-    # field there are several slabs and a ragged last one, in one reused
-    # buffer or in `out`, and put together they are its output bit for bit
+    # dealias=True is the general transform composed with the band, bit for
+    # bit: the forward transform of an n^d field that is not band-limited
+    # is the band of its full transform, the inverse of a cube is the full
+    # inverse of its zero embedding; each call counts once, writes a new
+    # array and leaves its input, real, stacked or strided.  The band
+    # inverse is a run of physical_slabs: at 7 rows per slab of one field
+    # there are several slabs and a ragged last one, in one reused buffer
+    # or in `out`, and put together they are its output bit for bit
     monkeypatch.setattr(grid_module, "_SLAB_BYTES", 7 * 16 * n ** (ndim - 1))
     g = SpectralGrid(n, 7.3, ndim)
     rng = np.random.default_rng(10 * n + ndim)
-    stacked = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(
-        size=(3,) + g.shape)
-    wide = rng.normal(size=(2 * n,) * ndim) + 1j * rng.normal(
-        size=(2 * n,) * ndim)
-    view = wide[(slice(None, None, 2),) * ndim]     # not contiguous
-    real = rng.normal(size=g.shape)
-    inputs = (stacked[1], stacked, view, real)
-    saved = [x.copy() for x in inputs] + [wide.copy()]
-    for x in inputs:
+
+    def inputs(shape):      # one, stacked, strided and real input
+        stacked = rng.normal(size=(3,) + shape) + 1j * rng.normal(
+            size=(3,) + shape)
+        wide = stacked.repeat(2, axis=-1)
+        view = wide[(Ellipsis, slice(None, None, 2))]   # not contiguous
+        return stacked[1], stacked, view, rng.normal(size=shape)
+
+    fields, cubes = inputs(g.shape), inputs(g.band_shape)
+    saved = [x.copy() for x in fields + cubes]
+    for x, c in zip(fields, cubes):
         count = g.transforms
-        phys = g.to_physical(x, dealias=True)
-        assert g.transforms == count + 1
         spec = g.to_spectral(x, dealias=True)
+        assert g.transforms == count + 1
+        phys = g.to_physical(c, dealias=True)
         assert g.transforms == count + 2
         # a real input is transformed as complex
-        assert np.array_equal(phys, g.to_physical(g.dealias(x + 0j)))
-        assert np.array_equal(spec, g.dealias(g.to_spectral(x + 0j)))
-        assert not np.shares_memory(phys, x)
+        assert np.array_equal(spec, g.band(g.to_spectral(x + 0j)))
+        assert np.array_equal(phys, g.to_physical(embed(g, c)))
+        assert spec.shape == np.shape(x)[:-ndim] + g.band_shape
+        assert not np.shares_memory(phys, c)
         assert not np.shares_memory(spec, x)
-        whole = np.full(np.shape(x), np.nan, dtype=complex)
+        whole = np.full(np.shape(phys), np.nan, dtype=complex)
         out = np.empty_like(whole)
         count, sizes, buffers = g.transforms, [], set()
-        for rows, slab in g.physical_slabs(x):
+        for rows, slab in g.physical_slabs(c):
             whole[(Ellipsis, rows) + (slice(None),) * (ndim - 1)] = slab
             sizes.append(rows.stop - rows.start)
             buffers.add(slab.__array_interface__["data"][0])
-        for rows, slab in g.physical_slabs(x, out=out):
+        for rows, slab in g.physical_slabs(c, out=out):
             assert np.shares_memory(slab, out)
         assert g.transforms == count + 2
         assert whole.tobytes() == phys.tobytes() == out.tobytes()
         assert len(buffers) == 1
-        if x.ndim == ndim:
+        if c.ndim == ndim:
             assert len(sizes) > 1 and sizes[-1] < sizes[0] == 7
-    for x, before in zip(inputs + (wide,), saved):
+    for x, before in zip(fields + cubes, saved):
         assert x.tobytes() == before.tobytes()
 
 
@@ -99,9 +106,9 @@ def test_band_inverse_scales_as_ifftn_does():
     # differs from the double 1.0/n, and the band inverse still matches
     g = SpectralGrid(2731, 1.0, 1)
     assert float(np.longdouble(1) / g.n) != 1.0 / g.n
-    x = np.random.default_rng(3).normal(size=g.shape) + 0j
+    x = np.random.default_rng(3).normal(size=g.band_shape) + 0j
     assert np.array_equal(g.to_physical(x, dealias=True),
-                          g.to_physical(g.dealias(x)))
+                          g.to_physical(embed(g, x)))
 
 
 @pytest.mark.parametrize("n, workers", [(64, 1), (96, 1), (128, -1)])
@@ -162,32 +169,45 @@ def test_centered_axes_broadcast_to_the_dense_axes():
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 15, 16, 24, 25, 32, 48])
 def test_shells_equal_the_sorted_full_grid(n, ndim):
-    # the shells are the sorted |xi| of the full grid's band, and the
-    # first corner's index, read through each block's mirror slices,
-    # gives |xi| on every band block
+    # the shells are the sorted |xi| of the full grid's band, and their
+    # index gives |xi| on every mode of the cube
     g = SpectralGrid(n, 7.3, ndim)
     norms, index = g.shells
-    assert np.array_equal(norms, np.unique(g.xi_norm[g.dealias_mask]))
+    band = g.band(_dense_mesh_tables(n, 7.3, ndim)["xi_norm"])
+    assert np.array_equal(norms, np.unique(band))
     assert index.dtype == np.int32
-    assert index.shape == (g.dealias_limit + 1,) * ndim
-    for block, mirror in g.band_blocks:
-        assert np.array_equal(norms[index[mirror]], g.xi_norm[block])
+    assert index.shape == g.band_shape
+    assert np.array_equal(norms[index], band)
     assert g.shells is g.shells
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 15, 16, 24])
 def test_band_blocks_tile_the_band_and_mirror_the_first_corner(n, ndim):
+    # per axis the cube holds the modes 0..K and then -K..-1: its 2^d
+    # corner blocks tile it, each is the band block of the full grid that
+    # holds the same modes, and reading the first corner through the
+    # mirror slices gives |k_j| and the shell index on every block
     g = SpectralGrid(n, 7.3, ndim)
-    assert len(g.band_blocks) == 2 ** ndim
-    count = np.zeros(g.shape, dtype=int)
-    first = g.band_blocks[0][0]
-    for block, mirror in g.band_blocks:
+    K = g.dealias_limit
+    assert np.array_equal(g.band_k, np.r_[0:K + 1, -K:0])
+    assert g.band_shape == (2 * K + 1,) * ndim
+    ends = ((slice(K + 1), slice(K + 1)),
+            (slice(K + 1, None), slice(K, 0, -1)))
+    first = (slice(K + 1),) * ndim
+    full_k = np.meshgrid(*([g.k_int] * ndim), indexing="ij")
+    cube_k = [g.band(k) for k in full_k]
+    count = np.zeros(g.band_shape, dtype=int)
+    for corner in itertools.product(ends, repeat=ndim):
+        block, mirror = zip(*corner)
         count[block] += 1
-        for k in g.k_axes:
-            k = np.broadcast_to(k, g.shape)
+        for k in cube_k:
             assert np.array_equal(np.abs(k[block]), k[first][mirror])
-    assert np.array_equal(count, g.dealias_mask)
+        assert np.array_equal(g.shells[1][block], g.shells[1][first][mirror])
+    assert np.all(count == 1)
+    for k, ax in zip(cube_k, np.meshgrid(*([g.band_k] * ndim),
+                                         indexing="ij")):
+        assert np.array_equal(k, ax)
 
 
 def test_multiplier_tables_are_built_once():
@@ -197,26 +217,28 @@ def test_multiplier_tables_are_built_once():
     inv = g.xi_norm_reciprocal
     assert inv is g.xi_norm_reciprocal and inv[0, 0, 0] == 1.0
     assert np.array_equal(inv.reshape(-1)[1:], 1.0 / g.xi_norm.reshape(-1)[1:])
+    assert g.full_xi_norm is g.full_xi_norm
 
 
 def test_dealias_mask_strictly_below_third():
+    # the cube's largest |k| is K, and 3K < n: no product of two band
+    # modes wraps onto the band
     for n in (16, 32, 64):
         g = SpectralGrid(n, 1.0)
-        assert 3 * g.dealias_limit < n
-        modes = np.stack(np.broadcast_arrays(*g.k_axes), axis=-1)
-        kept = np.abs(modes[g.dealias_mask])
-        assert kept.max() == g.dealias_limit
+        assert np.abs(g.band_k).max() == g.dealias_limit
+        assert 3 * np.abs(g.band_k).max() < n
+        assert g.xi_norm.shape == g.band_shape == (2 * g.dealias_limit + 1,
+                                                   ) * 3
 
 
 def _dense_mesh_tables(n, length, ndim):
-    """|xi|, the 2/3 mask, |x - center|^2 and the wavevectors from dense
-    (*shape, d) meshes: the reference the broadcast axes must equal."""
+    """|xi|, |x - center|^2 and the wavevectors from dense (*shape, d)
+    meshes of the n^d grid: the reference the broadcast axes must equal."""
     k1 = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
     modes = np.stack(np.meshgrid(*([k1] * ndim), indexing="ij"), axis=-1)
     xi = (2.0 * np.pi / length) * modes
     x = np.meshgrid(*([np.arange(n) * (length / n)] * ndim), indexing="ij")
     return {"xi_norm": np.linalg.norm(xi, axis=-1),
-            "dealias_mask": np.all(np.abs(modes) <= (n - 1) // 3, axis=-1),
             "r2_centered": sum((ax - length / 2.0) ** 2 for ax in x),
             "wavevectors": xi}
 
@@ -225,13 +247,16 @@ def _dense_mesh_tables(n, length, ndim):
 @settings(max_examples=6, deadline=None)
 @given(length=st.floats(0.5, 300.0), ndim=st.sampled_from((2, 3)))
 def test_axes_tables_equal_the_dense_mesh_formulas(n, length, ndim):
+    # the cube's |xi| and wavevectors are the dense-mesh ones restricted to
+    # the band; the n^d tables are the dense-mesh ones
     g = SpectralGrid(n, length, ndim=ndim)
     dense = _dense_mesh_tables(n, length, ndim)
-    assert np.array_equal(g.xi_norm, dense["xi_norm"])
-    assert np.array_equal(g.dealias_mask, dense["dealias_mask"])
+    xi = np.moveaxis(dense["wavevectors"], -1, 0)
+    assert np.array_equal(g.xi_norm, g.band(dense["xi_norm"]))
+    assert np.array_equal(np.broadcast_arrays(*g.xi_axes), g.band(xi))
+    assert np.array_equal(g.full_xi_norm, dense["xi_norm"])
+    assert np.array_equal(np.broadcast_arrays(*g.full_xi_axes), xi)
     assert np.array_equal(g.r2_centered, dense["r2_centered"])
-    assert np.array_equal(g.wavevectors(), dense["wavevectors"])
-    assert g.wavevectors() is not g.wavevectors()    # built anew, not kept
 
 
 def test_grid_keeps_no_dense_mesh():
@@ -254,6 +279,18 @@ def test_dealiased_products_cannot_wrap():
             if abs(tot) > g.n // 2:
                 wrapped = tot - np.sign(tot) * g.n
                 assert abs(wrapped) > K
+
+
+@pytest.mark.parametrize("n, ndim", [(8, 3), (15, 2), (16, 1)])
+def test_reflect_on_the_cube_is_the_band_of_the_full_reflect(n, ndim):
+    # flip-then-roll is -k mod (2K+1) on the cube: reflect and
+    # conjugate_symmetrize act on it unchanged
+    g = SpectralGrid(n, 2.0, ndim)
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
+    assert np.array_equal(g.reflect(c), g.band(g.reflect(embed(g, c))))
+    assert np.array_equal(g.conjugate_symmetrize(c),
+                          g.band(g.conjugate_symmetrize(embed(g, c))))
 
 
 def test_reflect_and_conjugate_symmetry():
@@ -317,16 +354,17 @@ def test_dealiased_products_match_unwrapped_products(n, seed):
     coarse = SpectralGrid(n, 2 * np.pi, ndim=2)
     fine = SpectralGrid(2 * n, 2 * np.pi, ndim=2)
     rng = np.random.default_rng(seed)
-    f, h = (coarse.dealias(rng.normal(size=coarse.shape)
-                           + 1j * rng.normal(size=coarse.shape))
-            for _ in range(2))
+    f, h = (rng.normal(size=coarse.band_shape)
+            + 1j * rng.normal(size=coarse.band_shape) for _ in range(2))
 
     def product(grid, a, b):
         return grid.to_spectral(grid.to_physical(a) * grid.to_physical(b))
 
-    on_fine = np.ix_(coarse.k_int % fine.n, coarse.k_int % fine.n)
+    on_fine = np.ix_(coarse.band_k % fine.n, coarse.band_k % fine.n)
     big_f, big_h = np.zeros(fine.shape, complex), np.zeros(fine.shape, complex)
     big_f[on_fine], big_h[on_fine] = f, h
-    exact = coarse.dealias(product(fine, big_f, big_h)[on_fine])
-    got = coarse.dealias(product(coarse, f, h))
+    exact = product(fine, big_f, big_h)[on_fine]
+    got = coarse.to_spectral(coarse.to_physical(f, dealias=True)
+                             * coarse.to_physical(h, dealias=True),
+                             dealias=True)
     assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))

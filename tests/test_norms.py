@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import record_transforms
+from conftest import embed, record_transforms
 from pdhyp import evolution as ev
 from pdhyp import grid as grid_module
 from pdhyp import norms, spectra
@@ -21,8 +21,8 @@ def grid():
 
 def test_sobolev0_is_parseval_l2(grid):
     rng = np.random.default_rng(0)
-    fh = band_field(grid, 5, rng)
-    f = grid.to_physical(fh)
+    full = band_field(grid, 5, rng)
+    f, fh = grid.to_physical(full), grid.band(full)
     phys = np.sqrt(np.sum(np.abs(f) ** 2) * grid.dx ** 3)
     assert abs(norms.sobolev_norm(grid, fh, 0) - phys) <= 1e-12 * phys
     assert abs(norms.l2_norm(grid, fh) - phys) <= 1e-12 * phys
@@ -30,11 +30,11 @@ def test_sobolev0_is_parseval_l2(grid):
 
 def test_sobolev_single_mode_closed_form(grid):
     # f = cos(k.x): ||f||_{H^N}^2 = (1+|k|^2)^N * A^2 * L^3 / 2
-    k_vec = grid.wavevectors()[2, 1, 0]
+    k_vec = grid.dk * np.array([2.0, 1.0, 0.0])
     A = 1.3
     x0, x1, _ = np.meshgrid(*[np.arange(grid.n) * grid.dx] * 3, indexing="ij")
     f = A * np.cos(x0 * k_vec[0] + x1 * k_vec[1])
-    fh = grid.to_spectral(f)
+    fh = grid.to_spectral(f, dealias=True)
     for order in (0, 1, 3):
         expect = np.sqrt((1 + k_vec @ k_vec) ** order * A ** 2
                          * grid.volume / 2)
@@ -46,7 +46,7 @@ def test_weighted_x_gaussian_moment():
     g = SpectralGrid(64, 32.0)
     sigma = 2.0
     f = np.exp(-g.r2_centered / (2 * sigma ** 2))
-    fh = g.to_spectral(f)
+    fh = g.to_spectral(f, dealias=True)
     ratio = norms.weighted_x_l2(g, fh) / norms.l2_norm(g, fh)
     expect = sigma * np.sqrt(1.5)
     assert abs(ratio - expect) <= 0.01 * expect
@@ -55,19 +55,18 @@ def test_weighted_x_gaussian_moment():
 def test_linf_riesz_takes_max(grid):
     rng = np.random.default_rng(1)
     fh = band_field(grid, 4, rng)
-    from pdhyp.propagators import lp_norm, lp_physical
-    s = grid.xi_norm
-    xi = grid.wavevectors()
+    s = grid.full_xi_norm
+    xi = np.broadcast_arrays(*grid.full_xi_axes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = [lp_norm(grid, np.where(s > 0, -1j * xi[..., j] / s, 0)
+        per = [lp_norm(grid, np.where(s > 0, -1j * xi[j] / s, 0)
                        * fh, np.inf)
                for j in range(3)]
-    assert norms.riesz_linf_norm(grid, fh) == max(per)
+    assert norms.riesz_linf_norm(grid, grid.band(fh)) == max(per)
 
 
 def test_initial_energy_scales_linearly(grid):
     rng = np.random.default_rng(2)
-    data = np.stack([band_field(grid, 4, rng) for _ in range(3)])
+    data = np.stack([grid.band(band_field(grid, 4, rng)) for _ in range(3)])
     st1 = ev.StateField(grid, data, 1.0)
     st2 = ev.StateField(grid, 2.0 * data, 1.0)
     e1 = norms.initial_energy(st1)
@@ -76,12 +75,13 @@ def test_initial_energy_scales_linearly(grid):
 
 
 def _initial_energy_per_term(state, order=norms.SOBOLEV_N):
-    """E_N term by term, each weighted norm with its own transforms and
-    weight, summed in the order of the formula."""
+    """E_N term by term on the n^d grid, each weighted norm with its own
+    transforms and weight, summed in the order of the formula."""
     g = state.grid
+    data = embed(g, state.data)
 
     def sobolev(fh, k):
-        w = (1.0 + g.xi_norm ** 2) ** k
+        w = (1.0 + g.full_xi_norm ** 2) ** k
         val = (2.0 * np.pi) ** g.ndim * np.sum(w * np.abs(fh) ** 2) * g.d_eta
         return float(np.sqrt(val))
 
@@ -94,12 +94,12 @@ def _initial_energy_per_term(state, order=norms.SOBOLEV_N):
 
     def lambda_x2_sobolev(fh, k):
         weighted = g.to_spectral(g.r2_centered * g.to_physical(fh))
-        return sobolev(g.xi_norm * weighted, k)
+        return sobolev(g.full_xi_norm * weighted, k)
 
-    l1 = sum(lp_norm(g, comp, 1) for comp in state.data)
-    weighted = sum(x_sobolev(comp, 2) for comp in state.data)
-    weighted += sum(lambda_x2_sobolev(comp, 1) for comp in state.data)
-    hn = sum(sobolev(comp, order) for comp in state.data)
+    l1 = sum(lp_norm(g, comp, 1) for comp in data)
+    weighted = sum(x_sobolev(comp, 2) for comp in data)
+    weighted += sum(lambda_x2_sobolev(comp, 1) for comp in data)
+    hn = sum(sobolev(comp, order) for comp in data)
     return float(max(l1, weighted + hn))
 
 
@@ -112,8 +112,8 @@ def test_initial_energy_equals_the_per_term_formula():
     cache = spectra.build_symbol_cache(g.shells[0],
                                        spectra.three_component_model())
     G = spectra.propagator(g, cache, 3.5)
-    later = ev.StateField(g, spectra.propagator_apply(g, G, st.data), 4.5)
-    assert np.abs(g.to_physical(later.data[2]).imag).max() > 1e-3
+    later = ev.StateField(g, spectra.propagator_apply(G, st.data), 4.5)
+    assert np.abs(g.to_physical(later.data[2], dealias=True).imag).max() > 1e-3
     assert norms.initial_energy(later) == _initial_energy_per_term(later)
 
 
@@ -186,17 +186,17 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
     assert ("to_spectral", True) not in every
     # the generic L^p norm of the estimate harnesses stays general
     calls.clear()
-    lp_norm(grid, st.data[2], np.inf)
+    lp_norm(grid, embed(grid, st.data[2]), np.inf)
     assert calls == [("to_physical", False)]
 
 
 def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
-    # several slabs, on full-grid input that is not band-limited: the max
-    # over slabs is the max over the field, bit for bit
+    # several slabs, on a random cube: the max over slabs is the max over
+    # the field, bit for bit
     monkeypatch.setattr(grid_module, "_SLAB_BYTES", 5 * 16 * 24 ** 2)
     g = SpectralGrid(24, 11.0)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    x = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
     assert norms.band_linf(g, x) == lp_physical(
         g, g.to_physical(x, dealias=True), np.inf)
 
@@ -311,7 +311,7 @@ def test_norm_spec_validation():
 
 def test_l2_is_a_norm_kind(grid):
     rng = np.random.default_rng(5)
-    data = np.stack([band_field(grid, 4, rng) for _ in range(3)])
+    data = np.stack([grid.band(band_field(grid, 4, rng)) for _ in range(3)])
     st = ev.StateField(grid, data, 1.0)
     spec = norms.NormSpec.parse("l2:w")
     assert spec.name == "w_l2"
@@ -321,7 +321,7 @@ def test_l2_is_a_norm_kind(grid):
 
 def test_evaluate_norm_dispatch(grid):
     rng = np.random.default_rng(4)
-    data = np.stack([band_field(grid, 4, rng) for _ in range(3)])
+    data = np.stack([grid.band(band_field(grid, 4, rng)) for _ in range(3)])
     st = ev.StateField(grid, data, 1.0)
     val = norms.evaluate_norm(norms.NormSpec("sobolev", "u"), st)
     assert val == norms.sobolev_norm(grid, data[0], norms.SOBOLEV_N)
