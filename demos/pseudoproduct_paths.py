@@ -9,8 +9,8 @@ factorization m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta), which
 needs one inverse transform per distinct factor times a field and one
 forward transform per distinct alpha.  pp.apply takes the separable path
 whenever the symbol has a factorization; pp.apply_direct always sums
-directly.  A dealiasing plan takes fields on the 2/3 band's cube
-(grid.band), and both paths agree on it to rounding.
+directly.  A plan takes fields on the 2/3 band's cube, and both paths
+agree on it to rounding.
 """
 
 import time
@@ -27,10 +27,11 @@ rng = np.random.default_rng(1)
 grid = SpectralGrid(16, 2 * np.pi)
 f, g = band_field(grid, 3, rng), band_field(grid, 3, rng)
 
-print("=== identity symbol reduces to a pointwise product ===")
-plan = pp.PseudoproductPlan(grid, sy.symbol_preset("one"), dealias=False)
-out = pp.apply(plan, f, g)
-prod = grid.to_spectral(grid.to_physical(f) * grid.to_physical(g))
+print("=== identity symbol: the direct sum is the pointwise product ===")
+plan = pp.PseudoproductPlan(grid, sy.symbol_preset("one"))
+out = pp.apply_direct(plan, f, g)
+prod = grid.to_spectral(grid.to_physical(f, dealias=True)
+                        * grid.to_physical(g, dealias=True), dealias=True)
 print("max |T_1(f,g) - f*g| =", np.max(np.abs(out - prod)), "\n")
 
 print("=== direct sum vs separable FFT path ===")
@@ -42,10 +43,10 @@ for m in [sy.symbol_preset(name) for name in ("null_b", "aphi", "mixed")] \
         + [a_eta]:
     plan = pp.PseudoproductPlan(grid, m)
     t0 = time.time()
-    direct = pp.apply_direct(plan, grid.band(f), grid.band(g))
+    direct = pp.apply_direct(plan, f, g)
     t_direct = time.time() - t0
     t0 = time.time()
-    fast = pp.apply(plan, grid.band(f), grid.band(g))
+    fast = pp.apply(plan, f, g)
     t_fast = time.time() - t0
     rel = np.max(np.abs(direct - fast)) / np.max(np.abs(direct))
     print(f"{m.name:8s} {len(m.terms)} terms  rel gap {rel:.2e}   "
@@ -61,8 +62,8 @@ print("=== empirical bilinear Hoelder constants ===")
 plan = pp.PseudoproductPlan(grid, sy.symbol_preset("null_b"))
 ledger = BoundLedger()
 for _ in range(20):
-    pp.holder_bound_ratio(plan, grid.band(band_field(grid, 3, rng)),
-                          grid.band(band_field(grid, 3, rng)),
+    pp.holder_bound_ratio(plan, band_field(grid, 3, rng),
+                          band_field(grid, 3, rng),
                           s=0.0, k=0, p=4.0, q=4.0, r=2.0, ledger=ledger)
 ratios = ledger.ratios("holder")
 print(f"||T_m(f,g)||_2 / (||f||_W04 ||g||_4 + ||f||_4 ||g||_W04) over 20 "

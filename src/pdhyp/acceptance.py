@@ -192,15 +192,15 @@ def criterion_7(result, workdir):
 
     f = band_field(g, 3, rng)
     h = band_field(g, 3, rng)
-    plan = pseudoproduct.PseudoproductPlan(g, sy.symbol_preset("one"),
-                                           dealias=False)
-    t1 = pseudoproduct.apply(plan, f, h)
-    prod = g.to_spectral(g.to_physical(f) * g.to_physical(h))
+    # the Riemann sum against the band of the physical product
+    plan = pseudoproduct.PseudoproductPlan(g, sy.symbol_preset("one"))
+    t1 = pseudoproduct.apply_direct(plan, f, h)
+    prod = g.to_spectral(g.to_physical(f, dealias=True)
+                         * g.to_physical(h, dealias=True), dealias=True)
     rel = float(np.max(np.abs(t1 - prod)) / np.max(np.abs(prod)))
     result.expect(rel <= 1e-12, f"T_1(f,g) = f*g pointwise: rel err {rel:.3e}")
 
     symbols = {"one": sy.symbol_preset("one"), **nonresonant_symbols()}
-    f, h = g.band(f), g.band(h)     # a dealiasing plan's fields
     for name, m in symbols.items():
         plan = pseudoproduct.PseudoproductPlan(g, m)
         a = pseudoproduct.apply_direct(plan, f, h)
@@ -218,13 +218,13 @@ def criterion_7(result, workdir):
         result.expect(rel <= 1e-10,
                       f"{name}: direct vs separable T(f, f) rel err {rel:.3e}")
 
-    f1 = np.zeros(g.shape, complex)
-    h1 = np.zeros(g.shape, complex)
+    f1 = np.zeros(g.band_shape, complex)
+    h1 = np.zeros(g.band_shape, complex)
     f1[1, 0, 0] = 2.0
     h1[0, 2, 0] = 3.0
     m = sy.symbol_preset("null_b")
     out = pseudoproduct.apply_direct(
-        pseudoproduct.PseudoproductPlan(g, m, dealias=False), f1, h1)
+        pseudoproduct.PseudoproductPlan(g, m), f1, h1)
     k1 = g.dk * np.array([1.0, 0.0, 0.0])
     k2 = g.dk * np.array([0.0, 2.0, 0.0])
     expect = m(k1 + k2, k2) * 6.0 * g.d_eta
@@ -334,9 +334,8 @@ def criterion_10(result, workdir):
         for _ in range(trials):
             f = band_field(g, band, rng)
             h = band_field(g, band, rng)
-            pseudoproduct.holder_bound_ratio(plan, g.band(f), g.band(h),
-                                             s=0.0, k=0, p=4.0, q=4.0, r=2.0,
-                                             ledger=ledger)
+            pseudoproduct.holder_bound_ratio(plan, f, h, s=0.0, k=0, p=4.0,
+                                             q=4.0, r=2.0, ledger=ledger)
         maxima.append(ledger.max_ratio("holder"))
     change = abs(maxima[1] - maxima[0]) / maxima[0]
     result.expect(np.isfinite(maxima[0]) and np.isfinite(maxima[1]),
@@ -364,11 +363,13 @@ def nonresonant_symbols():
 
 
 def band_field(grid, band, rng):
-    """Random conjugate-symmetric field supported on |mode| <= band; the
-    same rng draws produce the same continuum field on any grid."""
-    fh = np.zeros(grid.shape, dtype=complex)
+    """Random conjugate-symmetric field on the grid's cube, supported on
+    |mode| <= band <= K; the same rng draws produce the same continuum
+    field on any grid."""
+    fh = np.zeros(grid.band_shape, dtype=complex)
+    size = fh.shape[0]
     for k in itertools.product(range(-band, band + 1), repeat=grid.ndim):
-        fh[tuple(ki % grid.n for ki in k)] = rng.normal() + 1j * rng.normal()
+        fh[tuple(ki % size for ki in k)] = rng.normal() + 1j * rng.normal()
     return grid.conjugate_symmetrize(fh)
 
 

@@ -24,16 +24,18 @@ of those modes in fftfreq order, per axis 0..K and then -K..-1.  The grid's
 spectral tables are the cube's sparse wavevector axes, shaped (2K+1,1,1),
 (1,2K+1,1), (1,1,2K+1) in 3-D so numpy broadcasts them, and its dense |xi|;
 shells sorts |xi| on the first corner and indexes every mode through |k_j|.
-Fields off the band keep the n^d grid (full_xi_axes, full_xi_norm), and
-x_centered and |x - center|^2 are physical n^d tables.
+Only the physically weighted norms (norms.py) hold fields off the band: they
+keep the n^d grid (full_xi_axes, full_xi_norm), and x_centered and
+|x - center|^2 are physical n^d tables.
 
 to_spectral and to_physical return a new array the caller owns and never
 write their input; a complex input is copied and transformed in place.
 Real scales multiply the float64 view (numpy's complex-by-real product, up
 to the sign of a zero).  `transforms` counts each call.  With dealias=True
 to_spectral takes an n^d field to its cube and to_physical a cube to its
-n^d field, bit for bit the general transforms composed with band(), the
-restriction to the band, and with its zero embedding.  The forward pass on
+n^d field, bit for bit the general transforms composed with the restriction
+to the band and with its zero embedding; the general transforms serve the
+weighted norms and are the tests' reference.  The forward pass on
 each axis runs on the lines that reach the band and keeps their band.  The one
 band inverse is the generator physical_slabs: pass 1 runs on the cube with
 axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long double
@@ -104,8 +106,8 @@ class SpectralGrid:
         self.band_k = np.r_[0:k + 1, -k:0]        # the cube's modes per axis
         self.xi_axes = _axes(self.dk * self.band_k, self.ndim)
         self.xi_norm = _norm(self.xi_axes)
-        self.k_int = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-        self.full_xi_axes = _axes(self.dk * self.k_int, self.ndim)
+        k_int = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
+        self.full_xi_axes = _axes(self.dk * k_int, self.ndim)
         # the band's two runs of modes on an n-point axis and on a cube axis
         self._band = (slice(k + 1), slice(self.n - k, None))
         self._packed = (slice(k + 1), slice(k + 1, None))
@@ -137,10 +139,6 @@ class SpectralGrid:
     @cached_property
     def xi_norm_reciprocal(self):     # 1/|xi|, and 1 at xi = 0
         return 1.0 / np.where(self.xi_norm > 0, self.xi_norm, 1.0)
-
-    def band(self, fhat):
-        """The cube of an n^d field: its band modes, packed."""
-        return fhat[(Ellipsis,) + np.ix_(*[self._band_index] * self.ndim)]
 
     # -- transforms ---------------------------------------------------------
 

@@ -10,7 +10,8 @@ rounding.  Every sampled field is a band field on the grid's cube, so
 Sobolev norms weight the cube (summed in n^d order, see _weighted_l2) and
 inverse transforms take dealias=True.  Coordinate weights are applied in
 physical space, centered at the box center; the weighted fields are not
-band-limited, so their transforms and H^s sums run on the n^d grid.  The
+band-limited, so their forward transforms and H^s sums run on the n^d
+grid, and they are the package's only fields off the band.  The
 grid caches the H^N weight and the Riesz 1/|xi| of the cube.  The L^inf
 norms never build the physical field: they reduce grid.physical_slabs.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import MissingSeries, NonPositiveValues
 from .grid import SOBOLEV_N
-from .propagators import lp_physical, riesz
+from .propagators import lp_norm, lp_physical, riesz
 
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
 GAMMA = 0.05
@@ -119,8 +120,7 @@ NORM_KINDS = {
     "l2": l2_norm,
     "linf": band_linf,
     "linf_riesz": riesz_linf_norm,
-    "l1": lambda grid, fhat: lp_physical(
-        grid, grid.to_physical(fhat, dealias=True), 1),
+    "l1": lambda grid, fhat: lp_norm(grid, fhat, 1),
     "weighted_x_l2": weighted_x_l2,
     "weighted_lambda_x_h1": weighted_lambda_x_h1,
     "weighted_x2_lambda_h1": weighted_x2_lambda_h1,

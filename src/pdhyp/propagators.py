@@ -1,7 +1,7 @@
-"""Scalar Fourier multipliers: |xi|^s powers on a table of |xi|, the Riesz
-transforms of band fields, and the empirical fractional-integration
-estimate built from them, which runs on the n^d grid.  The half-wave phase
-e^{i|xi| t} of the wave profile is a per-shell row (evolution.wave_profile)."""
+"""Scalar Fourier multipliers of band fields: |xi|^s powers on the cube's
+|xi|, the Riesz transforms, and the empirical fractional-integration
+estimate built from them.  The half-wave phase e^{i|xi| t} of the wave
+profile is a per-shell row (evolution.wave_profile)."""
 
 import numpy as np
 
@@ -9,9 +9,9 @@ from .errors import ExponentMismatch
 
 
 def lambda_power(xi_norm, s):
-    """|xi|^s on a table of |xi|, the cube's or the n^d grid's; at xi = 0 it
-    is 1 for s = 0 and 0 otherwise (the standard convention for symbols that
-    are undefined or vanish at the origin)."""
+    """|xi|^s on a table of |xi|; at xi = 0 it is 1 for s = 0 and 0
+    otherwise (the standard convention for symbols that are undefined or
+    vanish at the origin)."""
     vals = np.where(xi_norm > 0, xi_norm, 1.0) ** float(s)
     return np.where(xi_norm > 0, vals, 1.0 if s == 0 else 0.0)
 
@@ -27,8 +27,8 @@ def riesz(grid, j, fhat):
 # ---------------------------------------------------------------------------
 
 def lp_norm(grid, fhat, p):
-    """The L^p quadrature of an n^d field."""
-    return lp_physical(grid, grid.to_physical(fhat), p)
+    """The L^p quadrature of a band field."""
+    return lp_physical(grid, grid.to_physical(fhat, dealias=True), p)
 
 
 def lp_physical(grid, f, p):
@@ -45,7 +45,7 @@ def lp_physical(grid, f, p):
 
 def fractional_ratio(grid, alpha, p, q, fhat, *, ledger):
     """Empirical constant of ||Lam^{-alpha} f||_{L^q} <= C ||f||_{L^p}
-    at the scaling-critical relation alpha = d/p - d/q."""
+    at the scaling-critical relation alpha = d/p - d/q, for a band field."""
     d = grid.ndim
     if not (1 < p < np.inf and 1 < q < np.inf):
         raise ExponentMismatch("need 1 < p, q < infinity")
@@ -56,7 +56,7 @@ def fractional_ratio(grid, alpha, p, q, fhat, *, ledger):
         raise ExponentMismatch(f"need 0 <= alpha < {d}/p")
     if not np.any(fhat):
         return 0.0
-    low = lambda_power(grid.full_xi_norm, -alpha) * fhat
+    low = lambda_power(grid.xi_norm, -alpha) * fhat
     ratio = lp_norm(grid, low, q) / lp_norm(grid, fhat, p)
     ledger.record("fractional", ratio, alpha=alpha, p=p, q=q, n=grid.n)
     return ratio

@@ -1,12 +1,13 @@
 """Bilinear pseudoproduct T_m(f, g) on a spectral grid.
 
-The operator acts on spectral scalar fields as
+The operator acts on band fields, stored on the 2/3 band's cube, as
 
-    h_hat(xi_k) = sum_j m(xi_k, eta_j) f_hat[(k - j) mod n] g_hat[j] * d_eta,
+    h_hat(xi_k) = sum_j m(xi_k, eta_j) f_hat[k - j] g_hat[j] * d_eta,
 
-a Riemann sum of the continuum pseudoproduct integral (the grid's transform
-convention makes m = 1 reduce exactly to a pointwise product in physical
-space).  The symbol alone selects how apply() evaluates it:
+over the band's modes k and j, with f_hat 0 off the band: a Riemann sum of
+the continuum pseudoproduct integral (the grid's transform convention makes
+m = 1 the band of the pointwise product in physical space).  The symbol
+alone selects how apply() evaluates it:
 
   * a symbol built from a term list, each term c p(xi) q(xi - eta) r(eta)
     with p, q and r products over the factor basis {|v|, v_j/|v|}, carries
@@ -26,11 +27,10 @@ space).  The symbol alone selects how apply() evaluates it:
     evaluations.
 
 apply_direct() evaluates the direct sum for any symbol; it is the reference
-the separable path is checked against.  A dealiasing plan (the default)
-takes and returns band fields on the grid's cube: under the strict 2/3 rule
-no aliased interaction lands on a kept mode, so the two paths agree to
-rounding and the direct sum runs over the cube alone.  A plan with
-dealias=False takes n^d fields and their periodic convolution.
+the separable path is checked against.  A plan takes and returns band
+fields on the grid's cube: under the strict 2/3 rule no aliased interaction
+lands on a kept mode, so the two paths agree to rounding and the direct sum
+runs over the cube alone.
 """
 
 from dataclasses import dataclass
@@ -44,12 +44,10 @@ from . import propagators
 TERM_CAP = int(2e9)
 
 
-def direct_sum_terms(n, ndim=3, dealias=True):
+def direct_sum_terms(n, ndim=3):
     """Symbol evaluations of one direct-sum apply on an n^ndim grid: every
-    output mode times every input mode, of the 2/3-rule band's cube when
-    dealiased and of the grid otherwise."""
-    axis = 2 * dealias_limit(n) + 1 if dealias else n
-    return axis ** (2 * ndim)
+    output mode times every input mode of the 2/3-rule band's cube."""
+    return (2 * dealias_limit(n) + 1) ** (2 * ndim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,14 +113,11 @@ def _build_factor_table(axes, terms):
 class PseudoproductPlan:
     grid: object
     symbol: object
-    dealias: bool = True
 
     def __post_init__(self):    # the table is set-up, not the first apply's
         terms = self.symbol.separable_terms
-        g = self.grid
-        self.shape = g.band_shape if self.dealias else g.shape
-        axes = g.xi_axes if self.dealias else g.full_xi_axes
-        self._table = _build_factor_table(axes, terms) if terms else None
+        self._table = (_build_factor_table(self.grid.xi_axes, terms)
+                       if terms else None)
 
     def factor_table(self):
         """The symbol's FactorTable on the plan grid, or None."""
@@ -136,10 +131,9 @@ class PseudoproductPlan:
 
 
 def apply(plan, fhat, ghat):
-    """T_m(f, g) in spectral form; inputs and output on the plan's layout,
-    the cube of a dealiasing plan and the n^d grid otherwise.  Passing
-    the same array as f and g makes it the diagonal form T_m(f, f).  The
-    separable path runs when the symbol has a factorization, the direct
+    """T_m(f, g) in spectral form; inputs and output on the grid's cube.
+    Passing the same array as f and g makes it the diagonal form T_m(f, f).
+    The separable path runs when the symbol has a factorization, the direct
     sum otherwise."""
     path = _apply_separable if plan.symbol.separable_terms else _apply_direct
     return _evaluate(plan, fhat, ghat, path)
@@ -154,8 +148,9 @@ def apply_direct(plan, fhat, ghat):
 def _evaluate(plan, fhat, ghat, path):
     """Prepare the inputs, run `path` on them, then apply the xi = 0 rule
     of singular symbols to the output."""
-    if fhat.shape != plan.shape or ghat.shape != plan.shape:
-        raise GridMismatch(f"fields do not have the plan's shape {plan.shape}")
+    shape = plan.grid.band_shape
+    if fhat.shape != shape or ghat.shape != shape:
+        raise GridMismatch(f"fields do not have the plan's shape {shape}")
     fh = _prepared(plan, fhat)
     gh = fh if ghat is fhat else _prepared(plan, ghat)
     out = path(plan, fh, gh)
@@ -183,12 +178,11 @@ def _apply_separable(plan, fh, gh):
 
     def physical(cache, h, i):
         if i not in cache:
-            cache[i] = grid.to_physical(h if factors[i] is None
-                                        else factors[i] * h,
-                                        dealias=plan.dealias)
+            cache[i] = grid.to_physical(
+                h if factors[i] is None else factors[i] * h, dealias=True)
         return cache[i]
 
-    out = np.zeros(plan.shape, dtype=complex)
+    out = np.zeros(grid.band_shape, dtype=complex)
     for a, pairs in table.diagonal if diagonal else table.groups:
         total = None
         for c, b, g in pairs:
@@ -199,7 +193,7 @@ def _apply_separable(plan, fh, gh):
                 total = term
             else:
                 total += term
-        spec = grid.to_spectral(total, dealias=plan.dealias)
+        spec = grid.to_spectral(total, dealias=True)
         if factors[a] is not None:
             spec *= factors[a]
         out += spec
@@ -209,7 +203,7 @@ def _apply_separable(plan, fh, gh):
 def _apply_direct(plan, fh, gh):
     grid = plan.grid
     d = grid.ndim
-    n_terms = direct_sum_terms(grid.n, d, plan.dealias)
+    n_terms = direct_sum_terms(grid.n, d)
     if n_terms > TERM_CAP:
         raise CostCapExceeded(
             f"direct sum needs {n_terms:.3g} term evaluations "
@@ -219,9 +213,8 @@ def _apply_direct(plan, fh, gh):
     size = fc.shape[0]
     eta = grid.dk * (np.indices(fc.shape).reshape(d, -1).T - size // 2)
     # f_hat(xi - eta) over every eta is one slice of f_hat reversed and
-    # padded by size - 1: with zeros off the band, periodic on the grid
-    rev = np.pad(fc, size - 1, mode="constant" if plan.dealias else "wrap")[
-        (slice(None, None, -1),) * d]
+    # zero-padded by size - 1
+    rev = np.pad(fc, size - 1)[(slice(None, None, -1),) * d]
     top = 2 * size - 2 - size // 2
     out = np.zeros(fc.shape, dtype=complex)
     for k, xi in zip(np.ndindex(fc.shape), eta):
@@ -249,13 +242,11 @@ def holder_bound_ratio(plan, fhat, ghat, s, k, p, q, r, *, ledger):
     grid = plan.grid
     if not np.any(fhat) or not np.any(ghat):
         return 0.0
-    xi_norm = grid.xi_norm if plan.dealias else grid.full_xi_norm
 
-    def lp(h, p, sigma=0):      # ||Lam^sigma h||_{L^p}, h on the plan layout
+    def lp(h, p, sigma=0):      # ||Lam^sigma h||_{L^p} of a band field
         if sigma:
-            h = propagators.lambda_power(xi_norm, sigma) * h
-        return propagators.lp_physical(
-            grid, grid.to_physical(h, dealias=plan.dealias), p)
+            h = propagators.lambda_power(grid.xi_norm, sigma) * h
+        return propagators.lp_norm(grid, h, p)
 
     num = lp(apply(plan, fhat, ghat), r, k)
     den = ((lp(fhat, p) + lp(fhat, p, s + k)) * lp(ghat, q)

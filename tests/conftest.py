@@ -9,10 +9,19 @@ def grid16():
     return SpectralGrid(16, 2 * np.pi)
 
 
+def _band_index(grid):
+    return (Ellipsis,) + np.ix_(*[grid.band_k % grid.n] * grid.ndim)
+
+
+def band(grid, fhat):
+    """The cube of an n^d field: its band modes, packed."""
+    return fhat[_band_index(grid)]
+
+
 def embed(grid, cube):
     """The n^d field that equals `cube` on the band and 0 off it."""
     full = np.zeros(np.shape(cube)[:-grid.ndim] + grid.shape, dtype=complex)
-    full[(Ellipsis,) + np.ix_(*[grid.band_k % grid.n] * grid.ndim)] = cube
+    full[_band_index(grid)] = cube
     return full
 
 

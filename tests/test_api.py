@@ -1,53 +1,65 @@
-"""Every public definition of the package has a caller.
+"""Every public definition of the package has a caller, and band fields
+have one layout.
 
 A public name (no leading underscore) must be referenced somewhere in
 src/pdhyp outside its own definition.  The names checked are those of
 top-level functions and classes, of module-level constants, and of the
-methods and properties of top-level classes.  Re-exports in __init__.py do
-not count as callers, and neither do the tests, demos or the benchmark:
-code that only they read belongs with them, not in the package.
+methods and properties of top-level classes.  A top-level name counts as
+referenced when it is read bare or as an attribute, a method or property
+only when it is read as an attribute: a local variable of the same
+spelling calls nothing.  Re-exports in __init__.py do not count as
+callers, and neither do the tests, demos or the benchmark: code that only
+they read belongs with them, not in the package.
+
+Every field of the package outside grid.py and norms.py is a band field
+on the 2/3 band's cube: no other module reads the n^d tables or calls a
+transform without dealias=True.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pdhyp"
+# the grid's general transforms and the physically weighted norms
+FULL_GRID_MODULES = {"grid", "norms"}
 
 
 def _used_names(node, skip=None):
-    """Names read under `node` (bare and as attributes), leaving out the
+    """(bare names, attribute names) read under `node`, leaving out the
     subtree `skip`."""
-    used = set()
+    bare, attrs = set(), set()
     stack = [node]
     while stack:
         n = stack.pop()
         if n is skip:
             continue
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            used.add(n.id)
+            bare.add(n.id)
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            used.add(n.attr)
+            attrs.add(n.attr)
         stack.extend(ast.iter_child_nodes(n))
-    return used
+    return bare, attrs
 
 
 def _public_definitions(tree):
-    """(qualified name, name, node) of each public top-level def, class and
-    constant, and of each public method or property of a top-level class;
-    `node` is the subtree that defines it."""
+    """(qualified name, name, node, member) of each public top-level def,
+    class and constant, and of each public method or property of a
+    top-level class (member True); `node` is the subtree that defines
+    it."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
-                    yield f"{node.name}.{member.name}", member.name, member
+                    yield (f"{node.name}.{member.name}", member.name, member,
+                           True)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, target.id, node
+                    yield target.id, target.id, node, False
 
 
 def uncalled_public_definitions(package=PACKAGE):
@@ -58,17 +70,65 @@ def uncalled_public_definitions(package=PACKAGE):
     everywhere = {stem: _used_names(tree) for stem, tree in trees.items()}
     missing = []
     for stem, tree in trees.items():
-        elsewhere = set().union(*(used for other, used in everywhere.items()
-                                  if other != stem))
-        for qualname, name, node in _public_definitions(tree):
+        others = [used for other, used in everywhere.items() if other != stem]
+        for qualname, name, node, member in _public_definitions(tree):
             if name.startswith("_"):
                 continue
-            if name not in elsewhere | _used_names(tree, skip=node):
+            if not any(name in attrs or (name in bare and not member)
+                       for bare, attrs in others + [_used_names(tree, node)]):
                 missing.append((stem, qualname))
     return missing
+
+
+def layout_violations(package=PACKAGE):
+    """(module, line, name) of each read of an n^d table and of each
+    transform call without dealias=True outside FULL_GRID_MODULES."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in FULL_GRID_MODULES:
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Attribute) and n.attr in ("full_xi_norm",
+                                                           "full_xi_axes"):
+                found.append((path.stem, n.lineno, n.attr))
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in ("to_spectral", "to_physical")
+                  and not any(k.arg == "dealias"
+                              and isinstance(k.value, ast.Constant)
+                              and k.value.value is True
+                              for k in n.keywords)):
+                found.append((path.stem, n.lineno, n.func.attr))
+    return found
 
 
 def test_every_public_definition_has_a_caller():
     missing = uncalled_public_definitions()
     assert not missing, "no caller in src/pdhyp: " + ", ".join(
         f"{module}.{name}" for module, name in missing)
+
+
+def test_a_local_of_the_same_name_calls_no_method(tmp_path):
+    # reading the loop variable `band` is not a call of Grid.band; the bare
+    # call of helper and the bare read of Grid are
+    (tmp_path / "a.py").write_text(
+        "class Grid:\n"
+        "    def band(self):\n"
+        "        return 0\n"
+        "\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "\n"
+        "\n"
+        "def helper(grid):\n"
+        "    for band in range(2):\n"
+        "        grid.used(band)\n")
+    (tmp_path / "b.py").write_text("from a import Grid, helper\n"
+                                   "helper(Grid())\n")
+    assert uncalled_public_definitions(tmp_path) == [("a", "Grid.band")]
+
+
+def test_band_fields_have_one_layout():
+    found = layout_violations()
+    assert not found, "n^d layout outside " + ", ".join(
+        sorted(FULL_GRID_MODULES)) + ": " + ", ".join(
+        f"{module}:{line} {name}" for module, line, name in found)

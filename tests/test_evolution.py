@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import conjugate_symmetry_defect, embed, record_transforms
+from conftest import band, conjugate_symmetry_defect, embed, record_transforms
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
@@ -55,7 +55,8 @@ def test_rhs_single_cosine_closed_form(grid):
     u_phys = A * np.cos(x0 * k)
     st.data[0] = grid.to_spectral(u_phys, dealias=True)
     out = ev.rhs(model, st)
-    expect = grid.band(grid.to_spectral(A ** 2 * (1 + np.cos(2 * x0 * k)) / 2))
+    expect = band(grid,
+                  grid.to_spectral(A ** 2 * (1 + np.cos(2 * x0 * k)) / 2))
     # three surviving modes: 0 and +-2k, at cube indices 0, 2 and -2
     assert np.max(np.abs(out[0] - expect)) < 1e-14 * np.max(np.abs(expect))
     nonzero = np.argwhere(np.abs(out[0]) > 1e-12)
@@ -87,7 +88,7 @@ def test_coupling_placement(grid):
 
     def product(a, b):      # the band of the n^d product's transform
         phys = [g.to_physical(embed(g, c)) for c in (a, b)]
-        return g.band(g.to_spectral(phys[0] * phys[1]))
+        return band(g, g.to_spectral(phys[0] * phys[1]))
 
     prod_uw = product(st.data[0], st.data[2])
     prod_vw = product(st.data[1], st.data[2])
@@ -166,7 +167,7 @@ def _per_monomial_rhs(model, state, plan):
     T_m(w, w) is 0 up to rounding)."""
     g = state.grid
     phys = [g.to_physical(embed(g, c)) for c in state.data]
-    product = lambda i, j: g.band(g.to_spectral(phys[i] * phys[j]))
+    product = lambda i, j: band(g, g.to_spectral(phys[i] * phys[j]))
     out = np.zeros_like(state.data)
     for eq, row in enumerate(model.sources):
         for m, coef in row.items():
@@ -201,7 +202,7 @@ def test_fused_rhs_matches_per_monomial_sum(coefs, kind, coupling, symbol,
     model = ev.ModelSpec(kind, c, w_symbol=sy.symbol_preset(symbol),
                          coupling=coupling)
     rng = np.random.default_rng(seed)
-    data = np.stack([_GRID8.band(band_field(_GRID8, 2, rng))
+    data = np.stack([band_field(_GRID8, 2, rng)
                      for _ in range(model.dim_state)])
     state = ev.StateField(_GRID8, data, ev.T_INITIAL)
     plan = pseudoproduct.PseudoproductPlan(_GRID8, model.w_symbol)
@@ -445,7 +446,7 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
     # step reads state.data and must never write it
     g = SpectralGrid(8, 8.0)
     rng = np.random.default_rng(11)
-    state = ev.StateField(g, np.stack([g.band(band_field(g, 2, rng))
+    state = ev.StateField(g, np.stack([band_field(g, 2, rng)
                                        for _ in range(3)]), ev.T_INITIAL)
     k_state = ev.StateField(g, state.data[:2], state.t)     # a view
     assert np.shares_memory(k_state.data, state.data)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import embed, record_transforms
+from conftest import band, embed, record_transforms
 from pdhyp import evolution as ev
 from pdhyp import grid as grid_module
 from pdhyp import norms, spectra
@@ -21,8 +21,8 @@ def grid():
 
 def test_sobolev0_is_parseval_l2(grid):
     rng = np.random.default_rng(0)
-    full = band_field(grid, 5, rng)
-    f, fh = grid.to_physical(full), grid.band(full)
+    fh = band_field(grid, 5, rng)
+    f = grid.to_physical(embed(grid, fh))
     phys = np.sqrt(np.sum(np.abs(f) ** 2) * grid.dx ** 3)
     assert abs(norms.sobolev_norm(grid, fh, 0) - phys) <= 1e-12 * phys
     assert abs(norms.l2_norm(grid, fh) - phys) <= 1e-12 * phys
@@ -54,19 +54,19 @@ def test_weighted_x_gaussian_moment():
 
 def test_linf_riesz_takes_max(grid):
     rng = np.random.default_rng(1)
-    fh = band_field(grid, 4, rng)
+    fh = embed(grid, band_field(grid, 4, rng))
     s = grid.full_xi_norm
     xi = np.broadcast_arrays(*grid.full_xi_axes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = [lp_norm(grid, np.where(s > 0, -1j * xi[j] / s, 0)
-                       * fh, np.inf)
+        per = [lp_physical(grid, grid.to_physical(
+            np.where(s > 0, -1j * xi[j] / s, 0) * fh), np.inf)
                for j in range(3)]
-    assert norms.riesz_linf_norm(grid, grid.band(fh)) == max(per)
+    assert norms.riesz_linf_norm(grid, band(grid, fh)) == max(per)
 
 
 def test_initial_energy_scales_linearly(grid):
     rng = np.random.default_rng(2)
-    data = np.stack([grid.band(band_field(grid, 4, rng)) for _ in range(3)])
+    data = np.stack([band_field(grid, 4, rng) for _ in range(3)])
     st1 = ev.StateField(grid, data, 1.0)
     st2 = ev.StateField(grid, 2.0 * data, 1.0)
     e1 = norms.initial_energy(st1)
@@ -96,7 +96,7 @@ def _initial_energy_per_term(state, order=norms.SOBOLEV_N):
         weighted = g.to_spectral(g.r2_centered * g.to_physical(fh))
         return sobolev(g.full_xi_norm * weighted, k)
 
-    l1 = sum(lp_norm(g, comp, 1) for comp in data)
+    l1 = sum(lp_physical(g, g.to_physical(comp), 1) for comp in data)
     weighted = sum(x_sobolev(comp, 2) for comp in data)
     weighted += sum(lambda_x2_sobolev(comp, 1) for comp in data)
     hn = sum(sobolev(comp, order) for comp in data)
@@ -117,25 +117,15 @@ def test_initial_energy_equals_the_per_term_formula():
     assert norms.initial_energy(later) == _initial_energy_per_term(later)
 
 
-def _record_transforms(monkeypatch):
-    """The list that each grid transform call appends its name to."""
-    calls = []
-    for name in ("to_physical", "to_spectral"):
-        orig = getattr(SpectralGrid, name)
-        monkeypatch.setattr(SpectralGrid, name,
-                            lambda self, f, _o=orig, _n=name, **kw:
-                            calls.append(_n) or _o(self, f, **kw))
-    return calls
-
-
 def test_initial_energy_transforms_each_component_once(monkeypatch):
     g = SpectralGrid(16, 32.0)
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
-    calls = _record_transforms(monkeypatch)
+    calls = record_transforms(monkeypatch)
     norms.initial_energy(st)
-    # d inverse transforms, and per component 3 x_j-weighted and one
-    # |x|^2-weighted forward transform
-    assert sorted(calls) == ["to_physical"] * 3 + ["to_spectral"] * 12
+    # d band inverse transforms, and per component 3 x_j-weighted and one
+    # |x|^2-weighted general forward transform
+    assert sorted(calls) == ([("to_physical", True)] * 3
+                             + [("to_spectral", False)] * 12)
 
 
 @pytest.mark.parametrize("width, radial_power, distinct", [
@@ -148,10 +138,10 @@ def test_initial_energy_transforms_each_distinct_component_once(
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=width,
                            radial_power=radial_power)
     expected = _initial_energy_per_term(st)
-    calls = _record_transforms(monkeypatch)
+    calls = record_transforms(monkeypatch)
     assert norms.initial_energy(st) == expected
-    assert sorted(calls) == (["to_physical"] * distinct
-                             + ["to_spectral"] * (4 * distinct))
+    assert sorted(calls) == ([("to_physical", True)] * distinct
+                             + [("to_spectral", False)] * (4 * distinct))
 
 
 def test_sampled_norms_read_the_band(grid, monkeypatch):
@@ -184,10 +174,10 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
     assert ("to_physical", True) in every
     assert ("to_physical", False) not in every
     assert ("to_spectral", True) not in every
-    # the generic L^p norm of the estimate harnesses stays general
+    # so does the L^p norm of the estimate harnesses
     calls.clear()
-    lp_norm(grid, embed(grid, st.data[2]), np.inf)
-    assert calls == [("to_physical", False)]
+    lp_norm(grid, st.data[2], np.inf)
+    assert calls == [("to_physical", True), ("physical_slabs", True)]
 
 
 def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
@@ -311,7 +301,7 @@ def test_norm_spec_validation():
 
 def test_l2_is_a_norm_kind(grid):
     rng = np.random.default_rng(5)
-    data = np.stack([grid.band(band_field(grid, 4, rng)) for _ in range(3)])
+    data = np.stack([band_field(grid, 4, rng) for _ in range(3)])
     st = ev.StateField(grid, data, 1.0)
     spec = norms.NormSpec.parse("l2:w")
     assert spec.name == "w_l2"
@@ -321,7 +311,7 @@ def test_l2_is_a_norm_kind(grid):
 
 def test_evaluate_norm_dispatch(grid):
     rng = np.random.default_rng(4)
-    data = np.stack([grid.band(band_field(grid, 4, rng)) for _ in range(3)])
+    data = np.stack([band_field(grid, 4, rng) for _ in range(3)])
     st = ev.StateField(grid, data, 1.0)
     val = norms.evaluate_norm(norms.NormSpec("sobolev", "u"), st)
     assert val == norms.sobolev_norm(grid, data[0], norms.SOBOLEV_N)

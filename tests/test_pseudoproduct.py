@@ -13,24 +13,20 @@ from pdhyp.grid import SpectralGrid
 from pdhyp.propagators import lambda_power
 
 
-def _count_transforms(monkeypatch):
-    """A list that collects the name of each grid transform from now on."""
-    transforms = []
-    for name in ("to_physical", "to_spectral"):
-        orig = getattr(SpectralGrid, name)
-        monkeypatch.setattr(SpectralGrid, name,
-                            lambda self, x, _o=orig, _n=name, **kw:
-                            transforms.append(_n) or _o(self, x, **kw))
-    return transforms
+def _band_product(grid, f, h):
+    """The band of the physical product of two band fields."""
+    return grid.to_spectral(grid.to_physical(f, dealias=True)
+                            * grid.to_physical(h, dealias=True), dealias=True)
 
 
 def test_identity_symbol_is_pointwise_product(grid16):
+    # the Riemann sum, not the separable path, which computes this product
     rng = np.random.default_rng(0)
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
-    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"), dealias=False)
-    out = pp.apply(plan, f, h)
-    prod = grid16.to_spectral(grid16.to_physical(f) * grid16.to_physical(h))
+    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"))
+    out = pp.apply_direct(plan, f, h)
+    prod = _band_product(grid16, f, h)
     assert np.max(np.abs(out - prod)) <= 1e-12 * np.max(np.abs(prod))
 
 
@@ -41,21 +37,19 @@ def test_laplacian_symbol_against_multiplier_oracle(grid16):
     h = band_field(grid16, 3, rng)
     m = sy.BilinearSymbol.from_terms(
         "|eta|^2", [(1.0, (), (), (sy.NORM, sy.NORM))], singular=False)
-    plan = pp.PseudoproductPlan(grid16, m, dealias=False)
+    plan = pp.PseudoproductPlan(grid16, m)
     out = pp.apply(plan, f, h)
-    oracle = grid16.to_spectral(
-        grid16.to_physical(f)
-        * grid16.to_physical(lambda_power(grid16.full_xi_norm, 2) * h))
+    oracle = _band_product(grid16, f, lambda_power(grid16.xi_norm, 2) * h)
     assert np.max(np.abs(out - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
 def test_single_mode_convolution(grid16):
-    f = np.zeros(grid16.shape, complex)
-    h = np.zeros(grid16.shape, complex)
+    f = np.zeros(grid16.band_shape, complex)
+    h = np.zeros(grid16.band_shape, complex)
     f[2, 0, 0] = 1.5
     h[0, 1, 0] = -2.0
     m = sy.symbol_preset("null_b")
-    plan = pp.PseudoproductPlan(grid16, m, dealias=False)
+    plan = pp.PseudoproductPlan(grid16, m)
     out = pp.apply_direct(plan, f, h)
     k1, k2 = grid16.dk * np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     expect = m(k1 + k2, k2) * 1.5 * (-2.0) * grid16.d_eta
@@ -66,7 +60,7 @@ def test_single_mode_convolution(grid16):
 
 def test_bilinearity(grid16):
     rng = np.random.default_rng(2)
-    f1, f2, h = (grid16.band(band_field(grid16, 3, rng)) for _ in range(3))
+    f1, f2, h = (band_field(grid16, 3, rng) for _ in range(3))
     plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b"))
     a = pp.apply(plan, 2.5 * f1 + f2, h)
     b = 2.5 * pp.apply(plan, f1, h) + pp.apply(plan, f2, h)
@@ -79,10 +73,10 @@ _SYMBOLS = {"one": sy.symbol_preset("one"), **nonresonant_symbols()}
 @pytest.mark.parametrize("name", list(_SYMBOLS))
 def test_direct_vs_separable_3d(grid16, name, monkeypatch):
     rng = np.random.default_rng(3)
-    f, h = (grid16.band(band_field(grid16, 3, rng)) for _ in range(2))
+    f, h = (band_field(grid16, 3, rng) for _ in range(2))
     plan = pp.PseudoproductPlan(grid16, _SYMBOLS[name])
     a = pp.apply_direct(plan, f, h)
-    transforms = _count_transforms(monkeypatch)
+    transforms = record_transforms(monkeypatch)
     b = pp.apply(plan, f, h)
     assert transforms, "apply took the direct sum"
     scale = np.max(np.abs(a)) or 1.0
@@ -110,7 +104,7 @@ def test_random_term_lists_agree_with_direct_sum(terms, seed):
     # any term list over the basis takes the separable path correctly
     g = SpectralGrid(8, 2 * np.pi)
     rng = np.random.default_rng(seed)
-    f, h = g.band(band_field(g, 2, rng)), g.band(band_field(g, 2, rng))
+    f, h = band_field(g, 2, rng), band_field(g, 2, rng)
     plan = pp.PseudoproductPlan(g, sy.BilinearSymbol.from_terms("m", terms))
     a = pp.apply_direct(plan, f, h)
     scale = np.max(np.abs(a)) or 1.0
@@ -140,31 +134,30 @@ def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
     assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
         .vanishes_on_diagonal()
 
-    transforms = _count_transforms(monkeypatch)
-    f = grid16.band(band_field(grid16, 3, np.random.default_rng(8)))
+    transforms = record_transforms(monkeypatch)
+    f = band_field(grid16, 3, np.random.default_rng(8))
     pp.apply(plan, f, f)
-    assert sorted(transforms) == ["to_physical"] * 2 + ["to_spectral"] * 2
+    assert sorted(transforms) == ([("to_physical", True)] * 2
+                                  + [("to_spectral", True)] * 2)
     transforms.clear()
     pp.apply(plan, f, f.copy())    # 3 distinct factors per side, 3 groups
     assert len(transforms) == 9 and len(calls) == 15
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 def test_separable_path_takes_the_band_of_a_dealiasing_plan(
-        grid16, monkeypatch, dealias):
+        grid16, monkeypatch):
     f = band_field(grid16, 3, np.random.default_rng(9))
-    f = grid16.band(f) if dealias else f
-    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("mixed"), dealias)
+    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("mixed"))
     calls = record_transforms(monkeypatch)
     pp.apply(plan, f, f.copy())
     assert len(calls) == 9
-    assert all(band == dealias for _, band in calls)
+    assert all(band for _, band in calls)
 
 
 def test_direct_vs_separable_2d():
     g = SpectralGrid(64, 2 * np.pi, ndim=2)
     rng = np.random.default_rng(4)
-    f, h = (g.band(band_field(g, 5, rng)) for _ in range(2))
+    f, h = (band_field(g, 5, rng) for _ in range(2))
     plan = pp.PseudoproductPlan(g, sy.symbol_preset("null_b"))
     a = pp.apply_direct(plan, f, h)
     b = pp.apply(plan, f, h)
@@ -173,26 +166,27 @@ def test_direct_vs_separable_2d():
 
 
 def test_output_support_within_sum_of_bands(grid16):
-    # checked exactly on single modes; here: band-3 inputs stay within band 6
+    # checked exactly on single modes; here: band-2 inputs stay within
+    # band 4 of the cube (K = 5)
     rng = np.random.default_rng(5)
-    f = band_field(grid16, 3, rng)
-    h = band_field(grid16, 3, rng)
-    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"), dealias=False)
+    f = band_field(grid16, 2, rng)
+    h = band_field(grid16, 2, rng)
+    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"))
     out = pp.apply(plan, f, h)
-    modes = np.meshgrid(*[np.abs(grid16.k_int)] * 3, indexing="ij")
-    outside = np.maximum.reduce(modes) > 6
-    assert np.max(np.abs(out[outside])) < 1e-14
+    modes = np.meshgrid(*[np.abs(grid16.band_k)] * 3, indexing="ij")
+    outside = np.maximum.reduce(modes) > 4
+    assert outside.any() and np.max(np.abs(out[outside])) < 1e-14
 
 
 def test_apply_picks_the_path_from_the_symbol(grid16, monkeypatch):
-    transforms = _count_transforms(monkeypatch)
+    transforms = record_transforms(monkeypatch)
     rng = np.random.default_rng(10)
-    f = grid16.band(band_field(grid16, 3, rng))
+    f = band_field(grid16, 3, rng)
     pp.apply(pp.PseudoproductPlan(grid16, sy.symbol_preset("mixed")), f, f)
     assert transforms
     # mu0 has no factorization: the direct sum, with no transform at all
     g = SpectralGrid(8, 2 * np.pi)
-    f, h = g.band(band_field(g, 2, rng)), g.band(band_field(g, 2, rng))
+    f, h = band_field(g, 2, rng), band_field(g, 2, rng)
     plan = pp.PseudoproductPlan(g, sy.symbol_preset("mu0"))
     transforms.clear()
     out = pp.apply(plan, f, h)
@@ -206,7 +200,7 @@ def test_grid_mismatch(grid16):
     with pytest.raises(GridMismatch):
         pp.apply(plan, np.zeros(g.band_shape, complex),
                  np.zeros(g.band_shape, complex))
-    # a dealiasing plan takes the cube, not the n^d layout
+    # a plan takes the cube, not the n^d layout
     full = np.zeros(grid16.shape, complex)
     with pytest.raises(GridMismatch):
         pp.apply(plan, full, full)
@@ -218,34 +212,30 @@ def test_cost_cap():
     f = np.zeros(g.band_shape, complex)
     with pytest.raises(CostCapExceeded):
         pp.apply(plan, f, f)
-    # output modes times input modes: of the band's cube, or every mode
+    # output modes times input modes of the band's cube
     assert pp.direct_sum_terms(64) == 43 ** 6 > pp.TERM_CAP
     assert pp.direct_sum_terms(32) == 21 ** 6 < pp.TERM_CAP
-    assert pp.direct_sum_terms(16, ndim=2, dealias=False) == 16 ** 4
 
 
-@pytest.mark.parametrize("dealias", [True, False])
-def test_direct_sum_evaluates_the_counted_terms(dealias):
-    # a dealiasing plan sums over the cube's modes only: (2K+1)^(2d)
-    # symbol evaluations, against n^(2d) on the grid
+def test_direct_sum_evaluates_the_counted_terms():
+    # the direct sum runs over the cube's modes only: (2K+1)^(2d) symbol
+    # evaluations, against n^(2d) on the grid
     g = SpectralGrid(8, 2 * np.pi, ndim=2)
     m = sy.symbol_preset("mu0")
     evaluated = []
     plan = pp.PseudoproductPlan(g, sy.BilinearSymbol(
         "counted", lambda xi, eta: evaluated.append(len(eta)) or m(xi, eta),
-        m.degree), dealias)
+        m.degree))
     f = band_field(g, 2, np.random.default_rng(12))
-    f = g.band(f) if dealias else f
     pp.apply(plan, f, f)
-    assert sum(evaluated) == pp.direct_sum_terms(8, 2, dealias) == (
-        5 ** 4 if dealias else 8 ** 4)
+    assert sum(evaluated) == pp.direct_sum_terms(8, 2) == 5 ** 4
 
 
 def test_holder_ratio_cauchy_schwarz(grid16):
     rng = np.random.default_rng(7)
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
-    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"), dealias=False)
+    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"))
     ledger = BoundLedger()
     ratio = pp.holder_bound_ratio(plan, f, h, s=0.0, k=0, p=4.0, q=4.0, r=2.0,
                                   ledger=ledger)
