@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""What one nonlinear step costs in CPU time, page faults and memory.
+
+Runs the n = 64 benchmark workloads (their presets and overrides are read
+from perfbench/spec.json, the seeded one at the spec's default seed) and
+prints, for each step:
+
+  * cpu_ms:     process CPU time of Stepper.step;
+  * faults:     minor page faults of the process during the step
+                (getrusage): memory the kernel hands out afresh, which
+                is what a step pays when the allocator gave pages back
+                since the last one;
+  * peak_mib:   how far tracemalloc's peak over the step rose above the
+                memory traced at its start, in MiB: the step's transient
+                allocations.
+
+The first two come from an untraced run, the third from the first
+TRACED_STEPS steps of a second run under tracemalloc.  The Stepper
+allocates its Lawson stage stacks and its n^d row totals on the first
+nonlinear step and reuses them, so from the second step on a step
+allocates only its returned state and cube-sized temporaries, the same
+every step.  Name workloads on the command line to choose them
+(wave_n128 also works); every run writes its CSV and report into a
+temporary directory.
+
+    PYTHONPATH=src python3 demos/step_memory.py [workload ...]
+"""
+
+import json
+import resource
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from pdhyp import evolution as ev
+from pdhyp import experiments
+
+TRACED_STEPS = 3
+SPEC = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                   / "spec.json").read_text())
+
+
+def config(name, out_dir):
+    workload = SPEC["workloads"][name]
+    pairs = [f"{key}={json.dumps(value)}"
+             for key, value in workload["overrides"].items()]
+    if workload["seeded"]:
+        pairs.append(f"initial.seed={SPEC['default_seed']}")
+    pairs.append(f"output.dir={out_dir}")
+    return experiments.load_preset(workload["preset"]).override(pairs)
+
+
+class Enough(Exception):
+    """Ends a run once its steps are measured."""
+
+
+def measured_steps(name, measure, steps=None):
+    """Run the workload, or its first `steps` steps, with Stepper.step
+    wrapped by `measure`, a function (step, stepper, state, guard) ->
+    (new state, row of figures)."""
+    rows, step = [], ev.Stepper.step
+
+    def wrapped(stepper, state, guard=None):
+        if len(rows) == steps:
+            raise Enough
+        new, row = measure(step, stepper, state, guard)
+        rows.append(row)
+        return new
+
+    ev.Stepper.step = wrapped
+    try:
+        with tempfile.TemporaryDirectory() as out_dir:
+            experiments.run(config(name, out_dir))
+    except Enough:
+        pass
+    finally:
+        ev.Stepper.step = step
+    return rows
+
+
+def cpu_and_faults(step, stepper, state, guard):
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cpu = time.process_time()
+    new = step(stepper, state, guard)
+    cpu = time.process_time() - cpu
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return new, (1e3 * cpu, faults)
+
+
+def transient(step, stepper, state, guard):
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    new = step(stepper, state, guard)
+    return new, (tracemalloc.get_traced_memory()[1] - start) / 2 ** 20
+
+
+def main(names):
+    for name in names:
+        timed = measured_steps(name, cpu_and_faults)
+        tracemalloc.start()
+        try:
+            peaks = measured_steps(name, transient, TRACED_STEPS)
+        finally:
+            tracemalloc.stop()
+        print(f"=== {name}: {len(timed)} steps ===")
+        print(f"{'step':>4} {'cpu_ms':>8} {'faults':>7} {'peak_mib':>9}")
+        for k, (cpu, faults) in enumerate(timed, 1):
+            peak = f"{peaks[k - 1]:9.2f}" if k <= len(peaks) else ""
+            print(f"{k:>4} {cpu:8.1f} {faults:7d} {peak}")
+        cpu, faults = np.median(np.array(timed[1:]), axis=0)
+        print(f"steps 2-{len(timed)}: median {cpu:.1f} ms, {faults:.0f} "
+              f"faults; steps 2-{len(peaks)}: median "
+              f"{np.median(peaks[1:]):.2f} MiB above the start\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:] or ["pk_mixed_n64", "k_rk4_n64"])

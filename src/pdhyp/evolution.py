@@ -12,8 +12,9 @@ onto the cube (spectra.band_rows); only the quadratic sources see explicit
 Runge-Kutta stages (Lawson schemes of order 2 and 4).  A model without
 sources steps by its exact flow alone, which is what both schemes reduce
 to when every stage source is zero.  Polynomial sources are summed per
-equation in physical space and transformed once, the bilinear
-pseudoproduct source comes from pseudoproduct.apply.
+equation in physical space, slab by slab, and transformed once, the
+bilinear pseudoproduct source comes from pseudoproduct.apply; a Stepper
+owns the stage stacks and the n^d row totals they write into.
 
 Initial time is t = 1 by convention and all decay fits start there.  The
 wave profile e^{i|xi| t} w_hat takes its phase once per |xi| shell.
@@ -161,49 +162,44 @@ class StateField:
 # quadratic sources
 # ---------------------------------------------------------------------------
 
-def rhs(model, state, plan=None):
-    """Spectral quadratic source of the model; the linear part is excluded
-    (it is advanced exactly by the integrating factor).
+def rhs(model, state, plan=None, out=None, pool=None):
+    """Spectral quadratic source of the model, into `out` (new when None);
+    the linear part is advanced exactly by the integrating factor.
 
     The transform is linear, so each equation sums its row of the source
-    table in physical space (in MONOMIALS order) and pays one forward
-    transform onto the cube; rows that are scalar multiples of an earlier
-    row share its transform.  Only the components the table uses are
-    transformed, from their band, each product is formed once and released
-    before the next, and with no sources no transform is done.  T_m(w, w)
-    is added last, as the diagonal form of pseudoproduct.apply."""
+    table in physical space (in MONOMIALS order), slab by slab into an n^d
+    total of the list `pool`, and pays one forward transform onto the cube;
+    rows that are scalar multiples of an earlier row share its transform.
+    With no sources no transform is done.  T_m(w, w) is added last, as the
+    diagonal form of pseudoproduct.apply, which borrows the same pool."""
     g = state.grid
-    out = np.zeros((model.dim_state,) + g.band_shape, dtype=complex)
-    _polynomial_sources(model.sources, state, out)
+    if out is None:
+        out = np.empty((model.dim_state,) + g.band_shape, dtype=complex)
+    elif np.may_share_memory(out, state.data):
+        raise ValueError("rhs reads the state after it writes `out`")
+    out.fill(0.0)
+    _polynomial_sources(model.sources, state, out, pool)
     if model.w_form:
         if plan is None:
             plan = pseudoproduct.PseudoproductPlan(g, model.w_symbol)
         w = state.data[2]
-        out[2] += pseudoproduct.apply(plan, w, w)
+        out[2] += pseudoproduct.apply(plan, w, w, pool)
     return out
 
 
-def _polynomial_sources(sources, state, out):
-    """Write the source table's rows into `out`; the physical fields and
-    row sums are released on return, before T_m(w, w) is formed."""
+def _polynomial_sources(sources, state, out, pool):
+    """Write the source table's rows into `out`; each distinct row's total
+    is the work space of its forward transform."""
     g = state.grid
     rows = _distinct_rows(sources)
-    used = [m for m in MONOMIALS if any(m in row for row, _ in rows)]
-    phys = {c: g.to_physical(state.data[i], dealias=True)
-            for i, c in enumerate("uvw") if any(c in m for m in used)}
-    totals = [None] * len(rows)
-    for monomial in used:
-        product = phys[monomial[0]] * phys[monomial[1]]
-        for k, (row, _) in enumerate(rows):
-            if monomial in row:
-                term = row[monomial] * product
-                if totals[k] is None:
-                    totals[k] = term
-                else:
-                    totals[k] += term
+    used = [c for c in "uvw" if any(c in m for row, _ in rows for m in row)]
+    terms = [[(row[m], used.index(m[0]), used.index(m[1]))
+              for m in MONOMIALS if m in row] for row, _ in rows]
+    totals = g.product_sums([state.data["uvw".index(c)] for c in used],
+                            terms, pool)
     for total, (_, targets) in zip(totals, rows):
         (first, _), *scaled = targets
-        out[first] = g.to_spectral(total, dealias=True)
+        g.to_spectral(total, dealias=True, out=out[first])
         for eq, scale in scaled:
             np.multiply(out[first], scale, out=out[eq])
 
@@ -253,7 +249,9 @@ class BlowupGuard:
 
 class Stepper:
     """Integrating-factor Runge-Kutta stepper with frozen step size; it
-    builds the pseudoproduct plan of T_m(w, w) when the model has one."""
+    builds the pseudoproduct plan of T_m(w, w) when the model has one.  Its
+    first nonlinear step makes the stage stacks and the n^d row totals that
+    every step reuses, in the operation order of the formulas shown."""
 
     def __init__(self, model, grid, dt, scheme="ifrk2"):
         if scheme not in ("ifrk2", "ifrk4"):
@@ -270,35 +268,50 @@ class Stepper:
                        if scheme == "ifrk4" and not self.source_free else None)
         self.plan = (pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
                      if model.w_form else None)
+        self.stages, self._pool = [], []
 
-    def _rhs(self, data, t):
-        return rhs(self.model, StateField(self.grid, data, t), self.plan)
+    def _rhs(self, data, t, out):
+        return rhs(self.model, StateField(self.grid, data, t), self.plan,
+                   out=out, pool=self._pool)
 
     def step(self, state, guard=None):
         h = self.dt
         # looked up per step, so a wrapper of the module's name sees all
         lin = spectra.propagator_apply
-        x = state.data
-        t = state.t
+        mul, add = np.multiply, np.add
+        x, t = state.data, state.t
+        if not (self.stages or self.source_free):
+            self.stages = [np.empty_like(x) for _ in
+                           range(3 if self.scheme == "ifrk2" else 5)]
 
         if self.source_free:
             new = lin(self.G_full, x)
         elif self.scheme == "ifrk2":
-            n1 = self._rhs(x, t)
-            pred = lin(self.G_full, x + h * n1)
-            n2 = self._rhs(pred, t + h)
-            new = lin(self.G_full, x + 0.5 * h * n1) + 0.5 * h * n2
+            # n2 = rhs(lin(x + h n1)), new = lin(x + h/2 n1) + h/2 n2
+            n1, a, b = self.stages
+            self._rhs(x, t, n1)
+            lin(self.G_full, add(x, mul(h, n1, out=a), out=a), out=b)
+            n2 = self._rhs(b, t + h, a)
+            new = lin(self.G_full, add(x, mul(0.5 * h, n1, out=n1), out=n1))
+            new += mul(0.5 * h, n2, out=b)
         else:
+            # with L = lin(e1, .) and M = lin(eh, .): n2 = rhs(M(x + h/2 n1)),
+            # n3 = rhs(M(x) + h/2 n2), n4 = rhs(L(x) + h M(n3)),
+            # new = L(x + h/6 n1) + h/6 (2 M(n2 + n3) + n4)
             e1, eh = self.G_full, self.G_half
-            n1 = self._rhs(x, t)
-            ua = lin(eh, x + 0.5 * h * n1)
-            n2 = self._rhs(ua, t + 0.5 * h)
-            ub = lin(eh, x) + 0.5 * h * n2
-            n3 = self._rhs(ub, t + 0.5 * h)
-            uc = lin(e1, x) + h * lin(eh, n3)
-            n4 = self._rhs(uc, t + h)
-            new = (lin(e1, x + h / 6.0 * n1)
-                   + h / 6.0 * (2.0 * lin(eh, n2 + n3) + n4))
+            n1, n2, u, n3, n4 = self.stages
+            self._rhs(x, t, n1)
+            lin(eh, add(x, mul(0.5 * h, n1, out=n2), out=n2), out=u)
+            self._rhs(u, t + 0.5 * h, n2)
+            lin(eh, x, out=u)
+            u += mul(0.5 * h, n2, out=n3)
+            self._rhs(u, t + 0.5 * h, n3)
+            lin(e1, x, out=u)
+            u += mul(h, lin(eh, n3, out=n4), out=n4)
+            self._rhs(u, t + h, n4)
+            new = lin(e1, add(x, mul(h / 6.0, n1, out=n1), out=n1))
+            lin(eh, add(n2, n3, out=n2), out=u)
+            new += mul(h / 6.0, add(mul(2.0, u, out=u), n4, out=u), out=u)
 
         out = StateField(self.grid, new, t + h)
         if guard is not None:

@@ -29,21 +29,23 @@ keep the n^d grid (full_xi_axes, full_xi_norm), and x_centered and
 |x - center|^2 are physical n^d tables.
 
 to_spectral and to_physical return a new array the caller owns and never
-write their input; a complex input is copied and transformed in place.
-Real scales multiply the float64 view (numpy's complex-by-real product, up
-to the sign of a zero).  `transforms` counts each call.  With dealias=True
+write their input; a complex input is copied and transformed in place (the
+band forward transform given `out` uses its complex input instead).  Real
+scales multiply the float64 view (numpy's complex-by-real product, up to
+the sign of a zero).  `transforms` counts each call.  With dealias=True
 to_spectral takes an n^d field to its cube and to_physical a cube to its
 n^d field, bit for bit the general transforms composed with the restriction
 to the band and with its zero embedding; the general transforms serve the
-weighted norms and are the tests' reference.  The forward pass on
-each axis runs on the lines that reach the band and keeps their band.  The one
-band inverse is the generator physical_slabs: pass 1 runs on the cube with
-axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long double
-(not 1/n per pass); each slab of rows of axis -d takes its rows onto the
-band columns and the later passes on the band lines.  Slabs are views of
-`out` or of one reused 512 KiB buffer, so an L^inf norm never holds the n^d
-field.  One worker runs below n = 128 and in a slab's small passes, where
-threads cost CPU and save no time.
+weighted norms and are the tests' reference.  The band forward pass runs
+each axis on the lines that reach the band, then packs its band in place.
+The one band inverse is the generator physical_slabs: pass 1 runs on the
+cube with axis -d zero-filled to n points, scaled by ifftn's 1/n^d from
+long double (not 1/n per pass); each slab of rows of axis -d takes its rows
+onto the band columns and the later passes on the band lines.  Slabs are
+views of `out` or of the generator's 512 KiB buffer, so an L^inf norm never
+holds the n^d field, and product_sums zips generators to form products.
+One worker runs below n = 128 and in a slab's small passes, where threads
+cost CPU and save no time.
 """
 
 from functools import cached_property
@@ -149,17 +151,23 @@ class SpectralGrid:
         return fft(f, axes=range(-self.ndim, 0), workers=self._workers,
                    overwrite_x=copy)
 
-    def to_spectral(self, f, dealias=False):
+    def to_spectral(self, f, dealias=False, out=None):
         if not dealias:
             out = self._transform(scipy.fft.fftn, f)
             _scale(out, self._fwd)
             return out
+        if out is None:
+            f = np.array(f, dtype=complex)
+            out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
         self.transforms += 1
-        out = np.array(f, dtype=complex)
-        for axis in range(-self.ndim, 0):   # the lines that reach the band
-            out = np.take(scipy.fft.fft(out, axis=axis, overwrite_x=True,
-                                        workers=self._workers),
-                          self._band_index, axis=axis)
+        k = self.dealias_limit
+        for axis in range(-self.ndim, -1):  # the lines that reach the band
+            f = scipy.fft.fft(f, axis=axis, overwrite_x=True,
+                              workers=self._workers).swapaxes(axis, 0)
+            f[k + 1:2 * k + 1] = f[self.n - k:]     # disjoint, as 3K < n
+            f = f[:2 * k + 1].swapaxes(0, axis)
+        np.take(scipy.fft.fft(f, overwrite_x=True, workers=self._workers),
+                self._band_index, axis=-1, out=out, mode="clip")
         _scale(out, self._fwd)
         return out
 
@@ -207,6 +215,28 @@ class SpectralGrid:
                                    overwrite_x=True, workers=1)
             _scale(slab, self._inv_fwd)
             yield part, slab
+
+    def product_sums(self, fields, rows, pool=None):
+        """Each row's sum of terms (c, i, j), c * phys(fields[i]) *
+        phys(fields[j]) (c None: no multiply), formed slab by slab from the
+        cubes' lockstep band inverses into the n^d arrays of list `pool`."""
+        pool = [] if pool is None else pool
+        pool += [np.empty(self.shape, dtype=complex)
+                 for _ in range(len(rows) - len(pool))]
+        spare = None
+        for slabs in zip(*(self.physical_slabs(f) for f in fields)):
+            phys = [slab for _, slab in slabs]
+            spare = np.empty_like(phys[0]) if spare is None else spare
+            for total, terms in zip(pool, rows):
+                at = total[slabs[0][0]]
+                for t, (c, i, j) in enumerate(terms):
+                    term = np.multiply(phys[i], phys[j],
+                                       out=spare[:len(at)] if t else at)
+                    if c is not None:
+                        term *= c
+                    if t:
+                        at += term
+        return pool[:len(rows)]
 
     # -- hygiene ------------------------------------------------------------
 

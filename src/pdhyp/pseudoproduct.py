@@ -15,13 +15,14 @@ alone selects how apply() evaluates it:
     as separable_terms and takes the separable FFT path.  The plan
     evaluates every factor once on its grid and interns the arrays by
     value, constants and signs folded into the coefficients (FactorTable);
-    terms sharing alpha form one group, summed in physical space, so an
-    apply costs one inverse transform per distinct beta f or gamma g and
-    one forward transform per group.  A diagonal call T(f, f) (the same
-    array passed twice) sees only the symmetric part of m: each (beta,
-    gamma) pair merges with its swap and pairs whose coefficients cancel
-    drop out, so a symbol with a vanishing symmetric part, such as the
-    null form null_b, costs no transform.
+    terms sharing alpha form one group, summed in physical space slab by
+    slab (grid.product_sums) into an n^d total, so an apply costs one band
+    inverse per distinct beta f or gamma g and one forward transform per
+    group, and builds no physical field of a factor.  A diagonal call
+    T(f, f) (the same array passed twice) sees only the symmetric part of
+    m: each (beta, gamma) pair merges with its swap and pairs whose
+    coefficients cancel drop out, so a symbol with a vanishing symmetric
+    part, such as the null form null_b, costs no transform.
   * a symbol outside the basis, such as mu0, takes the direct sum over
     every pair of modes, which refuses jobs above TERM_CAP symbol
     evaluations.
@@ -34,6 +35,7 @@ runs over the cube alone.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -130,12 +132,13 @@ class PseudoproductPlan:
                 and not self.factor_table().diagonal)
 
 
-def apply(plan, fhat, ghat):
+def apply(plan, fhat, ghat, pool=None):
     """T_m(f, g) in spectral form; inputs and output on the grid's cube.
     Passing the same array as f and g makes it the diagonal form T_m(f, f).
-    The separable path runs when the symbol has a factorization, the direct
-    sum otherwise."""
-    path = _apply_separable if plan.symbol.separable_terms else _apply_direct
+    The separable path, which sums in the list `pool` of n^d arrays, runs
+    when the symbol has a factorization, the direct sum otherwise."""
+    path = (partial(_apply_separable, pool=pool)
+            if plan.symbol.separable_terms else _apply_direct)
     return _evaluate(plan, fhat, ghat, path)
 
 
@@ -168,32 +171,22 @@ def _prepared(plan, fhat):
     return fh
 
 
-def _apply_separable(plan, fh, gh):
+def _apply_separable(plan, fh, gh, pool):
     grid = plan.grid
     table = plan.factor_table()
     factors = table.factors
     diagonal = fh is gh
-    f_phys = {}     # factor index -> physical transform of factor * f
-    g_phys = f_phys if diagonal else {}
-
-    def physical(cache, h, i):
-        if i not in cache:
-            cache[i] = grid.to_physical(
-                h if factors[i] is None else factors[i] * h, dealias=True)
-        return cache[i]
-
+    groups = table.diagonal if diagonal else table.groups
+    index = {}      # (side, factor index) -> position among the fields
+    rows = [[(None if c == 1.0 else c, index.setdefault((0, b), len(index)),
+              index.setdefault((0 if diagonal else 1, g), len(index)))
+             for c, b, g in pairs] for _, pairs in groups]
+    fields = [(fh, gh)[side] if factors[i] is None
+              else factors[i] * (fh, gh)[side] for side, i in index]
     out = np.zeros(grid.band_shape, dtype=complex)
-    for a, pairs in table.diagonal if diagonal else table.groups:
-        total = None
-        for c, b, g in pairs:
-            term = physical(f_phys, fh, b) * physical(g_phys, gh, g)
-            if c != 1.0:
-                term *= c
-            if total is None:
-                total = term
-            else:
-                total += term
-        spec = grid.to_spectral(total, dealias=True)
+    spec = np.empty_like(out)
+    for (a, _), total in zip(groups, grid.product_sums(fields, rows, pool)):
+        grid.to_spectral(total, dealias=True, out=spec)
         if factors[a] is not None:
             spec *= factors[a]
         out += spec

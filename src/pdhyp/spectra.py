@@ -206,11 +206,14 @@ def propagator(grid, cache, t):
     return band_rows(grid, green_function(cache, t))
 
 
-def propagator_apply(G, data):
+def propagator_apply(G, data, out=None):
     """Apply band rows G (r, *cube) to stacked cube fields (d, *cube) row
-    by row, one temporary at a time: rows 0-3 as the 2x2 block to (u, v),
-    an odd last row as the phase of the last field."""
-    out = np.empty(data.shape, dtype=complex)
+    by row, one temporary at a time, into `out` (new when None): rows 0-3
+    as the 2x2 block to (u, v), an odd last row as the last field's phase."""
+    if out is None:
+        out = np.empty(data.shape, dtype=complex)
+    elif np.may_share_memory(out, data):    # data is read after out is
+        raise ValueError("`out` may share memory with `data`")
     if len(G) > 1:
         np.multiply(G[0:4:3], data[:2], out=out[:2])    # G00 u, G11 v
         out[0] += G[1] * data[1]                        # + G01 v

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,33 +112,22 @@ def test_rhs_transforms_on_the_band(grid, monkeypatch):
     # the state and every source live on the band: the polynomial sources
     # and T_m(w, w) take only band transforms
     st = bump_state(grid, 3, 0.1)
-    calls = record_transforms(monkeypatch)
+    calls = record_transforms(monkeypatch, slabs=True)
     full = ev.Coefficients(a_u=1.0, b_v=1.0, c_u=1.0, d_v=1.0)
     ev.rhs(ev.ModelSpec("pk_system", full,
                         w_symbol=sy.symbol_preset("mixed")), st)
-    assert {name for name, _ in calls} == {"to_physical", "to_spectral"}
+    assert {name for name, _ in calls} == {"physical_slabs", "to_spectral"}
     assert all(band for _, band in calls)
 
 
 def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
     st = bump_state(grid, 3, 0.1)
-    calls = []
-
-    def counted(name):
-        orig = getattr(SpectralGrid, name)
-
-        def wrapper(self, f, **kwargs):
-            calls.append(name)
-            return orig(self, f, **kwargs)
-        return wrapper
-
-    for name in ("to_physical", "to_spectral"):
-        monkeypatch.setattr(SpectralGrid, name, counted(name))
+    calls = record_transforms(monkeypatch, slabs=True)
     out = ev.rhs(ev.ModelSpec("pk_system", w_symbol=None), st)
     assert calls == [] and not out.any()
     out = ev.rhs(ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0, a_v=2.0),
                               w_symbol=None), st)
-    assert calls == ["to_physical", "to_spectral"]
+    assert calls == [("physical_slabs", True), ("to_spectral", True)]
     assert np.array_equal(out[1], 2.0 * out[0]) and not out[2].any()
     # equal rows share one forward transform
     calls.clear()
@@ -144,7 +135,8 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
     full = ev.Coefficients(a_u=1.0, b_u=1.0, c_u=1.0, a_v=1.0, b_v=1.0,
                            c_v=1.0)
     out = ev.rhs(ev.ModelSpec("k_system", full), k)
-    assert sorted(calls) == ["to_physical"] * 2 + ["to_spectral"]
+    assert sorted(calls) == ([("physical_slabs", True)] * 2
+                             + [("to_spectral", True)])
     assert np.array_equal(out[0], out[1]) and out[0].any()
     # pk-small-data's rows with mixed: 3 fields, 2 rows, 4 in T_m(w, w)
     calls.clear()
@@ -479,6 +471,56 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
         assert state.data.tobytes() == saved.tobytes(), name
 
 
+@pytest.mark.parametrize("kind, scheme", [("pk_system", "ifrk2"),
+                                          ("k_system", "ifrk4")])
+def test_a_steady_step_allocates_less_than_three_fields(kind, scheme):
+    # the first step makes the stage stacks and the n^d row totals; a later
+    # step allocates its new state and cube temporaries only, less than 3
+    # complex n^d fields at n = 64 (a step that made its stages and
+    # physical products afresh took about 45 MiB)
+    g = SpectralGrid(64, 256.0)
+    ones = dict.fromkeys(("a_u", "b_u", "c_u", "a_v", "b_v", "c_v"), 1.0)
+    model = (ev.ModelSpec("pk_system", ev.Coefficients(**ones, d_v=1.0),
+                          w_symbol=sy.symbol_preset("mixed"))
+             if kind == "pk_system"
+             else ev.ModelSpec("k_system", ev.Coefficients(**ones)))
+    stepper = ev.Stepper(model, g, 2.0, scheme)
+    state = stepper.step(bump_state(g, model.dim_state, 1e-3))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stepper.step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3 * 16 * g.size
+    assert len(stepper.stages) == {"ifrk2": 3, "ifrk4": 5}[scheme]
+
+
+def test_a_source_free_stepper_makes_no_stages(grid):
+    stepper = ev.Stepper(ev.ModelSpec("pk_system"), grid, 0.5)
+    stepper.step(bump_state(grid, 3, 0.1))
+    assert stepper.source_free and stepper.stages == []
+
+
+def test_outputs_may_not_share_memory_with_inputs(grid):
+    # rhs and propagator_apply read their input after they start writing
+    # `out`, so an `out` that may overlap it is refused; a separate `out`
+    # gets the bits of a new array, whatever it held before
+    st = bump_state(grid, 3, 0.1)
+    model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0),
+                         w_symbol=sy.symbol_preset("mixed"))
+    G = ev.Stepper(model, grid, 0.5).G_full
+    for call in (lambda out: ev.rhs(model, st, out=out),
+                 lambda out: spectra.propagator_apply(G, st.data, out=out)):
+        for out in (st.data, st.data[::-1]):
+            with pytest.raises(ValueError, match="out"):
+                call(out)
+        out = np.full_like(st.data, np.nan)
+        assert call(out) is out
+        assert out.tobytes() == call(None).tobytes()
+
+
 def test_state_rejects_full_grid_data(grid):
     # the old (d, n^d) layout is refused loudly, naming the band's cube
     with pytest.raises(ValueError, match=r"band's cube \(11, 11, 11\)"):
@@ -501,13 +543,13 @@ def test_a_step_holds_only_band_cubes(grid, kind, scheme, monkeypatch):
     shapes = []
     apply, rhs = spectra.propagator_apply, ev.rhs
 
-    def recorded_apply(G, x):
-        out = apply(G, x)
+    def recorded_apply(G, x, **kw):
+        out = apply(G, x, **kw)
         shapes.extend([G.shape[1:], x.shape, out.shape])
         return out
 
-    def recorded_rhs(m, st, plan=None):
-        out = rhs(m, st, plan)
+    def recorded_rhs(m, st, plan=None, **kw):
+        out = rhs(m, st, plan, **kw)
         shapes.extend([st.data.shape, out.shape])
         return out
 

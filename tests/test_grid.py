@@ -101,6 +101,60 @@ def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
         assert x.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("n, rows", [(16, 5), (64, None)])
+def test_band_inverses_run_in_lockstep(n, rows, monkeypatch):
+    # the quadratic sources zip the physical_slabs of several fields: each
+    # generator keeps its own buffers, so at every step the slabs are the
+    # same rows of each field's band inverse at once (at n = 16, 5 rows
+    # per slab; at n = 64, the default 8)
+    if rows:
+        monkeypatch.setattr(grid_module, "_SLAB_BYTES", rows * 16 * n ** 2)
+    g = SpectralGrid(n, 11.0)
+    rng = np.random.default_rng(n)
+    cubes = [rng.normal(size=g.band_shape) + 1j * rng.normal(
+        size=g.band_shape) for _ in range(3)]
+    whole = [g.to_physical(c, dealias=True) for c in cubes]
+    steps = 0
+    for slabs in zip(*(g.physical_slabs(c) for c in cubes)):
+        parts = [slabs[0][0]] * len(slabs)
+        assert [part for part, _ in slabs] == parts
+        for (part, slab), full in zip(slabs, whole):
+            assert np.array_equal(slab, full[part])
+        steps += 1
+    assert steps > 1
+
+    # product_sums forms each row's products slab by slab into the pool's
+    # n^d totals, bit for bit the products of the whole fields, and grows
+    # the pool only as far as the rows need
+    pool = []
+    totals = g.product_sums(cubes, [[(2.0, 0, 1), (None, 2, 2)],
+                                    [(None, 1, 1)]], pool)
+    first = whole[0] * whole[1]
+    first *= 2.0
+    first += whole[2] * whole[2]
+    assert [t is b for t, b in zip(totals, pool)] == [True, True]
+    assert np.array_equal(totals[0], first)
+    assert np.array_equal(totals[1], whole[1] * whole[1])
+    again = g.product_sums(cubes, [[(-1.5, 2, 0)]], pool)
+    assert len(pool) == 2 and again[0] is pool[0]
+    assert np.array_equal(again[0], -1.5 * (whole[2] * whole[0]))
+
+
+def test_band_forward_into_out_is_bit_for_bit():
+    # given `out`, the band forward transform writes the cube there and
+    # runs on its complex n^d input in place, bit for bit the new-array
+    # transform
+    g = SpectralGrid(24, 5.0)
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+    expect = g.to_spectral(f, dealias=True)
+    out = np.empty((2,) + g.band_shape, dtype=complex)
+    count = g.transforms
+    assert g.to_spectral(f, dealias=True, out=out) is out
+    assert g.transforms == count + 1
+    assert out.tobytes() == expect.tobytes()
+
+
 def test_band_inverse_scales_as_ifftn_does():
     # ifftn scales by 1/n^d rounded from long double: at n = 2731 that
     # differs from the double 1.0/n, and the band inverse still matches

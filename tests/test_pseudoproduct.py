@@ -134,10 +134,10 @@ def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
     assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
         .vanishes_on_diagonal()
 
-    transforms = record_transforms(monkeypatch)
+    transforms = record_transforms(monkeypatch, slabs=True)
     f = band_field(grid16, 3, np.random.default_rng(8))
     pp.apply(plan, f, f)
-    assert sorted(transforms) == ([("to_physical", True)] * 2
+    assert sorted(transforms) == ([("physical_slabs", True)] * 2
                                   + [("to_spectral", True)] * 2)
     transforms.clear()
     pp.apply(plan, f, f.copy())    # 3 distinct factors per side, 3 groups
@@ -148,7 +148,7 @@ def test_separable_path_takes_the_band_of_a_dealiasing_plan(
         grid16, monkeypatch):
     f = band_field(grid16, 3, np.random.default_rng(9))
     plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("mixed"))
-    calls = record_transforms(monkeypatch)
+    calls = record_transforms(monkeypatch, slabs=True)
     pp.apply(plan, f, f.copy())
     assert len(calls) == 9
     assert all(band for _, band in calls)
