@@ -195,8 +195,7 @@ def criterion_7(result, workdir):
     # the Riemann sum against the band of the physical product
     plan = pseudoproduct.PseudoproductPlan(g, sy.symbol_preset("one"))
     t1 = pseudoproduct.apply_direct(plan, f, h)
-    prod = g.to_spectral(g.to_physical(f, dealias=True)
-                         * g.to_physical(h, dealias=True), dealias=True)
+    prod = g.to_spectral(g.to_physical(f) * g.to_physical(h))
     rel = float(np.max(np.abs(t1 - prod)) / np.max(np.abs(prod)))
     result.expect(rel <= 1e-12, f"T_1(f,g) = f*g pointwise: rel err {rel:.3e}")
 
@@ -271,7 +270,7 @@ def criterion_9(result, workdir):
     data = np.zeros((3,) + g.band_shape, complex)
     for i in range(3):
         bump = 0.2 * (1 + 0.1 * i) * np.exp(-g.r2_centered / (2 * 1.5 ** 2))
-        data[i] = g.to_spectral(bump, dealias=True)
+        data[i] = g.to_spectral(bump)
     st0 = ev.StateField(g, data, ev.T_INITIAL)
     t_end = 2.0
 

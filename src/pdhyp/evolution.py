@@ -199,7 +199,7 @@ def _polynomial_sources(sources, state, out, pool):
                             terms, pool)
     for total, (_, targets) in zip(totals, rows):
         (first, _), *scaled = targets
-        g.to_spectral(total, dealias=True, out=out[first])
+        g.to_spectral(total, out=out[first])
         for eq, scale in scaled:
             np.multiply(out[first], scale, out=out[eq])
 

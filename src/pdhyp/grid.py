@@ -25,25 +25,27 @@ spectral tables are the cube's sparse wavevector axes, shaped (2K+1,1,1),
 (1,2K+1,1), (1,1,2K+1) in 3-D so numpy broadcasts them, and its dense |xi|;
 shells sorts |xi| on the first corner and indexes every mode through |k_j|.
 Only the physically weighted norms (norms.py) hold fields off the band: they
-keep the n^d grid (full_xi_axes, full_xi_norm), and x_centered and
-|x - center|^2 are physical n^d tables.
+keep the n^d grid (full_xi_axes, full_xi_norm, full_spectral), and
+x_centered and |x - center|^2 are physical n^d tables.
 
-to_spectral and to_physical return a new array the caller owns and never
-write their input; a complex input is copied and transformed in place (the
-band forward transform given `out` uses its complex input instead).  Real
-scales multiply the float64 view (numpy's complex-by-real product, up to
-the sign of a zero).  `transforms` counts each call.  With dealias=True
 to_spectral takes an n^d field to its cube and to_physical a cube to its
-n^d field, bit for bit the general transforms composed with the restriction
-to the band and with its zero embedding; the general transforms serve the
-weighted norms and are the tests' reference.  The band forward pass runs
-each axis on the lines that reach the band, then packs its band in place.
-The one band inverse is the generator physical_slabs: pass 1 runs on the
-cube with axis -d zero-filled to n points, scaled by ifftn's 1/n^d from
-long double (not 1/n per pass); each slab of rows of axis -d takes its rows
-onto the band columns and the later passes on the band lines.  Slabs are
-views of `out` or of the generator's 512 KiB buffer, so an L^inf norm never
-holds the n^d field, and product_sums zips generators to form products.
+n^d field, bit for bit scipy's fftn composed with the restriction to the
+band and ifftn of its zero embedding; each raises ValueError unless the
+last d axes of its input are n^d and the cube's, respectively.
+full_spectral, fftn scaled, is the one full-grid transform: the weighted
+norms' forward transform of fields off the band.  All three return a new
+array the caller owns and never write their input; a complex input is
+copied and transformed in place (to_spectral given `out` uses its complex
+input instead).  Real scales multiply the float64 view (numpy's
+complex-by-real product, up to the sign of a zero).  `transforms` counts
+each call.  The band forward pass runs each axis on the lines that reach
+the band, then packs its band in place.  The one band inverse is the
+generator physical_slabs, which to_physical runs: pass 1 runs on the cube
+with axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long
+double (not 1/n per pass); each slab of rows of axis -d takes its rows onto
+the band columns and the later passes on the band lines.  Slabs are views
+of `out` or of the generator's 512 KiB buffer, so an L^inf norm never holds
+the n^d field, and product_sums zips generators to form products.
 One worker runs below n = 128 and in a slab's small passes, where threads
 cost CPU and save no time.
 """
@@ -101,7 +103,7 @@ class SpectralGrid:
         # forward-transform prefactor (dx / 2pi)^d
         self._fwd = (self.dx / (2.0 * np.pi)) ** self.ndim
         self._inv_fwd = 1.0 / self._fwd
-        self.transforms = 0     # to_spectral and to_physical calls so far
+        self.transforms = 0     # transforms so far, band inverses included
 
         k = self.dealias_limit = dealias_limit(self.n)
         self.band_shape = (2 * k + 1,) * self.ndim
@@ -144,18 +146,24 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def _transform(self, fft, f):
+    def _check_layout(self, f, shape, name):
+        if np.shape(f)[-self.ndim:] != shape:
+            raise ValueError(f"{name} takes fields whose last {self.ndim} "
+                             f"axes are {shape}, not {np.shape(f)}")
+
+    def full_spectral(self, f):
+        """The n^d forward transform of an n^d field that is off the band."""
         self.transforms += 1
         copy = np.iscomplexobj(f)   # a real f takes scipy's real-input path
         f = np.array(f, dtype=complex) if copy else f
-        return fft(f, axes=range(-self.ndim, 0), workers=self._workers,
-                   overwrite_x=copy)
+        out = scipy.fft.fftn(f, axes=range(-self.ndim, 0),
+                             workers=self._workers, overwrite_x=copy)
+        _scale(out, self._fwd)
+        return out
 
-    def to_spectral(self, f, dealias=False, out=None):
-        if not dealias:
-            out = self._transform(scipy.fft.fftn, f)
-            _scale(out, self._fwd)
-            return out
+    def to_spectral(self, f, out=None):
+        """The cube of the n^d field f; given `out`, in place on complex f."""
+        self._check_layout(f, self.shape, "to_spectral")
         if out is None:
             f = np.array(f, dtype=complex)
             out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
@@ -171,20 +179,17 @@ class SpectralGrid:
         _scale(out, self._fwd)
         return out
 
-    def to_physical(self, fhat, dealias=False):
-        if dealias:
-            out = np.empty(np.shape(fhat)[:-self.ndim] + self.shape,
-                           dtype=complex)
-            for _ in self.physical_slabs(fhat, out=out):
-                pass
-            return out
-        out = self._transform(scipy.fft.ifftn, fhat)
-        _scale(out, self._inv_fwd)
+    def to_physical(self, fhat):
+        """The n^d field of the cube fhat."""
+        out = np.empty(np.shape(fhat)[:-self.ndim] + self.shape, dtype=complex)
+        for _ in self.physical_slabs(fhat, out=out):
+            pass
         return out
 
     def physical_slabs(self, fhat, out=None):
         """Yield (rows, slab): the band inverse of the cube fhat on those
         rows of axis -d.  Without `out` a slab lives until the next one."""
+        self._check_layout(fhat, self.band_shape, "physical_slabs")
         self.transforms += 1
         d, n = self.ndim, self.n
         lead, full = np.shape(fhat)[:-d], (slice(None),) * d
@@ -241,8 +246,8 @@ class SpectralGrid:
     # -- hygiene ------------------------------------------------------------
 
     def reflect(self, fhat):
-        """fhat evaluated at -xi, on the n^d grid or on the cube:
-        out[k] = fhat[(-k) mod size]."""
+        """fhat evaluated at -xi: out[k] = fhat[(-k) mod m] on every axis
+        of m points, so a band field's cube (m = 2K+1) reflects as it is."""
         axes = tuple(range(-self.ndim, 0))
         return np.roll(np.flip(fhat, axis=axes), 1, axis=axes)
 

@@ -7,13 +7,13 @@ Spectral Sobolev norms use the documented Parseval normalization
 
 which makes sobolev(0) agree with the physical-space L^2 quadrature to
 rounding.  Every sampled field is a band field on the grid's cube, so
-Sobolev norms weight the cube (summed in n^d order, see _weighted_l2) and
-inverse transforms take dealias=True.  Coordinate weights are applied in
-physical space, centered at the box center; the weighted fields are not
-band-limited, so their forward transforms and H^s sums run on the n^d
-grid, and they are the package's only fields off the band.  The
-grid caches the H^N weight and the Riesz 1/|xi| of the cube.  The L^inf
-norms never build the physical field: they reduce grid.physical_slabs.
+Sobolev norms weight and sum the cube, and inverse transforms are the band
+inverse.  Coordinate weights are applied in physical space, centered at
+the box center; the weighted fields are not band-limited, so their forward
+transforms (grid.full_spectral) and H^s sums run on the n^d grid, and they
+are the package's only fields off the band.  The grid caches the H^N
+weight and the Riesz 1/|xi| of the cube.  The L^inf norms never build the
+physical field: they reduce grid.physical_slabs.
 """
 
 import json
@@ -40,16 +40,11 @@ def _sobolev_weight(xi_norm, order):
 
 
 def _weighted_l2(grid, fhat, weight):
-    """(Parseval sum of weight * |fhat|^2)^(1/2) of an n^d or a band field;
-    weight None is 1.  A band field's squares are summed at their places on
-    the n^d grid, so numpy's pairwise sum rounds as for the n^d field."""
+    """(Parseval sum of weight * |fhat|^2)^(1/2) of a band field on its
+    cube or of an n^d field; weight None is 1."""
     sq = np.abs(fhat) ** 2
     if weight is not None:
         sq *= weight
-    if sq.shape != grid.shape:
-        on_grid = np.zeros(grid.shape)
-        on_grid[np.ix_(*[grid.band_k % grid.n] * grid.ndim)] = sq
-        sq = on_grid
     val = (2.0 * np.pi) ** grid.ndim * np.sum(sq) * grid.d_eta
     return float(np.sqrt(val))
 
@@ -86,17 +81,17 @@ def total_sobolev(grid, data, order):
 
 def weighted_x_l2(grid, fhat):
     """||x f||_{L^2} = (integral |x - c|^2 |f|^2 dx)^(1/2)."""
-    f = grid.to_physical(fhat, dealias=True)
+    f = grid.to_physical(fhat)
     val = np.sum(grid.r2_centered * np.abs(f) ** 2) * grid.dx ** grid.ndim
     return float(np.sqrt(val))
 
 
 def weighted_lambda_x_h1(grid, fhat):
     """||Lam x f||_{H^1} with the weight applied first."""
-    f = grid.to_physical(fhat, dealias=True)
+    f = grid.to_physical(fhat)
     total, h1 = 0.0, _sobolev_weight(grid.full_xi_norm, 1)
     for ax in grid.x_centered:
-        comp = grid.to_spectral(ax * f)
+        comp = grid.full_spectral(ax * f)
         total += _weighted_l2(grid, grid.full_xi_norm * comp, h1) ** 2
     return float(np.sqrt(total))
 
@@ -105,8 +100,7 @@ def weighted_x2_lambda_h1(grid, fhat):
     """|| |x|^2 Lam f ||_{H^1}: Lam applied spectrally, then the |x - c|^2
     weight, then the H^1 norm."""
     lam = grid.xi_norm * fhat
-    weighted = grid.to_spectral(grid.r2_centered
-                                * grid.to_physical(lam, dealias=True))
+    weighted = grid.full_spectral(grid.r2_centered * grid.to_physical(lam))
     return _weighted_l2(grid, weighted, _sobolev_weight(grid.full_xi_norm, 1))
 
 
@@ -177,11 +171,11 @@ def initial_energy(state):
         terms = next((parts[j] for j in range(i)
                       if np.array_equal(state.data[j], comp)), None)
         if terms is None:
-            f = g.to_physical(comp, dealias=True)
+            f = g.to_physical(comp)
             h2 = _sobolev_weight(r, 2)  # n^d weights, each built where used
-            x_h2 = sum(_weighted_l2(g, g.to_spectral(ax * f), h2) ** 2
+            x_h2 = sum(_weighted_l2(g, g.full_spectral(ax * f), h2) ** 2
                        for ax in g.x_centered)
-            lam_x2 = r * g.to_spectral(g.r2_centered * f)
+            lam_x2 = r * g.full_spectral(g.r2_centered * f)
             terms = (lp_physical(g, f, 1), float(np.sqrt(x_h2)),
                      _weighted_l2(g, lam_x2, _sobolev_weight(r, 1)),
                      _weighted_l2(g, comp, g.sobolev_weight))

@@ -28,7 +28,7 @@ def riesz(grid, j, fhat):
 
 def lp_norm(grid, fhat, p):
     """The L^p quadrature of a band field."""
-    return lp_physical(grid, grid.to_physical(fhat, dealias=True), p)
+    return lp_physical(grid, grid.to_physical(fhat), p)
 
 
 def lp_physical(grid, f, p):

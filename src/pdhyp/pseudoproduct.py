@@ -186,7 +186,7 @@ def _apply_separable(plan, fh, gh, pool):
     out = np.zeros(grid.band_shape, dtype=complex)
     spec = np.empty_like(out)
     for (a, _), total in zip(groups, grid.product_sums(fields, rows, pool)):
-        grid.to_spectral(total, dealias=True, out=spec)
+        grid.to_spectral(total, out=spec)
         if factors[a] is not None:
             spec *= factors[a]
         out += spec

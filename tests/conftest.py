@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from pdhyp.grid import SpectralGrid
 
@@ -25,6 +26,14 @@ def embed(grid, cube):
     return full
 
 
+def full_physical(grid, fhat):
+    """The n^d inverse transform of an n^d field, scipy's ifftn scaled by
+    1/fwd as the band inverse scales: the reference of to_physical."""
+    out = scipy.fft.ifftn(fhat, axes=range(-grid.ndim, 0))
+    np.multiply(out.view(np.float64), grid._inv_fwd, out=out.view(np.float64))
+    return out
+
+
 def conjugate_symmetry_defect(grid, fhat):
     """max |fhat(xi) - conj(fhat(-xi))| of a field, or of a stack of fields
     (the max over the components)."""
@@ -32,18 +41,15 @@ def conjugate_symmetry_defect(grid, fhat):
 
 
 def record_transforms(monkeypatch, slabs=False):
-    """A list that collects (name, dealias) of each grid transform from now
-    on; dealias is the keyword the call passed, False when it passed none.
-    With slabs=True each physical_slabs call, the band inverse, is recorded
-    too, as ("physical_slabs", True)."""
+    """A list that collects the name of each grid transform from now on:
+    to_spectral, to_physical and full_spectral, and with slabs=True each
+    physical_slabs call, the band inverse, too."""
     calls = []
-    names = ("to_physical", "to_spectral") + (("physical_slabs",)
-                                               if slabs else ())
+    names = ("to_physical", "to_spectral", "full_spectral") + (
+        ("physical_slabs",) if slabs else ())
     for name in names:
         orig = getattr(SpectralGrid, name)
-        band = name == "physical_slabs"
         monkeypatch.setattr(SpectralGrid, name,
-                            lambda self, f, _o=orig, _n=name, _b=band, **kw:
-                            calls.append((_n, kw.get("dealias", _b)))
-                            or _o(self, f, **kw))
+                            lambda self, f, _o=orig, _n=name, **kw:
+                            calls.append(_n) or _o(self, f, **kw))
     return calls

@@ -12,16 +12,18 @@ callers, and neither do the tests, demos or the benchmark: code that only
 they read belongs with them, not in the package.
 
 Every field of the package outside grid.py and norms.py is a band field
-on the 2/3 band's cube: no other module reads the n^d tables or calls a
-transform without dealias=True.
+on the 2/3 band's cube: to_spectral and to_physical take and give the
+cube, and no other module reads the n^d tables (full_xi_norm,
+full_xi_axes) or calls the full-grid transform full_spectral.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pdhyp"
-# the grid's general transforms and the physically weighted norms
+# the grid and the physically weighted norms
 FULL_GRID_MODULES = {"grid", "norms"}
+FULL_GRID_NAMES = {"full_xi_norm", "full_xi_axes", "full_spectral"}
 
 
 def _used_names(node, skip=None):
@@ -81,24 +83,13 @@ def uncalled_public_definitions(package=PACKAGE):
 
 
 def layout_violations(package=PACKAGE):
-    """(module, line, name) of each read of an n^d table and of each
-    transform call without dealias=True outside FULL_GRID_MODULES."""
-    found = []
-    for path in sorted(package.glob("*.py")):
-        if path.stem in FULL_GRID_MODULES:
-            continue
-        for n in ast.walk(ast.parse(path.read_text())):
-            if isinstance(n, ast.Attribute) and n.attr in ("full_xi_norm",
-                                                           "full_xi_axes"):
-                found.append((path.stem, n.lineno, n.attr))
-            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                  and n.func.attr in ("to_spectral", "to_physical")
-                  and not any(k.arg == "dealias"
-                              and isinstance(k.value, ast.Constant)
-                              and k.value.value is True
-                              for k in n.keywords)):
-                found.append((path.stem, n.lineno, n.func.attr))
-    return found
+    """(module, line, name) of each read of an n^d table or of
+    full_spectral, so of each call of it, outside FULL_GRID_MODULES."""
+    return [(path.stem, n.lineno, n.attr)
+            for path in sorted(package.glob("*.py"))
+            if path.stem not in FULL_GRID_MODULES
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and n.attr in FULL_GRID_NAMES]
 
 
 def test_every_public_definition_has_a_caller():
@@ -132,3 +123,19 @@ def test_band_fields_have_one_layout():
     assert not found, "n^d layout outside " + ", ".join(
         sorted(FULL_GRID_MODULES)) + ": " + ", ".join(
         f"{module}:{line} {name}" for module, line, name in found)
+
+
+def test_the_layout_guard_names_each_full_grid_use(tmp_path):
+    # a call of full_spectral and a read of an n^d table are named, with
+    # their lines; band transforms and a module of FULL_GRID_MODULES pass
+    (tmp_path / "a.py").write_text(
+        "def weighted(grid, f):\n"
+        "    spec = grid.full_spectral(f)\n"
+        "    return grid.full_xi_norm * spec\n")
+    (tmp_path / "b.py").write_text(
+        "def product(grid, f, h):\n"
+        "    return grid.to_spectral(grid.to_physical(f)"
+        " * grid.to_physical(h))\n")
+    (tmp_path / "norms.py").write_text("x = grid.full_spectral(f)\n")
+    assert layout_violations(tmp_path) == [("a", 2, "full_spectral"),
+                                           ("a", 3, "full_xi_norm")]

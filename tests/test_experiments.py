@@ -187,7 +187,7 @@ def test_gaussian_bump_is_real_bandlimited_dealiased():
     assert st.t == 1.0
     assert conjugate_symmetry_defect(g, st.data) < 1e-12
     assert st.data.shape == (3,) + g.band_shape
-    phys = g.to_physical(st.data[0], dealias=True)
+    phys = g.to_physical(st.data[0])
     assert np.max(np.abs(phys.imag)) < 1e-13
     # physical peak is exactly the configured amplitude, at the box center
     center = tuple([g.n // 2] * 3)

@@ -6,7 +6,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import band, conjugate_symmetry_defect, embed
+from conftest import band, conjugate_symmetry_defect, embed, full_physical
 from pdhyp import grid as grid_module
 from pdhyp.acceptance import band_field
 from pdhyp.grid import SpectralGrid
@@ -16,15 +16,16 @@ def test_transform_roundtrip():
     g = SpectralGrid(16, 5.0)
     rng = np.random.default_rng(0)
     f = rng.normal(size=g.shape)
-    back = g.to_physical(g.to_spectral(f))
+    back = full_physical(g, g.full_spectral(f))
     assert np.max(np.abs(back - f)) < 1e-12
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 16, 24, 48])
 def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
-    # each transform equals scipy.fft's, scaled, bit for bit; it writes a
-    # new array and leaves its input, real, complex, stacked or strided
+    # the full-grid transform equals scipy.fft's, scaled, bit for bit; it
+    # writes a new array and leaves its input, real, complex, stacked or
+    # strided
     g = SpectralGrid(n, 7.3, ndim)
     rng = np.random.default_rng(10 * n + ndim)
     real = rng.normal(size=g.shape)
@@ -37,23 +38,22 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
     saved = [x.copy() for x in inputs] + [wide.copy()]
     axes = range(-ndim, 0)
     for x in inputs:
-        spec, phys = g.to_spectral(x), g.to_physical(x)
+        spec = g.full_spectral(x)
         assert np.array_equal(spec, scipy.fft.fftn(x, axes=axes) * g._fwd)
-        assert np.array_equal(phys, scipy.fft.ifftn(x, axes=axes) / g._fwd)
         assert not np.shares_memory(spec, x)
-        assert not np.shares_memory(phys, x)
     for x, before in zip(inputs + (wide,), saved):
         assert x.tobytes() == before.tobytes()
-    assert g.transforms == 2 * len(inputs)
+    assert g.transforms == len(inputs)
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 15, 16, 24, 48])
 def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
-    # dealias=True is the general transform composed with the band, bit for
-    # bit: the forward transform of an n^d field that is not band-limited
-    # is the band of its full transform, the inverse of a cube is the full
-    # inverse of its zero embedding; each call counts once, writes a new
+    # the band transforms are the full-grid ones composed with the band,
+    # bit for bit: the forward transform of an n^d field that is not
+    # band-limited is the band of its full transform, the inverse of a cube
+    # is the full inverse of its zero embedding; each call counts once,
+    # writes a new
     # array and leaves its input, real, stacked or strided.  The band
     # inverse is a run of physical_slabs: at 7 rows per slab of one field
     # there are several slabs and a ragged last one, in one reused buffer
@@ -73,13 +73,13 @@ def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
     saved = [x.copy() for x in fields + cubes]
     for x, c in zip(fields, cubes):
         count = g.transforms
-        spec = g.to_spectral(x, dealias=True)
+        spec = g.to_spectral(x)
         assert g.transforms == count + 1
-        phys = g.to_physical(c, dealias=True)
+        phys = g.to_physical(c)
         assert g.transforms == count + 2
         # a real input is transformed as complex
-        assert np.array_equal(spec, band(g, g.to_spectral(x + 0j)))
-        assert np.array_equal(phys, g.to_physical(embed(g, c)))
+        assert np.array_equal(spec, band(g, g.full_spectral(x + 0j)))
+        assert np.array_equal(phys, full_physical(g, embed(g, c)))
         assert spec.shape == np.shape(x)[:-ndim] + g.band_shape
         assert not np.shares_memory(phys, c)
         assert not np.shares_memory(spec, x)
@@ -113,7 +113,7 @@ def test_band_inverses_run_in_lockstep(n, rows, monkeypatch):
     rng = np.random.default_rng(n)
     cubes = [rng.normal(size=g.band_shape) + 1j * rng.normal(
         size=g.band_shape) for _ in range(3)]
-    whole = [g.to_physical(c, dealias=True) for c in cubes]
+    whole = [g.to_physical(c) for c in cubes]
     steps = 0
     for slabs in zip(*(g.physical_slabs(c) for c in cubes)):
         parts = [slabs[0][0]] * len(slabs)
@@ -147,12 +147,35 @@ def test_band_forward_into_out_is_bit_for_bit():
     g = SpectralGrid(24, 5.0)
     rng = np.random.default_rng(4)
     f = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
-    expect = g.to_spectral(f, dealias=True)
+    expect = g.to_spectral(f)
     out = np.empty((2,) + g.band_shape, dtype=complex)
     count = g.transforms
-    assert g.to_spectral(f, dealias=True, out=out) is out
+    assert g.to_spectral(f, out=out) is out
     assert g.transforms == count + 1
     assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_band_transforms_refuse_the_other_layout(ndim):
+    # to_spectral takes n^d fields and the band inverse cubes: a field of
+    # the other layout, or of neither, raises before any transform counts
+    # (on a 1-D grid a cube once came back from the forward pass clipped)
+    g = SpectralGrid(16, 5.0, ndim)
+    field = np.ones((2,) + g.shape, dtype=complex)
+    cube = np.ones((2,) + g.band_shape, dtype=complex)
+    for bad in (cube, cube[0], field[..., :-1]):
+        with pytest.raises(ValueError, match="to_spectral"):
+            g.to_spectral(bad)
+        with pytest.raises(ValueError, match="to_spectral"):
+            g.to_spectral(bad, out=np.empty_like(cube))
+    for bad in (field, field[0], cube[..., :-1]):
+        with pytest.raises(ValueError, match="physical_slabs"):
+            g.to_physical(bad)
+        with pytest.raises(ValueError, match="physical_slabs"):
+            next(g.physical_slabs(bad))
+        with pytest.raises(ValueError, match="physical_slabs"):
+            g.product_sums([bad, cube[0]], [[(None, 0, 1)]])
+    assert g.transforms == 0
 
 
 def test_band_inverse_scales_as_ifftn_does():
@@ -161,8 +184,7 @@ def test_band_inverse_scales_as_ifftn_does():
     g = SpectralGrid(2731, 1.0, 1)
     assert float(np.longdouble(1) / g.n) != 1.0 / g.n
     x = np.random.default_rng(3).normal(size=g.band_shape) + 0j
-    assert np.array_equal(g.to_physical(x, dealias=True),
-                          g.to_physical(embed(g, x)))
+    assert np.array_equal(g.to_physical(x), full_physical(g, embed(g, x)))
 
 
 @pytest.mark.parametrize("n, workers", [(64, 1), (96, 1), (128, -1)])
@@ -175,8 +197,8 @@ def test_threads_only_from_n_128(n, workers, monkeypatch):
                             seen.append(kw["workers"]) or _o(*a, **kw))
     g = SpectralGrid(n, 1.0, ndim=1)
     x = np.ones(g.shape, dtype=complex)
-    for band in (False, True):
-        g.to_physical(g.to_spectral(x, dealias=band), dealias=band)
+    g.full_spectral(x)
+    g.to_physical(g.to_spectral(x))
     assert seen and set(seen) == {workers}
 
 
@@ -187,8 +209,8 @@ def test_convolution_theorem_is_exact():
     rng = np.random.default_rng(1)
     f = rng.normal(size=g.shape)
     h = rng.normal(size=g.shape)
-    fh, hh = g.to_spectral(f), g.to_spectral(h)
-    prod_hat = g.to_spectral(f * h)
+    fh, hh = g.full_spectral(f), g.full_spectral(h)
+    prod_hat = g.full_spectral(f * h)
     n = g.n
     direct = np.zeros(g.shape, dtype=complex)
     for k in np.ndindex(g.shape):
@@ -204,7 +226,7 @@ def test_parseval_factor():
     g = SpectralGrid(16, 7.0)
     rng = np.random.default_rng(2)
     f = rng.normal(size=g.shape)
-    fh = g.to_spectral(f)
+    fh = g.full_spectral(f)
     phys = np.sum(np.abs(f) ** 2) * g.dx ** 3
     spec = (2 * np.pi) ** 3 * np.sum(np.abs(fh) ** 2) * g.d_eta
     assert abs(phys - spec) < 1e-12 * phys
@@ -354,7 +376,7 @@ def test_reflect_and_conjugate_symmetry():
     fh = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     sym = g.conjugate_symmetrize(fh)
     assert conjugate_symmetry_defect(g, sym) < 1e-14
-    f = g.to_physical(sym)
+    f = full_physical(g, sym)
     assert np.max(np.abs(f.imag)) < 1e-13
     # reflect is an involution
     assert np.array_equal(g.reflect(g.reflect(fh)), fh)
@@ -363,7 +385,7 @@ def test_reflect_and_conjugate_symmetry():
 def test_band_field_is_real(grid16):
     rng = np.random.default_rng(4)
     fh = band_field(grid16, 3, rng)
-    assert np.max(np.abs(grid16.to_physical(fh, dealias=True).imag)) < 1e-13
+    assert np.max(np.abs(grid16.to_physical(fh).imag)) < 1e-13
 
 
 def test_2d_grid():
@@ -371,7 +393,7 @@ def test_2d_grid():
     assert g.shape == (16, 16)
     rng = np.random.default_rng(5)
     f = rng.normal(size=g.shape)
-    assert np.max(np.abs(g.to_physical(g.to_spectral(f)) - f)) < 1e-12
+    assert np.max(np.abs(full_physical(g, g.full_spectral(f)) - f)) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -381,7 +403,7 @@ def test_parseval_on_any_grid(n, length, ndim, seed):
     g = SpectralGrid(n, length, ndim=ndim)
     f = np.random.default_rng(seed).normal(size=g.shape)
     phys = np.sum(f ** 2) * g.dx ** ndim
-    fh = g.to_spectral(f)
+    fh = g.full_spectral(f)
     spec = (2 * np.pi) ** ndim * np.sum(np.abs(fh) ** 2) * g.d_eta
     assert abs(phys - spec) <= 1e-12 * phys
 
@@ -392,11 +414,11 @@ def test_parseval_on_any_grid(n, length, ndim, seed):
 def test_convolution_theorem_on_any_grid(n, length, seed):
     g = SpectralGrid(n, length, ndim=2)
     f, h = np.random.default_rng(seed).normal(size=(2,) + g.shape)
-    fh, hh = g.to_spectral(f), g.to_spectral(h)
+    fh, hh = g.full_spectral(f), g.full_spectral(h)
     # np.roll(fh, j)[k] = fh[(k - j) mod n]
     direct = sum(hh[j] * np.roll(fh, j, axis=(0, 1))
                  for j in np.ndindex(g.shape)) * g.d_eta
-    prod_hat = g.to_spectral(f * h)
+    prod_hat = g.full_spectral(f * h)
     assert np.max(np.abs(direct - prod_hat)) \
         <= 1e-12 * np.max(np.abs(prod_hat))
 
@@ -413,13 +435,12 @@ def test_dealiased_products_match_unwrapped_products(n, seed):
             + 1j * rng.normal(size=coarse.band_shape) for _ in range(2))
 
     def product(grid, a, b):
-        return grid.to_spectral(grid.to_physical(a) * grid.to_physical(b))
+        return grid.full_spectral(full_physical(grid, a)
+                                  * full_physical(grid, b))
 
     on_fine = np.ix_(coarse.band_k % fine.n, coarse.band_k % fine.n)
     big_f, big_h = np.zeros(fine.shape, complex), np.zeros(fine.shape, complex)
     big_f[on_fine], big_h[on_fine] = f, h
     exact = product(fine, big_f, big_h)[on_fine]
-    got = coarse.to_spectral(coarse.to_physical(f, dealias=True)
-                             * coarse.to_physical(h, dealias=True),
-                             dealias=True)
+    got = coarse.to_spectral(coarse.to_physical(f) * coarse.to_physical(h))
     assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import band, embed, record_transforms
+from conftest import band, embed, full_physical, record_transforms
 from pdhyp import evolution as ev
 from pdhyp import grid as grid_module
 from pdhyp import norms, spectra
@@ -22,7 +22,7 @@ def grid():
 def test_sobolev0_is_parseval_l2(grid):
     rng = np.random.default_rng(0)
     fh = band_field(grid, 5, rng)
-    f = grid.to_physical(embed(grid, fh))
+    f = full_physical(grid, embed(grid, fh))
     phys = np.sqrt(np.sum(np.abs(f) ** 2) * grid.dx ** 3)
     assert abs(norms.sobolev_norm(grid, fh, 0) - phys) <= 1e-12 * phys
     assert abs(norms.l2_norm(grid, fh) - phys) <= 1e-12 * phys
@@ -34,7 +34,7 @@ def test_sobolev_single_mode_closed_form(grid):
     A = 1.3
     x0, x1, _ = np.meshgrid(*[np.arange(grid.n) * grid.dx] * 3, indexing="ij")
     f = A * np.cos(x0 * k_vec[0] + x1 * k_vec[1])
-    fh = grid.to_spectral(f, dealias=True)
+    fh = grid.to_spectral(f)
     for order in (0, 1, 3):
         expect = np.sqrt((1 + k_vec @ k_vec) ** order * A ** 2
                          * grid.volume / 2)
@@ -46,7 +46,7 @@ def test_weighted_x_gaussian_moment():
     g = SpectralGrid(64, 32.0)
     sigma = 2.0
     f = np.exp(-g.r2_centered / (2 * sigma ** 2))
-    fh = g.to_spectral(f, dealias=True)
+    fh = g.to_spectral(f)
     ratio = norms.weighted_x_l2(g, fh) / norms.l2_norm(g, fh)
     expect = sigma * np.sqrt(1.5)
     assert abs(ratio - expect) <= 0.01 * expect
@@ -58,7 +58,7 @@ def test_linf_riesz_takes_max(grid):
     s = grid.full_xi_norm
     xi = np.broadcast_arrays(*grid.full_xi_axes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        per = [lp_physical(grid, grid.to_physical(
+        per = [lp_physical(grid, full_physical(grid,
             np.where(s > 0, -1j * xi[j] / s, 0) * fh), np.inf)
                for j in range(3)]
     assert norms.riesz_linf_norm(grid, band(grid, fh)) == max(per)
@@ -86,17 +86,17 @@ def _initial_energy_per_term(state, order=norms.SOBOLEV_N):
         return float(np.sqrt(val))
 
     def x_sobolev(fh, k):
-        f = g.to_physical(fh)
+        f = full_physical(g, fh)
         total = 0.0
         for ax in g.x_centered:
-            total += sobolev(g.to_spectral(ax * f), k) ** 2
+            total += sobolev(g.full_spectral(ax * f), k) ** 2
         return float(np.sqrt(total))
 
     def lambda_x2_sobolev(fh, k):
-        weighted = g.to_spectral(g.r2_centered * g.to_physical(fh))
+        weighted = g.full_spectral(g.r2_centered * full_physical(g, fh))
         return sobolev(g.full_xi_norm * weighted, k)
 
-    l1 = sum(lp_physical(g, g.to_physical(comp), 1) for comp in data)
+    l1 = sum(lp_physical(g, full_physical(g, comp), 1) for comp in data)
     weighted = sum(x_sobolev(comp, 2) for comp in data)
     weighted += sum(lambda_x2_sobolev(comp, 1) for comp in data)
     hn = sum(sobolev(comp, order) for comp in data)
@@ -113,7 +113,7 @@ def test_initial_energy_equals_the_per_term_formula():
                                        spectra.three_component_model())
     G = spectra.propagator(g, cache, 3.5)
     later = ev.StateField(g, spectra.propagator_apply(G, st.data), 4.5)
-    assert np.abs(g.to_physical(later.data[2], dealias=True).imag).max() > 1e-3
+    assert np.abs(g.to_physical(later.data[2]).imag).max() > 1e-3
     assert norms.initial_energy(later) == _initial_energy_per_term(later)
 
 
@@ -123,9 +123,8 @@ def test_initial_energy_transforms_each_component_once(monkeypatch):
     calls = record_transforms(monkeypatch)
     norms.initial_energy(st)
     # d band inverse transforms, and per component 3 x_j-weighted and one
-    # |x|^2-weighted general forward transform
-    assert sorted(calls) == ([("to_physical", True)] * 3
-                             + [("to_spectral", False)] * 12)
+    # |x|^2-weighted full-grid forward transform
+    assert sorted(calls) == ["full_spectral"] * 12 + ["to_physical"] * 3
 
 
 @pytest.mark.parametrize("width, radial_power, distinct", [
@@ -140,16 +139,16 @@ def test_initial_energy_transforms_each_distinct_component_once(
     expected = _initial_energy_per_term(st)
     calls = record_transforms(monkeypatch)
     assert norms.initial_energy(st) == expected
-    assert sorted(calls) == ([("to_physical", True)] * distinct
-                             + [("to_spectral", False)] * (4 * distinct))
+    assert sorted(calls) == (["full_spectral"] * (4 * distinct)
+                             + ["to_physical"] * distinct)
 
 
 def test_sampled_norms_read_the_band(grid, monkeypatch):
     # every inverse transform of a sampled norm and of E_N takes the band
-    # through the one band inverse, physical_slabs: to_physical with
-    # dealias=True runs it, and the L^inf norms reduce its slabs without
-    # asking to_physical for the field; the forward transforms of the
-    # weighted fields stay general
+    # through the one band inverse, physical_slabs: to_physical runs it,
+    # and the L^inf norms reduce its slabs without asking to_physical for
+    # the field; the forward transforms of the weighted fields are the
+    # full-grid ones, and no band forward transform runs
     st = make_initial_data("gaussian_bump", grid, 0.3, 0, width=2.0)
     calls = record_transforms(monkeypatch, slabs=True)
     seen = []
@@ -159,25 +158,24 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
         calls.clear()
         before = grid.transforms
         fn(*args)
-        slab_runs = calls.count(("physical_slabs", True))
-        forward = sum(name == "to_spectral" for name, _ in calls)
+        slab_runs = calls.count("physical_slabs")
+        forward = calls.count("full_spectral")
         assert grid.transforms - before == slab_runs + forward
         for i, call in enumerate(calls):
-            if call[0] == "to_physical":
-                assert calls[i + 1] == ("physical_slabs", True)
+            if call == "to_physical":
+                assert calls[i + 1] == "physical_slabs"
         seen.append(list(calls))
     linf, riesz = (seen[list(norms.NORM_KINDS).index(kind)]
                    for kind in ("linf", "linf_riesz"))
-    assert linf == [("physical_slabs", True)]
-    assert riesz == [("physical_slabs", True)] * grid.ndim
+    assert linf == ["physical_slabs"]
+    assert riesz == ["physical_slabs"] * grid.ndim
     every = sum(seen, [])
-    assert ("to_physical", True) in every
-    assert ("to_physical", False) not in every
-    assert ("to_spectral", True) not in every
+    assert "to_physical" in every and "full_spectral" in every
+    assert "to_spectral" not in every
     # so does the L^p norm of the estimate harnesses
     calls.clear()
     lp_norm(grid, st.data[2], np.inf)
-    assert calls == [("to_physical", True), ("physical_slabs", True)]
+    assert calls == ["to_physical", "physical_slabs"]
 
 
 def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
@@ -188,7 +186,7 @@ def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
     rng = np.random.default_rng(4)
     x = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
     assert norms.band_linf(g, x) == lp_physical(
-        g, g.to_physical(x, dealias=True), np.inf)
+        g, g.to_physical(x), np.inf)
 
 
 def test_linf_samples_hold_no_physical_field():
@@ -208,6 +206,22 @@ def test_linf_samples_hold_no_physical_field():
         finally:
             tracemalloc.stop()
         assert peak < field, (kind, peak / field)
+
+
+def test_parseval_sums_stay_on_the_cube():
+    # the H^N norm of a 3-component state at n = 64 sums each component's
+    # squares on its cube: the peak stays below one real n^3 array (the
+    # grid's H^N weight is cached)
+    g = SpectralGrid(64, 32.0)
+    data = make_initial_data("gaussian_bump", g, 0.3, 0, width=2.0).data
+    expect = norms.total_sobolev(g, data, norms.SOBOLEV_N)
+    tracemalloc.start()
+    try:
+        assert norms.total_sobolev(g, data, norms.SOBOLEV_N) == expect
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.size, peak / (8 * g.size)
 
 
 def test_fit_decay_exact_power():

@@ -15,7 +15,7 @@ from pdhyp.grid import SpectralGrid
 def gauss():
     g = SpectralGrid(64, 24.0)
     f = np.exp(-g.r2_centered / 2.0)   # unit-variance Gaussian at the center
-    return g, g.to_spectral(f)
+    return g, g.full_spectral(f)
 
 
 def _half_wave(g, w_hat, t):
