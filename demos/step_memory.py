@@ -15,7 +15,11 @@ prints, for each step:
                 allocations.
 
 The first two come from an untraced run, the third from the first
-TRACED_STEPS steps of a second run under tracemalloc.  The Stepper
+TRACED_STEPS steps of a second run under tracemalloc.  Before the steps it
+prints the set-up costs: the CPU time and tracemalloc peak (in MiB) of
+norms.initial_energy and of one full sample (the wave profile, when a
+norm needs it, and every sampled norm), each repeated on the state the
+run passed it, so the grid's cached tables are already built.  The Stepper
 allocates its Lawson stage stacks and its n^d row totals on the first
 nonlinear step and reuses them, so from the second step on a step
 allocates only its returned state and cube-sized temporaries, the same
@@ -37,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from pdhyp import evolution as ev
-from pdhyp import experiments
+from pdhyp import experiments, norms
 
 TRACED_STEPS = 3
 SPEC = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -98,8 +102,54 @@ def transient(step, stepper, state, guard):
     return new, (tracemalloc.get_traced_memory()[1] - start) / 2 ** 20
 
 
+def cpu_and_peak(fn):
+    """(CPU ms, tracemalloc peak MiB) of fn(), from two calls."""
+    cpu = time.process_time()
+    fn()
+    cpu = time.process_time() - cpu
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return 1e3 * cpu, peak / 2 ** 20
+
+
+def setup_costs(name):
+    """cpu_and_peak of initial_energy and of one full sample, on the
+    states and norm specs the workload's run passes them before its first
+    step."""
+    seen, energy, evaluate = {}, norms.initial_energy, norms.evaluate_norm
+
+    def record_energy(state):
+        seen["initial"] = state
+        return energy(state)
+
+    def record_norm(spec, state, profile_w=None):
+        seen.setdefault("specs", []).append(spec)
+        seen["sampled"] = state
+        return evaluate(spec, state, profile_w)
+
+    norms.initial_energy, norms.evaluate_norm = record_energy, record_norm
+    try:
+        measured_steps(name, None, 0)
+    finally:
+        norms.initial_energy, norms.evaluate_norm = energy, evaluate
+    state, specs = seen["sampled"], seen["specs"]
+
+    def sample():
+        profile = (ev.wave_profile(state) if any(
+            spec.component == "profile_w" for spec in specs) else None)
+        return [evaluate(spec, state, profile) for spec in specs]
+
+    return (cpu_and_peak(lambda: energy(seen["initial"])),
+            cpu_and_peak(sample))
+
+
 def main(names):
     for name in names:
+        (e_cpu, e_peak), (s_cpu, s_peak) = setup_costs(name)
         timed = measured_steps(name, cpu_and_faults)
         tracemalloc.start()
         try:
@@ -107,6 +157,8 @@ def main(names):
         finally:
             tracemalloc.stop()
         print(f"=== {name}: {len(timed)} steps ===")
+        print(f"set-up: initial_energy {e_cpu:.1f} ms, peak {e_peak:.2f} "
+              f"MiB; one sample {s_cpu:.1f} ms, peak {s_peak:.2f} MiB")
         print(f"{'step':>4} {'cpu_ms':>8} {'faults':>7} {'peak_mib':>9}")
         for k, (cpu, faults) in enumerate(timed, 1):
             peak = f"{peaks[k - 1]:9.2f}" if k <= len(peaks) else ""

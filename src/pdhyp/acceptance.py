@@ -268,8 +268,9 @@ def criterion_9(result, workdir):
     coefficients = ev.Coefficients(a_u=1.0, b_u=0.5, c_u=0.3, a_v=0.2,
                                    b_v=1.0, c_v=0.1, d_v=1.0)
     data = np.zeros((3,) + g.band_shape, complex)
+    r2 = sum(ax ** 2 for ax in g.x_centered)
     for i in range(3):
-        bump = 0.2 * (1 + 0.1 * i) * np.exp(-g.r2_centered / (2 * 1.5 ** 2))
+        bump = 0.2 * (1 + 0.1 * i) * np.exp(-r2 / (2 * 1.5 ** 2))
         data[i] = g.to_spectral(bump)
     st0 = ev.StateField(g, data, ev.T_INITIAL)
     t_end = 2.0

@@ -24,28 +24,30 @@ of those modes in fftfreq order, per axis 0..K and then -K..-1.  The grid's
 spectral tables are the cube's sparse wavevector axes, shaped (2K+1,1,1),
 (1,2K+1,1), (1,1,2K+1) in 3-D so numpy broadcasts them, and its dense |xi|;
 shells sorts |xi| on the first corner and indexes every mode through |k_j|.
-Only the physically weighted norms (norms.py) hold fields off the band: they
-keep the n^d grid (full_xi_axes, full_xi_norm, full_spectral), and
-x_centered and |x - center|^2 are physical n^d tables.
+The coordinate-weighted norms (norms.py) hold fields on the line grid of an
+axis: the cube with that axis moved last and taken to all n points there
+(line_xi_sq is its |xi|^2); x_centered are the sparse physical axes.
 
 to_spectral takes an n^d field to its cube and to_physical a cube to its
 n^d field, bit for bit scipy's fftn composed with the restriction to the
 band and ifftn of its zero embedding; each raises ValueError unless the
-last d axes of its input are n^d and the cube's, respectively.
-full_spectral, fftn scaled, is the one full-grid transform: the weighted
-norms' forward transform of fields off the band.  All three return a new
-array the caller owns and never write their input; a complex input is
-copied and transformed in place (to_spectral given `out` uses its complex
-input instead).  Real scales multiply the float64 view (numpy's
-complex-by-real product, up to the sign of a zero).  `transforms` counts
-each call.  The band forward pass runs each axis on the lines that reach
-the band, then packs its band in place.  The one band inverse is the
-generator physical_slabs, which to_physical runs: pass 1 runs on the cube
-with axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long
-double (not 1/n per pass); each slab of rows of axis -d takes its rows onto
-the band columns and the later passes on the band lines.  Slabs are views
-of `out` or of the generator's 512 KiB buffer, so an L^inf norm never holds
-the n^d field, and product_sums zips generators to form products.
+last d axes of its input are n^d and the cube's, respectively.  Both
+return a new array the caller owns and never write their input; a complex
+input is copied and transformed in place (to_spectral given `out` uses its
+complex input instead).  Real scales multiply the float64 view (numpy's
+complex-by-real product, up to the sign of a zero).  line_physical is
+scipy's ifft (its 1/n, no other scale) along one axis of a cube zero-filled
+to n points there, into a new array, and line_spectral fft along the last
+axis of a line-grid field, in place: (2K+1)^(d-1) lines of n points each.
+`transforms` counts each call.  The band forward pass runs each axis on the
+lines that reach the band, then packs its band in place.  The one band
+inverse is physical_slabs, which checks the layout when called and returns
+a generator; to_physical runs it.  Pass 1 runs on the cube with axis -d
+zero-filled to n points, scaled by ifftn's 1/n^d from long double (not 1/n
+per pass); each slab of rows of axis -d takes its rows onto the band
+columns and the later passes on the band lines.  Slabs are views of `out`
+or of the generator's 512 KiB buffer, so an L^p norm never holds the n^d
+field, and product_sums zips generators to form products.
 One worker runs below n = 128 and in a slab's small passes, where threads
 cost CPU and save no time.
 """
@@ -68,10 +70,6 @@ def _scale(z, factor):      # complex z *= real factor, on the float view
 def _axes(values, ndim):
     """One sparse axis of `values` per dimension, broadcastable together."""
     return np.meshgrid(*([values] * ndim), indexing="ij", sparse=True)
-
-
-def _norm(axes):
-    return np.sqrt(sum(ax ** 2 for ax in axes))
 
 
 def dealias_limit(n):
@@ -109,9 +107,7 @@ class SpectralGrid:
         self.band_shape = (2 * k + 1,) * self.ndim
         self.band_k = np.r_[0:k + 1, -k:0]        # the cube's modes per axis
         self.xi_axes = _axes(self.dk * self.band_k, self.ndim)
-        self.xi_norm = _norm(self.xi_axes)
-        k_int = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-        self.full_xi_axes = _axes(self.dk * k_int, self.ndim)
+        self.xi_norm = np.sqrt(sum(ax ** 2 for ax in self.xi_axes))
         # the band's two runs of modes on an n-point axis and on a cube axis
         self._band = (slice(k + 1), slice(self.n - k, None))
         self._packed = (slice(k + 1), slice(k + 1, None))
@@ -121,13 +117,8 @@ class SpectralGrid:
         self.center = self.length / 2.0
         self.x_centered = _axes(np.arange(self.n) * self.dx - self.center,
                                 self.ndim)
-        self.r2_centered = sum(ax ** 2 for ax in self.x_centered)
 
     @cached_property    # multiplier tables, built on first use
-    def full_xi_norm(self):       # |xi| on the n^d grid
-        return _norm(self.full_xi_axes)
-
-    @cached_property
     def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N
         return (1.0 + self.xi_norm ** 2) ** SOBOLEV_N
 
@@ -144,22 +135,17 @@ class SpectralGrid:
     def xi_norm_reciprocal(self):     # 1/|xi|, and 1 at xi = 0
         return 1.0 / np.where(self.xi_norm > 0, self.xi_norm, 1.0)
 
+    @cached_property
+    def line_xi_sq(self):     # |xi|^2 on the line grid: n modes on axis -1
+        k = self.dk * np.rint(np.fft.fftfreq(self.n) * self.n)
+        return sum(ax ** 2 for ax in (*self.xi_axes[:-1], k))
+
     # -- transforms ---------------------------------------------------------
 
     def _check_layout(self, f, shape, name):
         if np.shape(f)[-self.ndim:] != shape:
             raise ValueError(f"{name} takes fields whose last {self.ndim} "
                              f"axes are {shape}, not {np.shape(f)}")
-
-    def full_spectral(self, f):
-        """The n^d forward transform of an n^d field that is off the band."""
-        self.transforms += 1
-        copy = np.iscomplexobj(f)   # a real f takes scipy's real-input path
-        f = np.array(f, dtype=complex) if copy else f
-        out = scipy.fft.fftn(f, axes=range(-self.ndim, 0),
-                             workers=self._workers, overwrite_x=copy)
-        _scale(out, self._fwd)
-        return out
 
     def to_spectral(self, f, out=None):
         """The cube of the n^d field f; given `out`, in place on complex f."""
@@ -180,17 +166,21 @@ class SpectralGrid:
         return out
 
     def to_physical(self, fhat):
-        """The n^d field of the cube fhat."""
+        """The n^d field of the cube fhat, checked before `out` exists."""
+        self._check_layout(fhat, self.band_shape, "physical_slabs")
         out = np.empty(np.shape(fhat)[:-self.ndim] + self.shape, dtype=complex)
         for _ in self.physical_slabs(fhat, out=out):
             pass
         return out
 
     def physical_slabs(self, fhat, out=None):
-        """Yield (rows, slab): the band inverse of the cube fhat on those
-        rows of axis -d.  Without `out` a slab lives until the next one."""
+        """Iterate (rows, slab), the band inverse of the cube fhat on those
+        rows of axis -d; without `out` a slab lives until the next one."""
         self._check_layout(fhat, self.band_shape, "physical_slabs")
         self.transforms += 1
+        return self._slabs(fhat, out)
+
+    def _slabs(self, fhat, out):
         d, n = self.ndim, self.n
         lead, full = np.shape(fhat)[:-d], (slice(None),) * d
         cols = [(tuple(b for b, _ in ends), tuple(p for _, p in ends))
@@ -220,6 +210,25 @@ class SpectralGrid:
                                    overwrite_x=True, workers=1)
             _scale(slab, self._inv_fwd)
             yield part, slab
+
+    def line_physical(self, fhat, axis, multiplier=1.0):
+        """ifft along `axis` alone of the cube fhat times `multiplier` (a
+        cube table), zero-filled to n points there: the cube's modes on the
+        other axes, and `axis` moved last."""
+        self._check_layout(fhat, self.band_shape, "line_physical")
+        self.transforms += 1
+        f, m = (np.moveaxis(np.broadcast_to(a, np.shape(fhat)),
+                            axis - self.ndim, -1) for a in (fhat, multiplier))
+        out = np.zeros(f.shape[:-1] + (self.n,), dtype=complex)
+        for band, packed in zip(self._band, self._packed):
+            np.multiply(f[..., packed], m[..., packed], out=out[..., band])
+        return scipy.fft.ifft(out, overwrite_x=True, workers=self._workers)
+
+    def line_spectral(self, f):
+        """fft along the last axis of a field on the line grid, in place."""
+        self._check_layout(f, self.band_shape[1:] + (self.n,), "line_spectral")
+        self.transforms += 1
+        return scipy.fft.fft(f, overwrite_x=True, workers=self._workers)
 
     def product_sums(self, fields, rows, pool=None):
         """Each row's sum of terms (c, i, j), c * phys(fields[i]) *

@@ -7,13 +7,11 @@ Spectral Sobolev norms use the documented Parseval normalization
 
 which makes sobolev(0) agree with the physical-space L^2 quadrature to
 rounding.  Every sampled field is a band field on the grid's cube, so
-Sobolev norms weight and sum the cube, and inverse transforms are the band
-inverse.  Coordinate weights are applied in physical space, centered at
-the box center; the weighted fields are not band-limited, so their forward
-transforms (grid.full_spectral) and H^s sums run on the n^d grid, and they
-are the package's only fields off the band.  The grid caches the H^N
-weight and the Riesz 1/|xi| of the cube.  The L^inf norms never build the
-physical field: they reduce grid.physical_slabs.
+Sobolev norms weight and sum the cube.  A coordinate weight x_j^p (centered
+at the box center) acts along axis j alone: F(x_j^p f) is the line forward
+transform of x_j^p times the line inverse along j, on the line grid of
+axis j.  No norm holds an n^d field: the L^p and L^inf norms reduce
+grid.physical_slabs.  The grid caches the tables the norms weight by.
 """
 
 import json
@@ -23,7 +21,7 @@ import numpy as np
 
 from .errors import MissingSeries, NonPositiveValues
 from .grid import SOBOLEV_N
-from .propagators import lp_norm, lp_physical, riesz
+from .propagators import lp_norm, riesz
 
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
 GAMMA = 0.05
@@ -34,25 +32,24 @@ M0_BOUND_C = 5.0       # verdict threshold for M0(t) <= C * E_N
 # scalar-field norms
 # ---------------------------------------------------------------------------
 
-def _sobolev_weight(xi_norm, order):
-    """(1 + |xi|^2)^order on a table of |xi|; None for order 0."""
-    return (1.0 + xi_norm ** 2) ** order if order else None
+def _sobolev_weight(xi2, order, lam=False):
+    """(1 + |xi|^2)^order, times |xi|^2 for lam, on a table xi2 of |xi|^2."""
+    return ((1.0 + xi2) ** order if order else 1.0) * (xi2 if lam else 1.0)
 
 
-def _weighted_l2(grid, fhat, weight):
-    """(Parseval sum of weight * |fhat|^2)^(1/2) of a band field on its
-    cube or of an n^d field; weight None is 1."""
-    sq = np.abs(fhat) ** 2
-    if weight is not None:
-        sq *= weight
-    val = (2.0 * np.pi) ** grid.ndim * np.sum(sq) * grid.d_eta
-    return float(np.sqrt(val))
+def _square_sum(grid, fhat, weight):
+    """Parseval sum of weight * |fhat|^2, on a cube or a line grid."""
+    sq = np.abs(fhat)
+    sq *= sq
+    sq *= weight
+    return (2.0 * np.pi) ** grid.ndim * np.sum(sq) * grid.d_eta
 
 
 def sobolev_norm(grid, fhat, order):
     """The H^order norm of a band field; order N takes the grid's table."""
-    return _weighted_l2(grid, fhat, grid.sobolev_weight if order == SOBOLEV_N
-                        else _sobolev_weight(grid.xi_norm, order))
+    return float(np.sqrt(_square_sum(
+        grid, fhat, grid.sobolev_weight if order == SOBOLEV_N
+        else _sobolev_weight(grid.xi_norm ** 2, order))))
 
 
 def l2_norm(grid, fhat):
@@ -61,8 +58,7 @@ def l2_norm(grid, fhat):
 
 def band_linf(grid, fhat):
     """max |f| of a band field, slab by slab."""
-    return float(np.max([np.max(np.abs(slab)) for _, slab
-                         in grid.physical_slabs(fhat)]))
+    return lp_norm(grid, fhat, np.inf)
 
 
 def riesz_linf_norm(grid, fhat):
@@ -79,29 +75,45 @@ def total_sobolev(grid, data, order):
 
 # -- coordinate-weighted norms (physical-space weights) ---------------------
 
+def _moment_norm(grid, fhat, power, order, lam=False, multiplier=1.0):
+    """(Parseval sum of _sobolev_weight(order, lam) * sum_j |F(x_j f)|^2)^(1/2)
+    for power 1, of that weight * |F(|x - c|^2 f)|^2 = |sum_j F(x_j^2 f)|^2
+    for power 2, with f = multiplier * fhat and F(x_j^p f) on the line grid
+    of axis j: its band rows add up on the cube, its other rows stand alone."""
+    k, n, total = grid.dealias_limit, grid.n, 0.0
+    cube = np.zeros(grid.band_shape, dtype=complex) if power == 2 else None
+    arm = slice(k + 1, n - k) if power == 2 else slice(None)
+    for j in range(grid.ndim):
+        spec = grid.line_physical(fhat, j, multiplier)
+        spec *= grid.x_centered[-1] ** power
+        spec = grid.line_spectral(spec)
+        if cube is not None:
+            rows = np.moveaxis(cube, j, -1)
+            rows[..., :k + 1] += spec[..., :k + 1]
+            rows[..., k + 1:] += spec[..., n - k:]
+        total += _square_sum(grid, spec[..., arm], _sobolev_weight(
+            grid.line_xi_sq[..., arm], order, lam))
+        del spec        # before the next line inverse
+    if cube is not None:
+        total += _square_sum(grid, cube,
+                             _sobolev_weight(grid.xi_norm ** 2, order, lam))
+    return float(np.sqrt(total))
+
+
 def weighted_x_l2(grid, fhat):
     """||x f||_{L^2} = (integral |x - c|^2 |f|^2 dx)^(1/2)."""
-    f = grid.to_physical(fhat)
-    val = np.sum(grid.r2_centered * np.abs(f) ** 2) * grid.dx ** grid.ndim
-    return float(np.sqrt(val))
+    return _moment_norm(grid, fhat, 1, 0)
 
 
 def weighted_lambda_x_h1(grid, fhat):
     """||Lam x f||_{H^1} with the weight applied first."""
-    f = grid.to_physical(fhat)
-    total, h1 = 0.0, _sobolev_weight(grid.full_xi_norm, 1)
-    for ax in grid.x_centered:
-        comp = grid.full_spectral(ax * f)
-        total += _weighted_l2(grid, grid.full_xi_norm * comp, h1) ** 2
-    return float(np.sqrt(total))
+    return _moment_norm(grid, fhat, 1, 1, lam=True)
 
 
 def weighted_x2_lambda_h1(grid, fhat):
     """|| |x|^2 Lam f ||_{H^1}: Lam applied spectrally, then the |x - c|^2
     weight, then the H^1 norm."""
-    lam = grid.xi_norm * fhat
-    weighted = grid.full_spectral(grid.r2_centered * grid.to_physical(lam))
-    return _weighted_l2(grid, weighted, _sobolev_weight(grid.full_xi_norm, 1))
+    return _moment_norm(grid, fhat, 2, 1, multiplier=grid.xi_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +172,23 @@ def evaluate_norm(spec, state, profile_w=None):
     return NORM_KINDS[spec.kind](state.grid, fhat)
 
 
+def energy_terms(grid, fhat):
+    """The L^1, x H^2, Lam x^2 H^1 and H^N terms of E_N of one band field."""
+    return (lp_norm(grid, fhat, 1), _moment_norm(grid, fhat, 1, 2),
+            _moment_norm(grid, fhat, 2, 1, lam=True),
+            sobolev_norm(grid, fhat, SOBOLEV_N))
+
+
 def initial_energy(state):
     """E_N = max{ ||U||_{L^1},
                   ||x U||_{H^2} + ||Lam x^2 U||_{H^1} + ||U||_{H^N} },
     components aggregated by summation, where ||x U||_{H^2} sums the x_j U
     in squares and Lam x^2 U = Lam (|x|^2 U); once per distinct component."""
-    g, r = state.grid, state.grid.full_xi_norm
-    parts = []      # per component: the L^1, x H^2, Lam x^2 H^1, H^N terms
+    parts = []      # per component: its energy_terms
     for i, comp in enumerate(state.data):
-        terms = next((parts[j] for j in range(i)
-                      if np.array_equal(state.data[j], comp)), None)
-        if terms is None:
-            f = g.to_physical(comp)
-            h2 = _sobolev_weight(r, 2)  # n^d weights, each built where used
-            x_h2 = sum(_weighted_l2(g, g.full_spectral(ax * f), h2) ** 2
-                       for ax in g.x_centered)
-            lam_x2 = r * g.full_spectral(g.r2_centered * f)
-            terms = (lp_physical(g, f, 1), float(np.sqrt(x_h2)),
-                     _weighted_l2(g, lam_x2, _sobolev_weight(r, 1)),
-                     _weighted_l2(g, comp, g.sobolev_weight))
-        parts.append(terms)
+        parts.append(next((parts[j] for j in range(i)
+                           if np.array_equal(state.data[j], comp)), None)
+                     or energy_terms(state.grid, comp))
     l1, x_h2, lam_x2, hn = map(sum, zip(*parts))    # the formula's order
     return float(max(l1, x_h2 + lam_x2 + hn))
 

@@ -27,16 +27,12 @@ def riesz(grid, j, fhat):
 # ---------------------------------------------------------------------------
 
 def lp_norm(grid, fhat, p):
-    """The L^p quadrature of a band field."""
-    return lp_physical(grid, grid.to_physical(fhat), p)
-
-
-def lp_physical(grid, f, p):
-    """The L^p quadrature of a physical-space field f."""
-    f = np.abs(f)
+    """The L^p quadrature of a band field, reduced slab by slab."""
+    slabs = (slab for _, slab in grid.physical_slabs(fhat))
     if np.isinf(p):
-        return float(np.max(f))
-    return float((np.sum(f ** p) * grid.dx ** grid.ndim) ** (1.0 / p))
+        return float(max(np.max(np.abs(f)) for f in slabs))
+    total = sum(np.sum(np.abs(f) ** p) for f in slabs)
+    return float((total * grid.dx ** grid.ndim) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

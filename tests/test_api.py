@@ -11,19 +11,18 @@ spelling calls nothing.  Re-exports in __init__.py do not count as
 callers, and neither do the tests, demos or the benchmark: code that only
 they read belongs with them, not in the package.
 
-Every field of the package outside grid.py and norms.py is a band field
-on the 2/3 band's cube: to_spectral and to_physical take and give the
-cube, and no other module reads the n^d tables (full_xi_norm,
-full_xi_axes) or calls the full-grid transform full_spectral.
+Every field of the package is a band field on the 2/3 band's cube, or on
+the line grid of one axis (the weighted norms): no module defines, reads
+or imports an n^d table (full_xi_norm, full_xi_axes, r2_centered) or a
+full-grid transform (full_spectral, scipy's fftn and ifftn).
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pdhyp"
-# the grid and the physically weighted norms
-FULL_GRID_MODULES = {"grid", "norms"}
-FULL_GRID_NAMES = {"full_xi_norm", "full_xi_axes", "full_spectral"}
+FULL_GRID_NAMES = {"full_xi_norm", "full_xi_axes", "r2_centered",
+                   "full_spectral", "fftn", "ifftn"}
 
 
 def _used_names(node, skip=None):
@@ -82,14 +81,23 @@ def uncalled_public_definitions(package=PACKAGE):
     return missing
 
 
+def _identifiers(node):
+    """The name an AST node reads, writes, defines or imports, if any."""
+    for kind, field in ((ast.Attribute, "attr"), (ast.Name, "id"),
+                        (ast.FunctionDef, "name"), (ast.alias, "name")):
+        if isinstance(node, kind):
+            return getattr(node, field)
+    return None
+
+
 def layout_violations(package=PACKAGE):
-    """(module, line, name) of each read of an n^d table or of
-    full_spectral, so of each call of it, outside FULL_GRID_MODULES."""
-    return [(path.stem, n.lineno, n.attr)
-            for path in sorted(package.glob("*.py"))
-            if path.stem not in FULL_GRID_MODULES
-            for n in ast.walk(ast.parse(path.read_text()))
-            if isinstance(n, ast.Attribute) and n.attr in FULL_GRID_NAMES]
+    """(module, line, name) of each use of a name of FULL_GRID_NAMES in
+    the package: a read or write of an n^d table, a call or definition of
+    a full-grid transform, or its import."""
+    return sorted((path.stem, n.lineno, _identifiers(n))
+                  for path in package.glob("*.py")
+                  for n in ast.walk(ast.parse(path.read_text()))
+                  if _identifiers(n) in FULL_GRID_NAMES)
 
 
 def test_every_public_definition_has_a_caller():
@@ -120,22 +128,29 @@ def test_a_local_of_the_same_name_calls_no_method(tmp_path):
 
 def test_band_fields_have_one_layout():
     found = layout_violations()
-    assert not found, "n^d layout outside " + ", ".join(
-        sorted(FULL_GRID_MODULES)) + ": " + ", ".join(
+    assert not found, "n^d layout in src/pdhyp: " + ", ".join(
         f"{module}:{line} {name}" for module, line, name in found)
 
 
 def test_the_layout_guard_names_each_full_grid_use(tmp_path):
-    # a call of full_spectral and a read of an n^d table are named, with
-    # their lines; band transforms and a module of FULL_GRID_MODULES pass
+    # a call of full_spectral or fftn, a read of an n^d table, an import
+    # and a definition are named, with their lines, in every module;
+    # band and line transforms pass
     (tmp_path / "a.py").write_text(
+        "from scipy.fft import ifftn\n"
         "def weighted(grid, f):\n"
         "    spec = grid.full_spectral(f)\n"
         "    return grid.full_xi_norm * spec\n")
     (tmp_path / "b.py").write_text(
         "def product(grid, f, h):\n"
+        "    line = grid.line_spectral(grid.line_physical(f, 0))\n"
         "    return grid.to_spectral(grid.to_physical(f)"
-        " * grid.to_physical(h))\n")
-    (tmp_path / "norms.py").write_text("x = grid.full_spectral(f)\n")
-    assert layout_violations(tmp_path) == [("a", 2, "full_spectral"),
-                                           ("a", 3, "full_xi_norm")]
+        " * grid.to_physical(h)), line\n")
+    (tmp_path / "grid.py").write_text(
+        "class SpectralGrid:\n"
+        "    def full_spectral(self, f):\n"
+        "        return scipy.fft.fftn(f * self.r2_centered)\n")
+    assert layout_violations(tmp_path) == [
+        ("a", 1, "ifftn"), ("a", 3, "full_spectral"), ("a", 4, "full_xi_norm"),
+        ("grid", 2, "full_spectral"), ("grid", 3, "fftn"),
+        ("grid", 3, "r2_centered")]

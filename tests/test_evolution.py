@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
-                      record_transforms)
+                      full_spectral, r2_centered, record_transforms)
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
@@ -19,7 +19,8 @@ def bump_state(g, dim, amp, widths=None):
     widths = widths or [1.5] * dim
     data = np.zeros((dim,) + g.band_shape, complex)
     for i in range(dim):
-        f = amp * (1 + 0.1 * i) * np.exp(-g.r2_centered / (2 * widths[i] ** 2))
+        f = amp * (1 + 0.1 * i) * np.exp(-r2_centered(g)
+                                         / (2 * widths[i] ** 2))
         data[i] = g.to_spectral(f)
     return ev.StateField(g, data, ev.T_INITIAL)
 
@@ -59,7 +60,7 @@ def test_rhs_single_cosine_closed_form(grid):
     st.data[0] = grid.to_spectral(u_phys)
     out = ev.rhs(model, st)
     expect = band(grid,
-                  grid.full_spectral(A ** 2 * (1 + np.cos(2 * x0 * k)) / 2))
+                  full_spectral(grid, A ** 2 * (1 + np.cos(2 * x0 * k)) / 2))
     # three surviving modes: 0 and +-2k, at cube indices 0, 2 and -2
     assert np.max(np.abs(out[0] - expect)) < 1e-14 * np.max(np.abs(expect))
     nonzero = np.argwhere(np.abs(out[0]) > 1e-12)
@@ -91,7 +92,7 @@ def test_coupling_placement(grid):
 
     def product(a, b):      # the band of the n^d product's transform
         phys = [full_physical(g, embed(g, c)) for c in (a, b)]
-        return band(g, g.full_spectral(phys[0] * phys[1]))
+        return band(g, full_spectral(g, phys[0] * phys[1]))
 
     prod_uw = product(st.data[0], st.data[2])
     prod_vw = product(st.data[1], st.data[2])
@@ -158,7 +159,7 @@ def _per_monomial_rhs(model, state, plan):
     T_m(w, w) is 0 up to rounding)."""
     g = state.grid
     phys = [full_physical(g, embed(g, c)) for c in state.data]
-    product = lambda i, j: band(g, g.full_spectral(phys[i] * phys[j]))
+    product = lambda i, j: band(g, full_spectral(g, phys[i] * phys[j]))
     out = np.zeros_like(state.data)
     for eq, row in enumerate(model.sources):
         for m, coef in row.items():

@@ -31,12 +31,14 @@ REPORTS = os.path.join(DATA, "golden_reports.json")
 REPORT_KEYS = ("e_n", "fitted_exponents", "m0")
 RTOL = 1e-12
 # name -> the run's FFTs by phase, report["transforms"]: set-up (initial
-# data and E_N), steps (18 per pk step, 12 per IFRK4 k step, none in the
-# exact flow) and samples (13, 2 and 4 per sample, t = 1 included)
+# data, and E_N's 13 per distinct component: one band inverse and 6 line
+# inverses and forwards), steps (18 per pk step, 12 per IFRK4 k step, none
+# in the exact flow) and samples (24, 2 and 4 per sample, t = 1 included;
+# 18 of pk's 24 are the line transforms of the three weighted norms)
 TRANSFORMS = {
-    "wave_source_free": {"setup": 6, "steps": 0, "samples": 44},
-    "pk_mixed": {"setup": 12, "steps": 270, "samples": 208},
-    "k_ifrk4_random": {"setup": 12, "steps": 180, "samples": 32},
+    "wave_source_free": {"setup": 14, "steps": 0, "samples": 44},
+    "pk_mixed": {"setup": 28, "steps": 270, "samples": 384},
+    "k_ifrk4_random": {"setup": 28, "steps": 180, "samples": 32},
 }
 
 # name -> (preset, overrides)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,44 +7,75 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import band, conjugate_symmetry_defect, embed, full_physical
+from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
+                      full_spectral)
 from pdhyp import grid as grid_module
 from pdhyp.acceptance import band_field
 from pdhyp.grid import SpectralGrid
 
 
+def _line_embed(grid, cube, axis):
+    """The cube with `axis` moved last and zero-filled there to n points:
+    the input of the line inverse's ifft."""
+    cube = np.moveaxis(cube, axis - grid.ndim, -1)
+    full = np.zeros(cube.shape[:-1] + (grid.n,), dtype=complex)
+    full[..., grid.band_k % grid.n] = cube
+    return full
+
+
 def test_transform_roundtrip():
+    # the line transforms undo each other on every axis: the forward
+    # transform of a cube's line inverse is the cube on the band rows of
+    # that axis and 0 on the others
     g = SpectralGrid(16, 5.0)
     rng = np.random.default_rng(0)
-    f = rng.normal(size=g.shape)
-    back = full_physical(g, g.full_spectral(f))
-    assert np.max(np.abs(back - f)) < 1e-12
+    c = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
+    for axis in range(g.ndim):
+        back = g.line_spectral(g.line_physical(c, axis))
+        assert np.max(np.abs(back - _line_embed(g, c, axis))) < 1e-12
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 16, 24, 48])
 def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
-    # the full-grid transform equals scipy.fft's, scaled, bit for bit; it
-    # writes a new array and leaves its input, real, complex, stacked or
-    # strided
+    # the line transforms are scipy.fft's along one axis, bit for bit: the
+    # inverse is ifft of the cube (times a multiplier) zero-filled along
+    # that axis and moved last, into a new array, leaving its input,
+    # single, stacked or strided; the forward transform is fft along the
+    # last axis, in place.  The line inverse along the last axis followed
+    # by ifft along the others is the n^d inverse
     g = SpectralGrid(n, 7.3, ndim)
     rng = np.random.default_rng(10 * n + ndim)
-    real = rng.normal(size=g.shape)
-    stacked = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(
-        size=(3,) + g.shape)
-    wide = rng.normal(size=(2 * n,) * ndim) + 1j * rng.normal(
-        size=(2 * n,) * ndim)
+    stacked = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
+        size=(3,) + g.band_shape)
+    wide = rng.normal(size=(2 * g.band_shape[0],) * ndim) + 1j * rng.normal(
+        size=(2 * g.band_shape[0],) * ndim)
     view = wide[(slice(None, None, 2),) * ndim]     # not contiguous
-    inputs = (real, real + 0.5j, stacked, view)
+    inputs = (stacked[0], stacked, view)
     saved = [x.copy() for x in inputs] + [wide.copy()]
-    axes = range(-ndim, 0)
     for x in inputs:
-        spec = g.full_spectral(x)
-        assert np.array_equal(spec, scipy.fft.fftn(x, axes=axes) * g._fwd)
-        assert not np.shares_memory(spec, x)
+        for axis in range(ndim):
+            line = g.line_physical(x, axis)
+            assert np.array_equal(line, scipy.fft.ifft(
+                _line_embed(g, x, axis)))
+            assert not np.shares_memory(line, x)
+            weighted = g.line_physical(x, axis, g.xi_norm)
+            assert np.array_equal(weighted, scipy.fft.ifft(
+                _line_embed(g, g.xi_norm * x, axis)))
+            expect = scipy.fft.fft(weighted)
+            spec = g.line_spectral(weighted)
+            assert np.shares_memory(spec, weighted)
+            assert np.array_equal(spec, expect)
     for x, before in zip(inputs + (wide,), saved):
         assert x.tobytes() == before.tobytes()
-    assert g.transforms == len(inputs)
+    assert g.transforms == 3 * ndim * len(inputs)
+    c = stacked[0]
+    part = np.zeros(g.shape, dtype=complex)
+    part[np.ix_(*[g.band_k % n] * (ndim - 1), np.arange(n))] = \
+        g.line_physical(c, ndim - 1)
+    full = scipy.fft.ifftn(part, axes=range(ndim - 1)) if ndim > 1 else part
+    ref = full_physical(g, embed(g, c))
+    assert np.max(np.abs(full * g._inv_fwd - ref)) < 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -78,7 +110,7 @@ def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
         phys = g.to_physical(c)
         assert g.transforms == count + 2
         # a real input is transformed as complex
-        assert np.array_equal(spec, band(g, g.full_spectral(x + 0j)))
+        assert np.array_equal(spec, band(g, full_spectral(g, x + 0j)))
         assert np.array_equal(phys, full_physical(g, embed(g, c)))
         assert spec.shape == np.shape(x)[:-ndim] + g.band_shape
         assert not np.shares_memory(phys, c)
@@ -157,9 +189,12 @@ def test_band_forward_into_out_is_bit_for_bit():
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_band_transforms_refuse_the_other_layout(ndim):
-    # to_spectral takes n^d fields and the band inverse cubes: a field of
-    # the other layout, or of neither, raises before any transform counts
-    # (on a 1-D grid a cube once came back from the forward pass clipped)
+    # to_spectral takes n^d fields, the band inverse and the line inverse
+    # cubes, and the line forward transform the line grid's fields: a
+    # field of another layout, or of none, raises before any transform
+    # counts (on a 1-D grid a cube once came back from the forward pass
+    # clipped); physical_slabs raises when called, not at its first slab,
+    # so to_physical allocates no n^d output first
     g = SpectralGrid(16, 5.0, ndim)
     field = np.ones((2,) + g.shape, dtype=complex)
     cube = np.ones((2,) + g.band_shape, dtype=complex)
@@ -172,10 +207,25 @@ def test_band_transforms_refuse_the_other_layout(ndim):
         with pytest.raises(ValueError, match="physical_slabs"):
             g.to_physical(bad)
         with pytest.raises(ValueError, match="physical_slabs"):
-            next(g.physical_slabs(bad))
+            g.physical_slabs(bad)
         with pytest.raises(ValueError, match="physical_slabs"):
             g.product_sums([bad, cube[0]], [[(None, 0, 1)]])
+        with pytest.raises(ValueError, match="line_physical"):
+            g.line_physical(bad, 0)
+    for bad in (cube, cube[0], cube[..., :-1]):
+        with pytest.raises(ValueError, match="line_spectral"):
+            g.line_spectral(bad)
     assert g.transforms == 0
+    big = SpectralGrid(32, 5.0)     # an output 100 times the overhead
+    bad = np.ones(big.shape, dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical_slabs"):
+            big.to_physical(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * big.size
 
 
 def test_band_inverse_scales_as_ifftn_does():
@@ -197,7 +247,7 @@ def test_threads_only_from_n_128(n, workers, monkeypatch):
                             seen.append(kw["workers"]) or _o(*a, **kw))
     g = SpectralGrid(n, 1.0, ndim=1)
     x = np.ones(g.shape, dtype=complex)
-    g.full_spectral(x)
+    g.line_spectral(g.line_physical(g.to_spectral(x), 0))
     g.to_physical(g.to_spectral(x))
     assert seen and set(seen) == {workers}
 
@@ -209,8 +259,8 @@ def test_convolution_theorem_is_exact():
     rng = np.random.default_rng(1)
     f = rng.normal(size=g.shape)
     h = rng.normal(size=g.shape)
-    fh, hh = g.full_spectral(f), g.full_spectral(h)
-    prod_hat = g.full_spectral(f * h)
+    fh, hh = full_spectral(g, f), full_spectral(g, h)
+    prod_hat = full_spectral(g, f * h)
     n = g.n
     direct = np.zeros(g.shape, dtype=complex)
     for k in np.ndindex(g.shape):
@@ -226,7 +276,7 @@ def test_parseval_factor():
     g = SpectralGrid(16, 7.0)
     rng = np.random.default_rng(2)
     f = rng.normal(size=g.shape)
-    fh = g.full_spectral(f)
+    fh = full_spectral(g, f)
     phys = np.sum(np.abs(f) ** 2) * g.dx ** 3
     spec = (2 * np.pi) ** 3 * np.sum(np.abs(fh) ** 2) * g.d_eta
     assert abs(phys - spec) < 1e-12 * phys
@@ -239,7 +289,6 @@ def test_centered_axes_broadcast_to_the_dense_axes():
     for j, ax in enumerate(g.x_centered):
         assert ax.shape == tuple(8 if i == j else 1 for i in range(3))
         assert np.array_equal(np.broadcast_to(ax, g.shape), dense[j])
-    assert np.array_equal(g.r2_centered, sum(ax ** 2 for ax in dense))
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -294,7 +343,7 @@ def test_multiplier_tables_are_built_once():
     inv = g.xi_norm_reciprocal
     assert inv is g.xi_norm_reciprocal and inv[0, 0, 0] == 1.0
     assert np.array_equal(inv.reshape(-1)[1:], 1.0 / g.xi_norm.reshape(-1)[1:])
-    assert g.full_xi_norm is g.full_xi_norm
+    assert g.line_xi_sq is g.line_xi_sq
 
 
 def test_dealias_mask_strictly_below_third():
@@ -309,15 +358,12 @@ def test_dealias_mask_strictly_below_third():
 
 
 def _dense_mesh_tables(n, length, ndim):
-    """|xi|, |x - center|^2 and the wavevectors from dense (*shape, d)
-    meshes of the n^d grid: the reference the broadcast axes must equal."""
+    """|xi| and the wavevectors from a dense (*shape, d) mesh of the n^d
+    grid: the reference the broadcast axes must equal."""
     k1 = np.rint(np.fft.fftfreq(n) * n).astype(np.int64)
     modes = np.stack(np.meshgrid(*([k1] * ndim), indexing="ij"), axis=-1)
     xi = (2.0 * np.pi / length) * modes
-    x = np.meshgrid(*([np.arange(n) * (length / n)] * ndim), indexing="ij")
-    return {"xi_norm": np.linalg.norm(xi, axis=-1),
-            "r2_centered": sum((ax - length / 2.0) ** 2 for ax in x),
-            "wavevectors": xi}
+    return {"xi_norm": np.linalg.norm(xi, axis=-1), "wavevectors": xi}
 
 
 @pytest.mark.parametrize("n", [8, 12, 14, 24, 30, 48, 96])
@@ -325,25 +371,27 @@ def _dense_mesh_tables(n, length, ndim):
 @given(length=st.floats(0.5, 300.0), ndim=st.sampled_from((2, 3)))
 def test_axes_tables_equal_the_dense_mesh_formulas(n, length, ndim):
     # the cube's |xi| and wavevectors are the dense-mesh ones restricted to
-    # the band; the n^d tables are the dense-mesh ones
+    # the band; the line grid's |xi|^2 is the dense mesh's sum of squares
+    # on the band of the other axes and every mode of the last
     g = SpectralGrid(n, length, ndim=ndim)
     dense = _dense_mesh_tables(n, length, ndim)
     xi = np.moveaxis(dense["wavevectors"], -1, 0)
     assert np.array_equal(g.xi_norm, band(g, dense["xi_norm"]))
     assert np.array_equal(np.broadcast_arrays(*g.xi_axes), band(g, xi))
-    assert np.array_equal(g.full_xi_norm, dense["xi_norm"])
-    assert np.array_equal(np.broadcast_arrays(*g.full_xi_axes), xi)
-    assert np.array_equal(g.r2_centered, dense["r2_centered"])
+    lines = np.ix_(*[g.band_k % n] * (ndim - 1), np.arange(n))
+    assert np.array_equal(g.line_xi_sq,
+                          np.sum(dense["wavevectors"] ** 2, axis=-1)[lines])
 
 
 def test_grid_keeps_no_dense_mesh():
     g = SpectralGrid(128, 256.0)
-    g.sobolev_weight, g.xi_norm_reciprocal      # fill the cached tables
+    g.sobolev_weight, g.xi_norm_reciprocal, g.line_xi_sq    # cache them
     arrays = [a for value in vars(g).values()
               for a in (value if isinstance(value, (list, tuple)) else [value])
               if isinstance(a, np.ndarray)]
-    assert len(arrays) >= 12 and max(a.size for a in arrays) <= g.size
-    assert not any(hasattr(g, name) for name in ("modes", "xi", "x"))
+    assert len(arrays) >= 12 and max(a.size for a in arrays) < g.size // 2
+    assert not any(hasattr(g, name) for name in (
+        "modes", "xi", "x", "full_xi_norm", "full_xi_axes", "r2_centered"))
 
 
 def test_dealiased_products_cannot_wrap():
@@ -393,7 +441,7 @@ def test_2d_grid():
     assert g.shape == (16, 16)
     rng = np.random.default_rng(5)
     f = rng.normal(size=g.shape)
-    assert np.max(np.abs(full_physical(g, g.full_spectral(f)) - f)) < 1e-12
+    assert np.max(np.abs(full_physical(g, full_spectral(g, f)) - f)) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -403,7 +451,7 @@ def test_parseval_on_any_grid(n, length, ndim, seed):
     g = SpectralGrid(n, length, ndim=ndim)
     f = np.random.default_rng(seed).normal(size=g.shape)
     phys = np.sum(f ** 2) * g.dx ** ndim
-    fh = g.full_spectral(f)
+    fh = full_spectral(g, f)
     spec = (2 * np.pi) ** ndim * np.sum(np.abs(fh) ** 2) * g.d_eta
     assert abs(phys - spec) <= 1e-12 * phys
 
@@ -414,11 +462,11 @@ def test_parseval_on_any_grid(n, length, ndim, seed):
 def test_convolution_theorem_on_any_grid(n, length, seed):
     g = SpectralGrid(n, length, ndim=2)
     f, h = np.random.default_rng(seed).normal(size=(2,) + g.shape)
-    fh, hh = g.full_spectral(f), g.full_spectral(h)
+    fh, hh = full_spectral(g, f), full_spectral(g, h)
     # np.roll(fh, j)[k] = fh[(k - j) mod n]
     direct = sum(hh[j] * np.roll(fh, j, axis=(0, 1))
                  for j in np.ndindex(g.shape)) * g.d_eta
-    prod_hat = g.full_spectral(f * h)
+    prod_hat = full_spectral(g, f * h)
     assert np.max(np.abs(direct - prod_hat)) \
         <= 1e-12 * np.max(np.abs(prod_hat))
 
@@ -435,7 +483,7 @@ def test_dealiased_products_match_unwrapped_products(n, seed):
             + 1j * rng.normal(size=coarse.band_shape) for _ in range(2))
 
     def product(grid, a, b):
-        return grid.full_spectral(full_physical(grid, a)
+        return full_spectral(grid, full_physical(grid, a)
                                   * full_physical(grid, b))
 
     on_fine = np.ix_(coarse.band_k % fine.n, coarse.band_k % fine.n)

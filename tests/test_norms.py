@@ -3,7 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import band, embed, full_physical, record_transforms
+from conftest import (band, embed, full_physical, full_xi_axes, full_xi_norm,
+                      lp_physical, r2_centered, record_transforms,
+                      reference_energy_terms, reference_initial_energy,
+                      reference_profile_norms)
 from pdhyp import evolution as ev
 from pdhyp import grid as grid_module
 from pdhyp import norms, spectra
@@ -11,7 +14,7 @@ from pdhyp.acceptance import band_field
 from pdhyp.errors import MissingSeries, NonPositiveValues
 from pdhyp.experiments import make_initial_data
 from pdhyp.grid import SpectralGrid
-from pdhyp.propagators import lp_norm, lp_physical
+from pdhyp.propagators import lp_norm
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ def test_sobolev_single_mode_closed_form(grid):
 def test_weighted_x_gaussian_moment():
     g = SpectralGrid(64, 32.0)
     sigma = 2.0
-    f = np.exp(-g.r2_centered / (2 * sigma ** 2))
+    f = np.exp(-r2_centered(g) / (2 * sigma ** 2))
     fh = g.to_spectral(f)
     ratio = norms.weighted_x_l2(g, fh) / norms.l2_norm(g, fh)
     expect = sigma * np.sqrt(1.5)
@@ -55,8 +58,8 @@ def test_weighted_x_gaussian_moment():
 def test_linf_riesz_takes_max(grid):
     rng = np.random.default_rng(1)
     fh = embed(grid, band_field(grid, 4, rng))
-    s = grid.full_xi_norm
-    xi = np.broadcast_arrays(*grid.full_xi_axes)
+    s = full_xi_norm(grid)
+    xi = np.broadcast_arrays(*full_xi_axes(grid))
     with np.errstate(divide="ignore", invalid="ignore"):
         per = [lp_physical(grid, full_physical(grid,
             np.where(s > 0, -1j * xi[j] / s, 0) * fh), np.inf)
@@ -74,57 +77,69 @@ def test_initial_energy_scales_linearly(grid):
     assert abs(e2 - 2 * e1) <= 1e-10 * e1
 
 
-def _initial_energy_per_term(state, order=norms.SOBOLEV_N):
-    """E_N term by term on the n^d grid, each weighted norm with its own
-    transforms and weight, summed in the order of the formula."""
+def _flowed(state, t):
+    """The state taken by the 3x3 linear flow to time 1 + t: complex in
+    physical space."""
     g = state.grid
-    data = embed(g, state.data)
-
-    def sobolev(fh, k):
-        w = (1.0 + g.full_xi_norm ** 2) ** k
-        val = (2.0 * np.pi) ** g.ndim * np.sum(w * np.abs(fh) ** 2) * g.d_eta
-        return float(np.sqrt(val))
-
-    def x_sobolev(fh, k):
-        f = full_physical(g, fh)
-        total = 0.0
-        for ax in g.x_centered:
-            total += sobolev(g.full_spectral(ax * f), k) ** 2
-        return float(np.sqrt(total))
-
-    def lambda_x2_sobolev(fh, k):
-        weighted = g.full_spectral(g.r2_centered * full_physical(g, fh))
-        return sobolev(g.full_xi_norm * weighted, k)
-
-    l1 = sum(lp_physical(g, full_physical(g, comp), 1) for comp in data)
-    weighted = sum(x_sobolev(comp, 2) for comp in data)
-    weighted += sum(lambda_x2_sobolev(comp, 1) for comp in data)
-    hn = sum(sobolev(comp, order) for comp in data)
-    return float(max(l1, weighted + hn))
+    cache = spectra.build_symbol_cache(g.shells[0],
+                                       spectra.three_component_model())
+    G = spectra.propagator(g, cache, t)
+    return ev.StateField(g, spectra.propagator_apply(G, state.data), 1.0 + t)
 
 
 def test_initial_energy_equals_the_per_term_formula():
+    # each of E_N's four terms, per component, is the n^d formula's to
+    # 1e-13 (the L^1 term, which wins here, bit for bit), and E_N equals
+    # the formula's
     g = SpectralGrid(16, 32.0)
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0],
                            radial_power=[0, 1, 0])
-    assert norms.initial_energy(st) == _initial_energy_per_term(st)
-    # a flowed state is complex in physical space
-    cache = spectra.build_symbol_cache(g.shells[0],
-                                       spectra.three_component_model())
-    G = spectra.propagator(g, cache, 3.5)
-    later = ev.StateField(g, spectra.propagator_apply(G, st.data), 4.5)
+    later = _flowed(st, 3.5)
     assert np.abs(g.to_physical(later.data[2]).imag).max() > 1e-3
-    assert norms.initial_energy(later) == _initial_energy_per_term(later)
+    for state in (st, later):
+        for comp in state.data:
+            got = norms.energy_terms(g, comp)
+            want = reference_energy_terms(g, comp)
+            assert got[0] == want[0]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert norms.initial_energy(state) == reference_initial_energy(state)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_weighted_terms_equal_the_full_grid_formulas(n):
+    # on random complex cubes (K = 5 and 7) and on flowed data, every E_N
+    # term and every weighted profile norm is the n^d formula's to 1e-13,
+    # and so is E_N, which the weighted terms win on the random cubes
+    g = SpectralGrid(n, 6.0)
+    rng = np.random.default_rng(n)
+    cubes = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
+        size=(3,) + g.band_shape)
+    bump = make_initial_data("gaussian_bump", g, 0.3, 0, width=1.5)
+    for state in (ev.StateField(g, cubes, 1.0), _flowed(bump, 2.5)):
+        for comp in state.data:
+            np.testing.assert_allclose(norms.energy_terms(g, comp),
+                                       reference_energy_terms(g, comp),
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                [norms.NORM_KINDS[kind](g, comp) for kind in (
+                    "weighted_x_l2", "weighted_lambda_x_h1",
+                    "weighted_x2_lambda_h1")],
+                reference_profile_norms(g, comp), rtol=1e-13, atol=0)
+        assert norms.initial_energy(state) == pytest.approx(
+            reference_initial_energy(state), rel=1e-13, abs=0)
+    l1, *weighted = reference_energy_terms(g, cubes[0])
+    assert sum(weighted) > 10 * l1
 
 
 def test_initial_energy_transforms_each_component_once(monkeypatch):
     g = SpectralGrid(16, 32.0)
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
-    calls = record_transforms(monkeypatch)
+    calls = record_transforms(monkeypatch, slabs=True)
     norms.initial_energy(st)
-    # d band inverse transforms, and per component 3 x_j-weighted and one
-    # |x|^2-weighted full-grid forward transform
-    assert sorted(calls) == ["full_spectral"] * 12 + ["to_physical"] * 3
+    # per component one band inverse (L^1), and per axis the line inverse
+    # and line forward transform of its x_j and of its x_j^2 weight
+    assert sorted(calls) == (["line_physical"] * 18 + ["line_spectral"] * 18
+                             + ["physical_slabs"] * 3)
 
 
 @pytest.mark.parametrize("width, radial_power, distinct", [
@@ -136,57 +151,62 @@ def test_initial_energy_transforms_each_distinct_component_once(
     g = SpectralGrid(16, 32.0)
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=width,
                            radial_power=radial_power)
-    expected = _initial_energy_per_term(st)
-    calls = record_transforms(monkeypatch)
+    expected = reference_initial_energy(st)
+    calls = record_transforms(monkeypatch, slabs=True)
     assert norms.initial_energy(st) == expected
-    assert sorted(calls) == (["full_spectral"] * (4 * distinct)
-                             + ["to_physical"] * distinct)
+    assert sorted(calls) == (["line_physical"] * (6 * distinct)
+                             + ["line_spectral"] * (6 * distinct)
+                             + ["physical_slabs"] * distinct)
 
 
 def test_sampled_norms_read_the_band(grid, monkeypatch):
-    # every inverse transform of a sampled norm and of E_N takes the band
-    # through the one band inverse, physical_slabs: to_physical runs it,
-    # and the L^inf norms reduce its slabs without asking to_physical for
-    # the field; the forward transforms of the weighted fields are the
-    # full-grid ones, and no band forward transform runs
+    # every inverse transform of a sampled norm and of E_N starts from the
+    # band: the band inverse, physical_slabs (to_physical runs it, and the
+    # L^1 and L^inf norms reduce its slabs without asking to_physical for
+    # the field), or the line inverse of the weighted norms, whose forward
+    # transforms are the line ones; no band forward transform runs
     st = make_initial_data("gaussian_bump", grid, 0.3, 0, width=2.0)
     calls = record_transforms(monkeypatch, slabs=True)
-    seen = []
-    runs = [(norms.NORM_KINDS[kind], (grid, st.data[2]))
-            for kind in norms.NORM_KINDS] + [(norms.initial_energy, (st,))]
-    for fn, args in runs:
+    seen = {}
+    runs = [(kind, norms.NORM_KINDS[kind], (grid, st.data[2]))
+            for kind in norms.NORM_KINDS]
+    for name, fn, args in runs + [("e_n", norms.initial_energy, (st,))]:
         calls.clear()
         before = grid.transforms
         fn(*args)
-        slab_runs = calls.count("physical_slabs")
-        forward = calls.count("full_spectral")
-        assert grid.transforms - before == slab_runs + forward
+        assert grid.transforms - before == len(calls) - calls.count(
+            "to_physical")
         for i, call in enumerate(calls):
             if call == "to_physical":
                 assert calls[i + 1] == "physical_slabs"
-        seen.append(list(calls))
-    linf, riesz = (seen[list(norms.NORM_KINDS).index(kind)]
-                   for kind in ("linf", "linf_riesz"))
-    assert linf == ["physical_slabs"]
-    assert riesz == ["physical_slabs"] * grid.ndim
-    every = sum(seen, [])
-    assert "to_physical" in every and "full_spectral" in every
-    assert "to_spectral" not in every
-    # so does the L^p norm of the estimate harnesses
+        seen[name] = list(calls)
+    assert seen["linf"] == ["physical_slabs"]
+    assert seen["linf_riesz"] == ["physical_slabs"] * grid.ndim
+    line = ["line_physical", "line_spectral"] * grid.ndim
+    assert seen["weighted_x_l2"] == line
+    assert seen["weighted_lambda_x_h1"] == line
+    assert seen["weighted_x2_lambda_h1"] == line
+    assert seen["e_n"] == ["physical_slabs"] + line * 2
+    assert "to_spectral" not in sum(seen.values(), [])
+    # so does the L^p norm of the estimate harnesses, slab by slab
     calls.clear()
     lp_norm(grid, st.data[2], np.inf)
-    assert calls == ["to_physical", "physical_slabs"]
+    assert calls == ["physical_slabs"]
 
 
 def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
     # several slabs, on a random cube: the max over slabs is the max over
-    # the field, bit for bit
+    # the field, bit for bit, and the L^p sums over slabs are the sums
+    # over the field, up to their order
     monkeypatch.setattr(grid_module, "_SLAB_BYTES", 5 * 16 * 24 ** 2)
     g = SpectralGrid(24, 11.0)
     rng = np.random.default_rng(4)
     x = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
     assert norms.band_linf(g, x) == lp_physical(
         g, g.to_physical(x), np.inf)
+    for p in (1, 2, 3.5):
+        assert lp_norm(g, x, p) == pytest.approx(
+            lp_physical(g, g.to_physical(x), p), rel=1e-14, abs=0)
 
 
 def test_linf_samples_hold_no_physical_field():
@@ -222,6 +242,34 @@ def test_parseval_sums_stay_on_the_cube():
     finally:
         tracemalloc.stop()
     assert peak < 8 * g.size, peak / (8 * g.size)
+
+
+def test_weighted_norms_hold_no_n3_field():
+    # at n = 64 the weighted norms hold fields of the line grid, n (2K+1)^2
+    # entries, and never an n^3 one: E_N of three distinct components
+    # peaks under half of the 18.1 MiB its n^d formulas took, and one
+    # sample of the three weighted profile norms under one complex n^3
+    # field (the line grid's |xi|^2 table is cached)
+    g = SpectralGrid(64, 32.0)
+    st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
+    profile = ev.wave_profile(ev.StateField(g, st.data, 3.0))
+    kinds = sorted(norms._WEIGHTED)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def sample():
+        return [norms.NORM_KINDS[kind](g, profile) for kind in kinds]
+
+    expect = norms.initial_energy(st), sample()
+    assert peak(lambda: norms.initial_energy(st)) < 0.5 * 18.1 * 2 ** 20
+    assert peak(sample) < 16 * g.size
+    assert (norms.initial_energy(st), sample()) == expect
 
 
 def test_fit_decay_exact_power():

@@ -5,6 +5,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_xi_norm
 from pdhyp import spectra
 from pdhyp.grid import SpectralGrid
 
@@ -97,7 +98,7 @@ def test_projector_invariants_random_modes():
 
 def test_green_function_identity_and_zero_mode():
     g = SpectralGrid(8, 16.0)    # every |xi| of the grid, not only the band
-    cache = spectra.build_symbol_cache(np.unique(g.full_xi_norm),
+    cache = spectra.build_symbol_cache(np.unique(full_xi_norm(g)),
                                        spectra.three_component_model())
     G0 = spectra.green_function(cache, 0.0)
     assert np.max(np.abs(G0 - np.eye(3))) < 1e-14
@@ -110,7 +111,7 @@ def test_green_function_identity_and_zero_mode():
 
 def test_green_semigroup_and_expm_oracle():
     g = SpectralGrid(8, 16.0)    # every |xi| of the grid, not only the band
-    cache = spectra.build_symbol_cache(np.unique(g.full_xi_norm),
+    cache = spectra.build_symbol_cache(np.unique(full_xi_norm(g)),
                                        spectra.three_component_model())
     Ga = spectra.green_function(cache, 1.3)
     Gb = spectra.green_function(cache, 0.9)
