@@ -12,20 +12,24 @@ prints, for each step:
                 since the last one;
   * peak_mib:   how far tracemalloc's peak over the step rose above the
                 memory traced at its start, in MiB: the step's transient
-                allocations.
+                allocations;
+  * inverses, fields: the band inverses (SpectralGrid.physical_slabs
+                calls, wrapped here to count them) of the step, and the
+                fields they transformed: one call per product_sums, over
+                the stack of its fields.
 
-The first two come from an untraced run, the third from the first
+All but peak_mib come from an untraced run, peak_mib from the first
 TRACED_STEPS steps of a second run under tracemalloc.  Before the steps it
 prints the set-up costs: the CPU time and tracemalloc peak (in MiB) of
 norms.initial_energy and of one full sample (the wave profile, when a
 norm needs it, and every sampled norm), each repeated on the state the
 run passed it, so the grid's cached tables are already built.  The Stepper
-allocates its Lawson stage stacks and its n^d row totals on the first
-nonlinear step and reuses them, so from the second step on a step
-allocates only its returned state and cube-sized temporaries, the same
-every step.  Name workloads on the command line to choose them
-(wave_n128 also works); every run writes its CSV and report into a
-temporary directory.
+allocates its Lawson stage stacks, and the grid the n^d row totals of
+product_sums, on the first nonlinear step, and both are reused, so from
+the second step on a step allocates only its returned state, cube-sized
+temporaries and the band inverses' work arrays, the same every step.
+Name workloads on the command line to choose them (wave_n128 also works);
+every run writes its CSV and report into a temporary directory.
 
     PYTHONPATH=src python3 demos/step_memory.py [workload ...]
 """
@@ -42,6 +46,7 @@ import numpy as np
 
 from pdhyp import evolution as ev
 from pdhyp import experiments, norms
+from pdhyp.grid import SpectralGrid
 
 TRACED_STEPS = 3
 SPEC = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -93,6 +98,26 @@ def cpu_and_faults(step, stepper, state, guard):
     cpu = time.process_time() - cpu
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return new, (1e3 * cpu, faults)
+
+
+def with_inverses(measure):
+    """`measure` with SpectralGrid.physical_slabs wrapped over the step,
+    adding to its row the calls and the fields they transformed."""
+    def counted(step, stepper, state, guard):
+        tally, physical_slabs = [0, 0], SpectralGrid.physical_slabs
+
+        def wrapped(grid, fhat):
+            tally[0] += 1
+            tally[1] += int(np.prod(np.shape(fhat)[:-grid.ndim]))
+            return physical_slabs(grid, fhat)
+
+        SpectralGrid.physical_slabs = wrapped
+        try:
+            new, row = measure(step, stepper, state, guard)
+        finally:
+            SpectralGrid.physical_slabs = physical_slabs
+        return new, row + tuple(tally)
+    return counted
 
 
 def transient(step, stepper, state, guard):
@@ -150,7 +175,7 @@ def setup_costs(name):
 def main(names):
     for name in names:
         (e_cpu, e_peak), (s_cpu, s_peak) = setup_costs(name)
-        timed = measured_steps(name, cpu_and_faults)
+        timed = measured_steps(name, with_inverses(cpu_and_faults))
         tracemalloc.start()
         try:
             peaks = measured_steps(name, transient, TRACED_STEPS)
@@ -159,14 +184,17 @@ def main(names):
         print(f"=== {name}: {len(timed)} steps ===")
         print(f"set-up: initial_energy {e_cpu:.1f} ms, peak {e_peak:.2f} "
               f"MiB; one sample {s_cpu:.1f} ms, peak {s_peak:.2f} MiB")
-        print(f"{'step':>4} {'cpu_ms':>8} {'faults':>7} {'peak_mib':>9}")
-        for k, (cpu, faults) in enumerate(timed, 1):
+        print(f"{'step':>4} {'cpu_ms':>8} {'faults':>7} {'inverses':>8} "
+              f"{'fields':>6} {'peak_mib':>9}")
+        for k, (cpu, faults, calls, fields) in enumerate(timed, 1):
             peak = f"{peaks[k - 1]:9.2f}" if k <= len(peaks) else ""
-            print(f"{k:>4} {cpu:8.1f} {faults:7d} {peak}")
-        cpu, faults = np.median(np.array(timed[1:]), axis=0)
+            print(f"{k:>4} {cpu:8.1f} {faults:7d} {calls:8d} {fields:6d} "
+                  f"{peak}")
+        cpu, faults, calls, fields = np.median(np.array(timed[1:]), axis=0)
         print(f"steps 2-{len(timed)}: median {cpu:.1f} ms, {faults:.0f} "
-              f"faults; steps 2-{len(peaks)}: median "
-              f"{np.median(peaks[1:]):.2f} MiB above the start\n")
+              f"faults, {calls:.0f} band inverses over {fields:.0f} fields; "
+              f"steps 2-{len(peaks)}: median {np.median(peaks[1:]):.2f} MiB "
+              "above the start\n")
 
 
 if __name__ == "__main__":

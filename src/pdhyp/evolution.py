@@ -12,9 +12,9 @@ onto the cube (spectra.band_rows); only the quadratic sources see explicit
 Runge-Kutta stages (Lawson schemes of order 2 and 4).  A model without
 sources steps by its exact flow alone, which is what both schemes reduce
 to when every stage source is zero.  Polynomial sources are summed per
-equation in physical space, slab by slab, and transformed once, the
-bilinear pseudoproduct source comes from pseudoproduct.apply; a Stepper
-owns the stage stacks and the n^d row totals they write into.
+equation in physical space, slab by slab into the grid's n^d row totals,
+and transformed once; the bilinear pseudoproduct source comes from
+pseudoproduct.apply.  A Stepper owns the stage stacks.
 
 Initial time is t = 1 by convention and all decay fits start there.  The
 wave profile e^{i|xi| t} w_hat takes its phase once per |xi| shell.
@@ -162,32 +162,31 @@ class StateField:
 # quadratic sources
 # ---------------------------------------------------------------------------
 
-def rhs(model, state, plan=None, out=None, pool=None):
+def rhs(model, state, plan=None, out=None):
     """Spectral quadratic source of the model, into `out` (new when None);
     the linear part is advanced exactly by the integrating factor.
 
     The transform is linear, so each equation sums its row of the source
-    table in physical space (in MONOMIALS order), slab by slab into an n^d
-    total of the list `pool`, and pays one forward transform onto the cube;
-    rows that are scalar multiples of an earlier row share its transform.
-    With no sources no transform is done.  T_m(w, w) is added last, as the
-    diagonal form of pseudoproduct.apply, which borrows the same pool."""
+    table in physical space (grid.product_sums, in MONOMIALS order) and
+    pays one forward transform; a row that is a multiple of an earlier row
+    shares its transform.  T_m(w, w) is added last, as the diagonal form of
+    pseudoproduct.apply."""
     g = state.grid
     if out is None:
         out = np.empty((model.dim_state,) + g.band_shape, dtype=complex)
     elif np.may_share_memory(out, state.data):
         raise ValueError("rhs reads the state after it writes `out`")
     out.fill(0.0)
-    _polynomial_sources(model.sources, state, out, pool)
+    _polynomial_sources(model.sources, state, out)
     if model.w_form:
         if plan is None:
             plan = pseudoproduct.PseudoproductPlan(g, model.w_symbol)
         w = state.data[2]
-        out[2] += pseudoproduct.apply(plan, w, w, pool)
+        out[2] += pseudoproduct.apply(plan, w, w)
     return out
 
 
-def _polynomial_sources(sources, state, out, pool):
+def _polynomial_sources(sources, state, out):
     """Write the source table's rows into `out`; each distinct row's total
     is the work space of its forward transform."""
     g = state.grid
@@ -195,8 +194,10 @@ def _polynomial_sources(sources, state, out, pool):
     used = [c for c in "uvw" if any(c in m for row, _ in rows for m in row)]
     terms = [[(row[m], used.index(m[0]), used.index(m[1]))
               for m in MONOMIALS if m in row] for row, _ in rows]
-    totals = g.product_sums([state.data["uvw".index(c)] for c in used],
-                            terms, pool)
+    # any two of u, v, w, or all three, are evenly spaced: a state view
+    at = ["uvw".index(c) for c in used] or [0]
+    step = at[-1] - at[0] if len(at) == 2 else 1
+    totals = g.product_sums(state.data[at[0]:at[-1] + 1:step], terms)
     for total, (_, targets) in zip(totals, rows):
         (first, _), *scaled = targets
         g.to_spectral(total, out=out[first])
@@ -250,8 +251,8 @@ class BlowupGuard:
 class Stepper:
     """Integrating-factor Runge-Kutta stepper with frozen step size; it
     builds the pseudoproduct plan of T_m(w, w) when the model has one.  Its
-    first nonlinear step makes the stage stacks and the n^d row totals that
-    every step reuses, in the operation order of the formulas shown."""
+    first nonlinear step makes the stage stacks that every step reuses, in
+    the operation order of the formulas shown."""
 
     def __init__(self, model, grid, dt, scheme="ifrk2"):
         if scheme not in ("ifrk2", "ifrk4"):
@@ -268,11 +269,11 @@ class Stepper:
                        if scheme == "ifrk4" and not self.source_free else None)
         self.plan = (pseudoproduct.PseudoproductPlan(grid, model.w_symbol)
                      if model.w_form else None)
-        self.stages, self._pool = [], []
+        self.stages = []
 
     def _rhs(self, data, t, out):
         return rhs(self.model, StateField(self.grid, data, t), self.plan,
-                   out=out, pool=self._pool)
+                   out=out)
 
     def step(self, state, guard=None):
         h = self.dt

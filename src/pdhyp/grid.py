@@ -39,15 +39,15 @@ complex-by-real product, up to the sign of a zero).  line_physical is
 scipy's ifft (its 1/n, no other scale) along one axis of a cube zero-filled
 to n points there, into a new array, and line_spectral fft along the last
 axis of a line-grid field, in place: (2K+1)^(d-1) lines of n points each.
-`transforms` counts each call.  The band forward pass runs each axis on the
-lines that reach the band, then packs its band in place.  The one band
-inverse is physical_slabs, which checks the layout when called and returns
-a generator; to_physical runs it.  Pass 1 runs on the cube with axis -d
-zero-filled to n points, scaled by ifftn's 1/n^d from long double (not 1/n
-per pass); each slab of rows of axis -d takes its rows onto the band
-columns and the later passes on the band lines.  Slabs are views of `out`
-or of the generator's 512 KiB buffer, so an L^p norm never holds the n^d
-field, and product_sums zips generators to form products.
+A transform takes a field or a stack and adds its fields to `transforms`.
+The band forward pass runs each axis on the lines that reach the band,
+then packs its band in place.  The band inverse, physical_slabs, checks
+the layout when called and returns a generator.  Pass 1 runs on the cube
+with axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long
+double (not 1/n per pass); each slab of rows of axis -d takes its rows
+onto the band columns and the later passes on the band lines, in 512 KiB
+per field, so an L^p norm never holds the n^d field.  product_sums
+multiplies a stack's slabs into n^d totals that the next call overwrites.
 One worker runs below n = 128 and in a slab's small passes, where threads
 cost CPU and save no time.
 """
@@ -60,7 +60,7 @@ import numpy as np
 import scipy.fft
 
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
-_SLAB_BYTES = 1 << 19   # the buffer of one physical_slabs slab
+_SLAB_BYTES = 1 << 19   # the buffer of one field's physical_slabs slab
 
 
 def _scale(z, factor):      # complex z *= real factor, on the float view
@@ -101,7 +101,8 @@ class SpectralGrid:
         # forward-transform prefactor (dx / 2pi)^d
         self._fwd = (self.dx / (2.0 * np.pi)) ** self.ndim
         self._inv_fwd = 1.0 / self._fwd
-        self.transforms = 0     # transforms so far, band inverses included
+        self.transforms = 0     # fields transformed, band inverses included
+        self._totals = []       # product_sums' n^d row totals
 
         k = self.dealias_limit = dealias_limit(self.n)
         self.band_shape = (2 * k + 1,) * self.ndim
@@ -142,18 +143,18 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def _check_layout(self, f, shape, name):
+    def _count(self, f, shape, name):     # check the layout, count fields
         if np.shape(f)[-self.ndim:] != shape:
             raise ValueError(f"{name} takes fields whose last {self.ndim} "
                              f"axes are {shape}, not {np.shape(f)}")
+        self.transforms += prod(np.shape(f)[:-self.ndim])
 
     def to_spectral(self, f, out=None):
         """The cube of the n^d field f; given `out`, in place on complex f."""
-        self._check_layout(f, self.shape, "to_spectral")
+        self._count(f, self.shape, "to_spectral")
         if out is None:
             f = np.array(f, dtype=complex)
             out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
-        self.transforms += 1
         k = self.dealias_limit
         for axis in range(-self.ndim, -1):  # the lines that reach the band
             f = scipy.fft.fft(f, axis=axis, overwrite_x=True,
@@ -166,21 +167,20 @@ class SpectralGrid:
         return out
 
     def to_physical(self, fhat):
-        """The n^d field of the cube fhat, checked before `out` exists."""
-        self._check_layout(fhat, self.band_shape, "physical_slabs")
+        """The n^d field of the cube fhat, checked before it exists."""
+        self._count(fhat, self.band_shape, "to_physical")
         out = np.empty(np.shape(fhat)[:-self.ndim] + self.shape, dtype=complex)
-        for _ in self.physical_slabs(fhat, out=out):
-            pass
+        for rows, slab in self._slabs(fhat):
+            out[(Ellipsis, rows) + (slice(None),) * (self.ndim - 1)] = slab
         return out
 
-    def physical_slabs(self, fhat, out=None):
-        """Iterate (rows, slab), the band inverse of the cube fhat on those
-        rows of axis -d; without `out` a slab lives until the next one."""
-        self._check_layout(fhat, self.band_shape, "physical_slabs")
-        self.transforms += 1
-        return self._slabs(fhat, out)
+    def physical_slabs(self, fhat):
+        """Iterate (rows, slab): the band inverse of a cube or stack fhat on
+        those rows of axis -d; a slab lives until the next one."""
+        self._count(fhat, self.band_shape, "physical_slabs")
+        return self._slabs(fhat)
 
-    def _slabs(self, fhat, out):
+    def _slabs(self, fhat):
         d, n = self.ndim, self.n
         lead, full = np.shape(fhat)[:-d], (slice(None),) * d
         cols = [(tuple(b for b, _ in ends), tuple(p for _, p in ends))
@@ -193,13 +193,11 @@ class SpectralGrid:
         scipy.fft.ifft(compact, axis=-d, norm="forward", overwrite_x=True,
                        workers=self._workers)
         compact *= float(np.longdouble(1) / self.size)  # ifftn's 1/n^d
-        rows = max(1, _SLAB_BYTES // (16 * n ** (d - 1) * prod(lead)))
-        buf = out if out is not None else np.empty(
-            lead + (min(rows, n),) + (n,) * (d - 1), dtype=complex)
+        rows = max(1, _SLAB_BYTES // (16 * n ** (d - 1)))
+        buf = np.empty(lead + (min(rows, n),) + (n,) * (d - 1), dtype=complex)
         for start in range(0, n, rows):
             part = slice(start, min(start + rows, n))
-            slab = buf[(Ellipsis, part if out is not None
-                        else slice(part.stop - start)) + full[1:]]
+            slab = buf[(Ellipsis, slice(part.stop - start)) + full[1:]]
             slab[...] = 0.0
             for band, at in cols:
                 slab[(..., slice(None)) + band] = compact[(..., part) + at]
@@ -215,8 +213,7 @@ class SpectralGrid:
         """ifft along `axis` alone of the cube fhat times `multiplier` (a
         cube table), zero-filled to n points there: the cube's modes on the
         other axes, and `axis` moved last."""
-        self._check_layout(fhat, self.band_shape, "line_physical")
-        self.transforms += 1
+        self._count(fhat, self.band_shape, "line_physical")
         f, m = (np.moveaxis(np.broadcast_to(a, np.shape(fhat)),
                             axis - self.ndim, -1) for a in (fhat, multiplier))
         out = np.zeros(f.shape[:-1] + (self.n,), dtype=complex)
@@ -226,23 +223,23 @@ class SpectralGrid:
 
     def line_spectral(self, f):
         """fft along the last axis of a field on the line grid, in place."""
-        self._check_layout(f, self.band_shape[1:] + (self.n,), "line_spectral")
-        self.transforms += 1
+        self._count(f, self.band_shape[1:] + (self.n,), "line_spectral")
         return scipy.fft.fft(f, overwrite_x=True, workers=self._workers)
 
-    def product_sums(self, fields, rows, pool=None):
+    def product_sums(self, fields, rows):
         """Each row's sum of terms (c, i, j), c * phys(fields[i]) *
-        phys(fields[j]) (c None: no multiply), formed slab by slab from the
-        cubes' lockstep band inverses into the n^d arrays of list `pool`."""
-        pool = [] if pool is None else pool
-        pool += [np.empty(self.shape, dtype=complex)
-                 for _ in range(len(rows) - len(pool))]
+        phys(fields[j]) (c None: no multiply), slab by slab from one band
+        inverse of the stack `fields`, in n^d totals the next call reuses."""
+        if not rows or not len(fields):
+            return []
+        slabs = self.physical_slabs(fields)     # checks the layout first
+        self._totals += [np.empty(self.shape, dtype=complex)
+                         for _ in range(len(rows) - len(self._totals))]
         spare = None
-        for slabs in zip(*(self.physical_slabs(f) for f in fields)):
-            phys = [slab for _, slab in slabs]
+        for part, phys in slabs:
             spare = np.empty_like(phys[0]) if spare is None else spare
-            for total, terms in zip(pool, rows):
-                at = total[slabs[0][0]]
+            for total, terms in zip(self._totals, rows):
+                at = total[part]
                 for t, (c, i, j) in enumerate(terms):
                     term = np.multiply(phys[i], phys[j],
                                        out=spare[:len(at)] if t else at)
@@ -250,7 +247,7 @@ class SpectralGrid:
                         term *= c
                     if t:
                         at += term
-        return pool[:len(rows)]
+        return self._totals[:len(rows)]
 
     # -- hygiene ------------------------------------------------------------
 

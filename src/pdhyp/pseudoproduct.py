@@ -17,12 +17,12 @@ alone selects how apply() evaluates it:
     value, constants and signs folded into the coefficients (FactorTable);
     terms sharing alpha form one group, summed in physical space slab by
     slab (grid.product_sums) into an n^d total, so an apply costs one band
-    inverse per distinct beta f or gamma g and one forward transform per
-    group, and builds no physical field of a factor.  A diagonal call
-    T(f, f) (the same array passed twice) sees only the symmetric part of
-    m: each (beta, gamma) pair merges with its swap and pairs whose
-    coefficients cancel drop out, so a symbol with a vanishing symmetric
-    part, such as the null form null_b, costs no transform.
+    inverse of the stacked distinct beta f and gamma g and one forward
+    transform per group, and builds no physical field of a factor.  A
+    diagonal call T(f, f) (the same array passed twice) sees only the
+    symmetric part of m: each (beta, gamma) pair merges with its swap and
+    pairs whose coefficients cancel drop out, so a symbol with a vanishing
+    symmetric part, such as the null form null_b, costs no transform.
   * a symbol outside the basis, such as mu0, takes the direct sum over
     every pair of modes, which refuses jobs above TERM_CAP symbol
     evaluations.
@@ -35,7 +35,6 @@ runs over the cube alone.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -132,13 +131,12 @@ class PseudoproductPlan:
                 and not self.factor_table().diagonal)
 
 
-def apply(plan, fhat, ghat, pool=None):
+def apply(plan, fhat, ghat):
     """T_m(f, g) in spectral form; inputs and output on the grid's cube.
     Passing the same array as f and g makes it the diagonal form T_m(f, f).
-    The separable path, which sums in the list `pool` of n^d arrays, runs
-    when the symbol has a factorization, the direct sum otherwise."""
-    path = (partial(_apply_separable, pool=pool)
-            if plan.symbol.separable_terms else _apply_direct)
+    The separable path runs when the symbol has a factorization, the
+    direct sum otherwise."""
+    path = _apply_separable if plan.symbol.separable_terms else _apply_direct
     return _evaluate(plan, fhat, ghat, path)
 
 
@@ -149,43 +147,45 @@ def apply_direct(plan, fhat, ghat):
 
 
 def _evaluate(plan, fhat, ghat, path):
-    """Prepare the inputs, run `path` on them, then apply the xi = 0 rule
-    of singular symbols to the output."""
+    """Run `path` on the inputs, which it prepares, then apply the xi = 0
+    rule of singular symbols to the output."""
     shape = plan.grid.band_shape
     if fhat.shape != shape or ghat.shape != shape:
         raise GridMismatch(f"fields do not have the plan's shape {shape}")
-    fh = _prepared(plan, fhat)
-    gh = fh if ghat is fhat else _prepared(plan, ghat)
-    out = path(plan, fh, gh)
+    out = path(plan, fhat, ghat)
     if plan.symbol.singular:
         out[(0,) * plan.grid.ndim] = 0.0
     return out
 
 
-def _prepared(plan, fhat):
-    """A complex copy of fhat."""
-    fh = fhat.astype(complex)
+def _prepared(plan, fhat, out=None):
+    """A complex copy of fhat, in `out` when given."""
+    fh = np.empty(fhat.shape, dtype=complex) if out is None else out
+    fh[...] = fhat
     if plan.symbol.singular:
         # the singular lattice points {xi=0}u{eta=0}u{xi-eta=0} contribute 0
         fh[(0,) * plan.grid.ndim] = 0.0
     return fh
 
 
-def _apply_separable(plan, fh, gh, pool):
+def _apply_separable(plan, fhat, ghat):
     grid = plan.grid
     table = plan.factor_table()
     factors = table.factors
-    diagonal = fh is gh
+    diagonal = fhat is ghat
     groups = table.diagonal if diagonal else table.groups
     index = {}      # (side, factor index) -> position among the fields
     rows = [[(None if c == 1.0 else c, index.setdefault((0, b), len(index)),
               index.setdefault((0 if diagonal else 1, g), len(index)))
              for c, b, g in pairs] for _, pairs in groups]
-    fields = [(fh, gh)[side] if factors[i] is None
-              else factors[i] * (fh, gh)[side] for side, i in index]
+    stack = np.empty((len(index),) + grid.band_shape, dtype=complex)
+    for (side, i), field in zip(index, stack):  # factor 0 is the constant 1
+        _prepared(plan, (fhat, ghat)[side], out=field)
+        if i:
+            np.multiply(factors[i], field, out=field)
     out = np.zeros(grid.band_shape, dtype=complex)
     spec = np.empty_like(out)
-    for (a, _), total in zip(groups, grid.product_sums(fields, rows, pool)):
+    for (a, _), total in zip(groups, grid.product_sums(stack, rows)):
         grid.to_spectral(total, out=spec)
         if factors[a] is not None:
             spec *= factors[a]
@@ -193,7 +193,7 @@ def _apply_separable(plan, fh, gh, pool):
     return out
 
 
-def _apply_direct(plan, fh, gh):
+def _apply_direct(plan, fhat, ghat):
     grid = plan.grid
     d = grid.ndim
     n_terms = direct_sum_terms(grid.n, d)
@@ -202,7 +202,7 @@ def _apply_direct(plan, fh, gh):
             f"direct sum needs {n_terms:.3g} term evaluations "
             f"(cap {TERM_CAP:.3g}); use a separable symbol or a smaller grid")
     # centered order: the mode of index i is i - size // 2 on every axis
-    fc, gc = np.fft.fftshift(fh), np.fft.fftshift(gh)
+    fc, gc = (np.fft.fftshift(_prepared(plan, x)) for x in (fhat, ghat))
     size = fc.shape[0]
     eta = grid.dk * (np.indices(fc.shape).reshape(d, -1).T - size // 2)
     # f_hat(xi - eta) over every eta is one slice of f_hat reversed and

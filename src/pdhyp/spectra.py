@@ -208,16 +208,17 @@ def propagator(grid, cache, t):
 
 def propagator_apply(G, data, out=None):
     """Apply band rows G (r, *cube) to stacked cube fields (d, *cube) row
-    by row, one temporary at a time, into `out` (new when None): rows 0-3
-    as the 2x2 block to (u, v), an odd last row as the last field's phase."""
+    by row into `out` (new when None): rows 0-3 as the 2x2 block to (u, v),
+    an odd last row as the last field's phase, which `out` holds last."""
     if out is None:
         out = np.empty(data.shape, dtype=complex)
     elif np.may_share_memory(out, data):    # data is read after out is
         raise ValueError("`out` may share memory with `data`")
     if len(G) > 1:
         np.multiply(G[0:4:3], data[:2], out=out[:2])    # G00 u, G11 v
-        out[0] += G[1] * data[1]                        # + G01 v
-        out[1] += G[2] * data[0]                        # + G10 u
+        scratch = out[-1] if len(G) % 2 else np.empty_like(out[0])
+        out[0] += np.multiply(G[1], data[1], out=scratch)   # + G01 v
+        out[1] += np.multiply(G[2], data[0], out=scratch)   # + G10 u
     if len(G) % 2:
         np.multiply(G[-1], data[-1], out=out[-1])       # the phase
     return out

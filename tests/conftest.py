@@ -128,3 +128,14 @@ def record_transforms(monkeypatch, slabs=False):
                             lambda self, *args, _o=orig, _n=name, **kw:
                             calls.append(_n) or _o(self, *args, **kw))
     return calls
+
+
+def record_band_inverses(monkeypatch):
+    """A list that collects the input of each physical_slabs call, the
+    band inverse of a cube or of a stack of them, from now on."""
+    stacks = []
+    orig = SpectralGrid.physical_slabs
+    monkeypatch.setattr(SpectralGrid, "physical_slabs",
+                        lambda self, fhat: stacks.append(fhat)
+                        or orig(self, fhat))
+    return stacks

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
-                      full_spectral, r2_centered, record_transforms)
+                      full_spectral, r2_centered, record_band_inverses,
+                      record_transforms)
 from pdhyp import evolution as ev
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
@@ -122,33 +123,55 @@ def test_rhs_transforms_on_the_band(grid, monkeypatch):
 
 
 def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
+    # an rhs runs one band inverse of the stack of the components its rows
+    # use, a view of the state, and one forward transform per distinct
+    # row, then one inverse of the stacked factor fields of T_m(w, w) and
+    # one forward transform per group; grid.transforms counts each field
     st = bump_state(grid, 3, 0.1)
-    calls = record_transforms(monkeypatch, slabs=True)
-    out = ev.rhs(ev.ModelSpec("pk_system", w_symbol=None), st)
-    assert calls == [] and not out.any()
-    out = ev.rhs(ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0, a_v=2.0),
-                              w_symbol=None), st)
-    assert calls == ["physical_slabs", "to_spectral"]
+    calls = record_transforms(monkeypatch)
+    stacks = record_band_inverses(monkeypatch)
+
+    def run(model, state=st):
+        calls.clear()
+        stacks.clear()
+        before = grid.transforms
+        out = ev.rhs(model, state)
+        return out, grid.transforms - before
+
+    out, count = run(ev.ModelSpec("pk_system", w_symbol=None))
+    assert calls == stacks == [] and count == 0 and not out.any()
+    out, count = run(ev.ModelSpec("pk_system", ev.Coefficients(
+        a_u=1.0, a_v=2.0), w_symbol=None))
+    assert calls == ["to_spectral"] and count == 2
+    assert len(stacks) == 1 and np.array_equal(stacks[0], st.data[:1])
     assert np.array_equal(out[1], 2.0 * out[0]) and not out[2].any()
-    # equal rows share one forward transform
-    calls.clear()
+    # k-small-data's rows are equal: one inverse of (u, v), one forward
     k = ev.StateField(grid, st.data[:2], st.t)
     full = ev.Coefficients(a_u=1.0, b_u=1.0, c_u=1.0, a_v=1.0, b_v=1.0,
                            c_v=1.0)
-    out = ev.rhs(ev.ModelSpec("k_system", full), k)
-    assert sorted(calls) == ["physical_slabs"] * 2 + ["to_spectral"]
+    out, count = run(ev.ModelSpec("k_system", full), k)
+    assert calls == ["to_spectral"] and count == 3
+    assert len(stacks) == 1 and np.array_equal(stacks[0], k.data)
     assert np.array_equal(out[0], out[1]) and out[0].any()
-    # pk-small-data's rows with mixed: 3 fields, 2 rows, 4 in T_m(w, w)
-    calls.clear()
+    # d_v alone (uw): u and w, not v
+    out, count = run(ev.ModelSpec("pk_system", ev.Coefficients(d_v=1.0),
+                                  w_symbol=None))
+    assert calls == ["to_spectral"] and count == 3
+    assert len(stacks) == 1 and np.array_equal(stacks[0], st.data[::2])
+    assert np.shares_memory(stacks[0], st.data)
+    assert out[1].any() and not (out[0].any() or out[2].any())
+    # pk-small-data's rows with mixed: (u, v, w) and 2 rows, then the 2
+    # fields and 2 groups of T_m(w, w): 9 transforms
     full.d_v = 1.0
-    ev.rhs(ev.ModelSpec("pk_system", full,
-                        w_symbol=sy.symbol_preset("mixed")), st)
-    assert len(calls) <= 9
+    out, count = run(ev.ModelSpec("pk_system", full,
+                                  w_symbol=sy.symbol_preset("mixed")))
+    assert [len(s) for s in stacks] == [3, 2] and count == 9
+    assert calls == ["to_spectral"] * 4
+    assert np.shares_memory(stacks[0], st.data)
     # null_b's symmetric part vanishes: T_m(w, w) costs no transform
-    calls.clear()
-    out = ev.rhs(ev.ModelSpec("pk_system", w_symbol=sy.symbol_preset("null_b")),
-                 st)
-    assert calls == [] and not out.any()
+    out, count = run(ev.ModelSpec("pk_system",
+                                  w_symbol=sy.symbol_preset("null_b")))
+    assert calls == stacks == [] and count == 0 and not out.any()
 
 
 def _per_monomial_rhs(model, state, plan):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
-                      full_spectral)
+                      full_spectral, record_transforms)
 from pdhyp import grid as grid_module
 from pdhyp.acceptance import band_field
 from pdhyp.grid import SpectralGrid
@@ -43,7 +43,8 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
     # that axis and moved last, into a new array, leaving its input,
     # single, stacked or strided; the forward transform is fft along the
     # last axis, in place.  The line inverse along the last axis followed
-    # by ifft along the others is the n^d inverse
+    # by ifft along the others is the n^d inverse.  Each call counts its
+    # fields
     g = SpectralGrid(n, 7.3, ndim)
     rng = np.random.default_rng(10 * n + ndim)
     stacked = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
@@ -68,7 +69,7 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
             assert np.array_equal(spec, expect)
     for x, before in zip(inputs + (wide,), saved):
         assert x.tobytes() == before.tobytes()
-    assert g.transforms == 3 * ndim * len(inputs)
+    assert g.transforms == 3 * ndim * (1 + 3 + 1)
     c = stacked[0]
     part = np.zeros(g.shape, dtype=complex)
     part[np.ix_(*[g.band_k % n] * (ndim - 1), np.arange(n))] = \
@@ -84,12 +85,11 @@ def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
     # the band transforms are the full-grid ones composed with the band,
     # bit for bit: the forward transform of an n^d field that is not
     # band-limited is the band of its full transform, the inverse of a cube
-    # is the full inverse of its zero embedding; each call counts once,
-    # writes a new
-    # array and leaves its input, real, stacked or strided.  The band
-    # inverse is a run of physical_slabs: at 7 rows per slab of one field
-    # there are several slabs and a ragged last one, in one reused buffer
-    # or in `out`, and put together they are its output bit for bit
+    # is the full inverse of its zero embedding; each call counts its
+    # fields, writes a new array and leaves its input, real, stacked or
+    # strided.  The band inverse is a run of physical_slabs: at 7 rows per
+    # slab there are several slabs and a ragged last one, in one reused
+    # buffer, and put together they are its output bit for bit
     monkeypatch.setattr(grid_module, "_SLAB_BYTES", 7 * 16 * n ** (ndim - 1))
     g = SpectralGrid(n, 7.3, ndim)
     rng = np.random.default_rng(10 * n + ndim)
@@ -104,11 +104,11 @@ def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
     fields, cubes = inputs(g.shape), inputs(g.band_shape)
     saved = [x.copy() for x in fields + cubes]
     for x, c in zip(fields, cubes):
-        count = g.transforms
+        count, k = g.transforms, np.prod(np.shape(c)[:-ndim], dtype=int)
         spec = g.to_spectral(x)
-        assert g.transforms == count + 1
+        assert g.transforms == count + k
         phys = g.to_physical(c)
-        assert g.transforms == count + 2
+        assert g.transforms == count + 2 * k
         # a real input is transformed as complex
         assert np.array_equal(spec, band(g, full_spectral(g, x + 0j)))
         assert np.array_equal(phys, full_physical(g, embed(g, c)))
@@ -116,66 +116,82 @@ def test_band_transforms_equal_the_composed_transforms(n, ndim, monkeypatch):
         assert not np.shares_memory(phys, c)
         assert not np.shares_memory(spec, x)
         whole = np.full(np.shape(phys), np.nan, dtype=complex)
-        out = np.empty_like(whole)
         count, sizes, buffers = g.transforms, [], set()
         for rows, slab in g.physical_slabs(c):
             whole[(Ellipsis, rows) + (slice(None),) * (ndim - 1)] = slab
             sizes.append(rows.stop - rows.start)
             buffers.add(slab.__array_interface__["data"][0])
-        for rows, slab in g.physical_slabs(c, out=out):
-            assert np.shares_memory(slab, out)
-        assert g.transforms == count + 2
-        assert whole.tobytes() == phys.tobytes() == out.tobytes()
+        assert g.transforms == count + k
+        assert whole.tobytes() == phys.tobytes()
         assert len(buffers) == 1
-        if c.ndim == ndim:
-            assert len(sizes) > 1 and sizes[-1] < sizes[0] == 7
+        assert len(sizes) > 1 and sizes[-1] < sizes[0] == 7
     for x, before in zip(fields + cubes, saved):
         assert x.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("n, rows", [(16, 5), (64, None)])
-def test_band_inverses_run_in_lockstep(n, rows, monkeypatch):
-    # the quadratic sources zip the physical_slabs of several fields: each
-    # generator keeps its own buffers, so at every step the slabs are the
-    # same rows of each field's band inverse at once (at n = 16, 5 rows
-    # per slab; at n = 64, the default 8)
+@pytest.mark.parametrize("n, ndim, rows", [(16, 3, 5), (64, 3, None),
+                                           (48, 2, 7)])
+def test_a_stacked_band_inverse_is_the_single_inverses(n, ndim, rows,
+                                                       monkeypatch):
+    # physical_slabs of a stack of F cubes runs the same slabs as of one
+    # cube, rows per slab not shrinking with F, and each slab holds the
+    # single inverses' slabs bit for bit (at n = 16, 5 rows per slab and a
+    # ragged last one; at n = 64, the default 8; on a 2-D grid at n = 48,
+    # 7 rows per slab); the call counts F transforms
     if rows:
-        monkeypatch.setattr(grid_module, "_SLAB_BYTES", rows * 16 * n ** 2)
-    g = SpectralGrid(n, 11.0)
+        monkeypatch.setattr(grid_module, "_SLAB_BYTES",
+                            rows * 16 * n ** (ndim - 1))
+    g = SpectralGrid(n, 11.0, ndim)
     rng = np.random.default_rng(n)
-    cubes = [rng.normal(size=g.band_shape) + 1j * rng.normal(
-        size=g.band_shape) for _ in range(3)]
-    whole = [g.to_physical(c) for c in cubes]
-    steps = 0
-    for slabs in zip(*(g.physical_slabs(c) for c in cubes)):
-        parts = [slabs[0][0]] * len(slabs)
-        assert [part for part, _ in slabs] == parts
-        for (part, slab), full in zip(slabs, whole):
-            assert np.array_equal(slab, full[part])
-        steps += 1
-    assert steps > 1
+    cubes = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
+        size=(3,) + g.band_shape)
+    singles = [[(part, slab.copy()) for part, slab in g.physical_slabs(c)]
+               for c in cubes]
+    count, parts = g.transforms, []
+    for k, (part, slab) in enumerate(g.physical_slabs(cubes)):
+        parts.append(part)
+        for f, single in enumerate(singles):
+            assert single[k][0] == part
+            assert slab[f].tobytes() == single[k][1].tobytes()
+    assert g.transforms == count + 3
+    assert parts == [part for part, _ in singles[0]]
+    assert len(parts) == {16: 4, 64: 8, 48: 7}[n]
 
-    # product_sums forms each row's products slab by slab into the pool's
-    # n^d totals, bit for bit the products of the whole fields, and grows
-    # the pool only as far as the rows need
-    pool = []
+
+def test_product_sums_take_one_inverse_of_the_stack(monkeypatch):
+    # product_sums forms each row's products slab by slab from one band
+    # inverse of the stack, bit for bit the products of the whole fields,
+    # into the grid's n^d totals: a second call returns the same arrays,
+    # overwritten, and no rows or no fields cost no transform
+    monkeypatch.setattr(grid_module, "_SLAB_BYTES", 5 * 16 * 16 ** 2)
+    g = SpectralGrid(16, 11.0)
+    rng = np.random.default_rng(7)
+    cubes = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
+        size=(3,) + g.band_shape)
+    whole = [g.to_physical(c) for c in cubes]
+    calls = record_transforms(monkeypatch, slabs=True)
+    count = g.transforms
     totals = g.product_sums(cubes, [[(2.0, 0, 1), (None, 2, 2)],
-                                    [(None, 1, 1)]], pool)
+                                    [(None, 1, 1)]])
+    assert calls == ["physical_slabs"] and g.transforms == count + 3
     first = whole[0] * whole[1]
     first *= 2.0
     first += whole[2] * whole[2]
-    assert [t is b for t, b in zip(totals, pool)] == [True, True]
     assert np.array_equal(totals[0], first)
     assert np.array_equal(totals[1], whole[1] * whole[1])
-    again = g.product_sums(cubes, [[(-1.5, 2, 0)]], pool)
-    assert len(pool) == 2 and again[0] is pool[0]
+    again = g.product_sums(cubes[::2], [[(-1.5, 1, 0)]])
+    assert len(again) == 1 and again[0] is totals[0]
     assert np.array_equal(again[0], -1.5 * (whole[2] * whole[0]))
+    assert calls == ["physical_slabs"] * 2 and g.transforms == count + 5
+    assert g.product_sums(cubes, []) == []
+    assert g.product_sums(cubes[:0], [[(None, 0, 0)]]) == []
+    assert len(calls) == 2 and g.transforms == count + 5
 
 
 def test_band_forward_into_out_is_bit_for_bit():
     # given `out`, the band forward transform writes the cube there and
     # runs on its complex n^d input in place, bit for bit the new-array
-    # transform
+    # transform; it counts the stack's two fields
     g = SpectralGrid(24, 5.0)
     rng = np.random.default_rng(4)
     f = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
@@ -183,7 +199,7 @@ def test_band_forward_into_out_is_bit_for_bit():
     out = np.empty((2,) + g.band_shape, dtype=complex)
     count = g.transforms
     assert g.to_spectral(f, out=out) is out
-    assert g.transforms == count + 1
+    assert g.transforms == count + 2
     assert out.tobytes() == expect.tobytes()
 
 
@@ -193,8 +209,9 @@ def test_band_transforms_refuse_the_other_layout(ndim):
     # cubes, and the line forward transform the line grid's fields: a
     # field of another layout, or of none, raises before any transform
     # counts (on a 1-D grid a cube once came back from the forward pass
-    # clipped); physical_slabs raises when called, not at its first slab,
-    # so to_physical allocates no n^d output first
+    # clipped); physical_slabs, and product_sums with it, raise when
+    # called, not at the first slab, and to_physical names itself and
+    # allocates no n^d output first
     g = SpectralGrid(16, 5.0, ndim)
     field = np.ones((2,) + g.shape, dtype=complex)
     cube = np.ones((2,) + g.band_shape, dtype=complex)
@@ -204,23 +221,23 @@ def test_band_transforms_refuse_the_other_layout(ndim):
         with pytest.raises(ValueError, match="to_spectral"):
             g.to_spectral(bad, out=np.empty_like(cube))
     for bad in (field, field[0], cube[..., :-1]):
-        with pytest.raises(ValueError, match="physical_slabs"):
+        with pytest.raises(ValueError, match="to_physical"):
             g.to_physical(bad)
         with pytest.raises(ValueError, match="physical_slabs"):
             g.physical_slabs(bad)
         with pytest.raises(ValueError, match="physical_slabs"):
-            g.product_sums([bad, cube[0]], [[(None, 0, 1)]])
+            g.product_sums(bad, [[(None, 0, 1)]])
         with pytest.raises(ValueError, match="line_physical"):
             g.line_physical(bad, 0)
     for bad in (cube, cube[0], cube[..., :-1]):
         with pytest.raises(ValueError, match="line_spectral"):
             g.line_spectral(bad)
-    assert g.transforms == 0
+    assert g.transforms == 0 and g._totals == []
     big = SpectralGrid(32, 5.0)     # an output 100 times the overhead
     bad = np.ones(big.shape, dtype=complex)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="physical_slabs"):
+        with pytest.raises(ValueError, match="to_physical"):
             big.to_physical(bad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
