@@ -19,17 +19,20 @@ prints, for each step:
                 the stack of its fields.
 
 All but peak_mib come from an untraced run, peak_mib from the first
-TRACED_STEPS steps of a second run under tracemalloc.  Before the steps it
-prints the set-up costs: the CPU time and tracemalloc peak (in MiB) of
-norms.initial_energy and of one full sample (the wave profile, when a
-norm needs it, and every sampled norm), each repeated on the state the
-run passed it, so the grid's cached tables are already built.  The Stepper
-allocates its Lawson stage stacks, and the grid the n^d row totals of
-product_sums, on the first nonlinear step, and both are reused, so from
-the second step on a step allocates only its returned state, cube-sized
-temporaries and the band inverses' work arrays, the same every step.
-Name workloads on the command line to choose them (wave_n128 also works);
-every run writes its CSV and report into a temporary directory.
+TRACED_STEPS steps of a second run under tracemalloc.  Before the steps
+it prints the set-up costs: the CPU time of the Stepper's construction,
+and the CPU time, tracemalloc peak (in MiB) and band and line transforms
+(the fields they transformed, grid.transforms and grid.line_transforms)
+of norms.initial_energy and of one full sample (the wave profile, when a
+norm needs it, and one norms.evaluate_norms call of every sampled norm),
+each repeated on the state the run passed it, so the grid's cached
+tables are already built.  The Stepper allocates its Lawson stage stacks,
+and the grid the n^d row totals of product_sums, on the first nonlinear
+step, and both are reused, so from the second step on a step allocates
+only its returned state, cube-sized temporaries and the band inverses'
+work arrays, the same every step.  Name workloads on the command line to
+choose them (wave_n128 also works); every run writes its CSV and report
+into a temporary directory.
 
     PYTHONPATH=src python3 demos/step_memory.py [workload ...]
 """
@@ -127,54 +130,66 @@ def transient(step, stepper, state, guard):
     return new, (tracemalloc.get_traced_memory()[1] - start) / 2 ** 20
 
 
-def cpu_and_peak(fn):
-    """(CPU ms, tracemalloc peak MiB) of fn(), from two calls."""
+def cpu_and_peak(fn, grid):
+    """(CPU ms, tracemalloc peak MiB, band transforms, line transforms) of
+    fn(), from two calls; the transforms are the fields one call
+    transformed on the grid."""
     cpu = time.process_time()
     fn()
     cpu = time.process_time() - cpu
+    counts = grid.transforms, grid.line_transforms
     tracemalloc.start()
     try:
         fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return 1e3 * cpu, peak / 2 ** 20
+    return (1e3 * cpu, peak / 2 ** 20, grid.transforms - counts[0],
+            grid.line_transforms - counts[1])
 
 
 def setup_costs(name):
-    """cpu_and_peak of initial_energy and of one full sample, on the
-    states and norm specs the workload's run passes them before its first
-    step."""
-    seen, energy, evaluate = {}, norms.initial_energy, norms.evaluate_norm
+    """The CPU ms of the workload's Stepper construction, and cpu_and_peak
+    of initial_energy and of one full sample, on the states and norm specs
+    the workload's run passes them before its first step."""
+    seen, energy, evaluate = {}, norms.initial_energy, norms.evaluate_norms
+    init = ev.Stepper.__init__
 
     def record_energy(state):
         seen["initial"] = state
         return energy(state)
 
-    def record_norm(spec, state, profile_w=None):
-        seen.setdefault("specs", []).append(spec)
-        seen["sampled"] = state
-        return evaluate(spec, state, profile_w)
+    def record_norms(specs, state, profile_w=None):
+        seen["specs"], seen["sampled"] = specs, state
+        return evaluate(specs, state, profile_w)
 
-    norms.initial_energy, norms.evaluate_norm = record_energy, record_norm
+    def timed_init(stepper, *args, **kwargs):
+        cpu = time.process_time()
+        init(stepper, *args, **kwargs)
+        seen["stepper"] = 1e3 * (time.process_time() - cpu)
+
+    norms.initial_energy, norms.evaluate_norms = record_energy, record_norms
+    ev.Stepper.__init__ = timed_init
     try:
         measured_steps(name, None, 0)
     finally:
-        norms.initial_energy, norms.evaluate_norm = energy, evaluate
+        norms.initial_energy, norms.evaluate_norms = energy, evaluate
+        ev.Stepper.__init__ = init
     state, specs = seen["sampled"], seen["specs"]
 
     def sample():
         profile = (ev.wave_profile(state) if any(
             spec.component == "profile_w" for spec in specs) else None)
-        return [evaluate(spec, state, profile) for spec in specs]
+        return evaluate(specs, state, profile)
 
-    return (cpu_and_peak(lambda: energy(seen["initial"])),
-            cpu_and_peak(sample))
+    return (seen["stepper"], cpu_and_peak(lambda: energy(seen["initial"]),
+                                          state.grid),
+            cpu_and_peak(sample, state.grid))
 
 
 def main(names):
     for name in names:
-        (e_cpu, e_peak), (s_cpu, s_peak) = setup_costs(name)
+        stepper_cpu, energy, sample = setup_costs(name)
         timed = measured_steps(name, with_inverses(cpu_and_faults))
         tracemalloc.start()
         try:
@@ -182,8 +197,11 @@ def main(names):
         finally:
             tracemalloc.stop()
         print(f"=== {name}: {len(timed)} steps ===")
-        print(f"set-up: initial_energy {e_cpu:.1f} ms, peak {e_peak:.2f} "
-              f"MiB; one sample {s_cpu:.1f} ms, peak {s_peak:.2f} MiB")
+        print(f"set-up: Stepper {stepper_cpu:.1f} ms")
+        for what, (cpu, peak, band, line) in (("initial_energy", energy),
+                                              ("one sample", sample)):
+            print(f"{what}: {cpu:.1f} ms, peak {peak:.2f} MiB, {band} band "
+                  f"and {line} line transforms")
         print(f"{'step':>4} {'cpu_ms':>8} {'faults':>7} {'inverses':>8} "
               f"{'fields':>6} {'peak_mib':>9}")
         for k, (cpu, faults, calls, fields) in enumerate(timed, 1):

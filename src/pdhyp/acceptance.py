@@ -199,24 +199,31 @@ def criterion_7(result, workdir):
     rel = float(np.max(np.abs(t1 - prod)) / np.max(np.abs(prod)))
     result.expect(rel <= 1e-12, f"T_1(f,g) = f*g pointwise: rel err {rel:.3e}")
 
+    phys = g.to_physical(f)
     symbols = {"one": sy.symbol_preset("one"), **nonresonant_symbols()}
     for name, m in symbols.items():
         plan = pseudoproduct.PseudoproductPlan(g, m)
-        # the identity line's direct sum is the one of `one`
-        a = t1 if name == "one" else pseudoproduct.apply_direct(plan, f, h)
+        # `one`'s separable path is the band of the physical product: it
+        # must equal the identity line's, bit for bit
+        exact = name == "one"
+        a = prod if exact else pseudoproduct.apply_direct(plan, f, h)
         b = pseudoproduct.apply(plan, f, h)
         scale = float(np.max(np.abs(a))) or 1.0
         rel = float(np.max(np.abs(a - b)) / scale)
-        result.expect(bool(m.separable_terms) and rel <= 1e-10, f"{name}: "
-                      f"separable path vs direct sum rel err {rel:.3e}")
+        ok = np.array_equal(a, b) if exact else rel <= 1e-10
+        result.expect(bool(m.separable_terms) and ok, f"{name}: separable "
+                      f"path vs {'band product' if exact else 'direct sum'} "
+                      f"rel err {rel:.3e}")
         # T(f, f) on the symmetrized table, at the scale of T(f, h): the
         # symmetric parts of null_b and b_xi_unit vanish
-        a = pseudoproduct.apply_direct(plan, f, f)
+        a = (g.to_spectral(phys * phys) if exact
+             else pseudoproduct.apply_direct(plan, f, f))
         b = pseudoproduct.apply(plan, f, f)
         rel = float(np.max(np.abs(a - b))
                     / max(scale, float(np.max(np.abs(a)))))
-        result.expect(rel <= 1e-10,
-                      f"{name}: direct vs separable T(f, f) rel err {rel:.3e}")
+        ok = np.array_equal(a, b) if exact else rel <= 1e-10
+        result.expect(ok, f"{name}: {'band product' if exact else 'direct'}"
+                      f" vs separable T(f, f) rel err {rel:.3e}")
 
     f1 = np.zeros(g.band_shape, complex)
     h1 = np.zeros(g.band_shape, complex)

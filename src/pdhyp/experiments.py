@@ -505,16 +505,22 @@ def run(config, log=None):
 
     series = {spec.name: [] for spec in specs}
     times = []
-    # FFTs by phase: set-up is the initial data and E_N, t = 1 is a sample
-    transforms = {"setup": grid.transforms, "steps": 0, "samples": 0}
+    # fields transformed by phase, band and line transforms apart: set-up
+    # is the initial data and E_N, t = 1 is a sample
+    def counts():
+        return {"band": grid.transforms, "line": grid.line_transforms}
+
+    transforms = {"setup": counts(), "samples": {"band": 0, "line": 0}}
 
     def sample(st):
-        before = grid.transforms
+        before = counts()
         profile_w = ev.wave_profile(st) if needs_profile else None
         times.append(st.t)
-        for spec in specs:
-            series[spec.name].append(norms.evaluate_norm(spec, st, profile_w))
-        transforms["samples"] += grid.transforms - before
+        for spec, value in zip(specs, norms.evaluate_norms(specs, st,
+                                                           profile_w)):
+            series[spec.name].append(value)
+        for kind, count in counts().items():
+            transforms["samples"][kind] += count - before[kind]
 
     sample(state)
     status = "completed"
@@ -526,7 +532,9 @@ def run(config, log=None):
     except StepRejected as exc:
         say(f"blow-up guard: {exc}")
         status = "blowup"
-    transforms["steps"] = grid.transforms - sum(transforms.values())
+    transforms["steps"] = {kind: count - transforms["setup"][kind]
+                           - transforms["samples"][kind]
+                           for kind, count in counts().items()}
 
     t_arr = np.asarray(times)
     series_arr = {name: (t_arr, np.asarray(vals))

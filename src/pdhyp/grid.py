@@ -39,10 +39,11 @@ complex-by-real product, up to the sign of a zero).  line_physical is
 scipy's ifft (its 1/n, no other scale) along one axis of a cube zero-filled
 to n points there, into a new array, and line_spectral fft along the last
 axis of a line-grid field, in place: (2K+1)^(d-1) lines of n points each.
-A transform takes a field or a stack and adds its fields to `transforms`.
-The band forward pass runs each axis on the lines that reach the band,
-then packs its band in place.  The band inverse, physical_slabs, checks
-the layout when called and returns a generator.  Pass 1 runs on the cube
+A transform takes a field or a stack and adds its fields to `transforms`,
+a line transform to `line_transforms`.  The band forward pass runs each
+axis on the lines that reach the band, then packs its band in place.
+The band inverse, physical_slabs, checks the layout when called and
+returns a generator.  Pass 1 runs on the cube
 with axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long
 double (not 1/n per pass); each slab of rows of axis -d takes its rows
 onto the band columns and the later passes on the band lines, in 512 KiB
@@ -101,7 +102,8 @@ class SpectralGrid:
         # forward-transform prefactor (dx / 2pi)^d
         self._fwd = (self.dx / (2.0 * np.pi)) ** self.ndim
         self._inv_fwd = 1.0 / self._fwd
-        self.transforms = 0     # fields transformed, band inverses included
+        self.transforms = 0     # band fields transformed, inverses included
+        self.line_transforms = 0    # line-grid fields transformed
         self._totals = []       # product_sums' n^d row totals
 
         k = self.dealias_limit = dealias_limit(self.n)
@@ -143,15 +145,15 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def _count(self, f, shape, name):     # check the layout, count fields
+    def _fields(self, f, shape, name):    # check the layout; its fields
         if np.shape(f)[-self.ndim:] != shape:
             raise ValueError(f"{name} takes fields whose last {self.ndim} "
                              f"axes are {shape}, not {np.shape(f)}")
-        self.transforms += prod(np.shape(f)[:-self.ndim])
+        return prod(np.shape(f)[:-self.ndim])
 
     def to_spectral(self, f, out=None):
         """The cube of the n^d field f; given `out`, in place on complex f."""
-        self._count(f, self.shape, "to_spectral")
+        self.transforms += self._fields(f, self.shape, "to_spectral")
         if out is None:
             f = np.array(f, dtype=complex)
             out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
@@ -168,7 +170,7 @@ class SpectralGrid:
 
     def to_physical(self, fhat):
         """The n^d field of the cube fhat, checked before it exists."""
-        self._count(fhat, self.band_shape, "to_physical")
+        self.transforms += self._fields(fhat, self.band_shape, "to_physical")
         out = np.empty(np.shape(fhat)[:-self.ndim] + self.shape, dtype=complex)
         for rows, slab in self._slabs(fhat):
             out[(Ellipsis, rows) + (slice(None),) * (self.ndim - 1)] = slab
@@ -177,7 +179,8 @@ class SpectralGrid:
     def physical_slabs(self, fhat):
         """Iterate (rows, slab): the band inverse of a cube or stack fhat on
         those rows of axis -d; a slab lives until the next one."""
-        self._count(fhat, self.band_shape, "physical_slabs")
+        self.transforms += self._fields(fhat, self.band_shape,
+                                        "physical_slabs")
         return self._slabs(fhat)
 
     def _slabs(self, fhat):
@@ -213,7 +216,8 @@ class SpectralGrid:
         """ifft along `axis` alone of the cube fhat times `multiplier` (a
         cube table), zero-filled to n points there: the cube's modes on the
         other axes, and `axis` moved last."""
-        self._count(fhat, self.band_shape, "line_physical")
+        self.line_transforms += self._fields(fhat, self.band_shape,
+                                             "line_physical")
         f, m = (np.moveaxis(np.broadcast_to(a, np.shape(fhat)),
                             axis - self.ndim, -1) for a in (fhat, multiplier))
         out = np.zeros(f.shape[:-1] + (self.n,), dtype=complex)
@@ -223,7 +227,8 @@ class SpectralGrid:
 
     def line_spectral(self, f):
         """fft along the last axis of a field on the line grid, in place."""
-        self._count(f, self.band_shape[1:] + (self.n,), "line_spectral")
+        self.line_transforms += self._fields(
+            f, self.band_shape[1:] + (self.n,), "line_spectral")
         return scipy.fft.fft(f, overwrite_x=True, workers=self._workers)
 
     def product_sums(self, fields, rows):

@@ -10,8 +10,10 @@ rounding.  Every sampled field is a band field on the grid's cube, so
 Sobolev norms weight and sum the cube.  A coordinate weight x_j^p (centered
 at the box center) acts along axis j alone: F(x_j^p f) is the line forward
 transform of x_j^p times the line inverse along j, on the line grid of
-axis j.  No norm holds an n^d field: the L^p and L^inf norms reduce
-grid.physical_slabs.  The grid caches the tables the norms weight by.
+axis j; one _moments call shares each line inverse among its weights, and
+evaluate_norms groups a sample's weighted norms into such calls.  No norm
+holds an n^d field: the L^p and L^inf norms reduce grid.physical_slabs.
+The grid caches the tables the norms weight by.
 """
 
 import json
@@ -75,14 +77,17 @@ def total_sobolev(grid, data, order):
 
 # -- coordinate-weighted norms (physical-space weights) ---------------------
 
-def _moment_norm(grid, fhat, power, order, lam=False, multiplier=1.0):
-    """(Parseval sum of _sobolev_weight(order, lam) * sum_j |F(x_j f)|^2)^(1/2)
-    for power 1, of that weight * |F(|x - c|^2 f)|^2 = |sum_j F(x_j^2 f)|^2
-    for power 2, with f = multiplier * fhat and F(x_j^p f) on the line grid
-    of axis j: its band rows add up on the cube, its other rows stand alone."""
-    k, n, total = grid.dealias_limit, grid.n, 0.0
+def _moments(grid, fhat, multiplier, power, weights):
+    """Per (order, lam) of `weights`: (Parseval sum of _sobolev_weight(order,
+    lam) * sum_j |F(x_j f)|^2)^(1/2) for power 1, of that weight *
+    |F(|x - c|^2 f)|^2 = |sum_j F(x_j^2 f)|^2 for power 2, with f =
+    multiplier * fhat and F(x_j^p f) on the line grid of axis j, one for
+    all weights: its band rows add up on the cube, its other rows alone."""
+    k, n = grid.dealias_limit, grid.n
     cube = np.zeros(grid.band_shape, dtype=complex) if power == 2 else None
     arm = slice(k + 1, n - k) if power == 2 else slice(None)
+    tables = [_sobolev_weight(grid.line_xi_sq[..., arm], *w) for w in weights]
+    totals = [0.0] * len(weights)
     for j in range(grid.ndim):
         spec = grid.line_physical(fhat, j, multiplier)
         spec *= grid.x_centered[-1] ** power
@@ -91,29 +96,35 @@ def _moment_norm(grid, fhat, power, order, lam=False, multiplier=1.0):
             rows = np.moveaxis(cube, j, -1)
             rows[..., :k + 1] += spec[..., :k + 1]
             rows[..., k + 1:] += spec[..., n - k:]
-        total += _square_sum(grid, spec[..., arm], _sobolev_weight(
-            grid.line_xi_sq[..., arm], order, lam))
+        totals = [total + _square_sum(grid, spec[..., arm], table)
+                  for total, table in zip(totals, tables)]
         del spec        # before the next line inverse
     if cube is not None:
-        total += _square_sum(grid, cube,
-                             _sobolev_weight(grid.xi_norm ** 2, order, lam))
-    return float(np.sqrt(total))
+        totals = [total + _square_sum(grid, cube, _sobolev_weight(
+            grid.xi_norm ** 2, *w)) for total, w in zip(totals, weights)]
+    return [float(np.sqrt(total)) for total in totals]
 
 
 def weighted_x_l2(grid, fhat):
     """||x f||_{L^2} = (integral |x - c|^2 |f|^2 dx)^(1/2)."""
-    return _moment_norm(grid, fhat, 1, 0)
+    return _moments(grid, fhat, 1.0, 1, [(0, False)])[0]
 
 
 def weighted_lambda_x_h1(grid, fhat):
     """||Lam x f||_{H^1} with the weight applied first."""
-    return _moment_norm(grid, fhat, 1, 1, lam=True)
+    return _moments(grid, fhat, 1.0, 1, [(1, True)])[0]
 
 
 def weighted_x2_lambda_h1(grid, fhat):
     """|| |x|^2 Lam f ||_{H^1}: Lam applied spectrally, then the |x - c|^2
     weight, then the H^1 norm."""
-    return _moment_norm(grid, fhat, 2, 1, multiplier=grid.xi_norm)
+    return _moments(grid, fhat, grid.xi_norm, 2, [(1, False)])[0]
+
+
+# weighted kind -> (multiplier |xi|, else 1; power; (order, lam)) as above
+_MOMENTS = {"weighted_x_l2": (False, 1, (0, False)),
+            "weighted_lambda_x_h1": (False, 1, (1, True)),
+            "weighted_x2_lambda_h1": (True, 2, (1, False))}
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +144,6 @@ NORM_KINDS = {
 }
 # component -> index into the state; profile_w is the wave profile
 COMPONENTS = {"u": 0, "v": 1, "w": 2, "profile_w": None}
-_WEIGHTED = {"weighted_x_l2", "weighted_lambda_x_h1", "weighted_x2_lambda_h1"}
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.component not in COMPONENTS:
             raise ValueError(f"unknown component {self.component!r}")
-        if self.kind in _WEIGHTED and self.component != "profile_w":
+        if self.kind in _MOMENTS and self.component != "profile_w":
             raise ValueError(f"{self.kind} applies only to profile_w")
 
     @staticmethod
@@ -162,20 +172,37 @@ class NormSpec:
         return f"{self.component}_{self.kind}"
 
 
+def evaluate_norms(specs, state, profile_w=None):
+    """The value of each spec on the state: the profile's weighted norms by
+    one _moments call per multiplier and power, the others by evaluate_norm."""
+    grid, groups, values = state.grid, {}, {}
+    for spec in specs:      # (multiplier, power) -> {kind: (order, lam)}
+        if spec.kind in _MOMENTS and profile_w is not None:
+            first, power, weight = _MOMENTS[spec.kind]
+            groups.setdefault((first, power), {})[spec.kind] = weight
+    for (first, power), weights in groups.items():
+        values.update(zip(weights, _moments(
+            grid, profile_w, grid.xi_norm if first else 1.0, power,
+            list(weights.values()))))
+    return [values[spec.kind] if spec.kind in values
+            else evaluate_norm(spec, state, profile_w) for spec in specs]
+
+
 def evaluate_norm(spec, state, profile_w=None):
-    if spec.component == "profile_w":
-        if profile_w is None:
-            raise ValueError("profile_w norms need the wave profile")
-        fhat = profile_w
-    else:
-        fhat = state.data[COMPONENTS[spec.component]]
-    return NORM_KINDS[spec.kind](state.grid, fhat)
+    """The value of one spec on the state: evaluate_norms([spec], ...)[0]."""
+    i = COMPONENTS[spec.component]
+    if i is None and profile_w is None:
+        raise ValueError("profile_w norms need the wave profile")
+    return NORM_KINDS[spec.kind](state.grid,
+                                 profile_w if i is None else state.data[i])
 
 
 def energy_terms(grid, fhat):
-    """The L^1, x H^2, Lam x^2 H^1 and H^N terms of E_N of one band field."""
-    return (lp_norm(grid, fhat, 1), _moment_norm(grid, fhat, 1, 2),
-            _moment_norm(grid, fhat, 2, 1, lam=True),
+    """The L^1, x H^2, Lam x^2 H^1 and H^N terms of E_N of one band field;
+    its moments share no line inverse, which would hold two line fields."""
+    return (lp_norm(grid, fhat, 1),
+            *_moments(grid, fhat, 1.0, 1, [(2, False)]),
+            *_moments(grid, fhat, 1.0, 2, [(1, True)]),
             sobolev_norm(grid, fhat, SOBOLEV_N))
 
 

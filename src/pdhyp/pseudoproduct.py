@@ -13,8 +13,9 @@ alone selects how apply() evaluates it:
     with p, q and r products over the factor basis {|v|, v_j/|v|}, carries
     the factorization m = sum_k alpha_k(xi) beta_k(xi - eta) gamma_k(eta)
     as separable_terms and takes the separable FFT path.  The plan
-    evaluates every factor once on its grid and interns the arrays by
-    value, constants and signs folded into the coefficients (FactorTable);
+    evaluates each distinct factor of the term list once, from the grid's
+    sparse axes and cached |xi|, and interns the arrays by value,
+    constants and signs folded into the coefficients (FactorTable);
     terms sharing alpha form one group, summed in physical space slab by
     slab (grid.product_sums) into an n^d total, so an apply costs one band
     inverse of the stacked distinct beta f and gamma g and one forward
@@ -35,12 +36,13 @@ runs over the cube alone.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import CostCapExceeded, ExponentMismatch, GridMismatch
 from .grid import dealias_limit
-from . import propagators
+from . import propagators, symbols
 
 TERM_CAP = int(2e9)
 
@@ -94,15 +96,15 @@ def _grouped(coefs):
     return tuple((a, tuple(pairs)) for a, pairs in groups.items())
 
 
-def _build_factor_table(axes, terms):
-    """Evaluate each (alpha, beta, gamma) callable once on the wavevectors
-    of the sparse axes."""
-    xi = np.stack(np.broadcast_arrays(*axes), axis=-1)
-    factors = [None]
-    general, diagonal = {}, {}
-    for alpha, beta, gamma in terms:
-        (a, ca), (b, cb), (g, cg) = (_intern(factors, np.asarray(f(xi)))
-                                     for f in (alpha, beta, gamma))
+def _build_factor_table(grid, terms):
+    """Evaluate each distinct (atoms, c) factor of the term list once, from
+    the grid's sparse axes and its |xi|, and intern it."""
+    factors, general, diagonal = [None], {}, {}
+    intern = cache(lambda atoms, c: _intern(factors, symbols.factor(
+        atoms, c, grid.xi_axes, grid.xi_norm)))
+    for c, p, q, r in terms:
+        (a, ca), (b, cb), (g, cg) = (intern(p, c), intern(q, 1.0),
+                                     intern(r, 1.0))
         c = ca * cb * cg
         general[a, b, g] = general.get((a, b, g), 0.0) + c
         key = (a, min(b, g), max(b, g))
@@ -116,9 +118,8 @@ class PseudoproductPlan:
     symbol: object
 
     def __post_init__(self):    # the table is set-up, not the first apply's
-        terms = self.symbol.separable_terms
-        self._table = (_build_factor_table(self.grid.xi_axes, terms)
-                       if terms else None)
+        self._table = (_build_factor_table(self.grid, self.symbol.terms)
+                       if self.symbol.separable_terms else None)
 
     def factor_table(self):
         """The symbol's FactorTable on the plan grid, or None."""

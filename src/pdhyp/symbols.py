@@ -5,7 +5,8 @@ BilinearSymbol), all evaluated by evaluate_terms; only the complex
 dissipative phase is a closed form.
 
 All evaluators are vectorized numpy functions of wavevector arrays whose
-last axis is the space dimension.  Symbols are smooth only off the rays
+last axis is the space dimension (factor takes their components and
+norms instead).  Symbols are smooth only off the rays
 {xi = 0} u {xi - eta = 0} u {eta = 0}; on a grid, exactly singular lattice
 points evaluate to 0 (the zero-mode convention).
 """
@@ -49,18 +50,18 @@ def term_degree(term):
 
 
 def _monomial(atoms, v, norm, c=1.0):
-    """c times the product of `atoms` at v, where norm = |v|, with the
-    zero-mode convention v_j/|v| = 0 at v = 0."""
+    """c times the product of `atoms` at the components v[j] of v, where
+    norm = |v|, with the zero-mode convention v_j/|v| = 0 at v = 0."""
     for atom in atoms:
         c = c * (norm if atom == NORM else np.where(
-            norm > 0.0, v[..., atom] / np.where(norm > 0.0, norm, 1.0), 0.0))
+            norm > 0.0, v[atom] / np.where(norm > 0.0, norm, 1.0), 0.0))
     return c
 
 
 def evaluate_terms(terms, xi, eta):
     """sum over the term list of c p(xi) q(xi - eta) r(eta) (see
     BilinearSymbol), at wavevector arrays xi and eta."""
-    args = [(v, _norm(v)) for v in (xi, xi - eta, eta)]
+    args = [(np.moveaxis(v, -1, 0), _norm(v)) for v in (xi, xi - eta, eta)]
     total = np.zeros(np.broadcast_shapes(xi.shape[:-1], eta.shape[:-1]))
     for value, *slots in terms:
         for atoms, (v, norm) in zip(slots, args):
@@ -69,11 +70,17 @@ def evaluate_terms(terms, xi, eta):
     return total
 
 
+def factor(atoms, c, axes, norm):
+    """c * (product of `atoms`), shaped like norm, on the wavevectors of
+    components `axes` and norm `norm`, such as a grid's xi_axes, xi_norm."""
+    return _monomial(atoms, axes, norm, np.full(np.shape(norm), c))
+
+
 def _factor(atoms, c, v):
-    """The single-variable factor c * (product of `atoms`) on the grid v."""
+    """factor at the points v, whose last axis is the dimension."""
     v = np.asarray(v, dtype=float)
-    c = np.full(v.shape[:-1], c)
-    return _monomial(atoms, v, _norm(v), c) if atoms else c
+    return (factor(atoms, c, np.moveaxis(v, -1, 0), _norm(v)) if atoms
+            else np.full(v.shape[:-1], c))
 
 
 @dataclass
@@ -86,8 +93,9 @@ class BilinearSymbol:
     integer j) and the empty tuple is 1.  From that list alone come the
     evaluator, the degree (the highest exact term degree) and
     separable_terms, the list of (alpha, beta, gamma) single-variable
-    factors with m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta) that
-    the FFT path of the pseudoproduct runs on.  A symbol outside the
+    factors with m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta) at
+    points, which select the FFT path of the pseudoproduct (its plan
+    evaluates the terms' factors on its grid).  A symbol outside the
     basis, such as mu0, gives its evaluator and degree directly, has no
     separable_terms and takes the direct sum.  All evaluators return
     finite values (0) at exactly singular arguments.

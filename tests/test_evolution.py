@@ -274,17 +274,17 @@ def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
 
 
 def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
-    # the Stepper evaluates mixed's 15 factors; its steps evaluate none
+    # the Stepper evaluates mixed's 6 distinct factors; its steps evaluate
+    # none
     m = sy.symbol_preset("mixed")
-    calls = []
-    m.separable_terms = [
-        tuple((lambda v, _f=f: calls.append(1) or _f(v)) for f in term)
-        for term in m.separable_terms]
+    calls, factor = [], sy.factor
+    monkeypatch.setattr(sy, "factor", lambda *args:
+                        calls.append(1) or factor(*args))
     stepper = ev.Stepper(ev.ModelSpec("pk_system", w_symbol=m), grid, dt=1.0)
-    assert len(calls) == 15
+    assert len(calls) == 6
     stepper.step(bump_state(grid, 3, 0.1))
-    assert len(calls) == 15
-    # a constant factor takes no |v|
+    assert len(calls) == 6
+    # a constant factor at points takes no |v|
     monkeypatch.setattr(sy, "_norm", None)
     xi = np.stack(np.broadcast_arrays(*grid.xi_axes), axis=-1)
     assert np.array_equal(sy._factor((), 2.5, xi),

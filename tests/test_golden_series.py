@@ -2,8 +2,9 @@
 exponent and M0 report must match the goldens in tests/data: the run's
 `<name>_series.csv`, and its `e_n`, `fitted_exponents` and `m0` in
 `golden_reports.json`.  Numbers match at rtol 1e-12; strings (fit and M0
-error messages), booleans and None match exactly.  The run's FFT counts
-by phase, `report["transforms"]`, must equal TRANSFORMS exactly.
+error messages), booleans and None match exactly.  The run's transform
+counts by phase and kind, `report["transforms"]`, must equal TRANSFORMS
+exactly.
 
 The runs cover the three step kinds on n = 16: a source-free flow
 (wave-invariants), the separable pseudoproduct with a nonzero diagonal
@@ -30,15 +31,23 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 REPORTS = os.path.join(DATA, "golden_reports.json")
 REPORT_KEYS = ("e_n", "fitted_exponents", "m0")
 RTOL = 1e-12
-# name -> the run's FFTs by phase, report["transforms"]: set-up (initial
-# data, and E_N's 13 per distinct component: one band inverse and 6 line
-# inverses and forwards), steps (18 per pk step, 12 per IFRK4 k step, none
-# in the exact flow) and samples (24, 2 and 4 per sample, t = 1 included;
-# 18 of pk's 24 are the line transforms of the three weighted norms)
+# name -> the run's fields transformed by phase and kind (band transforms,
+# line transforms), report["transforms"]: set-up (initial data, and E_N's
+# one band inverse and 12 line transforms per distinct component), steps
+# (18 band transforms per pk step, 12 per IFRK4 k step, none in the exact
+# flow) and samples (t = 1 included: 2 band per wave sample, 4 per k
+# sample, and 6 band and 12 line per pk sample, whose three weighted norms
+# take 6 line inverses and 6 line forwards together)
 TRANSFORMS = {
-    "wave_source_free": {"setup": 14, "steps": 0, "samples": 44},
-    "pk_mixed": {"setup": 28, "steps": 270, "samples": 384},
-    "k_ifrk4_random": {"setup": 28, "steps": 180, "samples": 32},
+    "wave_source_free": {"setup": {"band": 2, "line": 12},
+                         "steps": {"band": 0, "line": 0},
+                         "samples": {"band": 44, "line": 0}},
+    "pk_mixed": {"setup": {"band": 4, "line": 24},
+                 "steps": {"band": 270, "line": 0},
+                 "samples": {"band": 96, "line": 192}},
+    "k_ifrk4_random": {"setup": {"band": 4, "line": 24},
+                       "steps": {"band": 180, "line": 0},
+                       "samples": {"band": 32, "line": 0}},
 }
 
 # name -> (preset, overrides)

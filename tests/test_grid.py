@@ -69,7 +69,8 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
             assert np.array_equal(spec, expect)
     for x, before in zip(inputs + (wide,), saved):
         assert x.tobytes() == before.tobytes()
-    assert g.transforms == 3 * ndim * (1 + 3 + 1)
+    # the line transforms count apart from the band ones
+    assert g.line_transforms == 3 * ndim * (1 + 3 + 1) and g.transforms == 0
     c = stacked[0]
     part = np.zeros(g.shape, dtype=complex)
     part[np.ix_(*[g.band_k % n] * (ndim - 1), np.arange(n))] = \
@@ -232,7 +233,7 @@ def test_band_transforms_refuse_the_other_layout(ndim):
     for bad in (cube, cube[0], cube[..., :-1]):
         with pytest.raises(ValueError, match="line_spectral"):
             g.line_spectral(bad)
-    assert g.transforms == 0 and g._totals == []
+    assert g.transforms == g.line_transforms == 0 and g._totals == []
     big = SpectralGrid(32, 5.0)     # an output 100 times the overhead
     bad = np.ones(big.shape, dtype=complex)
     tracemalloc.start()

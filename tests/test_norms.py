@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import (band, embed, full_physical, full_xi_axes, full_xi_norm,
                       lp_physical, r2_centered, record_transforms,
@@ -135,11 +137,16 @@ def test_initial_energy_transforms_each_component_once(monkeypatch):
     g = SpectralGrid(16, 32.0)
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
     calls = record_transforms(monkeypatch, slabs=True)
+    before = g.transforms, g.line_transforms
     norms.initial_energy(st)
     # per component one band inverse (L^1), and per axis the line inverse
-    # and line forward transform of its x_j and of its x_j^2 weight
+    # and line forward transform of its x_j and of its x_j^2 weight: the
+    # two moments do not share a line inverse, which would hold two
+    # line-grid fields at once
     assert sorted(calls) == (["line_physical"] * 18 + ["line_spectral"] * 18
                              + ["physical_slabs"] * 3)
+    assert (g.transforms - before[0], g.line_transforms - before[1]) \
+        == (3, 36)
 
 
 @pytest.mark.parametrize("width, radial_power, distinct", [
@@ -153,10 +160,13 @@ def test_initial_energy_transforms_each_distinct_component_once(
                            radial_power=radial_power)
     expected = reference_initial_energy(st)
     calls = record_transforms(monkeypatch, slabs=True)
+    before = g.transforms, g.line_transforms
     assert norms.initial_energy(st) == expected
     assert sorted(calls) == (["line_physical"] * (6 * distinct)
                              + ["line_spectral"] * (6 * distinct)
                              + ["physical_slabs"] * distinct)
+    assert (g.transforms - before[0], g.line_transforms - before[1]) \
+        == (distinct, 12 * distinct)
 
 
 def test_sampled_norms_read_the_band(grid, monkeypatch):
@@ -165,17 +175,22 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
     # reduce its slabs without asking to_physical for the field), or the
     # line inverse of the weighted norms, whose forward transforms are the
     # line ones; no band forward transform runs, and each call counts its
-    # one field
+    # one field, band and line transforms apart
     st = make_initial_data("gaussian_bump", grid, 0.3, 0, width=2.0)
     calls = record_transforms(monkeypatch, slabs=True)
     seen = {}
+    weighted = [norms.NormSpec(kind, "profile_w") for kind in norms._MOMENTS]
     runs = [(kind, norms.NORM_KINDS[kind], (grid, st.data[2]))
             for kind in norms.NORM_KINDS]
-    for name, fn, args in runs + [("e_n", norms.initial_energy, (st,))]:
+    for name, fn, args in runs + [
+            ("e_n", norms.initial_energy, (st,)),
+            ("joint", norms.evaluate_norms, (weighted, st, st.data[2]))]:
         calls.clear()
-        before = grid.transforms
+        before = grid.transforms, grid.line_transforms
         fn(*args)
-        assert grid.transforms - before == len(calls)
+        line = sum(call.startswith("line_") for call in calls)
+        assert (grid.transforms - before[0], grid.line_transforms
+                - before[1]) == (len(calls) - line, line)
         assert "to_physical" not in calls
         seen[name] = list(calls)
     assert seen["linf"] == ["physical_slabs"]
@@ -185,11 +200,42 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
     assert seen["weighted_lambda_x_h1"] == line
     assert seen["weighted_x2_lambda_h1"] == line
     assert seen["e_n"] == ["physical_slabs"] + line * 2
+    # the three weighted norms of one sample: x_l2 and lambda_x_h1 share
+    # each line inverse and forward transform, 6 and 6 in all (not 9, 9)
+    assert seen["joint"] == line * 2
     assert "to_spectral" not in sum(seen.values(), [])
     # so does the L^p norm of the estimate harnesses, slab by slab
     calls.clear()
     lp_norm(grid, st.data[2], np.inf)
     assert calls == ["physical_slabs"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=hst.sampled_from([16, 24]), ndim=hst.sampled_from([2, 3]),
+       seed=hst.integers(0, 2 ** 16))
+def test_joint_moments_equal_each_norm_alone(n, ndim, seed):
+    # on random cubes, evaluating the weighted norms together (one line
+    # inverse per axis and multiplier) returns exactly what each returns
+    # alone, in any order and with the other kinds mixed in; so do the
+    # moments of E_N when one _moments call shares their line inverses
+    # with other weights of the same power
+    g = SpectralGrid(n, 5.0 + n / 3.0, ndim)
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
+        size=(3,) + g.band_shape)
+    state = ev.StateField(g, data, 1.0)
+    kinds = list(norms._MOMENTS) + ["linf", "sobolev"]
+    rng.shuffle(kinds)
+    specs = [norms.NormSpec(kind, "profile_w") for kind in kinds]
+    assert norms.evaluate_norms(specs, state, data[1]) \
+        == [norms.NORM_KINDS[kind](g, data[1]) for kind in kinds]
+    x_h2, lam_x2 = norms.energy_terms(g, data[0])[1:3]
+    assert norms._moments(g, data[0], 1.0, 1, [(0, False), (2, False),
+                                              (1, True)]) \
+        == [norms.weighted_x_l2(g, data[0]), x_h2,
+            norms.weighted_lambda_x_h1(g, data[0])]
+    assert norms._moments(g, data[0], 1.0, 2, [(1, True), (0, False)]) \
+        == [lam_x2, norms._moments(g, data[0], 1.0, 2, [(0, False)])[0]]
 
 
 def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
@@ -251,7 +297,7 @@ def test_weighted_norms_hold_no_n3_field():
     g = SpectralGrid(64, 32.0)
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
     profile = ev.wave_profile(ev.StateField(g, st.data, 3.0))
-    kinds = sorted(norms._WEIGHTED)
+    specs = [norms.NormSpec(kind, "profile_w") for kind in norms._MOMENTS]
 
     def peak(fn):
         tracemalloc.start()
@@ -262,11 +308,14 @@ def test_weighted_norms_hold_no_n3_field():
             tracemalloc.stop()
 
     def sample():
-        return [norms.NORM_KINDS[kind](g, profile) for kind in kinds]
+        return norms.evaluate_norms(specs, st, profile)
 
     expect = norms.initial_energy(st), sample()
     assert peak(lambda: norms.initial_energy(st)) < 0.5 * 18.1 * 2 ** 20
-    assert peak(sample) < 16 * g.size
+    # evaluated together, they peak no higher than the costliest alone
+    alone = max(peak(lambda: norms.evaluate_norm(spec, st, profile))
+                for spec in specs)
+    assert peak(sample) < min(16 * g.size, alone + 2 ** 16)
     assert (norms.initial_energy(st), sample()) == expect
 
 

@@ -113,17 +113,29 @@ def test_random_term_lists_agree_with_direct_sum(terms, seed):
         <= 1e-10 * max(scale, np.max(np.abs(a)))
 
 
+def count_factors(monkeypatch):
+    """A list that collects the (atoms, c) of each symbols.factor
+    evaluation from now on."""
+    calls, factor = [], sy.factor
+    monkeypatch.setattr(sy, "factor", lambda atoms, c, *args:
+                        calls.append((atoms, c)) or factor(atoms, c, *args))
+    return calls
+
+
 def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
-    # mixed: 5 terms over the factors 1, |v|^2, |v|, v_0/|v| and their
-    # negatives; T(f, f) keeps w^2 and w Lam w, the b-terms cancel
+    # mixed: 5 terms, 15 (atoms, c) slots over the factors 1, |v|^2, |v|,
+    # v_0/|v| and their negatives; the plan evaluates each of the 6
+    # distinct (atoms, c) once; T(f, f) keeps w^2 and w Lam w, the b-terms
+    # cancel
     m = sy.symbol_preset("mixed")
-    calls = []
-    m.separable_terms = [
-        tuple((lambda v, _f=f: calls.append(1) or _f(v)) for f in term)
-        for term in m.separable_terms]
+    calls = count_factors(monkeypatch)
     plan = pp.PseudoproductPlan(grid16, m)
     table = plan.factor_table()
-    assert plan.factor_table() is table and len(calls) == 15
+    assert plan.factor_table() is table and len(m.terms) == 5
+    assert sorted(calls, key=repr) == sorted(
+        {(atoms, c) for coef, *slots in m.terms
+         for atoms, c in zip(slots, (coef, 1.0, 1.0))}, key=repr)
+    assert len(calls) == 6
     assert table.factors[0] is None and len(table.factors) == 4
     assert all(f.dtype == float for f in table.factors[1:])
     assert [len(pairs) for _, pairs in table.groups] == [1, 2, 2]
@@ -134,7 +146,8 @@ def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
         .vanishes_on_diagonal()
 
     # one band inverse of the stacked factor fields, one forward transform
-    # per group; grid.transforms counts each field
+    # per group, and no factor evaluated; grid.transforms counts each field
+    calls.clear()
     transforms = record_transforms(monkeypatch, slabs=True)
     f = band_field(grid16, 3, np.random.default_rng(8))
     before = grid16.transforms
@@ -145,7 +158,39 @@ def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
     before = grid16.transforms
     pp.apply(plan, f, f.copy())    # 3 distinct factors per side, 3 groups
     assert transforms == ["physical_slabs"] + ["to_spectral"] * 3
-    assert grid16.transforms - before == 9 and len(calls) == 15
+    assert grid16.transforms - before == 9 and calls == []
+
+
+@pytest.mark.parametrize("n", [16, 24, 64])
+def test_factor_tables_equal_the_dense_stack_evaluation(n):
+    # the plan evaluates its factors on the grid's sparse axes and cached
+    # |xi|: bit for bit the evaluation on the dense (2K+1)^3 x 3 stack of
+    # wavevectors and its np.linalg.norm, interned and grouped alike
+    g = SpectralGrid(n, 3.0 * n)
+    xi = np.stack(np.broadcast_arrays(*g.xi_axes), axis=-1)
+    norm = np.linalg.norm(xi, axis=-1)
+    assert np.array_equal(g.xi_norm, norm)
+
+    def dense(atoms, c):
+        value = np.full(norm.shape, c)
+        for atom in atoms:
+            value = value * (norm if atom == sy.NORM else np.where(
+                norm > 0, xi[..., atom] / np.where(norm > 0, norm, 1.0), 0.0))
+        return value
+
+    for name in ("one",) + sy.NONRESONANT_PRESET_NAMES:
+        m = sy.symbol_preset(name)
+        table = pp.PseudoproductPlan(g, m).factor_table()
+        factors, general = [None], {}
+        for coef, *slots in m.terms:
+            (a, ca), (b, cb), (c, cc) = (pp._intern(factors, dense(*key))
+                                         for key in zip(slots,
+                                                        (coef, 1.0, 1.0)))
+            general[a, b, c] = general.get((a, b, c), 0.0) + ca * cb * cc
+        assert table.groups == pp._grouped(general), name
+        assert len(table.factors) == len(factors), name
+        assert all(x.dtype == y.dtype and np.array_equal(x, y)
+                   for x, y in zip(table.factors[1:], factors[1:])), name
 
 
 def test_separable_path_takes_the_band_of_a_dealiasing_plan(
