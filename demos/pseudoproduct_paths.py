@@ -7,7 +7,9 @@ of the 2/3 band's cube, (2K+1)^6 for K = (n-1)//3.  A symbol written as a
 term list over the factor basis {|v|, v_j/|v|} carries a separable
 factorization m = sum_k alpha_k(xi) beta_k(xi-eta) gamma_k(eta), which
 needs one inverse transform per distinct factor times a field and one
-forward transform per distinct alpha.  pp.apply takes the separable path
+forward transform per distinct alpha; the plan compiles T(f, g) and the
+diagonal T(f, f), which sees only the symmetric part of m, once each, and
+the demo prints both.  pp.apply takes the separable path
 whenever the symbol has a factorization; pp.apply_direct always sums
 directly.  A plan takes fields on the 2/3 band's cube, and both paths
 agree on it to rounding.
@@ -51,6 +53,11 @@ for m in [sy.symbol_preset(name) for name in ("null_b", "aphi", "mixed")] \
     print(f"{m.name:8s} {len(m.terms)} terms  rel gap {rel:.2e}   "
           f"direct {t_direct * 1e3:7.1f} ms   separable {t_fast * 1e3:6.1f} ms"
           f"   speedup {t_direct / t_fast:6.1f}x")
+    for label, (fields, groups) in (("T(f, f)", plan.diagonal),
+                                    ("T(f, g)", plan.general)):
+        inputs = "".join("fg"[side] for side, _ in fields) or "none"
+        print(f"{'':9s}{label}: {len(fields)} stacked fields ({inputs}), "
+              f"{len(groups)} forward transforms")
 
 print("\nsymbols outside the basis (mu0) only get the direct path, with a")
 print(f"hard cap of {pp.TERM_CAP:.0e} symbol evaluations: "

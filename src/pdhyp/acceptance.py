@@ -214,7 +214,7 @@ def criterion_7(result, workdir):
         result.expect(bool(m.separable_terms) and ok, f"{name}: separable "
                       f"path vs {'band product' if exact else 'direct sum'} "
                       f"rel err {rel:.3e}")
-        # T(f, f) on the symmetrized table, at the scale of T(f, h): the
+        # T(f, f) on the diagonal form, at the scale of T(f, h): the
         # symmetric parts of null_b and b_xi_unit vanish
         a = (g.to_spectral(phys * phys) if exact
              else pseudoproduct.apply_direct(plan, f, f))
@@ -375,9 +375,8 @@ def band_field(grid, band, rng):
     |mode| <= band <= K; the same rng draws produce the same continuum
     field on any grid."""
     fh = np.zeros(grid.band_shape, dtype=complex)
-    size = fh.shape[0]
     for k in itertools.product(range(-band, band + 1), repeat=grid.ndim):
-        fh[tuple(ki % size for ki in k)] = rng.normal() + 1j * rng.normal()
+        fh[k] = rng.normal() + 1j * rng.normal()    # the cube's index is k
     return grid.conjugate_symmetrize(fh)
 
 

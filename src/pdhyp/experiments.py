@@ -390,12 +390,11 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
         if np.any(np.abs(k) > grid.dealias_limit):
             raise ConfigError([f"initial.mode: {k.tolist()} outside the "
                                f"dealiased band |k| <= {grid.dealias_limit}"])
-        idx = tuple(int(ki) % grid.band_k.size for ki in k)
-        idx_neg = tuple(int(-ki) % grid.band_k.size for ki in k)
-        # amplitude/(2 d_eta) per conjugate mode gives amplitude*cos(k.x)
+        # amplitude/(2 d_eta) per conjugate mode gives amplitude*cos(k.x);
+        # the cube's index of a mode is the mode itself
         for i in range(dim_state):
-            data[i][idx] += amplitude / (2.0 * grid.d_eta)
-            data[i][idx_neg] += amplitude / (2.0 * grid.d_eta)
+            data[i][tuple(k)] += amplitude / (2.0 * grid.d_eta)
+            data[i][tuple(-k)] += amplitude / (2.0 * grid.d_eta)
 
     return ev.StateField(grid, data, ev.T_INITIAL)
 

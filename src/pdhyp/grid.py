@@ -114,7 +114,6 @@ class SpectralGrid:
         # the band's two runs of modes on an n-point axis and on a cube axis
         self._band = (slice(k + 1), slice(self.n - k, None))
         self._packed = (slice(k + 1), slice(k + 1, None))
-        self._band_index = self.band_k % self.n
         self._workers = -1 if self.n >= 128 else 1
 
         self.center = self.length / 2.0
@@ -158,13 +157,12 @@ class SpectralGrid:
             f = np.array(f, dtype=complex)
             out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
         k = self.dealias_limit
-        for axis in range(-self.ndim, -1):  # the lines that reach the band
+        for axis in range(-self.ndim, 0):   # the lines that reach the band
             f = scipy.fft.fft(f, axis=axis, overwrite_x=True,
                               workers=self._workers).swapaxes(axis, 0)
             f[k + 1:2 * k + 1] = f[self.n - k:]     # disjoint, as 3K < n
             f = f[:2 * k + 1].swapaxes(0, axis)
-        np.take(scipy.fft.fft(f, overwrite_x=True, workers=self._workers),
-                self._band_index, axis=-1, out=out, mode="clip")
+        out[...] = f
         _scale(out, self._fwd)
         return out
 

@@ -105,26 +105,20 @@ def _moments(grid, fhat, multiplier, power, weights):
     return [float(np.sqrt(total)) for total in totals]
 
 
-def weighted_x_l2(grid, fhat):
-    """||x f||_{L^2} = (integral |x - c|^2 |f|^2 dx)^(1/2)."""
-    return _moments(grid, fhat, 1.0, 1, [(0, False)])[0]
-
-
-def weighted_lambda_x_h1(grid, fhat):
-    """||Lam x f||_{H^1} with the weight applied first."""
-    return _moments(grid, fhat, 1.0, 1, [(1, True)])[0]
-
-
-def weighted_x2_lambda_h1(grid, fhat):
-    """|| |x|^2 Lam f ||_{H^1}: Lam applied spectrally, then the |x - c|^2
-    weight, then the H^1 norm."""
-    return _moments(grid, fhat, grid.xi_norm, 2, [(1, False)])[0]
-
-
-# weighted kind -> (multiplier |xi|, else 1; power; (order, lam)) as above
+# weighted kind -> (multiplier |xi|, else 1; power; (order, lam)) as above:
+#   weighted_x_l2           ||x f||_{L^2} = (integral |x - c|^2 |f|^2 dx)^(1/2)
+#   weighted_lambda_x_h1    ||Lam x f||_{H^1} with the weight applied first
+#   weighted_x2_lambda_h1   || |x|^2 Lam f ||_{H^1}: Lam applied spectrally,
+#                           then the |x - c|^2 weight, then the H^1 norm
 _MOMENTS = {"weighted_x_l2": (False, 1, (0, False)),
             "weighted_lambda_x_h1": (False, 1, (1, True)),
             "weighted_x2_lambda_h1": (True, 2, (1, False))}
+
+
+def _weighted(first, power, weight):
+    """The norm of one weighted kind, from its _MOMENTS entry."""
+    return lambda grid, fhat: _moments(
+        grid, fhat, grid.xi_norm if first else 1.0, power, [weight])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +132,7 @@ NORM_KINDS = {
     "linf": band_linf,
     "linf_riesz": riesz_linf_norm,
     "l1": lambda grid, fhat: lp_norm(grid, fhat, 1),
-    "weighted_x_l2": weighted_x_l2,
-    "weighted_lambda_x_h1": weighted_lambda_x_h1,
-    "weighted_x2_lambda_h1": weighted_x2_lambda_h1,
+    **{kind: _weighted(*facts) for kind, facts in _MOMENTS.items()},
 }
 # component -> index into the state; profile_w is the wave profile
 COMPONENTS = {"u": 0, "v": 1, "w": 2, "profile_w": None}

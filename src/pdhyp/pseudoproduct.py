@@ -12,18 +12,19 @@ alone selects how apply() evaluates it:
   * a symbol built from a term list, each term c p(xi) q(xi - eta) r(eta)
     with p, q and r products over the factor basis {|v|, v_j/|v|}, carries
     the factorization m = sum_k alpha_k(xi) beta_k(xi - eta) gamma_k(eta)
-    as separable_terms and takes the separable FFT path.  The plan
-    evaluates each distinct factor of the term list once, from the grid's
-    sparse axes and cached |xi|, and interns the arrays by value,
-    constants and signs folded into the coefficients (FactorTable);
-    terms sharing alpha form one group, summed in physical space slab by
-    slab (grid.product_sums) into an n^d total, so an apply costs one band
-    inverse of the stacked distinct beta f and gamma g and one forward
-    transform per group, and builds no physical field of a factor.  A
-    diagonal call T(f, f) (the same array passed twice) sees only the
-    symmetric part of m: each (beta, gamma) pair merges with its swap and
-    pairs whose coefficients cancel drop out, so a symbol with a vanishing
-    symmetric part, such as the null form null_b, costs no transform.
+    as separable_terms and takes the separable FFT path.  A product of
+    atoms names its factor: the plan evaluates each distinct product once,
+    from the grid's sparse axes and cached |xi|, and compiles the term
+    list at set-up into two forms, one for T(f, g) and one for T(f, f).
+    A form stacks each (input, beta or gamma) field it needs once, and
+    the terms sharing alpha form one group, their coefficients on the
+    product rows summed in physical space slab by slab (grid.product_sums)
+    into an n^d total; so an apply costs one band inverse of the stack and
+    one forward transform per group, and builds no physical field of a
+    factor.  The diagonal form T(f, f) sees only the symmetric part of m:
+    each (beta, gamma) pair merges with its swap and pairs whose
+    coefficients cancel drop out, so a symbol with a vanishing symmetric
+    part, such as the null form null_b, costs no transform.
   * a symbol outside the basis, such as mu0, takes the direct sum over
     every pair of modes, which refuses jobs above TERM_CAP symbol
     evaluations.
@@ -36,7 +37,6 @@ runs over the cube alone.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -53,83 +53,58 @@ def direct_sum_terms(n, ndim=3):
     return (2 * dealias_limit(n) + 1) ** (2 * ndim)
 
 
-@dataclass(frozen=True, eq=False)
-class FactorTable:
-    """The separable factorization of a symbol, evaluated on a grid.
-
-    factors[0] is None, the constant 1; the others are the distinct factor
-    arrays up to sign, real where the factor is.  A group is
-    (alpha index, ((coefficient, beta index, gamma index), ...)); `groups`
-    serves T(f, g) and `diagonal` serves T(f, f), with each unordered
-    (beta, gamma) pair once and the zero coefficients dropped.
-    """
-    factors: tuple
-    groups: tuple
-    diagonal: tuple
-
-
-def _intern(factors, values):
-    """(index, coefficient) of a factor array in `factors`, appending it
-    when no entry equals it up to sign; a constant becomes (0, value)."""
-    flat = values.reshape(-1)
-    if np.all(flat == flat[0]):
-        value = complex(flat[0])
-        return 0, value if value.imag else value.real
-    if not np.any(values.imag):
-        values = values.real.copy()
-    for i, known in enumerate(factors[1:], 1):
-        if np.array_equal(known, values):
-            return i, 1.0
-        if np.array_equal(known, -values):
-            return i, -1.0
-    factors.append(values)
-    return len(factors) - 1, 1.0
-
-
-def _grouped(coefs):
-    """{(alpha, beta, gamma): coefficient} -> groups by alpha, in order of
-    first appearance, without zero coefficients."""
-    groups = {}
-    for (a, b, g), c in coefs.items():
-        if c != 0.0:
-            groups.setdefault(a, []).append((c, b, g))
-    return tuple((a, tuple(pairs)) for a, pairs in groups.items())
-
-
-def _build_factor_table(grid, terms):
-    """Evaluate each distinct (atoms, c) factor of the term list once, from
-    the grid's sparse axes and its |xi|, and intern it."""
-    factors, general, diagonal = [None], {}, {}
-    intern = cache(lambda atoms, c: _intern(factors, symbols.factor(
-        atoms, c, grid.xi_axes, grid.xi_norm)))
-    for c, p, q, r in terms:
-        (a, ca), (b, cb), (g, cg) = (intern(p, c), intern(q, 1.0),
-                                     intern(r, 1.0))
-        c = ca * cb * cg
-        general[a, b, g] = general.get((a, b, g), 0.0) + c
-        key = (a, min(b, g), max(b, g))
-        diagonal[key] = diagonal.get(key, 0.0) + c
-    return FactorTable(tuple(factors), _grouped(general), _grouped(diagonal))
-
-
 @dataclass
 class PseudoproductPlan:
+    """A symbol's pseudoproduct on a grid.  For a separable symbol,
+    `factors` maps each product of atoms of its term list to its real
+    array on the grid, in order of first appearance (None for the empty
+    product, the constant 1), and `general` and `diagonal` are the forms
+    of T(f, g) and T(f, f) (see _form); all three are None otherwise."""
     grid: object
     symbol: object
 
-    def __post_init__(self):    # the table is set-up, not the first apply's
-        self._table = (_build_factor_table(self.grid, self.symbol.terms)
-                       if self.symbol.separable_terms else None)
+    def __post_init__(self):    # compiled at set-up, not by the first apply
+        self.factors = self.general = self.diagonal = None
+        if not self.symbol.separable_terms:
+            return
+        self.factors = {(): None}
+        for _, *slots in self.symbol.terms:
+            for atoms in slots:
+                if atoms not in self.factors:
+                    self.factors[atoms] = symbols.factor(
+                        atoms, 1.0, self.grid.xi_axes, self.grid.xi_norm)
+        self.general, self.diagonal = self._form(False), self._form(True)
 
-    def factor_table(self):
-        """The symbol's FactorTable on the plan grid, or None."""
-        return self._table
+    def _form(self, diagonal):
+        """(fields, groups) of T(f, g), or of T(f, f) when `diagonal`.  A
+        field is an (input, factor) pair, input 0 for f and 1 for g; a
+        group is (alpha factor, its grid.product_sums rows (coefficient or
+        None for 1, field, field)).  Each term's coefficient sums into the
+        row of its (alpha, beta, gamma), which T(f, f) takes unordered;
+        zero sums drop out, and the rest keep their order of first
+        appearance."""
+        order = {atoms: i for i, atoms in enumerate(self.factors)}
+        coefs = {}
+        for c, p, q, r in self.symbol.terms:
+            if diagonal:
+                q, r = sorted((q, r), key=order.get)
+            coefs[p, q, r] = coefs.get((p, q, r), 0.0) + c
+        groups = {}
+        for (p, q, r), c in coefs.items():
+            if c != 0.0:
+                groups.setdefault(p, []).append((c, q, r))
+        fields = {}     # (input, atoms) -> position in the stack
+        rows = [[(None if c == 1.0 else c,
+                  fields.setdefault((0, q), len(fields)),
+                  fields.setdefault((0 if diagonal else 1, r), len(fields)))
+                 for c, q, r in pairs] for pairs in groups.values()]
+        return ([(side, self.factors[atoms]) for side, atoms in fields],
+                list(zip(map(self.factors.get, groups), rows)))
 
     def vanishes_on_diagonal(self):
         """True when the separable factorization makes T_m(f, f) identically
         zero: the symmetric part of the symbol vanishes."""
-        return (bool(self.symbol.separable_terms)
-                and not self.factor_table().diagonal)
+        return self.diagonal is not None and not self.diagonal[1]
 
 
 def apply(plan, fhat, ghat):
@@ -171,25 +146,19 @@ def _prepared(plan, fhat, out=None):
 
 def _apply_separable(plan, fhat, ghat):
     grid = plan.grid
-    table = plan.factor_table()
-    factors = table.factors
-    diagonal = fhat is ghat
-    groups = table.diagonal if diagonal else table.groups
-    index = {}      # (side, factor index) -> position among the fields
-    rows = [[(None if c == 1.0 else c, index.setdefault((0, b), len(index)),
-              index.setdefault((0 if diagonal else 1, g), len(index)))
-             for c, b, g in pairs] for _, pairs in groups]
-    stack = np.empty((len(index),) + grid.band_shape, dtype=complex)
-    for (side, i), field in zip(index, stack):  # factor 0 is the constant 1
+    fields, groups = plan.diagonal if fhat is ghat else plan.general
+    stack = np.empty((len(fields),) + grid.band_shape, dtype=complex)
+    for (side, factor), field in zip(fields, stack):
         _prepared(plan, (fhat, ghat)[side], out=field)
-        if i:
-            np.multiply(factors[i], field, out=field)
+        if factor is not None:
+            np.multiply(factor, field, out=field)
     out = np.zeros(grid.band_shape, dtype=complex)
     spec = np.empty_like(out)
-    for (a, _), total in zip(groups, grid.product_sums(stack, rows)):
+    totals = grid.product_sums(stack, [rows for _, rows in groups])
+    for (alpha, _), total in zip(groups, totals):
         grid.to_spectral(total, out=spec)
-        if factors[a] is not None:
-            spec *= factors[a]
+        if alpha is not None:
+            spec *= alpha
         out += spec
     return out
 

@@ -177,7 +177,7 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
 def _per_monomial_rhs(model, state, plan):
     """Reference source: every product transformed on the n^d grid on its
     own and restricted to the band, then summed per equation with its
-    coefficient, and T_m(w, w) from the unsymmetrized table; also the
+    coefficient, and T_m(w, w) from the general form T(f, g); also the
     scale to compare at, which counts the transformed w^2 (null_b's
     T_m(w, w) is 0 up to rounding)."""
     g = state.grid
@@ -274,16 +274,16 @@ def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
 
 
 def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
-    # the Stepper evaluates mixed's 6 distinct factors; its steps evaluate
-    # none
+    # the Stepper evaluates mixed's 3 non-constant atom products; its
+    # steps evaluate none
     m = sy.symbol_preset("mixed")
     calls, factor = [], sy.factor
     monkeypatch.setattr(sy, "factor", lambda *args:
                         calls.append(1) or factor(*args))
     stepper = ev.Stepper(ev.ModelSpec("pk_system", w_symbol=m), grid, dt=1.0)
-    assert len(calls) == 6
+    assert len(calls) == 3
     stepper.step(bump_state(grid, 3, 0.1))
-    assert len(calls) == 6
+    assert len(calls) == 3
     # a constant factor at points takes no |v|
     monkeypatch.setattr(sy, "_norm", None)
     xi = np.stack(np.broadcast_arrays(*grid.xi_axes), axis=-1)

@@ -407,7 +407,7 @@ def test_grid_keeps_no_dense_mesh():
     arrays = [a for value in vars(g).values()
               for a in (value if isinstance(value, (list, tuple)) else [value])
               if isinstance(a, np.ndarray)]
-    assert len(arrays) >= 12 and max(a.size for a in arrays) < g.size // 2
+    assert len(arrays) >= 11 and max(a.size for a in arrays) < g.size // 2
     assert not any(hasattr(g, name) for name in (
         "modes", "xi", "x", "full_xi_norm", "full_xi_axes", "r2_centered"))
 

@@ -52,7 +52,7 @@ def test_weighted_x_gaussian_moment():
     sigma = 2.0
     f = np.exp(-r2_centered(g) / (2 * sigma ** 2))
     fh = g.to_spectral(f)
-    ratio = norms.weighted_x_l2(g, fh) / norms.l2_norm(g, fh)
+    ratio = norms.NORM_KINDS["weighted_x_l2"](g, fh) / norms.l2_norm(g, fh)
     expect = sigma * np.sqrt(1.5)
     assert abs(ratio - expect) <= 0.01 * expect
 
@@ -232,8 +232,8 @@ def test_joint_moments_equal_each_norm_alone(n, ndim, seed):
     x_h2, lam_x2 = norms.energy_terms(g, data[0])[1:3]
     assert norms._moments(g, data[0], 1.0, 1, [(0, False), (2, False),
                                               (1, True)]) \
-        == [norms.weighted_x_l2(g, data[0]), x_h2,
-            norms.weighted_lambda_x_h1(g, data[0])]
+        == [norms.NORM_KINDS["weighted_x_l2"](g, data[0]), x_h2,
+            norms.NORM_KINDS["weighted_lambda_x_h1"](g, data[0])]
     assert norms._moments(g, data[0], 1.0, 2, [(1, True), (0, False)]) \
         == [lam_x2, norms._moments(g, data[0], 1.0, 2, [(0, False)])[0]]
 

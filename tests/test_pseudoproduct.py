@@ -80,7 +80,7 @@ def test_direct_vs_separable_3d(grid16, name, monkeypatch):
     assert transforms, "apply took the direct sum"
     scale = np.max(np.abs(a)) or 1.0
     assert np.max(np.abs(a - b)) <= 1e-10 * scale
-    # the diagonal form T(f, f) runs on the symmetrized table; the size of
+    # the diagonal form T(f, f) runs on the symmetrized rows; the size of
     # T(f, h) sets the scale, since T(f, f) vanishes for null_b and
     # b_xi_unit
     a = pp.apply_direct(plan, f, f)
@@ -122,31 +122,37 @@ def count_factors(monkeypatch):
     return calls
 
 
-def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
-    # mixed: 5 terms, 15 (atoms, c) slots over the factors 1, |v|^2, |v|,
-    # v_0/|v| and their negatives; the plan evaluates each of the 6
-    # distinct (atoms, c) once; T(f, f) keeps w^2 and w Lam w, the b-terms
-    # cancel
+def test_plan_compiles_both_forms_at_set_up(grid16, monkeypatch):
+    # mixed: 5 terms over the atom products 1, |v|^2, |v| and v_0/|v|; the
+    # plan evaluates each of the 3 non-constant ones once; T(f, g) stacks
+    # f and g times 1, |v| and v_0/|v|, and T(f, f) keeps w^2 and w Lam w
+    # while the b-terms cancel
     m = sy.symbol_preset("mixed")
     calls = count_factors(monkeypatch)
     plan = pp.PseudoproductPlan(grid16, m)
-    table = plan.factor_table()
-    assert plan.factor_table() is table and len(m.terms) == 5
-    assert sorted(calls, key=repr) == sorted(
-        {(atoms, c) for coef, *slots in m.terms
-         for atoms, c in zip(slots, (coef, 1.0, 1.0))}, key=repr)
-    assert len(calls) == 6
-    assert table.factors[0] is None and len(table.factors) == 4
-    assert all(f.dtype == float for f in table.factors[1:])
-    assert [len(pairs) for _, pairs in table.groups] == [1, 2, 2]
-    assert [[c for c, _, _ in pairs] for _, pairs in table.diagonal] \
-        == [[1.0], [-2.0]]
+    atoms = [(), (sy.NORM, sy.NORM), (sy.NORM,), (0,)]
+    assert len(m.terms) == 5 and list(plan.factors) == atoms
+    assert calls == [(a, 1.0) for a in atoms[1:]]
+    assert plan.factors[()] is None
+    assert all(f.dtype == float for f in list(plan.factors.values())[1:])
+    fields, groups = plan.general
+    assert [side for side, _ in fields] == [0, 1, 0, 1, 0, 1]
+    assert [f is plan.factors[a] for (_, f), a in zip(
+        fields, [(), (), (sy.NORM,), (sy.NORM,), (0,), (0,)])] == [True] * 6
+    alphas = [(sy.NORM, sy.NORM), (sy.NORM,), ()]
+    assert [a is plan.factors[p] for (a, _), p in zip(groups, alphas)] \
+        == [True] * 3
+    assert [[c for c, _, _ in rows] for _, rows in groups] \
+        == [[None], [-1.0, -1.0], [None, -1.0]]
+    fields, groups = plan.diagonal
+    assert [side for side, _ in fields] == [0, 0]
+    assert [[c for c, _, _ in rows] for _, rows in groups] == [[None], [-2.0]]
     assert not plan.vanishes_on_diagonal()
     assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
         .vanishes_on_diagonal()
 
-    # one band inverse of the stacked factor fields, one forward transform
-    # per group, and no factor evaluated; grid.transforms counts each field
+    # one band inverse of the stacked fields, one forward transform per
+    # group, and no factor evaluated; grid.transforms counts each field
     calls.clear()
     transforms = record_transforms(monkeypatch, slabs=True)
     f = band_field(grid16, 3, np.random.default_rng(8))
@@ -156,41 +162,57 @@ def test_factor_table_interns_and_symmetrizes(grid16, monkeypatch):
     assert grid16.transforms - before == 4
     transforms.clear()
     before = grid16.transforms
-    pp.apply(plan, f, f.copy())    # 3 distinct factors per side, 3 groups
+    pp.apply(plan, f, f.copy())    # 3 factors per side, 3 groups
     assert transforms == ["physical_slabs"] + ["to_spectral"] * 3
     assert grid16.transforms - before == 9 and calls == []
+
+
+def test_a_coefficient_off_one_rides_on_its_row(grid16):
+    # 2.5 |xi| phi_w + 0.5 (1, 0, 0) . grad_eta phi_w: the coefficients
+    # multiply the products in physical space, and alpha stays |xi|
+    m = sy.make_nonresonant_symbol([(2.5, (sy.NORM,), (), ())],
+                                   [[(0.5, (), (), ())], None, None])
+    plan = pp.PseudoproductPlan(grid16, m)
+    assert [[c for c, _, _ in rows] for _, rows in plan.general[1]] \
+        == [[2.5], [-2.5, -2.5], [0.5, -0.5]]
+    assert plan.general[1][1][0] is plan.factors[(sy.NORM,)]
+    assert [[c for c, _, _ in rows] for _, rows in plan.diagonal[1]] \
+        == [[2.5], [-5.0]]
+    rng = np.random.default_rng(11)
+    f, h = (band_field(grid16, 3, rng) for _ in range(2))
+    a = pp.apply_direct(plan, f, h)
+    scale = np.max(np.abs(a))
+    assert np.max(np.abs(pp.apply(plan, f, h) - a)) <= 1e-10 * scale
+    a = pp.apply_direct(plan, f, f)
+    assert np.max(np.abs(pp.apply(plan, f, f) - a)) \
+        <= 1e-10 * max(scale, np.max(np.abs(a)))
 
 
 @pytest.mark.parametrize("n", [16, 24, 64])
 def test_factor_tables_equal_the_dense_stack_evaluation(n):
     # the plan evaluates its factors on the grid's sparse axes and cached
     # |xi|: bit for bit the evaluation on the dense (2K+1)^3 x 3 stack of
-    # wavevectors and its np.linalg.norm, interned and grouped alike
+    # wavevectors and its np.linalg.norm, one per product of atoms
     g = SpectralGrid(n, 3.0 * n)
     xi = np.stack(np.broadcast_arrays(*g.xi_axes), axis=-1)
     norm = np.linalg.norm(xi, axis=-1)
     assert np.array_equal(g.xi_norm, norm)
 
-    def dense(atoms, c):
-        value = np.full(norm.shape, c)
+    def dense(atoms):
+        value = np.full(norm.shape, 1.0)
         for atom in atoms:
             value = value * (norm if atom == sy.NORM else np.where(
                 norm > 0, xi[..., atom] / np.where(norm > 0, norm, 1.0), 0.0))
         return value
 
-    for name in ("one",) + sy.NONRESONANT_PRESET_NAMES:
-        m = sy.symbol_preset(name)
-        table = pp.PseudoproductPlan(g, m).factor_table()
-        factors, general = [None], {}
-        for coef, *slots in m.terms:
-            (a, ca), (b, cb), (c, cc) = (pp._intern(factors, dense(*key))
-                                         for key in zip(slots,
-                                                        (coef, 1.0, 1.0)))
-            general[a, b, c] = general.get((a, b, c), 0.0) + ca * cb * cc
-        assert table.groups == pp._grouped(general), name
-        assert len(table.factors) == len(factors), name
-        assert all(x.dtype == y.dtype and np.array_equal(x, y)
-                   for x, y in zip(table.factors[1:], factors[1:])), name
+    for name, m in _SYMBOLS.items():
+        factors = pp.PseudoproductPlan(g, m).factors
+        assert list(factors) == list(dict.fromkeys(
+            [()] + [atoms for _, *slots in m.terms for atoms in slots])), name
+        assert factors[()] is None
+        for atoms, x in list(factors.items())[1:]:
+            y = dense(atoms)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (name, atoms)
 
 
 def test_separable_path_takes_the_band_of_a_dealiasing_plan(
