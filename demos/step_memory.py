@@ -20,19 +20,22 @@ prints, for each step:
 
 All but peak_mib come from an untraced run, peak_mib from the first
 TRACED_STEPS steps of a second run under tracemalloc.  Before the steps
-it prints the set-up costs: the CPU time of the Stepper's construction,
-and the CPU time, tracemalloc peak (in MiB) and band and line transforms
-(the fields they transformed, grid.transforms and grid.line_transforms)
-of norms.initial_energy and of one full sample (the wave profile, when a
-norm needs it, and one norms.evaluate_norms call of every sampled norm),
-each repeated on the state the run passed it, so the grid's cached
-tables are already built.  The Stepper allocates its Lawson stage stacks,
-and the grid the n^d row totals of product_sums, on the first nonlinear
-step, and both are reused, so from the second step on a step allocates
-only its returned state, cube-sized temporaries and the band inverses'
-work arrays, the same every step.  Name workloads on the command line to
-choose them (wave_n128 also works); every run writes its CSV and report
-into a temporary directory.
+it prints the set-up costs: the CPU time of the Stepper's construction;
+the CPU time of the process's other threads (process_time - thread_time)
+over that construction and a further SPIN_WAIT seconds of sleep, which
+reads near 0 unless a library's worker threads busy-wait after the
+construction used them; and the CPU time, tracemalloc peak (in MiB) and
+band and line transforms (the fields they transformed, grid.transforms
+and grid.line_transforms) of norms.initial_energy and of one full sample
+(the wave profile, when a norm needs it, and one norms.evaluate_norms
+call of every sampled norm), each repeated on the state the run passed
+it, so the grid's cached tables are already built.  The Stepper
+allocates its Lawson stage stacks, and the grid the n^d row totals of
+product_sums, on the first nonlinear step, and both are reused, so from
+the second step on a step allocates only its returned state, cube-sized
+temporaries and the band inverses' work arrays, the same every step.
+Name workloads on the command line to choose them (wave_n128 also
+works); every run writes its CSV and report into a temporary directory.
 
     PYTHONPATH=src python3 demos/step_memory.py [workload ...]
 """
@@ -52,6 +55,7 @@ from pdhyp import experiments, norms
 from pdhyp.grid import SpectralGrid
 
 TRACED_STEPS = 3
+SPIN_WAIT = 0.3
 SPEC = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
                    / "spec.json").read_text())
 
@@ -148,9 +152,14 @@ def cpu_and_peak(fn, grid):
             grid.line_transforms - counts[1])
 
 
+def other_threads():
+    return time.process_time() - time.thread_time()
+
+
 def setup_costs(name):
-    """The CPU ms of the workload's Stepper construction, and cpu_and_peak
-    of initial_energy and of one full sample, on the states and norm specs
+    """The CPU ms of the workload's Stepper construction, the other threads'
+    CPU ms over it and SPIN_WAIT seconds after it, and cpu_and_peak of
+    initial_energy and of one full sample, on the states and norm specs
     the workload's run passes them before its first step."""
     seen, energy, evaluate = {}, norms.initial_energy, norms.evaluate_norms
     init = ev.Stepper.__init__
@@ -164,9 +173,12 @@ def setup_costs(name):
         return evaluate(specs, state, profile_w)
 
     def timed_init(stepper, *args, **kwargs):
-        cpu = time.process_time()
+        cpu, others = time.process_time(), other_threads()
         init(stepper, *args, **kwargs)
         seen["stepper"] = 1e3 * (time.process_time() - cpu)
+        time.sleep(SPIN_WAIT)
+        # the two clocks tick apart, so an idle reading may dip below 0
+        seen["others"] = max(0.0, 1e3 * (other_threads() - others))
 
     norms.initial_energy, norms.evaluate_norms = record_energy, record_norms
     ev.Stepper.__init__ = timed_init
@@ -182,14 +194,14 @@ def setup_costs(name):
             spec.component == "profile_w" for spec in specs) else None)
         return evaluate(specs, state, profile)
 
-    return (seen["stepper"], cpu_and_peak(lambda: energy(seen["initial"]),
-                                          state.grid),
+    return (seen["stepper"], seen["others"],
+            cpu_and_peak(lambda: energy(seen["initial"]), state.grid),
             cpu_and_peak(sample, state.grid))
 
 
 def main(names):
     for name in names:
-        stepper_cpu, energy, sample = setup_costs(name)
+        stepper_cpu, others, energy, sample = setup_costs(name)
         timed = measured_steps(name, with_inverses(cpu_and_faults))
         tracemalloc.start()
         try:
@@ -197,7 +209,8 @@ def main(names):
         finally:
             tracemalloc.stop()
         print(f"=== {name}: {len(timed)} steps ===")
-        print(f"set-up: Stepper {stepper_cpu:.1f} ms")
+        print(f"set-up: Stepper {stepper_cpu:.1f} ms; other threads "
+              f"{others:.1f} ms over it and a {SPIN_WAIT} s wait")
         for what, (cpu, peak, band, line) in (("initial_energy", energy),
                                               ("one sample", sample)):
             print(f"{what}: {cpu:.1f} ms, peak {peak:.2f} MiB, {band} band "

@@ -76,15 +76,17 @@ def criterion_1(result, workdir):
     err_e = float(np.max(np.abs(recon - cache.E)))
     result.expect(err_e <= 1e-8, f"sum lam_i P_i reconstructs E: {err_e:.3e} <= 1e-8")
 
-    sub = rng.choice(s.size, size=200, replace=False)
+    # the oracle's modes: 200 random ones, and 51 at and around |xi| = 1/2
+    near = spectra.build_symbol_cache(np.r_[
+        s[rng.choice(s.size, size=200, replace=False)],
+        rng.uniform(0.499, 0.501, size=50), 0.5], model)
     worst_g = 0.0
     for t in (0.7, 3.0):
-        G = spectra.green_function(cache, t)
-        for i in sub:
+        for Gi, Ei in zip(spectra.green_function(near, t), near.E):
             worst_g = max(worst_g, float(np.max(np.abs(
-                G[i] - scipy.linalg.expm(cache.E[i] * t)))))
-    result.expect(worst_g <= 1e-8, "green function vs matrix exponential: "
-                  f"{worst_g:.3e} <= 1e-8")
+                Gi - scipy.linalg.expm(Ei * t)))))
+    result.expect(worst_g <= 1e-8, "green function vs matrix exponential, "
+                  f"51 modes near |xi| = 1/2 included: {worst_g:.3e} <= 1e-8")
 
     found = [(np.abs(z).round(12).tolist(), round(mu, 12))
              for z, mu in spectra.check_sk(model)]

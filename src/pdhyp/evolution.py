@@ -233,8 +233,8 @@ def _distinct_rows(sources):
 @dataclass
 class BlowupGuard:
     """Aborts a run when the total H^N norm exceeds a multiple of its
-    initial value; a tripped guard means the simulation diverged, not that
-    the method failed."""
+    initial value.  A trip may be a step instability at this dt, not growth
+    of the solution: a trip that goes away at a smaller dt was one."""
     limit: float
 
     @staticmethod

@@ -13,8 +13,9 @@ For the 2x2 dissipative block the eigenvalues are
 with the principal branch of the square root, so that for |xi| > 1/2 the
 pair continues to -1/2 +- i sqrt(4|xi|^2 - 1)/2.  The third (transported)
 component is decoupled with lam_3 = -i|xi|.  The two branch eigenvalues
-coalesce at |xi| = 1/2 where the projectors blow up; a band of width
-DEGENERATE_BAND around it is handled by a direct matrix exponential.
+coalesce at |xi| = 1/2, where the projectors blow up; degenerate_mask only
+marks the band of width DEGENERATE_BAND around it.  The Green function does
+not use them: it is the closed-form flow of the block on every |xi|.
 
 E depends on xi only through |xi|, so the symbol cache is tabulated on a
 list of |xi| values; a grid's are its band shells, grid.shells.  exp(E t)
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-DEGENERATE_BAND = 1e-3      # half-width of the excluded band around |xi| = 1/2
+DEGENERATE_BAND = 1e-3      # projectors unusable where ||xi| - 1/2| < this
 INVERSE_FLOW_GUARD = 40.0   # warn when |t| * spectral gap exceeds this
 _KERNEL_RTOL = 1e-10
 # the entries of E, and of exp(E t), that can be nonzero, in the row order
@@ -167,11 +168,11 @@ def build_symbol_cache(xi_norms, model):
 
 
 def green_function(cache, t):
-    """exp(E(i xi) t) for every cache entry, shape (k, d, d); t may be
-    negative.
-
-    Off the degenerate band this is the spectral sum over e^{lam_i t} P_i;
-    on the band a scaling-and-squaring matrix exponential is used instead.
+    """exp(E(i xi) t) for every cache entry, shape (k, d, d), for either sign
+    of t, by one formula on every entry.  With q = sqrt(1/4 - |xi|^2), the
+    2x2 block M has exp(M t) = e^{-t/2} [cosh(qt) I + t sinhc(qt) (M + I/2)]
+    = e^{lam_1 t} [(1 + b/2) I + t phi (M + I/2)], where x = 2qt,
+    b = e^{-x} - 1 and phi = -b/x; three components add the wave phase.
     The backward flow (t < 0) amplifies the damped eigendirection like
     e^{|t|}; a warning is emitted once the amplification passes e^40.
     """
@@ -181,10 +182,16 @@ def green_function(cache, t):
             warnings.warn(
                 f"backward flow over t={-t:.3g} amplifies by e^{-t * gap:.3g}; "
                 "expect severe cancellation", stacklevel=2)
-    phase = np.exp(cache.eigvals * t)            # (branch, entry)
-    G = np.einsum("km,kmij->mij", phase, cache.projectors)
-    for i in np.nonzero(cache.degenerate_mask)[0]:
-        G[i] = scipy.linalg.expm(cache.E[i] * t)
+    x = _branch_eigvals(cache.xi_norm)[2] * t     # (lam_1 - lam_2) t
+    b = np.expm1(-x)
+    small = np.abs(x) < 1e-8      # phi = 1 - x/2 + x^2/6 - ...
+    phi = np.where(small, 1.0 - x / 2, -b / np.where(small, 1.0, x))
+    G = np.zeros_like(cache.E)
+    G[:, :2, :2] = np.exp((x - t) / 2)[:, None, None] * (     # e^{lam_1 t}
+        (t * phi)[:, None, None] * (cache.E[:, :2, :2] + np.eye(2) / 2)
+        + (1.0 + b / 2)[:, None, None] * np.eye(2))
+    if cache.dim_state == 3:
+        G[:, 2, 2] = np.exp(cache.eigvals[2] * t)
     return G
 
 

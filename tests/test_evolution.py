@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -9,7 +10,7 @@ from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
                       full_spectral, r2_centered, record_band_inverses,
                       record_transforms)
 from pdhyp import evolution as ev
-from pdhyp import norms, pseudoproduct, spectra
+from pdhyp import experiments, norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
 from pdhyp.acceptance import band_field
 from pdhyp.errors import StepRejected
@@ -271,6 +272,30 @@ def test_source_free_step_is_the_exact_flow(grid, monkeypatch):
             mp.setattr(ev, "rhs", None)    # the exact step calls no rhs
             got = stepper.step(st0)
         assert np.array_equal(got.data, expect.data)
+
+
+def test_no_stepper_or_run_calls_the_dense_matrix_exponential(monkeypatch,
+                                                              tmp_path):
+    # the Green function is one closed form on every shell, the branch
+    # point |xi| = 1/2 included: the |k| = 5 shells of an L = 20 pi grid
+    # lie on it
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    g = SpectralGrid(16, 20 * np.pi)
+    for model in (
+            ev.ModelSpec("pk_system", w_symbol=sy.symbol_preset("mixed")),
+            ev.ModelSpec("k_system", ev.Coefficients(a_u=1.0)),
+            ev.ModelSpec("pk_system_w", w_symbol=sy.symbol_preset("null_b"))):
+        for scheme in ("ifrk2", "ifrk4"):
+            stepper = ev.Stepper(model, g, dt=1.0, scheme=scheme)
+            assert stepper.cache.degenerate_mask.any()
+            stepper.step(bump_state(g, model.dim_state, 1e-3))
+    res = experiments.run(experiments.load_preset("pk-small-data").override(
+        ["grid.n=16", f"grid.length={20 * np.pi!r}", "time.t_max=5.0",
+         f"output.dir={tmp_path}"]))
+    assert res.report["status"] == "completed"
 
 
 def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):

@@ -112,9 +112,13 @@ def test_green_function_identity_and_zero_mode():
 
 
 def test_green_semigroup_and_expm_oracle():
-    g = SpectralGrid(8, 16.0)    # every |xi| of the grid, not only the band
-    cache = spectra.build_symbol_cache(np.unique(full_xi_norm(g)),
-                                       spectra.three_component_model())
+    # every |xi| of the grid, not only the band, and the branch point 1/2
+    # with shells on either side of it inside the degenerate band
+    g = SpectralGrid(8, 16.0)
+    cache = spectra.build_symbol_cache(
+        np.union1d(full_xi_norm(g), 0.5 + np.linspace(-9e-4, 9e-4, 7)),
+        spectra.three_component_model())
+    assert cache.degenerate_mask.sum() == 7
     Ga = spectra.green_function(cache, 1.3)
     Gb = spectra.green_function(cache, 0.9)
     Gab = spectra.green_function(cache, 2.2)
@@ -122,24 +126,27 @@ def test_green_semigroup_and_expm_oracle():
     assert np.max(np.abs(comp - Gab)) < 1e-9
     # the backward flow inverts the forward one
     back = np.einsum("mij,mjk->mik", Ga, spectra.green_function(cache, -1.3))
-    off = ~cache.degenerate_mask
-    assert np.max(np.abs(back[off] - np.eye(3))) < 1e-9
+    assert np.max(np.abs(back - np.eye(3))) < 1e-9
     rng = np.random.default_rng(8)
-    for i in rng.choice(cache.E.shape[0], 32, replace=False):
+    G5 = spectra.green_function(cache, 5.0)
+    for i in np.r_[rng.choice(cache.E.shape[0], 32, replace=False),
+                   np.flatnonzero(cache.degenerate_mask)]:
         oracle = scipy.linalg.expm(cache.E[i] * 5.0)
-        G5 = spectra.green_function(cache, 5.0)
         assert np.max(np.abs(G5[i] - oracle)) < 1e-10
 
 
 def test_green_continuous_across_band():
-    # spectral and expm paths agree at the band edges
-    model = spectra.three_component_model()
-    for s_edge in (0.5 - spectra.DEGENERATE_BAND * 1.01,
-                   0.5 + spectra.DEGENERATE_BAND * 1.01):
-        cache = spectra.build_symbol_cache([s_edge], model)
-        G = spectra.green_function(cache, 3.0)[0]
-        oracle = scipy.linalg.expm(cache.E[0] * 3.0)
-        assert np.max(np.abs(G - oracle)) < 1e-8
+    # the closed form matches the matrix exponential through the
+    # degenerate band, its edges and the branch point 1/2 included, and at
+    # a subnormal t, where sinh(z)/z needs its series
+    band = spectra.DEGENERATE_BAND
+    s = np.r_[0.5 + np.linspace(-2 * band, 2 * band, 41),
+              0.5 - band * 1.01, 0.5 + band * 1.01]
+    cache = spectra.build_symbol_cache(s, spectra.three_component_model())
+    for t in (3.0, -1.5, 2.2e-309):
+        G = spectra.green_function(cache, t)
+        for Gi, Ei in zip(G, cache.E):
+            assert np.max(np.abs(Gi - scipy.linalg.expm(Ei * t))) < 1e-8
 
 
 _BAND_EDGES = (0.5 - spectra.DEGENERATE_BAND, 0.5 + spectra.DEGENERATE_BAND)
@@ -147,6 +154,7 @@ _BAND_EDGES = (0.5 - spectra.DEGENERATE_BAND, 0.5 + spectra.DEGENERATE_BAND)
 
 @settings(max_examples=60, deadline=None)
 @given(s=st.sampled_from(_BAND_EDGES + (0.5, 0.0))
+       | st.floats(0.5 - 2e-3, 0.5 + 2e-3)
        | st.floats(0.0, 10.0, allow_nan=False),
        t=st.floats(-8.0, 8.0, allow_nan=False),
        dim=st.sampled_from((2, 3)), seed=st.integers(0, 2 ** 16))
