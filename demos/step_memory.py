@@ -20,13 +20,14 @@ prints, for each step:
 
 All but peak_mib come from an untraced run, peak_mib from the first
 TRACED_STEPS steps of a second run under tracemalloc.  Before the steps
-it prints the set-up costs: the CPU time of the Stepper's construction;
-the CPU time of the process's other threads (process_time - thread_time)
-over that construction and a further SPIN_WAIT seconds of sleep, which
-reads near 0 unless a library's worker threads busy-wait after the
-construction used them; and the CPU time, tracemalloc peak (in MiB) and
-band and line transforms (the fields they transformed, grid.transforms
-and grid.line_transforms) of norms.initial_energy and of one full sample
+it prints the set-up costs: the CPU time of the Stepper's construction
+and the size of its flow rows (G_full plus G_half, in MiB); the CPU time
+of the process's other threads (process_time - thread_time) over that
+construction and a further SPIN_WAIT seconds of sleep, which reads near
+0 unless a library's worker threads busy-wait after the construction
+used them; and the CPU time, tracemalloc peak (in MiB) and band and line
+transforms (the fields they transformed, grid.transforms and
+grid.line_transforms) of norms.initial_energy and of one full sample
 (the wave profile, when a norm needs it, and one norms.evaluate_norms
 call of every sampled norm), each repeated on the state the run passed
 it, so the grid's cached tables are already built.  The Stepper
@@ -157,10 +158,11 @@ def other_threads():
 
 
 def setup_costs(name):
-    """The CPU ms of the workload's Stepper construction, the other threads'
-    CPU ms over it and SPIN_WAIT seconds after it, and cpu_and_peak of
-    initial_energy and of one full sample, on the states and norm specs
-    the workload's run passes them before its first step."""
+    """The CPU ms of the workload's Stepper construction, its flow rows'
+    MiB, the other threads' CPU ms over the construction and SPIN_WAIT
+    seconds after it, and cpu_and_peak of initial_energy and of one full
+    sample, on the states and norm specs the workload's run passes them
+    before its first step."""
     seen, energy, evaluate = {}, norms.initial_energy, norms.evaluate_norms
     init = ev.Stepper.__init__
 
@@ -176,6 +178,8 @@ def setup_costs(name):
         cpu, others = time.process_time(), other_threads()
         init(stepper, *args, **kwargs)
         seen["stepper"] = 1e3 * (time.process_time() - cpu)
+        seen["rows"] = sum(G.nbytes for G in (stepper.G_full, stepper.G_half)
+                           if G is not None) / 2 ** 20
         time.sleep(SPIN_WAIT)
         # the two clocks tick apart, so an idle reading may dip below 0
         seen["others"] = max(0.0, 1e3 * (other_threads() - others))
@@ -194,14 +198,14 @@ def setup_costs(name):
             spec.component == "profile_w" for spec in specs) else None)
         return evaluate(specs, state, profile)
 
-    return (seen["stepper"], seen["others"],
+    return (seen["stepper"], seen["rows"], seen["others"],
             cpu_and_peak(lambda: energy(seen["initial"]), state.grid),
             cpu_and_peak(sample, state.grid))
 
 
 def main(names):
     for name in names:
-        stepper_cpu, others, energy, sample = setup_costs(name)
+        stepper_cpu, rows, others, energy, sample = setup_costs(name)
         timed = measured_steps(name, with_inverses(cpu_and_faults))
         tracemalloc.start()
         try:
@@ -211,6 +215,7 @@ def main(names):
         print(f"=== {name}: {len(timed)} steps ===")
         print(f"set-up: Stepper {stepper_cpu:.1f} ms; other threads "
               f"{others:.1f} ms over it and a {SPIN_WAIT} s wait")
+        print(f"flow rows: G_full plus G_half {rows:.2f} MiB")
         for what, (cpu, peak, band, line) in (("initial_energy", energy),
                                               ("one sample", sample)):
             print(f"{what}: {cpu:.1f} ms, peak {peak:.2f} MiB, {band} band "

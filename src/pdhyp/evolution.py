@@ -7,14 +7,14 @@ MONOMIALS, plus the bilinear pseudoproduct T_m(w, w) in the w-equation.
 The sources are quadratic, so under the strict 2/3 rule the state, every
 source and every stage is a stack of the band's cubes, (d, *band_shape).
 The linear part is advanced exactly by the per-shell matrix exponential
-(integrating factor), its 2x2 block plus the wave phase, gathered once
-onto the cube (spectra.band_rows); only the quadratic sources see explicit
-Runge-Kutta stages (Lawson schemes of order 2 and 4).  A model without
-sources steps by its exact flow alone, which is what both schemes reduce
-to when every stage source is zero.  Polynomial sources are summed per
-equation in physical space, slab by slab into the grid's n^d row totals,
-and transformed once; the bilinear pseudoproduct source comes from
-pseudoproduct.apply.  A Stepper owns the stage stacks.
+(integrating factor), its symmetric 2x2 block as 3 rows plus the wave phase,
+gathered once onto the cube (spectra.band_rows) and applied chunk by chunk;
+only the quadratic sources see explicit Runge-Kutta stages (Lawson schemes
+of order 2 and 4).  A model without sources steps by its exact flow alone,
+what both schemes reduce to when every stage source is zero.  Polynomial
+sources are summed per equation in physical space, slab by slab into the
+grid's n^d row totals, and transformed once; the bilinear pseudoproduct
+source comes from pseudoproduct.apply.  A Stepper owns the stage stacks.
 
 Initial time is t = 1 by convention and all decay fits start there.  The
 wave profile e^{i|xi| t} w_hat takes its phase once per |xi| shell.

@@ -400,8 +400,8 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
 
 
 def project_damped_branch(state, cache):
-    """Replace the state by its projection onto the exponentially damped
-    spectral branch (P2); degenerate-band modes are dropped."""
+    """Project the state onto the exponentially damped branch: P2, complex
+    symmetric like E, as band rows; degenerate-band modes are dropped."""
     P2 = cache.projectors[1].copy()
     P2[cache.degenerate_mask] = 0.0
     g = state.grid

@@ -20,10 +20,11 @@ not use them: it is the closed-form flow of the block on every |xi|.
 E depends on xi only through |xi|, so the symbol cache is tabulated on a
 list of |xi| values; a grid's are its band shells, grid.shells.  exp(E t)
 keeps the block pattern of E: the 2x2 block and, for three components, the
-wave phase on the diagonal.  band_rows gathers a per-shell table once onto
-the band's cube as rows: the block entries of a matrix, or one row of
+wave phase on the diagonal, and with A and B real symmetric it is complex
+symmetric.  band_rows gathers a per-shell table once onto the band's cube
+as rows: the block's (0,0), (0,1) and (1,1), then the phase, or one row of
 scalars.  propagator_apply multiplies a stack of cube fields by those rows,
-mode by mode.
+mode by mode and chunk by chunk.
 """
 
 import warnings
@@ -35,9 +36,11 @@ import scipy.linalg
 DEGENERATE_BAND = 1e-3      # projectors unusable where ||xi| - 1/2| < this
 INVERSE_FLOW_GUARD = 40.0   # warn when |t| * spectral gap exceeds this
 _KERNEL_RTOL = 1e-10
-# the entries of E, and of exp(E t), that can be nonzero, in the row order
-# of a per-mode operator; two-component models use the first four
-BLOCK_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+# the entries of E, and of exp(E t), that can be nonzero, up to the
+# symmetric (1,0) = (0,1), in the row order of a per-mode operator;
+# two-component models use the first three
+BLOCK_ENTRIES = ((0, 0), (0, 1), (1, 1), (2, 2))
+_CHUNK_MODES = 1 << 14      # the modes of one propagator_apply chunk
 
 
 @dataclass(frozen=True)
@@ -197,11 +200,16 @@ def green_function(cache, t):
 
 def band_rows(grid, per_shell):
     """A per-shell table of grid.shells gathered onto the band's cube, as
-    the rows (r, *grid.band_shape) propagator_apply takes: the
-    BLOCK_ENTRIES of matrices (k, d, d) with the block pattern of E, or the
-    one row of scalars (k,)."""
+    the rows (r, *grid.band_shape) propagator_apply takes: the one row of
+    scalars (k,), or the BLOCK_ENTRIES of matrices (k, d, d) with the block
+    pattern of E, 3 rows for d = 2 and 4 for d = 3.  The matrices must be
+    symmetric: (0,1) differing from (1,0) in any bit raises ValueError."""
     if per_shell.ndim == 3:
-        rows, cols = zip(*BLOCK_ENTRIES[:per_shell.shape[-1] + 2])
+        up, low = per_shell[:, 0, 1:2], per_shell[:, 1, :1]   # bit for bit
+        bad = np.flatnonzero((up.view(np.uint8) != low.view(np.uint8)).any(1))
+        if bad.size:
+            raise ValueError(f"(0,1) and (1,0) differ on shell {bad[0]}")
+        rows, cols = zip(*BLOCK_ENTRIES[:per_shell.shape[-1] + 1])
         per_shell = per_shell[:, rows, cols].T
     # take, unlike [:, index], stores each row contiguously
     return np.take(np.atleast_2d(per_shell), grid.shells[1], axis=1)
@@ -214,18 +222,30 @@ def propagator(grid, cache, t):
 
 
 def propagator_apply(G, data, out=None):
-    """Apply band rows G (r, *cube) to stacked cube fields (d, *cube) row
-    by row into `out` (new when None): rows 0-3 as the 2x2 block to (u, v),
-    an odd last row as the last field's phase, which `out` holds last."""
+    """Apply band rows G (r, *cube) to stacked cube fields (d, *cube) into
+    `out` (new when None, else of data's shape): 3 rows as the 2x2 block to
+    (u, v), 4 as the block and w's phase, 1 as one field's phase.  It runs
+    over chunks of about _CHUNK_MODES modes along the cube's first axis,
+    each through one chunk-sized scratch, so the re-reads stay in cache."""
+    if ((len(G), len(data)) not in ((1, 1), (3, 2), (4, 3))
+            or G.shape[1:] != data.shape[1:]):
+        raise ValueError(f"rows {G.shape} do not apply to fields {data.shape}")
     if out is None:
         out = np.empty(data.shape, dtype=complex)
+    elif out.shape != data.shape:
+        raise ValueError(f"`out` {out.shape} differs from data {data.shape}")
     elif np.may_share_memory(out, data):    # data is read after out is
         raise ValueError("`out` may share memory with `data`")
-    if len(G) > 1:
-        np.multiply(G[0:4:3], data[:2], out=out[:2])    # G00 u, G11 v
-        scratch = out[-1] if len(G) % 2 else np.empty_like(out[0])
-        out[0] += np.multiply(G[1], data[1], out=scratch)   # + G01 v
-        out[1] += np.multiply(G[2], data[0], out=scratch)   # + G10 u
-    if len(G) % 2:
-        np.multiply(G[-1], data[-1], out=out[-1])       # the phase
+    step = max(1, _CHUNK_MODES // data[0, 0].size)
+    scratch = np.empty((step,) + data.shape[2:], dtype=complex)
+    for lo in range(0, data.shape[1], step):
+        g, x, y = (a[:, lo:lo + step] for a in (G, data, out))
+        tmp = scratch[:len(x[0])]
+        if len(G) > 1:
+            np.multiply(g[0], x[0], out=y[0])
+            y[0] += np.multiply(g[1], x[1], out=tmp)     # G00 u + G01 v
+            np.multiply(g[2], x[1], out=y[1])
+            y[1] += np.multiply(g[1], x[0], out=tmp)     # G11 v + G01 u
+        if len(G) != 3:
+            np.multiply(g[-1], x[-1], out=y[-1])         # the phase
     return out

@@ -167,7 +167,7 @@ def test_block_propagator_matches_dense_expm(s, t, dim, seed):
     g = SpectralGrid(4, 2 * np.pi, ndim=1)
     cache = spectra.build_symbol_cache([0.0, s], model)
     G = spectra.propagator(g, cache, t)
-    assert G.shape == (dim + 2, 3)
+    assert G.shape == (dim + 1, 3)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     got = spectra.propagator_apply(G, x)
@@ -184,7 +184,7 @@ def test_block_propagator_matches_dense_expm(s, t, dim, seed):
 def test_shell_green_equals_per_mode_green(dim):
     model = (spectra.three_component_model() if dim == 3
              else spectra.two_component_model())
-    rows, cols = zip(*spectra.BLOCK_ENTRIES[:dim + 2])
+    rows, cols = zip(*spectra.BLOCK_ENTRIES[:dim + 1])
     rng = np.random.default_rng(dim)
     for n, ndim in ((15, 2), (15, 3), (16, 2), (16, 3)):
         g = SpectralGrid(n, 8 * np.pi, ndim)   # |k| = 2 lies on |xi| = 1/2
@@ -197,38 +197,50 @@ def test_shell_green_equals_per_mode_green(dim):
         for t in (2.5, -0.7):
             green = spectra.green_function(cache, t)
             Gm = spectra.green_function(per_mode, t)[:, rows, cols].T
-            Gm = Gm.reshape((dim + 2,) + g.band_shape)    # the rows, per mode
+            Gm = Gm.reshape((dim + 1,) + g.band_shape)    # the rows, per mode
             G = spectra.propagator(g, cache, t)    # on the cube
-            assert G.shape == (dim + 2,) + index.shape == Gm.shape
+            assert G.shape == (dim + 1,) + index.shape == Gm.shape
             assert np.array_equal(G, green[:, rows, cols].T[:, index])
             assert np.array_equal(G, Gm)
             if dim == 3:   # the wave flow is unitary
-                assert np.max(np.abs(np.abs(G[4]) - 1.0)) < 1e-14
+                assert np.max(np.abs(np.abs(G[3]) - 1.0)) < 1e-14
             # the apply is the per-mode product
-            expect = [Gm[0] * u[0] + Gm[1] * u[1], Gm[3] * u[1] + Gm[2] * u[0]]
-            expect += [Gm[4] * u[2]] if dim == 3 else []
+            expect = [Gm[0] * u[0] + Gm[1] * u[1], Gm[2] * u[1] + Gm[1] * u[0]]
+            expect += [Gm[3] * u[2]] if dim == 3 else []
             assert np.array_equal(spectra.propagator_apply(G, u),
                                   np.array(expect))
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_propagator_apply_into_out_allocates_no_cube(dim):
-    # given `out`, the block's off-diagonal products pass through the phase
-    # row of `out` before the phase is written (3 rows), or through one
-    # temporary (2 rows): the bits of the per-mode products, and at n = 64
-    # a tracemalloc peak under 1% of a cube (3 rows) or about one cube
+def _flow_rows_and_fields(dim, n, t=2.0, seed=None):
+    """The band rows of exp(E t) for the dim-component model on an n-point
+    grid, and random fields (dim, *band_shape) to apply them to."""
     model = (spectra.three_component_model() if dim == 3
              else spectra.two_component_model())
-    g = SpectralGrid(64, 256.0)
+    g = SpectralGrid(n, 256.0)
     G = spectra.propagator(g, spectra.build_symbol_cache(g.shells[0], model),
-                           2.0)
-    rng = np.random.default_rng(dim)
+                           t)
+    rng = np.random.default_rng(dim if seed is None else seed)
     x = rng.normal(size=(dim,) + g.band_shape) + 1j * rng.normal(
         size=(dim,) + g.band_shape)
-    expect = [G[0] * x[0], G[3] * x[1]]
+    return G, x
+
+
+def _per_mode_apply(G, x):
+    """The rows applied mode by mode in the operation order of
+    propagator_apply: G00 u + G01 v, G11 v + G01 u, then the phase."""
+    expect = [G[0] * x[0], G[2] * x[1]]
     expect[0] += G[1] * x[1]
-    expect[1] += G[2] * x[0]
-    expect += [G[4] * x[2]] if dim == 3 else []
+    expect[1] += G[1] * x[0]
+    return np.array(expect + ([G[3] * x[2]] if len(x) == 3 else []))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_propagator_apply_into_out_allocates_no_cube(dim):
+    # given `out`, every off-diagonal product passes through one chunk-sized
+    # scratch: the bits of the per-mode products, and at n = 64 a
+    # tracemalloc peak of that scratch, for 3 rows and for 4
+    G, x = _flow_rows_and_fields(dim, 64)
+    expect = _per_mode_apply(G, x)
     out = np.full_like(x, np.nan)
     tracemalloc.start()
     try:
@@ -237,9 +249,111 @@ def test_propagator_apply_into_out_allocates_no_cube(dim):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert out.tobytes() == np.array(expect).tobytes()
-    cube = x[0].nbytes
-    assert peak < (0.01 * cube if dim == 3 else 1.01 * cube)
+    assert out.tobytes() == expect.tobytes()
+    row = x[0, 0].nbytes
+    chunk = (spectra._CHUNK_MODES * 16 // row) * row
+    assert chunk < 0.2 * x[0].nbytes
+    assert peak < chunk + 4096
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_propagator_apply_over_many_chunks_and_views(dim):
+    # at n = 64 the cube's 43 rows make chunks of 8 rows and a ragged last
+    # chunk of 3; strided views of `data` and `out` apply as the per-mode
+    # product, bit for bit
+    G, x = _flow_rows_and_fields(dim, 64, t=0.7, seed=10 + dim)
+    rows = spectra._CHUNK_MODES // x[0, 0].size
+    assert x.shape[1] // rows > 1 and x.shape[1] % rows
+    expect = _per_mode_apply(G, x)
+    assert spectra.propagator_apply(G, x).tobytes() == expect.tobytes()
+    # the same fields, stored transposed and with a gap after each field
+    big = np.full((dim, x.shape[1] + 1) + x.shape[2:], np.nan, dtype=complex)
+    data = big[:, :-1].transpose(0, 2, 1, 3)
+    data[...] = x.transpose(0, 2, 1, 3)
+    store = np.full((dim,) + x.shape[1:-1] + (2 * x.shape[-1],), np.nan,
+                    dtype=complex)
+    out = store[..., ::2]
+    assert not (data.flags.contiguous or out.flags.contiguous)
+    Gt = np.ascontiguousarray(G.transpose(0, 2, 1, 3))
+    assert spectra.propagator_apply(Gt, data, out=out) is out
+    back = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
+    assert back.tobytes() == expect.tobytes()
+    assert np.isnan(store[..., 1::2]).all()     # the gaps stay untouched
+
+
+@pytest.mark.parametrize("rows, fields", [(4, 2), (3, 3), (1, 2), (3, 1)])
+def test_propagator_apply_refuses_rows_that_do_not_fit(rows, fields):
+    # 4 rows on (u, v) would apply the phase to v, and 3 rows on (u, v, w)
+    # would leave w's row of `out` unwritten
+    G = np.ones((rows, 5, 5), dtype=complex)
+    x = np.ones((fields, 5, 5), dtype=complex)
+    with pytest.raises(ValueError, match=rf"\({rows}, 5, 5\).*"
+                                         rf"\({fields}, 5, 5\)"):
+        spectra.propagator_apply(G, x)
+
+
+def test_propagator_apply_refuses_out_of_another_shape():
+    G, x = np.ones((3, 5, 5), dtype=complex), np.ones((2, 5, 5), dtype=complex)
+    for shape in ((3, 5, 5), (2, 5, 4), (2, 25)):
+        with pytest.raises(ValueError, match=r"\(2, 5, 5\)"):
+            spectra.propagator_apply(G, x, out=np.empty(shape, dtype=complex))
+    with pytest.raises(ValueError, match=r"\(3, 4, 5\).*\(2, 5, 5\)"):
+        spectra.propagator_apply(np.ones((3, 4, 5), dtype=complex), x)
+
+
+def _offdiagonal_bits_agree(table):
+    return table[:, 0, 1].tobytes() == table[:, 1, 0].tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_green_function_is_symmetric_bit_for_bit(dim):
+    # exp(E t) is complex symmetric; the closed form keeps (0,1) and (1,0)
+    # equal in every bit on a grid's shells and across the branch point,
+    # so band_rows, which stores (0,1) only, accepts it
+    model = (spectra.three_component_model() if dim == 3
+             else spectra.two_component_model())
+    g = SpectralGrid(64, 256.0)
+    for s in (np.linspace(0.498, 0.502, 401), g.shells[0]):
+        cache = spectra.build_symbol_cache(s, model)
+        for t in (2.0, 1.0, 0.5, -1.5):
+            assert _offdiagonal_bits_agree(spectra.green_function(cache, t))
+    G = spectra.propagator(g, cache, -1.5)
+    assert G.shape == (dim + 1,) + g.band_shape
+
+
+def test_damped_projector_is_symmetric_bit_for_bit():
+    from pdhyp import evolution as ev
+    from pdhyp import experiments
+
+    g = SpectralGrid(16, 8 * np.pi)     # |k| = 2 lies on |xi| = 1/2
+    cache = spectra.build_symbol_cache(g.shells[0],
+                                       spectra.three_component_model())
+    assert cache.degenerate_mask.any()
+    for P in cache.projectors:
+        assert _offdiagonal_bits_agree(P)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3,) + g.band_shape) + 0j
+    got = experiments.project_damped_branch(ev.StateField(g, x, 1.0), cache)
+    P2 = cache.projectors[1].copy()
+    P2[cache.degenerate_mask] = 0.0
+    P2 = P2[:, [0, 0, 1, 2], [0, 1, 1, 2]].T[:, g.shells[1]]
+    assert np.array_equal(got.data, _per_mode_apply(P2, x))
+
+
+def test_band_rows_refuses_an_asymmetric_table():
+    g = SpectralGrid(16, 64.0)
+    cache = spectra.build_symbol_cache(g.shells[0],
+                                       spectra.two_component_model())
+    G = spectra.green_function(cache, 1.0)
+    k = len(G) // 2
+    z, one_ulp = G[k, 1, 0], G.copy()
+    one_ulp[k, 1, 0] = complex(np.nextafter(z.real, 1.0), z.imag)
+    assert one_ulp[k, 1, 0] != z
+    signed_zero = np.zeros_like(G)
+    signed_zero[k + 1, 1, 0] = -0.0
+    for table, shell in ((one_ulp, k), (signed_zero, k + 1)):
+        with pytest.raises(ValueError, match=rf"differ on shell {shell}\b"):
+            spectra.band_rows(g, table)
 
 
 @pytest.mark.parametrize("n, ndim", [(15, 2), (16, 3), (16, 1)])
