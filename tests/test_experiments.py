@@ -384,6 +384,17 @@ def test_run_blowup_guard_statuses(tmp_path):
     res = ex.run(cfg)
     assert res.status == "blowup" and res.exit_code == 3
     assert res.report["status"] == "blowup"
+    # tripped after one accepted step: the step to t = 2 is rejected, the
+    # run ends at the last good state, and the rejected step still counts
+    said = []
+    res = ex.run(cfg.override(["initial.amplitude=2.0"]), log=said.append)
+    assert res.status == "blowup" and "tripped at t=2" in said[0]
+    with open(res.csv_path) as fh:
+        last = float(fh.read().splitlines()[-1].split(",")[0])
+    assert res.report["t_final"] == last == 2.0 - 0.5
+    assert res.report["m0"] is None
+    assert all(len(t) == len(v) == 2 for t, v in res.series.values())
+    assert res.report["transforms"]["steps"] == {"band": 2 * 6, "line": 0}
 
 
 def test_source_free_run_checks_no_guard(tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
-"""Golden series: three small runs whose every sampled value, E_N, fitted
-exponent and M0 report must match the goldens in tests/data: the run's
-`<name>_series.csv`, and its `e_n`, `fitted_exponents` and `m0` in
-`golden_reports.json`.  Numbers match at rtol 1e-12; strings (fit and M0
-error messages), booleans and None match exactly.  The run's transform
-counts by phase and kind, `report["transforms"]`, must equal TRANSFORMS
-exactly.
+"""Golden series: three small runs whose every sampled value and whole
+report must match the goldens in tests/data: the run's
+`<name>_series.csv`, and its report in `golden_reports.json`, all of it
+but `transforms` (pinned by TRANSFORMS) and the config's `output`
+section, which names the run's directory.  Numbers match at rtol 1e-12;
+strings (fit and M0 error messages, warnings), booleans and None match
+exactly.  The run's transform counts by phase and kind,
+`report["transforms"]`, must equal TRANSFORMS exactly.
 
 The runs cover the three step kinds on n = 16: a source-free flow
 (wave-invariants), the separable pseudoproduct with a nonzero diagonal
@@ -29,7 +30,8 @@ from pdhyp import experiments as ex
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 REPORTS = os.path.join(DATA, "golden_reports.json")
-REPORT_KEYS = ("e_n", "fitted_exponents", "m0")
+REPORT_KEYS = ("status", "e_n", "t_final", "fitted_exponents", "m0",
+               "warnings", "sk")
 RTOL = 1e-12
 # name -> the run's fields transformed by phase and kind (band transforms,
 # line transforms), report["transforms"]: set-up (initial data, and E_N's
@@ -105,8 +107,11 @@ def assert_matches(got, want, where):
 
 def golden_report(result):
     """The report fields the goldens pin, as JSON would store them."""
-    return json.loads(json.dumps({key: result.report[key]
-                                  for key in REPORT_KEYS}))
+    pinned = {key: result.report[key] for key in REPORT_KEYS}
+    pinned["config"] = {section: value for section, value
+                        in result.report["config"].items()
+                        if section != "output"}
+    return json.loads(json.dumps(pinned))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
