@@ -146,12 +146,10 @@ def criterion_5(result, workdir):
     drift = float(np.max(np.abs(l2 / l2[0] - 1.0)))
     result.expect(drift <= 1e-10,
                   f"||w||_L2 relative drift {drift:.3e} <= 1e-10")
-    got = res.report["fitted_exponents"]["w_linf"]["exponent"]
-    result.expect(got is not None and abs(got - (-1.0)) <= 0.15,
-                  f"|w|_inf exponent {got:+.3f} within -1.0+-0.15")
-    got = res.report["fitted_exponents"]["w_linf_riesz"]["exponent"]
-    result.expect(got is not None and abs(got - (-1.0)) <= 0.15,
-                  f"|Rw|_inf exponent {got:+.3f} within -1.0+-0.15")
+    for name, norm in (("w_linf", "|w|_inf"), ("w_linf_riesz", "|Rw|_inf")):
+        got = res.report["fitted_exponents"][name]["exponent"]
+        result.expect(got is not None and abs(got - (-1.0)) <= 0.15,
+                      f"{norm} exponent {got:+.3f} within -1.0+-0.15")
 
 
 def criterion_6(result, workdir):
@@ -248,11 +246,7 @@ def criterion_8(result, workdir):
     for preset, extra in (("k-small-data", {}), ("pk-small-data", {}),
                           ("pksw-small-data",
                            {"v_sobolev": -1.0, "w_linf": -0.8})):
-        cfg = experiments.load_preset(preset).override(
-            [f"output.dir={workdir}"])
-        res = experiments.run(cfg)
-        result.expect(res.status == "completed", f"{preset}: completed "
-                      "without tripping the blow-up guard")
+        res = _run_preset(result, preset, workdir)
         if res.status != "completed":
             continue
         m0 = np.asarray(res.report["m0"]["m0"])
@@ -387,7 +381,8 @@ def _run_preset(result, name, workdir):
     complete."""
     res = experiments.run(experiments.load_preset(name).override(
         [f"output.dir={workdir}"]))
-    result.expect(res.status == "completed", f"run status {res.status}")
+    result.expect(res.status == "completed",
+                  f"{name}: run status {res.status}")
     return res
 
 

@@ -34,15 +34,9 @@ def main(argv=None):
     p_verify = sub.add_parser("verify", help="run an acceptance criterion")
     p_verify.add_argument("criterion", help="criterion id 1..10 or 'all'")
 
-    args = parser.parse_args(argv)
-
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "presets":
-        return _cmd_presets(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return 2
+    args = parser.parse_args(argv)     # a required subcommand
+    return {"run": _cmd_run, "presets": _cmd_presets,
+            "verify": _cmd_verify}[args.command](args)
 
 
 def _cmd_run(args):

@@ -331,9 +331,9 @@ def default_dt(dx):
 # ---------------------------------------------------------------------------
 
 def wave_profile(state):
-    """f_w = e^{+i|xi| t} w_hat: the unitary profile of the wave component
-    (no amplification, safe at any t), with the phase taken once per |xi|
-    shell."""
+    """f_w = e^{+i|xi| t} w_hat, unitary, so safe at any t: the phase is
+    taken once per |xi| shell and indexed (np.take would copy the int32
+    shells to intp) onto the one cube that w_hat is multiplied into."""
     g = state.grid
-    phase = spectra.band_rows(g, np.exp(1j * g.shells[0] * state.t))
-    return phase[0] * state.w_hat
+    phase = np.exp(1j * g.shells[0] * state.t)[g.shells[1]]
+    return np.multiply(phase, state.w_hat, out=phase)

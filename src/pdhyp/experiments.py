@@ -1,5 +1,5 @@
-"""Config-driven experiment runner: grids, initial data, models, evolution
-loops, norm series, decay fits and the bootstrap report.
+"""Config-driven experiment runner: configs, initial data, and `run` in three
+phases, set-up, `_evolve` (steps, norm series) and `_report` (fits, M0).
 
 Configs are single human-editable JSON files (see the shipped presets);
 scripted overrides take precedence via dotted ``--set key=value`` pairs.
@@ -10,6 +10,7 @@ whose fields passed.  Runs are deterministic given the config and seed:
 identical configs produce byte-identical CSV output.
 """
 
+import contextlib
 import copy
 import json
 import os
@@ -464,9 +465,23 @@ class RunResult:
         return {"completed": 0, "blowup": 3}[self.status]
 
 
+@contextlib.contextmanager
+def _counted(grid, tally):
+    """Add the band and line fields transformed in the block to tally."""
+    band, line = grid.transforms, grid.line_transforms
+    try:
+        yield
+    finally:
+        tally["band"] += grid.transforms - band
+        tally["line"] += grid.line_transforms - line
+
+
 def run(config, log=None):
-    """Execute one experiment; writes `<prefix>_series.csv` and
-    `<prefix>_report.json` and returns a RunResult."""
+    """Run one experiment in three phases, set-up, _evolve and _report;
+    write `<prefix>_series.csv` and `<prefix>_report.json`; return a
+    RunResult.  The report's `transforms` counts the band and line fields
+    transformed per phase: `setup` includes the initial data and E_N,
+    `samples` the sample at t = 1, and `steps` a step the guard rejects."""
     say = log or (lambda msg: None)
     out = config["output"]
     try:    # before any step, so a name no directory can take costs no run
@@ -476,25 +491,23 @@ def run(config, log=None):
     grid = config.build_grid()
     model = config.build_model()
     icfg = config["initial"]
-    dim = model.dim_state
-
-    state = make_initial_data(
-        icfg["preset"], grid, icfg["amplitude"], icfg["seed"], dim_state=dim,
-        width=icfg["width"], radial_power=icfg["radial_power"],
-        mode=icfg["mode"], band=icfg["band"])
-
     dt, steps, every = config.schedule()
-    scheme = config["time"]["scheme"]
-
-    e_n = norms.initial_energy(state)
-
-    stepper = ev.Stepper(model, grid, dt, scheme)
-    if icfg["project"] == "damped_branch":
-        state = project_damped_branch(state, stepper.cache)
-    # a source-free flow exp(E t) has E + E* = 2B <= 0, so it cannot grow
-    # any norm and needs no guard
-    guard = (ev.BlowupGuard.for_state(state)
-             if icfg["amplitude"] > 0 and not stepper.source_free else None)
+    transforms = {phase: {"band": 0, "line": 0}
+                  for phase in ("setup", "samples", "steps")}
+    with _counted(grid, transforms["setup"]):
+        state = make_initial_data(
+            icfg["preset"], grid, icfg["amplitude"], icfg["seed"],
+            dim_state=model.dim_state, width=icfg["width"],
+            radial_power=icfg["radial_power"], mode=icfg["mode"],
+            band=icfg["band"])
+        e_n = norms.initial_energy(state)
+        stepper = ev.Stepper(model, grid, dt, config["time"]["scheme"])
+        if icfg["project"] == "damped_branch":
+            state = project_damped_branch(state, stepper.cache)
+        # a source-free flow exp(E t) has E + E* = 2B <= 0, so it cannot
+        # grow any norm and needs no guard
+        guard = (ev.BlowupGuard.for_state(state) if icfg["amplitude"] > 0
+                 and not stepper.source_free else None)
 
     norm_specs = config["norms"]
     if norm_specs == "default":
@@ -502,46 +515,51 @@ def run(config, log=None):
     specs = [norms.NormSpec.parse(s) for s in norm_specs]
     needs_profile = any(spec.component == "profile_w" for spec in specs)
 
-    series = {spec.name: [] for spec in specs}
-    times = []
-    # fields transformed by phase, band and line transforms apart: set-up
-    # is the initial data and E_N, t = 1 is a sample
-    def counts():
-        return {"band": grid.transforms, "line": grid.line_transforms}
-
-    transforms = {"setup": counts(), "samples": {"band": 0, "line": 0}}
-
     def sample(st):
-        before = counts()
-        profile_w = ev.wave_profile(st) if needs_profile else None
-        times.append(st.t)
-        for spec, value in zip(specs, norms.evaluate_norms(specs, st,
-                                                           profile_w)):
-            series[spec.name].append(value)
-        for kind, count in counts().items():
-            transforms["samples"][kind] += count - before[kind]
+        return dict(zip([spec.name for spec in specs], norms.evaluate_norms(
+            specs, st, ev.wave_profile(st) if needs_profile else None)))
 
-    sample(state)
-    status = "completed"
+    start, state = [state], None    # so that _evolve alone holds it
+    status, state, series = _evolve(stepper, start, guard, steps, every,
+                                    sample, transforms, say)
+    report = _report(config, stepper, status, state.t, series, e_n,
+                     transforms, say)
+    csv_path = os.path.join(out["dir"], f"{out['prefix']}_series.csv")
+    report_path = os.path.join(out["dir"], f"{out['prefix']}_report.json")
+    norms.write_series_csv(csv_path, series)
+    norms.write_json_report(report_path, report)
+    say(f"{status}: wrote {csv_path} and {report_path}")
+    return RunResult(status, report, csv_path, report_path, series)
+
+
+def _evolve(stepper, start, guard, steps, every, sample, transforms, say):
+    """Step from the state at t = 1, popped from the list `start` so that
+    the first step frees it, calling sample(state) -> {norm name: value} at
+    t = 1 and after every `every`-th of `steps` steps, until the guard trips;
+    returns (status, the last accepted state, {name: (times, values)})."""
+    grid, rows, state, status = stepper.grid, [], start.pop(), "completed"
     try:
-        for k in range(1, steps + 1):
-            state = stepper.step(state, guard)
+        for k in range(steps + 1):
+            if k > 0:       # k = 0 only samples t = 1
+                with _counted(grid, transforms["steps"]):
+                    state = stepper.step(state, guard)
             if k % every == 0:
-                sample(state)
+                with _counted(grid, transforms["samples"]):
+                    rows.append((state.t, sample(state)))
     except StepRejected as exc:
         say(f"blow-up guard: {exc}")
         status = "blowup"
-    transforms["steps"] = {kind: count - transforms["setup"][kind]
-                           - transforms["samples"][kind]
-                           for kind, count in counts().items()}
+    times = np.asarray([t for t, _ in rows])
+    return status, state, {n: (times, np.asarray([r[n] for _, r in rows]))
+                           for n in rows[0][1]}
 
-    t_arr = np.asarray(times)
-    series_arr = {name: (t_arr, np.asarray(vals))
-                  for name, vals in series.items()}
 
+def _report(config, stepper, status, t_final, series, e_n, transforms, say):
+    """The report: fits, the T_m(w, w) = 0 warning, M0 and [SK]'s verdict."""
+    model = stepper.model
     window = config.fit_window()
     fits = {}
-    for name, (t, v) in series_arr.items():
+    for name, (t, v) in series.items():
         try:
             expo, resid = norms.fit_decay(t, v, window)
             fits[name] = {"exponent": expo, "residual": resid,
@@ -560,28 +578,21 @@ def run(config, log=None):
     m0_report = None
     if status == "completed":
         try:
-            m0_report = norms.m0_functional(model.kind, series_arr,
-                                            e_n).as_dict()
+            m0_report = norms.m0_functional(model.kind, series, e_n).as_dict()
         except (PdhypError, ValueError) as exc:
             m0_report = {"error": str(exc)}
 
     undamped = [{"direction": (z * np.sign(z[np.argmax(np.abs(z))]) + 0.0)
                  .tolist(), "speed": mu}     # largest entry positive
                 for z, mu in spectra.check_sk(model.matrices())]
-    csv_path = os.path.join(out["dir"], f"{out['prefix']}_series.csv")
-    report_path = os.path.join(out["dir"], f"{out['prefix']}_report.json")
-    norms.write_series_csv(csv_path, series_arr)
-    report = {
+    return {
         "config": config.to_dict(),
         "status": status,
         "e_n": e_n,
-        "t_final": float(state.t),
+        "t_final": float(t_final),
         "fitted_exponents": fits,
         "m0": m0_report,
         "warnings": warnings,
         "transforms": transforms,
         "sk": {"holds": not undamped, "undamped": undamped},
     }
-    norms.write_json_report(report_path, report)
-    say(f"{status}: wrote {csv_path} and {report_path}")
-    return RunResult(status, report, csv_path, report_path, series_arr)

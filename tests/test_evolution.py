@@ -465,6 +465,20 @@ def test_wave_profile_unitary(grid):
         ev.wave_profile(ev.StateField(grid, st.data[:2], st.t))
 
 
+def test_wave_profile_holds_one_cube():
+    g = SpectralGrid(64, 256.0)
+    st = bump_state(g, 3, 1.0)
+    ev.wave_profile(st)     # builds the grid's shell tables
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ev.wave_profile(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.2 * st.w_hat.nbytes
+
+
 def test_high_frequency_exponential_decay(grid):
     # |xi| > a content of the dissipative pair decays at a fitted
     # exponential rate bounded below (conservative floor)

@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,21 @@ def test_source_free_run_checks_no_guard(tmp_path, monkeypatch):
     assert checks == [2.0 + i for i in range(8)]
     assert open(plain.csv_path, "rb").read() \
         == open(guarded.csv_path, "rb").read()
+
+
+def test_a_run_frees_each_state_after_the_next_step(tmp_path, monkeypatch):
+    # a frame that kept the initial state would hold one state more than
+    # the step loop needs, 30 MB at n = 128
+    stepped, step = [], ev.Stepper.step
+
+    def tracked(stepper, state, guard=None):
+        assert [ref() for ref in stepped if ref() is not None] == []
+        stepped.append(weakref.ref(state))
+        return step(stepper, state, guard)
+
+    monkeypatch.setattr(ev.Stepper, "step", tracked)
+    assert ex.run(tiny_config(tmp_path)).status == "completed"
+    assert len(stepped) == 8
 
 
 def test_wave_profile_only_for_profile_norms(tmp_path, monkeypatch):

@@ -33,13 +33,10 @@ REPORTS = os.path.join(DATA, "golden_reports.json")
 REPORT_KEYS = ("status", "e_n", "t_final", "fitted_exponents", "m0",
                "warnings", "sk")
 RTOL = 1e-12
-# name -> the run's fields transformed by phase and kind (band transforms,
-# line transforms), report["transforms"]: set-up (initial data, and E_N's
-# one band inverse and 12 line transforms per distinct component), steps
-# (18 band transforms per pk step, 12 per IFRK4 k step, none in the exact
-# flow) and samples (t = 1 included: 2 band per wave sample, 4 per k
-# sample, and 6 band and 12 line per pk sample, whose three weighted norms
-# take 6 line inverses and 6 line forwards together)
+# name -> report["transforms"], its phases as experiments.run defines them:
+# E_N takes 1 band and 12 line transforms per distinct component, a pk step
+# 18 band, an IFRK4 k step 12, the exact flow none, a wave sample 2 band, a
+# k sample 4, and a pk sample 6 band and 12 line
 TRANSFORMS = {
     "wave_source_free": {"setup": {"band": 2, "line": 12},
                          "steps": {"band": 0, "line": 0},
