@@ -358,8 +358,11 @@ def _spectral_bump(grid, amplitude, width, radial_power):
     return fhat
 
 
-def make_initial_data(preset, grid, amplitude, seed, dim_state=3, width=1.0,
-                      radial_power=0, mode=(1, 0, 0), band=4):
+def make_initial_data(preset, grid, amplitude, seed, dim_state=3,
+                      width=_DEFAULTS["initial"]["width"],
+                      radial_power=_DEFAULTS["initial"]["radial_power"],
+                      mode=_DEFAULTS["initial"]["mode"],
+                      band=_DEFAULTS["initial"]["band"]):
     """Real-valued initial fields at t = 1, on the band's cube.
 
     E_N of the result is reported by the runner via norms.initial_energy.

@@ -231,7 +231,7 @@ class SpectralGrid:
 
     def product_sums(self, fields, rows):
         """Each row's sum of terms (c, i, j), c * phys(fields[i]) *
-        phys(fields[j]) (c None: no multiply), slab by slab from one band
+        phys(fields[j]) (c 1.0: no multiply), slab by slab from one band
         inverse of the stack `fields`, in n^d totals the next call reuses."""
         if not rows or not len(fields):
             return []
@@ -246,7 +246,7 @@ class SpectralGrid:
                 for t, (c, i, j) in enumerate(terms):
                     term = np.multiply(phys[i], phys[j],
                                        out=spare[:len(at)] if t else at)
-                    if c is not None:
+                    if c != 1.0:
                         term *= c
                     if t:
                         at += term

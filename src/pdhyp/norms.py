@@ -115,24 +115,19 @@ _MOMENTS = {"weighted_x_l2": (False, 1, (0, False)),
             "weighted_x2_lambda_h1": (True, 2, (1, False))}
 
 
-def _weighted(first, power, weight):
-    """The norm of one weighted kind, from its _MOMENTS entry."""
-    return lambda grid, fhat: _moments(
-        grid, fhat, grid.xi_norm if first else 1.0, power, [weight])[0]
-
-
 # ---------------------------------------------------------------------------
 # norm specs over states
 # ---------------------------------------------------------------------------
 
-# kind -> norm of one spectral field on the grid
+# kind -> norm of one spectral field on the grid; the weighted kinds of
+# _MOMENTS map to None, as evaluate_norms computes them
 NORM_KINDS = {
     "sobolev": lambda grid, fhat: sobolev_norm(grid, fhat, SOBOLEV_N),
     "l2": l2_norm,
     "linf": band_linf,
     "linf_riesz": riesz_linf_norm,
     "l1": lambda grid, fhat: lp_norm(grid, fhat, 1),
-    **{kind: _weighted(*facts) for kind, facts in _MOMENTS.items()},
+    **dict.fromkeys(_MOMENTS),
 }
 # component -> index into the state; profile_w is the wave profile
 COMPONENTS = {"u": 0, "v": 1, "w": 2, "profile_w": None}
@@ -185,6 +180,8 @@ def evaluate_norm(spec, state, profile_w=None):
     i = COMPONENTS[spec.component]
     if i is None and profile_w is None:
         raise ValueError("profile_w norms need the wave profile")
+    if spec.kind in _MOMENTS:
+        return evaluate_norms([spec], state, profile_w)[0]
     return NORM_KINDS[spec.kind](state.grid,
                                  profile_w if i is None else state.data[i])
 

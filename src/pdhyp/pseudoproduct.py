@@ -78,11 +78,10 @@ class PseudoproductPlan:
     def _form(self, diagonal):
         """(fields, groups) of T(f, g), or of T(f, f) when `diagonal`.  A
         field is an (input, factor) pair, input 0 for f and 1 for g; a
-        group is (alpha factor, its grid.product_sums rows (coefficient or
-        None for 1, field, field)).  Each term's coefficient sums into the
-        row of its (alpha, beta, gamma), which T(f, f) takes unordered;
-        zero sums drop out, and the rest keep their order of first
-        appearance."""
+        group is (alpha factor, its grid.product_sums rows (coefficient,
+        field, field)).  Each term's coefficient sums into the row of its
+        (alpha, beta, gamma), which T(f, f) takes unordered; zero sums drop
+        out, and the rest keep their order of first appearance."""
         order = {atoms: i for i, atoms in enumerate(self.factors)}
         coefs = {}
         for c, p, q, r in self.symbol.terms:
@@ -94,8 +93,7 @@ class PseudoproductPlan:
             if c != 0.0:
                 groups.setdefault(p, []).append((c, q, r))
         fields = {}     # (input, atoms) -> position in the stack
-        rows = [[(None if c == 1.0 else c,
-                  fields.setdefault((0, q), len(fields)),
+        rows = [[(c, fields.setdefault((0, q), len(fields)),
                   fields.setdefault((0 if diagonal else 1, r), len(fields)))
                  for c, q, r in pairs] for pairs in groups.values()]
         return ([(side, self.factors[atoms]) for side, atoms in fields],

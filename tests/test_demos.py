@@ -10,8 +10,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# a line each demo named here prints, by a pattern of its figures
-PRINTS = {"step_memory": r"flow rows: G_full plus G_half \d+\.\d\d MiB"}
+# lines each demo named here prints, by patterns of their figures; the
+# backreference holds step_memory's check line on both default workloads
+_CHECK = (r"check: the steps' band fields sum to (\d+), the report's "
+          r"transforms\[\"steps\"\]\[\"band\"\] is \1$")
+PRINTS = {"step_memory": (
+    r"flow rows: G_full plus G_half \d+\.\d\d MiB",
+    *(rf"(?m)^=== {name}:.*(?:\n(?!===).*)*?\n{_CHECK}"
+      for name in ("pk_mixed_n64", "k_rk4_n64")))}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -22,4 +28,5 @@ def test_demo_runs(script, tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert re.search(PRINTS.get(script.stem, ""), proc.stdout), proc.stdout
+    for pattern in PRINTS.get(script.stem, ()):
+        assert re.search(pattern, proc.stdout), (pattern, proc.stdout)

@@ -520,8 +520,10 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
         calls[f"{name} diagonal"] = lambda p=plan: pseudoproduct.apply(p, w, w)
         calls[f"{name} general"] = lambda p=plan: pseudoproduct.apply(
             p, w, state.data[0])
-    for kind, norm in norms.NORM_KINDS.items():
-        calls[kind] = lambda norm=norm: [norm(g, c) for c in state.data]
+    for kind in norms.NORM_KINDS:     # each kind of every component
+        spec = norms.NormSpec(kind, "profile_w")
+        calls[kind] = lambda spec=spec: [norms.evaluate_norm(spec, state, c)
+                                         for c in state.data]
     guard = ev.BlowupGuard(limit=np.inf)
     for model, scheme in ((pk, "ifrk2"), (pk, "ifrk4"), (free, "ifrk2")):
         stepper = ev.Stepper(model, g, 0.5, scheme)

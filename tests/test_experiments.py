@@ -1,3 +1,4 @@
+import inspect
 import json
 import weakref
 from pathlib import Path
@@ -175,6 +176,17 @@ def test_config_overrides(tmp_path):
 
 
 # -- initial data -------------------------------------------------------------
+
+def test_make_initial_data_defaults_are_the_config_defaults():
+    # every defaulted parameter of make_initial_data that names an
+    # initial.* field defaults to that field's declaration in _FIELDS
+    params = inspect.signature(ex.make_initial_data).parameters
+    shared = [name for name, p in params.items() if f"initial.{name}" in
+              ex._FIELDS and p.default is not inspect.Parameter.empty]
+    assert shared == ["width", "radial_power", "mode", "band"]
+    for name in shared:
+        assert params[name].default == ex._FIELDS[f"initial.{name}"][0]
+
 
 def test_make_initial_data_unknown_preset():
     g = SpectralGrid(8, 16.0)

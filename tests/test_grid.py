@@ -172,8 +172,8 @@ def test_product_sums_take_one_inverse_of_the_stack(monkeypatch):
     whole = [g.to_physical(c) for c in cubes]
     calls = record_transforms(monkeypatch, slabs=True)
     count = g.transforms
-    totals = g.product_sums(cubes, [[(2.0, 0, 1), (None, 2, 2)],
-                                    [(None, 1, 1)]])
+    totals = g.product_sums(cubes, [[(2.0, 0, 1), (1.0, 2, 2)],
+                                    [(1.0, 1, 1)]])
     assert calls == ["physical_slabs"] and g.transforms == count + 3
     first = whole[0] * whole[1]
     first *= 2.0
@@ -185,7 +185,7 @@ def test_product_sums_take_one_inverse_of_the_stack(monkeypatch):
     assert np.array_equal(again[0], -1.5 * (whole[2] * whole[0]))
     assert calls == ["physical_slabs"] * 2 and g.transforms == count + 5
     assert g.product_sums(cubes, []) == []
-    assert g.product_sums(cubes[:0], [[(None, 0, 0)]]) == []
+    assert g.product_sums(cubes[:0], [[(1.0, 0, 0)]]) == []
     assert len(calls) == 2 and g.transforms == count + 5
 
 
@@ -227,7 +227,7 @@ def test_band_transforms_refuse_the_other_layout(ndim):
         with pytest.raises(ValueError, match="physical_slabs"):
             g.physical_slabs(bad)
         with pytest.raises(ValueError, match="physical_slabs"):
-            g.product_sums(bad, [[(None, 0, 1)]])
+            g.product_sums(bad, [[(1.0, 0, 1)]])
         with pytest.raises(ValueError, match="line_physical"):
             g.line_physical(bad, 0)
     for bad in (cube, cube[0], cube[..., :-1]):

@@ -24,6 +24,12 @@ def grid():
     return SpectralGrid(32, 16.0)
 
 
+def norm_of(grid, kind, fhat):
+    """The norm `kind` of one band field, by norms.evaluate_norm."""
+    return norms.evaluate_norm(norms.NormSpec(kind, "profile_w"),
+                               ev.StateField(grid, fhat[None], 1.0), fhat)
+
+
 def test_sobolev0_is_parseval_l2(grid):
     rng = np.random.default_rng(0)
     fh = band_field(grid, 5, rng)
@@ -52,7 +58,7 @@ def test_weighted_x_gaussian_moment():
     sigma = 2.0
     f = np.exp(-r2_centered(g) / (2 * sigma ** 2))
     fh = g.to_spectral(f)
-    ratio = norms.NORM_KINDS["weighted_x_l2"](g, fh) / norms.l2_norm(g, fh)
+    ratio = norm_of(g, "weighted_x_l2", fh) / norms.l2_norm(g, fh)
     expect = sigma * np.sqrt(1.5)
     assert abs(ratio - expect) <= 0.01 * expect
 
@@ -123,7 +129,7 @@ def test_weighted_terms_equal_the_full_grid_formulas(n):
                                        reference_energy_terms(g, comp),
                                        rtol=1e-13, atol=0)
             np.testing.assert_allclose(
-                [norms.NORM_KINDS[kind](g, comp) for kind in (
+                [norm_of(g, kind, comp) for kind in (
                     "weighted_x_l2", "weighted_lambda_x_h1",
                     "weighted_x2_lambda_h1")],
                 reference_profile_norms(g, comp), rtol=1e-13, atol=0)
@@ -180,7 +186,7 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
     calls = record_transforms(monkeypatch, slabs=True)
     seen = {}
     weighted = [norms.NormSpec(kind, "profile_w") for kind in norms._MOMENTS]
-    runs = [(kind, norms.NORM_KINDS[kind], (grid, st.data[2]))
+    runs = [(kind, norm_of, (grid, kind, st.data[2]))
             for kind in norms.NORM_KINDS]
     for name, fn, args in runs + [
             ("e_n", norms.initial_energy, (st,)),
@@ -228,12 +234,12 @@ def test_joint_moments_equal_each_norm_alone(n, ndim, seed):
     rng.shuffle(kinds)
     specs = [norms.NormSpec(kind, "profile_w") for kind in kinds]
     assert norms.evaluate_norms(specs, state, data[1]) \
-        == [norms.NORM_KINDS[kind](g, data[1]) for kind in kinds]
+        == [norm_of(g, kind, data[1]) for kind in kinds]
     x_h2, lam_x2 = norms.energy_terms(g, data[0])[1:3]
     assert norms._moments(g, data[0], 1.0, 1, [(0, False), (2, False),
                                               (1, True)]) \
-        == [norms.NORM_KINDS["weighted_x_l2"](g, data[0]), x_h2,
-            norms.NORM_KINDS["weighted_lambda_x_h1"](g, data[0])]
+        == [norm_of(g, "weighted_x_l2", data[0]), x_h2,
+            norm_of(g, "weighted_lambda_x_h1", data[0])]
     assert norms._moments(g, data[0], 1.0, 2, [(1, True), (0, False)]) \
         == [lam_x2, norms._moments(g, data[0], 1.0, 2, [(0, False)])[0]]
 

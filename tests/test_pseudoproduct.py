@@ -143,10 +143,10 @@ def test_plan_compiles_both_forms_at_set_up(grid16, monkeypatch):
     assert [a is plan.factors[p] for (a, _), p in zip(groups, alphas)] \
         == [True] * 3
     assert [[c for c, _, _ in rows] for _, rows in groups] \
-        == [[None], [-1.0, -1.0], [None, -1.0]]
+        == [[1.0], [-1.0, -1.0], [1.0, -1.0]]
     fields, groups = plan.diagonal
     assert [side for side, _ in fields] == [0, 0]
-    assert [[c for c, _, _ in rows] for _, rows in groups] == [[None], [-2.0]]
+    assert [[c for c, _, _ in rows] for _, rows in groups] == [[1.0], [-2.0]]
     assert not plan.vanishes_on_diagonal()
     assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
         .vanishes_on_diagonal()
