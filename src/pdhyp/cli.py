@@ -5,7 +5,8 @@
     pdhyp verify <criterion-id | all>
 
 Exit codes for `run`: 0 completed, 2 config error, 3 blow-up guard
-triggered.  `verify` exits 0 when the criterion passes, 1 otherwise.
+triggered.  `verify` exits 0 when the criterion passes, 1 otherwise, and
+2 for an unknown or malformed criterion id.
 """
 
 import argparse

@@ -174,14 +174,15 @@ class SpectralGrid:
             out[(Ellipsis, rows) + (slice(None),) * (self.ndim - 1)] = slab
         return out
 
-    def physical_slabs(self, fhat):
-        """Iterate (rows, slab): the band inverse of a cube or stack fhat on
-        those rows of axis -d; a slab lives until the next one."""
+    def physical_slabs(self, fhat, multiplier=None):
+        """Iterate (rows, slab): the band inverse of a cube or stack fhat,
+        times `multiplier` (a real cube table) if given, on those rows of
+        axis -d; a slab lives until the next one."""
         self.transforms += self._fields(fhat, self.band_shape,
                                         "physical_slabs")
-        return self._slabs(fhat)
+        return self._slabs(fhat, multiplier)
 
-    def _slabs(self, fhat):
+    def _slabs(self, fhat, multiplier=None):
         d, n = self.ndim, self.n
         lead, full = np.shape(fhat)[:-d], (slice(None),) * d
         cols = [(tuple(b for b, _ in ends), tuple(p for _, p in ends))
@@ -189,8 +190,10 @@ class SpectralGrid:
                                     repeat=d - 1)]
         compact = np.zeros(lead + (n,) + self.band_shape[1:], dtype=complex)
         for band, packed in zip(self._band, self._packed):
-            compact[(Ellipsis, band) + full[1:]] = \
-                fhat[(Ellipsis, packed) + full[1:]]
+            at, into = ((Ellipsis, p) + full[1:] for p in (packed, band))
+            compact[into] = fhat[at]
+            if multiplier is not None:
+                compact[into] *= np.broadcast_to(multiplier, fhat.shape)[at]
         scipy.fft.ifft(compact, axis=-d, norm="forward", overwrite_x=True,
                        workers=self._workers)
         compact *= float(np.longdouble(1) / self.size)  # ifftn's 1/n^d

@@ -65,8 +65,9 @@ def band_linf(grid, fhat):
 
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
-    every component choice), with R_j f = propagators.riesz(grid, j, f)."""
-    return max(band_linf(grid, riesz(grid, j, fhat))
+    every component choice), with R_j f = propagators.riesz(grid, j, f):
+    the band inverse of f times the real xi_j/|xi|, as |-i z| = |z|."""
+    return max(lp_norm(grid, fhat, np.inf, riesz(grid, j))
                for j in range(grid.ndim))
 
 

@@ -16,19 +16,22 @@ def lambda_power(xi_norm, s):
     return np.where(xi_norm > 0, vals, 1.0 if s == 0 else 0.0)
 
 
-def riesz(grid, j, fhat):
-    """R_j f = -i (xi_j/|xi|) f_hat of a band field, 0 at xi = 0; the
-    reciprocal of |xi| rounds as numpy's complex division by |xi| does."""
-    return -1j * ((grid.xi_axes[j] * grid.xi_norm_reciprocal) * fhat)
+def riesz(grid, j, fhat=None):
+    """R_j f = -i (xi_j/|xi|) f_hat of a band field, 0 at xi = 0, or without
+    fhat the real cube table xi_j/|xi|; the reciprocal of |xi| rounds as
+    numpy's complex division by |xi| does."""
+    symbol = grid.xi_axes[j] * grid.xi_norm_reciprocal
+    return symbol if fhat is None else -1j * (symbol * fhat)
 
 
 # ---------------------------------------------------------------------------
 # norms used by the estimate harnesses (physical-space quadrature)
 # ---------------------------------------------------------------------------
 
-def lp_norm(grid, fhat, p):
-    """The L^p quadrature of a band field, reduced slab by slab."""
-    slabs = (slab for _, slab in grid.physical_slabs(fhat))
+def lp_norm(grid, fhat, p, multiplier=None):
+    """The L^p quadrature of a band field, times `multiplier` (a real cube
+    table) if given, reduced slab by slab."""
+    slabs = (slab for _, slab in grid.physical_slabs(fhat, multiplier))
     if np.isinf(p):
         return float(max(np.max(np.abs(f)) for f in slabs))
     total = sum(np.sum(np.abs(f) ** p) for f in slabs)

@@ -21,10 +21,11 @@ E depends on xi only through |xi|, so the symbol cache is tabulated on a
 list of |xi| values; a grid's are its band shells, grid.shells.  exp(E t)
 keeps the block pattern of E: the 2x2 block and, for three components, the
 wave phase on the diagonal, and with A and B real symmetric it is complex
-symmetric.  band_rows gathers a per-shell table once onto the band's cube
-as rows: the block's (0,0), (0,1) and (1,1), then the phase, or one row of
-scalars.  propagator_apply multiplies a stack of cube fields by those rows,
-mode by mode and chunk by chunk.
+symmetric.  |xi| is even in k_0 too, so band_rows gathers a per-shell table
+once onto the half of the band's cube with k_0 = 0..K, as rows: the block's
+(0,0), (0,1) and (1,1), then the phase, or one row of scalars.
+propagator_apply multiplies a stack of cube fields by those rows, mode by
+mode and chunk by chunk, each plane k_0 < 0 by the rows of plane -k_0.
 """
 
 import warnings
@@ -199,11 +200,12 @@ def green_function(cache, t):
 
 
 def band_rows(grid, per_shell):
-    """A per-shell table of grid.shells gathered onto the band's cube, as
-    the rows (r, *grid.band_shape) propagator_apply takes: the one row of
-    scalars (k,), or the BLOCK_ENTRIES of matrices (k, d, d) with the block
-    pattern of E, 3 rows for d = 2 and 4 for d = 3.  The matrices must be
-    symmetric: (0,1) differing from (1,0) in any bit raises ValueError."""
+    """A per-shell table of grid.shells gathered onto the planes k_0 = 0..K
+    of the band's cube, as the rows (r, K+1, *grid.band_shape[1:])
+    propagator_apply takes: the one row of scalars (k,), or the
+    BLOCK_ENTRIES of matrices (k, d, d) with the block pattern of E, 3 rows
+    for d = 2 and 4 for d = 3.  The matrices must be symmetric: (0,1)
+    differing from (1,0) in any bit raises ValueError."""
     if per_shell.ndim == 3:
         up, low = per_shell[:, 0, 1:2], per_shell[:, 1, :1]   # bit for bit
         bad = np.flatnonzero((up.view(np.uint8) != low.view(np.uint8)).any(1))
@@ -211,8 +213,11 @@ def band_rows(grid, per_shell):
             raise ValueError(f"(0,1) and (1,0) differ on shell {bad[0]}")
         rows, cols = zip(*BLOCK_ENTRIES[:per_shell.shape[-1] + 1])
         per_shell = per_shell[:, rows, cols].T
-    # take, unlike [:, index], stores each row contiguously
-    return np.take(np.atleast_2d(per_shell), grid.shells[1], axis=1)
+    table = np.atleast_2d(per_shell)
+    half = grid.shells[1][:grid.dealias_limit + 1]    # the planes k_0 >= 0
+    # two index arrays: each row contiguous, the int32 shells read in
+    # buffers (np.take would copy them to intp)
+    return table[np.arange(len(table)).reshape(-1, *[1] * half.ndim), half]
 
 
 def propagator(grid, cache, t):
@@ -222,13 +227,16 @@ def propagator(grid, cache, t):
 
 
 def propagator_apply(G, data, out=None):
-    """Apply band rows G (r, *cube) to stacked cube fields (d, *cube) into
-    `out` (new when None, else of data's shape): 3 rows as the 2x2 block to
-    (u, v), 4 as the block and w's phase, 1 as one field's phase.  It runs
-    over chunks of about _CHUNK_MODES modes along the cube's first axis,
-    each through one chunk-sized scratch, so the re-reads stay in cache."""
+    """Apply band rows G (r, K+1, ...) to stacked cube fields (d, 2K+1, ...)
+    into `out` (new when None, else of data's shape): 3 rows as the 2x2
+    block to (u, v), 4 as the block and w's phase, 1 as one field's phase.
+    Plane k_0 >= 0 reads row plane k_0, in chunks of about _CHUNK_MODES
+    modes, then plane k_0 < 0 row plane -k_0, plane by plane (numpy runs a
+    reversed view through its buffered loop), each chunk's products
+    through one chunk-sized scratch, so the re-reads stay in cache."""
     if ((len(G), len(data)) not in ((1, 1), (3, 2), (4, 3))
-            or G.shape[1:] != data.shape[1:]):
+            or G.shape[2:] != data.shape[2:]
+            or 2 * G.shape[1] - 1 != data.shape[1]):
         raise ValueError(f"rows {G.shape} do not apply to fields {data.shape}")
     if out is None:
         out = np.empty(data.shape, dtype=complex)
@@ -238,8 +246,11 @@ def propagator_apply(G, data, out=None):
         raise ValueError("`out` may share memory with `data`")
     step = max(1, _CHUNK_MODES // data[0, 0].size)
     scratch = np.empty((step,) + data.shape[2:], dtype=complex)
-    for lo in range(0, data.shape[1], step):
-        g, x, y = (a[:, lo:lo + step] for a in (G, data, out))
+    k, m = G.shape[1], data.shape[1]
+    spans = [(slice(lo, min(lo + step, k)),) * 2 for lo in range(0, k, step)]
+    spans += [(slice(m - i, m - i + 1), slice(i, i + 1)) for i in range(k, m)]
+    for rows, planes in spans:
+        g, x, y = G[:, rows], data[:, planes], out[:, planes]
         tmp = scratch[:len(x[0])]
         if len(G) > 1:
             np.multiply(g[0], x[0], out=y[0])

@@ -319,7 +319,7 @@ def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
 def test_stepper_stores_the_block_per_mode_only():
     # what the Stepper holds for the linear flow (the symbol tables and both
     # propagators of an IFRK4 Stepper): the block rows per mode of the
-    # band's cube, everything else per |xi| shell of the band
+    # planes k_0 = 0..K of the band's cube, everything else per |xi| shell
     g = SpectralGrid(32, 64.0)
     model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0), w_symbol=None)
     stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
@@ -327,11 +327,22 @@ def test_stepper_stores_the_block_per_mode_only():
     counted = (c.E, c.eigvals, c.projectors, c.degenerate_mask, c.xi_norm,
                stepper.G_full, stepper.G_half)
     shells = np.unique(g.xi_norm).size
+    half = (g.dealias_limit + 1) * g.band_shape[1] * g.band_shape[2]
     # E, eigvals, projectors: 9 + 3 + 27 complex; mask and |xi|: 1 + 8
-    # bytes; two propagators: 2 x 5 complex per mode of the cube
+    # bytes; two propagators: 2 x 4 complex per mode of the half cube
     per_shell = 16 * (9 + 3 + 27) + 1 + 8
-    limit = g.xi_norm.size * 2 * 5 * 16 + shells * per_shell
+    limit = half * 2 * 4 * 16 + shells * per_shell
     assert sum(a.nbytes for a in counted) <= limit
+
+
+def test_wave_n128_flow_rows_hold_half_the_cube():
+    # the source-free wave_n128 Stepper holds one propagator, 4 rows on
+    # the 43 planes k_0 = 0..42 of the 85^3 cube: 19.0 MiB, not 37.5
+    g = SpectralGrid(128, 256.0)
+    stepper = ev.Stepper(ev.ModelSpec("pk_system"), g, dt=1.0)
+    assert stepper.source_free and stepper.G_half is None
+    assert stepper.G_full.shape == (4, 43, 85, 85)
+    assert round(stepper.G_full.nbytes / 2 ** 20, 1) == 19.0
 
 
 def _arrays(value):
@@ -596,7 +607,8 @@ def test_state_rejects_full_grid_data(grid):
     ("pk_system_w", "ifrk2"), ("source_free", "ifrk2")])
 def test_a_step_holds_only_band_cubes(grid, kind, scheme, monkeypatch):
     # the state, every rhs output and every stage array of a step of each
-    # model kind (and of the exact flow) are stacks of the band's cube
+    # model kind (and of the exact flow) are stacks of the band's cube,
+    # and the flow rows cover its planes k_0 = 0..K
     mixed = sy.symbol_preset("mixed")
     model = {"pk_system": ev.ModelSpec("pk_system", ev.Coefficients(
                  a_u=1.0, b_v=1.0, d_v=1.0), w_symbol=mixed),
@@ -604,6 +616,7 @@ def test_a_step_holds_only_band_cubes(grid, kind, scheme, monkeypatch):
              "pk_system_w": ev.ModelSpec("pk_system_w", w_symbol=mixed),
              "source_free": ev.ModelSpec("pk_system")}[kind]
     cube = (model.dim_state,) + grid.band_shape
+    half = (grid.dealias_limit + 1,) + grid.band_shape[1:]
     shapes = []
     apply, rhs = spectra.propagator_apply, ev.rhs
 
@@ -625,4 +638,4 @@ def test_a_step_holds_only_band_cubes(grid, kind, scheme, monkeypatch):
     applies, rhs_calls = ((1, 0) if kind == "source_free" else
                           {"ifrk2": (2, 2), "ifrk4": (6, 4)}[scheme])
     assert len(shapes) == 3 * applies + 2 * rhs_calls
-    assert set(shapes) == {cube, grid.band_shape}
+    assert set(shapes) == {cube, half}

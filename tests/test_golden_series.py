@@ -35,8 +35,9 @@ REPORT_KEYS = ("status", "e_n", "t_final", "fitted_exponents", "m0",
 RTOL = 1e-12
 # name -> report["transforms"], its phases as experiments.run defines them:
 # E_N takes 1 band and 12 line transforms per distinct component, a pk step
-# 18 band, an IFRK4 k step 12, the exact flow none, a wave sample 2 band, a
-# k sample 4, and a pk sample 6 band and 12 line
+# 18 band, an IFRK4 k step 12, the exact flow none, a wave sample 4 band (44
+# over 11 samples), a k sample 2 (32 over 16), and a pk sample 6 band and 12
+# line
 TRANSFORMS = {
     "wave_source_free": {"setup": {"band": 2, "line": 12},
                          "steps": {"band": 0, "line": 0},

@@ -16,7 +16,7 @@ from pdhyp.acceptance import band_field
 from pdhyp.errors import MissingSeries, NonPositiveValues
 from pdhyp.experiments import make_initial_data
 from pdhyp.grid import SpectralGrid
-from pdhyp.propagators import lp_norm
+from pdhyp.propagators import lp_norm, riesz
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,25 @@ def test_linf_riesz_takes_max(grid):
             np.where(s > 0, -1j * xi[j] / s, 0) * fh), np.inf)
                for j in range(3)]
     assert norms.riesz_linf_norm(grid, band(grid, fh)) == max(per)
+
+
+@pytest.mark.parametrize("n, ndim", [(32, 3), (24, 3), (15, 2)])
+def test_riesz_linf_is_the_linf_of_each_riesz_field(n, ndim):
+    # the band inverse of f times the real xi_j/|xi|, filled into the first
+    # pass, has the max modulus of the band inverse of R_j f, bit for bit:
+    # on random fields, the xi = 0 mode alone and a zero field
+    g = SpectralGrid(n, 11.0, ndim)
+    rng = np.random.default_rng(n)
+    fields = [rng.normal(size=g.band_shape) + 1j * rng.normal(
+        size=g.band_shape) for _ in range(3)]
+    fields += [np.zeros(g.band_shape, dtype=complex) for _ in range(2)]
+    fields[-1][(0,) * ndim] = 2.5
+    for f in fields:
+        per = [norms.band_linf(g, riesz(g, j, f)) for j in range(ndim)]
+        assert norms.riesz_linf_norm(g, f) == max(per)
+        assert all(lp_norm(g, f, np.inf, riesz(g, j)) == v
+                   for j, v in enumerate(per))
+    assert norms.riesz_linf_norm(g, fields[-1]) == 0.0
 
 
 def test_initial_energy_scales_linearly(grid):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import mpmath
@@ -161,13 +162,13 @@ _BAND_EDGES = (0.5 - spectra.DEGENERATE_BAND, 0.5 + spectra.DEGENERATE_BAND)
 def test_block_propagator_matches_dense_expm(s, t, dim, seed):
     model = (spectra.three_component_model() if dim == 3
              else spectra.two_component_model())
-    # a 4-point axis keeps the modes 0 and +-1, the cube [0, 1, -1]; the
-    # entries [0, s] stand for its two shells, so modes 1 and -1 carry
-    # exp(E(s) t)
+    # a 4-point axis keeps the modes 0 and +-1, the cube [0, 1, -1], whose
+    # half k_0 >= 0 is [0, 1]; the entries [0, s] stand for its two shells,
+    # so modes 1 and -1 carry exp(E(s) t)
     g = SpectralGrid(4, 2 * np.pi, ndim=1)
     cache = spectra.build_symbol_cache([0.0, s], model)
     G = spectra.propagator(g, cache, t)
-    assert G.shape == (dim + 1, 3)
+    assert G.shape == (dim + 1, 2)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
     got = spectra.propagator_apply(G, x)
@@ -198,10 +199,11 @@ def test_shell_green_equals_per_mode_green(dim):
             green = spectra.green_function(cache, t)
             Gm = spectra.green_function(per_mode, t)[:, rows, cols].T
             Gm = Gm.reshape((dim + 1,) + g.band_shape)    # the rows, per mode
-            G = spectra.propagator(g, cache, t)    # on the cube
-            assert G.shape == (dim + 1,) + index.shape == Gm.shape
-            assert np.array_equal(G, green[:, rows, cols].T[:, index])
-            assert np.array_equal(G, Gm)
+            G = spectra.propagator(g, cache, t)    # on the half cube
+            assert G.shape == (dim + 1, len(index) // 2 + 1) + index.shape[1:]
+            assert np.array_equal(_cube_rows(G),
+                                  green[:, rows, cols].T[:, index])
+            assert np.array_equal(_cube_rows(G), Gm)
             if dim == 3:   # the wave flow is unitary
                 assert np.max(np.abs(np.abs(G[3]) - 1.0)) < 1e-14
             # the apply is the per-mode product
@@ -225,9 +227,16 @@ def _flow_rows_and_fields(dim, n, t=2.0, seed=None):
     return G, x
 
 
+def _cube_rows(G):
+    """Band rows on the planes k_0 = 0..K expanded to the whole cube: plane
+    k_0 < 0 is a copy of plane -k_0."""
+    k = G.shape[1]
+    return G[:, np.r_[0:k, k - 1:0:-1]]
+
+
 def _per_mode_apply(G, x):
-    """The rows applied mode by mode in the operation order of
-    propagator_apply: G00 u + G01 v, G11 v + G01 u, then the phase."""
+    """Rows on the whole cube applied mode by mode in the operation order
+    of propagator_apply: G00 u + G01 v, G11 v + G01 u, then the phase."""
     expect = [G[0] * x[0], G[2] * x[1]]
     expect[0] += G[1] * x[1]
     expect[1] += G[1] * x[0]
@@ -240,7 +249,7 @@ def test_propagator_apply_into_out_allocates_no_cube(dim):
     # scratch: the bits of the per-mode products, and at n = 64 a
     # tracemalloc peak of that scratch, for 3 rows and for 4
     G, x = _flow_rows_and_fields(dim, 64)
-    expect = _per_mode_apply(G, x)
+    expect = _per_mode_apply(_cube_rows(G), x)
     out = np.full_like(x, np.nan)
     tracemalloc.start()
     try:
@@ -258,47 +267,113 @@ def test_propagator_apply_into_out_allocates_no_cube(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_propagator_apply_over_many_chunks_and_views(dim):
-    # at n = 64 the cube's 43 rows make chunks of 8 rows and a ragged last
-    # chunk of 3; strided views of `data` and `out` apply as the per-mode
+    # at n = 64 the 22 planes k_0 = 0..K make chunks of 8 planes and a
+    # ragged last chunk of 6, and the 21 planes k_0 < 0 go one by one;
+    # strided views of `data`, `out` and the rows apply as the per-mode
     # product, bit for bit
     G, x = _flow_rows_and_fields(dim, 64, t=0.7, seed=10 + dim)
     rows = spectra._CHUNK_MODES // x[0, 0].size
-    assert x.shape[1] // rows > 1 and x.shape[1] % rows
-    expect = _per_mode_apply(G, x)
+    assert G.shape[1] // rows > 1 and G.shape[1] % rows
+    expect = _per_mode_apply(_cube_rows(G), x)
     assert spectra.propagator_apply(G, x).tobytes() == expect.tobytes()
-    # the same fields, stored transposed and with a gap after each field
+    # the same fields, the last two axes swapped and with a gap after each
+    # field, and the rows (symmetric in the two axes) as a swapped view
     big = np.full((dim, x.shape[1] + 1) + x.shape[2:], np.nan, dtype=complex)
-    data = big[:, :-1].transpose(0, 2, 1, 3)
-    data[...] = x.transpose(0, 2, 1, 3)
+    data = big[:, :-1].transpose(0, 1, 3, 2)
+    data[...] = x.transpose(0, 1, 3, 2)
     store = np.full((dim,) + x.shape[1:-1] + (2 * x.shape[-1],), np.nan,
                     dtype=complex)
     out = store[..., ::2]
-    assert not (data.flags.contiguous or out.flags.contiguous)
-    Gt = np.ascontiguousarray(G.transpose(0, 2, 1, 3))
+    Gt = G.transpose(0, 1, 3, 2)
+    assert not (data.flags.contiguous or out.flags.contiguous
+                or Gt.flags.contiguous)
     assert spectra.propagator_apply(Gt, data, out=out) is out
-    back = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
+    back = np.ascontiguousarray(out.transpose(0, 1, 3, 2))
     assert back.tobytes() == expect.tobytes()
     assert np.isnan(store[..., 1::2]).all()     # the gaps stay untouched
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_half_cube_rows_apply_as_the_whole_cube(dim, monkeypatch):
+    # 1, 3 and 4 rows on the planes k_0 = 0..K apply as their expansion to
+    # the whole cube, bit for bit, with chunks of 3 planes, so that a chunk
+    # ends on plane K = 5, into a fresh array and into `out`, on strided
+    # views of `data`, `out` and the rows
+    monkeypatch.setattr(spectra, "_CHUNK_MODES", 3 * 11 ** 2)
+    g = SpectralGrid(16, 64.0)
+    assert g.dealias_limit == 5
+    model = (spectra.two_component_model() if dim == 2
+             else spectra.three_component_model())
+    cache = spectra.build_symbol_cache(g.shells[0], model)
+    G = spectra.propagator(g, cache, 1.3)
+    G = G[3:] if dim == 1 else G    # the wave phase alone
+    assert G.shape == (dim + (dim > 1), 6, 11, 11)
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(dim,) + g.band_shape) + 1j * rng.normal(
+        size=(dim,) + g.band_shape)
+    full = _cube_rows(G)
+    expect = full * x if dim == 1 else _per_mode_apply(full, x)
+    assert spectra.propagator_apply(G, x).tobytes() == expect.tobytes()
+    out = np.full_like(x, np.nan)
+    assert spectra.propagator_apply(G, x, out=out) is out
+    assert out.tobytes() == expect.tobytes()
+    # the fields with the last two axes swapped, in every other complex of
+    # a buffer, and the rows (symmetric in those axes) as a swapped view
+    data = np.full(x.shape + (2,), np.nan, dtype=complex)
+    data[..., 0] = x.transpose(0, 1, 3, 2)
+    store = np.full_like(data, np.nan)
+    got = spectra.propagator_apply(G.transpose(0, 1, 3, 2), data[..., 0],
+                                   out=store[..., 1])
+    assert np.ascontiguousarray(got.transpose(0, 1, 3, 2)).tobytes() \
+        == expect.tobytes()
+    assert np.isnan(store[..., 0]).all()
+
+
+def test_band_rows_gather_holds_little_more_than_the_rows():
+    # the gather reads the int32 shell index in place: at n = 96 its
+    # tracemalloc peak is within 1.1 times the rows it returns (np.take's
+    # intp copy of the index would add half a row)
+    g = SpectralGrid(96, 64.0)
+    norms = g.shells[0]
+    rng = np.random.default_rng(2)
+    tables = [rng.normal(size=norms.size) + 0j,
+              rng.normal(size=(norms.size, 2, 2)) + 0j,
+              rng.normal(size=(norms.size, 3, 3)) + 0j]
+    for table in tables[1:]:
+        table[:, 1, 0] = table[:, 0, 1]
+    for table, r in zip(tables, (1, 3, 4)):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = spectra.band_rows(g, table)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (r, 32, 63, 63) and rows.flags.c_contiguous
+        assert peak <= 1.1 * rows.nbytes
 
 
 @pytest.mark.parametrize("rows, fields", [(4, 2), (3, 3), (1, 2), (3, 1)])
 def test_propagator_apply_refuses_rows_that_do_not_fit(rows, fields):
     # 4 rows on (u, v) would apply the phase to v, and 3 rows on (u, v, w)
     # would leave w's row of `out` unwritten
-    G = np.ones((rows, 5, 5), dtype=complex)
+    G = np.ones((rows, 3, 5), dtype=complex)
     x = np.ones((fields, 5, 5), dtype=complex)
-    with pytest.raises(ValueError, match=rf"\({rows}, 5, 5\).*"
+    with pytest.raises(ValueError, match=rf"\({rows}, 3, 5\).*"
                                          rf"\({fields}, 5, 5\)"):
         spectra.propagator_apply(G, x)
 
 
 def test_propagator_apply_refuses_out_of_another_shape():
-    G, x = np.ones((3, 5, 5), dtype=complex), np.ones((2, 5, 5), dtype=complex)
+    G, x = np.ones((3, 3, 5), dtype=complex), np.ones((2, 5, 5), dtype=complex)
     for shape in ((3, 5, 5), (2, 5, 4), (2, 25)):
         with pytest.raises(ValueError, match=r"\(2, 5, 5\)"):
             spectra.propagator_apply(G, x, out=np.empty(shape, dtype=complex))
-    with pytest.raises(ValueError, match=r"\(3, 4, 5\).*\(2, 5, 5\)"):
-        spectra.propagator_apply(np.ones((3, 4, 5), dtype=complex), x)
+    # rows on the whole cube, or on the wrong half, do not fit it
+    for rows in ((3, 5, 5), (3, 2, 5), (3, 4, 5), (3, 3, 4)):
+        with pytest.raises(ValueError,
+                           match=re.escape(str(rows)) + r".*\(2, 5, 5\)"):
+            spectra.propagator_apply(np.ones(rows, dtype=complex), x)
 
 
 def _offdiagonal_bits_agree(table):
@@ -318,7 +393,7 @@ def test_green_function_is_symmetric_bit_for_bit(dim):
         for t in (2.0, 1.0, 0.5, -1.5):
             assert _offdiagonal_bits_agree(spectra.green_function(cache, t))
     G = spectra.propagator(g, cache, -1.5)
-    assert G.shape == (dim + 1,) + g.band_shape
+    assert G.shape == (dim + 1, 22, 43, 43)
 
 
 def test_damped_projector_is_symmetric_bit_for_bit():
@@ -363,8 +438,10 @@ def test_one_row_table_applies_as_a_band_product(n, ndim):
     rng = np.random.default_rng(n)
     per_shell = rng.normal(size=norms.size) + 1j * rng.normal(size=norms.size)
     row = spectra.band_rows(g, per_shell)
-    assert row.shape == (1,) + index.shape == (1,) + g.band_shape
-    x = rng.normal(size=row.shape) + 1j * rng.normal(size=row.shape)
+    assert row.shape == (1, g.dealias_limit + 1) + g.band_shape[1:]
+    assert np.array_equal(_cube_rows(row)[0], per_shell[index])
+    x = rng.normal(size=(1,) + g.band_shape) + 1j * rng.normal(
+        size=(1,) + g.band_shape)
     got = spectra.propagator_apply(row, x)[0]
     per_mode = per_shell[np.searchsorted(norms, g.xi_norm)]
     assert np.array_equal(got, per_mode * x[0])
