@@ -18,7 +18,7 @@ class CostCapExceeded(PdhypError):
 
 
 class ExponentMismatch(PdhypError):
-    """Lebesgue/Sobolev exponents violate the scaling relation."""
+    """p or q outside an estimate harness's domain (it derives the rest)."""
 
 
 class StepRejected(PdhypError):

@@ -28,7 +28,7 @@ during stepping (it would replace the half-wave factor e^{-i|xi| dt} by
 cos(|xi| dt) per step and destroy the wave invariants).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class Coefficients:
     b_v: float = 0.0
     c_v: float = 0.0
     d_v: float = 0.0    # coefficient of the mixed u/v-w coupling term
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in
-                ("a_u", "b_u", "c_u", "a_v", "b_v", "c_v", "d_v")}
 
 
 @dataclass
@@ -100,7 +96,7 @@ class ModelSpec:
         if self.kind == "pk_system_w":
             if self.w_symbol is None:
                 raise ValueError("pk_system_w needs a w_symbol")
-            if any(c.as_dict().values()):
+            if any(asdict(c).values()):
                 raise ValueError("pk_system_w fixes its sources; "
                                  "coefficients must be 0")
             if self.coupling not in ("uw", "vw_in_w"):

@@ -14,7 +14,7 @@ import contextlib
 import copy
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from importlib import resources
 
@@ -74,7 +74,7 @@ _COUNTS = ("an int >= 0 or a list of them",
            lambda v: _is_count(v) or _is_list_of(v, _is_count))
 _POSITIVE_OR_NULL = ("null or a positive finite number",
                      lambda v: v is None or (_is_number(v) and v > 0))
-_COEFFICIENTS = tuple(ev.Coefficients().as_dict())
+_COEFFICIENTS = tuple(f.name for f in fields(ev.Coefficients))
 
 # path -> (default, (form, check)): the one declaration of each config
 # field.  validate checks every form before a cross-field rule reads it.

@@ -42,20 +42,13 @@ def lp_norm(grid, fhat, p, multiplier=None):
 # estimate harnesses
 # ---------------------------------------------------------------------------
 
-def fractional_ratio(grid, alpha, p, q, fhat, *, ledger):
-    """Empirical constant of ||Lam^{-alpha} f||_{L^q} <= C ||f||_{L^p}
-    at the scaling-critical relation alpha = d/p - d/q, for a band field."""
-    d = grid.ndim
-    if not (1 < p < np.inf and 1 < q < np.inf):
-        raise ExponentMismatch("need 1 < p, q < infinity")
-    if abs(alpha - (d / p - d / q)) > 1e-12:
-        raise ExponentMismatch(
-            f"alpha={alpha} != {d}/p - {d}/q = {d / p - d / q:.6g}")
-    if alpha < 0 or (alpha > 0 and alpha >= d / p):
-        raise ExponentMismatch(f"need 0 <= alpha < {d}/p")
+def fractional_ratio(grid, p, q, fhat):
+    """Empirical constant of ||Lam^{-alpha} f||_{L^q} <= C ||f||_{L^p} for a
+    band field, at the scaling-critical alpha = d/p - d/q, 1 < p <= q < inf."""
+    if not 1 < p <= q < np.inf:
+        raise ExponentMismatch(f"need 1 < p <= q < infinity, not p={p}, q={q}")
     if not np.any(fhat):
         return 0.0
+    alpha = grid.ndim / p - grid.ndim / q
     low = lambda_power(grid.xi_norm, -alpha) * fhat
-    ratio = lp_norm(grid, low, q) / lp_norm(grid, fhat, p)
-    ledger.record("fractional", ratio, alpha=alpha, p=p, q=q, n=grid.n)
-    return ratio
+    return lp_norm(grid, low, q) / lp_norm(grid, fhat, p)

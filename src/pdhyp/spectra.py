@@ -204,8 +204,11 @@ def band_rows(grid, per_shell):
     of the band's cube, as the rows (r, K+1, *grid.band_shape[1:])
     propagator_apply takes: the one row of scalars (k,), or the
     BLOCK_ENTRIES of matrices (k, d, d) with the block pattern of E, 3 rows
-    for d = 2 and 4 for d = 3.  The matrices must be symmetric: (0,1)
-    differing from (1,0) in any bit raises ValueError."""
+    for d = 2 and 4 for d = 3.  ValueError: a table not on grid.shells[0],
+    or matrices whose (0,1) and (1,0) differ in any bit."""
+    if len(per_shell) != len(grid.shells[0]):
+        raise ValueError(f"a table of {len(per_shell)} shells on a grid of "
+                         f"{len(grid.shells[0])}")
     if per_shell.ndim == 3:
         up, low = per_shell[:, 0, 1:2], per_shell[:, 1, :1]   # bit for bit
         bad = np.flatnonzero((up.view(np.uint8) != low.view(np.uint8)).any(1))

@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import pytest
 
@@ -180,10 +181,13 @@ def test_presets_list(capsys):
     assert "pksw-small-data" in out
 
 
-def test_verify_single_criterion(capsys):
+def test_verify_single_criterion(capsys, monkeypatch, tmp_path):
+    # the criterion's working directory is removed when it returns
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert cli.main(["verify", "2"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] criterion 2" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rejects_bad_id(capsys):

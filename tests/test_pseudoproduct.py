@@ -7,10 +7,9 @@ from conftest import record_transforms
 from pdhyp import pseudoproduct as pp
 from pdhyp import symbols as sy
 from pdhyp.acceptance import band_field, nonresonant_symbols
-from pdhyp.bounds import BoundLedger
 from pdhyp.errors import CostCapExceeded, ExponentMismatch, GridMismatch
 from pdhyp.grid import SpectralGrid
-from pdhyp.propagators import lambda_power
+from pdhyp.propagators import lambda_power, lp_norm
 
 
 def _band_product(grid, f, h):
@@ -306,22 +305,29 @@ def test_holder_ratio_cauchy_schwarz(grid16):
     f = band_field(grid16, 3, rng)
     h = band_field(grid16, 3, rng)
     plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"))
-    ledger = BoundLedger()
-    ratio = pp.holder_bound_ratio(plan, f, h, s=0.0, k=0, p=4.0, q=4.0, r=2.0,
-                                  ledger=ledger)
-    assert 0.0 < ratio <= 1.0 and ledger.ratios("holder") == [ratio]
-    assert pp.holder_bound_ratio(plan, 0.0 * f, h, s=0.0, k=0,
-                                 p=4.0, q=4.0, r=2.0, ledger=ledger) == 0.0
+    assert 0.0 < pp.holder_bound_ratio(plan, f, h, 4.0, 4.0) <= 1.0
+    assert pp.holder_bound_ratio(plan, 0.0 * f, h, 4.0, 4.0) == 0.0
 
 
-def test_holder_ratio_exponent_mismatch(grid16):
+def test_holder_ratio_takes_s_from_the_symbol_degree(grid16):
+    # aphi = |xi| phi_w has degree 2: the denominator carries W^{2,4}
+    rng = np.random.default_rng(8)
+    f = band_field(grid16, 3, rng)
+    h = band_field(grid16, 3, rng)
+    plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("aphi"))
+    assert plan.symbol.degree == 2
+    lam2 = lambda_power(grid16.xi_norm, 2)
+    f4, h4 = lp_norm(grid16, f, 4.0), lp_norm(grid16, h, 4.0)
+    f_w24 = f4 + lp_norm(grid16, lam2 * f, 4.0)
+    h_w24 = h4 + lp_norm(grid16, lam2 * h, 4.0)
+    expect = (lp_norm(grid16, pp.apply(plan, f, h), 2.0)
+              / (f_w24 * h4 + f4 * h_w24))
+    assert pp.holder_bound_ratio(plan, f, h, 4.0, 4.0) == expect
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 4.0), (4.0, 0.5), (4.0, np.inf)])
+def test_holder_ratio_refuses_exponents_outside_its_domain(grid16, p, q):
     plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("one"))
     f = np.ones(grid16.band_shape, complex)
-    ledger = BoundLedger()
-    with pytest.raises(ExponentMismatch):
-        pp.holder_bound_ratio(plan, f, f, s=0.0, k=0, p=4.0, q=4.0, r=3.0,
-                              ledger=ledger)
-    with pytest.raises(ExponentMismatch):
-        pp.holder_bound_ratio(plan, f, f, s=1.0, k=0, p=4.0, q=4.0, r=2.0,
-                              ledger=ledger)
-    assert ledger.entries == []
+    with pytest.raises(ExponentMismatch, match=r"p, q in \[1, infinity\)"):
+        pp.holder_bound_ratio(plan, f, f, p, q)

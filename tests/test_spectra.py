@@ -431,6 +431,18 @@ def test_band_rows_refuses_an_asymmetric_table():
             spectra.band_rows(g, table)
 
 
+@pytest.mark.parametrize("table_n", [20, 12])
+@pytest.mark.parametrize("shape", [(), (3, 3)])
+def test_band_rows_refuses_a_table_of_another_grid(table_n, shape):
+    # 72 shells (n = 20) would gather silently onto the 47 of n = 16
+    g = SpectralGrid(16, 8.0)
+    other = len(SpectralGrid(table_n, 8.0).shells[0])
+    table = np.zeros((other,) + shape, dtype=complex)
+    with pytest.raises(ValueError, match=rf"table of {other} shells on a "
+                                         rf"grid of {len(g.shells[0])}"):
+        spectra.band_rows(g, table)
+
+
 @pytest.mark.parametrize("n, ndim", [(15, 2), (16, 3), (16, 1)])
 def test_one_row_table_applies_as_a_band_product(n, ndim):
     g = SpectralGrid(n, 8 * np.pi, ndim)
