@@ -4,6 +4,8 @@
     pdhyp presets list
     pdhyp verify <criterion-id | all>
 
+A copy of a preset's own file is a config file.  The --set pairs merge in
+turn: `--set key=<JSON object>` merges into that section, as a file does.
 Exit codes for `run`: 0 completed, 2 config error, 3 blow-up guard
 triggered.  `verify` exits 0 when the criterion passes, 1 otherwise, and
 2 for an unknown or malformed criterion id.

@@ -2,7 +2,7 @@
 phases, set-up, `_evolve` (steps, norm series) and `_report` (fits, M0).
 
 Configs are single human-editable JSON files (see the shipped presets);
-scripted overrides take precedence via dotted ``--set key=value`` pairs.
+scripted overrides, dotted ``--set key=value`` pairs, merge in like files.
 Each field is declared once, in ``_FIELDS``, with its default and its form
 (notes on a field are comments there); the defaults derive from that table.
 Validation checks every field's form first, then the cross-field rules
@@ -64,23 +64,27 @@ def _is_name(value):       # a path the file system can take
     return isinstance(value, str) and value != "" and "\0" not in value
 
 
+def _is_positive(value):
+    return _is_number(value) and value > 0
+
+
 def _one_of(*choices):
     return f"one of {' | '.join(choices)}", lambda v: v in choices
 
 
-_NUMBERS = ("a finite number or a list of them",
-            lambda v: _is_number(v) or _is_list_of(v, _is_number))
+_POSITIVES = ("a positive finite number or a list of them",
+              lambda v: _is_positive(v) or _is_list_of(v, _is_positive))
 _COUNTS = ("an int >= 0 or a list of them",
            lambda v: _is_count(v) or _is_list_of(v, _is_count))
 _POSITIVE_OR_NULL = ("null or a positive finite number",
-                     lambda v: v is None or (_is_number(v) and v > 0))
+                     lambda v: v is None or _is_positive(v))
 _COEFFICIENTS = tuple(f.name for f in fields(ev.Coefficients))
 
 # path -> (default, (form, check)): the one declaration of each config
 # field.  validate checks every form before a cross-field rule reads it.
 _FIELDS = {
     "model.kind": ("k_system", _one_of(*ev.MODEL_KINDS)),
-    "model.coefficients": (     # unset names are 0
+    "model.coefficients": (     # unset names are 0; free-form in _merge
         {}, (f"a dict of finite numbers named from {' '.join(_COEFFICIENTS)}",
              lambda v: isinstance(v, dict) and set(v) <= set(_COEFFICIENTS)
              and all(map(_is_number, v.values())))),
@@ -89,12 +93,12 @@ _FIELDS = {
     "grid.n": (32, ("an even int in [8, 65536] with scipy.fft.next_fast_len(n)"
                     " == n", lambda v: type(v) is int and 8 <= v <= 65536
                     and v % 2 == 0 and scipy.fft.next_fast_len(v) == v)),
-    "grid.length": (128.0, ("a positive finite number",     # box side L
-                            lambda v: _is_number(v) and v > 0)),
+    # the box side L
+    "grid.length": (128.0, ("a positive finite number", _is_positive)),
     "initial.preset": ("gaussian_bump", _one_of(*INITIAL_PRESETS)),
     "initial.amplitude": (1e-3, ("a finite number >= 0",
                                  lambda v: _is_number(v) and v >= 0)),
-    "initial.width": (1.0, _NUMBERS),     # a list: one entry per component
+    "initial.width": (1.0, _POSITIVES),     # a list: one entry per component
     "initial.radial_power": (0, _COUNTS),     # likewise
     # for single_mode, each |k| <= (n-1)//3
     "initial.mode": ([1, 0, 0], ("a list of 3 ints", lambda v: _is_list_of(
@@ -132,16 +136,21 @@ for _path, (_default, _) in _FIELDS.items():
 
 
 def _merge(base, extra, path=""):
+    """base with the nested dict extra merged in: a dict into a section, key
+    by key, any other value replacing.  Keys must be base's, but under
+    model.coefficients any name goes (validate checks the names)."""
     if not isinstance(extra, dict):
         raise ConfigError([f"{path or 'the config'}: {extra!r} is not an "
                            "object"])
     out = copy.deepcopy(base)
     for key, val in extra.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in base and path != "model.coefficients":
+            while isinstance(val, dict) and len(val) == 1:  # a dotted key
+                (key, val), = val.items()
+                where += f".{key}"
             raise ConfigError([f"unknown config key {where!r}"])
-        # empty-dict defaults (model.coefficients) are free-form: replace
-        if isinstance(base[key], dict) and base[key]:
+        if isinstance(base.get(key), dict):
             out[key] = _merge(base[key], val, where)
         else:
             out[key] = copy.deepcopy(val)
@@ -160,6 +169,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path):
+        """The config in a JSON file, less a top-level 'description'."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -169,6 +179,8 @@ class ExperimentConfig:
                  f"column {exc.colno}: {exc.msg}"]) from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"{path}: cannot read it: {exc}"]) from exc
+        if isinstance(data, dict):
+            data.pop("description", None)
         return ExperimentConfig.from_dict(data)
 
     def to_dict(self):
@@ -178,9 +190,10 @@ class ExperimentConfig:
         return self.raw[key]
 
     def override(self, pairs):
-        """Apply dotted key=value overrides (values parsed as JSON when
-        possible, else as strings); returns a new validated config."""
-        raw = copy.deepcopy(self.raw)
+        """A new validated config: each a.b=value in turn merged in as
+        {"a": {"b": value}}, the value parsed as JSON when possible, else
+        kept as a string; a section's other keys keep their values."""
+        raw = self.raw
         for pair in pairs:
             if "=" not in pair:
                 raise ConfigError([f"override {pair!r} is not key=value"])
@@ -189,17 +202,8 @@ class ExperimentConfig:
                 value = json.loads(text)
             except json.JSONDecodeError:
                 value = text
-            node = raw
-            parts = key.split(".")
-            for part in parts[:-1]:
-                if part not in node or not isinstance(node[part], dict):
-                    raise ConfigError([f"unknown config key {key!r}"])
-                node = node[part]
-            # names under the free-form coefficient block are validate's
-            if (parts[-1] not in node
-                    and parts[:-1] != ["model", "coefficients"]):
-                raise ConfigError([f"unknown config key {key!r}"])
-            node[parts[-1]] = value
+            raw = _merge(raw, reduce(lambda v, part: {part: v},
+                                     reversed(key.split(".")), value))
         return ExperimentConfig.from_dict(raw)
 
     # -- validation ---------------------------------------------------------
@@ -418,24 +422,17 @@ def project_damped_branch(state, cache):
 # ---------------------------------------------------------------------------
 
 def list_presets():
-    found = {}
     root = resources.files("pdhyp").joinpath("presets")
-    for entry in sorted(root.iterdir()):
-        if entry.name.endswith(".json"):
-            with entry.open() as fh:
-                data = json.load(fh)
-            found[entry.name[:-5]] = data.pop("description", "")
-    return found
+    return {entry.name[:-5]: json.loads(entry.read_text()).get(
+        "description", "") for entry in sorted(root.iterdir())
+        if entry.name.endswith(".json")}
 
 
 def load_preset(name):
     path = resources.files("pdhyp").joinpath("presets").joinpath(f"{name}.json")
     if not path.is_file():
         raise UnknownPreset(f"no preset named {name!r}; see `presets list`")
-    with path.open() as fh:
-        data = json.load(fh)
-    data.pop("description", None)
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_file(path)
 
 
 def load_config(name_or_path):

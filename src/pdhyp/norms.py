@@ -278,7 +278,7 @@ class BootstrapReport:
     times: np.ndarray
     m0: np.ndarray          # running supremum, nondecreasing
     e_n: float
-    fitted_c: float
+    fitted_c: float | None      # None when E_N = 0
     bounded: bool
 
     def as_dict(self):
@@ -295,7 +295,7 @@ def m0_functional(model_kind, series, e_n):
 
     series maps series names to (times, values); all constituents must share
     one time grid with t >= 1.  The verdict compares sup M0 against
-    M0_BOUND_C * E_N with the fitted constant reported.
+    M0_BOUND_C * E_N with the fitted constant reported, null when E_N = 0.
     """
     if model_kind not in M0_WEIGHTS:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -317,10 +317,11 @@ def m0_functional(model_kind, series, e_n):
             else times ** p
         total = total + w * v
     m0 = np.maximum.accumulate(total)
-    fitted_c = float(np.max(m0) / e_n) if e_n > 0 else np.inf
+    # with E_N = 0 no constant is fitted: M0 <= C * E_N iff M0 vanishes
+    fitted_c = float(np.max(m0) / e_n) if e_n > 0 else None
+    bounded = fitted_c <= M0_BOUND_C if e_n > 0 else not np.any(m0)
     return BootstrapReport(model_kind=model_kind, times=times, m0=m0,
-                           e_n=e_n, fitted_c=fitted_c,
-                           bounded=bool(fitted_c <= M0_BOUND_C))
+                           e_n=e_n, fitted_c=fitted_c, bounded=bool(bounded))
 
 
 # ---------------------------------------------------------------------------

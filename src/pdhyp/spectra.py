@@ -135,7 +135,11 @@ class LinearSymbolCache:
 
 def build_symbol_cache(xi_norms, model):
     """Closed-form eigenstructure at each of a list of |xi| values; a
-    grid's band shells are grid.shells[0]."""
+    grid's band shells are grid.shells[0].  A ValueError for any model
+    but the two shipped ones, the only ones these closed forms describe."""
+    if not any(np.array_equal(model.A, m.A) and np.array_equal(model.B, m.B)
+               for m in (three_component_model(), two_component_model())):
+        raise ValueError("the closed forms describe the shipped models only")
     s = np.asarray(xi_norms, dtype=float).reshape(-1)
     m = s.size
     d = model.dim_state
@@ -156,19 +160,15 @@ def build_symbol_cache(xi_norms, model):
     P2[:, 0, 1] = P2[:, 1, 0] = 1j * s / safe_root
     P2[:, 1, 1] = (1.0 + lam1) / safe_root
 
-    if d == 3:
-        lam3 = -1j * s
-        P3 = np.zeros((m, d, d), dtype=complex)
-        P3[:, 2, 2] = 1.0
-        eigvals = np.stack([lam1, lam2, lam3])
-        projectors = np.stack([P1, P2, P3])
-    else:
-        eigvals = np.stack([lam1, lam2])
-        projectors = np.stack([P1, P2])
+    eigvals, projectors = [lam1, lam2], [P1, P2]
+    if d == 3:      # the transported w: lam_3 = -i|xi| on its own axis
+        projectors.append(np.zeros((m, d, d), dtype=complex))
+        projectors[2][:, 2, 2] = 1.0
+        eigvals.append(-1j * s)
 
-    return LinearSymbolCache(model=model, E=E, eigvals=eigvals,
-                             projectors=projectors, degenerate_mask=degenerate,
-                             xi_norm=s)
+    return LinearSymbolCache(model=model, E=E, eigvals=np.stack(eigvals),
+                             projectors=np.stack(projectors),
+                             degenerate_mask=degenerate, xi_norm=s)
 
 
 def green_function(cache, t):

@@ -173,6 +173,45 @@ def test_config_overrides(tmp_path):
     assert err.value.problems == [
         "model.coefficients: {'e_u': 1.0} is not a dict of finite numbers "
         "named from a_u b_u c_u a_v b_v c_v d_v"]
+    # a whole block merges into the preset's, like any other section
+    pk = ex.load_preset("pk-small-data")
+    assert pk.override(['model.coefficients={"a_u": 2.0}'])["model"][
+        "coefficients"] == {**pk["model"]["coefficients"], "a_u": 2.0}
+
+
+def test_a_section_override_keeps_the_keys_it_does_not_name():
+    pk = ex.load_preset("pk-small-data")
+    initial = pk.override(['initial={"seed": 3}'])["initial"]
+    assert initial == {**pk["initial"], "seed": 3}
+    assert initial["width"] == [1.0, 1.0, 8.0]
+    assert initial["radial_power"] == [0, 0, 1]
+    assert pk.override(['grid={"n": 32}'])["grid"] == {"n": 32,
+                                                       "length": 256.0}
+
+
+def test_overrides_apply_in_order():
+    pk = ex.load_preset("pk-small-data")
+    assert pk.override(["grid.n=32", 'grid={"n": 16}'])["grid"]["n"] == 16
+    assert pk.override(['grid={"n": 16}', "grid.n=32"])["grid"]["n"] == 32
+
+
+@pytest.mark.parametrize("name", sorted(ex.list_presets()))
+def test_a_presets_own_file_is_a_config_file(name):
+    path = Path(ex.__file__).parent / "presets" / f"{name}.json"
+    assert "description" in json.loads(path.read_text())
+    assert (ex.load_config(str(path)).to_dict()
+            == ex.load_preset(name).to_dict())
+
+
+@pytest.mark.parametrize("width", [0, -1, 0.0, [1.0, 1.0, 0.0],
+                                   [1.0, -1.0, 8.0]])
+def test_config_rejects_a_width_that_is_not_positive(width):
+    with pytest.raises(ConfigError) as err:
+        ex.load_preset("pk-small-data").override(
+            [f"initial.width={json.dumps(width)}"])
+    assert err.value.problems == [
+        f"initial.width: {width!r} is not a positive finite number or a "
+        "list of them"]
 
 
 # -- initial data -------------------------------------------------------------
@@ -377,6 +416,10 @@ def test_run_series_equals_its_csv(tmp_path):
         assert v.tolist() == parsed[name][1], name
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def test_run_zero_amplitude_trivial(tmp_path):
     cfg = tiny_config(tmp_path).override(["initial.amplitude=0.0"])
     res = ex.run(cfg)
@@ -384,6 +427,10 @@ def test_run_zero_amplitude_trivial(tmp_path):
     vals = [float(line.split(",")[2])
             for line in open(res.csv_path).read().splitlines()[1:]]
     assert all(v == 0.0 for v in vals)
+    # E_N = 0: no constant to fit, and M0 = 0 <= C * E_N holds
+    with open(res.report_path) as fh:
+        m0 = json.loads(fh.read(), parse_constant=_refuse)["m0"]
+    assert m0["e_n"] == 0.0 and m0["fitted_c"] is None and m0["bounded"]
 
 
 def test_run_blowup_guard_statuses(tmp_path):

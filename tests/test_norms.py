@@ -391,6 +391,12 @@ def test_m0_zero_fields():
     rep = norms.m0_functional("k_system", series, e_n=1.0)
     assert np.all(rep.m0 == 0.0)
     assert rep.bounded
+    # E_N = 0: no constant is fitted, and M0 <= C * E_N iff M0 vanishes
+    rep = norms.m0_functional("k_system", series, e_n=0.0)
+    assert rep.fitted_c is None and rep.bounded
+    series["u_sobolev"] = (t, np.full_like(t, 1e-300))
+    rep = norms.m0_functional("k_system", series, e_n=0.0)
+    assert rep.fitted_c is None and not rep.bounded
 
 
 def test_m0_weight_cancels_exact_rate():

@@ -516,6 +516,19 @@ def test_check_sk_full_dissipation_vacuous():
     assert spectra.check_sk(model) == []
 
 
+def test_symbol_cache_refuses_a_model_its_closed_forms_do_not_describe():
+    # E = -i s I - I has eigenvalue -1 - 0.3i three times at s = 0.3; the
+    # closed forms would report -0.1, -0.9 and -0.3i
+    with pytest.raises(ValueError, match="closed forms"):
+        spectra.build_symbol_cache(
+            [0.3], spectra.ModelMatrices(np.eye(3), -np.eye(3), 3))
+    for model in (spectra.three_component_model(),
+                  spectra.two_component_model()):
+        cache = spectra.build_symbol_cache([0.3], model)
+        assert np.allclose(np.sort_complex(cache.eigvals[:, 0]),
+                           np.sort_complex(np.linalg.eigvals(cache.E[0])))
+
+
 def test_check_sk_finds_exactly_the_undamped_directions():
     # damping w restores [SK] for the 3x3 model
     model = spectra.ModelMatrices(spectra.three_component_model().A,
