@@ -2,6 +2,8 @@
 dissipative hyperbolic model systems with quadratic and bilinear
 pseudoproduct sources."""
 
+__version__ = "0.1.0"     # before the imports: experiments reads it
+
 from .grid import SpectralGrid
 from .spectra import (ModelMatrices, LinearSymbolCache,
                       three_component_model, two_component_model,
@@ -17,5 +19,3 @@ from .norms import (NormSpec, BootstrapReport, evaluate_norm,
                     m0_functional, fit_decay, fit_exponential_rate,
                     initial_energy)
 from .experiments import ExperimentConfig, make_initial_data, run
-
-__version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """Config-driven experiment runner: configs, initial data, and `run` in three
-phases, set-up, `_evolve` (steps, norm series) and `_report` (fits, M0).
+phases, set-up, `_evolve` (steps, norm series) and `_report` (fits, M0,
+provenance).
 
 Configs are single human-editable JSON files (see the shipped presets);
 scripted overrides, dotted ``--set key=value`` pairs, merge in like files.
@@ -12,15 +13,17 @@ identical configs produce byte-identical CSV output.
 
 import contextlib
 import copy
+import hashlib
 import json
 import os
+import platform
 from dataclasses import dataclass, fields
 from functools import reduce
 from importlib import resources
 
 import numpy as np
-import scipy.fft
 
+from . import __version__
 from . import evolution as ev
 from . import norms, spectra
 from .errors import ConfigError, PdhypError, StepRejected, UnknownPreset
@@ -68,6 +71,13 @@ def _is_positive(value):
     return _is_number(value) and value > 0
 
 
+def _is_smooth(n):      # no prime factor above 11: a fast FFT length
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def _one_of(*choices):
     return f"one of {' | '.join(choices)}", lambda v: v in choices
 
@@ -90,9 +100,9 @@ _FIELDS = {
              and all(map(_is_number, v.values())))),
     "model.coupling": ("uw", _one_of(*ev.COUPLINGS)),
     "model.symbol": ("null_b", _one_of(*SYMBOL_PRESET_NAMES, "none")),
-    "grid.n": (32, ("an even int in [8, 65536] with scipy.fft.next_fast_len(n)"
-                    " == n", lambda v: type(v) is int and 8 <= v <= 65536
-                    and v % 2 == 0 and scipy.fft.next_fast_len(v) == v)),
+    "grid.n": (32, ("an even int in [8, 65536] with no prime factor above 11",
+                    lambda v: type(v) is int and 8 <= v <= 65536
+                    and v % 2 == 0 and _is_smooth(v))),
     # the box side L
     "grid.length": (128.0, ("a positive finite number", _is_positive)),
     "initial.preset": ("gaussian_bump", _one_of(*INITIAL_PRESETS)),
@@ -554,8 +564,20 @@ def _evolve(stepper, start, guard, steps, every, sample, transforms, say):
                            for n in rows[0][1]}
 
 
+def _provenance(config):
+    """What made a run: the versions, the FFT backend and the hash of the
+    config without `output`, the first 16 hex digits of the sha256 of its
+    sorted JSON, so two runs that differ only in where they write match."""
+    raw = {k: v for k, v in config.to_dict().items() if k != "output"}
+    digest = hashlib.sha256(json.dumps(raw, sort_keys=True).encode())
+    return {"pdhyp": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "fft": "numpy.fft", "threads": 1,
+            "config_hash": digest.hexdigest()[:16]}
+
+
 def _report(config, stepper, status, t_final, series, e_n, transforms, say):
-    """The report: fits, the T_m(w, w) = 0 warning, M0 and [SK]'s verdict."""
+    """The report: fits, the T_m(w, w) = 0 warning, M0, [SK]'s verdict and
+    the run's provenance."""
     model = stepper.model
     window = config.fit_window()
     fits = {}
@@ -595,4 +617,5 @@ def _report(config, stepper, status, t_final, series, e_n, transforms, say):
         "warnings": warnings,
         "transforms": transforms,
         "sk": {"holds": not undamped, "undamped": undamped},
+        "provenance": _provenance(config),
     }

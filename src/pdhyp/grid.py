@@ -28,29 +28,29 @@ The coordinate-weighted norms (norms.py) hold fields on the line grid of an
 axis: the cube with that axis moved last and taken to all n points there
 (line_xi_sq is its |xi|^2); x_centered are the sparse physical axes.
 
+Every transform is numpy.fft's, on one thread; it is the pocketfft of
+scipy.fft and gives its bits, which the tests check on every transform.
 to_spectral takes an n^d field to its cube and to_physical a cube to its
-n^d field, bit for bit scipy's fftn composed with the restriction to the
-band and ifftn of its zero embedding; each raises ValueError unless the
-last d axes of its input are n^d and the cube's, respectively.  Both
-return a new array the caller owns and never write their input; a complex
-input is copied and transformed in place (to_spectral given `out` uses its
+n^d field, bit for bit fftn composed with the restriction to the band and
+ifftn of its zero embedding; each raises ValueError unless the last d
+axes of its input are n^d and the cube's, respectively.  Both return a
+new array the caller owns and never write their input; a complex input
+is copied and transformed in place (to_spectral given `out` uses its
 complex input instead).  Real scales multiply the float64 view (numpy's
 complex-by-real product, up to the sign of a zero).  line_physical is
-scipy's ifft (its 1/n, no other scale) along one axis of a cube zero-filled
-to n points there, into a new array, and line_spectral fft along the last
+ifft (its 1/n, no other scale) along one axis of a cube zero-filled to n
+points there, into a new array, and line_spectral fft along the last
 axis of a line-grid field, in place: (2K+1)^(d-1) lines of n points each.
 A transform takes a field or a stack and adds its fields to `transforms`,
 a line transform to `line_transforms`.  The band forward pass runs each
 axis on the lines that reach the band, then packs its band in place.
 The band inverse, physical_slabs, checks the layout when called and
-returns a generator.  Pass 1 runs on the cube
-with axis -d zero-filled to n points, scaled by ifftn's 1/n^d from long
-double (not 1/n per pass); each slab of rows of axis -d takes its rows
-onto the band columns and the later passes on the band lines, in 512 KiB
-per field, so an L^p norm never holds the n^d field.  product_sums
-multiplies a stack's slabs into n^d totals that the next call overwrites.
-One worker runs below n = 128 and in a slab's small passes, where threads
-cost CPU and save no time.
+returns a generator.  Pass 1 runs on the cube with axis -d zero-filled
+to n points, scaled by ifftn's 1/n^d from long double (not 1/n per
+pass); each slab of rows of axis -d takes its rows onto the band columns
+and the later passes on the band lines, in 512 KiB per field, so an L^p
+norm never holds the n^d field.  product_sums multiplies a stack's slabs
+into n^d totals that the next call overwrites.
 """
 
 from functools import cached_property
@@ -58,7 +58,6 @@ from itertools import product
 from math import prod
 
 import numpy as np
-import scipy.fft
 
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
 _SLAB_BYTES = 1 << 19   # the buffer of one field's physical_slabs slab
@@ -114,7 +113,6 @@ class SpectralGrid:
         # the band's two runs of modes on an n-point axis and on a cube axis
         self._band = (slice(k + 1), slice(self.n - k, None))
         self._packed = (slice(k + 1), slice(k + 1, None))
-        self._workers = -1 if self.n >= 128 else 1
 
         self.center = self.length / 2.0
         self.x_centered = _axes(np.arange(self.n) * self.dx - self.center,
@@ -158,8 +156,7 @@ class SpectralGrid:
             out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
         k = self.dealias_limit
         for axis in range(-self.ndim, 0):   # the lines that reach the band
-            f = scipy.fft.fft(f, axis=axis, overwrite_x=True,
-                              workers=self._workers).swapaxes(axis, 0)
+            f = np.fft.fft(f, axis=axis, out=f).swapaxes(axis, 0)
             f[k + 1:2 * k + 1] = f[self.n - k:]     # disjoint, as 3K < n
             f = f[:2 * k + 1].swapaxes(0, axis)
         out[...] = f
@@ -194,8 +191,7 @@ class SpectralGrid:
             compact[into] = fhat[at]
             if multiplier is not None:
                 compact[into] *= np.broadcast_to(multiplier, fhat.shape)[at]
-        scipy.fft.ifft(compact, axis=-d, norm="forward", overwrite_x=True,
-                       workers=self._workers)
+        np.fft.ifft(compact, axis=-d, norm="forward", out=compact)
         compact *= float(np.longdouble(1) / self.size)  # ifftn's 1/n^d
         rows = max(1, _SLAB_BYTES // (16 * n ** (d - 1)))
         buf = np.empty(lead + (min(rows, n),) + (n,) * (d - 1), dtype=complex)
@@ -207,9 +203,9 @@ class SpectralGrid:
                 slab[(..., slice(None)) + band] = compact[(..., part) + at]
             for axis in range(1, d):
                 for band in product(self._band, repeat=d - 1 - axis):
-                    scipy.fft.ifft(slab[(Ellipsis,) + full[:axis + 1] + band],
-                                   axis=axis - d, norm="forward",
-                                   overwrite_x=True, workers=1)
+                    lines = slab[(Ellipsis,) + full[:axis + 1] + band]
+                    np.fft.ifft(lines, axis=axis - d, norm="forward",
+                                out=lines)
             _scale(slab, self._inv_fwd)
             yield part, slab
 
@@ -224,13 +220,13 @@ class SpectralGrid:
         out = np.zeros(f.shape[:-1] + (self.n,), dtype=complex)
         for band, packed in zip(self._band, self._packed):
             np.multiply(f[..., packed], m[..., packed], out=out[..., band])
-        return scipy.fft.ifft(out, overwrite_x=True, workers=self._workers)
+        return np.fft.ifft(out, out=out)
 
     def line_spectral(self, f):
         """fft along the last axis of a field on the line grid, in place."""
         self.line_transforms += self._fields(
             f, self.band_shape[1:] + (self.n,), "line_spectral")
-        return scipy.fft.fft(f, overwrite_x=True, workers=self._workers)
+        return np.fft.fft(f, out=f)
 
     def product_sums(self, fields, rows):
         """Each row's sum of terms (c, i, j), c * phys(fields[i]) *

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 DEGENERATE_BAND = 1e-3      # projectors unusable where ||xi| - 1/2| < this
 INVERSE_FLOW_GUARD = 40.0   # warn when |t| * spectral gap exceeds this
@@ -97,8 +96,10 @@ def check_sk(model):
     undamped = []
     for mu in mus[np.r_[True, np.diff(mus) > 1e-10]]:
         both = np.vstack([model.B, model.A - mu * eye])  # B z = (A - mu) z = 0
-        undamped += [(z, float(mu)) for z in
-                     scipy.linalg.null_space(both, rcond=_KERNEL_RTOL).T]
+        _, s, vh = np.linalg.svd(both)
+        # the kernel: the rows of vh past the singular values above the cut
+        rank = np.sum(s > np.amax(s, initial=0.0) * _KERNEL_RTOL)
+        undamped += [(z, float(mu)) for z in vh[rank:]]
     return undamped
 
 

@@ -1,11 +1,15 @@
+import hashlib
 import inspect
 import json
+import platform
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import pdhyp
 from conftest import conjugate_symmetry_defect
 from pdhyp import evolution as ev
 from pdhyp import experiments as ex
@@ -91,6 +95,20 @@ def test_config_validation_messages():
     assert "grid.n" in text
     assert "no-wrap" in text        # t_max >= L/4
     assert "initial.amplitude" in text
+
+
+def test_grid_sizes_are_the_fast_fft_lengths():
+    # grid.n takes exactly the even n in [8, 65536] that are their own next
+    # fast FFT length, the 11-smooth ones, and says so in words
+    _, check = ex._FIELDS["grid.n"][1]
+    accepted = {n for n in range(8, 65537, 2) if check(n)}
+    assert accepted == {n for n in range(8, 65537, 2)
+                        if scipy.fft.next_fast_len(n) == n}
+    with pytest.raises(ConfigError) as err:
+        ex.ExperimentConfig.from_dict({"grid": {"n": 26}})
+    assert err.value.problems == [
+        "grid.n: 26 is not an even int in [8, 65536] with no prime factor "
+        "above 11"]
 
 
 @pytest.mark.parametrize("model, expect", [
@@ -384,6 +402,26 @@ def test_run_determinism_byte_identical(tmp_path):
     r1 = ex.run(tiny_config(tmp_path / "a"))
     r2 = ex.run(tiny_config(tmp_path / "b"))
     assert open(r1.csv_path, "rb").read() == open(r2.csv_path, "rb").read()
+
+
+def test_report_provenance_hashes_the_config_but_not_its_output(tmp_path):
+    # the hash is the sha256 of the sorted JSON of the config without its
+    # output block, in 16 hex digits: two output dirs share it, an
+    # override changes it
+    cfgs = [tiny_config(tmp_path / "a"), tiny_config(tmp_path / "b"),
+            tiny_config(tmp_path / "c").override(["initial.seed=4"])]
+    reports = [json.loads(open(ex.run(cfg).report_path).read())
+               for cfg in cfgs]
+    hashes = []
+    for cfg, report in zip(cfgs, reports):
+        raw = {k: v for k, v in cfg.to_dict().items() if k != "output"}
+        hashes.append(hashlib.sha256(json.dumps(
+            raw, sort_keys=True).encode()).hexdigest()[:16])
+        assert report["provenance"] == {
+            "pdhyp": pdhyp.__version__, "python": platform.python_version(),
+            "numpy": np.__version__, "fft": "numpy.fft", "threads": 1,
+            "config_hash": hashes[-1]}
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 @pytest.mark.parametrize("name", sorted(ex.list_presets()))

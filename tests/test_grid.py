@@ -1,5 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
 from pdhyp import grid as grid_module
 from pdhyp.acceptance import band_field
 from pdhyp.grid import SpectralGrid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _line_embed(grid, cube, axis):
@@ -255,19 +262,25 @@ def test_band_inverse_scales_as_ifftn_does():
     assert np.array_equal(g.to_physical(x), full_physical(g, embed(g, x)))
 
 
-@pytest.mark.parametrize("n, workers", [(64, 1), (96, 1), (128, -1)])
-def test_threads_only_from_n_128(n, workers, monkeypatch):
-    seen = []
-    for name in ("fftn", "ifftn", "fft", "ifft"):
-        orig = getattr(scipy.fft, name)
-        monkeypatch.setattr(scipy.fft, name,
-                            lambda *a, _o=orig, **kw:
-                            seen.append(kw["workers"]) or _o(*a, **kw))
-    g = SpectralGrid(n, 1.0, ndim=1)
-    x = np.ones(g.shape, dtype=complex)
-    g.line_spectral(g.line_physical(g.to_spectral(x), 0))
-    g.to_physical(g.to_spectral(x))
-    assert seen and set(seen) == {workers}
+def test_a_run_loads_no_scipy():
+    # the package, its CLI and an n = 16 run transform with numpy.fft
+    # alone: scipy's FFT, linear algebra and special functions stay unloaded
+    code = textwrap.dedent("""\
+        import sys, tempfile
+        import pdhyp, pdhyp.cli
+        from pdhyp import experiments
+        with tempfile.TemporaryDirectory() as out:
+            experiments.run(experiments.load_preset("pk-small-data").override(
+                ["grid.n=16", "grid.length=32.0", "time.t_max=3.0",
+                 "output.dir=" + out]))
+        print(*sorted({"scipy.fft", "scipy.linalg", "scipy.special"}
+                      & set(sys.modules)))
+        """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_convolution_theorem_is_exact():

@@ -550,3 +550,22 @@ def test_check_sk_finds_exactly_the_undamped_directions():
     assert len(undamped) == 1
     assert np.allclose(undamped[0][0], [1.0, 0.0, 0.0], atol=1e-12)
     assert abs(undamped[0][1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    spectra.three_component_model(), spectra.two_component_model(),
+    spectra.ModelMatrices(spectra.three_component_model().A,
+                          np.zeros((3, 3)), 3)],
+    ids=["three_component", "two_component", "undamped"])
+def test_check_sk_kernels_are_scipys_null_space(model):
+    # per eigenvalue mu of A, the undamped directions are scipy's null
+    # space of [B; A - mu I] at the same cut, bit for bit (the last model
+    # has a 2-dimensional one at mu = 1)
+    undamped = spectra.check_sk(model)
+    eye = np.eye(model.dim_state)
+    for mu in np.unique(np.linalg.eigvalsh(model.A).round(10)):
+        both = np.vstack([model.B, model.A - mu * eye])
+        want = scipy.linalg.null_space(both, rcond=spectra._KERNEL_RTOL).T
+        got = [z for z, speed in undamped if abs(speed - mu) < 1e-9]
+        assert len(got) == len(want)
+        assert all(z.tobytes() == w.tobytes() for z, w in zip(got, want))
