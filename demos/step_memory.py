@@ -12,7 +12,11 @@ line sums the steps' band fields against the report's
 transforms["steps"]["band"].  Then it prints the CPU ms and flow rows of
 one Stepper built from the config, and the costs of norms.initial_energy
 and of one full sample on the state the first step received: CPU and
-transforms from an untraced call, the peak from a traced one.
+transforms from an untraced call, the peak from a traced one.  Last, a
+second run traced whole names its tracemalloc peak: the phase of
+experiments.run it falls in (set-up, step, sample or report) and the
+pdhyp functions running, outermost first, when it came within SLACK of
+it, read by a profile hook at every Python call and return.
 
     PYTHONPATH=src python3 demos/step_memory.py [workload ...]
 """
@@ -31,6 +35,12 @@ import workloads    # noqa: E402  (it imports pdhyp from this checkout)
 from pdhyp import evolution as ev, experiments, norms  # noqa: E402
 
 TRACED_STEPS = 3
+SLACK = 1 << 16     # peak rises this small do not move its site
+PACKAGE = Path(ev.__file__).parent
+# innermost first: the frame (module, function) that names the phase
+PHASES = ((("evolution", "Stepper.step"), "step"),
+          (("experiments", "_evolve"), "sample"),
+          (("experiments", "_report"), "report"))
 
 
 def measured(fn, grid, traced):
@@ -72,11 +82,50 @@ def measured_run(config):
     return report, first["state"], rows
 
 
+def site(frame):
+    """(phase, the chain of pdhyp functions below the phase's own frame,
+    outermost first) of the running frame."""
+    chain = []
+    while frame is not None:
+        path = Path(frame.f_code.co_filename)
+        if path.parent == PACKAGE:
+            name = (path.stem, frame.f_code.co_qualname)
+            for marker, phase in PHASES:
+                if name == marker:
+                    return phase, " > ".join(chain[::-1])
+            chain.append(".".join(name))
+        frame = frame.f_back
+    return "set-up", " > ".join(chain[::-1])
+
+
+def peak_site(config):
+    """The run's tracemalloc peak MiB, with site() where it was reached."""
+    top = [0, None]
+
+    def hook(frame, event, arg):
+        if event in ("call", "return"):
+            peak = tracemalloc.get_traced_memory()[1]
+            if peak > top[0] + SLACK:   # while the caller or frame ran
+                top[:] = peak, site(frame.f_back if event == "call"
+                                    else frame)
+
+    tracemalloc.start()
+    sys.setprofile(hook)
+    try:
+        experiments.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return peak / 2 ** 20, *top[1]
+
+
 def main(names):
     for name in names:
         with tempfile.TemporaryDirectory() as out_dir:
             config = workloads.resolve(name, workloads.DEFAULT_SEED, out_dir)
             report, state, rows = measured_run(config)
+            whole = peak_site(config)
         model, grid = config.build_model(), config.build_grid()
         stepper, (cpu, *_) = measured(lambda: ev.Stepper(
             model, grid, config.schedule()[0], config["time"]["scheme"]),
@@ -113,7 +162,8 @@ def main(names):
               f"{np.median([row[4] for row in rows[1:TRACED_STEPS]]):.2f} MiB")
         print(f"check: the steps' band fields sum to {sum(r[2] for r in rows)}"
               f", the report's transforms[\"steps\"][\"band\"] is "
-              f"{report['transforms']['steps']['band']}\n")
+              f"{report['transforms']['steps']['band']}")
+        print("whole-run peak: {:.2f} MiB in {}, in {}\n".format(*whole))
 
 
 if __name__ == "__main__":

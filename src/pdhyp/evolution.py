@@ -13,9 +13,10 @@ even in k_0) and applied chunk by chunk, each plane k_0 < 0 by plane -k_0;
 only the quadratic sources see explicit Runge-Kutta stages (Lawson schemes
 of order 2 and 4).  A model without sources steps by its exact flow alone,
 what both schemes reduce to when every stage source is zero.  Polynomial
-sources are summed per equation in physical space, slab by slab into the
-grid's n^d row totals, and transformed once; the bilinear pseudoproduct
-source comes from pseudoproduct.apply.  A Stepper owns the stage stacks.
+sources are summed per equation in physical space and transformed slab by
+slab (grid.product_spectra), so no n^d field exists; the bilinear
+pseudoproduct source comes from pseudoproduct.apply, and a symbol whose
+T_m(w, w) vanishes costs the rhs nothing.  A Stepper owns the stage stacks.
 
 Initial time is t = 1 by convention and all decay fits start there.  The
 wave profile e^{i|xi| t} w_hat takes its phase once per |xi| shell.
@@ -164,10 +165,10 @@ def rhs(model, state, plan=None, out=None):
     the linear part is advanced exactly by the integrating factor.
 
     The transform is linear, so each equation sums its row of the source
-    table in physical space (grid.product_sums, in MONOMIALS order) and
+    table in physical space (grid.product_spectra, in MONOMIALS order) and
     pays one forward transform; a row that is a multiple of an earlier row
     shares its transform.  T_m(w, w) is added last, as the diagonal form of
-    pseudoproduct.apply."""
+    pseudoproduct.apply, unless the plan finds it identically zero."""
     g = state.grid
     if out is None:
         out = np.empty((model.dim_state,) + g.band_shape, dtype=complex)
@@ -178,26 +179,29 @@ def rhs(model, state, plan=None, out=None):
     if model.w_form:
         if plan is None:
             plan = pseudoproduct.PseudoproductPlan(g, model.w_symbol)
-        w = state.data[2]
-        out[2] += pseudoproduct.apply(plan, w, w)
+        if not plan.vanishes_on_diagonal():
+            w = state.data[2]
+            out[2] += pseudoproduct.apply(plan, w, w)
     return out
 
 
 def _polynomial_sources(sources, state, out):
-    """Write the source table's rows into `out`; each distinct row's total
-    is the work space of its forward transform."""
+    """Write the source table's rows into `out`: one product_spectra pass
+    over the components they use, one cube per distinct row."""
     g = state.grid
     rows = _distinct_rows(sources)
+    if not rows:
+        return
     used = [c for c in "uvw" if any(c in m for row, _ in rows for m in row)]
     terms = [[(row[m], used.index(m[0]), used.index(m[1]))
               for m in MONOMIALS if m in row] for row, _ in rows]
     # any two of u, v, w, or all three, are evenly spaced: a state view
-    at = ["uvw".index(c) for c in used] or [0]
+    at = ["uvw".index(c) for c in used]
     step = at[-1] - at[0] if len(at) == 2 else 1
-    totals = g.product_sums(state.data[at[0]:at[-1] + 1:step], terms)
-    for total, (_, targets) in zip(totals, rows):
+    cubes = g.product_spectra(state.data[at[0]:at[-1] + 1:step], terms)
+    for cube, (_, targets) in zip(cubes, rows):
         (first, _), *scaled = targets
-        g.to_spectral(total, out=out[first])
+        out[first] = cube
         for eq, scale in scaled:
             np.multiply(out[first], scale, out=out[eq])
 

@@ -31,26 +31,29 @@ axis: the cube with that axis moved last and taken to all n points there
 Every transform is numpy.fft's, on one thread; it is the pocketfft of
 scipy.fft and gives its bits, which the tests check on every transform.
 to_spectral takes an n^d field to its cube and to_physical a cube to its
-n^d field, bit for bit fftn composed with the restriction to the band and
-ifftn of its zero embedding; each raises ValueError unless the last d
-axes of its input are n^d and the cube's, respectively.  Both return a
-new array the caller owns and never write their input; a complex input
-is copied and transformed in place (to_spectral given `out` uses its
-complex input instead).  Real scales multiply the float64 view (numpy's
-complex-by-real product, up to the sign of a zero).  line_physical is
-ifft (its 1/n, no other scale) along one axis of a cube zero-filled to n
-points there, into a new array, and line_spectral fft along the last
-axis of a line-grid field, in place: (2K+1)^(d-1) lines of n points each.
-A transform takes a field or a stack and adds its fields to `transforms`,
-a line transform to `line_transforms`.  The band forward pass runs each
+n^d field, bit for bit fftn over the axes last first composed with the
+restriction to the band and ifftn of its zero embedding; each raises
+ValueError unless the last d axes of its input are n^d and the cube's,
+respectively.  Both return a new array the caller owns and never write
+their input; a complex input is copied and transformed in place
+(to_spectral given `out` uses its complex input instead).  Real scales
+multiply the float64 view (numpy's complex-by-real product, up to the
+sign of a zero).  line_physical is ifft (its 1/n, no other scale) along
+one axis of a cube zero-filled to n points there, into a new array, and
+line_spectral fft along the last axis of a line-grid field, in place:
+(2K+1)^(d-1) lines of n points each.  A transform takes a field or a
+stack and adds its fields to `transforms`, a line transform to
+`line_transforms`.  The band forward pass runs the last axis first, each
 axis on the lines that reach the band, then packs its band in place.
 The band inverse, physical_slabs, checks the layout when called and
 returns a generator.  Pass 1 runs on the cube with axis -d zero-filled
 to n points, scaled by ifftn's 1/n^d from long double (not 1/n per
 pass); each slab of rows of axis -d takes its rows onto the band columns
 and the later passes on the band lines, in 512 KiB per field, so an L^p
-norm never holds the n^d field.  product_sums multiplies a stack's slabs
-into n^d totals that the next call overwrites.
+norm never holds the n^d field.  product_spectra forms a stack's row
+products slab by slab and runs the forward pass on each slab along axes
+-1..-(d-1), into the rows of pass 1's cube that the slab has read, then
+along axis -d per row: no n^d total exists.
 """
 
 from functools import cached_property
@@ -103,7 +106,6 @@ class SpectralGrid:
         self._inv_fwd = 1.0 / self._fwd
         self.transforms = 0     # band fields transformed, inverses included
         self.line_transforms = 0    # line-grid fields transformed
-        self._totals = []       # product_sums' n^d row totals
 
         k = self.dealias_limit = dealias_limit(self.n)
         self.band_shape = (2 * k + 1,) * self.ndim
@@ -154,14 +156,19 @@ class SpectralGrid:
         if out is None:
             f = np.array(f, dtype=complex)
             out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
+        out[...] = self._forward(f, range(-1, -self.ndim - 1, -1))
+        _scale(out, self._fwd)
+        return out
+
+    def _forward(self, f, axes):
+        """fft of complex f in place along `axes` in turn, each on the lines
+        that reach the band, packing its band: the band's view of f."""
         k = self.dealias_limit
-        for axis in range(-self.ndim, 0):   # the lines that reach the band
+        for axis in axes:
             f = np.fft.fft(f, axis=axis, out=f).swapaxes(axis, 0)
             f[k + 1:2 * k + 1] = f[self.n - k:]     # disjoint, as 3K < n
             f = f[:2 * k + 1].swapaxes(0, axis)
-        out[...] = f
-        _scale(out, self._fwd)
-        return out
+        return f
 
     def to_physical(self, fhat):
         """The n^d field of the cube fhat, checked before it exists."""
@@ -179,13 +186,14 @@ class SpectralGrid:
                                         "physical_slabs")
         return self._slabs(fhat, multiplier)
 
-    def _slabs(self, fhat, multiplier=None):
+    def _slabs(self, fhat, multiplier=None, compact=None):
         d, n = self.ndim, self.n
         lead, full = np.shape(fhat)[:-d], (slice(None),) * d
         cols = [(tuple(b for b, _ in ends), tuple(p for _, p in ends))
                 for ends in product(zip(self._band, self._packed),
                                     repeat=d - 1)]
-        compact = np.zeros(lead + (n,) + self.band_shape[1:], dtype=complex)
+        if compact is None:     # pass 1's zero-filled cube
+            compact = np.zeros(lead + (n,) + self.band_shape[1:], complex)
         for band, packed in zip(self._band, self._packed):
             at, into = ((Ellipsis, p) + full[1:] for p in (packed, band))
             compact[into] = fhat[at]
@@ -228,28 +236,35 @@ class SpectralGrid:
             f, self.band_shape[1:] + (self.n,), "line_spectral")
         return np.fft.fft(f, out=f)
 
-    def product_sums(self, fields, rows):
-        """Each row's sum of terms (c, i, j), c * phys(fields[i]) *
-        phys(fields[j]) (c 1.0: no multiply), slab by slab from one band
-        inverse of the stack `fields`, in n^d totals the next call reuses."""
-        if not rows or not len(fields):
+    def product_spectra(self, fields, rows):
+        """The cube of each row's sum of terms (c, i, j), c * phys(fields[i])
+        * phys(fields[j]) (c 1.0: no multiply), bit for bit to_spectral of
+        that sum, as views of pass 1's cube of one band inverse of the stack
+        `fields`, its rows added past the fields' count (module doc)."""
+        count = self._fields(fields, self.band_shape, "product_spectra")
+        if not rows or not count:
             return []
-        slabs = self.physical_slabs(fields)     # checks the layout first
-        self._totals += [np.empty(self.shape, dtype=complex)
-                         for _ in range(len(rows) - len(self._totals))]
-        spare = None
-        for part, phys in slabs:
-            spare = np.empty_like(phys[0]) if spare is None else spare
-            for total, terms in zip(self._totals, rows):
-                at = total[part]
+        self.transforms += count + len(rows)
+        store = np.zeros((max(count, len(rows)), self.n)
+                         + self.band_shape[1:], dtype=complex)
+        axes, pair = range(-1, -self.ndim, -1), None
+        for part, phys in self._slabs(fields, compact=store[:count]):
+            if pair is None:    # a row's sum and its next term, per slab
+                pair = np.empty((2,) + phys[0].shape, dtype=complex)
+            total, spare = pair[:, :len(phys[0])]
+            for r, terms in enumerate(rows):
                 for t, (c, i, j) in enumerate(terms):
-                    term = np.multiply(phys[i], phys[j],
-                                       out=spare[:len(at)] if t else at)
+                    product = np.multiply(phys[i], phys[j],
+                                          out=spare if t else total)
                     if c != 1.0:
-                        term *= c
+                        product *= c
                     if t:
-                        at += term
-        return self._totals[:len(rows)]
+                        total += product
+                store[r, part] = self._forward(total, axes)
+        cubes = [self._forward(row, [-self.ndim]) for row in store[:len(rows)]]
+        for cube in cubes:
+            _scale(cube, self._fwd)
+        return cubes
 
     # -- hygiene ------------------------------------------------------------
 

@@ -18,10 +18,11 @@ alone selects how apply() evaluates it:
     list at set-up into two forms, one for T(f, g) and one for T(f, f).
     A form stacks each (input, beta or gamma) field it needs once, and
     the terms sharing alpha form one group, their coefficients on the
-    product rows summed in physical space slab by slab (grid.product_sums)
-    into an n^d total; so an apply costs one band inverse of the stack and
-    one forward transform per group, and builds no physical field of a
-    factor.  The diagonal form T(f, f) sees only the symmetric part of m:
+    product rows summed in physical space slab by slab and transformed
+    there (grid.product_spectra); so an apply costs one band inverse of
+    the stack and one forward transform per group, weights each group's
+    cube by its alpha and sums the cubes, and builds no n^d field.  The
+    diagonal form T(f, f) sees only the symmetric part of m:
     each (beta, gamma) pair merges with its swap and pairs whose
     coefficients cancel drop out, so a symbol with a vanishing symmetric
     part, such as the null form null_b, costs no transform.
@@ -78,7 +79,7 @@ class PseudoproductPlan:
     def _form(self, diagonal):
         """(fields, groups) of T(f, g), or of T(f, f) when `diagonal`.  A
         field is an (input, factor) pair, input 0 for f and 1 for g; a
-        group is (alpha factor, its grid.product_sums rows (coefficient,
+        group is (alpha factor, its grid.product_spectra rows (coefficient,
         field, field)).  Each term's coefficient sums into the row of its
         (alpha, beta, gamma), which T(f, f) takes unordered; zero sums drop
         out, and the rest keep their order of first appearance."""
@@ -150,15 +151,13 @@ def _apply_separable(plan, fhat, ghat):
         _prepared(plan, (fhat, ghat)[side], out=field)
         if factor is not None:
             np.multiply(factor, field, out=field)
-    out = np.zeros(grid.band_shape, dtype=complex)
-    spec = np.empty_like(out)
-    totals = grid.product_sums(stack, [rows for _, rows in groups])
-    for (alpha, _), total in zip(groups, totals):
-        grid.to_spectral(total, out=spec)
+    cubes = grid.product_spectra(stack, [rows for _, rows in groups])
+    for (alpha, _), cube in zip(groups, cubes):
         if alpha is not None:
-            spec *= alpha
-        out += spec
-    return out
+            cube *= alpha
+        if cube is not cubes[0]:
+            cubes[0] += cube
+    return cubes[0] if cubes else np.zeros(grid.band_shape, dtype=complex)
 
 
 def _apply_direct(plan, fhat, ghat):

@@ -44,9 +44,10 @@ def r2_centered(grid):
 
 
 def full_spectral(grid, f):
-    """The n^d forward transform of an n^d field, scipy's fftn scaled by
-    fwd: the reference of to_spectral and of the weighted norms."""
-    out = scipy.fft.fftn(f, axes=range(-grid.ndim, 0))
+    """The n^d forward transform of an n^d field, scipy's fftn over the
+    axes last first, as the band forward runs them, scaled by fwd: the
+    reference of to_spectral and of the weighted norms."""
+    out = scipy.fft.fftn(f, axes=range(-1, -grid.ndim - 1, -1))
     np.multiply(out.view(np.float64), grid._fwd, out=out.view(np.float64))
     return out
 
@@ -117,10 +118,11 @@ def conjugate_symmetry_defect(grid, fhat):
 
 def record_transforms(monkeypatch, slabs=False):
     """A list that collects the name of each grid transform from now on:
-    to_spectral, to_physical, line_physical and line_spectral, and with
-    slabs=True each physical_slabs call, the band inverse, too."""
+    to_spectral, to_physical, product_spectra, line_physical and
+    line_spectral, and with slabs=True each physical_slabs call, the band
+    inverse, too."""
     calls = []
-    names = ("to_physical", "to_spectral", "line_physical",
+    names = ("to_physical", "to_spectral", "product_spectra", "line_physical",
              "line_spectral") + (("physical_slabs",) if slabs else ())
     for name in names:
         orig = getattr(SpectralGrid, name)
@@ -131,11 +133,13 @@ def record_transforms(monkeypatch, slabs=False):
 
 
 def record_band_inverses(monkeypatch):
-    """A list that collects the input of each physical_slabs call, the
-    band inverse of a cube or of a stack of them, from now on."""
+    """A list that collects the input of each band inverse from now on:
+    the cube or stack of a physical_slabs call, and the stack of a
+    product_spectra call."""
     stacks = []
-    orig = SpectralGrid.physical_slabs
-    monkeypatch.setattr(SpectralGrid, "physical_slabs",
-                        lambda self, fhat: stacks.append(fhat)
-                        or orig(self, fhat))
+    for name in ("physical_slabs", "product_spectra"):
+        orig = getattr(SpectralGrid, name)
+        monkeypatch.setattr(SpectralGrid, name,
+                            lambda self, fhat, *args, _o=orig:
+                            stacks.append(fhat) or _o(self, fhat, *args))
     return stacks

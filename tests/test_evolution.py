@@ -10,6 +10,7 @@ from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
                       full_spectral, r2_centered, record_band_inverses,
                       record_transforms)
 from pdhyp import evolution as ev
+from pdhyp import grid as grid_module
 from pdhyp import experiments, norms, pseudoproduct, spectra
 from pdhyp import symbols as sy
 from pdhyp.acceptance import band_field
@@ -114,20 +115,21 @@ def test_coupling_placement(grid):
 
 def test_rhs_transforms_on_the_band(grid, monkeypatch):
     # the state and every source live on the band: the polynomial sources
-    # and T_m(w, w) take only band transforms
+    # and T_m(w, w) take one product_spectra pass each and no other
+    # transform
     st = bump_state(grid, 3, 0.1)
     calls = record_transforms(monkeypatch, slabs=True)
     full = ev.Coefficients(a_u=1.0, b_v=1.0, c_u=1.0, d_v=1.0)
     ev.rhs(ev.ModelSpec("pk_system", full,
                         w_symbol=sy.symbol_preset("mixed")), st)
-    assert set(calls) == {"physical_slabs", "to_spectral"}
+    assert calls == ["product_spectra"] * 2
 
 
 def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
-    # an rhs runs one band inverse of the stack of the components its rows
-    # use, a view of the state, and one forward transform per distinct
-    # row, then one inverse of the stacked factor fields of T_m(w, w) and
-    # one forward transform per group; grid.transforms counts each field
+    # an rhs runs one product_spectra pass over the stack of the
+    # components its rows use, a view of the state, with one forward
+    # transform per distinct row, then one over the stacked factor fields
+    # of T_m(w, w) with one per group; grid.transforms counts each field
     st = bump_state(grid, 3, 0.1)
     calls = record_transforms(monkeypatch)
     stacks = record_band_inverses(monkeypatch)
@@ -143,7 +145,7 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
     assert calls == stacks == [] and count == 0 and not out.any()
     out, count = run(ev.ModelSpec("pk_system", ev.Coefficients(
         a_u=1.0, a_v=2.0), w_symbol=None))
-    assert calls == ["to_spectral"] and count == 2
+    assert calls == ["product_spectra"] and count == 2
     assert len(stacks) == 1 and np.array_equal(stacks[0], st.data[:1])
     assert np.array_equal(out[1], 2.0 * out[0]) and not out[2].any()
     # k-small-data's rows are equal: one inverse of (u, v), one forward
@@ -151,13 +153,13 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
     full = ev.Coefficients(a_u=1.0, b_u=1.0, c_u=1.0, a_v=1.0, b_v=1.0,
                            c_v=1.0)
     out, count = run(ev.ModelSpec("k_system", full), k)
-    assert calls == ["to_spectral"] and count == 3
+    assert calls == ["product_spectra"] and count == 3
     assert len(stacks) == 1 and np.array_equal(stacks[0], k.data)
     assert np.array_equal(out[0], out[1]) and out[0].any()
     # d_v alone (uw): u and w, not v
     out, count = run(ev.ModelSpec("pk_system", ev.Coefficients(d_v=1.0),
                                   w_symbol=None))
-    assert calls == ["to_spectral"] and count == 3
+    assert calls == ["product_spectra"] and count == 3
     assert len(stacks) == 1 and np.array_equal(stacks[0], st.data[::2])
     assert np.shares_memory(stacks[0], st.data)
     assert out[1].any() and not (out[0].any() or out[2].any())
@@ -167,7 +169,7 @@ def test_rhs_transforms_only_what_the_sources_use(grid, monkeypatch):
     out, count = run(ev.ModelSpec("pk_system", full,
                                   w_symbol=sy.symbol_preset("mixed")))
     assert [len(s) for s in stacks] == [3, 2] and count == 9
-    assert calls == ["to_spectral"] * 4
+    assert calls == ["product_spectra"] * 2
     assert np.shares_memory(stacks[0], st.data)
     # null_b's symmetric part vanishes: T_m(w, w) costs no transform
     out, count = run(ev.ModelSpec("pk_system",
@@ -549,10 +551,10 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
 @pytest.mark.parametrize("kind, scheme", [("pk_system", "ifrk2"),
                                           ("k_system", "ifrk4")])
 def test_a_steady_step_allocates_less_than_three_fields(kind, scheme):
-    # the first step makes the stage stacks and the n^d row totals; a later
-    # step allocates its new state and cube temporaries only, less than 3
-    # complex n^d fields at n = 64 (a step that made its stages and
-    # physical products afresh took about 45 MiB)
+    # the first step makes the stage stacks; a later step allocates its
+    # new state and band temporaries only, less than 3 complex n^d fields
+    # at n = 64 (a step that made its stages and physical products afresh
+    # took about 45 MiB)
     g = SpectralGrid(64, 256.0)
     ones = dict.fromkeys(("a_u", "b_u", "c_u", "a_v", "b_v", "c_v"), 1.0)
     model = (ev.ModelSpec("pk_system", ev.Coefficients(**ones, d_v=1.0),
@@ -570,6 +572,50 @@ def test_a_steady_step_allocates_less_than_three_fields(kind, scheme):
         tracemalloc.stop()
     assert peak - start < 3 * 16 * g.size
     assert len(stepper.stages) == {"ifrk2": 3, "ifrk4": 5}[scheme]
+
+
+def test_an_rhs_holds_no_n_cubed_array(monkeypatch):
+    # one pk_system rhs with mixed on a fresh n = 32 grid, at 4 rows per
+    # slab, peaks within its two product_spectra passes: a pass over F
+    # fields and R rows holds pass 1's cube of max(F, R) rows, F slabs of
+    # the band inverse, 2 of the row sum and its term and at most one of
+    # numpy's copies when a forward pass packs its band, next to the
+    # output and the pseudoproduct's stack of 2 cubes; one n^3 field
+    # (0.5 MiB) more would not fit, and the grid keeps no array.  An rhs
+    # on another grid first makes what numpy allocates once per process
+    rows = 4
+    monkeypatch.setattr(grid_module, "_SLAB_BYTES", rows * 16 * 32 ** 2)
+    ones = dict.fromkeys(("a_u", "b_u", "c_u", "a_v", "b_v", "c_v"), 1.0)
+    model = ev.ModelSpec("pk_system", ev.Coefficients(**ones, d_v=1.0),
+                         w_symbol=sy.symbol_preset("mixed"))
+
+    def fresh():    # a state and plan on a new grid
+        g = SpectralGrid(32, 64.0)
+        data = np.stack([band_field(g, 3, np.random.default_rng(i))
+                         for i in range(3)])
+        return (ev.StateField(g, data, ev.T_INITIAL),
+                pseudoproduct.PseudoproductPlan(g, model.w_symbol))
+
+    ev.rhs(model, *fresh())
+    state, plan = fresh()
+    g = state.grid
+    held = {k for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = ev.rhs(model, state, plan)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    cube, slab = 16 * np.prod(g.band_shape), rows * 16 * 32 ** 2
+    compact = 16 * g.n * np.prod(g.band_shape[1:])
+    passes = [(3, 2, 0), (2, 2, 2)]     # (F, R, stacked cubes) per pass
+    bound = out.nbytes + max(max(f, r) * compact + (f + 3) * slab + c * cube
+                             for f, r, c in passes)
+    assert len(plan.diagonal[0]) == len(plan.diagonal[1]) == 2
+    assert peak <= bound < peak + 16 * g.size
+    assert {k for k, v in vars(g).items() if isinstance(v, np.ndarray)} \
+        == held
 
 
 def test_a_source_free_stepper_makes_no_stages(grid):

@@ -13,7 +13,7 @@ import pdhyp
 from conftest import conjugate_symmetry_defect
 from pdhyp import evolution as ev
 from pdhyp import experiments as ex
-from pdhyp import norms, spectra
+from pdhyp import norms, pseudoproduct, spectra
 from pdhyp.errors import ConfigError, UnknownPreset
 from pdhyp.grid import SpectralGrid
 
@@ -580,3 +580,28 @@ def test_run_warns_when_the_diagonal_source_vanishes(tmp_path, symbol,
         assert f"warning: {warnings[0]}" in said
     else:
         assert warnings == [] and not any("warning" in s for s in said)
+
+
+@pytest.mark.parametrize("preset, step_bands", [("pk-small-data", 20),
+                                                ("pksw-small-data", 16)])
+def test_a_vanishing_diagonal_source_costs_no_apply(tmp_path, monkeypatch,
+                                                    preset, step_bands):
+    # null_b's T_m(w, w) is identically zero, so no rhs calls
+    # pseudoproduct.apply; the report still warns, and its transform
+    # counts are those of the runs that applied it and added zeros
+    calls = []
+    apply = pseudoproduct.apply
+    monkeypatch.setattr(pseudoproduct, "apply",
+                        lambda *args: calls.append(args) or apply(*args))
+    cfg = ex.load_preset(preset).override(
+        ["model.symbol=null_b", "grid.n=16", "time.t_max=5",
+         f"output.dir={tmp_path}"])
+    report = ex.run(cfg, log=lambda line: None).report
+    assert calls == []
+    assert report["warnings"] == [
+        "T_m(w, w) is identically zero: the symmetric part of symbol "
+        "'null_b' vanishes, so no pseudoproduct source acts on w"]
+    assert report["transforms"] == {
+        "setup": {"band": 4, "line": 24},
+        "steps": {"band": step_bands, "line": 0},
+        "samples": {"band": 18, "line": 36}}

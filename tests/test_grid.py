@@ -5,11 +5,12 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (band, conjugate_symmetry_defect, embed, full_physical,
@@ -166,34 +167,61 @@ def test_a_stacked_band_inverse_is_the_single_inverses(n, ndim, rows,
     assert len(parts) == {16: 4, 64: 8, 48: 7}[n]
 
 
-def test_product_sums_take_one_inverse_of_the_stack(monkeypatch):
-    # product_sums forms each row's products slab by slab from one band
-    # inverse of the stack, bit for bit the products of the whole fields,
-    # into the grid's n^d totals: a second call returns the same arrays,
-    # overwritten, and no rows or no fields cost no transform
-    monkeypatch.setattr(grid_module, "_SLAB_BYTES", 5 * 16 * 16 ** 2)
-    g = SpectralGrid(16, 11.0)
-    rng = np.random.default_rng(7)
-    cubes = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
-        size=(3,) + g.band_shape)
-    whole = [g.to_physical(c) for c in cubes]
-    calls = record_transforms(monkeypatch, slabs=True)
-    count = g.transforms
-    totals = g.product_sums(cubes, [[(2.0, 0, 1), (1.0, 2, 2)],
-                                    [(1.0, 1, 1)]])
-    assert calls == ["physical_slabs"] and g.transforms == count + 3
-    first = whole[0] * whole[1]
-    first *= 2.0
-    first += whole[2] * whole[2]
-    assert np.array_equal(totals[0], first)
-    assert np.array_equal(totals[1], whole[1] * whole[1])
-    again = g.product_sums(cubes[::2], [[(-1.5, 1, 0)]])
-    assert len(again) == 1 and again[0] is totals[0]
-    assert np.array_equal(again[0], -1.5 * (whole[2] * whole[0]))
-    assert calls == ["physical_slabs"] * 2 and g.transforms == count + 5
-    assert g.product_sums(cubes, []) == []
-    assert g.product_sums(cubes[:0], [[(1.0, 0, 0)]]) == []
-    assert len(calls) == 2 and g.transforms == count + 5
+_PRODUCT_GRIDS = {(n, d): SpectralGrid(n, 7.3, d)
+                  for n in (8, 10, 16) for d in (2, 3)}
+_PRODUCT_TERM = st.tuples(st.sampled_from((1.0, 1.0, -1.5, 2.0, 0.25)),
+                          st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from(sorted(_PRODUCT_GRIDS)),
+       count=st.integers(1, 4),
+       rows=st.lists(st.lists(_PRODUCT_TERM, min_size=1, max_size=4),
+                     min_size=1, max_size=4),
+       slab_rows=st.sampled_from((1, 3, 7, None)),
+       seed=st.integers(0, 2 ** 16))
+@example(grid=(16, 3), count=1, slab_rows=5, seed=0,
+         rows=[[(1.0, 0, 0), (1.0, 0, 0)], [(2.0, 0, 0)], [(1.0, 0, 0)],
+               [(-1.5, 0, 0), (1.0, 0, 0)]])
+def test_product_spectra_are_the_transforms_of_the_products(
+        grid, count, rows, slab_rows, seed):
+    # each row's cube is to_spectral of its sum of terms c * phys(i) *
+    # phys(j) over to_physical of the stack, bit for bit, whatever the
+    # slabs (1, 3 or 7 rows of axis -d, or the default), with repeated
+    # pairs and more rows than fields; one call counts the stack's fields
+    # and one per row, and the grid keeps no array of it
+    g = _PRODUCT_GRIDS[grid]
+    rows = [[(c, i % count, j % count) for c, i, j in terms] for terms in rows]
+    rng = np.random.default_rng(seed)
+    cubes = rng.normal(size=(count,) + g.band_shape) + 1j * rng.normal(
+        size=(count,) + g.band_shape)
+    phys = g.to_physical(cubes)
+    expect = []
+    for terms in rows:
+        for t, (c, i, j) in enumerate(terms):
+            term = phys[i] * phys[j]
+            if c != 1.0:
+                term *= c
+            total = total + term if t else term
+        expect.append(g.to_spectral(total))
+    def arrays():       # the grid's array attributes, by identity
+        return [(k, id(v)) for k, v in vars(g).items()
+                if isinstance(v, np.ndarray)]
+
+    held, before = arrays(), g.transforms
+    slab_bytes = grid_module._SLAB_BYTES if slab_rows is None \
+        else slab_rows * 16 * g.n ** (g.ndim - 1)
+    with mock.patch.object(grid_module, "_SLAB_BYTES", slab_bytes):
+        got = g.product_spectra(cubes, rows)
+    assert g.transforms == before + count + len(rows)
+    assert arrays() == held
+    assert len(got) == len(rows)
+    for cube, want in zip(got, expect):
+        assert cube.shape == g.band_shape
+        assert cube.tobytes() == want.tobytes()
+    assert g.product_spectra(cubes, []) == []
+    assert g.product_spectra(cubes[:0], [[(1.0, 0, 0)]]) == []
+    assert g.transforms == before + count + len(rows)
 
 
 def test_band_forward_into_out_is_bit_for_bit():
@@ -217,9 +245,9 @@ def test_band_transforms_refuse_the_other_layout(ndim):
     # cubes, and the line forward transform the line grid's fields: a
     # field of another layout, or of none, raises before any transform
     # counts (on a 1-D grid a cube once came back from the forward pass
-    # clipped); physical_slabs, and product_sums with it, raise when
-    # called, not at the first slab, and to_physical names itself and
-    # allocates no n^d output first
+    # clipped); physical_slabs and product_spectra raise when called, not
+    # at the first slab, and to_physical names itself and allocates no n^d
+    # output first
     g = SpectralGrid(16, 5.0, ndim)
     field = np.ones((2,) + g.shape, dtype=complex)
     cube = np.ones((2,) + g.band_shape, dtype=complex)
@@ -233,14 +261,14 @@ def test_band_transforms_refuse_the_other_layout(ndim):
             g.to_physical(bad)
         with pytest.raises(ValueError, match="physical_slabs"):
             g.physical_slabs(bad)
-        with pytest.raises(ValueError, match="physical_slabs"):
-            g.product_sums(bad, [[(1.0, 0, 1)]])
+        with pytest.raises(ValueError, match="product_spectra"):
+            g.product_spectra(bad, [[(1.0, 0, 1)]])
         with pytest.raises(ValueError, match="line_physical"):
             g.line_physical(bad, 0)
     for bad in (cube, cube[0], cube[..., :-1]):
         with pytest.raises(ValueError, match="line_spectral"):
             g.line_spectral(bad)
-    assert g.transforms == g.line_transforms == 0 and g._totals == []
+    assert g.transforms == g.line_transforms == 0
     big = SpectralGrid(32, 5.0)     # an output 100 times the overhead
     bad = np.ones(big.shape, dtype=complex)
     tracemalloc.start()

@@ -150,19 +150,20 @@ def test_plan_compiles_both_forms_at_set_up(grid16, monkeypatch):
     assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
         .vanishes_on_diagonal()
 
-    # one band inverse of the stacked fields, one forward transform per
-    # group, and no factor evaluated; grid.transforms counts each field
+    # one product_spectra pass: a band inverse of the stacked fields and
+    # a forward transform per group, and no factor evaluated;
+    # grid.transforms counts each field
     calls.clear()
     transforms = record_transforms(monkeypatch, slabs=True)
     f = band_field(grid16, 3, np.random.default_rng(8))
     before = grid16.transforms
     pp.apply(plan, f, f)
-    assert transforms == ["physical_slabs"] + ["to_spectral"] * 2
+    assert transforms == ["product_spectra"]
     assert grid16.transforms - before == 4
     transforms.clear()
     before = grid16.transforms
     pp.apply(plan, f, f.copy())    # 3 factors per side, 3 groups
-    assert transforms == ["physical_slabs"] + ["to_spectral"] * 3
+    assert transforms == ["product_spectra"]
     assert grid16.transforms - before == 9 and calls == []
 
 
@@ -220,7 +221,7 @@ def test_separable_path_takes_the_band_of_a_dealiasing_plan(
     plan = pp.PseudoproductPlan(grid16, sy.symbol_preset("mixed"))
     calls = record_transforms(monkeypatch, slabs=True)
     pp.apply(plan, f, f.copy())
-    assert calls == ["physical_slabs"] + ["to_spectral"] * 3
+    assert calls == ["product_spectra"]
 
 
 def test_direct_vs_separable_2d():
