@@ -23,6 +23,7 @@ from pdhyp import pseudoproduct as pp
 from pdhyp import symbols as sy
 from pdhyp.acceptance import band_field
 from pdhyp.grid import SpectralGrid
+from pdhyp.norms import holder_bound_ratio
 
 rng = np.random.default_rng(1)
 grid = SpectralGrid(16, 2 * np.pi)
@@ -65,8 +66,8 @@ print(f"hard cap of {pp.TERM_CAP:.0e} symbol evaluations: "
 
 print("=== empirical bilinear Hoelder constants ===")
 plan = pp.PseudoproductPlan(grid, sy.symbol_preset("null_b"))
-ratios = [pp.holder_bound_ratio(plan, band_field(grid, 3, rng),
-                                band_field(grid, 3, rng), 4.0, 4.0)
+ratios = [holder_bound_ratio(plan, band_field(grid, 3, rng),
+                             band_field(grid, 3, rng), 4.0, 4.0)
           for _ in range(20)]
 print(f"||T_m(f,g)||_2 / (||f||_W04 ||g||_4 + ||f||_4 ||g||_W04) over 20 "
       f"random trials:")

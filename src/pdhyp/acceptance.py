@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evolution as ev
-from . import experiments, norms, propagators, pseudoproduct, spectra
+from . import experiments, norms, pseudoproduct, spectra
 from . import symbols as sy
 from .grid import SpectralGrid
 
@@ -315,9 +315,9 @@ def criterion_10(result, workdir):
     plans = [pseudoproduct.PseudoproductPlan(g, sy.symbol_preset("null_b"))
              for g in grids]
     estimates = {   # name: (seed, the ratio of one draw)
-        "fractional": (110, lambda g, plan, rng: propagators.fractional_ratio(
+        "fractional": (110, lambda g, plan, rng: norms.fractional_ratio(
             g, 2.0, 6.0, band_field(g, band, rng))),
-        "Hoelder": (111, lambda g, plan, rng: pseudoproduct.holder_bound_ratio(
+        "Hoelder": (111, lambda g, plan, rng: norms.holder_bound_ratio(
             plan, band_field(g, band, rng), band_field(g, band, rng), 4.0,
             4.0))}
     for name, (seed, ratio) in estimates.items():
@@ -336,18 +336,9 @@ def criterion_10(result, workdir):
 # ---------------------------------------------------------------------------
 
 def nonresonant_symbols():
-    """The nonresonant presets by name, followed by four class members that
-    no preset names: a_eta (a = |eta|), a_xi_eta (a = |xi - eta|),
-    b_xi_unit (b = xi/|xi|) and b_eta_unit (b = eta/|eta|)."""
-    symbols = {name: sy.symbol_preset(name)
-               for name in sy.NONRESONANT_PRESET_NAMES}
-    for name, a, b in (
-            ("a_eta", [(1.0, (), (), (sy.NORM,))], None),
-            ("a_xi_eta", [(1.0, (), (sy.NORM,), ())], None),
-            ("b_xi_unit", None, [[(1.0, (j,), (), ())] for j in range(3)]),
-            ("b_eta_unit", None, [[(1.0, (), (), (j,))] for j in range(3)])):
-        symbols[name] = sy.make_nonresonant_symbol(a, b, name=name)
-    return symbols
+    """Every member of symbols.NONRESONANT_CLASS by name, presets first."""
+    return {name: sy.make_nonresonant_symbol(a, b, name=name)
+            for name, (a, b) in sy.NONRESONANT_CLASS.items()}
 
 
 def band_field(grid, band, rng):

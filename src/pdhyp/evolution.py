@@ -321,12 +321,6 @@ class Stepper:
         return out
 
 
-def default_dt(dx):
-    """CFL-like default on the sources for grid spacing dx; the linear flow
-    is exact."""
-    return 0.5 * dx
-
-
 # ---------------------------------------------------------------------------
 # wave profile
 # ---------------------------------------------------------------------------

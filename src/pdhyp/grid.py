@@ -35,12 +35,11 @@ n^d field, bit for bit fftn over the axes last first composed with the
 restriction to the band and ifftn of its zero embedding; each raises
 ValueError unless the last d axes of its input are n^d and the cube's,
 respectively.  Both return a new array the caller owns and never write
-their input; a complex input is copied and transformed in place
-(to_spectral given `out` uses its complex input instead).  Real scales
-multiply the float64 view (numpy's complex-by-real product, up to the
-sign of a zero).  line_physical is ifft (its 1/n, no other scale) along
-one axis of a cube zero-filled to n points there, into a new array, and
-line_spectral fft along the last axis of a line-grid field, in place:
+their input: to_spectral transforms a complex copy of it in place.  Real
+scales multiply the float64 view (numpy's complex-by-real product, up to
+the sign of a zero).  line_physical is ifft (its 1/n, no other scale)
+along one axis of a cube zero-filled to n points there, into a new array,
+and line_spectral fft along the last axis of a line-grid field, in place:
 (2K+1)^(d-1) lines of n points each.  A transform takes a field or a
 stack and adds its fields to `transforms`, a line transform to
 `line_transforms`.  The band forward pass runs the last axis first, each
@@ -99,7 +98,6 @@ class SpectralGrid:
         self.size = self.n ** self.ndim
         self.dx = self.length / self.n
         self.dk = 2.0 * np.pi / self.length
-        self.volume = self.length ** self.ndim
         self.d_eta = self.dk ** self.ndim
         # forward-transform prefactor (dx / 2pi)^d
         self._fwd = (self.dx / (2.0 * np.pi)) ** self.ndim
@@ -150,13 +148,11 @@ class SpectralGrid:
                              f"axes are {shape}, not {np.shape(f)}")
         return prod(np.shape(f)[:-self.ndim])
 
-    def to_spectral(self, f, out=None):
-        """The cube of the n^d field f; given `out`, in place on complex f."""
+    def to_spectral(self, f):
+        """The cube of the n^d field f."""
         self.transforms += self._fields(f, self.shape, "to_spectral")
-        if out is None:
-            f = np.array(f, dtype=complex)
-            out = np.empty(f.shape[:-self.ndim] + self.band_shape, complex)
-        out[...] = self._forward(f, range(-1, -self.ndim - 1, -1))
+        out = self._forward(np.array(f, dtype=complex),
+                            range(-1, -self.ndim - 1, -1)).copy()
         _scale(out, self._fwd)
         return out
 

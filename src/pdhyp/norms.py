@@ -12,8 +12,10 @@ at the box center) acts along axis j alone: F(x_j^p f) is the line forward
 transform of x_j^p times the line inverse along j, on the line grid of
 axis j; one _moments call shares each line inverse among its weights, and
 evaluate_norms groups a sample's weighted norms into such calls.  No norm
-holds an n^d field: the L^p and L^inf norms reduce grid.physical_slabs.
-The grid caches the tables the norms weight by.
+holds an n^d field: the L^p quadrature lp_norm reduces grid.physical_slabs,
+and riesz gives R_j the real table xi_j/|xi|.  The grid caches the tables
+the norms weight by.  The estimate harnesses return the empirical
+constants of the fractional-integration and bilinear Hoelder estimates.
 """
 
 import json
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingSeries, NonPositiveValues
+from . import pseudoproduct
+from .errors import ExponentMismatch, MissingSeries, NonPositiveValues
 from .grid import SOBOLEV_N
-from .propagators import lp_norm, riesz
 
 EPSILON = 0.01         # the "arbitrarily small" weight offsets, fixed
 GAMMA = 0.05
@@ -33,6 +35,24 @@ M0_BOUND_C = 5.0       # verdict threshold for M0(t) <= C * E_N
 # ---------------------------------------------------------------------------
 # scalar-field norms
 # ---------------------------------------------------------------------------
+
+def lp_norm(grid, fhat, p, multiplier=None):
+    """The L^p quadrature of a band field, times `multiplier` (a real cube
+    table) if given, reduced slab by slab."""
+    slabs = (slab for _, slab in grid.physical_slabs(fhat, multiplier))
+    if np.isinf(p):
+        return float(max(np.max(np.abs(f)) for f in slabs))
+    total = sum(np.sum(np.abs(f) ** p) for f in slabs)
+    return float((total * grid.dx ** grid.ndim) ** (1.0 / p))
+
+
+def riesz(grid, j, fhat=None):
+    """R_j f = -i (xi_j/|xi|) f_hat of a band field, 0 at xi = 0, or without
+    fhat the real cube table xi_j/|xi|; the reciprocal of |xi| rounds as
+    numpy's complex division by |xi| does."""
+    symbol = grid.xi_axes[j] * grid.xi_norm_reciprocal
+    return symbol if fhat is None else -1j * (symbol * fhat)
+
 
 def _sobolev_weight(xi2, order, lam=False):
     """(1 + |xi|^2)^order, times |xi|^2 for lam, on a table xi2 of |xi|^2."""
@@ -65,7 +85,7 @@ def band_linf(grid, fhat):
 
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
-    every component choice), with R_j f = propagators.riesz(grid, j, f):
+    every component choice), with R_j f = riesz(grid, j, f):
     the band inverse of f times the real xi_j/|xi|, as |-i z| = |z|."""
     return max(lp_norm(grid, fhat, np.inf, riesz(grid, j))
                for j in range(grid.ndim))
@@ -208,6 +228,55 @@ def initial_energy(state):
                      or energy_terms(state.grid, comp))
     l1, x_h2, lam_x2, hn = map(sum, zip(*parts))    # the formula's order
     return float(max(l1, x_h2 + lam_x2 + hn))
+
+
+# ---------------------------------------------------------------------------
+# estimate harnesses
+# ---------------------------------------------------------------------------
+
+def lambda_power(xi_norm, s):
+    """|xi|^s on a table of |xi|, at xi = 0 1 for s = 0 and 0 otherwise
+    (the convention for symbols undefined or vanishing at the origin)."""
+    vals = np.where(xi_norm > 0, xi_norm, 1.0) ** float(s)
+    return np.where(xi_norm > 0, vals, 1.0 if s == 0 else 0.0)
+
+
+def fractional_ratio(grid, p, q, fhat):
+    """Empirical constant of ||Lam^{-alpha} f||_{L^q} <= C ||f||_{L^p} for a
+    band field, at the scaling-critical alpha = d/p - d/q, 1 < p <= q < inf."""
+    if not 1 < p <= q < np.inf:
+        raise ExponentMismatch(f"need 1 < p <= q < infinity, not p={p}, q={q}")
+    if not np.any(fhat):
+        return 0.0
+    alpha = grid.ndim / p - grid.ndim / q
+    low = lambda_power(grid.xi_norm, -alpha) * fhat
+    return lp_norm(grid, low, q) / lp_norm(grid, fhat, p)
+
+
+def holder_bound_ratio(plan, fhat, ghat, p, q):
+    """Empirical constant of the bilinear Hoelder-type estimate
+
+        ||T_m(f, g)||_{L^r}
+        -----------------------------------------------------
+        ||f||_{W^{s,p}} ||g||_{L^q} + ||f||_{L^p} ||g||_{W^{s,q}}
+
+    with s = plan.symbol.degree, 1/r = 1/p + 1/q and p, q in [1, infinity);
+    zero fields return 0 by convention."""
+    if not (1 <= p < np.inf and 1 <= q < np.inf):
+        raise ExponentMismatch(f"need p, q in [1, infinity), not p={p}, q={q}")
+    grid, s = plan.grid, plan.symbol.degree
+    if not np.any(fhat) or not np.any(ghat):
+        return 0.0
+
+    def lp(h, p, sigma=0):      # ||Lam^sigma h||_{L^p} of a band field
+        if sigma:
+            h = lambda_power(grid.xi_norm, sigma) * h
+        return lp_norm(grid, h, p)
+
+    f_p, f_s = lp(fhat, p), lp(fhat, p, s)
+    g_q, g_s = lp(ghat, q), lp(ghat, q, s)
+    num = lp(pseudoproduct.apply(plan, fhat, ghat), 1.0 / (1.0 / p + 1.0 / q))
+    return num / ((f_p + f_s) * g_q + f_p * (g_q + g_s))
 
 
 # ---------------------------------------------------------------------------

@@ -34,16 +34,17 @@ apply_direct() evaluates the direct sum for any symbol; it is the reference
 the separable path is checked against.  A plan takes and returns band
 fields on the grid's cube: under the strict 2/3 rule no aliased interaction
 lands on a kept mode, so the two paths agree to rounding and the direct sum
-runs over the cube alone.
+runs over the cube alone.  The module holds the operator and its reference
+only; the estimate harness of T_m is norms.holder_bound_ratio.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CostCapExceeded, ExponentMismatch, GridMismatch
+from . import symbols
+from .errors import CostCapExceeded, GridMismatch
 from .grid import dealias_limit
-from . import propagators, symbols
 
 TERM_CAP = int(2e9)
 
@@ -182,29 +183,3 @@ def _apply_direct(plan, fhat, ghat):
         mvals = plan.symbol(xi, eta)
         out[k] = np.sum(mvals * rev[sl].reshape(-1) * gc.reshape(-1))
     return np.fft.ifftshift(out) * grid.d_eta
-
-
-def holder_bound_ratio(plan, fhat, ghat, p, q):
-    """Empirical constant of the bilinear Hoelder-type estimate
-
-        ||T_m(f, g)||_{L^r}
-        -----------------------------------------------------
-        ||f||_{W^{s,p}} ||g||_{L^q} + ||f||_{L^p} ||g||_{W^{s,q}}
-
-    with s = plan.symbol.degree, 1/r = 1/p + 1/q and p, q in [1, infinity);
-    zero fields return 0 by convention."""
-    if not (1 <= p < np.inf and 1 <= q < np.inf):
-        raise ExponentMismatch(f"need p, q in [1, infinity), not p={p}, q={q}")
-    grid, s = plan.grid, plan.symbol.degree
-    if not np.any(fhat) or not np.any(ghat):
-        return 0.0
-
-    def lp(h, p, sigma=0):      # ||Lam^sigma h||_{L^p} of a band field
-        if sigma:
-            h = propagators.lambda_power(grid.xi_norm, sigma) * h
-        return propagators.lp_norm(grid, h, p)
-
-    f_p, f_s = lp(fhat, p), lp(fhat, p, s)
-    g_q, g_s = lp(ghat, q), lp(ghat, q, s)
-    num = lp(apply(plan, fhat, ghat), 1.0 / (1.0 / p + 1.0 / q))
-    return num / ((f_p + f_s) * g_q + f_p * (g_q + g_s))

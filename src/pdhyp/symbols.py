@@ -2,7 +2,8 @@
 and nonresonant bilinear forms.  The wave phase, its gradients and every
 symbol but mu0 are term lists over the factor basis {|v|, v_j/|v|} (see
 BilinearSymbol), all evaluated by evaluate_terms; only the complex
-dissipative phase is a closed form.
+dissipative phase is a closed form.  NONRESONANT_CLASS is the one table
+of the nonresonant class members the package builds, presets included.
 
 All evaluators are vectorized numpy functions of wavevector arrays whose
 last axis is the space dimension (factor takes their components and
@@ -227,25 +228,33 @@ def mu0_symbol(s):
 
 
 # ---------------------------------------------------------------------------
-# named presets (External Interface)
+# the nonresonant class and the named presets (External Interface)
 # ---------------------------------------------------------------------------
+
+# the members of the nonresonant class m = a phi_w + b . grad_eta phi_w by
+# name, as (a, b) of make_nonresonant_symbol: the presets first
+_XI_NORM = ((1.0, (NORM,), (), ()),)        # a = |xi|
+_E_X = (((1.0, (), (), ()),), None, None)   # b = (1, 0, 0)
+NONRESONANT_CLASS = {
+    "null_b": (None, _E_X),
+    "aphi": (_XI_NORM, None),
+    "mixed": (_XI_NORM, _E_X),
+    "a_eta": (((1.0, (), (), (NORM,)),), None),     # a = |eta|
+    "a_xi_eta": (((1.0, (), (NORM,), ()),), None),  # a = |xi - eta|
+    "b_xi_unit": (None, [((1.0, (j,), (), ()),) for j in range(3)]),
+    "b_eta_unit": (None, [((1.0, (), (), (j,)),) for j in range(3)]),
+}
+NONRESONANT_PRESET_NAMES = tuple(NONRESONANT_CLASS)[:3]
+SYMBOL_PRESET_NAMES = ("one", *NONRESONANT_PRESET_NAMES, "mu0")
+
+
 def symbol_preset(name):
-    """Presets addressable by name: one, null_b, aphi, mixed, mu0."""
-    xi_norm = [(1.0, (NORM,), (), ())]        # a = |xi|
-    e_x = [[(1.0, (), (), ())], None, None]   # b = (1, 0, 0)
+    """The symbol of a name of SYMBOL_PRESET_NAMES."""
     if name == "one":
         return BilinearSymbol.from_terms("one", [(1.0, (), (), ())],
                                          singular=False)
-    if name == "null_b":
-        return make_nonresonant_symbol(None, e_x, name="null_b")
-    if name == "aphi":
-        return make_nonresonant_symbol(xi_norm, None, name="aphi")
-    if name == "mixed":
-        return make_nonresonant_symbol(xi_norm, e_x, name="mixed")
     if name == "mu0":
         return mu0_symbol(10.0)
+    if name in NONRESONANT_PRESET_NAMES:
+        return make_nonresonant_symbol(*NONRESONANT_CLASS[name], name=name)
     raise KeyError(f"unknown symbol preset {name!r}")
-
-
-SYMBOL_PRESET_NAMES = ("one", "null_b", "aphi", "mixed", "mu0")
-NONRESONANT_PRESET_NAMES = ("null_b", "aphi", "mixed")

@@ -62,7 +62,7 @@ def full_physical(grid, fhat):
 
 def lp_physical(grid, f, p):
     """The L^p quadrature of a physical-space field f: the reference of
-    propagators.lp_norm."""
+    norms.lp_norm."""
     f = np.abs(f)
     if np.isinf(p):
         return float(np.max(f))

@@ -15,14 +15,34 @@ Every field of the package is a band field on the 2/3 band's cube, or on
 the line grid of one axis (the weighted norms): no module defines, reads
 or imports an n^d table (full_xi_norm, full_xi_axes, r2_centered) or a
 full-grid transform (full_spectral, scipy's fftn and ifftn).
+
+The modules form layers in the order of LAYERS, and each imports only
+modules earlier in it; experiments' read of __version__ from __init__ is
+the one exemption.  The package keeps every name it exports (EXPORTS).
 """
 
 import ast
 from pathlib import Path
 
+import pdhyp
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pdhyp"
 FULL_GRID_NAMES = {"full_xi_norm", "full_xi_axes", "r2_centered",
                    "full_spectral", "fftn", "ifftn"}
+LAYERS = ("errors", "grid", "spectra", "symbols", "pseudoproduct", "norms",
+          "evolution", "experiments", "acceptance", "cli")
+LAYER_EXEMPT = {("experiments", "__init__.__version__")}
+EXPORTS = (
+    "__version__", "SpectralGrid", "ModelMatrices", "LinearSymbolCache",
+    "three_component_model", "two_component_model", "check_sk",
+    "build_symbol_cache", "green_function", "BilinearSymbol", "wave_phase",
+    "dissipative_phase", "make_nonresonant_symbol", "mu0_symbol",
+    "symbol_preset", "PseudoproductPlan", "apply", "apply_direct",
+    "holder_bound_ratio", "lambda_power", "riesz", "fractional_ratio",
+    "ModelSpec", "Coefficients", "StateField", "Stepper", "BlowupGuard",
+    "rhs", "wave_profile", "NormSpec", "BootstrapReport", "evaluate_norm",
+    "m0_functional", "fit_decay", "fit_exponential_rate", "initial_energy",
+    "ExperimentConfig", "make_initial_data", "run")
 
 
 def _used_names(node, skip=None):
@@ -154,3 +174,77 @@ def test_the_layout_guard_names_each_full_grid_use(tmp_path):
         ("a", 1, "ifftn"), ("a", 3, "full_spectral"), ("a", 4, "full_xi_norm"),
         ("grid", 2, "full_spectral"), ("grid", 3, "fftn"),
         ("grid", 3, "r2_centered")]
+
+
+def _package_imports(path):
+    """(line, module) of each import of the package in the module at
+    `path`: `from .x import ...` and `from . import x` import module x, and
+    a name of __init__ that is no module reads as __init__.<name>."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.partition(".")[0] != "pdhyp":
+                continue
+            module = module.partition(".")[2]
+        if module:
+            yield node.lineno, module.partition(".")[0]
+            continue
+        for alias in node.names:
+            is_module = (path.parent / f"{alias.name}.py").exists()
+            yield node.lineno, (alias.name if is_module
+                                else f"__init__.{alias.name}")
+
+
+def layering_violations(package=PACKAGE, layers=LAYERS):
+    """(module, line, imported) of each package import that does not reach
+    a layer earlier than the importer's; a module outside `layers` fails as
+    importer and as imported module."""
+    rank = {name: i for i, name in enumerate(layers)}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for line, imported in _package_imports(path):
+            if (path.stem, imported) in LAYER_EXEMPT:
+                continue
+            if (path.stem not in rank or imported not in rank
+                    or rank[imported] >= rank[path.stem]):
+                found.append((path.stem, line, imported))
+    return found
+
+
+def test_each_module_imports_only_earlier_layers():
+    found = layering_violations()
+    assert not found, "imports against the layer order: " + ", ".join(
+        f"{module}:{line} imports {imported}"
+        for module, line, imported in found)
+
+
+def test_the_layering_guard_names_each_import_against_the_order(tmp_path):
+    # an import of a later or the same layer, of a module outside the
+    # order, and a read of __init__ other than experiments' __version__
+    # are named; imports of earlier layers pass, however they are spelled
+    files = {
+        "__init__.py": "from .grid import SpectralGrid\n",
+        "errors.py": "",
+        "grid.py": "from .errors import GridMismatch\n",
+        "symbols.py": "from . import grid\nfrom pdhyp.norms import riesz\n",
+        "norms.py": "from . import symbols, norms\nfrom .extra import x\n",
+        "extra.py": "from . import errors\n",
+        "experiments.py": "from . import __version__\n"
+                          "from . import SpectralGrid\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    layers = ("errors", "grid", "symbols", "norms", "experiments")
+    assert layering_violations(tmp_path, layers) == [
+        ("experiments", 2, "__init__.SpectralGrid"), ("extra", 1, "errors"),
+        ("norms", 1, "norms"), ("norms", 2, "extra"),
+        ("symbols", 2, "norms")]
+
+
+def test_the_package_keeps_its_exports():
+    missing = [name for name in EXPORTS if not hasattr(pdhyp, name)]
+    assert not missing, "no longer exported by pdhyp: " + ", ".join(missing)

@@ -355,7 +355,8 @@ def test_single_mode_closed_form():
     g = SpectralGrid(16, 32.0)
     st = ex.make_initial_data("single_mode", g, 2.0, 0, mode=(2, 1, 0))
     k = g.dk * np.array([2.0, 1.0, 0.0])
-    expect = np.sqrt((1 + k @ k) ** norms.SOBOLEV_N * 4.0 * g.volume / 2)
+    expect = np.sqrt((1 + k @ k) ** norms.SOBOLEV_N * 4.0
+                     * g.length ** g.ndim / 2)
     got = norms.sobolev_norm(g, st.data[0], norms.SOBOLEV_N)
     assert abs(got - expect) <= 1e-10 * expect
     with pytest.raises(ConfigError):

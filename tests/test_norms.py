@@ -11,12 +11,13 @@ from conftest import (band, embed, full_physical, full_xi_axes, full_xi_norm,
                       reference_profile_norms)
 from pdhyp import evolution as ev
 from pdhyp import grid as grid_module
-from pdhyp import norms, spectra
+from pdhyp import norms, pseudoproduct, spectra
 from pdhyp.acceptance import band_field
 from pdhyp.errors import MissingSeries, NonPositiveValues
 from pdhyp.experiments import make_initial_data
 from pdhyp.grid import SpectralGrid
-from pdhyp.propagators import lp_norm, riesz
+from pdhyp.symbols import symbol_preset
+from pdhyp.norms import lp_norm, riesz
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ def test_sobolev_single_mode_closed_form(grid):
     fh = grid.to_spectral(f)
     for order in (0, 1, 3):
         expect = np.sqrt((1 + k_vec @ k_vec) ** order * A ** 2
-                         * grid.volume / 2)
+                         * grid.length ** grid.ndim / 2)
         got = norms.sobolev_norm(grid, fh, order)
         assert abs(got - expect) <= 1e-10 * expect
 
@@ -261,6 +262,36 @@ def test_joint_moments_equal_each_norm_alone(n, ndim, seed):
             norm_of(g, "weighted_lambda_x_h1", data[0])]
     assert norms._moments(g, data[0], 1.0, 2, [(1, True), (0, False)]) \
         == [lam_x2, norms._moments(g, data[0], 1.0, 2, [(0, False)])[0]]
+
+
+_GRIDS = {n: SpectralGrid(n, 2 * np.pi) for n in (8, 16)}
+_PLANS = {(n, name): pseudoproduct.PseudoproductPlan(g, symbol_preset(name))
+          for n, g in _GRIDS.items() for name in ("one", "mixed")}
+_SCALES = hst.floats(1e-3, 1e3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=hst.sampled_from([8, 16]), symbol=hst.sampled_from(["one", "mixed"]),
+       c=_SCALES, c2=_SCALES, seed=hst.integers(0, 2 ** 16),
+       p=hst.floats(1.0, 8.0, exclude_min=True), q_over_p=hst.floats(1.0, 4.0),
+       holder=hst.tuples(hst.floats(1.0, 8.0), hst.floats(1.0, 8.0)))
+def test_estimate_harnesses_are_homogeneous_of_degree_zero(
+        n, symbol, c, c2, seed, p, q_over_p, holder):
+    # both ratios are quotients of norms that each scale with the amplitude
+    # of a field, so rescaling a field leaves them unchanged to rounding:
+    # fractional_ratio on 1 < p <= q < infinity, holder_bound_ratio on
+    # p, q in [1, infinity)
+    g, plan = _GRIDS[n], _PLANS[n, symbol]
+    rng = np.random.default_rng(seed)
+    f, h = band_field(g, 2, rng), band_field(g, 2, rng)
+    q = p * q_over_p
+    pairs = [(norms.fractional_ratio(g, p, q, c * f),
+              norms.fractional_ratio(g, p, q, f)),
+             (norms.holder_bound_ratio(plan, c * f, c2 * h, *holder),
+              norms.holder_bound_ratio(plan, f, h, *holder))]
+    for scaled, ratio in pairs:
+        assert ratio > 0.0
+        assert abs(scaled - ratio) <= 1e-12 * ratio, (scaled, ratio)
 
 
 def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
