@@ -9,10 +9,12 @@ and grid.line_transforms) and, on the first TRACED_STEPS steps, its
 transient: tracemalloc's peak over the step, traced from its start.
 Tracing costs CPU and faults, so the medians skip those steps.  A check
 line sums the steps' band fields against the report's
-transforms["steps"]["band"].  Then it prints the CPU ms and flow rows of
-one Stepper built from the config, and the costs of norms.initial_energy
-and of one full sample on the state the first step received: CPU and
-transforms from an untraced call, the peak from a traced one.  Last, a
+transforms["steps"]["band"], and a line gives the MiB of arrays that the
+run's grid and pseudoproduct plan still hold after it (cached tables and
+factors).  Then it prints the CPU ms and flow rows of one Stepper built
+from the config, and the costs of norms.initial_energy and of one full
+sample on the state the first step received: CPU and transforms from an
+untraced call, the peak from a traced one.  Last, a
 second run traced whole names its tracemalloc peak: the phase of
 experiments.run it falls in (set-up, step, sample or report) and the
 pdhyp functions running, outermost first, when it came within SLACK of
@@ -63,12 +65,13 @@ def measured(fn, grid, traced):
 
 
 def measured_run(config):
-    """The run's report, the state its first step received, and each
-    step's figures from measured()."""
+    """The run's report, its Stepper, the state its first step received,
+    and each step's figures from measured()."""
     rows, first, step = [], {}, ev.Stepper.step
 
     def wrapped(stepper, state, guard=None):
         first.setdefault("state", state)
+        first.setdefault("stepper", stepper)
         new, row = measured(lambda: step(stepper, state, guard),
                             stepper.grid, len(rows) < TRACED_STEPS)
         rows.append(row)
@@ -79,7 +82,20 @@ def measured_run(config):
         report = experiments.run(config).report
     finally:
         ev.Stepper.step = step
-    return report, first["state"], rows
+    return report, first["stepper"], first["state"], rows
+
+
+def held_mib(owner):
+    """MiB of the distinct arrays in an object's attributes, inside tuples,
+    lists and dict values; 0 for None."""
+    held, stack = {}, [] if owner is None else list(vars(owner).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            held[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list, dict)):
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    return sum(held.values()) / 2 ** 20
 
 
 def site(frame):
@@ -124,7 +140,7 @@ def main(names):
     for name in names:
         with tempfile.TemporaryDirectory() as out_dir:
             config = workloads.resolve(name, workloads.DEFAULT_SEED, out_dir)
-            report, state, rows = measured_run(config)
+            report, run_stepper, state, rows = measured_run(config)
             whole = peak_site(config)
         model, grid = config.build_model(), config.build_grid()
         stepper, (cpu, *_) = measured(lambda: ev.Stepper(
@@ -163,6 +179,9 @@ def main(names):
         print(f"check: the steps' band fields sum to {sum(r[2] for r in rows)}"
               f", the report's transforms[\"steps\"][\"band\"] is "
               f"{report['transforms']['steps']['band']}")
+        print(f"held after the run: grid arrays "
+              f"{held_mib(run_stepper.grid):.2f} MiB, plan arrays "
+              f"{held_mib(run_stepper.plan):.2f} MiB")
         print("whole-run peak: {:.2f} MiB in {}, in {}\n".format(*whole))
 
 

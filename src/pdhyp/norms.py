@@ -13,9 +13,11 @@ transform of x_j^p times the line inverse along j, on the line grid of
 axis j; one _moments call shares each line inverse among its weights, and
 evaluate_norms groups a sample's weighted norms into such calls.  No norm
 holds an n^d field: the L^p quadrature lp_norm reduces grid.physical_slabs,
-and riesz gives R_j the real table xi_j/|xi|.  The grid caches the tables
-the norms weight by.  The estimate harnesses return the empirical
-constants of the fractional-integration and bilinear Hoelder estimates.
+and riesz gives R_j the real table xi_j/|xi|.  The grid caches the cube
+tables that every sample reads (|xi| and the H^N weight); a table that one
+call reads, such as 1/|xi| or the line grid's |xi|^2, lives in that call.
+The estimate harnesses return the empirical constants of the
+fractional-integration and bilinear Hoelder estimates.
 """
 
 import json
@@ -46,11 +48,17 @@ def lp_norm(grid, fhat, p, multiplier=None):
     return float((total * grid.dx ** grid.ndim) ** (1.0 / p))
 
 
-def riesz(grid, j, fhat=None):
+def _reciprocal(grid):     # 1/|xi|, and 1 at xi = 0
+    return 1.0 / np.where(grid.xi_norm > 0, grid.xi_norm, 1.0)
+
+
+def riesz(grid, j, fhat=None, *, inverse=None):
     """R_j f = -i (xi_j/|xi|) f_hat of a band field, 0 at xi = 0, or without
     fhat the real cube table xi_j/|xi|; the reciprocal of |xi| rounds as
-    numpy's complex division by |xi| does."""
-    symbol = grid.xi_axes[j] * grid.xi_norm_reciprocal
+    numpy's complex division by |xi| does.  The call builds 1/|xi| unless
+    it is given as `inverse`, to share one among the components."""
+    symbol = grid.xi_axes[j] * (_reciprocal(grid) if inverse is None
+                                else inverse)
     return symbol if fhat is None else -1j * (symbol * fhat)
 
 
@@ -86,8 +94,10 @@ def band_linf(grid, fhat):
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
     every component choice), with R_j f = riesz(grid, j, f):
-    the band inverse of f times the real xi_j/|xi|, as |-i z| = |z|."""
-    return max(lp_norm(grid, fhat, np.inf, riesz(grid, j))
+    the band inverse of f times the real xi_j/|xi|, as |-i z| = |z|, every
+    table from one 1/|xi|."""
+    inverse = _reciprocal(grid)
+    return max(lp_norm(grid, fhat, np.inf, riesz(grid, j, inverse=inverse))
                for j in range(grid.ndim))
 
 
@@ -107,7 +117,9 @@ def _moments(grid, fhat, multiplier, power, weights):
     k, n = grid.dealias_limit, grid.n
     cube = np.zeros(grid.band_shape, dtype=complex) if power == 2 else None
     arm = slice(k + 1, n - k) if power == 2 else slice(None)
-    tables = [_sobolev_weight(grid.line_xi_sq[..., arm], *w) for w in weights]
+    xi_sq = grid.line_xi_sq[..., arm]     # freed before the line inverses
+    tables = [_sobolev_weight(xi_sq, *w) for w in weights]
+    del xi_sq
     totals = [0.0] * len(weights)
     for j in range(grid.ndim):
         spec = grid.line_physical(fhat, j, multiplier)

@@ -14,18 +14,19 @@ alone selects how apply() evaluates it:
     the factorization m = sum_k alpha_k(xi) beta_k(xi - eta) gamma_k(eta)
     as separable_terms and takes the separable FFT path.  A product of
     atoms names its factor: the plan evaluates each distinct product once,
-    from the grid's sparse axes and cached |xi|, and compiles the term
-    list at set-up into two forms, one for T(f, g) and one for T(f, f).
-    A form stacks each (input, beta or gamma) field it needs once, and
-    the terms sharing alpha form one group, their coefficients on the
-    product rows summed in physical space slab by slab and transformed
-    there (grid.product_spectra); so an apply costs one band inverse of
-    the stack and one forward transform per group, weights each group's
-    cube by its alpha and sums the cubes, and builds no n^d field.  The
-    diagonal form T(f, f) sees only the symmetric part of m:
-    each (beta, gamma) pair merges with its swap and pairs whose
-    coefficients cancel drop out, so a symbol with a vanishing symmetric
-    part, such as the null form null_b, costs no transform.
+    from the grid's sparse axes and cached |xi|, when a form first reads
+    it.  The term list compiles into the form of T(f, f) at set-up and
+    that of T(f, g) on its first apply, so steps hold only the first's
+    factors.  A form stacks each (input, beta or gamma) field it needs
+    once, and the terms sharing alpha form one group, their coefficients
+    on the product rows summed in physical space slab by slab and
+    transformed there (grid.product_spectra); so an apply costs one band
+    inverse of the stack and one forward transform per group, weights each
+    group's cube by its alpha and sums the cubes, and builds no n^d field.
+    The diagonal form T(f, f) sees only the symmetric part of m: each
+    (beta, gamma) pair merges with its swap and pairs whose coefficients
+    cancel drop out, so a symbol with a vanishing symmetric part, such as
+    the null form null_b, costs no transform and evaluates no factor.
   * a symbol outside the basis, such as mu0, takes the direct sum over
     every pair of modes, which refuses jobs above TERM_CAP symbol
     evaluations.
@@ -58,24 +59,30 @@ def direct_sum_terms(n, ndim=3):
 @dataclass
 class PseudoproductPlan:
     """A symbol's pseudoproduct on a grid.  For a separable symbol,
-    `factors` maps each product of atoms of its term list to its real
-    array on the grid, in order of first appearance (None for the empty
-    product, the constant 1), and `general` and `diagonal` are the forms
-    of T(f, g) and T(f, f) (see _form); all three are None otherwise."""
+    `factors` maps each product of atoms a compiled form reads to its real
+    array on the grid (None for the empty product, the constant 1), and
+    `diagonal` and `general` are the forms of T(f, f) and, compiled on
+    first use, of T(f, g) (see _form); all three are None otherwise."""
     grid: object
     symbol: object
 
-    def __post_init__(self):    # compiled at set-up, not by the first apply
-        self.factors = self.general = self.diagonal = None
-        if not self.symbol.separable_terms:
-            return
-        self.factors = {(): None}
-        for _, *slots in self.symbol.terms:
-            for atoms in slots:
-                if atoms not in self.factors:
-                    self.factors[atoms] = symbols.factor(
-                        atoms, 1.0, self.grid.xi_axes, self.grid.xi_norm)
-        self.general, self.diagonal = self._form(False), self._form(True)
+    def __post_init__(self):    # T(f, g) waits for its first apply
+        self.factors = self.diagonal = self._general = None
+        if self.symbol.separable_terms:
+            self.factors = {(): None}
+            self.diagonal = self._form(True)
+
+    @property
+    def general(self):
+        if self._general is None and self.factors is not None:
+            self._general = self._form(False)
+        return self._general
+
+    def _factor(self, atoms):   # evaluated once, when a form first reads it
+        if atoms not in self.factors:
+            self.factors[atoms] = symbols.factor(
+                atoms, 1.0, self.grid.xi_axes, self.grid.xi_norm)
+        return self.factors[atoms]
 
     def _form(self, diagonal):
         """(fields, groups) of T(f, g), or of T(f, f) when `diagonal`.  A
@@ -83,12 +90,14 @@ class PseudoproductPlan:
         group is (alpha factor, its grid.product_spectra rows (coefficient,
         field, field)).  Each term's coefficient sums into the row of its
         (alpha, beta, gamma), which T(f, f) takes unordered; zero sums drop
-        out, and the rest keep their order of first appearance."""
-        order = {atoms: i for i, atoms in enumerate(self.factors)}
+        out, and the rest keep their order of first appearance; T(f, f)
+        orders each pair by its atoms' first appearance in the term list."""
+        order = list(dict.fromkeys(
+            [()] + [a for _, *slots in self.symbol.terms for a in slots]))
         coefs = {}
         for c, p, q, r in self.symbol.terms:
             if diagonal:
-                q, r = sorted((q, r), key=order.get)
+                q, r = sorted((q, r), key=order.index)
             coefs[p, q, r] = coefs.get((p, q, r), 0.0) + c
         groups = {}
         for (p, q, r), c in coefs.items():
@@ -98,8 +107,8 @@ class PseudoproductPlan:
         rows = [[(c, fields.setdefault((0, q), len(fields)),
                   fields.setdefault((0 if diagonal else 1, r), len(fields)))
                  for c, q, r in pairs] for pairs in groups.values()]
-        return ([(side, self.factors[atoms]) for side, atoms in fields],
-                list(zip(map(self.factors.get, groups), rows)))
+        return ([(side, self._factor(atoms)) for side, atoms in fields],
+                list(zip(map(self._factor, groups), rows)))
 
     def vanishes_on_diagonal(self):
         """True when the separable factorization makes T_m(f, f) identically

@@ -12,15 +12,19 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # lines each demo named here prints, by patterns of their figures; the
 # backreference holds step_memory's check line on both default workloads,
-# and a run's peak names its phase and the package functions below it
+# the arrays a run's grid and plan keep after it are in MiB, and a run's
+# peak names its phase and the package functions below it
 _CHECK = (r"check: the steps' band fields sum to (\d+), the report's "
           r"transforms\[\"steps\"\]\[\"band\"\] is \1$")
+_HELD = (r"held after the run: grid arrays \d+\.\d\d MiB, plan arrays "
+         r"\d+\.\d\d MiB$")
 _PEAK = (r"whole-run peak: \d+\.\d\d MiB in (?:set-up|step|sample|report), "
          r"in \w+\.\w")
 PRINTS = {"step_memory": (
     r"flow rows: G_full plus G_half \d+\.\d\d MiB",
     *(rf"(?m)^=== {name}:.*(?:\n(?!===).*)*?\n{line}"
-      for name in ("pk_mixed_n64", "k_rk4_n64") for line in (_CHECK, _PEAK)))}
+      for name in ("pk_mixed_n64", "k_rk4_n64")
+      for line in (_CHECK, _HELD, _PEAK)))}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])

@@ -301,16 +301,17 @@ def test_no_stepper_or_run_calls_the_dense_matrix_exponential(monkeypatch,
 
 
 def test_stepper_builds_the_factor_table_in_set_up(grid, monkeypatch):
-    # the Stepper evaluates mixed's 3 non-constant atom products; its
-    # steps evaluate none
+    # the Stepper evaluates the 2 atom products of mixed's T(w, w), |v|
+    # and |v|^2, not v_0/|v|, which only T(f, g) reads; its steps
+    # evaluate none
     m = sy.symbol_preset("mixed")
     calls, factor = [], sy.factor
     monkeypatch.setattr(sy, "factor", lambda *args:
-                        calls.append(1) or factor(*args))
+                        calls.append(args[0]) or factor(*args))
     stepper = ev.Stepper(ev.ModelSpec("pk_system", w_symbol=m), grid, dt=1.0)
-    assert len(calls) == 3
+    assert sorted(calls) == [(sy.NORM,), (sy.NORM, sy.NORM)]
     stepper.step(bump_state(grid, 3, 0.1))
-    assert len(calls) == 3
+    assert len(calls) == 2
     # a constant factor at points takes no |v|
     monkeypatch.setattr(sy, "_norm", None)
     xi = np.stack(np.broadcast_arrays(*grid.xi_axes), axis=-1)
@@ -365,7 +366,7 @@ def test_no_integer_table_per_mode(n):
     stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
     stepper.step(bump_state(g, 3, 0.1))
     ev.wave_profile(bump_state(g, 3, 0.1))
-    g.sobolev_weight, g.xi_norm_reciprocal    # every cached table built
+    g.sobolev_weight    # every cached table built
     assert g.shells[1].shape == g.band_shape
     owners = (g, stepper, stepper.cache)
     found = [a for owner in owners for v in vars(owner).values()
@@ -373,6 +374,59 @@ def test_no_integer_table_per_mode(n):
     assert len(found) > 10
     assert not [a.shape for a in found
                 if np.issubdtype(a.dtype, np.integer) and a.size == g.size]
+
+
+def test_a_run_leaves_no_per_call_table_held():
+    # after initial_energy, one full pk sample and one step at n = 32, the
+    # grid holds no array of the line grid's size and no 1/|xi|, and the
+    # plan of null_b, whose T(w, w) vanishes, holds no factor array
+    g = SpectralGrid(32, 64.0)
+    model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0),
+                         w_symbol=sy.symbol_preset("null_b"))
+    state = bump_state(g, 3, 0.1)
+    stepper = ev.Stepper(model, g, dt=1.0)
+    norms.initial_energy(state)
+    specs = [norms.NormSpec.parse(s)
+             for s in experiments.DEFAULT_NORMS["pk_system"]]
+    norms.evaluate_norms(specs, state, ev.wave_profile(state))
+    stepper.step(state)
+    held = [a for v in vars(g).values() for a in _arrays(v)]
+    line = g.n * np.prod(g.band_shape[1:])
+    inverse = 1.0 / np.where(g.xi_norm > 0, g.xi_norm, 1.0)
+    assert len(held) > 10 and not [a.shape for a in held if a.size == line]
+    assert not [a for a in held if a.shape == inverse.shape
+                and np.array_equal(a, inverse)]
+    plan = stepper.plan
+    assert plan.vanishes_on_diagonal()
+    assert all(f is None for f in plan.factors.values())
+    assert not [a for v in vars(plan).values() for a in _arrays(v)]
+
+
+def test_a_stepper_holds_its_stages_rows_and_diagonal_factors():
+    # what an IFRK4 mixed Stepper allocates through its first step at
+    # n = 32, less the new state, in complex band cubes: 5 stage stacks of
+    # 3 fields (15), the rows of G_full and G_half on 11 of the 21 planes
+    # (4.19), |v| and |v|^2 (1.0) and the per-shell symbol cache (0.96),
+    # measured 21.15; 1/|xi| and v_0/|v| would add 0.5 each
+    g = SpectralGrid(32, 64.0)
+    g.shells    # the grid's table, which the Stepper reads
+    state = bump_state(g, 3, 0.1)
+    model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0),
+                         w_symbol=sy.symbol_preset("mixed"))
+    tracemalloc.start()
+    try:
+        stepper = ev.Stepper(model, g, dt=1.0, scheme="ifrk4")
+        new = stepper.step(state)
+        held = tracemalloc.get_traced_memory()[0] - new.data.nbytes
+    finally:
+        tracemalloc.stop()
+    cube = 16 * np.prod(g.band_shape)
+    named = sum(a.nbytes for a in (*stepper.stages, stepper.G_full,
+                                   stepper.G_half) if a is not None)
+    named += sum(f.nbytes for f in stepper.plan.factors.values()
+                 if f is not None)
+    assert named / cube == pytest.approx(20.19, abs=0.01)
+    assert named < held <= 21.25 * cube, held / cube
 
 
 def test_pure_wave_time_reversal(grid):

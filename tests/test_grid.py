@@ -379,13 +379,17 @@ def test_band_blocks_tile_the_band_and_mirror_the_first_corner(n, ndim):
 
 
 def test_multiplier_tables_are_built_once():
+    # the H^N weight, which every sample and the guard read, is cached;
+    # the line grid's |xi|^2 is built on each read and stays off the grid,
+    # which keeps no 1/|xi| either
     g = SpectralGrid(8, 5.0)
     assert g.sobolev_weight is g.sobolev_weight
     assert np.array_equal(g.sobolev_weight, (1.0 + g.xi_norm ** 2) ** 3)
-    inv = g.xi_norm_reciprocal
-    assert inv is g.xi_norm_reciprocal and inv[0, 0, 0] == 1.0
-    assert np.array_equal(inv.reshape(-1)[1:], 1.0 / g.xi_norm.reshape(-1)[1:])
-    assert g.line_xi_sq is g.line_xi_sq
+    table = g.line_xi_sq
+    assert table is not g.line_xi_sq
+    assert np.array_equal(table, g.line_xi_sq)
+    assert "line_xi_sq" not in vars(g)
+    assert not hasattr(g, "xi_norm_reciprocal")
 
 
 def test_dealias_mask_strictly_below_third():
@@ -427,7 +431,7 @@ def test_axes_tables_equal_the_dense_mesh_formulas(n, length, ndim):
 
 def test_grid_keeps_no_dense_mesh():
     g = SpectralGrid(128, 256.0)
-    g.sobolev_weight, g.xi_norm_reciprocal, g.line_xi_sq    # cache them
+    g.sobolev_weight, g.shells, g.line_xi_sq    # read every table
     arrays = [a for value in vars(g).values()
               for a in (value if isinstance(value, (list, tuple)) else [value])
               if isinstance(a, np.ndarray)]

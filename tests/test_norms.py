@@ -77,10 +77,14 @@ def test_linf_riesz_takes_max(grid):
 
 
 @pytest.mark.parametrize("n, ndim", [(32, 3), (24, 3), (15, 2)])
-def test_riesz_linf_is_the_linf_of_each_riesz_field(n, ndim):
+def test_riesz_linf_is_the_linf_of_each_riesz_field(n, ndim, monkeypatch):
     # the band inverse of f times the real xi_j/|xi|, filled into the first
     # pass, has the max modulus of the band inverse of R_j f, bit for bit:
-    # on random fields, the xi = 0 mode alone and a zero field
+    # on random fields, the xi = 0 mode alone and a zero field; the norm
+    # builds one 1/|xi| for every j
+    built, reciprocal = [], norms._reciprocal
+    monkeypatch.setattr(norms, "_reciprocal",
+                        lambda g: built.append(1) or reciprocal(g))
     g = SpectralGrid(n, 11.0, ndim)
     rng = np.random.default_rng(n)
     fields = [rng.normal(size=g.band_shape) + 1j * rng.normal(
@@ -89,7 +93,8 @@ def test_riesz_linf_is_the_linf_of_each_riesz_field(n, ndim):
     fields[-1][(0,) * ndim] = 2.5
     for f in fields:
         per = [norms.band_linf(g, riesz(g, j, f)) for j in range(ndim)]
-        assert norms.riesz_linf_norm(g, f) == max(per)
+        built.clear()
+        assert norms.riesz_linf_norm(g, f) == max(per) and len(built) == 1
         assert all(lp_norm(g, f, np.inf, riesz(g, j)) == v
                    for j, v in enumerate(per))
     assert norms.riesz_linf_norm(g, fields[-1]) == 0.0
@@ -312,10 +317,9 @@ def test_band_linf_is_the_max_of_the_band_inverse(monkeypatch):
 def test_linf_samples_hold_no_physical_field():
     # one L^inf or Riesz L^inf sample at n = 64 allocates less than one
     # complex n^3 field at its peak (the compact first pass, one slab
-    # buffer and |slab|); 1/|xi| is the grid's cached table
+    # buffer and |slab|), 1/|xi| built inside the call included
     g = SpectralGrid(64, 32.0)
     fh = make_initial_data("gaussian_bump", g, 0.3, 0, width=2.0).data[2]
-    g.xi_norm_reciprocal
     field = 16 * g.size
     for kind in ("linf", "linf_riesz"):
         norms.NORM_KINDS[kind](g, fh)

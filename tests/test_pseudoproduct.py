@@ -121,19 +121,46 @@ def count_factors(monkeypatch):
     return calls
 
 
-def test_plan_compiles_both_forms_at_set_up(grid16, monkeypatch):
-    # mixed: 5 terms over the atom products 1, |v|^2, |v| and v_0/|v|; the
-    # plan evaluates each of the 3 non-constant ones once; T(f, g) stacks
-    # f and g times 1, |v| and v_0/|v|, and T(f, f) keeps w^2 and w Lam w
-    # while the b-terms cancel
+def test_plan_compiles_the_diagonal_form_at_set_up(grid16, monkeypatch):
+    # mixed: 5 terms over the atom products 1, |v|^2, |v| and v_0/|v|;
+    # T(f, f) keeps w^2 and w Lam w while the b-terms cancel, so set-up
+    # evaluates |v| and |v|^2 alone; the first T(f, g) evaluates v_0/|v|
+    # once and stacks f and g times 1, |v| and v_0/|v|
     m = sy.symbol_preset("mixed")
     calls = count_factors(monkeypatch)
     plan = pp.PseudoproductPlan(grid16, m)
-    atoms = [(), (sy.NORM, sy.NORM), (sy.NORM,), (0,)]
-    assert len(m.terms) == 5 and list(plan.factors) == atoms
-    assert calls == [(a, 1.0) for a in atoms[1:]]
+    assert len(m.terms) == 5
+    assert calls == [((sy.NORM,), 1.0), ((sy.NORM, sy.NORM), 1.0)]
+    assert list(plan.factors) == [(), (sy.NORM,), (sy.NORM, sy.NORM)]
     assert plan.factors[()] is None
     assert all(f.dtype == float for f in list(plan.factors.values())[1:])
+    fields, groups = plan.diagonal
+    assert [side for side, _ in fields] == [0, 0]
+    assert [f is plan.factors[a] for (_, f), a in zip(
+        fields, [(), (sy.NORM,)])] == [True] * 2
+    assert [a is plan.factors[p] for (a, _), p in zip(
+        groups, [(sy.NORM, sy.NORM), (sy.NORM,)])] == [True] * 2
+    assert [[c for c, _, _ in rows] for _, rows in groups] == [[1.0], [-2.0]]
+    assert not plan.vanishes_on_diagonal()
+    null = pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b"))
+    assert null.vanishes_on_diagonal() and null.factors == {(): None}
+
+    # T(f, f): one product_spectra pass, a band inverse of the stacked
+    # fields and a forward transform per group, and no factor evaluated;
+    # grid.transforms counts each field
+    calls.clear()
+    transforms = record_transforms(monkeypatch, slabs=True)
+    f = band_field(grid16, 3, np.random.default_rng(8))
+    before = grid16.transforms
+    pp.apply(plan, f, f)
+    assert transforms == ["product_spectra"]
+    assert grid16.transforms - before == 4 and calls == []
+    assert (0,) not in plan.factors
+    transforms.clear()
+    before = grid16.transforms
+    pp.apply(plan, f, f.copy())    # 3 factors per side, 3 groups
+    assert transforms == ["product_spectra"]
+    assert grid16.transforms - before == 9 and calls == [((0,), 1.0)]
     fields, groups = plan.general
     assert [side for side, _ in fields] == [0, 1, 0, 1, 0, 1]
     assert [f is plan.factors[a] for (_, f), a in zip(
@@ -143,28 +170,8 @@ def test_plan_compiles_both_forms_at_set_up(grid16, monkeypatch):
         == [True] * 3
     assert [[c for c, _, _ in rows] for _, rows in groups] \
         == [[1.0], [-1.0, -1.0], [1.0, -1.0]]
-    fields, groups = plan.diagonal
-    assert [side for side, _ in fields] == [0, 0]
-    assert [[c for c, _, _ in rows] for _, rows in groups] == [[1.0], [-2.0]]
-    assert not plan.vanishes_on_diagonal()
-    assert pp.PseudoproductPlan(grid16, sy.symbol_preset("null_b")) \
-        .vanishes_on_diagonal()
-
-    # one product_spectra pass: a band inverse of the stacked fields and
-    # a forward transform per group, and no factor evaluated;
-    # grid.transforms counts each field
-    calls.clear()
-    transforms = record_transforms(monkeypatch, slabs=True)
-    f = band_field(grid16, 3, np.random.default_rng(8))
-    before = grid16.transforms
-    pp.apply(plan, f, f)
-    assert transforms == ["product_spectra"]
-    assert grid16.transforms - before == 4
-    transforms.clear()
-    before = grid16.transforms
-    pp.apply(plan, f, f.copy())    # 3 factors per side, 3 groups
-    assert transforms == ["product_spectra"]
-    assert grid16.transforms - before == 9 and calls == []
+    pp.apply(plan, f, f.copy())     # compiled once: no factor evaluated
+    assert plan.general is plan.general and len(calls) == 1
 
 
 def test_a_coefficient_off_one_rides_on_its_row(grid16):
@@ -189,10 +196,11 @@ def test_a_coefficient_off_one_rides_on_its_row(grid16):
 
 
 @pytest.mark.parametrize("n", [16, 24, 64])
-def test_factor_tables_equal_the_dense_stack_evaluation(n):
+def test_factor_tables_equal_the_dense_stack_evaluation(n, monkeypatch):
     # the plan evaluates its factors on the grid's sparse axes and cached
     # |xi|: bit for bit the evaluation on the dense (2K+1)^3 x 3 stack of
-    # wavevectors and its np.linalg.norm, one per product of atoms
+    # wavevectors and its np.linalg.norm, one per product of atoms; set-up
+    # evaluates those T(f, f) reads, and the first T(f, g) the others
     g = SpectralGrid(n, 3.0 * n)
     xi = np.stack(np.broadcast_arrays(*g.xi_axes), axis=-1)
     norm = np.linalg.norm(xi, axis=-1)
@@ -205,10 +213,20 @@ def test_factor_tables_equal_the_dense_stack_evaluation(n):
                 norm > 0, xi[..., atom] / np.where(norm > 0, norm, 1.0), 0.0))
         return value
 
+    calls = count_factors(monkeypatch)
     for name, m in _SYMBOLS.items():
-        factors = pp.PseudoproductPlan(g, m).factors
-        assert list(factors) == list(dict.fromkeys(
-            [()] + [atoms for _, *slots in m.terms for atoms in slots])), name
+        calls.clear()
+        plan = pp.PseudoproductPlan(g, m)
+        factors = plan.factors
+        fields, groups = plan.diagonal
+        read = [f for _, f in fields] + [a for a, _ in groups]
+        assert list(factors) == [()] + [a for a, _ in calls], name
+        assert all(any(f is x for x in read)
+                   for f in list(factors.values())[1:]), name
+        plan.general     # what the first T(f, g) compiles
+        assert len(calls) == len(factors) - 1
+        assert set(factors) == {()} | {
+            atoms for _, *slots in m.terms for atoms in slots}, name
         assert factors[()] is None
         for atoms, x in list(factors.items())[1:]:
             y = dense(atoms)
