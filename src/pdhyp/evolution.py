@@ -7,9 +7,9 @@ MONOMIALS, plus the bilinear pseudoproduct T_m(w, w) in the w-equation.
 The sources are quadratic, so under the strict 2/3 rule the state, every
 source and every stage is a stack of the band's cubes, (d, *band_shape).
 The linear part is advanced exactly by the per-shell matrix exponential
-(integrating factor), its symmetric 2x2 block as 3 rows plus the wave phase,
-gathered once onto the cube's planes k_0 >= 0 (spectra.band_rows, as |xi| is
-even in k_0) and applied chunk by chunk, each plane k_0 < 0 by plane -k_0;
+(integrating factor) as its rows (spectra.BLOCK_ENTRIES), gathered once onto
+the cube's planes k_0 >= 0 (spectra.band_rows, as |xi| is even in k_0) and
+applied chunk by chunk, each plane k_0 < 0 by plane -k_0;
 only the quadratic sources see explicit Runge-Kutta stages (Lawson schemes
 of order 2 and 4).  A model without sources steps by its exact flow alone,
 what both schemes reduce to when every stage source is zero.  Polynomial

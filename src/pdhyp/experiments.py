@@ -419,10 +419,10 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3,
 
 
 def project_damped_branch(state, cache):
-    """Project the state onto the exponentially damped branch: P2, complex
-    symmetric like E, as band rows; degenerate-band modes are dropped."""
+    """Project the state onto the exponentially damped branch: P2's rows
+    as band rows; degenerate-band modes are dropped."""
     P2 = cache.projectors[1].copy()
-    P2[cache.degenerate_mask] = 0.0
+    P2[:, cache.degenerate_mask] = 0.0
     g = state.grid
     data = spectra.propagator_apply(spectra.band_rows(g, P2), state.data)
     return ev.StateField(g, data, state.t)
@@ -531,24 +531,25 @@ def run(config, log=None):
             specs, st, ev.wave_profile(st) if needs_profile else None)))
 
     start, state = [state], None    # so that _evolve alone holds it
-    status, state, series = _evolve(stepper, start, guard, steps, every,
-                                    sample, transforms, say)
-    report = _report(config, stepper, status, state.t, series, e_n,
+    trip, state, series = _evolve(stepper, start, guard, steps, every,
+                                  sample, transforms, say)
+    report = _report(config, stepper, trip, state.t, series, e_n,
                      transforms, say)
     csv_path = os.path.join(out["dir"], f"{out['prefix']}_series.csv")
     report_path = os.path.join(out["dir"], f"{out['prefix']}_report.json")
     norms.write_series_csv(csv_path, series)
     norms.write_json_report(report_path, report)
-    say(f"{status}: wrote {csv_path} and {report_path}")
-    return RunResult(status, report, csv_path, report_path, series)
+    say(f"{report['status']}: wrote {csv_path} and {report_path}")
+    return RunResult(report["status"], report, csv_path, report_path, series)
 
 
 def _evolve(stepper, start, guard, steps, every, sample, transforms, say):
     """Step from the state at t = 1, popped from the list `start` so that
     the first step frees it, calling sample(state) -> {norm name: value} at
     t = 1 and after every `every`-th of `steps` steps, until the guard trips;
-    returns (status, the last accepted state, {name: (times, values)})."""
-    grid, rows, state, status = stepper.grid, [], start.pop(), "completed"
+    returns (the guard's StepRejected or None, the last accepted state,
+    {name: (times, values)})."""
+    grid, rows, state, trip = stepper.grid, [], start.pop(), None
     try:
         for k in range(steps + 1):
             if k > 0:       # k = 0 only samples t = 1
@@ -559,9 +560,9 @@ def _evolve(stepper, start, guard, steps, every, sample, transforms, say):
                     rows.append((state.t, sample(state)))
     except StepRejected as exc:
         say(f"blow-up guard: {exc}")
-        status = "blowup"
+        trip = exc
     times = np.asarray([t for t, _ in rows])
-    return status, state, {n: (times, np.asarray([r[n] for _, r in rows]))
+    return trip, state, {n: (times, np.asarray([r[n] for _, r in rows]))
                            for n in rows[0][1]}
 
 
@@ -576,10 +577,12 @@ def _provenance(config):
             "config_hash": digest.hexdigest()[:16]}
 
 
-def _report(config, stepper, status, t_final, series, e_n, transforms, say):
-    """The report: fits, the T_m(w, w) = 0 warning, M0, [SK]'s verdict and
-    the run's provenance."""
+def _report(config, stepper, trip, t_final, series, e_n, transforms, say):
+    """The report: the status, where and why the guard tripped (`blowup`,
+    None for a completed run), fits, the T_m(w, w) = 0 warning, M0, [SK]'s
+    verdict and the run's provenance."""
     model = stepper.model
+    status = "completed" if trip is None else "blowup"
     window = config.fit_window()
     fits = {}
     for name, (t, v) in series.items():
@@ -611,6 +614,8 @@ def _report(config, stepper, status, t_final, series, e_n, transforms, say):
     return {
         "config": config.to_dict(),
         "status": status,
+        "blowup": None if trip is None else dict(
+            t=trip.t, h_n=trip.norm, limit=trip.limit),
         "e_n": e_n,
         "t_final": float(t_final),
         "fitted_exponents": fits,

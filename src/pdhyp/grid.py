@@ -26,9 +26,9 @@ spectral tables are the cube's sparse wavevector axes, shaped (2K+1,1,1),
 shells sorts |xi| on the first corner and indexes every mode through |k_j|.
 The coordinate-weighted norms (norms.py) hold fields on the line grid of an
 axis: the cube with that axis moved last and taken to all n points there
-(line_xi_sq builds its |xi|^2 on each read; the grid caches only the cube
-tables that every sample or the guard reads: |xi|, shells and the H^N
-weight); x_centered are the sparse physical axes.
+(the grid caches only the cube tables that every sample or the guard
+reads: |xi|, shells and the H^N weight); x_centered are the sparse
+physical axes.
 
 Every transform is numpy.fft's, on one thread; it is the pocketfft of
 scipy.fft and gives its bits, which the tests check on every transform.
@@ -132,11 +132,6 @@ class SpectralGrid:
         norms, index = np.unique(first, return_inverse=True)
         index = index.reshape(first.shape).astype(np.int32)
         return norms, index[np.ix_(*[np.abs(self.band_k)] * self.ndim)]
-
-    @property   # not cached: only the norm call that reads it holds it
-    def line_xi_sq(self):     # |xi|^2 on the line grid: n modes on axis -1
-        k = self.dk * np.rint(np.fft.fftfreq(self.n) * self.n)
-        return sum(ax ** 2 for ax in (*self.xi_axes[:-1], k))
 
     # -- transforms ---------------------------------------------------------
 

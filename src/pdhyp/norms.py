@@ -117,7 +117,9 @@ def _moments(grid, fhat, multiplier, power, weights):
     k, n = grid.dealias_limit, grid.n
     cube = np.zeros(grid.band_shape, dtype=complex) if power == 2 else None
     arm = slice(k + 1, n - k) if power == 2 else slice(None)
-    xi_sq = grid.line_xi_sq[..., arm]     # freed before the line inverses
+    # |xi|^2 on the arm's points of the line grid, freed before the inverses
+    line_k = grid.dk * np.rint(np.fft.fftfreq(n) * n)[arm]
+    xi_sq = sum(ax ** 2 for ax in (*grid.xi_axes[:-1], line_k))
     tables = [_sobolev_weight(xi_sq, *w) for w in weights]
     del xi_sq
     totals = [0.0] * len(weights)

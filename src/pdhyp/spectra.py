@@ -18,14 +18,14 @@ marks the band of width DEGENERATE_BAND around it.  The Green function does
 not use them: it is the closed-form flow of the block on every |xi|.
 
 E depends on xi only through |xi|, so the symbol cache is tabulated on a
-list of |xi| values; a grid's are its band shells, grid.shells.  exp(E t)
-keeps the block pattern of E: the 2x2 block and, for three components, the
-wave phase on the diagonal, and with A and B real symmetric it is complex
-symmetric.  |xi| is even in k_0 too, so band_rows gathers a per-shell table
-once onto the half of the band's cube with k_0 = 0..K, as rows: the block's
-(0,0), (0,1) and (1,1), then the phase, or one row of scalars.
-propagator_apply multiplies a stack of cube fields by those rows, mode by
-mode and chunk by chunk, each plane k_0 < 0 by the rows of plane -k_0.
+list of |xi| values; a grid's are its band shells, grid.shells.  E, its
+projectors and exp(E t) are nonzero only on BLOCK_ENTRIES, the symmetric
+2x2 block and w's diagonal, so every per-entry table holds those rows:
+(r, k), r = 3 for two components and 4 for three.  |xi| is even in k_0
+too, so band_rows gathers rows once onto the half of the band's cube with
+k_0 = 0..K, and propagator_apply multiplies a stack of cube fields by
+them, mode by mode and chunk by chunk, each plane k_0 < 0 by the rows of
+plane -k_0.
 """
 
 import warnings
@@ -36,8 +36,8 @@ import numpy as np
 DEGENERATE_BAND = 1e-3      # projectors unusable where ||xi| - 1/2| < this
 INVERSE_FLOW_GUARD = 40.0   # warn when |t| * spectral gap exceeds this
 _KERNEL_RTOL = 1e-10
-# the entries of E, and of exp(E t), that can be nonzero, up to the
-# symmetric (1,0) = (0,1), in the row order of a per-mode operator;
+# the entries of E, its projectors and exp(E t) that can be nonzero, up to
+# the symmetric (1,0) = (0,1): the rows of every per-entry table, in order;
 # two-component models use the first three
 BLOCK_ENTRIES = ((0, 0), (0, 1), (1, 1), (2, 2))
 _CHUNK_MODES = 1 << 14      # the modes of one propagator_apply chunk
@@ -114,12 +114,13 @@ def _branch_eigvals(s):
 
 @dataclass
 class LinearSymbolCache:
-    """Symbol data tabulated per entry, one entry per given |xi| value.
+    """Symbol data tabulated per entry, one entry per given |xi| value, each
+    matrix as its BLOCK_ENTRIES rows (r = d + 1 of them).
 
     xi_norm:    (k,) |xi| of each entry
-    E:          (k, d, d) symbols -i|xi|A + B
-    eigvals:    (3 or 2, k) branch-ordered eigenvalues
-    projectors: (3 or 2, k, d, d) spectral projectors (garbage on the band)
+    E:          (r, k) symbols -i|xi|A + B
+    eigvals:    (d, k) branch-ordered eigenvalues
+    projectors: (d, r, k) spectral projectors (garbage on the band)
     degenerate_mask: (k,) True where ||xi| - 1/2| < DEGENERATE_BAND
     """
     model: ModelMatrices
@@ -128,10 +129,6 @@ class LinearSymbolCache:
     projectors: np.ndarray
     degenerate_mask: np.ndarray
     xi_norm: np.ndarray = field(repr=False)
-
-    @property
-    def dim_state(self):
-        return self.model.dim_state
 
 
 def build_symbol_cache(xi_norms, model):
@@ -142,41 +139,34 @@ def build_symbol_cache(xi_norms, model):
                for m in (three_component_model(), two_component_model())):
         raise ValueError("the closed forms describe the shipped models only")
     s = np.asarray(xi_norms, dtype=float).reshape(-1)
-    m = s.size
     d = model.dim_state
+    rows, cols = zip(*BLOCK_ENTRIES[:d + 1])
 
-    E = (-1j * s)[:, None, None] * model.A[None, :, :] + model.B[None, :, :]
+    E = ((-1j * s) * model.A[rows, cols][:, None]
+         + model.B[rows, cols][:, None])
 
     lam1, lam2, root = _branch_eigvals(s)
     degenerate = np.abs(s - 0.5) < DEGENERATE_BAND
     safe_root = np.where(degenerate, 1.0, root)   # placeholder on the band
 
     # resolvent projectors of the 2x2 block: P1 = (E2 - lam2)/(lam1 - lam2)
-    P1 = np.zeros((m, d, d), dtype=complex)
-    P2 = np.zeros((m, d, d), dtype=complex)
-    P1[:, 0, 0] = -lam2 / safe_root
-    P1[:, 0, 1] = P1[:, 1, 0] = -1j * s / safe_root
-    P1[:, 1, 1] = (-1.0 - lam2) / safe_root
-    P2[:, 0, 0] = lam1 / safe_root
-    P2[:, 0, 1] = P2[:, 1, 0] = 1j * s / safe_root
-    P2[:, 1, 1] = (1.0 + lam1) / safe_root
+    P = np.zeros((d, d + 1, s.size), dtype=complex)
+    P[0, :3] = -lam2, -1j * s, -1.0 - lam2
+    P[1, :3] = lam1, 1j * s, 1.0 + lam1
+    P[:2, :3] /= safe_root
+    P[2:, -1] = 1.0     # the transported w: lam_3 = -i|xi| on its own axis
 
-    eigvals, projectors = [lam1, lam2], [P1, P2]
-    if d == 3:      # the transported w: lam_3 = -i|xi| on its own axis
-        projectors.append(np.zeros((m, d, d), dtype=complex))
-        projectors[2][:, 2, 2] = 1.0
-        eigvals.append(-1j * s)
-
-    return LinearSymbolCache(model=model, E=E, eigvals=np.stack(eigvals),
-                             projectors=np.stack(projectors),
-                             degenerate_mask=degenerate, xi_norm=s)
+    return LinearSymbolCache(model=model, E=E,
+                             eigvals=np.stack([lam1, lam2, -1j * s][:d]),
+                             projectors=P, degenerate_mask=degenerate,
+                             xi_norm=s)
 
 
 def green_function(cache, t):
-    """exp(E(i xi) t) for every cache entry, shape (k, d, d), for either sign
-    of t, by one formula on every entry.  With q = sqrt(1/4 - |xi|^2), the
-    2x2 block M has exp(M t) = e^{-t/2} [cosh(qt) I + t sinhc(qt) (M + I/2)]
-    = e^{lam_1 t} [(1 + b/2) I + t phi (M + I/2)], where x = 2qt,
+    """exp(E(i xi) t) for every cache entry as its rows (r, k), for either
+    sign of t, by one formula on every entry.  With q = sqrt(1/4 - |xi|^2),
+    the 2x2 block M has exp(M t) = e^{-t/2} [cosh(qt) I + t sinhc(qt)
+    (M + I/2)] = e^{lam_1 t} [(1 + b/2) I + t phi (M + I/2)], where x = 2qt,
     b = e^{-x} - 1 and phi = -b/x; three components add the wave phase.
     The backward flow (t < 0) amplifies the damped eigendirection like
     e^{|t|}; a warning is emitted once the amplification passes e^40.
@@ -191,37 +181,27 @@ def green_function(cache, t):
     b = np.expm1(-x)
     small = np.abs(x) < 1e-8      # phi = 1 - x/2 + x^2/6 - ...
     phi = np.where(small, 1.0 - x / 2, -b / np.where(small, 1.0, x))
-    G = np.zeros_like(cache.E)
-    G[:, :2, :2] = np.exp((x - t) / 2)[:, None, None] * (     # e^{lam_1 t}
-        (t * phi)[:, None, None] * (cache.E[:, :2, :2] + np.eye(2) / 2)
-        + (1.0 + b / 2)[:, None, None] * np.eye(2))
-    if cache.dim_state == 3:
-        G[:, 2, 2] = np.exp(cache.eigvals[2] * t)
+    eye = np.array([[1.0], [0.0], [1.0]])     # the block's I as rows
+    G = np.empty_like(cache.E)
+    G[:3] = np.exp((x - t) / 2) * (      # e^{lam_1 t}
+        t * phi * (cache.E[:3] + eye / 2) + (1.0 + b / 2) * eye)
+    G[3:] = np.exp(cache.eigvals[2:] * t)    # w's phase, for three
     return G
 
 
 def band_rows(grid, per_shell):
-    """A per-shell table of grid.shells gathered onto the planes k_0 = 0..K
-    of the band's cube, as the rows (r, K+1, *grid.band_shape[1:])
-    propagator_apply takes: the one row of scalars (k,), or the
-    BLOCK_ENTRIES of matrices (k, d, d) with the block pattern of E, 3 rows
-    for d = 2 and 4 for d = 3.  ValueError: a table not on grid.shells[0],
-    or matrices whose (0,1) and (1,0) differ in any bit."""
-    if len(per_shell) != len(grid.shells[0]):
-        raise ValueError(f"a table of {len(per_shell)} shells on a grid of "
-                         f"{len(grid.shells[0])}")
-    if per_shell.ndim == 3:
-        up, low = per_shell[:, 0, 1:2], per_shell[:, 1, :1]   # bit for bit
-        bad = np.flatnonzero((up.view(np.uint8) != low.view(np.uint8)).any(1))
-        if bad.size:
-            raise ValueError(f"(0,1) and (1,0) differ on shell {bad[0]}")
-        rows, cols = zip(*BLOCK_ENTRIES[:per_shell.shape[-1] + 1])
-        per_shell = per_shell[:, rows, cols].T
-    table = np.atleast_2d(per_shell)
+    """The rows (r, k) of a per-shell table of grid.shells gathered onto
+    the planes k_0 = 0..K of the band's cube, as the rows
+    (r, K+1, *grid.band_shape[1:]) propagator_apply takes.  ValueError: a
+    table not on grid.shells[0]."""
+    if per_shell.shape[-1] != len(grid.shells[0]):
+        raise ValueError(f"a table of {per_shell.shape[-1]} shells on a grid "
+                         f"of {len(grid.shells[0])}")
     half = grid.shells[1][:grid.dealias_limit + 1]    # the planes k_0 >= 0
     # two index arrays: each row contiguous, the int32 shells read in
     # buffers (np.take would copy them to intp)
-    return table[np.arange(len(table)).reshape(-1, *[1] * half.ndim), half]
+    rows = np.arange(len(per_shell)).reshape(-1, *[1] * half.ndim)
+    return per_shell[rows, half]
 
 
 def propagator(grid, cache, t):
@@ -233,12 +213,12 @@ def propagator(grid, cache, t):
 def propagator_apply(G, data, out=None):
     """Apply band rows G (r, K+1, ...) to stacked cube fields (d, 2K+1, ...)
     into `out` (new when None, else of data's shape): 3 rows as the 2x2
-    block to (u, v), 4 as the block and w's phase, 1 as one field's phase.
+    block to (u, v), 4 as the block and w's phase.
     Plane k_0 >= 0 reads row plane k_0, in chunks of about _CHUNK_MODES
     modes, then plane k_0 < 0 row plane -k_0, plane by plane (numpy runs a
     reversed view through its buffered loop), each chunk's products
     through one chunk-sized scratch, so the re-reads stay in cache."""
-    if ((len(G), len(data)) not in ((1, 1), (3, 2), (4, 3))
+    if ((len(G), len(data)) not in ((3, 2), (4, 3))
             or G.shape[2:] != data.shape[2:]
             or 2 * G.shape[1] - 1 != data.shape[1]):
         raise ValueError(f"rows {G.shape} do not apply to fields {data.shape}")
@@ -256,11 +236,10 @@ def propagator_apply(G, data, out=None):
     for rows, planes in spans:
         g, x, y = G[:, rows], data[:, planes], out[:, planes]
         tmp = scratch[:len(x[0])]
-        if len(G) > 1:
-            np.multiply(g[0], x[0], out=y[0])
-            y[0] += np.multiply(g[1], x[1], out=tmp)     # G00 u + G01 v
-            np.multiply(g[2], x[1], out=y[1])
-            y[1] += np.multiply(g[1], x[0], out=tmp)     # G11 v + G01 u
-        if len(G) != 3:
-            np.multiply(g[-1], x[-1], out=y[-1])         # the phase
+        np.multiply(g[0], x[0], out=y[0])
+        y[0] += np.multiply(g[1], x[1], out=tmp)     # G00 u + G01 v
+        np.multiply(g[2], x[1], out=y[1])
+        y[1] += np.multiply(g[1], x[0], out=tmp)     # G11 v + G01 u
+        if len(G) == 4:
+            np.multiply(g[3], x[2], out=y[2])        # the phase
     return out

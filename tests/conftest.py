@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from pdhyp import spectra
 from pdhyp.grid import SOBOLEV_N, SpectralGrid
 
 
@@ -24,6 +25,18 @@ def embed(grid, cube):
     full = np.zeros(np.shape(cube)[:-grid.ndim] + grid.shape, dtype=complex)
     full[_band_index(grid)] = cube
     return full
+
+
+def dense(rows):
+    """The matrices (..., k, d, d) of per-entry rows (..., r, k) in the
+    order of spectra.BLOCK_ENTRIES, (1,0) a copy of (0,1) and 0 off the
+    pattern: a symbol table in the layout of the dense oracles."""
+    rows = np.asarray(rows)
+    d = rows.shape[-2] - 1
+    out = np.zeros(rows.shape[:-2] + rows.shape[-1:] + (d, d), rows.dtype)
+    for row, (i, j) in zip(np.moveaxis(rows, -2, 0), spectra.BLOCK_ENTRIES):
+        out[..., i, j] = out[..., j, i] = row
+    return out
 
 
 def full_xi_axes(grid):

@@ -331,9 +331,9 @@ def test_stepper_stores_the_block_per_mode_only():
                stepper.G_full, stepper.G_half)
     shells = np.unique(g.xi_norm).size
     half = (g.dealias_limit + 1) * g.band_shape[1] * g.band_shape[2]
-    # E, eigvals, projectors: 9 + 3 + 27 complex; mask and |xi|: 1 + 8
-    # bytes; two propagators: 2 x 4 complex per mode of the half cube
-    per_shell = 16 * (9 + 3 + 27) + 1 + 8
+    # E, eigvals, projectors as rows: 4 + 3 + 3 x 4 complex; mask and |xi|:
+    # 1 + 8 bytes; two propagators: 2 x 4 complex per mode of the half cube
+    per_shell = 16 * (4 + 3 + 12) + 1 + 8
     limit = half * 2 * 4 * 16 + shells * per_shell
     assert sum(a.nbytes for a in counted) <= limit
 

@@ -494,6 +494,19 @@ def test_run_blowup_guard_statuses(tmp_path):
     assert res.report["m0"] is None
     assert all(len(t) == len(v) == 2 for t, v in res.series.values())
     assert res.report["transforms"]["steps"] == {"band": 2 * 6, "line": 0}
+    # the report says where and why: the rejected step's t, its H^N norm
+    # and the guard's limit, the figures of the log line
+    with open(res.report_path) as fh:
+        trip = json.load(fh)["blowup"]
+    assert trip == res.report["blowup"] and set(trip) == {"t", "h_n", "limit"}
+    assert trip["t"] == 2.0 and trip["h_n"] > trip["limit"] > 0
+    assert (f"H^N norm {trip['h_n']:.6g} > limit {trip['limit']:.6g}"
+            in said[0])
+    # a completed run reports no trip
+    res = ex.run(cfg.override(["initial.amplitude=1e-3"]))
+    assert res.status == "completed"
+    with open(res.report_path) as fh:
+        assert json.load(fh)["blowup"] is None
 
 
 def test_source_free_run_checks_no_guard(tmp_path, monkeypatch):

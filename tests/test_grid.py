@@ -380,16 +380,13 @@ def test_band_blocks_tile_the_band_and_mirror_the_first_corner(n, ndim):
 
 def test_multiplier_tables_are_built_once():
     # the H^N weight, which every sample and the guard read, is cached;
-    # the line grid's |xi|^2 is built on each read and stays off the grid,
-    # which keeps no 1/|xi| either
+    # the grid keeps no table of the line grid's |xi|^2 (each norm call
+    # builds its own) and no 1/|xi|
     g = SpectralGrid(8, 5.0)
     assert g.sobolev_weight is g.sobolev_weight
     assert np.array_equal(g.sobolev_weight, (1.0 + g.xi_norm ** 2) ** 3)
-    table = g.line_xi_sq
-    assert table is not g.line_xi_sq
-    assert np.array_equal(table, g.line_xi_sq)
-    assert "line_xi_sq" not in vars(g)
-    assert not hasattr(g, "xi_norm_reciprocal")
+    assert not any(hasattr(g, name)
+                   for name in ("line_xi_sq", "xi_norm_reciprocal"))
 
 
 def test_dealias_mask_strictly_below_third():
@@ -417,21 +414,17 @@ def _dense_mesh_tables(n, length, ndim):
 @given(length=st.floats(0.5, 300.0), ndim=st.sampled_from((2, 3)))
 def test_axes_tables_equal_the_dense_mesh_formulas(n, length, ndim):
     # the cube's |xi| and wavevectors are the dense-mesh ones restricted to
-    # the band; the line grid's |xi|^2 is the dense mesh's sum of squares
-    # on the band of the other axes and every mode of the last
+    # the band
     g = SpectralGrid(n, length, ndim=ndim)
     dense = _dense_mesh_tables(n, length, ndim)
     xi = np.moveaxis(dense["wavevectors"], -1, 0)
     assert np.array_equal(g.xi_norm, band(g, dense["xi_norm"]))
     assert np.array_equal(np.broadcast_arrays(*g.xi_axes), band(g, xi))
-    lines = np.ix_(*[g.band_k % n] * (ndim - 1), np.arange(n))
-    assert np.array_equal(g.line_xi_sq,
-                          np.sum(dense["wavevectors"] ** 2, axis=-1)[lines])
 
 
 def test_grid_keeps_no_dense_mesh():
     g = SpectralGrid(128, 256.0)
-    g.sobolev_weight, g.shells, g.line_xi_sq    # read every table
+    g.sobolev_weight, g.shells    # read every table
     arrays = [a for value in vars(g).values()
               for a in (value if isinstance(value, (list, tuple)) else [value])
               if isinstance(a, np.ndarray)]

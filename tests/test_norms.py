@@ -275,6 +275,31 @@ _PLANS = {(n, name): pseudoproduct.PseudoproductPlan(g, symbol_preset(name))
 _SCALES = hst.floats(1e-3, 1e3)
 
 
+@pytest.mark.parametrize("n, ndim", [(15, 2), (16, 3), (24, 3)])
+def test_moments_weigh_their_arm_by_the_dense_mesh_xi_squared(
+        n, ndim, monkeypatch):
+    # each _moments call builds |xi|^2 on the points of the line grid that
+    # its arm sums, the band of the other axes times every mode of the last
+    # (power 1) or its n - 2K - 1 modes off the band (power 2), bit for bit
+    # the dense mesh's sum of squares there
+    g = SpectralGrid(n, 8.0, ndim=ndim)
+    k = g.dealias_limit
+    mesh = sum(ax ** 2 for ax in full_xi_axes(g))
+    tables, weight = [], norms._sobolev_weight
+
+    def recorded(xi2, *w):
+        if np.shape(xi2)[-1] != 2 * k + 1:    # a line grid's, not the cube's
+            tables.append(xi2)
+        return weight(xi2, *w)
+
+    monkeypatch.setattr(norms, "_sobolev_weight", recorded)
+    fhat = band_field(g, 2, np.random.default_rng(n))
+    for power, arm in ((1, np.arange(n)), (2, np.arange(k + 1, n - k))):
+        norms._moments(g, fhat, 1.0, power, [(0, False)])
+        lines = np.ix_(*[g.band_k % n] * (ndim - 1), arm)
+        assert np.array_equal(tables.pop(), mesh[lines]) and not tables
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=hst.sampled_from([8, 16]), symbol=hst.sampled_from(["one", "mixed"]),
        c=_SCALES, c2=_SCALES, seed=hst.integers(0, 2 ** 16),
