@@ -11,11 +11,13 @@ Tracing costs CPU and faults, so the medians skip those steps.  A check
 line sums the steps' band fields against the report's
 transforms["steps"]["band"], and a line gives the MiB of arrays that the
 run's grid and pseudoproduct plan still hold after it (cached tables and
-factors).  Then it prints the CPU ms and flow rows of one Stepper built
-from the config, and the costs of norms.initial_energy and of one full
-sample on the state the first step received: CPU and transforms from an
-untraced call, the peak from a traced one.  Last, a
-second run traced whole names its tracemalloc peak: the phase of
+factors).  Then it prints the set-up split, each phase of the run's
+set-up done again as experiments.run does it: the initial data, E_N,
+the Stepper (and the MiB of its flow rows) and the first sample, which
+takes E_N's L^inf and H^N; per phase the CPU ms and band and line fields
+transformed from an untraced call, and the tracemalloc peak from a
+traced one.  Last, a second run traced whole names its tracemalloc
+peak: the phase of
 experiments.run it falls in (set-up, step, sample or report) and the
 pdhyp functions running, outermost first, when it came within SLACK of
 it, read by a profile hook at every Python call and return.
@@ -65,12 +67,11 @@ def measured(fn, grid, traced):
 
 
 def measured_run(config):
-    """The run's report, its Stepper, the state its first step received,
-    and each step's figures from measured()."""
+    """The run's report, its Stepper and each step's figures from
+    measured()."""
     rows, first, step = [], {}, ev.Stepper.step
 
     def wrapped(stepper, state, guard=None):
-        first.setdefault("state", state)
         first.setdefault("stepper", stepper)
         new, row = measured(lambda: step(stepper, state, guard),
                             stepper.grid, len(rows) < TRACED_STEPS)
@@ -82,7 +83,7 @@ def measured_run(config):
         report = experiments.run(config).report
     finally:
         ev.Stepper.step = step
-    return report, first["stepper"], first["state"], rows
+    return report, first["stepper"], rows
 
 
 def held_mib(owner):
@@ -136,36 +137,55 @@ def peak_site(config):
     return peak / 2 ** 20, *top[1]
 
 
+def setup_split(config):
+    """Each set-up phase of experiments.run, as it runs them: its name and
+    measured() figures, the CPU and transforms untraced, the peak traced;
+    and the MiB of the Stepper's flow rows."""
+    model, grid, icfg = config.build_model(), config.build_grid(), config[
+        "initial"]
+    kinds = config["norms"]
+    specs = [norms.NormSpec.parse(s) for s in (
+        experiments.DEFAULT_NORMS[model.kind] if kinds == "default"
+        else kinds)]
+    profile = any(spec.component == "profile_w" for spec in specs)
+    phases, known = [], {}
+
+    def phase(name, fn):
+        value, figures = measured(fn, grid, False)
+        phases.append((name, figures[:4] + measured(fn, grid, True)[1][4:]))
+        return value
+
+    state = phase("initial data", lambda: experiments.make_initial_data(
+        icfg["preset"], grid, icfg["amplitude"], icfg["seed"],
+        dim_state=model.dim_state, width=icfg["width"],
+        radial_power=icfg["radial_power"], mode=icfg["mode"],
+        band=icfg["band"]))
+    phase("E_N", lambda: norms.initial_energy(state, known))
+    stepper = phase("Stepper", lambda: ev.Stepper(
+        model, grid, config.schedule()[0], config["time"]["scheme"]))
+    if icfg["project"] == "damped_branch":
+        state, known = experiments.project_damped_branch(
+            state, stepper.cache), {}
+    phase("first sample", lambda: norms.evaluate_norms(
+        specs, state, ev.wave_profile(state) if profile else None, known))
+    flow = sum(G.nbytes for G in (stepper.G_full, stepper.G_half)
+               if G is not None) / 2 ** 20
+    return phases, flow
+
+
 def main(names):
     for name in names:
         with tempfile.TemporaryDirectory() as out_dir:
             config = workloads.resolve(name, workloads.DEFAULT_SEED, out_dir)
-            report, run_stepper, state, rows = measured_run(config)
+            report, run_stepper, rows = measured_run(config)
             whole = peak_site(config)
-        model, grid = config.build_model(), config.build_grid()
-        stepper, (cpu, *_) = measured(lambda: ev.Stepper(
-            model, grid, config.schedule()[0], config["time"]["scheme"]),
-            grid, False)
-        flow = sum(G.nbytes for G in (stepper.G_full, stepper.G_half)
-                   if G is not None) / 2 ** 20
-        kinds = config["norms"]
-        specs = [norms.NormSpec.parse(s) for s in (
-            experiments.DEFAULT_NORMS[model.kind] if kinds == "default"
-            else kinds)]
-        profile = any(spec.component == "profile_w" for spec in specs)
+        phases, flow = setup_split(config)
 
         print(f"=== {name}: {len(rows)} steps ===")
-        print(f"flow rows: G_full plus G_half {flow:.2f} MiB; building the "
-              f"Stepper took {cpu:.1f} ms")
-        for what, fn in (
-                ("initial_energy", lambda: norms.initial_energy(state)),
-                ("one sample", lambda: norms.evaluate_norms(
-                    specs, state, ev.wave_profile(state) if profile
-                    else None))):
-            cpu, _, band, line, _ = measured(fn, state.grid, False)[1]
-            peak = measured(fn, state.grid, True)[1][-1]
-            print(f"{what}: {cpu:.1f} ms, peak {peak:.2f} MiB, {band} band "
-                  f"and {line} line transforms")
+        print(f"flow rows: G_full plus G_half {flow:.2f} MiB")
+        for what, (cpu, _, band, line, peak) in phases:
+            print(f"set-up {what}: {cpu:.1f} ms, {band} band and {line} "
+                  f"line transforms, peak {peak:.2f} MiB")
         print("step   cpu_ms  faults  band  line  peak_mib")
         for k, (cpu, faults, band, line, peak) in enumerate(rows, 1):
             peak = f"{peak:9.2f}" if k <= TRACED_STEPS else ""

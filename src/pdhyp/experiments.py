@@ -360,13 +360,15 @@ def _spectral_bump(grid, amplitude, width, radial_power):
     The smooth taper at the dealiasing edge keeps the physical tails
     rapidly decaying, which the coordinate-weighted norms need.
     """
-    s = grid.xi_norm
+    s, shell = grid.shells      # the profile on each |xi| once
     edge = grid.dealias_limit * grid.dk
     ramp = np.clip((s - 0.7 * edge) / (0.3 * edge), 0.0, 1.0)
     taper = np.cos(0.5 * np.pi * ramp) ** 2
     radial = (width * s) ** (2 * radial_power) if radial_power else 1.0
     profile = radial * np.exp(-0.5 * width ** 2 * s ** 2) * taper
-    fhat = profile * np.exp(-1j * grid.center * sum(grid.xi_axes))
+    fhat = -1j * grid.center * sum(grid.xi_axes)    # the phase, in place
+    np.exp(fhat, out=fhat)
+    fhat *= profile[shell]
     peak = norms.band_linf(grid, fhat)
     if peak > 0.0:
         fhat *= amplitude / peak
@@ -492,7 +494,10 @@ def run(config, log=None):
     write `<prefix>_series.csv` and `<prefix>_report.json`; return a
     RunResult.  The report's `transforms` counts the band and line fields
     transformed per phase: `setup` includes the initial data and E_N,
-    `samples` the sample at t = 1, and `steps` a step the guard rejects."""
+    `samples` the sample at t = 1, whose L^inf and H^N come from E_N
+    unless a damped-branch projection follows it, and `steps` a step the
+    guard rejects.  A projected run (kexp-branch) reports the E_N of data
+    it does not evolve."""
     say = log or (lambda msg: None)
     out = config["output"]
     try:    # before any step, so a name no directory can take costs no run
@@ -511,10 +516,10 @@ def run(config, log=None):
             dim_state=model.dim_state, width=icfg["width"],
             radial_power=icfg["radial_power"], mode=icfg["mode"],
             band=icfg["band"])
-        e_n = norms.initial_energy(state)
+        e_n = norms.initial_energy(state, known := {})  # its L^inf, H^N too
         stepper = ev.Stepper(model, grid, dt, config["time"]["scheme"])
         if icfg["project"] == "damped_branch":
-            state = project_damped_branch(state, stepper.cache)
+            state, known = project_damped_branch(state, stepper.cache), {}
         # a source-free flow exp(E t) has E + E* = 2B <= 0, so it cannot
         # grow any norm and needs no guard
         guard = (ev.BlowupGuard.for_state(state) if icfg["amplitude"] > 0
@@ -526,9 +531,10 @@ def run(config, log=None):
     specs = [norms.NormSpec.parse(s) for s in norm_specs]
     needs_profile = any(spec.component == "profile_w" for spec in specs)
 
-    def sample(st):
-        return dict(zip([spec.name for spec in specs], norms.evaluate_norms(
-            specs, st, ev.wave_profile(st) if needs_profile else None)))
+    def sample(st):     # E_N's values serve the state at t = 1 alone
+        values = dict(zip([spec.name for spec in specs], norms.evaluate_norms(
+            specs, st, ev.wave_profile(st) if needs_profile else None, known)))
+        return known.clear() or values
 
     start, state = [state], None    # so that _evolve alone holds it
     trip, state, series = _evolve(stepper, start, guard, steps, every,

@@ -39,11 +39,11 @@ ValueError unless the last d axes of its input are n^d and the cube's,
 respectively.  Both return a new array the caller owns and never write
 their input: to_spectral transforms a complex copy of it in place.  Real
 scales multiply the float64 view (numpy's complex-by-real product, up to
-the sign of a zero).  line_physical is ifft (its 1/n, no other scale)
-along one axis of a cube zero-filled to n points there, into a new array,
-and line_spectral fft along the last axis of a line-grid field, in place:
-(2K+1)^(d-1) lines of n points each.  A transform takes a field or a
-stack and adds its fields to `transforms`, a line transform to
+the sign of a zero).  line_slabs is, per axis, ifft (its 1/n, no other
+scale) along it of a cube zero-filled to n points there, and fft of each
+weight times that: (2K+1)^(d-1) lines of n points, in blocks of rows of
+256 KiB that reuse the buffers of one call.  A transform takes a field or
+a stack and adds its fields to `transforms`, a line transform to
 `line_transforms`.  The band forward pass runs the last axis first, each
 axis on the lines that reach the band, then packs its band in place.
 The band inverse, physical_slabs, checks the layout when called and
@@ -65,6 +65,7 @@ import numpy as np
 
 SOBOLEV_N = 3          # smallest integer admissible for the paper's N > 5/2
 _SLAB_BYTES = 1 << 19   # the buffer of one field's physical_slabs slab
+_LINE_BYTES = 1 << 18   # the buffer of one weight's line_slabs block
 
 
 def _scale(z, factor):      # complex z *= real factor, on the float view
@@ -121,8 +122,8 @@ class SpectralGrid:
                                 self.ndim)
 
     @cached_property    # multiplier tables, built on first use
-    def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N
-        return (1.0 + self.xi_norm ** 2) ** SOBOLEV_N
+    def sobolev_weight(self):     # the H^N weight (1 + |xi|^2)^N, per shell
+        return ((1.0 + self.shells[0] ** 2) ** SOBOLEV_N)[self.shells[1]]
 
     @cached_property    # |xi| is even in every k_j: sort the first corner
     def shells(self):
@@ -206,24 +207,33 @@ class SpectralGrid:
             _scale(slab, self._inv_fwd)
             yield part, slab
 
-    def line_physical(self, fhat, axis, multiplier=1.0):
-        """ifft along `axis` alone of the cube fhat times `multiplier` (a
-        cube table), zero-filled to n points there: the cube's modes on the
-        other axes, and `axis` moved last."""
-        self.line_transforms += self._fields(fhat, self.band_shape,
-                                             "line_physical")
-        f, m = (np.moveaxis(np.broadcast_to(a, np.shape(fhat)),
-                            axis - self.ndim, -1) for a in (fhat, multiplier))
-        out = np.zeros(f.shape[:-1] + (self.n,), dtype=complex)
-        for band, packed in zip(self._band, self._packed):
-            np.multiply(f[..., packed], m[..., packed], out=out[..., band])
-        return np.fft.ifft(out, out=out)
+    def line_slabs(self, fhat, multiplier=1.0, weights=(1.0,)):
+        """Iterate (axis, blocks), per axis of the cube or stack fhat (rows,
+        spectra) over blocks of the first axis of its line grid: per table w
+        of `weights` on n points, fft of w times the line inverse of fhat
+        times `multiplier` (a cube table), in buffers reused block by block."""
+        d, k, n = self.ndim, self.dealias_limit, self.n
+        self.line_transforms += d * (1 + len(weights)) * self._fields(
+            fhat, self.band_shape, "line_slabs")
+        shape = np.shape(fhat)[:-1] + (n,)      # every axis's line grid
+        step = min(shape[0], max(1, _LINE_BYTES // (16 * prod(shape[1:]))))
+        bufs = [np.empty((step,) + shape[1:], dtype=complex) for _ in weights]
 
-    def line_spectral(self, f):
-        """fft along the last axis of a field on the line grid, in place."""
-        self.line_transforms += self._fields(
-            f, self.band_shape[1:] + (self.n,), "line_spectral")
-        return np.fft.fft(f, out=f)
+        def blocks(f, m):
+            for start in range(0, shape[0], step):
+                rows = slice(start, start + step)
+                phys = bufs[-1][:shape[0] - start]  # the last weight's
+                phys[..., k + 1:n - k] = 0.0
+                for band, packed in zip(self._band, self._packed):
+                    np.multiply(f[rows][..., packed], m[rows][..., packed],
+                                out=phys[..., band])
+                np.fft.ifft(phys, out=phys)
+                yield rows, [np.fft.fft(out, out=out) for out in (
+                    np.multiply(phys, w, out=buf[:len(phys)])
+                    for w, buf in zip(weights, bufs))]
+        return ((axis, blocks(*(np.moveaxis(np.broadcast_to(
+            a, np.shape(fhat)), axis - d, -1) for a in (fhat, multiplier))))
+            for axis in range(d))
 
     def product_spectra(self, fields, rows):
         """The cube of each row's sum of terms (c, i, j), c * phys(fields[i])

@@ -10,12 +10,12 @@ rounding.  Every sampled field is a band field on the grid's cube, so
 Sobolev norms weight and sum the cube.  A coordinate weight x_j^p (centered
 at the box center) acts along axis j alone: F(x_j^p f) is the line forward
 transform of x_j^p times the line inverse along j, on the line grid of
-axis j; one _moments call shares each line inverse among its weights, and
-evaluate_norms groups a sample's weighted norms into such calls.  No norm
-holds an n^d field: the L^p quadrature lp_norm reduces grid.physical_slabs,
-and riesz gives R_j the real table xi_j/|xi|.  The grid caches the cube
-tables that every sample reads (|xi| and the H^N weight); a table that one
-call reads, such as 1/|xi| or the line grid's |xi|^2, lives in that call.
+axis j; one _moments call shares each line inverse among its weights and
+powers, and evaluate_norms groups a sample's weighted norms into such
+calls.  No norm holds an n^d field: lp_norms reduces grid.physical_slabs
+for every p at once, and riesz gives R_j the real table xi_j/|xi|.  The
+grid caches the cube tables that every sample reads (|xi| and the H^N
+weight); a table that one call reads, such as 1/|xi|, lives in that call.
 The estimate harnesses return the empirical constants of the
 fractional-integration and bilinear Hoelder estimates.
 """
@@ -38,14 +38,21 @@ M0_BOUND_C = 5.0       # verdict threshold for M0(t) <= C * E_N
 # scalar-field norms
 # ---------------------------------------------------------------------------
 
+def lp_norms(grid, fhat, ps, multiplier=None):
+    """The L^p quadrature of a band field for each p of `ps`, times
+    `multiplier` (a real cube table) if given, from one band inverse
+    reduced slab by slab: one |f| per slab feeds every sum and max."""
+    slabs = [[np.max(f) if np.isinf(p) else np.sum(f if p == 1 else f ** p)
+              for f in [np.abs(slab)] for p in ps]
+             for _, slab in grid.physical_slabs(fhat, multiplier)]
+    return [float(max(v)) if np.isinf(p) else float(
+        (sum(v) * grid.dx ** grid.ndim) ** (1.0 / p))
+        for p, v in zip(ps, zip(*slabs))]
+
+
 def lp_norm(grid, fhat, p, multiplier=None):
-    """The L^p quadrature of a band field, times `multiplier` (a real cube
-    table) if given, reduced slab by slab."""
-    slabs = (slab for _, slab in grid.physical_slabs(fhat, multiplier))
-    if np.isinf(p):
-        return float(max(np.max(np.abs(f)) for f in slabs))
-    total = sum(np.sum(np.abs(f) ** p) for f in slabs)
-    return float((total * grid.dx ** grid.ndim) ** (1.0 / p))
+    """The L^p quadrature of a band field: lp_norms for p alone."""
+    return lp_norms(grid, fhat, [p], multiplier)[0]
 
 
 def _reciprocal(grid):     # 1/|xi|, and 1 at xi = 0
@@ -108,46 +115,48 @@ def total_sobolev(grid, data, order):
 
 # -- coordinate-weighted norms (physical-space weights) ---------------------
 
-def _moments(grid, fhat, multiplier, power, weights):
-    """Per (order, lam) of `weights`: (Parseval sum of _sobolev_weight(order,
-    lam) * sum_j |F(x_j f)|^2)^(1/2) for power 1, of that weight *
-    |F(|x - c|^2 f)|^2 = |sum_j F(x_j^2 f)|^2 for power 2, with f =
-    multiplier * fhat and F(x_j^p f) on the line grid of axis j, one for
-    all weights: its band rows add up on the cube, its other rows alone."""
+def _moments(grid, fhat, multiplier, weights):
+    """Per (power, order, lam) of `weights`: (Parseval sum of
+    _sobolev_weight(order, lam) * sum_j |F(x_j f)|^2)^(1/2) for power 1, of
+    that weight * |F(|x - c|^2 f)|^2 = |sum_j F(x_j^2 f)|^2 for power 2,
+    with f = multiplier * fhat and F(x_j^p f) on the line grid of axis j,
+    block by block of grid.line_slabs: its band rows add up on the cube,
+    its other rows alone, into an array per weight summed per axis."""
     k, n = grid.dealias_limit, grid.n
-    cube = np.zeros(grid.band_shape, dtype=complex) if power == 2 else None
-    arm = slice(k + 1, n - k) if power == 2 else slice(None)
-    # |xi|^2 on the arm's points of the line grid, freed before the inverses
-    line_k = grid.dk * np.rint(np.fft.fftfreq(n) * n)[arm]
-    xi_sq = sum(ax ** 2 for ax in (*grid.xi_axes[:-1], line_k))
-    tables = [_sobolev_weight(xi_sq, *w) for w in weights]
-    del xi_sq
+    powers = sorted({p for p, *_ in weights})
+    arms = {1: slice(None), 2: slice(k + 1, n - k)}
+    line_k = grid.dk * np.rint(np.fft.fftfreq(n) * n)
+    lead_sq = sum(ax ** 2 for ax in grid.xi_axes[:-1])   # |xi|^2 but axis j
+    cube = np.zeros(grid.band_shape, dtype=complex) if 2 in powers else None
+    sums = [np.empty(grid.band_shape[:-1] + line_k[arms[p]].shape)
+            for p, *_ in weights]
     totals = [0.0] * len(weights)
-    for j in range(grid.ndim):
-        spec = grid.line_physical(fhat, j, multiplier)
-        spec *= grid.x_centered[-1] ** power
-        spec = grid.line_spectral(spec)
-        if cube is not None:
-            rows = np.moveaxis(cube, j, -1)
-            rows[..., :k + 1] += spec[..., :k + 1]
-            rows[..., k + 1:] += spec[..., n - k:]
-        totals = [total + _square_sum(grid, spec[..., arm], table)
-                  for total, table in zip(totals, tables)]
-        del spec        # before the next line inverse
-    if cube is not None:
-        totals = [total + _square_sum(grid, cube, _sobolev_weight(
-            grid.xi_norm ** 2, *w)) for total, w in zip(totals, weights)]
-    return [float(np.sqrt(total)) for total in totals]
+    for j, blocks in grid.line_slabs(
+            fhat, multiplier, [grid.x_centered[-1] ** p for p in powers]):
+        for at, spectra in blocks:
+            spec = dict(zip(powers, spectra))
+            if cube is not None:
+                np.moveaxis(cube, j, -1)[at] += spec[2][..., grid.band_k % n]
+            for (p, *w), sq in zip(weights, sums):     # as _square_sum
+                sq = np.abs(spec[p][..., arms[p]], out=sq[at])
+                sq *= sq
+                sq *= _sobolev_weight(lead_sq[at] + line_k[arms[p]] ** 2, *w)
+        totals = [total + (2.0 * np.pi) ** grid.ndim * np.sum(sq) * grid.d_eta
+                  for total, sq in zip(totals, sums)]
+    del sums, sq, spectra, spec     # before the cube's tables
+    return [float(np.sqrt(total + _square_sum(grid, cube, _sobolev_weight(
+        grid.xi_norm ** 2, *w)) if p == 2 else total))
+        for total, (p, *w) in zip(totals, weights)]
 
 
-# weighted kind -> (multiplier |xi|, else 1; power; (order, lam)) as above:
+# weighted kind -> (multiplier |xi|, else 1; (power, order, lam)) as above:
 #   weighted_x_l2           ||x f||_{L^2} = (integral |x - c|^2 |f|^2 dx)^(1/2)
 #   weighted_lambda_x_h1    ||Lam x f||_{H^1} with the weight applied first
 #   weighted_x2_lambda_h1   || |x|^2 Lam f ||_{H^1}: Lam applied spectrally,
 #                           then the |x - c|^2 weight, then the H^1 norm
-_MOMENTS = {"weighted_x_l2": (False, 1, (0, False)),
-            "weighted_lambda_x_h1": (False, 1, (1, True)),
-            "weighted_x2_lambda_h1": (True, 2, (1, False))}
+_MOMENTS = {"weighted_x_l2": (False, (1, 0, False)),
+            "weighted_lambda_x_h1": (False, (1, 1, True)),
+            "weighted_x2_lambda_h1": (True, (2, 1, False))}
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +203,20 @@ class NormSpec:
         return f"{self.component}_{self.kind}"
 
 
-def evaluate_norms(specs, state, profile_w=None):
-    """The value of each spec on the state: the profile's weighted norms by
-    one _moments call per multiplier and power, the others by evaluate_norm."""
-    grid, groups, values = state.grid, {}, {}
-    for spec in specs:      # (multiplier, power) -> {kind: (order, lam)}
+def evaluate_norms(specs, state, profile_w=None, known=None):
+    """The value of each spec on the state: `known`'s value of its name, the
+    profile's weighted norms by one _moments call per multiplier, else
+    evaluate_norm's."""
+    grid, groups, values = state.grid, {}, dict(known or {})
+    for spec in specs:      # multiplier -> {name: (power, order, lam)}
         if spec.kind in _MOMENTS and profile_w is not None:
-            first, power, weight = _MOMENTS[spec.kind]
-            groups.setdefault((first, power), {})[spec.kind] = weight
-    for (first, power), weights in groups.items():
+            first, weight = _MOMENTS[spec.kind]
+            groups.setdefault(first, {})[spec.name] = weight
+    for first, weights in groups.items():
         values.update(zip(weights, _moments(
-            grid, profile_w, grid.xi_norm if first else 1.0, power,
+            grid, profile_w, grid.xi_norm if first else 1.0,
             list(weights.values()))))
-    return [values[spec.kind] if spec.kind in values
+    return [values[spec.name] if spec.name in values
             else evaluate_norm(spec, state, profile_w) for spec in specs]
 
 
@@ -222,25 +232,27 @@ def evaluate_norm(spec, state, profile_w=None):
 
 
 def energy_terms(grid, fhat):
-    """The L^1, x H^2, Lam x^2 H^1 and H^N terms of E_N of one band field;
-    its moments share no line inverse, which would hold two line fields."""
-    return (lp_norm(grid, fhat, 1),
-            *_moments(grid, fhat, 1.0, 1, [(2, False)]),
-            *_moments(grid, fhat, 1.0, 2, [(1, True)]),
-            sobolev_norm(grid, fhat, SOBOLEV_N))
+    """The L^1, x H^2, Lam x^2 H^1 and H^N terms of E_N of one band field,
+    and its L^inf from the band inverse of its L^1."""
+    l1, linf = lp_norms(grid, fhat, [1, np.inf])
+    return (l1, *_moments(grid, fhat, 1.0, [(1, 2, False), (2, 1, True)]),
+            sobolev_norm(grid, fhat, SOBOLEV_N), linf)
 
 
-def initial_energy(state):
+def initial_energy(state, known=None):
     """E_N = max{ ||U||_{L^1},
                   ||x U||_{H^2} + ||Lam x^2 U||_{H^1} + ||U||_{H^N} },
     components aggregated by summation, where ||x U||_{H^2} sums the x_j U
-    in squares and Lam x^2 U = Lam (|x|^2 U); once per distinct component."""
+    in squares and Lam x^2 U = Lam (|x|^2 U); once per distinct component.
+    A dict `known` takes each component's L^inf and H^N by series name."""
     parts = []      # per component: its energy_terms
     for i, comp in enumerate(state.data):
         parts.append(next((parts[j] for j in range(i)
                            if np.array_equal(state.data[j], comp)), None)
                      or energy_terms(state.grid, comp))
-    l1, x_h2, lam_x2, hn = map(sum, zip(*parts))    # the formula's order
+    for c, (*_, hn, linf) in zip(COMPONENTS, () if known is None else parts):
+        known.update({f"{c}_sobolev": hn, f"{c}_linf": linf})
+    l1, x_h2, lam_x2, hn, _ = map(sum, zip(*parts))    # the formula's order
     return float(max(l1, x_h2 + lam_x2 + hn))
 
 

@@ -131,12 +131,11 @@ def conjugate_symmetry_defect(grid, fhat):
 
 def record_transforms(monkeypatch, slabs=False):
     """A list that collects the name of each grid transform from now on:
-    to_spectral, to_physical, product_spectra, line_physical and
-    line_spectral, and with slabs=True each physical_slabs call, the band
-    inverse, too."""
+    to_spectral, to_physical, product_spectra and line_slabs, and with
+    slabs=True each physical_slabs call, the band inverse, too."""
     calls = []
-    names = ("to_physical", "to_spectral", "product_spectra", "line_physical",
-             "line_spectral") + (("physical_slabs",) if slabs else ())
+    names = ("to_physical", "to_spectral", "product_spectra",
+             "line_slabs") + (("physical_slabs",) if slabs else ())
     for name in names:
         orig = getattr(SpectralGrid, name)
         monkeypatch.setattr(SpectralGrid, name,

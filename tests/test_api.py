@@ -163,7 +163,7 @@ def test_the_layout_guard_names_each_full_grid_use(tmp_path):
         "    return grid.full_xi_norm * spec\n")
     (tmp_path / "b.py").write_text(
         "def product(grid, f, h):\n"
-        "    line = grid.line_spectral(grid.line_physical(f, 0))\n"
+        "    line = list(grid.line_slabs(f))\n"
         "    return grid.to_spectral(grid.to_physical(f)"
         " * grid.to_physical(h)), line\n")
     (tmp_path / "grid.py").write_text(

@@ -383,6 +383,28 @@ def test_damped_branch_projection_decays_fast():
     assert np.max(np.abs(again.data - proj.data)) < 1e-10
 
 
+def test_a_projected_run_samples_its_own_state_first(tmp_path):
+    # kexp-branch projects after E_N: its e_n is the E_N of the data
+    # before the projection, which the run does not evolve, and its first
+    # sample takes the L^inf of the projected state from a band inverse of
+    # its own, not E_N's of the data it replaced
+    cfg = ex.load_preset("kexp-branch").override(
+        ["grid.n=16", "time.t_max=2.0", 'norms=["linf:u", "linf:v", "l2:u"]',
+         f"output.dir={tmp_path}"])
+    result = ex.run(cfg)
+    g, model = cfg.build_grid(), cfg.build_model()
+    data = preset_initial_data(cfg, g)
+    cache = ev.Stepper(model, g, cfg.schedule()[0]).cache
+    projected = ex.project_damped_branch(data, cache)
+    assert result.report["e_n"] == norms.initial_energy(data)
+    for i, name in enumerate(("u_linf", "v_linf")):
+        first = result.series[name][1][0]
+        assert first == norms.band_linf(g, projected.data[i])
+        assert first != norms.band_linf(g, data.data[i])
+    samples = len(result.series["u_linf"][0])
+    assert result.report["transforms"]["samples"]["band"] == 2 * samples
+
+
 # -- runner -------------------------------------------------------------------
 
 def test_run_writes_outputs_and_echoes_config(tmp_path):
@@ -602,7 +624,8 @@ def test_a_vanishing_diagonal_source_costs_no_apply(tmp_path, monkeypatch,
                                                     preset, step_bands):
     # null_b's T_m(w, w) is identically zero, so no rhs calls
     # pseudoproduct.apply; the report still warns, and its transform
-    # counts are those of the runs that applied it and added zeros
+    # counts are those of the runs that applied it and added zeros (the
+    # sample at t = 1 reads u, v and w's L^inf from E_N's band inverse)
     calls = []
     apply = pseudoproduct.apply
     monkeypatch.setattr(pseudoproduct, "apply",
@@ -616,6 +639,6 @@ def test_a_vanishing_diagonal_source_costs_no_apply(tmp_path, monkeypatch,
         "T_m(w, w) is identically zero: the symmetric part of symbol "
         "'null_b' vanishes, so no pseudoproduct source acts on w"]
     assert report["transforms"] == {
-        "setup": {"band": 4, "line": 24},
+        "setup": {"band": 4, "line": 18},
         "steps": {"band": step_bands, "line": 0},
-        "samples": {"band": 18, "line": 36}}
+        "samples": {"band": 15, "line": 36}}

@@ -34,20 +34,22 @@ REPORT_KEYS = ("status", "e_n", "t_final", "fitted_exponents", "m0",
                "warnings", "sk")
 RTOL = 1e-12
 # name -> report["transforms"], its phases as experiments.run defines them:
-# E_N takes 1 band and 12 line transforms per distinct component, a pk step
-# 18 band, an IFRK4 k step 12, the exact flow none, a wave sample 4 band (44
-# over 11 samples), a k sample 2 (32 over 16), and a pk sample 6 band and 12
-# line
+# E_N takes 1 band and 9 line transforms per distinct component, a pk step
+# 18 band, an IFRK4 k step 12, the exact flow none, a wave sample 4 band, a
+# k sample 2, and a pk sample 6 band and 12 line; the sample at t = 1 reads
+# the L^inf of each state component from E_N's band inverse, so the wave
+# samples take 43 band (4 per sample over 11, less w's 1), the k samples 30
+# (2 over 16, less 2) and the pk samples 93 (6 over 16, less 3)
 TRANSFORMS = {
-    "wave_source_free": {"setup": {"band": 2, "line": 12},
+    "wave_source_free": {"setup": {"band": 2, "line": 9},
                          "steps": {"band": 0, "line": 0},
-                         "samples": {"band": 44, "line": 0}},
-    "pk_mixed": {"setup": {"band": 4, "line": 24},
+                         "samples": {"band": 43, "line": 0}},
+    "pk_mixed": {"setup": {"band": 4, "line": 18},
                  "steps": {"band": 270, "line": 0},
-                 "samples": {"band": 96, "line": 192}},
-    "k_ifrk4_random": {"setup": {"band": 4, "line": 24},
+                 "samples": {"band": 93, "line": 192}},
+    "k_ifrk4_random": {"setup": {"band": 4, "line": 18},
                        "steps": {"band": 180, "line": 0},
-                       "samples": {"band": 32, "line": 0}},
+                       "samples": {"band": 30, "line": 0}},
 }
 
 # name -> (preset, overrides)

@@ -31,6 +31,23 @@ def _line_embed(grid, cube, axis):
     return full
 
 
+def _line_spectra(grid, shape, blocks):
+    """Each spectrum of one axis of line_slabs put together from its blocks
+    of the first axis, on the line grid of a cube or stack of `shape`, and
+    the sizes of the blocks and the distinct buffers of each spectrum."""
+    whole, sizes, buffers = None, [], None
+    for at, spectra in blocks:
+        if whole is None:
+            whole = [np.full(shape[:-1] + (grid.n,), np.nan, dtype=complex)
+                     for _ in spectra]
+            buffers = [set() for _ in spectra]
+        for full, spec, seen in zip(whole, spectra, buffers):
+            full[at] = spec
+            seen.add(spec.__array_interface__["data"][0])
+        sizes.append(len(spec))
+    return whole, sizes, [len(seen) for seen in buffers]
+
+
 def test_transform_roundtrip():
     # the line transforms undo each other on every axis: the forward
     # transform of a cube's line inverse is the cube on the band rows of
@@ -38,22 +55,26 @@ def test_transform_roundtrip():
     g = SpectralGrid(16, 5.0)
     rng = np.random.default_rng(0)
     c = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
-    for axis in range(g.ndim):
-        back = g.line_spectral(g.line_physical(c, axis))
+    for axis, blocks in g.line_slabs(c):
+        back = _line_spectra(g, c.shape, blocks)[0][0]
         assert np.max(np.abs(back - _line_embed(g, c, axis))) < 1e-12
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 16, 24, 48])
-def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
-    # the line transforms are scipy.fft's along one axis, bit for bit: the
-    # inverse is ifft of the cube (times a multiplier) zero-filled along
-    # that axis and moved last, into a new array, leaving its input,
-    # single, stacked or strided; the forward transform is fft along the
-    # last axis, in place.  The line inverse along the last axis followed
-    # by ifft along the others is the n^d inverse.  Each call counts its
-    # fields
+def test_transforms_are_scipy_fft_into_a_new_array(n, ndim, monkeypatch):
+    # the line transforms are scipy.fft's along one axis, bit for bit: per
+    # axis and weight w, fft of w times the ifft of the cube (times a
+    # multiplier) zero-filled along that axis and moved last, leaving its
+    # input, single, stacked or strided, and sharing no memory with it.
+    # With blocks of two rows' bytes, the first axis of the line grid
+    # comes in blocks of 2 rows of a cube, the last ragged (1 field of a
+    # stack, and 1 block of a single 1-D line), each weight in one reused
+    # buffer.  Each call counts its fields: one inverse and one forward
+    # transform per weight and axis
     g = SpectralGrid(n, 7.3, ndim)
+    monkeypatch.setattr(grid_module, "_LINE_BYTES", 16 * n * (
+        2 * g.band_shape[0] ** (ndim - 2) if ndim > 1 else 1))
     rng = np.random.default_rng(10 * n + ndim)
     stacked = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
         size=(3,) + g.band_shape)
@@ -62,30 +83,29 @@ def test_transforms_are_scipy_fft_into_a_new_array(n, ndim):
     view = wide[(slice(None, None, 2),) * ndim]     # not contiguous
     inputs = (stacked[0], stacked, view)
     saved = [x.copy() for x in inputs] + [wide.copy()]
+    x_axis = g.x_centered[-1]
     for x in inputs:
-        for axis in range(ndim):
-            line = g.line_physical(x, axis)
-            assert np.array_equal(line, scipy.fft.ifft(
-                _line_embed(g, x, axis)))
-            assert not np.shares_memory(line, x)
-            weighted = g.line_physical(x, axis, g.xi_norm)
-            assert np.array_equal(weighted, scipy.fft.ifft(
-                _line_embed(g, g.xi_norm * x, axis)))
-            expect = scipy.fft.fft(weighted)
-            spec = g.line_spectral(weighted)
-            assert np.shares_memory(spec, weighted)
-            assert np.array_equal(spec, expect)
+        for multiplier, weights in ((1.0, [1.0]),
+                                    (g.xi_norm, [x_axis, x_axis ** 2])):
+            axes = []
+            for axis, blocks in g.line_slabs(x, multiplier, weights):
+                spectra, sizes, buffers = _line_spectra(g, x.shape, blocks)
+                line = scipy.fft.ifft(_line_embed(g, multiplier * x, axis))
+                for w, spec in zip(weights, spectra):
+                    assert np.array_equal(spec, scipy.fft.fft(w * line))
+                    assert not np.shares_memory(spec, x)
+                assert buffers == [1] * len(weights)
+                assert sum(sizes) == len(spectra[0])
+                assert sizes[:-1] == [sizes[0]] * (len(sizes) - 1)
+                assert sizes[0] == (n if x.ndim == 1 else 1 if x.ndim >
+                                    ndim else 2)
+                axes.append(axis)
+            assert axes == list(range(ndim))
     for x, before in zip(inputs + (wide,), saved):
         assert x.tobytes() == before.tobytes()
     # the line transforms count apart from the band ones
-    assert g.line_transforms == 3 * ndim * (1 + 3 + 1) and g.transforms == 0
-    c = stacked[0]
-    part = np.zeros(g.shape, dtype=complex)
-    part[np.ix_(*[g.band_k % n] * (ndim - 1), np.arange(n))] = \
-        g.line_physical(c, ndim - 1)
-    full = scipy.fft.ifftn(part, axes=range(ndim - 1)) if ndim > 1 else part
-    ref = full_physical(g, embed(g, c))
-    assert np.max(np.abs(full * g._inv_fwd - ref)) < 1e-13 * np.abs(ref).max()
+    assert g.line_transforms == (1 + 3 + 1) * ndim * (2 + 3) \
+        and g.transforms == 0
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -226,11 +246,11 @@ def test_product_spectra_are_the_transforms_of_the_products(
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_band_transforms_refuse_the_other_layout(ndim):
-    # to_spectral takes n^d fields, the band inverse and the line inverse
-    # cubes, and the line forward transform the line grid's fields: a
-    # field of another layout, or of none, raises before any transform
-    # counts (on a 1-D grid a cube once came back from the forward pass
-    # clipped); physical_slabs and product_spectra raise when called, not
+    # to_spectral takes n^d fields, the band inverse and the line
+    # transforms cubes: a field of another layout, or of none, raises
+    # before any transform counts (on a 1-D grid a cube once came back
+    # from the forward pass clipped); physical_slabs, product_spectra and
+    # line_slabs raise when called, not
     # at the first slab, and to_physical names itself and allocates no n^d
     # output first
     g = SpectralGrid(16, 5.0, ndim)
@@ -246,11 +266,8 @@ def test_band_transforms_refuse_the_other_layout(ndim):
             g.physical_slabs(bad)
         with pytest.raises(ValueError, match="product_spectra"):
             g.product_spectra(bad, [[(1.0, 0, 1)]])
-        with pytest.raises(ValueError, match="line_physical"):
-            g.line_physical(bad, 0)
-    for bad in (cube, cube[0], cube[..., :-1]):
-        with pytest.raises(ValueError, match="line_spectral"):
-            g.line_spectral(bad)
+        with pytest.raises(ValueError, match="line_slabs"):
+            g.line_slabs(bad)
     assert g.transforms == g.line_transforms == 0
     big = SpectralGrid(32, 5.0)     # an output 100 times the overhead
     bad = np.ones(big.shape, dtype=complex)

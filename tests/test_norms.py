@@ -123,7 +123,7 @@ def _flowed(state, t):
 def test_initial_energy_equals_the_per_term_formula():
     # each of E_N's four terms, per component, is the n^d formula's to
     # 1e-13 (the L^1 term, which wins here, bit for bit), and E_N equals
-    # the formula's
+    # the formula's; the L^inf that comes with them is band_linf's
     g = SpectralGrid(16, 32.0)
     st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0],
                            radial_power=[0, 1, 0])
@@ -131,9 +131,9 @@ def test_initial_energy_equals_the_per_term_formula():
     assert np.abs(g.to_physical(later.data[2]).imag).max() > 1e-3
     for state in (st, later):
         for comp in state.data:
-            got = norms.energy_terms(g, comp)
+            *got, linf = norms.energy_terms(g, comp)
             want = reference_energy_terms(g, comp)
-            assert got[0] == want[0]
+            assert got[0] == want[0] and linf == norms.band_linf(g, comp)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         assert norms.initial_energy(state) == reference_initial_energy(state)
 
@@ -150,7 +150,7 @@ def test_weighted_terms_equal_the_full_grid_formulas(n):
     bump = make_initial_data("gaussian_bump", g, 0.3, 0, width=1.5)
     for state in (ev.StateField(g, cubes, 1.0), _flowed(bump, 2.5)):
         for comp in state.data:
-            np.testing.assert_allclose(norms.energy_terms(g, comp),
+            np.testing.assert_allclose(norms.energy_terms(g, comp)[:4],
                                        reference_energy_terms(g, comp),
                                        rtol=1e-13, atol=0)
             np.testing.assert_allclose(
@@ -170,14 +170,12 @@ def test_initial_energy_transforms_each_component_once(monkeypatch):
     calls = record_transforms(monkeypatch, slabs=True)
     before = g.transforms, g.line_transforms
     norms.initial_energy(st)
-    # per component one band inverse (L^1), and per axis the line inverse
-    # and line forward transform of its x_j and of its x_j^2 weight: the
-    # two moments do not share a line inverse, which would hold two
-    # line-grid fields at once
-    assert sorted(calls) == (["line_physical"] * 18 + ["line_spectral"] * 18
-                             + ["physical_slabs"] * 3)
+    # per component one band inverse (L^1 and L^inf), and per axis one
+    # line inverse that both moments share, block by block, and the line
+    # forward transforms of its x_j and of its x_j^2 weight
+    assert sorted(calls) == ["line_slabs"] * 3 + ["physical_slabs"] * 3
     assert (g.transforms - before[0], g.line_transforms - before[1]) \
-        == (3, 36)
+        == (3, 27)
 
 
 @pytest.mark.parametrize("width, radial_power, distinct", [
@@ -193,11 +191,10 @@ def test_initial_energy_transforms_each_distinct_component_once(
     calls = record_transforms(monkeypatch, slabs=True)
     before = g.transforms, g.line_transforms
     assert norms.initial_energy(st) == expected
-    assert sorted(calls) == (["line_physical"] * (6 * distinct)
-                             + ["line_spectral"] * (6 * distinct)
+    assert sorted(calls) == (["line_slabs"] * distinct
                              + ["physical_slabs"] * distinct)
     assert (g.transforms - before[0], g.line_transforms - before[1]) \
-        == (distinct, 12 * distinct)
+        == (distinct, 9 * distinct)
 
 
 def test_sampled_norms_read_the_band(grid, monkeypatch):
@@ -206,7 +203,9 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
     # reduce its slabs without asking to_physical for the field), or the
     # line inverse of the weighted norms, whose forward transforms are the
     # line ones; no band forward transform runs, and each call counts its
-    # one field, band and line transforms apart
+    # fields, band and line transforms apart: a band inverse one, and a
+    # line_slabs call one line inverse and one forward transform per
+    # weight on each axis
     st = make_initial_data("gaussian_bump", grid, 0.3, 0, width=2.0)
     calls = record_transforms(monkeypatch, slabs=True)
     seen = {}
@@ -219,20 +218,24 @@ def test_sampled_norms_read_the_band(grid, monkeypatch):
         calls.clear()
         before = grid.transforms, grid.line_transforms
         fn(*args)
-        line = sum(call.startswith("line_") for call in calls)
+        line = sum(call == "line_slabs" for call in calls)
         assert (grid.transforms - before[0], grid.line_transforms
-                - before[1]) == (len(calls) - line, line)
+                - before[1]) == (len(calls) - line, grid.ndim * {
+                    "e_n": 3, "joint": 4}.get(name, 2 * line))
         assert "to_physical" not in calls
         seen[name] = list(calls)
     assert seen["linf"] == ["physical_slabs"]
     assert seen["linf_riesz"] == ["physical_slabs"] * grid.ndim
-    line = ["line_physical", "line_spectral"] * grid.ndim
+    line = ["line_slabs"]
     assert seen["weighted_x_l2"] == line
     assert seen["weighted_lambda_x_h1"] == line
     assert seen["weighted_x2_lambda_h1"] == line
-    assert seen["e_n"] == ["physical_slabs"] + line * 2
+    # E_N's two moments share each line inverse: 3 line fields per axis
+    # (not 4), and its L^1 and L^inf one band inverse
+    assert seen["e_n"] == ["physical_slabs"] + line
     # the three weighted norms of one sample: x_l2 and lambda_x_h1 share
-    # each line inverse and forward transform, 6 and 6 in all (not 9, 9)
+    # each line inverse and forward transform, 12 line fields in all (not
+    # 18)
     assert seen["joint"] == line * 2
     assert "to_spectral" not in sum(seen.values(), [])
     # so does the L^p norm of the estimate harnesses, slab by slab
@@ -249,7 +252,7 @@ def test_joint_moments_equal_each_norm_alone(n, ndim, seed):
     # inverse per axis and multiplier) returns exactly what each returns
     # alone, in any order and with the other kinds mixed in; so do the
     # moments of E_N when one _moments call shares their line inverses
-    # with other weights of the same power
+    # with other weights of either power
     g = SpectralGrid(n, 5.0 + n / 3.0, ndim)
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(3,) + g.band_shape) + 1j * rng.normal(
@@ -261,12 +264,116 @@ def test_joint_moments_equal_each_norm_alone(n, ndim, seed):
     assert norms.evaluate_norms(specs, state, data[1]) \
         == [norm_of(g, kind, data[1]) for kind in kinds]
     x_h2, lam_x2 = norms.energy_terms(g, data[0])[1:3]
-    assert norms._moments(g, data[0], 1.0, 1, [(0, False), (2, False),
-                                              (1, True)]) \
-        == [norm_of(g, "weighted_x_l2", data[0]), x_h2,
+    assert norms._moments(g, data[0], 1.0, [
+        (1, 0, False), (2, 1, True), (1, 2, False), (2, 0, False),
+        (1, 1, True)]) == [
+            norm_of(g, "weighted_x_l2", data[0]), lam_x2, x_h2,
+            norms._moments(g, data[0], 1.0, [(2, 0, False)])[0],
             norm_of(g, "weighted_lambda_x_h1", data[0])]
-    assert norms._moments(g, data[0], 1.0, 2, [(1, True), (0, False)]) \
-        == [lam_x2, norms._moments(g, data[0], 1.0, 2, [(0, False)])[0]]
+
+
+def _lp_alone(grid, fhat, p, multiplier=None):
+    """The L^p quadrature of a band field from a band inverse of its own,
+    as lp_norm computed it before one band inverse served several p."""
+    slabs = (slab for _, slab in grid.physical_slabs(fhat, multiplier))
+    if np.isinf(p):
+        return float(max(np.max(np.abs(f)) for f in slabs))
+    total = sum(np.sum(np.abs(f) ** p) for f in slabs)
+    return float((total * grid.dx ** grid.ndim) ** (1.0 / p))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=hst.sampled_from([8, 15, 16]), ndim=hst.sampled_from([2, 3]),
+       seed=hst.integers(0, 2 ** 16), riesz_j=hst.sampled_from([None, 0]))
+def test_one_band_inverse_gives_every_lp_norm(n, ndim, seed, riesz_j):
+    # lp_norms' one pass over the slabs of one band inverse returns, for
+    # p = 1, 2 and infinity in any order, what a band inverse per p returns,
+    # bit for bit, with or without a multiplier, on random cubes over
+    # several slabs; lp_norm is lp_norms for one p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "_SLAB_BYTES", 3 * 16 * n ** (ndim - 1))
+        g = SpectralGrid(n, 7.0, ndim)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
+        m = None if riesz_j is None else riesz(g, riesz_j)
+        ps = [1, 2, np.inf]
+        rng.shuffle(ps)
+        before = g.transforms
+        got = norms.lp_norms(g, x, ps, m)
+        assert g.transforms == before + 1
+        assert got == [_lp_alone(g, x, p, m) for p in ps]
+        assert got == [lp_norm(g, x, p, m) for p in ps]
+
+
+def _moments_unblocked(grid, fhat, multiplier, power, weights):
+    """The weighted moments of one power as _moments defines them, from
+    whole line-grid fields: per axis the zero-filled ifft of the cube,
+    times x_j^power, then fft, with each weight's table of the whole arm."""
+    k, n = grid.dealias_limit, grid.n
+    arm = slice(None) if power == 1 else slice(k + 1, n - k)
+    line_k = grid.dk * np.rint(np.fft.fftfreq(n) * n)[arm]
+    xi_sq = sum(ax ** 2 for ax in (*grid.xi_axes[:-1], line_k))
+    tables = [norms._sobolev_weight(xi_sq, *w) for w in weights]
+    cube = np.zeros(grid.band_shape, dtype=complex)
+    totals = [0.0] * len(weights)
+    for j in range(grid.ndim):
+        f = np.moveaxis(multiplier * fhat, j, -1)
+        spec = np.zeros(f.shape[:-1] + (n,), dtype=complex)
+        spec[..., grid.band_k % n] = f
+        spec = np.fft.ifft(spec)
+        spec *= grid.x_centered[-1] ** power
+        spec = np.fft.fft(spec)
+        rows = np.moveaxis(cube, j, -1)
+        rows[..., :k + 1] += spec[..., :k + 1]
+        rows[..., k + 1:] += spec[..., n - k:]
+        totals = [total + norms._square_sum(grid, spec[..., arm], table)
+                  for total, table in zip(totals, tables)]
+    if power == 2:
+        totals = [total + norms._square_sum(grid, cube, norms._sobolev_weight(
+            grid.xi_norm ** 2, *w)) for total, w in zip(totals, weights)]
+    return [float(np.sqrt(total)) for total in totals]
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=hst.sampled_from([15, 16, 24]), ndim=hst.sampled_from([2, 3]),
+       seed=hst.integers(0, 2 ** 16), lam=hst.booleans())
+def test_blocked_moments_equal_the_unblocked_ones(n, ndim, seed, lam):
+    # _moments in blocks of rows that do not divide the line grid's 2K+1
+    # rows, both powers from one line inverse per axis, returns what whole
+    # line-grid fields give each power alone, bit for bit, for the
+    # multipliers 1 and |xi|
+    with pytest.MonkeyPatch.context() as mp:
+        g = SpectralGrid(n, 5.0 + n / 3.0, ndim)
+        assert g.band_shape[0] % 2      # blocks of 2 of the 2K+1 rows
+        mp.setattr(grid_module, "_LINE_BYTES",
+                   2 * 16 * n * g.band_shape[0] ** (ndim - 2))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
+        ones, twos = [(0, False), (2, lam)], [(1, lam), (0, False)]
+        for multiplier in (1.0, g.xi_norm):
+            got = norms._moments(g, x, multiplier, [
+                (1, *ones[0]), (2, *twos[0]), (1, *ones[1]), (2, *twos[1])])
+            want = (_moments_unblocked(g, x, multiplier, 1, ones),
+                    _moments_unblocked(g, x, multiplier, 2, twos))
+            assert got == [want[0][0], want[1][0], want[0][1], want[1][1]]
+
+
+def test_initial_energy_peaks_no_higher_than_with_a_line_inverse_per_moment():
+    # E_N of three distinct components at n = 32 holds at its peak no more
+    # than the 1,281,488 bytes it held when each moment ran its own line
+    # inverse of whole line-grid fields (measured at that version on this
+    # state): the band inverse of L^1 and L^inf sets the peak, and the
+    # moments' blocks of rows stay under it
+    g = SpectralGrid(32, 32.0)
+    st = make_initial_data("gaussian_bump", g, 0.3, 0, width=[1.0, 2.5, 4.0])
+    expect = norms.initial_energy(st)
+    tracemalloc.start()
+    try:
+        assert norms.initial_energy(st) == expect
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_281_488, peak
 
 
 _GRIDS = {n: SpectralGrid(n, 2 * np.pi) for n in (8, 16)}
@@ -281,8 +388,11 @@ def test_moments_weigh_their_arm_by_the_dense_mesh_xi_squared(
     # each _moments call builds |xi|^2 on the points of the line grid that
     # its arm sums, the band of the other axes times every mode of the last
     # (power 1) or its n - 2K - 1 modes off the band (power 2), bit for bit
-    # the dense mesh's sum of squares there
+    # the dense mesh's sum of squares there, block by block of rows, the
+    # same on every axis
     g = SpectralGrid(n, 8.0, ndim=ndim)
+    monkeypatch.setattr(grid_module, "_LINE_BYTES",
+                        3 * 16 * n * g.band_shape[0] ** (ndim - 2))
     k = g.dealias_limit
     mesh = sum(ax ** 2 for ax in full_xi_axes(g))
     tables, weight = [], norms._sobolev_weight
@@ -295,9 +405,12 @@ def test_moments_weigh_their_arm_by_the_dense_mesh_xi_squared(
     monkeypatch.setattr(norms, "_sobolev_weight", recorded)
     fhat = band_field(g, 2, np.random.default_rng(n))
     for power, arm in ((1, np.arange(n)), (2, np.arange(k + 1, n - k))):
-        norms._moments(g, fhat, 1.0, power, [(0, False)])
+        norms._moments(g, fhat, 1.0, [(power, 0, False)])
         lines = np.ix_(*[g.band_k % n] * (ndim - 1), arm)
-        assert np.array_equal(tables.pop(), mesh[lines]) and not tables
+        assert len(tables) > ndim
+        assert np.array_equal(np.concatenate(tables),
+                              np.concatenate([mesh[lines]] * ndim))
+        tables.clear()
 
 
 @settings(max_examples=30, deadline=None)
