@@ -17,10 +17,10 @@ the Stepper (and the MiB of its flow rows) and the first sample, which
 takes E_N's L^inf and H^N; per phase the CPU ms and band and line fields
 transformed from an untraced call, and the tracemalloc peak from a
 traced one.  Last, a second run traced whole names its tracemalloc
-peak: the phase of
-experiments.run it falls in (set-up, step, sample or report) and the
-pdhyp functions running, outermost first, when it came within SLACK of
-it, read by a profile hook at every Python call and return.
+peak: the phase of experiments.run it falls in (set-up, step, sample or
+report) and the pdhyp functions running, outermost first, when it came
+within SLACK of it, read by a profile hook at every Python call and
+return.
 
     PYTHONPATH=src python3 demos/step_memory.py [workload ...]
 """
@@ -141,9 +141,8 @@ def setup_split(config):
     """Each set-up phase of experiments.run, as it runs them: its name and
     measured() figures, the CPU and transforms untraced, the peak traced;
     and the MiB of the Stepper's flow rows."""
-    model, grid, icfg = config.build_model(), config.build_grid(), config[
-        "initial"]
-    kinds = config["norms"]
+    model, grid = config.build_model(), config.build_grid()
+    icfg, kinds = config["initial"], config["norms"]
     specs = [norms.NormSpec.parse(s) for s in (
         experiments.DEFAULT_NORMS[model.kind] if kinds == "default"
         else kinds)]
