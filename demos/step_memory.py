@@ -3,24 +3,22 @@
 
 One experiments.run of each benchmark workload named (pk_mixed_n64 and
 k_rk4_n64 by default; wave_n128 also works), configured by perfbench's
-workloads.resolve, with Stepper.step wrapped to record per step its CPU
-ms, minor page faults, band and line fields transformed (grid.transforms
-and grid.line_transforms) and, on the first TRACED_STEPS steps, its
-transient: tracemalloc's peak over the step, traced from its start.
-Tracing costs CPU and faults, so the medians skip those steps.  A check
-line sums the steps' band fields against the report's
-transforms["steps"]["band"], and a line gives the MiB of arrays that the
-run's grid and pseudoproduct plan still hold after it (cached tables and
-factors).  Then it prints the set-up split, each phase of the run's
-set-up done again as experiments.run does it: the initial data, E_N,
-the Stepper (and the MiB of its flow rows) and the first sample, which
-takes E_N's L^inf and H^N; per phase the CPU ms and band and line fields
-transformed from an untraced call, and the tracemalloc peak from a
-traced one.  Last, a second run traced whole names its tracemalloc
-peak: the phase of experiments.run it falls in (set-up, step, sample or
-report) and the pdhyp functions running, outermost first, when it came
-within SLACK of it, read by a profile hook at every Python call and
-return.
+workloads.resolve, with Stepper.step and the set-up calls (SETUP) wrapped.
+Per step and per set-up phase (initial data, E_N, the Stepper and the first
+sample, which takes E_N's L^inf and H^N) it records the CPU ms, minor page
+faults and band and line fields transformed (grid.transforms and
+grid.line_transforms), and on the first TRACED_STEPS steps the transient:
+tracemalloc's peak over the step, traced from its start.  Tracing costs
+CPU and faults, so the medians skip those steps, and the set-up phases'
+peaks come from a second run, traced per phase and stopped at its first
+step by perfbench's set-up probe.  A check line sums the steps' band
+fields against the report's transforms["steps"]["band"]; lines give the
+MiB of the Stepper's flow rows and of the arrays (cached tables, factors)
+that the run's grid and pseudoproduct plan still hold after it.  Last, a
+third run traced whole names its tracemalloc peak: the phase of
+experiments.run it falls in (set-up, step, sample or report) and the
+pdhyp functions running, outermost first, when it came within SLACK of
+it, read by a profile hook at every Python call and return.
 
     PYTHONPATH=src python3 demos/step_memory.py [workload ...]
 """
@@ -35,8 +33,10 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import workloads    # noqa: E402  (it imports pdhyp from this checkout)
+import tracing      # noqa: E402  (perfbench's; both import pdhyp from
+import workloads    # noqa: E402   this checkout)
 from pdhyp import evolution as ev, experiments, norms  # noqa: E402
+from pdhyp.grid import SpectralGrid  # noqa: E402
 
 TRACED_STEPS = 3
 SLACK = 1 << 16     # peak rises this small do not move its site
@@ -45,6 +45,11 @@ PACKAGE = Path(ev.__file__).parent
 PHASES = ((("evolution", "Stepper.step"), "step"),
           (("experiments", "_evolve"), "sample"),
           (("experiments", "_report"), "report"))
+# (owner, name, phase): experiments.run's set-up calls, in the run's order
+SETUP = ((experiments, "make_initial_data", "initial data"),
+         (norms, "initial_energy", "E_N"),
+         (ev.Stepper, "__init__", "Stepper"),
+         (norms, "evaluate_norms", "first sample"))
 
 
 def measured(fn, grid, traced):
@@ -66,10 +71,27 @@ def measured(fn, grid, traced):
     return value, (1e3 * cpu, int(faults), int(band), int(line), peak)
 
 
+def setup_phases(setup, traced):
+    """The SETUP names wrapped, in a tracing.patched context, to put the
+    measured() figures of each one's first call into `setup`, in order."""
+    def phase(name, fn):
+        def wrapped(*args, **kwargs):
+            call = lambda: fn(*args, **kwargs)
+            if name in setup:       # the samples after the first
+                return call()
+            grid = next(getattr(a, "grid", a) for a in args
+                        if isinstance(a, (SpectralGrid, ev.StateField)))
+            value, setup[name] = measured(call, grid, traced)
+            return value
+        return wrapped
+    return tracing.patched([(owner, attr, phase(name, getattr(owner, attr)))
+                            for owner, attr, name in SETUP])
+
+
 def measured_run(config):
-    """The run's report, its Stepper and each step's figures from
-    measured()."""
-    rows, first, step = [], {}, ev.Stepper.step
+    """The run's report, its Stepper, {set-up phase: measured() figures}
+    and each step's figures."""
+    setup, rows, first, step = {}, [], {}, ev.Stepper.step
 
     def wrapped(stepper, state, guard=None):
         first.setdefault("stepper", stepper)
@@ -78,12 +100,10 @@ def measured_run(config):
         rows.append(row)
         return new
 
-    ev.Stepper.step = wrapped
-    try:
+    with setup_phases(setup, False), tracing.patched(
+            [(ev.Stepper, "step", wrapped)]):
         report = experiments.run(config).report
-    finally:
-        ev.Stepper.step = step
-    return report, first["stepper"], rows
+    return report, first["stepper"], setup, rows
 
 
 def held_mib(owner):
@@ -137,54 +157,23 @@ def peak_site(config):
     return peak / 2 ** 20, *top[1]
 
 
-def setup_split(config):
-    """Each set-up phase of experiments.run, as it runs them: its name and
-    measured() figures, the CPU and transforms untraced, the peak traced;
-    and the MiB of the Stepper's flow rows."""
-    model, grid = config.build_model(), config.build_grid()
-    icfg, kinds = config["initial"], config["norms"]
-    specs = [norms.NormSpec.parse(s) for s in (
-        experiments.DEFAULT_NORMS[model.kind] if kinds == "default"
-        else kinds)]
-    profile = any(spec.component == "profile_w" for spec in specs)
-    phases, known = [], {}
-
-    def phase(name, fn):
-        value, figures = measured(fn, grid, False)
-        phases.append((name, figures[:4] + measured(fn, grid, True)[1][4:]))
-        return value
-
-    state = phase("initial data", lambda: experiments.make_initial_data(
-        icfg["preset"], grid, icfg["amplitude"], icfg["seed"],
-        dim_state=model.dim_state, width=icfg["width"],
-        radial_power=icfg["radial_power"], mode=icfg["mode"],
-        band=icfg["band"]))
-    phase("E_N", lambda: norms.initial_energy(state, known))
-    stepper = phase("Stepper", lambda: ev.Stepper(
-        model, grid, config.schedule()[0], config["time"]["scheme"]))
-    if icfg["project"] == "damped_branch":
-        state, known = experiments.project_damped_branch(
-            state, stepper.cache), {}
-    phase("first sample", lambda: norms.evaluate_norms(
-        specs, state, ev.wave_profile(state) if profile else None, known))
-    flow = sum(G.nbytes for G in (stepper.G_full, stepper.G_half)
-               if G is not None) / 2 ** 20
-    return phases, flow
-
-
 def main(names):
     for name in names:
         with tempfile.TemporaryDirectory() as out_dir:
             config = workloads.resolve(name, workloads.DEFAULT_SEED, out_dir)
-            report, run_stepper, rows = measured_run(config)
+            report, run_stepper, setup, rows = measured_run(config)
+            peaks, clock = {}, tracing.StepClock()
+            with setup_phases(peaks, True), clock.installed():
+                clock.setup_probe(config)   # the set-up; no step
             whole = peak_site(config)
-        phases, flow = setup_split(config)
+        flow = sum(G.nbytes for G in (run_stepper.G_full, run_stepper.G_half)
+                   if G is not None) / 2 ** 20
 
         print(f"=== {name}: {len(rows)} steps ===")
         print(f"flow rows: G_full plus G_half {flow:.2f} MiB")
-        for what, (cpu, _, band, line, peak) in phases:
+        for what, (cpu, _, band, line, _) in setup.items():
             print(f"set-up {what}: {cpu:.1f} ms, {band} band and {line} "
-                  f"line transforms, peak {peak:.2f} MiB")
+                  f"line transforms, peak {peaks[what][4]:.2f} MiB")
         print("step   cpu_ms  faults  band  line  peak_mib")
         for k, (cpu, faults, band, line, peak) in enumerate(rows, 1):
             peak = f"{peak:9.2f}" if k <= TRACED_STEPS else ""

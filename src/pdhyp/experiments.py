@@ -1,6 +1,7 @@
 """Config-driven experiment runner: configs, initial data, and `run` in three
-phases, set-up, `_evolve` (steps, norm series) and `_report` (fits, M0,
-provenance).
+phases, set-up (initial data, its projection if asked for, E_N of the state
+that is evolved, Stepper, guard), `_evolve` (steps, norm series) and
+`_report` (fits, M0, provenance).
 
 Configs are single human-editable JSON files (see the shipped presets);
 scripted overrides, dotted ``--set key=value`` pairs, merge in like files.
@@ -382,7 +383,7 @@ def make_initial_data(preset, grid, amplitude, seed, dim_state=3,
                       band=_DEFAULTS["initial"]["band"]):
     """Real-valued initial fields at t = 1, on the band's cube.
 
-    E_N of the result is reported by the runner via norms.initial_energy.
+    The runner reports E_N of the state it evolves via norms.initial_energy.
     """
     if preset not in INITIAL_PRESETS:
         raise UnknownPreset(f"unknown initial-data preset {preset!r}")
@@ -493,11 +494,9 @@ def run(config, log=None):
     """Run one experiment in three phases, set-up, _evolve and _report;
     write `<prefix>_series.csv` and `<prefix>_report.json`; return a
     RunResult.  The report's `transforms` counts the band and line fields
-    transformed per phase: `setup` includes the initial data and E_N,
-    `samples` the sample at t = 1, whose L^inf and H^N come from E_N
-    unless a damped-branch projection follows it, and `steps` a step the
-    guard rejects.  A projected run (kexp-branch) reports the E_N of data
-    it does not evolve."""
+    transformed per phase: `setup` includes the initial data, its
+    projection and E_N, `samples` the sample at t = 1, whose L^inf and H^N
+    come from E_N, and `steps` a step the guard rejects."""
     say = log or (lambda msg: None)
     out = config["output"]
     try:    # before any step, so a name no directory can take costs no run
@@ -516,14 +515,15 @@ def run(config, log=None):
             dim_state=model.dim_state, width=icfg["width"],
             radial_power=icfg["radial_power"], mode=icfg["mode"],
             band=icfg["band"])
+        if icfg["project"] == "damped_branch":
+            state = project_damped_branch(state, spectra.build_symbol_cache(
+                grid.shells[0], model.matrices()))
         e_n = norms.initial_energy(state, known := {})  # its L^inf, H^N too
         stepper = ev.Stepper(model, grid, dt, config["time"]["scheme"])
-        if icfg["project"] == "damped_branch":
-            state, known = project_damped_branch(state, stepper.cache), {}
         # a source-free flow exp(E t) has E + E* = 2B <= 0, so it cannot
         # grow any norm and needs no guard
-        guard = (ev.BlowupGuard.for_state(state) if icfg["amplitude"] > 0
-                 and not stepper.source_free else None)
+        guard = (None if stepper.source_free
+                 else ev.BlowupGuard.for_state(state))
 
     norm_specs = config["norms"]
     if norm_specs == "default":

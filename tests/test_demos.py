@@ -13,11 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # lines each demo named here prints, by patterns of their figures; the
 # backreference holds step_memory's check line on both default workloads,
 # the arrays a run's grid and plan keep after it are in MiB, a run's peak
-# names its phase and the package functions below it, and the set-up split
-# gives each set-up phase its CPU, transforms and peak: E_N 1 band and 9
-# line fields per distinct component, and the first sample takes the
-# state's L^inf from E_N (pk: the 3 Riesz band inverses and the profile's
-# 12 line fields; k: none)
+# names its phase and the package functions below it, and the set-up split,
+# read from the run's own set-up calls, gives each phase its CPU, transforms
+# and peak: E_N 1 band and 9 line fields per distinct component, and the
+# first sample takes the state's L^inf from E_N (pk: the 3 Riesz band
+# inverses and the profile's 12 line fields; k: none)
 _CHECK = (r"check: the steps' band fields sum to (\d+), the report's "
           r"transforms\[\"steps\"\]\[\"band\"\] is \1$")
 _HELD = (r"held after the run: grid arrays \d+\.\d\d MiB, plan arrays "

@@ -1,7 +1,7 @@
-import hashlib
 import inspect
 import json
 import platform
+import sys
 import weakref
 from pathlib import Path
 
@@ -16,6 +16,10 @@ from pdhyp import experiments as ex
 from pdhyp import norms, pseudoproduct, spectra
 from pdhyp.errors import ConfigError, UnknownPreset
 from pdhyp.grid import SpectralGrid
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing      # noqa: E402  (perfbench's, importing pdhyp from src/)
+import workloads    # noqa: E402
 
 
 TINY = {
@@ -59,19 +63,29 @@ def test_any_value_of_a_field_validates_or_is_a_config_error(path):
 
 
 def test_benchmark_workloads_and_shipped_presets_validate(tmp_path):
-    # the overrides as perfbench/workloads.py applies them
-    spec_path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
-    spec = json.loads(spec_path.read_text())
-    for name, workload in spec["workloads"].items():
-        pairs = [f"{key}={json.dumps(val)}"
-                 for key, val in workload["overrides"].items()]
-        if workload["seeded"]:
-            pairs.append(f"initial.seed={spec['default_seed']}")
-        pairs += [f"output.dir={json.dumps(str(tmp_path))}",
-                  f"output.prefix={name}"]
-        ex.load_preset(workload["preset"]).override(pairs)
+    for name in workloads.WORKLOADS:    # as perfbench resolves them
+        workloads.resolve(name, workloads.DEFAULT_SEED, str(tmp_path))
     for name in ex.list_presets():
         ex.load_preset(name)
+
+
+def test_perfbench_tracer_and_step_clock_put_back_every_name_they_patch():
+    # entering reads each name patched, and a Stepper built in the tracer's
+    # context has the cache fields read that the tracer counts
+    owners = (SpectralGrid, spectra, ev, ev.Stepper, ev.BlowupGuard,
+              pseudoproduct, norms, ex)
+    saved = [dict(vars(owner)) for owner in owners]
+    changed = lambda: [(o, k) for o, old in zip(owners, saved)
+                       for k, v in vars(o).items() if old.get(k) is not v]
+    tracer, clock = tracing.Tracer(), tracing.StepClock()
+    with tracer.installed():
+        assert changed()
+        stepper = ev.Stepper(ev.ModelSpec("k_system"), SpectralGrid(8, 8), 1.0)
+    assert not changed()
+    assert tracer.cache_bytes[0] >= stepper.G_full.nbytes > 0
+    with clock.installed():
+        assert changed() == [(ev.Stepper, "step")]
+    assert not changed()
 
 
 def test_config_rejects_unknown_keys():
@@ -384,25 +398,24 @@ def test_damped_branch_projection_decays_fast():
 
 
 def test_a_projected_run_samples_its_own_state_first(tmp_path):
-    # kexp-branch projects after E_N: its e_n is the E_N of the data
-    # before the projection, which the run does not evolve, and its first
-    # sample takes the L^inf of the projected state from a band inverse of
-    # its own, not E_N's of the data it replaced
+    # kexp-branch projects before E_N: its e_n is the E_N of the projected
+    # state that the run evolves, and its first sample reads that state's
+    # L^inf from E_N's band inverses, so the samples take two fewer
     cfg = ex.load_preset("kexp-branch").override(
         ["grid.n=16", "time.t_max=2.0", 'norms=["linf:u", "linf:v", "l2:u"]',
          f"output.dir={tmp_path}"])
     result = ex.run(cfg)
     g, model = cfg.build_grid(), cfg.build_model()
     data = preset_initial_data(cfg, g)
-    cache = ev.Stepper(model, g, cfg.schedule()[0]).cache
+    cache = spectra.build_symbol_cache(g.shells[0], model.matrices())
     projected = ex.project_damped_branch(data, cache)
-    assert result.report["e_n"] == norms.initial_energy(data)
+    assert result.report["e_n"] == norms.initial_energy(projected)
     for i, name in enumerate(("u_linf", "v_linf")):
         first = result.series[name][1][0]
         assert first == norms.band_linf(g, projected.data[i])
         assert first != norms.band_linf(g, data.data[i])
     samples = len(result.series["u_linf"][0])
-    assert result.report["transforms"]["samples"]["band"] == 2 * samples
+    assert result.report["transforms"]["samples"]["band"] == 2 * samples - 2
 
 
 # -- runner -------------------------------------------------------------------
@@ -429,17 +442,15 @@ def test_run_determinism_byte_identical(tmp_path):
 
 def test_report_provenance_hashes_the_config_but_not_its_output(tmp_path):
     # the hash is the sha256 of the sorted JSON of the config without its
-    # output block, in 16 hex digits: two output dirs share it, an
-    # override changes it
+    # output block, in 16 hex digits, as perfbench hashes a workload's
+    # config: two output dirs share it, an override changes it
     cfgs = [tiny_config(tmp_path / "a"), tiny_config(tmp_path / "b"),
             tiny_config(tmp_path / "c").override(["initial.seed=4"])]
     reports = [json.loads(open(ex.run(cfg).report_path).read())
                for cfg in cfgs]
     hashes = []
     for cfg, report in zip(cfgs, reports):
-        raw = {k: v for k, v in cfg.to_dict().items() if k != "output"}
-        hashes.append(hashlib.sha256(json.dumps(
-            raw, sort_keys=True).encode()).hexdigest()[:16])
+        hashes.append(workloads.config_hash(cfg))
         assert report["provenance"] == {
             "pdhyp": pdhyp.__version__, "python": platform.python_version(),
             "numpy": np.__version__, "fft": "numpy.fft", "threads": 1,
