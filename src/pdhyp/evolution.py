@@ -12,7 +12,8 @@ the cube's planes k_0 >= 0 (spectra.band_rows, as |xi| is even in k_0) and
 applied chunk by chunk, each plane k_0 < 0 by plane -k_0;
 only the quadratic sources see explicit Runge-Kutta stages (Lawson schemes
 of order 2 and 4).  A model without sources steps by its exact flow alone,
-what both schemes reduce to when every stage source is zero.  Polynomial
+what both schemes reduce to when every stage source is zero; it writes
+the state's own array, so a source-free run holds one state.  Polynomial
 sources are summed per equation in physical space and transformed slab by
 slab (grid.product_spectra), so no n^d field exists; the bilinear
 pseudoproduct source comes from pseudoproduct.apply, and a symbol whose
@@ -277,6 +278,11 @@ class Stepper:
                    out=out)
 
     def step(self, state, guard=None):
+        """The state at t + dt, checked by `guard` if given.  A Lawson step
+        leaves `state` as it was; a source-free step runs the exact flow in
+        place, on state.data, so it refuses a guard (ValueError): a trip
+        would find the last accepted state overwritten, and the flow cannot
+        raise H^N, as E + E* = 2B <= 0."""
         h = self.dt
         # looked up per step, so a wrapper of the module's name sees all
         lin = spectra.propagator_apply
@@ -287,8 +293,11 @@ class Stepper:
                            range(3 if self.scheme == "ifrk2" else 5)]
 
         if self.source_free:
-            new = lin(self.G_full, x)
-        elif self.scheme == "ifrk2":
+            if guard is not None:
+                raise ValueError("a source-free step overwrites its state,"
+                                 " whose flow cannot raise H^N: no guard")
+            return StateField(self.grid, lin(self.G_full, x, out=x), t + h)
+        if self.scheme == "ifrk2":
             # n2 = rhs(lin(x + h n1)), new = lin(x + h/2 n1) + h/2 n2
             n1, a, b = self.stages
             self._rhs(x, t, n1)

@@ -521,7 +521,7 @@ def run(config, log=None):
         e_n = norms.initial_energy(state, known := {})  # its L^inf, H^N too
         stepper = ev.Stepper(model, grid, dt, config["time"]["scheme"])
         # a source-free flow exp(E t) has E + E* = 2B <= 0, so it cannot
-        # grow any norm and needs no guard
+        # grow any norm; its step, in place, takes no guard
         guard = (None if stepper.source_free
                  else ev.BlowupGuard.for_state(state))
 
@@ -551,10 +551,11 @@ def run(config, log=None):
 
 def _evolve(stepper, start, guard, steps, every, sample, transforms, say):
     """Step from the state at t = 1, popped from the list `start` so that
-    the first step frees it, calling sample(state) -> {norm name: value} at
-    t = 1 and after every `every`-th of `steps` steps, until the guard trips;
-    returns (the guard's StepRejected or None, the last accepted state,
-    {name: (times, values)})."""
+    the first Lawson step frees it (a source-free one writes it in place),
+    calling sample(state) -> {norm name: value} at t = 1 and after every
+    `every`-th of `steps` steps, until the guard trips; returns (the
+    guard's StepRejected or None, the last accepted state, {name: (times,
+    values)})."""
     grid, rows, state, trip = stepper.grid, [], start.pop(), None
     try:
         for k in range(steps + 1):

@@ -170,8 +170,10 @@ class SpectralGrid:
 
     def physical_slabs(self, fhat, multiplier=None):
         """Iterate (rows, slab): the band inverse of a cube or stack fhat,
-        times `multiplier` (a real cube table) if given, on those rows of
-        axis -d; a slab lives until the next one."""
+        times a real table if given, on those rows of axis -d; a slab lives
+        until the next one.  multiplier(run) gives the table on a packed
+        run of axis -d (a slice: modes 0..K, then -K..-1), broadcastable
+        to fhat's planes there, so no cube of it need exist."""
         self.transforms += self._fields(fhat, self.band_shape,
                                         "physical_slabs")
         return self._slabs(fhat, multiplier)
@@ -188,7 +190,7 @@ class SpectralGrid:
             at, into = ((Ellipsis, p) + full[1:] for p in (packed, band))
             compact[into] = fhat[at]
             if multiplier is not None:
-                compact[into] *= np.broadcast_to(multiplier, fhat.shape)[at]
+                compact[into] *= multiplier(packed)
         np.fft.ifft(compact, axis=-d, norm="forward", out=compact)
         compact *= float(np.longdouble(1) / self.size)  # ifftn's 1/n^d
         rows = max(1, _SLAB_BYTES // (16 * n ** (d - 1)))

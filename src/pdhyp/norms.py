@@ -13,9 +13,10 @@ transform of x_j^p times the line inverse along j, on the line grid of
 axis j; one _moments call shares each line inverse among its weights and
 powers, and evaluate_norms groups a sample's weighted norms into such
 calls.  No norm holds an n^d field: lp_norms reduces grid.physical_slabs
-for every p at once, and riesz gives R_j the real table xi_j/|xi|.  The
-grid caches the cube tables that every sample reads (|xi| and the H^N
-weight); a table that one call reads, such as 1/|xi|, lives in that call.
+for every p at once, and riesz gives R_j the real table xi_j/|xi| on the
+planes asked for, from 1/|xi| per shell.  The grid caches the cube tables
+that every sample reads (|xi| and the H^N weight); a table that one call
+reads lives in that call.
 The estimate harnesses return the empirical constants of the
 fractional-integration and bilinear Hoelder estimates.
 """
@@ -40,7 +41,7 @@ M0_BOUND_C = 5.0       # verdict threshold for M0(t) <= C * E_N
 
 def lp_norms(grid, fhat, ps, multiplier=None):
     """The L^p quadrature of a band field for each p of `ps`, times
-    `multiplier` (a real cube table) if given, from one band inverse
+    `multiplier` (physical_slabs' form) if given, from one band inverse
     reduced slab by slab: one |f| per slab feeds every sum and max."""
     slabs = [[np.max(f) if np.isinf(p) else np.sum(f if p == 1 else f ** p)
               for f in [np.abs(slab)] for p in ps]
@@ -55,17 +56,15 @@ def lp_norm(grid, fhat, p, multiplier=None):
     return lp_norms(grid, fhat, [p], multiplier)[0]
 
 
-def _reciprocal(grid):     # 1/|xi|, and 1 at xi = 0
-    return 1.0 / np.where(grid.xi_norm > 0, grid.xi_norm, 1.0)
-
-
-def riesz(grid, j, fhat=None, *, inverse=None):
+def riesz(grid, j, fhat=None, *, rows=slice(None)):
     """R_j f = -i (xi_j/|xi|) f_hat of a band field, 0 at xi = 0, or without
-    fhat the real cube table xi_j/|xi|; the reciprocal of |xi| rounds as
-    numpy's complex division by |xi| does.  The call builds 1/|xi| unless
-    it is given as `inverse`, to share one among the components."""
-    symbol = grid.xi_axes[j] * (_reciprocal(grid) if inverse is None
-                                else inverse)
+    fhat the real table xi_j/|xi| on the planes `rows` of axis -d (all by
+    default); 1/|xi| is taken per shell of grid.shells, whose values are
+    the floats of grid.xi_norm, and rounds as numpy's complex division by
+    |xi| does."""
+    shells, index = grid.shells
+    symbol = (1.0 / np.where(shells > 0, shells, 1.0))[index[rows]]
+    symbol *= np.broadcast_to(grid.xi_axes[j], grid.band_shape)[rows]
     return symbol if fhat is None else -1j * (symbol * fhat)
 
 
@@ -100,11 +99,12 @@ def band_linf(grid, fhat):
 
 def riesz_linf_norm(grid, fhat):
     """max_j |R_j f|_inf (the paper's R carries no index; the max dominates
-    every component choice), with R_j f = riesz(grid, j, f):
-    the band inverse of f times the real xi_j/|xi|, as |-i z| = |z|, every
-    table from one 1/|xi|."""
-    inverse = _reciprocal(grid)
-    return max(lp_norm(grid, fhat, np.inf, riesz(grid, j, inverse=inverse))
+    every component choice), with R_j f = riesz(grid, j, f): the band
+    inverse of f times the real xi_j/|xi|, as |-i z| = |z|, each packed run
+    of axis -d's table from the per-shell 1/|xi| as physical_slabs asks
+    for it, so no cube table exists."""
+    return max(lp_norm(grid, fhat, np.inf,
+                       lambda rows, j=j: riesz(grid, j, rows=rows))
                for j in range(grid.ndim))
 
 

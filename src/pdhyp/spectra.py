@@ -212,12 +212,14 @@ def propagator(grid, cache, t):
 
 def propagator_apply(G, data, out=None):
     """Apply band rows G (r, K+1, ...) to stacked cube fields (d, 2K+1, ...)
-    into `out` (new when None, else of data's shape): 3 rows as the 2x2
-    block to (u, v), 4 as the block and w's phase.
+    into `out` (new when None, else of data's shape, or data itself): 3
+    rows as the 2x2 block to (u, v), 4 as the block and w's phase.
     Plane k_0 >= 0 reads row plane k_0, in chunks of about _CHUNK_MODES
-    modes, then plane k_0 < 0 row plane -k_0, plane by plane (numpy runs a
-    reversed view through its buffered loop), each chunk's products
-    through one chunk-sized scratch, so the re-reads stay in cache."""
+    modes (K+1 planes at most), then plane k_0 < 0 row plane -k_0, plane
+    by plane (numpy runs a reversed view through its buffered loop), each
+    chunk's products through one chunk-sized scratch, so the re-reads stay
+    in cache.  With out = data, each chunk's new u waits in a second
+    scratch until v has read the old u: the bits of a separate `out`."""
     if ((len(G), len(data)) not in ((3, 2), (4, 3))
             or G.shape[2:] != data.shape[2:]
             or 2 * G.shape[1] - 1 != data.shape[1]):
@@ -226,20 +228,24 @@ def propagator_apply(G, data, out=None):
         out = np.empty(data.shape, dtype=complex)
     elif out.shape != data.shape:
         raise ValueError(f"`out` {out.shape} differs from data {data.shape}")
-    elif np.may_share_memory(out, data):    # data is read after out is
+    elif out is not data and np.may_share_memory(out, data):
         raise ValueError("`out` may share memory with `data`")
-    step = max(1, _CHUNK_MODES // data[0, 0].size)
-    scratch = np.empty((step,) + data.shape[2:], dtype=complex)
     k, m = G.shape[1], data.shape[1]
+    step = max(1, min(k, _CHUNK_MODES // data[0, 0].size))
+    scratch = np.empty((1 + (out is data), step) + data.shape[2:],
+                       dtype=complex)
     spans = [(slice(lo, min(lo + step, k)),) * 2 for lo in range(0, k, step)]
     spans += [(slice(m - i, m - i + 1), slice(i, i + 1)) for i in range(k, m)]
     for rows, planes in spans:
         g, x, y = G[:, rows], data[:, planes], out[:, planes]
-        tmp = scratch[:len(x[0])]
-        np.multiply(g[0], x[0], out=y[0])
-        y[0] += np.multiply(g[1], x[1], out=tmp)     # G00 u + G01 v
+        tmp = scratch[0, :len(x[0])]
+        u = scratch[1, :len(x[0])] if out is data else y[0]
+        np.multiply(g[0], x[0], out=u)
+        u += np.multiply(g[1], x[1], out=tmp)        # G00 u + G01 v
         np.multiply(g[2], x[1], out=y[1])
         y[1] += np.multiply(g[1], x[0], out=tmp)     # G11 v + G01 u
+        if out is data:
+            y[0] = u
         if len(G) == 4:
             np.multiply(g[3], x[2], out=y[2])        # the phase
     return out

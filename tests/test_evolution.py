@@ -564,7 +564,8 @@ def test_high_frequency_exponential_decay(grid):
 
 def test_hot_paths_leave_the_state_bitwise_unchanged():
     # a fence for in-place work: every rhs, pseudoproduct, norm, guard and
-    # step reads state.data and must never write it
+    # Lawson step reads state.data and must never write it (a source-free
+    # step flows it in place: test_a_source_free_step_flows_in_place)
     g = SpectralGrid(8, 8.0)
     rng = np.random.default_rng(11)
     state = ev.StateField(g, np.stack([band_field(g, 2, rng)
@@ -577,7 +578,6 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
         a_u=1, b_u=1, c_u=1, a_v=1, b_v=1, c_v=1, d_v=1),
         w_symbol=sy.symbol_preset("mixed"))
     k = ev.ModelSpec("k_system", ev.Coefficients(a_u=1, b_v=-1, c_u=0.5))
-    free = ev.ModelSpec("pk_system")
     calls = {"rhs pk mixed": lambda: ev.rhs(pk, state),
              "rhs k_system": lambda: ev.rhs(k, k_state),
              "initial_energy": lambda: norms.initial_energy(state),
@@ -592,11 +592,10 @@ def test_hot_paths_leave_the_state_bitwise_unchanged():
         calls[kind] = lambda spec=spec: [norms.evaluate_norm(spec, state, c)
                                          for c in state.data]
     guard = ev.BlowupGuard(limit=np.inf)
-    for model, scheme in ((pk, "ifrk2"), (pk, "ifrk4"), (free, "ifrk2")):
-        stepper = ev.Stepper(model, g, 0.5, scheme)
-        assert stepper.source_free == (model is free)
-        calls[f"step {scheme} {model.kind}"] = (
-            lambda s=stepper: s.step(state, guard))
+    for scheme in ("ifrk2", "ifrk4"):
+        stepper = ev.Stepper(pk, g, 0.5, scheme)
+        assert not stepper.source_free
+        calls[f"step {scheme}"] = lambda s=stepper: s.step(state, guard)
     for name, call in calls.items():
         call()
         assert state.data.tobytes() == saved.tobytes(), name
@@ -678,22 +677,86 @@ def test_a_source_free_stepper_makes_no_stages(grid):
     assert stepper.source_free and stepper.stages == []
 
 
+@pytest.mark.parametrize("kind, dim", [("k_system", 2), ("pk_system", 3)])
+def test_a_source_free_step_flows_in_place(kind, dim, monkeypatch):
+    # the exact flow writes the state's own array and returns it at t + dt,
+    # with the bits of propagator_apply into a new array: at n = 16, with
+    # chunks of 4 planes (a ragged last chunk of 2), then plane by plane
+    monkeypatch.setattr(spectra, "_CHUNK_MODES", 4 * 11 ** 2)
+    g = SpectralGrid(16, 16.0)
+    rng = np.random.default_rng(dim)
+    state = ev.StateField(g, np.stack([band_field(g, 4, rng)
+                                       for _ in range(dim)]), ev.T_INITIAL)
+    stepper = ev.Stepper(ev.ModelSpec(kind), g, 0.7)
+    assert stepper.source_free
+    expect = spectra.propagator_apply(stepper.G_full, state.data.copy())
+    new = stepper.step(state)
+    assert new.data is state.data and new.t == ev.T_INITIAL + 0.7
+    assert new.data.tobytes() == expect.tobytes()
+
+
+def test_a_source_free_step_refuses_a_guard(grid):
+    # a trip after the in-place write would leave no last accepted state,
+    # and the flow cannot raise H^N: the guard is refused before any write
+    stepper = ev.Stepper(ev.ModelSpec("pk_system"), grid, 0.5)
+    st = bump_state(grid, 3, 0.1)
+    saved = st.data.copy()
+    with pytest.raises(ValueError, match="overwrites its state.*H\\^N"):
+        stepper.step(st, ev.BlowupGuard.for_state(st))
+    assert st.data.tobytes() == saved.tobytes()
+
+
+def test_the_in_place_wave_flow_is_unitary_on_w(grid):
+    # one step of the exact flow keeps ||w||_L2 (w's phase has modulus 1)
+    # and does not raise ||(u, v)||_L2 (E + E* = 2B <= 0), to rounding
+    stepper = ev.Stepper(ev.ModelSpec("pk_system"), grid, 0.9)
+    st = bump_state(grid, 3, 1.0)
+    w0 = norms.l2_norm(grid, st.data[2])
+    uv0 = norms.total_sobolev(grid, st.data[:2], 0)
+    st = stepper.step(st)
+    assert abs(norms.l2_norm(grid, st.data[2]) / w0 - 1.0) <= 1e-14
+    assert norms.total_sobolev(grid, st.data[:2], 0) <= uv0 * (1 + 1e-14)
+
+
+def test_a_steady_source_free_step_allocates_less_than_one_cube():
+    # at n = 64 a steady exact step holds two chunk-sized scratches, 8 of
+    # the 43 planes of a band cube each, and no new state (3 band cubes)
+    g = SpectralGrid(64, 64.0)
+    stepper = ev.Stepper(ev.ModelSpec("pk_system"), g, 0.5)
+    state = stepper.step(bump_state(g, 3, 0.1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stepper.step(state)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * np.prod(g.band_shape)
+
+
 def test_outputs_may_not_share_memory_with_inputs(grid):
     # rhs and propagator_apply read their input after they start writing
-    # `out`, so an `out` that may overlap it is refused; a separate `out`
-    # gets the bits of a new array, whatever it held before
+    # `out`, so an `out` that may overlap it is refused, but for data
+    # itself, which propagator_apply takes with the bits of a separate
+    # `out`; a separate `out` gets the bits of a new array, whatever it
+    # held before
     st = bump_state(grid, 3, 0.1)
     model = ev.ModelSpec("pk_system", ev.Coefficients(a_u=1.0),
                          w_symbol=sy.symbol_preset("mixed"))
     G = ev.Stepper(model, grid, 0.5).G_full
     for call in (lambda out: ev.rhs(model, st, out=out),
                  lambda out: spectra.propagator_apply(G, st.data, out=out)):
-        for out in (st.data, st.data[::-1]):
-            with pytest.raises(ValueError, match="out"):
-                call(out)
+        with pytest.raises(ValueError, match="out"):
+            call(st.data[::-1])
         out = np.full_like(st.data, np.nan)
         assert call(out) is out
         assert out.tobytes() == call(None).tobytes()
+    with pytest.raises(ValueError, match="out"):
+        ev.rhs(model, st, out=st.data)
+    x = st.data.copy()
+    expect = spectra.propagator_apply(G, x)
+    assert spectra.propagator_apply(G, x, out=x) is x
+    assert x.tobytes() == expect.tobytes()
 
 
 def test_state_rejects_full_grid_data(grid):

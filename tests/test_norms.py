@@ -77,27 +77,56 @@ def test_linf_riesz_takes_max(grid):
 
 
 @pytest.mark.parametrize("n, ndim", [(32, 3), (24, 3), (15, 2)])
-def test_riesz_linf_is_the_linf_of_each_riesz_field(n, ndim, monkeypatch):
+def test_riesz_linf_is_the_linf_of_each_riesz_field(n, ndim):
     # the band inverse of f times the real xi_j/|xi|, filled into the first
-    # pass, has the max modulus of the band inverse of R_j f, bit for bit:
-    # on random fields, the xi = 0 mode alone and a zero field; the norm
-    # builds one 1/|xi| for every j
-    built, reciprocal = [], norms._reciprocal
-    monkeypatch.setattr(norms, "_reciprocal",
-                        lambda g: built.append(1) or reciprocal(g))
+    # pass one packed run of axis -d at a time, has the max modulus of the
+    # band inverse of R_j f, bit for bit: on random fields, the xi = 0 mode
+    # alone and a zero field; each run's table is that run of the cube's,
+    # which is xi_j times 1/|xi| taken on the cube, bit for bit
     g = SpectralGrid(n, 11.0, ndim)
     rng = np.random.default_rng(n)
     fields = [rng.normal(size=g.band_shape) + 1j * rng.normal(
         size=g.band_shape) for _ in range(3)]
     fields += [np.zeros(g.band_shape, dtype=complex) for _ in range(2)]
     fields[-1][(0,) * ndim] = 2.5
+    cube = 1.0 / np.where(g.xi_norm > 0, g.xi_norm, 1.0)
+    for j in range(ndim):
+        assert riesz(g, j).tobytes() == (g.xi_axes[j] * cube).tobytes()
+        for rows in (slice(None, g.dealias_limit + 1),
+                     slice(g.dealias_limit + 1, None)):
+            assert (riesz(g, j, rows=rows).tobytes()
+                    == riesz(g, j)[rows].tobytes())
     for f in fields:
         per = [norms.band_linf(g, riesz(g, j, f)) for j in range(ndim)]
-        built.clear()
-        assert norms.riesz_linf_norm(g, f) == max(per) and len(built) == 1
-        assert all(lp_norm(g, f, np.inf, riesz(g, j)) == v
-                   for j, v in enumerate(per))
+        assert norms.riesz_linf_norm(g, f) == max(per)
+        assert all(lp_norm(g, f, np.inf, lambda rows, j=j: riesz(g, j)[rows])
+                   == v for j, v in enumerate(per))
     assert norms.riesz_linf_norm(g, fields[-1]) == 0.0
+
+
+def test_riesz_linf_builds_no_cube_table(monkeypatch):
+    # at n = 32 and 4 rows per slab, the norm peaks below pass 1's store,
+    # one half cube of real tables (the run k_0 = 0..K of xi_j/|xi|) and
+    # its slab and |slab| buffers; two whole real cubes, 1/|xi| and
+    # xi_j/|xi|, would not fit
+    rows = 4
+    monkeypatch.setattr(grid_module, "_SLAB_BYTES", rows * 16 * 32 ** 2)
+    g = SpectralGrid(32, 11.0)
+    g.shells    # the grid's table, which the norm reads
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
+    norms.riesz_linf_norm(g, f)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        norms.riesz_linf_norm(g, f)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    k, m = g.dealias_limit, g.band_shape[0]
+    store, half = 16 * g.n * m ** 2, 8 * (k + 1) * m ** 2
+    slabs = (16 + 8) * rows * g.n ** 2
+    assert peak < store + half + slabs < store + 2 * 8 * m ** 3
 
 
 def test_initial_energy_scales_linearly(grid):
@@ -295,7 +324,8 @@ def test_one_band_inverse_gives_every_lp_norm(n, ndim, seed, riesz_j):
         g = SpectralGrid(n, 7.0, ndim)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=g.band_shape) + 1j * rng.normal(size=g.band_shape)
-        m = None if riesz_j is None else riesz(g, riesz_j)
+        m = None if riesz_j is None else (
+            lambda rows: riesz(g, riesz_j, rows=rows))
         ps = [1, 2, np.inf]
         rng.shuffle(ps)
         before = g.transforms
